@@ -16,7 +16,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .cellulation import Cellulation, from_json as cellulation_from_json, hexagon_torus, square_torus, theta_sphere
 from .groups import (
@@ -174,22 +174,27 @@ def _read_document(path: str) -> Dict[str, object]:
 # commands
 
 
-def _run_protocol(
-    config: RunConfig, cell: Cellulation, mode: KwMode
-) -> Tuple[ProtocolTranscript, FiniteGroup]:
-    if config.protocol == "abelian":
+def _parse_subject(config: RunConfig) -> Tuple[Union[FiniteGroup, FactorSystem], FiniteGroup]:
+    """The protocol's group or factor system, and the group it prepares."""
+    if config.protocol in ("abelian", "solvable"):
         group = parse_group_spec(config.group)
-        return prepare_abelian_double(group, cell, mode, with_oracle=config.oracle_fidelity), group
-    if config.protocol == "nil2":
+        return group, group
+    if config.protocol in ("nil2", "metabelian"):
         fs = parse_factor_system_spec(config.group)
-        return prepare_nil2_double(fs, cell, mode, with_oracle=config.oracle_fidelity), fs.parent
-    if config.protocol == "metabelian":
-        fs = parse_factor_system_spec(config.group)
-        return prepare_metabelian_double(fs, cell, mode, with_oracle=config.oracle_fidelity), fs.parent
-    if config.protocol == "solvable":
-        group = parse_group_spec(config.group)
-        return prepare_solvable_double(group, cell, mode, with_oracle=config.oracle_fidelity), group
+        return fs, fs.parent
     raise ValueError(f"unknown protocol {config.protocol!r}")
+
+
+def _run_protocol(
+    config: RunConfig, subject: Union[FiniteGroup, FactorSystem], cell: Cellulation, mode: KwMode
+) -> ProtocolTranscript:
+    prepare = {
+        "abelian": prepare_abelian_double,
+        "nil2": prepare_nil2_double,
+        "metabelian": prepare_metabelian_double,
+        "solvable": prepare_solvable_double,
+    }[config.protocol]
+    return prepare(subject, cell, mode, with_oracle=config.oracle_fidelity)
 
 
 def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
@@ -204,9 +209,11 @@ def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
         if base_mode.kind == "sample"
         else [base_mode]
     )
+    subject, group = _parse_subject(config)
+    gsd = ground_state_degeneracy(group, cell) if config.gsd else None
 
     def run_one(mode: KwMode) -> Dict[str, object]:
-        transcript, group = _run_protocol(config, cell, mode)
+        transcript = _run_protocol(config, subject, cell, mode)
         entry: Dict[str, object] = {
             "seed": mode.seed,
             "transcript": json.loads(transcript.to_json()),
@@ -223,7 +230,6 @@ def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             runs = list(pool.map(run_one, modes))
 
-    group = parse_group_spec(config.group) if config.protocol in ("abelian", "solvable") else parse_factor_system_spec(config.group).parent
     payload: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
         "command": "prepare",
@@ -248,8 +254,8 @@ def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
         summary["stabilizer_tolerance"] = STABILIZER_TOL
         if worst < 1 - STABILIZER_TOL:
             code = 2
-    if config.gsd:
-        payload["gsd"] = ground_state_degeneracy(group, cell)
+    if gsd is not None:
+        payload["gsd"] = gsd
     payload["summary"] = summary
     return payload, code
 

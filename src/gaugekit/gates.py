@@ -8,13 +8,13 @@ for a normal subgroup inside a group).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cellulation import Cellulation
 from .groups import FactorSystem, FiniteGroup, Irrep, character_table
-from .register import DiagonalOperator, LocalOperator
+from .register import DiagonalOperator, LocalOperator, _edge_site
 
 __all__ = [
     "left_mult",
@@ -131,7 +131,7 @@ def loop_z(
     irrep: Irrep,
     loop: Sequence[Tuple[int, int]],
     cell: Cellulation,
-    edge_of: Callable[[int], Hashable] = lambda e: ("e", e),
+    edge_of: Callable[[int], Hashable] = _edge_site,
 ) -> DiagonalOperator:
     """Tr of the ordered product of rho^mu(g_e^{O_e}) around a closed loop.
 
@@ -155,6 +155,21 @@ def loop_z(
             m = m @ irrep.matrices[g]
         diag[flat] = np.trace(m)
     return DiagonalOperator([edge_of(e) for e in edges], diag, name=f"loopZ^{irrep.label}")
+
+
+def _walk_product(group: FiniteGroup, walk: Sequence[Tuple[int, int]]) -> Tuple[List[int], np.ndarray]:
+    """Distinct edges of an oriented walk in first-visit order, and the ordered
+    product of g_e^{O_e} along the walk for every joint label of those edges."""
+    edges = list(dict.fromkeys(e for e, _ in walk))
+    d = group.order
+    grids = np.indices((d,) * len(edges)).reshape(len(edges), -1)
+    acc = np.zeros(grids.shape[1], dtype=np.int64)
+    for e, orient in walk:
+        labels = grids[edges.index(e)]
+        if orient == -1:
+            labels = group.inv[labels]
+        acc = group.mult[acc, labels]
+    return edges, acc
 
 
 def irrep_group_guard(irrep: Irrep) -> FiniteGroup:

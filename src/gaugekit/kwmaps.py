@@ -31,20 +31,20 @@ from .gates import (
     z_tilde,
 )
 from .groups import FactorSystem, FiniteGroup
-from .register import STATE_TOL, QuditRegister, SiteSpec
+from .register import (
+    STATE_TOL,
+    QuditRegister,
+    SiteSpec,
+    _edge_site,
+    _identity_state,
+    _plus_state,
+    _vertex_site,
+)
 
 __all__ = ["KwMode", "KwResult", "kw_abelian", "kw_hat_abelian", "kw_exact_g", "kw_n_in_g"]
 
 # dense-assembly ceiling for the enumeration oracle, in amplitudes
 EXACT_BUDGET = 20_000_000
-
-
-def _vertex_site(v: int) -> Hashable:
-    return ("v", v)
-
-
-def _edge_site(e: int) -> Hashable:
-    return ("e", e)
 
 
 def _plaquette_site(p: int) -> Hashable:
@@ -57,16 +57,6 @@ def _n_site(v: int) -> Hashable:
 
 def _q_site(v: int) -> Hashable:
     return ("v", v, "q")
-
-
-def _identity_local(spec: SiteSpec) -> np.ndarray:
-    v = np.zeros(spec.dim, dtype=np.complex128)
-    v[0] = 1.0
-    return v
-
-
-def _plus_local(spec: SiteSpec) -> np.ndarray:
-    return np.full(spec.dim, 1.0 / np.sqrt(spec.dim), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -198,7 +188,7 @@ def kw_abelian(
         "kw_abelian",
     )
     reg.add_sites(
-        [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)], _identity_local
+        [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)], _identity_state
     )
     for e, (i_v, f_v) in enumerate(cell.edges):
         reg.apply(controlled_left(a_group, vertex_of(i_v), edge_of(e)).dagger())
@@ -238,7 +228,7 @@ def kw_hat_abelian(
         "kw_hat_abelian",
     )
     reg.add_sites(
-        [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)], _plus_local
+        [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)], _plus_state
     )
     for e in range(cell.n_edges):
         p_minus, p_plus = cell.plaquette_pair(e)
@@ -326,7 +316,7 @@ def kw_n_in_g(
         "kw_n_in_g",
     )
     reg.add_sites(
-        [SiteSpec(edge_of(e), "edge", n_grp) for e in range(cell.n_edges)], _identity_local
+        [SiteSpec(edge_of(e), "edge", n_grp) for e in range(cell.n_edges)], _identity_state
     )
     for e, (i_v, f_v) in enumerate(cell.edges):
         reg.apply(controlled_left(n_grp, n_of(i_v), edge_of(e)).dagger())

@@ -16,14 +16,16 @@ equal the measurement outcomes exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional
 
 import numpy as np
 
 from .cellulation import Cellulation, dual_spanning_tree, spanning_tree
 from .feedforward import CorrectionPlan, SyndromeSet, charge_correction, flux_correction
 from .gates import (
+    _walk_product,
     controlled_left,
     controlled_right,
     cz_abelian,
@@ -41,8 +43,17 @@ from .groups import (
     factor_system_of,
     is_nil2_extension,
 )
-from .kwmaps import KwMode, kw_abelian, kw_exact_g, kw_n_in_g
-from .register import STATE_TOL, DiagonalOperator, QuditRegister, SiteSpec, StabilizerOperator, init_plus
+from .kwmaps import KwMode, _measure_sites, _require_symmetric, kw_abelian, kw_exact_g, kw_n_in_g
+from .register import (
+    DiagonalOperator,
+    QuditRegister,
+    SiteSpec,
+    StabilizerOperator,
+    _edge_site,
+    _identity_state,
+    _vertex_site,
+    init_plus,
+)
 
 __all__ = [
     "ProtocolRound",
@@ -57,24 +68,6 @@ __all__ = [
 ]
 
 SYNDROME_TOL = 1e-8
-
-
-def _vertex_site(v: int) -> Hashable:
-    return ("v", v)
-
-
-def _edge_site(e: int) -> Hashable:
-    return ("e", e)
-
-
-def _plus_local(spec: SiteSpec) -> np.ndarray:
-    return np.full(spec.dim, spec.dim**-0.5, dtype=np.complex128)
-
-
-def _identity_local(spec: SiteSpec) -> np.ndarray:
-    v = np.zeros(spec.dim, dtype=np.complex128)
-    v[0] = 1.0
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -167,33 +160,15 @@ def _round_mode(mode: KwMode, r: int, total: int) -> KwMode:
     return KwMode.sample(_round_seed(mode.seed, r))
 
 
-def _measure_layer(
-    reg: QuditRegister, mode: KwMode, pairs: List[Tuple[int, Hashable]]
-) -> Tuple[Dict[int, int], float]:
-    rng = mode.generator()
-    outcomes: Dict[int, int] = {}
-    prob = 1.0
-    for key, sid in pairs:
-        if mode.kind == "postselect":
-            prob *= reg.project_plus(sid)
-            outcomes[key] = 0
-        else:
-            forced = mode.outcomes.get(key, 0) if mode.kind == "forced" else None
-            outcomes[key] = reg.measure_fourier(sid, rng=rng, forced=forced)
-            prob *= reg.retired[sid].probability
-    return outcomes, prob
-
-
-def _oracle_fidelity(reg: QuditRegister, g_group: FiniteGroup, cell: Cellulation) -> float:
-    probe = init_plus([SiteSpec(("v", v), "vertex", g_group) for v in range(cell.n_vertices)])
-    return reg.fidelity(kw_exact_g(probe, cell, g_group))
+def _plus_vertices(group: FiniteGroup, cell: Cellulation) -> QuditRegister:
+    return init_plus([SiteSpec(_vertex_site(v), "vertex", group) for v in range(cell.n_vertices)])
 
 
 # ---------------------------------------------------------------------------
 # solvable round planning
 
 
-def _solvable_chain(g_group: FiniteGroup) -> Tuple[List[FactorSystem], FiniteGroup]:
+def _solvable_chain(g_group: FiniteGroup) -> List[FactorSystem]:
     """Factor systems for the rounds, innermost abelian subgroup each stage.
 
     Every stage gauges the last nontrivial derived subgroup of what remains,
@@ -214,7 +189,7 @@ def _solvable_chain(g_group: FiniteGroup) -> Tuple[List[FactorSystem], FiniteGro
         fs = factor_system_of(h, sub)
         systems.append(fs)
         h = fs.q_group
-    return systems, h
+    return systems
 
 
 def _reassemble_edges(reg: QuditRegister, cell: Cellulation, systems: List[FactorSystem]) -> None:
@@ -228,7 +203,7 @@ def _reassemble_edges(reg: QuditRegister, cell: Cellulation, systems: List[Facto
         fs = systems[j - 1]
         image = np.argsort(parent_to_pair(fs))
         for e in range(cell.n_edges):
-            new_sid = ("e", e) if j == 1 else ("e", e, j)
+            new_sid = _edge_site(e) if j == 1 else ("e", e, j)
             reg.merge_sites(("e", e, j), ("e", e, j + 1), SiteSpec(new_sid, "edge", fs.parent))
             reg.relabel_site(new_sid, image)
 
@@ -237,7 +212,7 @@ def _split_vertices(reg: QuditRegister, cell: Cellulation, fs: FactorSystem, j: 
     """Present each live vertex in the (subgroup, quotient) pair basis."""
     pair = parent_to_pair(fs)
     for v in range(cell.n_vertices):
-        sid = ("v", v) if j == 1 else ("v", v, j - 1, "q")
+        sid = _vertex_site(v) if j == 1 else ("v", v, j - 1, "q")
         reg.relabel_site(sid, pair)
         reg.split_site(
             sid,
@@ -267,52 +242,44 @@ def _subgroup_round(
     )
 
 
-def _abelian_round(
-    reg: QuditRegister,
-    cell: Cellulation,
-    a_group: FiniteGroup,
-    mode: KwMode,
-    vertex_of: Callable[[int], Hashable],
-    edge_of: Callable[[int], Hashable],
-) -> ProtocolRound:
-    res = kw_abelian(reg, cell, a_group, mode, vertex_of=vertex_of, edge_of=edge_of)
-    return ProtocolRound(
-        label=f"gauge the abelian group {a_group.name}",
-        layers=["controlled group multiplications write domain walls onto identity-state edges"],
-        outcomes={"charge": res.outcomes},
-        corrections=[_plan_record(res.corrections)],
-        probability=res.probability,
-    )
-
-
 def _gauge_rounds(
     reg: QuditRegister,
     g_group: FiniteGroup,
+    chain: List[FactorSystem],
     cell: Cellulation,
     mode: KwMode,
     protocol: str,
     oracle: Optional[QuditRegister],
 ) -> ProtocolTranscript:
-    systems, final_grp = _solvable_chain(g_group)
-    total = len(systems) + 1
+    """One measurement round per factor system in chain, then one for the
+    abelian remainder, then edge reassembly.
+
+    chain is empty for an abelian group. Otherwise the vertices of reg arrive
+    already split for the first factor system; later stages split here.
+    """
+    total = len(chain) + 1
     rounds: List[ProtocolRound] = []
-    prob = 1.0
-    for j, fs in enumerate(systems, start=1):
-        _split_vertices(reg, cell, fs, j)
-        rnd = _subgroup_round(reg, cell, fs, j, _round_mode(mode, j, total))
-        rounds.append(rnd)
-        prob *= rnd.probability
-    if systems:
-        vertex_of = lambda v: ("v", v, len(systems), "q")
+    for j, fs in enumerate(chain, start=1):
+        if j > 1:
+            _split_vertices(reg, cell, fs, j)
+        rounds.append(_subgroup_round(reg, cell, fs, j, _round_mode(mode, j, total)))
+    if chain:
+        a_group = chain[-1].q_group
+        vertex_of = lambda v: ("v", v, len(chain), "q")
         edge_of = lambda e: ("e", e, total)
     else:
-        vertex_of, edge_of = _vertex_site, _edge_site
-    rnd = _abelian_round(reg, cell, final_grp, _round_mode(mode, total, total), vertex_of, edge_of)
-    rounds.append(rnd)
-    prob *= rnd.probability
-    if systems:
-        _reassemble_edges(reg, cell, systems)
-    fid = reg.fidelity(oracle) if oracle is not None else None
+        a_group, vertex_of, edge_of = g_group, _vertex_site, _edge_site
+    res = kw_abelian(reg, cell, a_group, _round_mode(mode, total, total), vertex_of=vertex_of, edge_of=edge_of)
+    rounds.append(
+        ProtocolRound(
+            label=f"gauge the abelian group {a_group.name}",
+            layers=["controlled group multiplications write domain walls onto identity-state edges"],
+            outcomes={"charge": res.outcomes},
+            corrections=[_plan_record(res.corrections)],
+            probability=res.probability,
+        )
+    )
+    _reassemble_edges(reg, cell, chain)
     return ProtocolTranscript(
         protocol=protocol,
         group=g_group.name,
@@ -320,9 +287,53 @@ def _gauge_rounds(
         shots=total,
         rounds=rounds,
         register=reg,
-        probability=prob,
-        fidelity_vs_oracle=fid,
+        probability=math.prod(rnd.probability for rnd in rounds),
+        fidelity_vs_oracle=reg.fidelity(oracle) if oracle is not None else None,
     )
+
+
+def _gauge_derived_series(
+    reg: QuditRegister,
+    g_group: FiniteGroup,
+    cell: Cellulation,
+    mode: KwMode,
+    protocol: str,
+    with_oracle: bool,
+) -> ProtocolTranscript:
+    """The rounds down the derived series of g_group, on a symmetric vertex register."""
+    chain = _solvable_chain(g_group)
+    oracle = kw_exact_g(reg, cell, g_group) if with_oracle else None
+    if chain:
+        _split_vertices(reg, cell, chain[0], 1)
+    return _gauge_rounds(reg, g_group, chain, cell, mode, protocol, oracle)
+
+
+def _nil2_circuit(fs: FactorSystem, cell: Cellulation) -> QuditRegister:
+    """The three coupling layers of the one-shot central-extension double,
+    before any measurement: quotient vertices, plaquettes, split edges."""
+    n_grp, q_grp = fs.n_group, fs.q_group
+    reg = init_plus(
+        [SiteSpec(_vertex_site(v), "vertex", q_grp) for v in range(cell.n_vertices)]
+        + [SiteSpec(("p", p), "plaquette", n_grp) for p in range(cell.n_plaquettes)]
+    )
+    # d**-0.5, not 1/sqrt(d) as in init_plus: the two round apart at d = 2, 3, 6, 8, 12, 24
+    reg.add_sites(
+        [SiteSpec(("e", e, "n"), "edge", n_grp) for e in range(cell.n_edges)],
+        lambda spec: np.full(spec.dim, spec.dim**-0.5, dtype=np.complex128),
+    )
+    reg.add_sites([SiteSpec(("e", e, "q"), "edge", q_grp) for e in range(cell.n_edges)], _identity_state)
+    for e in range(cell.n_edges):
+        p_minus, p_plus = cell.plaquette_pair(e)
+        if p_minus == p_plus:
+            continue
+        reg.apply(cz_abelian(n_grp, ("p", p_plus), ("e", e, "n")))
+        reg.apply(cz_abelian(n_grp, ("p", p_minus), ("e", e, "n")).dagger())
+    for e, (i_v, f_v) in enumerate(cell.edges):
+        reg.apply(omega_gate(fs, ("v", i_v), ("e", e, "n"), ("v", f_v)))
+    for e, (i_v, f_v) in enumerate(cell.edges):
+        reg.apply(controlled_left(q_grp, ("v", i_v), ("e", e, "q")).dagger())
+        reg.apply(controlled_right(q_grp, ("v", f_v), ("e", e, "q")).dagger())
+    return reg
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +346,8 @@ def prepare_abelian_double(
     """One-shot double of an abelian group from uniform vertex ancillas."""
     if not a_group.is_abelian:
         raise ValueError("prepare_abelian_double needs an abelian group")
-    reg = init_plus([SiteSpec(("v", v), "vertex", a_group) for v in range(cell.n_vertices)])
-    rnd = _abelian_round(reg, cell, a_group, mode, _vertex_site, _edge_site)
-    fid = _oracle_fidelity(reg, a_group, cell) if with_oracle else None
-    return ProtocolTranscript(
-        protocol="abelian_double",
-        group=a_group.name,
-        graph=cell.name,
-        shots=1,
-        rounds=[rnd],
-        register=reg,
-        probability=rnd.probability,
-        fidelity_vs_oracle=fid,
-    )
+    oracle = kw_exact_g(_plus_vertices(a_group, cell), cell, a_group) if with_oracle else None
+    return _gauge_rounds(_plus_vertices(a_group, cell), a_group, [], cell, mode, "abelian_double", oracle)
 
 
 def prepare_nil2_double(
@@ -377,25 +377,9 @@ def prepare_nil2_double(
         raise ValueError("prepare_nil2_double needs a closed cellulation")
     n_grp, q_grp = fs.n_group, fs.q_group
     n_v, n_p = cell.n_vertices, cell.n_plaquettes
-    reg = init_plus(
-        [SiteSpec(("v", v), "vertex", q_grp) for v in range(n_v)]
-        + [SiteSpec(("p", p), "plaquette", n_grp) for p in range(n_p)]
-    )
-    reg.add_sites([SiteSpec(("e", e, "n"), "edge", n_grp) for e in range(cell.n_edges)], _plus_local)
-    reg.add_sites([SiteSpec(("e", e, "q"), "edge", q_grp) for e in range(cell.n_edges)], _identity_local)
-    for e in range(cell.n_edges):
-        p_minus, p_plus = cell.plaquette_pair(e)
-        if p_minus == p_plus:
-            continue
-        reg.apply(cz_abelian(n_grp, ("p", p_plus), ("e", e, "n")))
-        reg.apply(cz_abelian(n_grp, ("p", p_minus), ("e", e, "n")).dagger())
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        reg.apply(omega_gate(fs, ("v", i_v), ("e", e, "n"), ("v", f_v)))
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        reg.apply(controlled_left(q_grp, ("v", i_v), ("e", e, "q")).dagger())
-        reg.apply(controlled_right(q_grp, ("v", f_v), ("e", e, "q")).dagger())
-    pairs = [(v, ("v", v)) for v in range(n_v)] + [(n_v + p, ("p", p)) for p in range(n_p)]
-    raw, prob = _measure_layer(reg, mode, pairs)
+    reg = _nil2_circuit(fs, cell)
+    pairs = [(v, _vertex_site(v)) for v in range(n_v)] + [(n_v + p, ("p", p)) for p in range(n_p)]
+    raw, prob = _measure_sites(reg, mode, pairs)
     v_outs = {v: raw[v] for v in range(n_v)}
     p_outs = {p: raw[n_v + p] for p in range(n_p)}
     charge_plan = charge_correction(
@@ -410,10 +394,10 @@ def prepare_nil2_double(
             reg.apply(left_mult(n_grp, x, ("e", e, "n")))
         image = np.argsort(parent_to_pair(fs))
         for e in range(cell.n_edges):
-            reg.merge_sites(("e", e, "n"), ("e", e, "q"), SiteSpec(("e", e), "edge", fs.parent))
-            reg.relabel_site(("e", e), image)
+            reg.merge_sites(("e", e, "n"), ("e", e, "q"), SiteSpec(_edge_site(e), "edge", fs.parent))
+            reg.relabel_site(_edge_site(e), image)
         if with_oracle:
-            fid = _oracle_fidelity(reg, fs.parent, cell)
+            fid = reg.fidelity(kw_exact_g(_plus_vertices(fs.parent, cell), cell, fs.parent))
     rnd = ProtocolRound(
         label=f"one-shot double of {fs.parent.name}",
         layers=[
@@ -451,6 +435,9 @@ def prepare_metabelian_double(
     """
     if not (fs.n_group.is_abelian and fs.q_group.is_abelian):
         raise ValueError("prepare_metabelian_double needs abelian subgroup and abelian quotient")
+    oracle = kw_exact_g(_plus_vertices(fs.parent, cell), cell, fs.parent) if with_oracle else None
+    # the split plus state is built directly, not split from parent labels:
+    # 1/sqrt(|N|) 1/sqrt(|Q|) and 1/sqrt(|G|) round apart
     reg = init_plus(
         [
             SiteSpec(("v", v, 1, part), "vertex", grp)
@@ -458,34 +445,14 @@ def prepare_metabelian_double(
             for part, grp in [("n", fs.n_group), ("q", fs.q_group)]
         ]
     )
-    rnd1 = _subgroup_round(reg, cell, fs, 1, _round_mode(mode, 1, 2))
-    rnd2 = _abelian_round(
-        reg, cell, fs.q_group, _round_mode(mode, 2, 2), lambda v: ("v", v, 1, "q"), lambda e: ("e", e, 2)
-    )
-    _reassemble_edges(reg, cell, [fs])
-    fid = _oracle_fidelity(reg, fs.parent, cell) if with_oracle else None
-    return ProtocolTranscript(
-        protocol="metabelian_double",
-        group=fs.parent.name,
-        graph=cell.name,
-        shots=2,
-        rounds=[rnd1, rnd2],
-        register=reg,
-        probability=rnd1.probability * rnd2.probability,
-        fidelity_vs_oracle=fid,
-    )
+    return _gauge_rounds(reg, fs.parent, [fs], cell, mode, "metabelian_double", oracle)
 
 
 def prepare_solvable_double(
     g_group: FiniteGroup, cell: Cellulation, mode: KwMode, with_oracle: bool = True
 ) -> ProtocolTranscript:
     """Double of any solvable group in one round per derived-series step."""
-    reg = init_plus([SiteSpec(("v", v), "vertex", g_group) for v in range(cell.n_vertices)])
-    oracle = None
-    if with_oracle:
-        probe = init_plus([SiteSpec(("v", v), "vertex", g_group) for v in range(cell.n_vertices)])
-        oracle = kw_exact_g(probe, cell, g_group)
-    return _gauge_rounds(reg, g_group, cell, mode, "solvable_double", oracle)
+    return _gauge_derived_series(_plus_vertices(g_group, cell), g_group, cell, mode, "solvable_double", with_oracle)
 
 
 def gauge_input_state(
@@ -502,20 +469,16 @@ def gauge_input_state(
     definitional map applied to the same input.
     """
     if len(reg.sites) != cell.n_vertices or any(
-        reg.spec(("v", v)).dim != g_group.order for v in range(cell.n_vertices)
+        reg.spec(_vertex_site(v)).dim != g_group.order for v in range(cell.n_vertices)
     ):
         raise ValueError("gauge_input_state needs a register with exactly the vertex sites")
-    for g in range(1, g_group.order):
-        probe = reg.copy()
-        for v in range(cell.n_vertices):
-            probe.apply(left_mult(g_group, g, ("v", v)))
-        if np.abs(probe.amps - reg.amps).max() > STATE_TOL:
-            raise ValueError(
-                f"input state is not invariant under the global left action (element {g} moves it)"
-            )
-    _solvable_chain(g_group)
-    oracle = kw_exact_g(reg.copy(), cell, g_group) if with_oracle else None
-    return _gauge_rounds(reg, g_group, cell, mode, "gauge_input", oracle)
+    _require_symmetric(
+        reg,
+        lambda g: [left_mult(g_group, g, _vertex_site(v)) for v in range(cell.n_vertices)],
+        g_group.order,
+        "gauge_input_state",
+    )
+    return _gauge_derived_series(reg, g_group, cell, mode, "gauge_input", with_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -563,21 +526,9 @@ def flux_syndromes(
     Rejects smeared flux; on a protocol branch before flux feedforward the
     labels equal the measurement outcomes.
     """
-    d = a_group.order
     out: Dict[int, int] = {}
     for p in range(cell.n_plaquettes):
-        walk = cell.plaquettes[p]
-        edges: List[int] = []
-        for e, _ in walk:
-            if e not in edges:
-                edges.append(e)
-        grids = np.indices((d,) * len(edges)).reshape(len(edges), -1)
-        acc = np.zeros(grids.shape[1], dtype=np.int64)
-        for e, orient in walk:
-            labels = grids[edges.index(e)]
-            if orient == -1:
-                labels = a_group.inv[labels]
-            acc = a_group.mult[acc, labels]
+        edges, acc = _walk_product(a_group, cell.plaquettes[p])
         hit = None
         for n in a_group.elements():
             val = reg.expectation(

@@ -412,6 +412,14 @@ def _fourier_op(spec_: SiteSpec) -> LocalOperator:
 # initialization
 
 
+def _vertex_site(v: int) -> Hashable:
+    return ("v", v)
+
+
+def _edge_site(e: int) -> Hashable:
+    return ("e", e)
+
+
 def _plus_state(spec_: SiteSpec) -> np.ndarray:
     return np.full(spec_.dim, 1.0 / np.sqrt(spec_.dim), dtype=np.complex128)
 

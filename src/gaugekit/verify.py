@@ -21,6 +21,7 @@ import numpy as np
 
 from .cellulation import Cellulation
 from .gates import (
+    _walk_product,
     controlled_left,
     controlled_right,
     cz_abelian,
@@ -40,12 +41,14 @@ from .groups import (
     irrep_table,
 )
 from .kwmaps import kw_abelian, kw_hat_abelian, KwMode
+from .protocols import _nil2_circuit
 from .register import (
     DiagonalOperator,
     LocalOperator,
     QuditRegister,
     SiteSpec,
     StabilizerOperator,
+    _edge_site,
     init_plus,
 )
 
@@ -76,10 +79,6 @@ WORK_BUDGET = 20_000_000
 COLUMN_BUDGET = 2_000_000
 
 EXPECTATION_IMAG_TOL = 1e-10
-
-
-def _edge_site(e: int) -> Hashable:
-    return ("e", e)
 
 
 def _real(value: complex, what: str) -> float:
@@ -161,19 +160,7 @@ def plaquette_stabilizer(
 ) -> DiagonalOperator:
     """The plaquette projector: diagonal indicator of a trivial ordered
     boundary-walk product, so it needs no representation data."""
-    walk = cell.plaquettes[p]
-    edges: List[int] = []
-    for e, _ in walk:
-        if e not in edges:
-            edges.append(e)
-    d = g_group.order
-    grids = np.indices((d,) * len(edges)).reshape(len(edges), -1)
-    acc = np.zeros(grids.shape[1], dtype=np.int64)
-    for e, orient in walk:
-        labels = grids[edges.index(e)]
-        if orient == -1:
-            labels = g_group.inv[labels]
-        acc = g_group.mult[acc, labels]
+    edges, acc = _walk_product(g_group, cell.plaquettes[p])
     diag = (acc == 0).astype(np.complex128)
     return DiagonalOperator([edge_of(e) for e in edges], diag, name=f"B[{p}]")
 
@@ -678,20 +665,12 @@ def _check_plaquette_projector_from_irrep_sum(g_group: FiniteGroup, cell: Cellul
     return worst
 
 
-def _nil2_sites(fs: FactorSystem, cell: Cellulation):
-    n_grp, q_grp = fs.n_group, fs.q_group
-    q_verts = [SiteSpec(("v", v), "vertex", q_grp) for v in range(cell.n_vertices)]
-    n_edges = [SiteSpec(("e", e, "n"), "edge", n_grp) for e in range(cell.n_edges)]
-    q_edges = [SiteSpec(("e", e, "q"), "edge", q_grp) for e in range(cell.n_edges)]
-    plaqs = [SiteSpec(("p", p), "plaquette", n_grp) for p in range(cell.n_plaquettes)]
-    return q_verts, n_edges, q_edges, plaqs
-
-
 def _check_central_extension_circuit_matches_composition(
     fs: FactorSystem, cell: Cellulation
 ) -> float:
-    """The three-layer circuit with deferred projections equals the chained
-    plaquette-route, dressing, vertex-route grouping of the same map."""
+    """The three-layer circuit prepare_nil2_double runs, with deferred
+    projections, equals the chained plaquette-route, dressing, vertex-route
+    grouping of the same map."""
     if not is_nil2_extension(fs):
         raise ValueError("needs a central extension with abelian subgroup and quotient")
     if not cell.closed or not cell.plaquettes:
@@ -704,47 +683,22 @@ def _check_central_extension_circuit_matches_composition(
     )
     if dim > DENSE_CHECK_BUDGET:
         raise ValueError(f"joint space of {dim} amplitudes exceeds the budget {DENSE_CHECK_BUDGET}")
-    q_verts, n_edges, q_edges, plaqs = _nil2_sites(fs, cell)
-
-    def plus(spec: SiteSpec) -> np.ndarray:
-        return np.full(spec.dim, spec.dim**-0.5, dtype=np.complex128)
-
-    def ident(spec: SiteSpec) -> np.ndarray:
-        v = np.zeros(spec.dim, dtype=np.complex128)
-        v[0] = 1.0
-        return v
-
-    one = init_plus(q_verts + plaqs)
-    one.add_sites(n_edges, plus)
-    one.add_sites(q_edges, ident)
-    for e in range(cell.n_edges):
-        p_minus, p_plus = cell.plaquette_pair(e)
-        if p_minus != p_plus:
-            one.apply(cz_abelian(n_grp, ("p", p_plus), ("e", e, "n")))
-            one.apply(cz_abelian(n_grp, ("p", p_minus), ("e", e, "n")).dagger())
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        one.apply(omega_gate(fs, ("v", i_v), ("e", e, "n"), ("v", f_v)))
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        one.apply(controlled_left(q_grp, ("v", i_v), ("e", e, "q")).dagger())
-        one.apply(controlled_right(q_grp, ("v", f_v), ("e", e, "q")).dagger())
+    one = _nil2_circuit(fs, cell)
     prob_one = 1.0
     for p in range(cell.n_plaquettes):
         prob_one *= one.project_plus(("p", p))
     for v in range(cell.n_vertices):
         prob_one *= one.project_plus(("v", v))
 
-    hat_reg = init_plus(plaqs)
-    res_hat = kw_hat_abelian(
-        hat_reg, cell, n_grp, KwMode.postselect(), plaquette_of=lambda p: ("p", p), edge_of=lambda e: ("e", e, "n")
-    )
+    q_verts = [SiteSpec(("v", v), "vertex", q_grp) for v in range(cell.n_vertices)]
+    hat_reg = init_plus([SiteSpec(("p", p), "plaquette", n_grp) for p in range(cell.n_plaquettes)])
+    res_hat = kw_hat_abelian(hat_reg, cell, n_grp, KwMode.postselect(), edge_of=lambda e: ("e", e, "n"))
     two = init_plus(q_verts)
     two_amps = np.multiply.outer(two.amps, hat_reg.amps)
     two = QuditRegister(q_verts + list(hat_reg.sites), two_amps)
     for e, (i_v, f_v) in enumerate(cell.edges):
         two.apply(omega_gate(fs, ("v", i_v), ("e", e, "n"), ("v", f_v)))
-    res_q = kw_abelian(
-        two, cell, q_grp, KwMode.postselect(), vertex_of=lambda v: ("v", v), edge_of=lambda e: ("e", e, "q")
-    )
+    res_q = kw_abelian(two, cell, q_grp, KwMode.postselect(), edge_of=lambda e: ("e", e, "q"))
     # both routes renormalize after each projection, so weigh the branches back
     prob_two = res_hat.probability * res_q.probability
     one._check_layout(two)

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from gaugekit.cellulation import theta_sphere, to_json as cell_to_json
+from gaugekit import cli
 from gaugekit.cli import RunConfig, main
 from gaugekit.groups import catalog_factor_system
 
@@ -138,6 +139,17 @@ def test_prepare_gsd_flag(tmp_path):
     )
     assert code == 0
     assert read(out)["gsd"] == 4
+
+
+def test_prepare_gsd_budget_checked_before_any_protocol_run(monkeypatch, capsys):
+    def no_protocol(*args, **kwargs):
+        raise AssertionError("a protocol ran before the degeneracy budget was checked")
+
+    monkeypatch.setattr(cli, "_run_protocol", no_protocol)
+    argv = ["prepare", "--group", "S4", "--protocol", "solvable", "--mode", "sample:0", "--seeds", "20", "--gsd"]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "precondition", "message": "edge space 24^3 exceeds the dense projector budget 2048"}
 
 
 def test_prepare_cell_document(tmp_path):

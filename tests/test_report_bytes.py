@@ -1,0 +1,69 @@
+"""Report bytes pinned by SHA-256: the byte-identity gate for refactors.
+
+The digests were recorded from the code before the protocols shared one
+round engine. A refactor that changes a single bit of any of these reports
+(a fidelity, a probability, an outcome, a key) fails here; regenerate them
+only for a change that means to alter report contents, and say so.
+"""
+
+import hashlib
+
+import pytest
+
+from gaugekit.cellulation import theta_sphere
+from gaugekit.cli import main
+from gaugekit.groups import catalog
+from gaugekit.kwmaps import KwMode
+from gaugekit.protocols import gauge_input_state
+from gaugekit.register import SiteSpec, init_plus
+
+CLI_REPORTS = [
+    pytest.param(
+        ["prepare", "--group", "Z3", "--cell", "square:2x2", "--protocol", "abelian", "--mode", "sample:7"],
+        "069ac61d1a9778b3e40b405cfa77dae98e525f53b66743868c9bd6b0a0bdb663",
+        id="abelian-Z3-square",
+    ),
+    pytest.param(
+        ["prepare", "--group", "D4", "--cell", "hexagon", "--protocol", "nil2", "--mode", "sample:7", "--seeds", "2"],
+        "69accb0c9df2fe53e9c5cc2793105dbd67885d34e6a8034668e78c3a5baa6b10",
+        id="nil2-D4-hexagon",
+    ),
+    pytest.param(
+        ["prepare", "--group", "Q8", "--cell", "theta", "--protocol", "nil2", "--mode", "postselect"],
+        "91beb30cc31b6a058b7245d248a7a449997949eb9f1299693830965076e1c8dc",
+        id="nil2-Q8-theta",
+    ),
+    pytest.param(
+        ["prepare", "--group", "S3", "--cell", "hexagon", "--protocol", "metabelian", "--mode", "sample:7",
+         "--seeds", "2"],
+        "b5fd2c7c572e1feeeeb8ad0d618d098503586c323fbfbf0a0f467cbc5dcadbe1",
+        id="metabelian-S3-hexagon",
+    ),
+    pytest.param(
+        ["prepare", "--group", "S4", "--cell", "hexagon", "--protocol", "solvable", "--mode", "sample:7",
+         "--seeds", "2"],
+        "dad30f3b9daa955acfb976b23ad92d40a0919588bd7bbb697fc189498342d19c",
+        id="solvable-S4-hexagon",
+    ),
+    pytest.param(
+        ["verify", "--suite", "identities", "--group", "D4", "--cell", "hexagon"],
+        "5aeae253d6d3e60a939b130794db7f7f4e849a187fe79ae31574a617e0a52acb",
+        id="verify-identities-D4-hexagon",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CLI_REPORTS)
+def test_cli_report_bytes_pinned(argv, digest, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_gauge_input_transcript_bytes_pinned():
+    s3 = catalog()["S3"]
+    cell = theta_sphere()
+    reg = init_plus([SiteSpec(("v", v), "vertex", s3) for v in range(cell.n_vertices)])
+    transcript = gauge_input_state(reg, s3, cell, KwMode.sample(3))
+    digest = hashlib.sha256(transcript.to_json().encode()).hexdigest()
+    assert digest == "b76c30db94c43d98d47b4ae071adb37e12519a0bcff0f266b431c3781f91e6c8"
