@@ -1,9 +1,9 @@
 """Constructors for group-register gates.
 
-Covers group multiplication operators, controlled multiplications, abelian
-CX/CZ/Fourier, character and irrep diagonals, loop diagonals, and the
-factor-system entanglers (sigma, omega, edge entanglers for a full group and
-for a normal subgroup inside a group).
+Covers group multiplication operators, controlled multiplications, the
+abelian CZ, character diagonals, loop diagonals, and the factor-system
+entanglers (sigma, omega, edge entanglers for a full group and for a normal
+subgroup inside a group).
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ __all__ = [
     "right_mult",
     "controlled_left",
     "controlled_right",
-    "cx_abelian",
     "cz_abelian",
-    "fourier_abelian",
     "z_dual",
-    "z_irrep_component",
     "loop_z",
     "z_tilde",
     "loop_z_tilde",
@@ -77,14 +74,6 @@ def _require_abelian(group: FiniteGroup, what: str) -> None:
         raise ValueError(f"{what} needs an abelian group, got {group.name}")
 
 
-def cx_abelian(a_group: FiniteGroup, c_sid: Hashable, t_sid: Hashable) -> LocalOperator:
-    """CX |a_v, a_e> = |a_v, a_v a_e>."""
-    _require_abelian(a_group, "cx_abelian")
-    op = controlled_left(a_group, c_sid, t_sid)
-    op.name = "CX"
-    return op
-
-
 def cz_abelian(a_group: FiniteGroup, c_sid: Hashable, t_sid: Hashable) -> LocalOperator:
     """CZ |a_v, a_e> = chi^{a_v}(a_e) |a_v, a_e>."""
     _require_abelian(a_group, "cz_abelian")
@@ -94,25 +83,11 @@ def cz_abelian(a_group: FiniteGroup, c_sid: Hashable, t_sid: Hashable) -> LocalO
     return LocalOperator([c_sid, t_sid], "diag", chi[a, b], name="CZ")
 
 
-def fourier_abelian(a_group: FiniteGroup, sid: Hashable) -> LocalOperator:
-    """F_ab = chi^a(b)/sqrt|A|."""
-    _require_abelian(a_group, "fourier_abelian")
-    mat = character_table(a_group) / np.sqrt(a_group.order)
-    return LocalOperator([sid], "dense", mat, name="F")
-
-
 def z_dual(a_group: FiniteGroup, t: int, sid: Hashable) -> LocalOperator:
     """Z^t |a> = chi^t(a) |a> for a dual-group label t."""
     _require_abelian(a_group, "z_dual")
     chi = character_table(a_group)
     return LocalOperator([sid], "diag", chi[t], name=f"Z^{t}")
-
-
-def z_irrep_component(irrep: Irrep, i: int, j: int, sid: Hashable) -> LocalOperator:
-    """Z^mu_ij |g> = rho^mu(g)_ij |g>; not unitary for dim > 1."""
-    diag = irrep.matrices[:, i, j]
-    unitary = bool(np.abs(np.abs(diag) - 1).max() < 1e-12)
-    return LocalOperator([sid], "diag", diag, unitary=unitary, name=f"Z^{irrep.label}[{i}{j}]")
 
 
 def _check_loop_closed(loop: Sequence[Tuple[int, int]], cell: Cellulation) -> None:
@@ -125,6 +100,15 @@ def _check_loop_closed(loop: Sequence[Tuple[int, int]], cell: Cellulation) -> No
     for k in range(len(ends)):
         if ends[k][1] != ends[(k + 1) % len(ends)][0]:
             raise ValueError(f"loop is not closed at step {k}: {ends[k][1]} != {ends[(k + 1) % len(ends)][0]}")
+
+
+def _ordered_trace(irrep: Irrep, steps: Sequence[np.ndarray]) -> np.ndarray:
+    """Tr of rho(l_1) rho(l_2) ... for one label array l_k per walk step,
+    each over the same joint configuration grid."""
+    m = np.eye(irrep.dim, dtype=np.complex128)
+    for labels in steps:
+        m = m @ irrep.matrices[labels]
+    return np.trace(m, axis1=1, axis2=2)
 
 
 def loop_z(
@@ -140,21 +124,13 @@ def loop_z(
     """
     group = irrep_group_guard(irrep)
     _check_loop_closed(loop, cell)
-    edges = []
-    for e, _ in loop:
-        if e not in edges:
-            edges.append(e)
-    dims = [group.order] * len(edges)
-    diag = np.zeros(int(np.prod(dims)), dtype=np.complex128)
-    for flat, config in enumerate(np.ndindex(*dims)):
-        m = np.eye(irrep.dim, dtype=np.complex128)
-        for e, o in loop:
-            g = config[edges.index(e)]
-            if o == -1:
-                g = group.inverse(g)
-            m = m @ irrep.matrices[g]
-        diag[flat] = np.trace(m)
-    return DiagonalOperator([edge_of(e) for e in edges], diag, name=f"loopZ^{irrep.label}")
+    edges = list(dict.fromkeys(e for e, _ in loop))
+    grids = np.indices((group.order,) * len(edges)).reshape(len(edges), -1)
+    steps = []
+    for e, o in loop:
+        g = grids[edges.index(e)]
+        steps.append(group.inv[g] if o == -1 else g)
+    return DiagonalOperator([edge_of(e) for e in edges], _ordered_trace(irrep, steps), name=f"loopZ^{irrep.label}")
 
 
 def _walk_product(group: FiniteGroup, walk: Sequence[Tuple[int, int]]) -> Tuple[List[int], np.ndarray]:
@@ -178,6 +154,18 @@ def irrep_group_guard(irrep: Irrep) -> FiniteGroup:
     return irrep.group
 
 
+def _cocycle_step(fs: FactorSystem) -> np.ndarray:
+    """omega(q_i, q_i^-1 q_f) indexed [q_i, q_f]."""
+    q_grp = fs.q_group
+    q = np.arange(q_grp.order)
+    return fs.omega[q[:, None], q_grp.mult[q_grp.inv[q][:, None], q]]
+
+
+def _dressed_labels(fs: FactorSystem) -> np.ndarray:
+    """ntilde = sigma^{q_i}[n] omega(q_i, q_i^-1 q_f) indexed [q_i, n, q_f]."""
+    return fs.n_group.mult[fs.sigma[:, :, None], _cocycle_step(fs)[:, None, :]]
+
+
 def z_tilde(
     fs: FactorSystem,
     t: int,
@@ -190,17 +178,9 @@ def z_tilde(
 
     Acts on (Q-part of i_e, N-edge, Q-part of f_e); needs abelian N.
     """
-    n_grp, q_grp = fs.n_group, fs.q_group
-    _require_abelian(n_grp, "z_tilde")
-    chi = character_table(n_grp)
-    dq, dn = q_grp.order, n_grp.order
+    _require_abelian(fs.n_group, "z_tilde")
+    diag = character_table(fs.n_group)[t, _dressed_labels(fs).reshape(-1)]
     i_v, f_v = cell.edges[edge]
-    diag = np.zeros(dq * dn * dq, dtype=np.complex128)
-    for qi in range(dq):
-        for n in range(dn):
-            for qf in range(dq):
-                ntil = n_grp.mul(fs.sigma[qi, n], fs.omega[qi, q_grp.mul(q_grp.inverse(qi), qf)])
-                diag[(qi * dn + n) * dq + qf] = chi[t, ntil]
     return LocalOperator(
         [vertex_of(i_v), edge_of(edge), vertex_of(f_v)], "diag", diag, name=f"Zt^{t}[{edge}]"
     )
@@ -215,32 +195,20 @@ def loop_z_tilde(
     edge_of: Callable[[int], Hashable],
 ) -> DiagonalOperator:
     """Tr of the ordered product of rho^nu(ntilde_e^{O_e}) around a closed loop."""
-    n_grp, q_grp = fs.n_group, fs.q_group
+    n_grp = fs.n_group
     _check_loop_closed(loop, cell)
-    edges, verts = [], []
-    for e, _ in loop:
-        if e not in edges:
-            edges.append(e)
-        for v in cell.edges[e]:
-            if v not in verts:
-                verts.append(v)
-    dims = [q_grp.order] * len(verts) + [n_grp.order] * len(edges)
-    diag = np.zeros(int(np.prod(dims)), dtype=np.complex128)
-    for flat, config in enumerate(np.ndindex(*dims)):
-        qs = config[: len(verts)]
-        ns = config[len(verts) :]
-        m = np.eye(irrep.dim, dtype=np.complex128)
-        for e, o in loop:
-            i_v, f_v = cell.edges[e]
-            qi, qf = qs[verts.index(i_v)], qs[verts.index(f_v)]
-            n = ns[edges.index(e)]
-            ntil = n_grp.mul(fs.sigma[qi, n], fs.omega[qi, q_grp.mul(q_grp.inverse(qi), qf)])
-            if o == -1:
-                ntil = n_grp.inverse(ntil)
-            m = m @ irrep.matrices[ntil]
-        diag[flat] = np.trace(m)
+    edges = list(dict.fromkeys(e for e, _ in loop))
+    verts = list(dict.fromkeys(v for e, _ in loop for v in cell.edges[e]))
+    dims = (fs.q_group.order,) * len(verts) + (n_grp.order,) * len(edges)
+    grids = np.indices(dims).reshape(len(dims), -1)
+    ntil = _dressed_labels(fs)
+    steps = []
+    for e, o in loop:
+        i_v, f_v = cell.edges[e]
+        labels = ntil[grids[verts.index(i_v)], grids[len(verts) + edges.index(e)], grids[verts.index(f_v)]]
+        steps.append(n_grp.inv[labels] if o == -1 else labels)
     targets = [vertex_of(v) for v in verts] + [edge_of(e) for e in edges]
-    return DiagonalOperator(targets, diag, name=f"loopZt^{irrep.label}")
+    return DiagonalOperator(targets, _ordered_trace(irrep, steps), name=f"loopZt^{irrep.label}")
 
 
 def sigma_gate(fs: FactorSystem, q_sid: Hashable, n_sid: Hashable) -> LocalOperator:
@@ -253,15 +221,11 @@ def sigma_gate(fs: FactorSystem, q_sid: Hashable, n_sid: Hashable) -> LocalOpera
 
 def omega_gate(fs: FactorSystem, qi_sid: Hashable, n_sid: Hashable, qf_sid: Hashable) -> LocalOperator:
     """Omega |q1, n, q2> = |q1, n * omega(q1, q1^-1 q2)^-1, q2>."""
-    q_grp, n_grp = fs.q_group, fs.n_group
-    dq, dn = q_grp.order, n_grp.order
-    image = np.zeros(dq * dn * dq, dtype=np.int64)
-    for q1 in range(dq):
-        for n in range(dn):
-            for q2 in range(dq):
-                w = fs.omega[q1, q_grp.mul(q_grp.inverse(q1), q2)]
-                n2 = n_grp.mul(n, n_grp.inverse(w))
-                image[(q1 * dn + n) * dq + q2] = (q1 * dn + n2) * dq + q2
+    n_grp = fs.n_group
+    dq, dn = fs.q_group.order, n_grp.order
+    q1, n, q2 = np.indices((dq, dn, dq)).reshape(3, -1)
+    n2 = n_grp.mult[n, n_grp.inv[_cocycle_step(fs)[q1, q2]]]
+    image = (q1 * dn + n2) * dq + q2
     return LocalOperator([qi_sid, n_sid, qf_sid], "perm", image, name="Omega")
 
 

@@ -570,15 +570,6 @@ def character_table(g: FiniteGroup) -> np.ndarray:
     return chi
 
 
-def dual_compose(g: FiniteGroup, a: int, b: int) -> int:
-    """Product of two character labels under the canonical label<->element match."""
-    return g.mul(a, b)
-
-
-def dual_inverse(g: FiniteGroup, a: int) -> int:
-    return g.inverse(a)
-
-
 # ---------------------------------------------------------------------------
 # irreps
 
@@ -593,9 +584,6 @@ class Irrep:
     @property
     def characters(self) -> np.ndarray:
         return np.trace(self.matrices, axis1=1, axis2=2)
-
-    def conjugate_matrix(self, g_inv: int) -> np.ndarray:
-        return self.matrices[g_inv]
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .gates import (
 )
 from .groups import FactorSystem, FiniteGroup
 from .register import (
+    AMPLITUDE_BUDGET,
     STATE_TOL,
     QuditRegister,
     SiteSpec,
@@ -44,7 +45,7 @@ from .register import (
 __all__ = ["KwMode", "KwResult", "kw_abelian", "kw_hat_abelian", "kw_exact_g", "kw_n_in_g"]
 
 # dense-assembly ceiling for the enumeration oracle, in amplitudes
-EXACT_BUDGET = 20_000_000
+EXACT_BUDGET = AMPLITUDE_BUDGET
 
 
 def _plaquette_site(p: int) -> Hashable:

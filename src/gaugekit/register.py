@@ -9,7 +9,7 @@ dense) so large-arity permutation gates never materialize dense matrices.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -30,6 +30,8 @@ __all__ = [
 
 GATE_TOL = 1e-12
 STATE_TOL = 1e-10
+# dense ceiling on the amplitude count of one register, checked before allocation
+AMPLITUDE_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,11 @@ class QuditRegister:
 
     def add_sites(self, specs: Sequence[SiteSpec], state_fn: Callable[[SiteSpec], np.ndarray]) -> None:
         """Append fresh product-state sites (ancilla allocation)."""
+        size = self.amps.size * math.prod(spec_.dim for spec_ in specs)
+        if size > AMPLITUDE_BUDGET:
+            raise ValueError(
+                f"register of {size} amplitudes exceeds the dense register budget {AMPLITUDE_BUDGET}"
+            )
         for spec_ in specs:
             if spec_.sid in self._index or spec_.sid in self.retired:
                 raise ValueError(f"site id {spec_.sid!r} already used")
@@ -268,14 +275,6 @@ class QuditRegister:
         return complex(np.vdot(self.amps, work.amps))
 
     # --- measurement -----------------------------------------------------------
-
-    def branch_probabilities(self, sid: Hashable) -> np.ndarray:
-        """Fourier-basis outcome distribution for an abelian site, no collapse."""
-        spec_ = self.spec(sid)
-        work = self.copy()
-        work.apply(_fourier_op(spec_))
-        block, _, _ = work._gather([sid])
-        return np.einsum("ij,ij->i", block, np.conj(block)).real
 
     def measure_fourier(self, sid: Hashable, rng: Optional[np.random.Generator] = None, forced: Optional[int] = None) -> int:
         """Rotate one abelian site by F_ab = chi^a(b)/sqrt|A|, measure, retire it.
@@ -385,19 +384,6 @@ class QuditRegister:
         self.amps = self.amps.reshape(shape[:pos] + [spec_a.dim, spec_b.dim] + shape[pos + 1 :])
         self.sites[pos : pos + 1] = [spec_a, spec_b]
         self._reindex()
-
-    # --- serialization -----------------------------------------------------------
-
-    def dump_json(self, threshold: float = 1e-14) -> str:
-        """JSON list of (basis label tuple, re, im) for amplitudes above threshold."""
-        entries = []
-        flat = self.amps.reshape(-1)
-        dims = self.dims
-        for idx in np.flatnonzero(np.abs(flat) > threshold):
-            label = list(np.unravel_index(int(idx), dims))
-            a = flat[int(idx)]
-            entries.append([[int(x) for x in label], float(a.real), float(a.imag)])
-        return json.dumps(entries, separators=(",", ":"))
 
 
 def _fourier_op(spec_: SiteSpec) -> LocalOperator:

@@ -91,6 +91,16 @@ def test_prepare_rejects_nonsolvable_naming_core(capsys):
     assert "60" in err["error"]["message"]
 
 
+def test_prepare_rejects_register_over_amplitude_budget(capsys):
+    # Z6 on the 2x2 torus needs 6^12 amplitudes once the edge ancillas join
+    argv = ["prepare", "--group", "Z6", "--cell", "square:2x2", "--protocol", "abelian",
+            "--no-oracle-fidelity", "--no-stabilizers"]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "precondition"
+    assert "dense register budget 20000000" in err["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from gaugekit.cellulation import hexagon_torus, square_torus, two_vertex_graph
+from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_vertex_graph
 from gaugekit.gates import (
     controlled_left,
     controlled_right,
-    cx_abelian,
     cz_abelian,
-    fourier_abelian,
     left_mult,
     loop_z,
+    loop_z_tilde,
     omega_gate,
     parent_to_pair,
     right_mult,
@@ -20,7 +19,6 @@ from gaugekit.gates import (
     u_ng_edge_factor,
     ug_edge_factor,
     z_dual,
-    z_irrep_component,
     z_tilde,
 )
 from gaugekit.groups import (
@@ -33,7 +31,7 @@ from gaugekit.groups import (
     irrep_table,
     subgroup_from_members,
 )
-from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, init_identity, init_plus
+from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _fourier_op, init_identity, init_plus
 
 TOL = 1e-12
 
@@ -67,7 +65,7 @@ def test_left_right_mult_leave_identity_state_invariant():
 
 def test_z2_cx_is_cnot_and_cz_is_diag():
     z2 = build_cyclic(2)
-    cx = cx_abelian(z2, "c", "t").matrix
+    cx = controlled_left(z2, "c", "t").matrix
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     assert np.abs(cx - cnot).max() < TOL
     cz = cz_abelian(z2, "c", "t")
@@ -84,16 +82,9 @@ def test_cz_symmetric_under_control_target_swap():
 def test_cx_rejects_nonabelian():
     s3 = catalog()["S3"]
     with pytest.raises(ValueError, match="abelian"):
-        cx_abelian(s3, "c", "t")
-    with pytest.raises(ValueError, match="abelian"):
         cz_abelian(s3, "c", "t")
     with pytest.raises(ValueError, match="abelian"):
-        fourier_abelian(s3, "a")
-
-
-def test_controlled_left_equals_cx_for_abelian():
-    z3 = build_cyclic(3)
-    assert np.array_equal(controlled_left(z3, "c", "t").image, cx_abelian(z3, "c", "t").image)
+        _fourier_op(SiteSpec("a", "edge", s3))
 
 
 def test_controlled_gates_unitary_roundtrip():
@@ -126,7 +117,7 @@ def test_conjugation_identities_on_s3():
 
 def test_fourier_z2_is_hadamard_and_squares_to_identity():
     z2 = build_cyclic(2)
-    f = fourier_abelian(z2, "a").matrix
+    f = _fourier_op(SiteSpec("a", "edge", z2)).matrix
     assert np.abs(f - np.array([[1, 1], [1, -1]]) / np.sqrt(2)).max() < TOL
     assert np.abs(f @ f - np.eye(2)).max() < TOL
 
@@ -134,8 +125,8 @@ def test_fourier_z2_is_hadamard_and_squares_to_identity():
 def test_fourier_conjugates_cx_into_cz():
     for n in (2, 3, 4):
         g = build_cyclic(n)
-        f = fourier_abelian(g, "t").matrix
-        cx = cx_abelian(g, "c", "t").matrix
+        f = _fourier_op(SiteSpec("t", "edge", g)).matrix
+        cx = controlled_left(g, "c", "t").matrix
         cz = cz_abelian(g, "c", "t").matrix
         lhs = np.kron(np.eye(n), f) @ cx @ np.kron(np.eye(n), f).conj().T
         assert np.abs(lhs - cz).max() < 1e-12
@@ -146,21 +137,6 @@ def test_z_dual_characters():
     chi = character_table(z4)
     for t in range(4):
         assert np.abs(z_dual(z4, t, "a").diag - chi[t]).max() < TOL
-
-
-def test_z_irrep_trivial_is_identity():
-    s3 = catalog()["S3"]
-    triv = irrep_table(s3).by_label("triv")
-    op = z_irrep_component(triv, 0, 0, "a")
-    assert np.abs(op.diag - 1).max() < TOL
-
-
-def test_z_irrep_std_component_not_unitary():
-    s3 = catalog()["S3"]
-    std = irrep_table(s3).by_label("std")
-    op = z_irrep_component(std, 0, 0, "a")
-    assert not op.unitary
-    assert np.abs(op.diag - std.matrices[:, 0, 0]).max() < TOL
 
 
 def test_loop_z_trivial_irrep_is_identity():
@@ -198,6 +174,50 @@ def test_loop_z_hexagon_repeated_edges():
     op = loop_z(chi1, cell.plaquettes[0], cell)
     # each edge appears twice with opposite signs: the trace is always 1
     assert np.abs(op.diag - 1).max() < TOL
+
+
+def _trace_from_identity(irrep, labels):
+    m = np.eye(irrep.dim, dtype=np.complex128)
+    for g in labels:
+        m = m @ irrep.matrices[g]
+    return np.trace(m)
+
+
+def test_loop_diagonals_match_per_configuration_trace():
+    """loop_z and loop_z_tilde equal the ordered trace written out one
+    configuration at a time, laid out over the operators' own targets."""
+    for name in ("S3", "D4", "Q8"):
+        g, fs = catalog()[name], catalog_factor_system(name)
+        n_grp, q_grp = fs.n_group, fs.q_group
+        for cell in (hexagon_torus(), theta_sphere()):
+            for walk in cell.plaquettes:
+                for irrep in irrep_table(g).irreps:
+                    op = loop_z(irrep, walk, cell)
+                    edges = [sid[1] for sid in op.targets]
+                    expect = []
+                    for config in np.ndindex(*(g.order,) * len(edges)):
+                        labels = []
+                        for e, o in walk:
+                            x = config[edges.index(e)]
+                            labels.append(g.inverse(x) if o == -1 else x)
+                        expect.append(_trace_from_identity(irrep, labels))
+                    assert np.array_equal(op.diag, expect), (name, irrep.label)
+                for irrep in irrep_table(n_grp).irreps:
+                    op = loop_z_tilde(fs, irrep, walk, cell, lambda v: ("q", v), lambda e: ("e", e))
+                    verts = [sid[1] for sid in op.targets if sid[0] == "q"]
+                    edges = [sid[1] for sid in op.targets if sid[0] == "e"]
+                    expect = []
+                    for config in np.ndindex(*(q_grp.order,) * len(verts), *(n_grp.order,) * len(edges)):
+                        labels = []
+                        for e, o in walk:
+                            i_v, f_v = cell.edges[e]
+                            qi, qf = config[verts.index(i_v)], config[verts.index(f_v)]
+                            n = config[len(verts) + edges.index(e)]
+                            w = fs.omega[qi, q_grp.mul(q_grp.inverse(qi), qf)]
+                            ntil = n_grp.mul(fs.sigma[qi, n], w)
+                            labels.append(n_grp.inverse(ntil) if o == -1 else ntil)
+                        expect.append(_trace_from_identity(irrep, labels))
+                    assert np.array_equal(op.diag, expect), (name, irrep.label)
 
 
 def test_sigma_gate_trivial_and_s3():

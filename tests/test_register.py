@@ -1,10 +1,9 @@
 """State-vector register: initialization, gates, measurement, relabelings."""
 
-import json
-
 import numpy as np
 import pytest
 
+from gaugekit import register
 from gaugekit.groups import build_cyclic, catalog, character_table
 from gaugekit.register import (
     DiagonalOperator,
@@ -163,8 +162,10 @@ def test_measure_plus_gives_trivial_outcome():
 
 
 def test_measure_identity_state_is_uniform():
-    probs = init_identity(z2_sites(1)).branch_probabilities(("e", 0))
-    assert np.abs(probs - 0.5).max() < STATE_TOL
+    for outcome in range(2):
+        reg = init_identity(z2_sites(1))
+        reg.measure_fourier(("e", 0), forced=outcome)
+        assert reg.retired[("e", 0)].probability == pytest.approx(0.5, abs=STATE_TOL)
 
 
 def test_forced_branches_sum_to_one():
@@ -323,11 +324,14 @@ def test_relabel_site_permutes_basis():
     assert abs(reg.amps[2] - 1) < GATE_TOL
 
 
-def test_dump_json_omits_negligible_amplitudes():
-    reg = init_identity(z2_sites(2))
-    reg.amps[1, 1] = 1e-15
-    entries = json.loads(reg.dump_json())
-    assert entries == [[[0, 0], 1.0, 0.0]]
+def test_add_sites_rejects_register_over_budget(monkeypatch):
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 8)
+    reg = init_identity(z2_sites(3))
+    more = [SiteSpec(("e", 3), "edge", build_cyclic(2))]
+    with pytest.raises(ValueError, match="16 amplitudes exceeds the dense register budget 8"):
+        reg.add_sites(more, lambda spec: np.ones(2) / np.sqrt(2))
+    assert reg.amps.shape == (2, 2, 2)
+    assert len(reg.sites) == 3
 
 
 def test_duplicate_site_ids_rejected():
