@@ -21,6 +21,7 @@ import numpy as np
 
 from .cellulation import Cellulation
 from .gates import (
+    _joint2,
     _walk_product,
     controlled_left,
     controlled_right,
@@ -267,7 +268,16 @@ def _vertex_perm_columns(
 def ground_state_degeneracy(
     g_group: FiniteGroup, cell: Cellulation, dim_budget: int = GSD_DIM_BUDGET
 ) -> int:
-    """Rank of the joint stabilizer projector on the edge space."""
+    """Rank of the joint stabilizer projector on the edge space.
+
+    The vertex product is a real average of permutation matrices: every
+    joint choice of vertex actions scatters |G|^-V along one composed
+    permutation, vertex 0 acting first. The plaquette diagonal then zeroes
+    each non-flat row. Every nonzero entry is at least |G|^-V, far above
+    the hermiticity tolerance, so a hermitian projector also has zero
+    flat-row, non-flat-column entries and its spectrum is that of the flat
+    block plus exact zeros.
+    """
     if not cell.closed:
         raise ValueError("degeneracy counting needs a closed cellulation")
     d, n_e = g_group.order, cell.n_edges
@@ -276,24 +286,30 @@ def ground_state_degeneracy(
         raise ValueError(f"edge space {d}^{n_e} exceeds the dense projector budget {dim_budget}")
     grids = np.indices((d,) * n_e).reshape(n_e, -1)
     cols = np.arange(dim)
-    proj: Optional[np.ndarray] = None
-    for v in range(cell.n_vertices):
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for g in g_group.elements():
-            rows = _vertex_perm_columns(g_group, cell, v, g, grids)
-            acc[rows, cols] += 1.0 / g_group.order
-        proj = acc if proj is None else acc @ proj
-    if proj is None:
-        proj = np.eye(dim, dtype=np.complex128)
+    actions = [
+        [_vertex_perm_columns(g_group, cell, v, g, grids) for g in g_group.elements()]
+        for v in range(cell.n_vertices)
+    ]
+    weight = 1.0 / d**cell.n_vertices
+    proj = np.zeros((dim, dim))
+    for choice in itertools.product(*actions):
+        rows = cols
+        for perm in choice:
+            rows = perm[rows]
+        proj[rows, cols] += weight
+    keep = np.ones(dim)
     for p in range(cell.n_plaquettes):
         bp = plaquette_stabilizer(g_group, cell, p)
         spots = [sid[1] for sid in bp.targets]
         joint = np.ravel_multi_index(tuple(grids[e] for e in spots), (d,) * len(spots))
-        proj *= bp.diag[joint].real[:, None]
-    herm_dev = np.abs(proj - proj.conj().T).max()
+        keep *= bp.diag[joint].real
+    proj *= keep[:, None]
+    herm_dev = np.abs(proj - proj.T).max()
     if herm_dev > 1e-10:
         raise ValueError(f"stabilizer projector fails hermiticity by {herm_dev:.2e}")
-    eigs = np.linalg.eigvalsh((proj + proj.conj().T) / 2)
+    flat = np.flatnonzero(keep)
+    block = proj[np.ix_(flat, flat)]
+    eigs = np.linalg.eigvalsh((block + block.T) / 2)
     loose = eigs[(eigs > 1e-8) & (eigs < 1 - 1e-8)]
     if loose.size:
         raise ValueError(f"projector spectrum has {loose.size} values away from 0 and 1")
@@ -569,58 +585,54 @@ def _conjugation_deviation(lhs_image: np.ndarray, rhs_image: np.ndarray) -> floa
     return 0.0 if np.array_equal(lhs_image, rhs_image) else 1.0
 
 
-def _pair_images(g_group: FiniteGroup, g: int):
+def _pair_images(g_group: FiniteGroup, entangler):
+    """Joint pair labels and the images of an entangler and of its inverse,
+    built once per check: none of them depends on the multiplied element."""
     d = g_group.order
-    a = np.repeat(np.arange(d), d)
-    b = np.tile(np.arange(d), d)
-    cl = controlled_left(g_group, "a", "b")
-    cr = controlled_right(g_group, "a", "b")
-    lg = left_mult(g_group, g, "x").image
-    rg = right_mult(g_group, g, "x").image
-    return d, a, b, cl, cr, lg, rg
+    a, b = _joint2(d, d)
+    op = entangler(g_group, "a", "b")
+    return d, a, b, op.image, op.dagger().image
 
 
 def _check_cl_absorbs_left_multiplication(g_group: FiniteGroup, cell: Cellulation) -> float:
+    d, a, b, cl, cl_inv = _pair_images(g_group, controlled_left)
     worst = 0.0
-    for g in range(1, g_group.order):
-        d, a, b, cl, _, lg, _ = _pair_images(g_group, g)
+    for g in range(1, d):
+        lg = left_mult(g_group, g, "x").image
         inner = lg[a] * d + lg[b]
-        lhs = cl.dagger().image[inner[cl.image]]
-        rhs = lg[a] * d + b
-        worst = max(worst, _conjugation_deviation(lhs, rhs))
+        worst = max(worst, _conjugation_deviation(cl_inv[inner[cl]], lg[a] * d + b))
     return worst
 
 
 def _check_cr_absorbs_left_multiplication(g_group: FiniteGroup, cell: Cellulation) -> float:
+    d, a, b, cr, cr_inv = _pair_images(g_group, controlled_right)
     worst = 0.0
-    for g in range(1, g_group.order):
-        d, a, b, _, cr, lg, rg = _pair_images(g_group, g)
+    for g in range(1, d):
+        lg = left_mult(g_group, g, "x").image
+        rg = right_mult(g_group, g, "x").image
         inner = lg[a] * d + rg[b]
-        lhs = cr.dagger().image[inner[cr.image]]
-        rhs = lg[a] * d + b
-        worst = max(worst, _conjugation_deviation(lhs, rhs))
+        worst = max(worst, _conjugation_deviation(cr_inv[inner[cr]], lg[a] * d + b))
     return worst
 
 
 def _check_cl_spreads_right_multiplication(g_group: FiniteGroup, cell: Cellulation) -> float:
+    d, a, b, cl, cl_inv = _pair_images(g_group, controlled_left)
     worst = 0.0
-    for g in range(1, g_group.order):
-        d, a, b, cl, _, lg, rg = _pair_images(g_group, g)
+    for g in range(1, d):
+        lg = left_mult(g_group, g, "x").image
+        rg = right_mult(g_group, g, "x").image
         inner = rg[a] * d + b
-        lhs = cl.dagger().image[inner[cl.image]]
-        rhs = rg[a] * d + lg[b]
-        worst = max(worst, _conjugation_deviation(lhs, rhs))
+        worst = max(worst, _conjugation_deviation(cl_inv[inner[cl]], rg[a] * d + lg[b]))
     return worst
 
 
 def _check_cr_spreads_right_multiplication(g_group: FiniteGroup, cell: Cellulation) -> float:
+    d, a, b, cr, cr_inv = _pair_images(g_group, controlled_right)
     worst = 0.0
-    for g in range(1, g_group.order):
-        d, a, b, _, cr, _, rg = _pair_images(g_group, g)
+    for g in range(1, d):
+        rg = right_mult(g_group, g, "x").image
         inner = rg[a] * d + b
-        lhs = cr.dagger().image[inner[cr.image]]
-        rhs = rg[a] * d + rg[b]
-        worst = max(worst, _conjugation_deviation(lhs, rhs))
+        worst = max(worst, _conjugation_deviation(cr_inv[inner[cr]], rg[a] * d + rg[b]))
     return worst
 
 

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_vertex_graph
+from gaugekit import verify
+from gaugekit.cellulation import (
+    Cellulation,
+    hexagon_torus,
+    square_torus,
+    tetrahedron_sphere,
+    theta_sphere,
+    two_vertex_graph,
+)
 from gaugekit.groups import (
     catalog,
     catalog_factor_system,
@@ -15,9 +23,10 @@ from gaugekit.groups import (
     irrep_table,
 )
 from gaugekit.kwmaps import kw_exact_g
-from gaugekit.register import QuditRegister, SiteSpec, init_plus
+from gaugekit.register import DiagonalOperator, QuditRegister, SiteSpec, init_plus
 from gaugekit.verify import (
     StabilizerReport,
+    _vertex_perm_columns,
     check_identity,
     commuting_pair_classes,
     ground_state_degeneracy,
@@ -174,6 +183,85 @@ def test_degeneracy_rejections():
         ground_state_degeneracy(CAT["S4"], hexagon_torus())
     with pytest.raises(ValueError, match="closed"):
         ground_state_degeneracy(CAT["Z2"], two_vertex_graph())
+
+
+def path_sphere(n_edges):
+    """A path of n_edges edges on the sphere: one face whose walk runs out
+    along the path and back, so V = E + 1."""
+    out = tuple((e, 1) for e in range(n_edges))
+    back = tuple((e, -1) for e in reversed(range(n_edges)))
+    return Cellulation(
+        n_vertices=n_edges + 1,
+        edges=tuple((e, e + 1) for e in range(n_edges)),
+        plaquettes=(out + back,),
+        dual_edges=((0, 0),) * n_edges,
+        genus=0,
+        name=f"path_sphere_{n_edges}",
+    )
+
+
+def dense_product_rank(g_group, cell):
+    """The slow reference: complex vertex averages chained by matrix
+    products, the plaquette rows zeroed, the rank read off the full
+    spectrum."""
+    d, n_e = g_group.order, cell.n_edges
+    dim = d**n_e
+    grids = np.indices((d,) * n_e).reshape(n_e, -1)
+    cols = np.arange(dim)
+    proj = np.eye(dim, dtype=np.complex128)
+    for v in range(cell.n_vertices):
+        acc = np.zeros((dim, dim), dtype=np.complex128)
+        for g in g_group.elements():
+            acc[_vertex_perm_columns(g_group, cell, v, g, grids), cols] += 1.0 / d
+        proj = acc @ proj
+    for p in range(cell.n_plaquettes):
+        bp = plaquette_stabilizer(g_group, cell, p)
+        spots = [sid[1] for sid in bp.targets]
+        joint = np.ravel_multi_index(tuple(grids[e] for e in spots), (d,) * len(spots))
+        proj *= bp.diag[joint].real[:, None]
+    assert np.abs(proj - proj.conj().T).max() <= 1e-10
+    eigs = np.linalg.eigvalsh((proj + proj.conj().T) / 2)
+    assert not np.any((eigs > 1e-8) & (eigs < 1 - 1e-8))
+    return int(np.count_nonzero(eigs >= 1 - 1e-8))
+
+
+GSD_CROSS_CHECK = [(name, hexagon_torus, 1) for name in ["Z2", "Z3", "Z4", "Z6", "Z2xZ2", "S3", "D4", "Q8"]] + [
+    ("D4", theta_sphere, 0),
+    ("Z2", lambda: square_torus(2, 2), 1),
+    ("Z3", tetrahedron_sphere, 0),
+    ("S3", lambda: path_sphere(2), 0),
+    ("Z2", lambda: path_sphere(6), 0),
+    ("Q8", lambda: path_sphere(3), 0),
+]
+
+
+def test_degeneracy_matches_dense_product_reference():
+    for name, make_cell, genus in GSD_CROSS_CHECK:
+        g, cell = CAT[name], make_cell()
+        rank = ground_state_degeneracy(g, cell)
+        assert rank == dense_product_rank(g, cell), (name, cell.name)
+        assert rank == (commuting_pair_classes(g) if genus else 1), (name, cell.name)
+
+
+def test_degeneracy_checks_still_fire(monkeypatch):
+    true_plaquette = verify.plaquette_stabilizer
+
+    def first_edge_is_identity(g_group, cell, p, **_):
+        return DiagonalOperator([("e", 0)], np.arange(g_group.order) == 0, name=f"B[{p}]")
+
+    monkeypatch.setattr(verify, "plaquette_stabilizer", first_edge_is_identity)
+    for name, dev in [("Z2", "5.00e-01"), ("S3", "1.67e-01"), ("D4", "1.25e-01")]:
+        with pytest.raises(ValueError, match=f"fails hermiticity by {dev}"):
+            ground_state_degeneracy(CAT[name], hexagon_torus())
+
+    def half_plaquette(g_group, cell, p, **kw):
+        bp = true_plaquette(g_group, cell, p, **kw)
+        return DiagonalOperator(bp.targets, bp.diag / 2, name=bp.name)
+
+    monkeypatch.setattr(verify, "plaquette_stabilizer", half_plaquette)
+    for name, make_cell, count in [("Z2", hexagon_torus, 4), ("S3", hexagon_torus, 8), ("D4", theta_sphere, 1)]:
+        with pytest.raises(ValueError, match=f"spectrum has {count} values away from 0 and 1"):
+            ground_state_degeneracy(CAT[name], make_cell())
 
 
 # --- report -------------------------------------------------------------------
