@@ -593,6 +593,8 @@ class IrrepTable:
 
     def __post_init__(self):
         _validate_irreps(self.group, self.irreps)
+        for ir in self.irreps:
+            ir.matrices.setflags(write=False)
 
     @property
     def characters(self) -> np.ndarray:
@@ -691,8 +693,11 @@ def _catalog_irreps(g: FiniteGroup, name: str) -> Tuple[Irrep, ...]:
     return tuple(irreps)
 
 
+@lru_cache(maxsize=64)
 def irrep_table(g: FiniteGroup) -> IrrepTable:
-    """All irreps: characters for abelian groups, stored matrices for S3/D4/Q8."""
+    """All irreps: characters for abelian groups, stored matrices for S3/D4/Q8.
+
+    Cached by table content, so every caller shares one read-only table."""
     if g.is_abelian:
         return IrrepTable(group=g, irreps=_abelian_irreps(g))
     for name in ("S3", "D4", "Q8"):

@@ -34,6 +34,7 @@ from .groups import FactorSystem, FiniteGroup
 from .register import (
     AMPLITUDE_BUDGET,
     STATE_TOL,
+    LocalOperator,
     QuditRegister,
     SiteSpec,
     _edge_site,
@@ -147,6 +148,32 @@ def _require_symmetric(reg: QuditRegister, ops_for_g, order: int, what: str) -> 
             )
 
 
+def _wall_gates(
+    subject,
+    cell: Cellulation,
+    vertex_of: Callable[[int], Hashable],
+    edge_of: Callable[[int], Hashable],
+    q_of: Optional[Callable[[int], Hashable]] = None,
+) -> List[LocalOperator]:
+    """The vertex-route entangler, edge by edge: CL+ and CR+ write the domain
+    wall g_i^-1 g_f of a group onto the identity-state edge; for a factor
+    system they act on the subgroup parts, and Omega, Sigma+ then dress the
+    wall with the quotient parts. Each table is built once for all edges."""
+    fs = subject if isinstance(subject, FactorSystem) else None
+    grp = subject if fs is None else fs.n_group
+    # placeholder targets: end vertices i, f, their quotient parts qi, qf, edge e
+    templates = [controlled_left(grp, "i", "e").dagger(), controlled_right(grp, "f", "e").dagger()]
+    if fs is not None:
+        templates += [omega_gate(fs, "qi", "e", "qf"), sigma_gate(fs, "qi", "e").dagger()]
+    gates = []
+    for e, (i_v, f_v) in enumerate(cell.edges):
+        sites = {"i": vertex_of(i_v), "f": vertex_of(f_v), "e": edge_of(e)}
+        if fs is not None:
+            sites.update(qi=q_of(i_v), qf=q_of(f_v))
+        gates += [LocalOperator([sites[t] for t in op.targets], "perm", op.image, name=op.name) for op in templates]
+    return gates
+
+
 def _measure_sites(
     reg: QuditRegister, mode: KwMode, site_pairs: List[Tuple[int, Hashable]]
 ) -> Tuple[Dict[int, int], float]:
@@ -189,11 +216,10 @@ def kw_abelian(
         "kw_abelian",
     )
     reg.add_sites(
-        [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)], _identity_state
+        [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)],
+        _identity_state,
+        _wall_gates(a_group, cell, vertex_of, edge_of),
     )
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        reg.apply(controlled_left(a_group, vertex_of(i_v), edge_of(e)).dagger())
-        reg.apply(controlled_right(a_group, vertex_of(f_v), edge_of(e)).dagger())
     outcomes, prob = _measure_sites(reg, mode, [(v, vertex_of(v)) for v in range(n_v)])
     syndrome = SyndromeSet("charge", outcomes, a_group)
     applied = charge_correction(syndrome, cell, spanning_tree(cell)).inverse()
@@ -317,13 +343,10 @@ def kw_n_in_g(
         "kw_n_in_g",
     )
     reg.add_sites(
-        [SiteSpec(edge_of(e), "edge", n_grp) for e in range(cell.n_edges)], _identity_state
+        [SiteSpec(edge_of(e), "edge", n_grp) for e in range(cell.n_edges)],
+        _identity_state,
+        _wall_gates(fs, cell, n_of, edge_of, q_of),
     )
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        reg.apply(controlled_left(n_grp, n_of(i_v), edge_of(e)).dagger())
-        reg.apply(controlled_right(n_grp, n_of(f_v), edge_of(e)).dagger())
-        reg.apply(omega_gate(fs, q_of(i_v), edge_of(e), q_of(f_v)))
-        reg.apply(sigma_gate(fs, q_of(i_v), edge_of(e)).dagger())
     outcomes, prob = _measure_sites(reg, mode, [(v, n_of(v)) for v in range(n_v)])
     if mode.kind == "postselect":
         applied = CorrectionPlan(basis="Z", exponents={}, group=n_grp)

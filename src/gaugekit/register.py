@@ -174,6 +174,28 @@ class StabilizerOperator:
         return tuple(out)
 
 
+def _flat_labels(labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], order: Sequence[Hashable]) -> np.ndarray:
+    """Row-major joint index of the sites in order, one entry per row."""
+    flat = 0
+    for sid in order:
+        flat = flat * dims[sid] + labels[sid]
+    return flat
+
+
+def _push_labels(labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], gates: Sequence[LocalOperator]) -> None:
+    """Send every row of a per-site label table through phase-free permutation
+    gates, in order: a basis state stays a basis state, so this is the whole
+    circuit on every row at once."""
+    for op in gates:
+        if op.kind != "perm" or op.phase is not None:
+            raise ValueError(f"{op.name}: label push needs a phase-free permutation")
+        if op.joint_dim != math.prod(dims[sid] for sid in op.targets):
+            raise ValueError(f"{op.name}: operator dimension {op.joint_dim} mismatches its targets")
+        out = op.image[_flat_labels(labels, dims, op.targets)]
+        for sid in reversed(op.targets):
+            out, labels[sid] = np.divmod(out, dims[sid])
+
+
 @dataclass
 class _Retired:
     outcome: int
@@ -222,21 +244,55 @@ class QuditRegister:
         out.retired = dict(self.retired)
         return out
 
-    def add_sites(self, specs: Sequence[SiteSpec], state_fn: Callable[[SiteSpec], np.ndarray]) -> None:
-        """Append fresh product-state sites (ancilla allocation)."""
+    def add_sites(
+        self,
+        specs: Sequence[SiteSpec],
+        state_fn: Callable[[SiteSpec], np.ndarray],
+        gates: Sequence[LocalOperator] = (),
+    ) -> None:
+        """Append fresh product-state sites (ancilla allocation).
+
+        A non-empty gates list of phase-free permutations, which must not move
+        a live site's label, runs in the same pass on identity-state ancillas:
+        each basis row of the live sites it touches lands on one new-site row,
+        so the labels are pushed over that grid and one scatter writes them."""
         size = self.amps.size * math.prod(spec_.dim for spec_ in specs)
         if size > AMPLITUDE_BUDGET:
             raise ValueError(
                 f"register of {size} amplitudes exceeds the dense register budget {AMPLITUDE_BUDGET}"
             )
+        states = []
         for spec_ in specs:
             if spec_.sid in self._index or spec_.sid in self.retired:
                 raise ValueError(f"site id {spec_.sid!r} already used")
             local = np.asarray(state_fn(spec_), dtype=np.complex128)
             if local.shape != (spec_.dim,):
                 raise ValueError(f"ancilla state for {spec_.sid!r} has wrong dimension")
-            self.amps = np.multiply.outer(self.amps, local)
-            self.sites.append(spec_)
+            if gates and not (local[0] == 1 and not local[1:].any()):
+                raise ValueError(f"gated allocation needs identity-state ancillas; {spec_.sid!r} is not")
+            states.append(local)
+        if not gates:
+            for local in states:
+                self.amps = np.multiply.outer(self.amps, local)
+        else:
+            new = [spec_.sid for spec_ in specs]
+            ctrl = sorted({self.pos(t) for op in gates for t in op.targets if t not in new})
+            old = self.dims
+            grid = np.indices([old[k] for k in ctrl]).reshape(len(ctrl), math.prod(old[k] for k in ctrl))
+            labels = {self.sites[k].sid: grid[n] for n, k in enumerate(ctrl)}
+            labels.update((sid, np.zeros(grid.shape[1], dtype=np.int64)) for sid in new)
+            dims = {s.sid: s.dim for s in self.sites + list(specs)}
+            _push_labels(labels, dims, gates)
+            for n, k in enumerate(ctrl):
+                if not np.array_equal(labels[self.sites[k].sid], grid[n]):
+                    raise ValueError(f"gated allocation moved the label of live site {self.sites[k].sid!r}")
+            rows = _flat_labels(labels, dims, new)
+            # row of the new sites for every live basis state, then one scatter
+            target = np.broadcast_to(rows.reshape([d if k in ctrl else 1 for k, d in enumerate(old)]), old)
+            out = np.zeros((self.amps.size, size // self.amps.size), dtype=np.complex128)
+            out[np.arange(self.amps.size), target.reshape(-1)] = self.amps.reshape(-1)
+            self.amps = out.reshape(old + tuple(spec_.dim for spec_ in specs))
+        self.sites.extend(specs)
         self._reindex()
 
     # --- gates ---------------------------------------------------------------

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .gates import (
     omega_gate,
     parent_to_pair,
     right_mult,
-    sigma_gate,
 )
 from .groups import (
     FactorSystem,
@@ -41,7 +41,7 @@ from .groups import (
     is_nil2_extension,
     irrep_table,
 )
-from .kwmaps import kw_abelian, kw_hat_abelian, KwMode
+from .kwmaps import _wall_gates, kw_abelian, kw_hat_abelian, KwMode
 from .protocols import _nil2_circuit
 from .register import (
     DiagonalOperator,
@@ -50,6 +50,9 @@ from .register import (
     SiteSpec,
     StabilizerOperator,
     _edge_site,
+    _flat_labels,
+    _push_labels,
+    _vertex_site,
     init_plus,
 )
 
@@ -96,7 +99,6 @@ def oracle_double_state(
     g_group: FiniteGroup,
     cell: Cellulation,
     edge_of: Callable[[int], Hashable] = _edge_site,
-    budget: int = ORACLE_BUDGET,
 ) -> QuditRegister:
     """Reference double state: equal-weight domain walls of every vertex assignment.
 
@@ -105,9 +107,9 @@ def oracle_double_state(
     """
     d, n_v, n_e = g_group.order, cell.n_vertices, cell.n_edges
     terms = d**n_v
-    if terms > budget or d**n_e > budget:
+    if terms > ORACLE_BUDGET or d**n_e > ORACLE_BUDGET:
         raise ValueError(
-            f"enumeration needs {terms} terms on a {d}^{n_e} edge space, over the budget {budget}"
+            f"enumeration needs {terms} terms on a {d}^{n_e} edge space, over the budget {ORACLE_BUDGET}"
         )
     amps = np.zeros((d,) * n_e, dtype=np.complex128)
     for assign in itertools.product(range(d), repeat=n_v):
@@ -210,7 +212,6 @@ def stabilizer_report(
     edge_of: Callable[[int], Hashable] = _edge_site,
     oracle: Optional[QuditRegister] = None,
     gsd: Optional[int] = None,
-    loops: bool = True,
 ) -> StabilizerReport:
     """Evaluate every vertex and plaquette projector on reg, plus irrep loop
     values where matrices are stored and the fidelity when a reference state
@@ -224,7 +225,7 @@ def stabilizer_report(
         for p in range(cell.n_plaquettes)
     }
     loop_values: Dict[str, Dict[int, float]] = {}
-    if loops and cell.n_plaquettes:
+    if cell.n_plaquettes:
         try:
             table = irrep_table(g_group)
         except ValueError:
@@ -265,9 +266,7 @@ def _vertex_perm_columns(
     return np.ravel_multi_index(tuple(labels), (d,) * cell.n_edges)
 
 
-def ground_state_degeneracy(
-    g_group: FiniteGroup, cell: Cellulation, dim_budget: int = GSD_DIM_BUDGET
-) -> int:
+def ground_state_degeneracy(g_group: FiniteGroup, cell: Cellulation) -> int:
     """Rank of the joint stabilizer projector on the edge space.
 
     The vertex product is a real average of permutation matrices: every
@@ -282,8 +281,8 @@ def ground_state_degeneracy(
         raise ValueError("degeneracy counting needs a closed cellulation")
     d, n_e = g_group.order, cell.n_edges
     dim = d**n_e
-    if dim > dim_budget:
-        raise ValueError(f"edge space {d}^{n_e} exceeds the dense projector budget {dim_budget}")
+    if dim > GSD_DIM_BUDGET:
+        raise ValueError(f"edge space {d}^{n_e} exceeds the dense projector budget {GSD_DIM_BUDGET}")
     grids = np.indices((d,) * n_e).reshape(n_e, -1)
     cols = np.arange(dim)
     actions = [
@@ -340,64 +339,15 @@ def commuting_pair_classes(g_group: FiniteGroup) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pure-column evolution: every gauging layer is a permutation, so a basis
-# column stays a basis column and a whole map fits in one label array per site
+# pure columns: every vertex-route layer is a phase-free permutation, so each
+# vertex basis column stays a basis column, one label per site, and after the
+# plus contractions every column carries the same amplitude
 
 
-class _PureColumns:
-    """All basis columns of a permutation-layer circuit, tracked as labels."""
-
-    def __init__(self, n_cols: int):
-        self.n_cols = n_cols
-        self.dims: Dict[Hashable, int] = {}
-        self.labels: Dict[Hashable, np.ndarray] = {}
-        self.phases = np.ones(n_cols, dtype=np.complex128)
-        self.scale = 1.0
-
-    def add_site(self, sid: Hashable, dim: int, labels: np.ndarray) -> None:
-        self.dims[sid] = dim
-        self.labels[sid] = np.asarray(labels, dtype=np.int64)
-
-    def apply(self, op: LocalOperator) -> None:
-        dims = [self.dims[t] for t in op.targets]
-        flat = self.labels[op.targets[0]]
-        for t, dim in zip(op.targets[1:], dims[1:]):
-            flat = flat * dim + self.labels[t]
-        if op.kind == "perm":
-            if op.phase is not None:
-                self.phases = self.phases * op.phase[flat]
-            out = op.image[flat]
-            for t, dim in zip(reversed(op.targets), reversed(dims)):
-                self.labels[t] = out % dim
-                out = out // dim
-        elif op.kind == "diag":
-            self.phases = self.phases * op.diag[flat]
-        else:
-            raise ValueError("pure-column evolution covers perm and diag layers only")
-
-    def contract_plus(self, sid: Hashable) -> None:
-        self.scale *= self.dims.pop(sid) ** -0.5
-        del self.labels[sid]
-
-    def amplitudes(self) -> np.ndarray:
-        return self.scale * self.phases
-
-    def row_index(self, order: Sequence[Hashable]) -> np.ndarray:
-        flat = np.zeros(self.n_cols, dtype=np.int64)
-        for sid in order:
-            flat = flat * self.dims[sid] + self.labels[sid]
-        return flat
-
-
-def _pure_deviation(
-    rows_a: np.ndarray, amps_a: np.ndarray, rows_b: np.ndarray, amps_b: np.ndarray
-) -> float:
-    """Largest dense-matrix entry difference between two one-entry-per-column maps."""
-    same = rows_a == rows_b
-    dev = np.where(
-        same, np.abs(amps_a - amps_b), np.maximum(np.abs(amps_a), np.abs(amps_b))
-    )
-    return float(dev.max()) if dev.size else 0.0
+def _pure_deviation(rows_a: np.ndarray, scale_a: float, rows_b: np.ndarray, scale_b: float) -> float:
+    """Largest dense-matrix entry difference between two one-entry-per-column
+    maps whose entries are the constants scale_a and scale_b."""
+    return abs(scale_a - scale_b) if np.array_equal(rows_a, rows_b) else max(scale_a, scale_b)
 
 
 def _column_grids(order: int, n_v: int) -> np.ndarray:
@@ -407,58 +357,41 @@ def _column_grids(order: int, n_v: int) -> np.ndarray:
     return np.indices((order,) * n_v).reshape(n_v, -1)
 
 
-def _pure_kw_g(g_group: FiniteGroup, cell: Cellulation) -> _PureColumns:
-    """The full gauging map, column by column, from the entangler tables."""
-    grids = _column_grids(g_group.order, cell.n_vertices)
-    pc = _PureColumns(grids.shape[1])
-    for v in range(cell.n_vertices):
-        pc.add_site(("v", v), g_group.order, grids[v])
-    for e in range(cell.n_edges):
-        pc.add_site(("e", e), g_group.order, np.zeros(pc.n_cols, dtype=np.int64))
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        pc.apply(controlled_left(g_group, ("v", i_v), ("e", e)).dagger())
-        pc.apply(controlled_right(g_group, ("v", f_v), ("e", e)).dagger())
-    for v in range(cell.n_vertices):
-        pc.contract_plus(("v", v))
-    return pc
+def _pure_kw_g(g_group: FiniteGroup, cell: Cellulation) -> Tuple[Dict, Dict, float]:
+    """Labels, dimensions and common amplitude of the full gauging map, column
+    by column, from the gates kw_abelian runs."""
+    d, n_v = g_group.order, cell.n_vertices
+    grids = _column_grids(d, n_v)
+    labels = {_vertex_site(v): grids[v] for v in range(n_v)}
+    labels.update((_edge_site(e), np.zeros(grids.shape[1], dtype=np.int64)) for e in range(cell.n_edges))
+    dims = dict.fromkeys(labels, d)
+    _push_labels(labels, dims, _wall_gates(g_group, cell, _vertex_site, _edge_site))
+    return labels, dims, math.prod([d**-0.5] * n_v)
 
 
-def _pure_kw_n(fs: FactorSystem, cell: Cellulation) -> _PureColumns:
-    """The subgroup gauging map on split vertices, quotient parts left live."""
+def _pure_kw_n(fs: FactorSystem, cell: Cellulation) -> Tuple[Dict, Dict, float]:
+    """The subgroup gauging map on split vertices from the gates kw_n_in_g
+    runs, quotient parts left live."""
     if fs.parent is None:
         raise ValueError("factor system carries no parent tables")
-    grids = _column_grids(fs.parent.order, cell.n_vertices)
-    n_grp, q_grp = fs.n_group, fs.q_group
-    pc = _PureColumns(grids.shape[1])
-    for v in range(cell.n_vertices):
-        pc.add_site(("n", v), n_grp.order, fs.tpart[grids[v]])
-        pc.add_site(("q", v), q_grp.order, fs.proj[grids[v]])
+    n_v, dn = cell.n_vertices, fs.n_group.order
+    grids = _column_grids(fs.parent.order, n_v)
+    labels, dims = {}, {}
+    for v in range(n_v):
+        labels[("n", v)], labels[("q", v)] = fs.tpart[grids[v]], fs.proj[grids[v]]
+        dims[("n", v)], dims[("q", v)] = dn, fs.q_group.order
     for e in range(cell.n_edges):
-        pc.add_site(("e", e), n_grp.order, np.zeros(pc.n_cols, dtype=np.int64))
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        pc.apply(controlled_left(n_grp, ("n", i_v), ("e", e)).dagger())
-        pc.apply(controlled_right(n_grp, ("n", f_v), ("e", e)).dagger())
-        pc.apply(omega_gate(fs, ("q", i_v), ("e", e), ("q", f_v)))
-        pc.apply(sigma_gate(fs, ("q", i_v), ("e", e)).dagger())
-    for v in range(cell.n_vertices):
-        pc.contract_plus(("n", v))
-    return pc
+        labels[("e", e)], dims[("e", e)] = np.zeros(grids.shape[1], dtype=np.int64), dn
+    _push_labels(labels, dims, _wall_gates(fs, cell, lambda v: ("n", v), _edge_site, lambda v: ("q", v)))
+    return labels, dims, math.prod([dn**-0.5] * n_v)
 
 
 def _edge_order(cell: Cellulation) -> List[Hashable]:
-    return [("e", e) for e in range(cell.n_edges)]
+    return [_edge_site(e) for e in range(cell.n_edges)]
 
 
 def _split_row_order(cell: Cellulation) -> List[Hashable]:
     return [("q", v) for v in range(cell.n_vertices)] + _edge_order(cell)
-
-
-def _column_shift(grids: np.ndarray, mapped: List[np.ndarray], order: int) -> np.ndarray:
-    """Column index of each shifted vertex assignment."""
-    flat = np.zeros(grids.shape[1], dtype=np.int64)
-    for labels in mapped:
-        flat = flat * order + labels
-    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -466,41 +399,33 @@ def _column_shift(grids: np.ndarray, mapped: List[np.ndarray], order: int) -> np
 
 
 def _check_left_action_gauged_away(g_group: FiniteGroup, cell: Cellulation) -> float:
-    base = _pure_kw_g(g_group, cell)
-    rows = base.row_index(_edge_order(cell))
-    amps = base.amplitudes()
+    labels, dims, scale = _pure_kw_g(g_group, cell)
+    rows = _flat_labels(labels, dims, _edge_order(cell))
     grids = _column_grids(g_group.order, cell.n_vertices)
     worst = 0.0
     for g in range(1, g_group.order):
-        perm = _column_shift(grids, [g_group.mult[g, grids[v]] for v in range(cell.n_vertices)], g_group.order)
-        worst = max(worst, _pure_deviation(rows[perm], amps[perm], rows, amps))
+        perm = np.ravel_multi_index(g_group.mult[g, grids], (g_group.order,) * cell.n_vertices)
+        worst = max(worst, _pure_deviation(rows[perm], scale, rows, scale))
     return worst
 
 
 def _check_right_action_becomes_vertex_term(g_group: FiniteGroup, cell: Cellulation) -> float:
-    base = _pure_kw_g(g_group, cell)
+    labels, dims, scale = _pure_kw_g(g_group, cell)
     order = _edge_order(cell)
-    rows = base.row_index(order)
-    amps = base.amplitudes()
+    rows = _flat_labels(labels, dims, order)
     grids = _column_grids(g_group.order, cell.n_vertices)
     d = g_group.order
-    edge_labels = [base.labels[("e", e)] for e in range(cell.n_edges)]
     worst = 0.0
     for v in range(cell.n_vertices):
         for g in range(1, d):
-            mapped = [
-                g_group.mult[grids[w], g_group.inv[g]] if w == v else grids[w]
-                for w in range(cell.n_vertices)
-            ]
-            perm = _column_shift(grids, mapped, d)
-            moved = [lab.copy() for lab in edge_labels]
+            mapped = grids.copy()
+            mapped[v] = g_group.mult[grids[v], g_group.inv[g]]
+            perm = np.ravel_multi_index(mapped, (d,) * cell.n_vertices)
+            moved = dict(labels)
             for e, sign in cell.edges_at_vertex(v):
                 op = left_mult(g_group, g, "x") if sign == 1 else right_mult(g_group, g, "x")
-                moved[e] = op.image[moved[e]]
-            flat = np.zeros(base.n_cols, dtype=np.int64)
-            for lab in moved:
-                flat = flat * d + lab
-            worst = max(worst, _pure_deviation(rows[perm], amps[perm], flat, amps))
+                moved[_edge_site(e)] = op.image[moved[_edge_site(e)]]
+            worst = max(worst, _pure_deviation(rows[perm], scale, _flat_labels(moved, dims, order), scale))
     return worst
 
 
@@ -508,37 +433,29 @@ def _check_plaquette_loops_carry_irrep_dimension(g_group: FiniteGroup, cell: Cel
     if not cell.plaquettes:
         raise ValueError("needs a cellulation with plaquettes")
     table = irrep_table(g_group)
-    base = _pure_kw_g(g_group, cell)
+    labels, dims, scale = _pure_kw_g(g_group, cell)
     worst = 0.0
     for irrep in table.irreps:
         for p in range(cell.n_plaquettes):
             op = loop_z(irrep, cell.plaquettes[p], cell)
-            dims = [base.dims[t] for t in op.targets]
-            flat = base.labels[op.targets[0]]
-            for t, dim in zip(op.targets[1:], dims[1:]):
-                flat = flat * dim + base.labels[t]
-            traces = op.diag[flat]
-            worst = max(worst, base.scale * float(np.abs(traces - irrep.dim).max()))
+            traces = op.diag[_flat_labels(labels, dims, op.targets)]
+            worst = max(worst, scale * float(np.abs(traces - irrep.dim).max()))
     return worst
 
 
 def _check_quotient_symmetry_survives(fs: FactorSystem, cell: Cellulation) -> float:
-    base = _pure_kw_n(fs, cell)
+    labels, dims, scale = _pure_kw_n(fs, cell)
     order = _split_row_order(cell)
-    rows = base.row_index(order)
-    amps = base.amplitudes()
+    rows = _flat_labels(labels, dims, order)
     parent, q_grp = fs.parent, fs.q_group
     grids = _column_grids(parent.order, cell.n_vertices)
     worst = 0.0
     for g in range(1, parent.order):
-        perm = _column_shift(grids, [parent.mult[g, grids[v]] for v in range(cell.n_vertices)], parent.order)
-        shifted = _PureColumns(base.n_cols)
-        for sid in order:
-            shifted.add_site(sid, base.dims[sid], base.labels[sid])
-        qg = int(fs.proj[g])
+        perm = np.ravel_multi_index(parent.mult[g, grids], (parent.order,) * cell.n_vertices)
+        shifted = dict(labels)
         for v in range(cell.n_vertices):
-            shifted.labels[("q", v)] = q_grp.mult[qg, shifted.labels[("q", v)]]
-        worst = max(worst, _pure_deviation(rows[perm], amps[perm], shifted.row_index(order), amps))
+            shifted[("q", v)] = q_grp.mult[fs.proj[g], labels[("q", v)]]
+        worst = max(worst, _pure_deviation(rows[perm], scale, _flat_labels(shifted, dims, order), scale))
     return worst
 
 
@@ -546,39 +463,33 @@ def _check_dressed_loops_carry_irrep_dimension(fs: FactorSystem, cell: Cellulati
     if not cell.plaquettes:
         raise ValueError("needs a cellulation with plaquettes")
     table = irrep_table(fs.n_group)
-    base = _pure_kw_n(fs, cell)
+    labels, dims, scale = _pure_kw_n(fs, cell)
     worst = 0.0
     for irrep in table.irreps:
         for p in range(cell.n_plaquettes):
             op = loop_z_tilde(fs, irrep, cell.plaquettes[p], cell, lambda v: ("q", v), _edge_site)
-            dims = [base.dims[t] for t in op.targets]
-            flat = base.labels[op.targets[0]]
-            for t, dim in zip(op.targets[1:], dims[1:]):
-                flat = flat * dim + base.labels[t]
-            traces = op.diag[flat]
-            worst = max(worst, base.scale * float(np.abs(traces - irrep.dim).max()))
+            traces = op.diag[_flat_labels(labels, dims, op.targets)]
+            worst = max(worst, scale * float(np.abs(traces - irrep.dim).max()))
     return worst
 
 
 def _check_two_step_composition(fs: FactorSystem, cell: Cellulation) -> float:
-    base = _pure_kw_n(fs, cell)
-    q_grp = fs.q_group
+    labels, dims, scale = _pure_kw_n(fs, cell)
+    dq = fs.q_group.order
     for e in range(cell.n_edges):
-        base.add_site(("qe", e), q_grp.order, np.zeros(base.n_cols, dtype=np.int64))
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        base.apply(controlled_left(q_grp, ("q", i_v), ("qe", e)).dagger())
-        base.apply(controlled_right(q_grp, ("q", f_v), ("qe", e)).dagger())
-    for v in range(cell.n_vertices):
-        base.contract_plus(("q", v))
+        labels[("qe", e)], dims[("qe", e)] = np.zeros_like(labels[("e", e)]), dq
+    _push_labels(labels, dims, _wall_gates(fs.q_group, cell, lambda v: ("q", v), lambda e: ("qe", e)))
     to_parent = np.argsort(parent_to_pair(fs))
-    parent = fs.parent
-    flat = np.zeros(base.n_cols, dtype=np.int64)
     for e in range(cell.n_edges):
-        merged = to_parent[base.labels[("e", e)] * q_grp.order + base.labels[("qe", e)]]
-        flat = flat * parent.order + merged
-    full = _pure_kw_g(parent, cell)
-    rows = full.row_index(_edge_order(cell))
-    return _pure_deviation(flat, base.amplitudes(), rows, full.amplitudes())
+        labels[("e", e)] = to_parent[labels[("e", e)] * dq + labels[("qe", e)]]
+    full_labels, full_dims, full_scale = _pure_kw_g(fs.parent, cell)
+    order = _edge_order(cell)
+    return _pure_deviation(
+        _flat_labels(labels, full_dims, order),
+        math.prod([dq**-0.5] * cell.n_vertices, start=scale),
+        _flat_labels(full_labels, full_dims, order),
+        full_scale,
+    )
 
 
 def _conjugation_deviation(lhs_image: np.ndarray, rhs_image: np.ndarray) -> float:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from gaugekit import register
-from gaugekit.groups import build_cyclic, catalog, character_table
+from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere, theta_sphere
+from gaugekit.gates import cz_abelian, left_mult, split_left_mult
+from gaugekit.groups import FactorSystem, build_cyclic, catalog, catalog_factor_system, character_table
+from gaugekit.kwmaps import _wall_gates
+from gaugekit.protocols import _solvable_chain
 from gaugekit.register import (
     DiagonalOperator,
     LocalOperator,
@@ -338,3 +342,115 @@ def test_duplicate_site_ids_rejected():
     z2 = build_cyclic(2)
     with pytest.raises(ValueError, match="duplicate"):
         QuditRegister([SiteSpec("a", "edge", z2), SiteSpec("a", "edge", z2)], np.zeros((2, 2)))
+
+
+# --- gated allocation -------------------------------------------------------------
+
+CAT = catalog()
+CLOSED_CELLS = [hexagon_torus, theta_sphere, tetrahedron_sphere, lambda: square_torus(2, 2), lambda: square_torus(3, 2)]
+# largest register the sweep builds: Z3 on square_torus(2,2), the dense benchmark
+# case, with its spectator; the gate-by-gate reference copies it once per gate
+SWEEP_AMPLITUDES = 2 * 3**12
+
+
+def vertex_rounds(cell):
+    """Every vertex-route round shape the protocols run, as (label, sites in
+    front of the vertices, vertex sites, gauged subject, global left action,
+    its order).
+
+    Plain groups and the shipped factor systems get one Z2 spectator in front;
+    the A4 and S4 derived-series stages get the live edges of their earlier
+    rounds there, as a multi-round run carries them."""
+    n_v = cell.n_vertices
+    spectator = [SiteSpec("x", "edge", build_cyclic(2))]
+
+    def abelian(label, front, a_group):
+        verts = [SiteSpec(("v", v), "vertex", a_group) for v in range(n_v)]
+        action = lambda g: [left_mult(a_group, g, ("v", v)) for v in range(n_v)]
+        return label, front, verts, a_group, action, a_group.order
+
+    def split(label, front, fs):
+        verts = [SiteSpec((part, v), "vertex", grp) for v in range(n_v) for part, grp in [("n", fs.n_group), ("q", fs.q_group)]]
+        action = lambda g: [split_left_mult(fs, g, ("n", v), ("q", v)) for v in range(n_v)]
+        return label, front, verts, fs, action, fs.parent.order
+
+    for name in ("Z1", "Z2", "Z3", "Z4", "Z6", "Z2xZ2"):
+        yield abelian(name, spectator, CAT[name])
+    for name in ("S3", "D4", "Q8"):
+        yield split(name, spectator, catalog_factor_system(name))
+    for name in ("A4", "S4"):
+        chain = _solvable_chain(CAT[name])
+        earlier = []
+        for j, fs in enumerate(chain):
+            yield split(f"{name} stage {j}", earlier, fs)
+            earlier = earlier + [SiteSpec(("e", e, j), "edge", fs.n_group) for e in range(cell.n_edges)]
+        yield abelian(f"{name} abelian stage", earlier, chain[-1].q_group)
+
+
+def acted(reg, ops):
+    out = reg.copy()
+    for op in ops:
+        out.apply(op)
+    return out.amps
+
+
+def test_gated_allocation_matches_gate_by_gate_application():
+    rng = np.random.default_rng(21)
+    checked = []
+    for make_cell in CLOSED_CELLS:
+        cell = make_cell()
+        for label, front, verts, subject, action, order in vertex_rounds(cell):
+            split = isinstance(subject, FactorSystem)
+            edge_group = subject.n_group if split else subject
+            specs = [SiteSpec(("w", e), "edge", edge_group) for e in range(cell.n_edges)]
+            if np.prod([s.dim for s in front + verts + specs], dtype=float) > SWEEP_AMPLITUDES:
+                continue
+            if split:
+                gates = _wall_gates(subject, cell, lambda v: ("n", v), lambda e: ("w", e), lambda v: ("q", v))
+            else:
+                gates = _wall_gates(subject, cell, lambda v: ("v", v), lambda e: ("w", e))
+            random = init_plus(front + verts)
+            random.amps = rng.normal(size=random.dims) + 1j * rng.normal(size=random.dims)
+            symmetric = random.copy()
+            symmetric.amps = sum(acted(random, action(g)) for g in range(order))
+            for reg in (random, symmetric):
+                reg.amps = reg.amps / np.linalg.norm(reg.amps)
+                ref = reg.copy()
+                ref.add_sites(specs, register._identity_state)
+                for op in gates:
+                    ref.apply(op)
+                reg.add_sites(specs, register._identity_state, gates)
+                assert [s.sid for s in reg.sites] == [s.sid for s in ref.sites]
+                assert np.array_equal(reg.amps, ref.amps), (label, cell.name)
+            checked.append((label, cell.name))
+    assert len(checked) == 38
+    assert {label for label, _ in checked} == {case[0] for case in vertex_rounds(hexagon_torus())}
+
+
+def test_gated_allocation_rejects_what_one_scatter_cannot_write(monkeypatch):
+    z3 = build_cyclic(3)
+    cell = hexagon_torus()
+    reg = init_plus([SiteSpec(("v", v), "vertex", z3) for v in range(cell.n_vertices)])
+    specs = [SiteSpec(("e", e), "edge", z3) for e in range(cell.n_edges)]
+    walls = _wall_gates(z3, cell, lambda v: ("v", v), lambda e: ("e", e))
+    phased = LocalOperator([("v", 0), ("e", 0)], "perm", walls[0].image, phase=np.exp(1j * np.arange(9)), name="CLphase")
+    cases = [
+        (register._plus_state, walls, "needs identity-state ancillas"),
+        (register._identity_state, walls + [phased], "CLphase: label push needs a phase-free permutation"),
+        (register._identity_state, walls + [cz_abelian(z3, ("v", 0), ("e", 0))], "CZ: label push needs a phase-free"),
+        (register._identity_state, walls + [left_mult(z3, 1, ("v", 1))], r"moved the label of live site \('v', 1\)"),
+    ]
+    for state_fn, gates, message in cases:
+        with pytest.raises(ValueError, match=message):
+            reg.add_sites(specs, state_fn, gates)
+        assert reg.dims == (3, 3) and len(reg.sites) == 2
+        assert np.allclose(reg.amps, 1 / 3)
+
+    def no_label_push(*args):
+        raise AssertionError("the budget check must come before any label work or allocation")
+
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 242)
+    monkeypatch.setattr(register, "_push_labels", no_label_push)
+    with pytest.raises(ValueError, match="243 amplitudes exceeds the dense register budget 242"):
+        reg.add_sites(specs, register._identity_state, walls)
+    assert reg.dims == (3, 3) and len(reg.sites) == 2
