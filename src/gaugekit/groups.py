@@ -174,9 +174,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def contains(self, a: int) -> bool:
-        return a in set(self.members)
-
     def is_normal(self) -> bool:
         g = self.parent
         member_set = set(self.members)
@@ -362,13 +359,6 @@ class FactorSystem:
     @property
     def order(self) -> int:
         return self.n_group.order * self.q_group.order
-
-    def pair_index(self, n: int, q: int) -> int:
-        """Index of the pair (n, q) in the extension's element numbering."""
-        return n * self.q_group.order + q
-
-    def split_index(self, idx: int) -> Tuple[int, int]:
-        return divmod(idx, self.q_group.order)
 
     def omega_inv(self, q1: int, q2: int) -> int:
         return self.n_group.inverse(int(self.omega[q1, q2]))

@@ -113,7 +113,6 @@ class KwResult:
     outcomes: Dict[int, int]
     corrections: CorrectionPlan
     probability: float
-    fidelity_vs_oracle: Optional[float] = None
 
     @property
     def normalization(self) -> float:
@@ -129,8 +128,6 @@ class KwResult:
             "probability": float(self.probability),
             "normalization": self.normalization,
         }
-        if self.fidelity_vs_oracle is not None:
-            payload["fidelity_vs_oracle"] = float(self.fidelity_vs_oracle)
         return json.dumps(payload, sort_keys=True, indent=2)
 
 

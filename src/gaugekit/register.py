@@ -3,8 +3,9 @@
 Sites are ordered; amplitudes live in a C-ordered complex128 array with one
 axis per live site (site-major, last site fastest). Measurement retires the
 site and reshapes the state down, so peak dimension is bounded by the largest
-single protocol round. Operators are structured (permutation, diagonal, or
-dense) so large-arity permutation gates never materialize dense matrices.
+single protocol round. Every gate is a phase-free permutation or a unimodular
+diagonal, so large-arity gates never materialize dense matrices; the Fourier
+rotation inside measure_fourier is the only step that mixes amplitudes.
 """
 
 from __future__ import annotations
@@ -48,96 +49,58 @@ class SiteSpec:
 
 
 class LocalOperator:
-    """Operator on 1 to 3 sites, stored as permutation, diagonal, or dense.
+    """Unitary gate on 1 to 3 sites, a permutation or a diagonal over the
+    joint target basis.
 
-    perm: image array over the joint target basis, |x> -> phase[x] |image[x]>.
-    diag: complex phases over the joint target basis.
-    dense: full matrix over the joint target basis.
+    perm: image array, |x> -> |image[x]>.
+    diag: unimodular phases, |x> -> diag[x] |x>.
     """
 
-    def __init__(
-        self,
-        targets: Sequence[Hashable],
-        kind: str,
-        payload,
-        phase: Optional[np.ndarray] = None,
-        unitary: bool = True,
-        name: str = "op",
-    ):
+    def __init__(self, targets: Sequence[Hashable], kind: str, payload, name: str = "op"):
         if not 1 <= len(targets) <= 3:
             raise ValueError(f"LocalOperator supports 1-3 targets, got {len(targets)}")
         if len(set(targets)) != len(targets):
             raise ValueError("duplicate target sites")
         self.targets = tuple(targets)
         self.kind = kind
-        self.unitary = unitary
         self.name = name
         if kind == "perm":
             self.image = np.asarray(payload, dtype=np.int64)
-            dim = len(self.image)
-            if sorted(self.image.tolist()) != list(range(dim)):
+            if sorted(self.image.tolist()) != list(range(len(self.image))):
                 raise ValueError(f"{name}: image is not a permutation")
-            self.phase = None if phase is None else np.asarray(phase, dtype=np.complex128)
-            if self.phase is not None and np.abs(np.abs(self.phase) - 1).max() > GATE_TOL:
-                raise ValueError(f"{name}: permutation phases must be unimodular")
         elif kind == "diag":
             self.diag = np.asarray(payload, dtype=np.complex128)
-            if unitary and np.abs(np.abs(self.diag) - 1).max() > GATE_TOL:
+            if np.abs(np.abs(self.diag) - 1).max() > GATE_TOL:
                 raise ValueError(f"{name}: unitary diagonal must be unimodular")
-        elif kind == "dense":
-            self.dense = np.asarray(payload, dtype=np.complex128)
-            if self.dense.ndim != 2 or self.dense.shape[0] != self.dense.shape[1]:
-                raise ValueError(f"{name}: dense payload must be square")
-            dim = self.dense.shape[0]
-            if unitary and dim <= 4096:
-                dev = np.abs(self.dense @ self.dense.conj().T - np.eye(dim)).max()
-                if dev > GATE_TOL:
-                    raise ValueError(f"{name}: flagged unitary but U U+ deviates by {dev:.2e}")
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
 
     @property
     def joint_dim(self) -> int:
-        if self.kind == "perm":
-            return len(self.image)
-        if self.kind == "diag":
-            return len(self.diag)
-        return self.dense.shape[0]
+        return len(self.image) if self.kind == "perm" else len(self.diag)
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense materialization over the joint target basis."""
-        d = self.joint_dim
-        if self.kind == "dense":
-            return self.dense.copy()
         if self.kind == "diag":
             return np.diag(self.diag)
+        d = self.joint_dim
         m = np.zeros((d, d), dtype=np.complex128)
-        amp = np.ones(d) if self.phase is None else self.phase
-        m[self.image, np.arange(d)] = amp
+        m[self.image, np.arange(d)] = 1
         return m
 
     def transform(self, block: np.ndarray) -> np.ndarray:
         """Apply to an array of shape (joint_dim, rest)."""
         if self.kind == "diag":
             return block * self.diag[:, None]
-        if self.kind == "perm":
-            out = np.empty_like(block)
-            src = block if self.phase is None else block * self.phase[:, None]
-            out[self.image] = src
-            return out
-        return self.dense @ block
+        out = np.empty_like(block)
+        out[self.image] = block
+        return out
 
     def dagger(self) -> "LocalOperator":
         if self.kind == "diag":
-            return LocalOperator(self.targets, "diag", np.conj(self.diag), unitary=self.unitary, name=self.name + "+")
-        if self.kind == "perm":
-            inv = np.argsort(self.image)
-            phase = None if self.phase is None else np.conj(self.phase[inv])
-            return LocalOperator(self.targets, "perm", inv, phase=phase, unitary=True, name=self.name + "+")
-        return LocalOperator(
-            self.targets, "dense", self.dense.conj().T, unitary=self.unitary, name=self.name + "+"
-        )
+            return LocalOperator(self.targets, "diag", np.conj(self.diag), name=self.name + "+")
+        return LocalOperator(self.targets, "perm", np.argsort(self.image), name=self.name + "+")
 
 
 class DiagonalOperator:
@@ -183,11 +146,11 @@ def _flat_labels(labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], 
 
 
 def _push_labels(labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], gates: Sequence[LocalOperator]) -> None:
-    """Send every row of a per-site label table through phase-free permutation
-    gates, in order: a basis state stays a basis state, so this is the whole
-    circuit on every row at once."""
+    """Send every row of a per-site label table through permutation gates, in
+    order: a basis state stays a basis state, so this is the whole circuit on
+    every row at once."""
     for op in gates:
-        if op.kind != "perm" or op.phase is not None:
+        if op.kind != "perm":
             raise ValueError(f"{op.name}: label push needs a phase-free permutation")
         if op.joint_dim != math.prod(dims[sid] for sid in op.targets):
             raise ValueError(f"{op.name}: operator dimension {op.joint_dim} mismatches its targets")
@@ -252,7 +215,7 @@ class QuditRegister:
     ) -> None:
         """Append fresh product-state sites (ancilla allocation).
 
-        A non-empty gates list of phase-free permutations, which must not move
+        A non-empty gates list of permutations, which must not move
         a live site's label, runs in the same pass on identity-state ancillas:
         each basis row of the live sites it touches lands on one new-site row,
         so the labels are pushed over that grid and one scatter writes them."""
@@ -335,29 +298,35 @@ class QuditRegister:
     def measure_fourier(self, sid: Hashable, rng: Optional[np.random.Generator] = None, forced: Optional[int] = None) -> int:
         """Rotate one abelian site by F_ab = chi^a(b)/sqrt|A|, measure, retire it.
 
-        Exactly one of rng and forced selects the branch. The collapsed state
-        is renormalized and the site's axis is removed.
+        The rotation is the register's only amplitude-mixing step. Exactly one
+        of rng and forced selects the branch; a forced outcome out of range or
+        a call with neither is rejected before the register changes. A forced
+        outcome with zero Born probability is rejected after the rotation and
+        leaves the site rotated. The collapsed state is renormalized and the
+        site's axis is removed.
         """
         spec_ = self.spec(sid)
-        self.apply(_fourier_op(spec_))
-        block, axes, shape = self._gather([sid])
-        probs = np.einsum("ij,ij->i", block, np.conj(block)).real
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-6:
-            probs = probs / total
+        fourier = _fourier_matrix(spec_)
         if forced is not None:
             outcome = int(forced)
             if not 0 <= outcome < spec_.dim:
                 raise ValueError(f"forced outcome {outcome} out of range for {sid!r}")
-            if probs[outcome] < 1e-14:
-                raise ValueError(
-                    f"forced outcome {outcome} on {sid!r} has zero Born probability "
-                    f"(distribution {np.round(probs, 6).tolist()})"
-                )
-        else:
-            if rng is None:
-                raise ValueError("measurement needs an rng or a forced outcome")
+        elif rng is None:
+            raise ValueError("measurement needs an rng or a forced outcome")
+        block, axes, shape = self._gather([sid])
+        block = fourier @ block
+        self._scatter(block, axes, shape)
+        probs = np.einsum("ij,ij->i", block, np.conj(block)).real
+        total = probs.sum()
+        if abs(total - 1.0) > 1e-6:
+            probs = probs / total
+        if forced is None:
             outcome = int(rng.choice(spec_.dim, p=probs / probs.sum()))
+        elif probs[outcome] < 1e-14:
+            raise ValueError(
+                f"forced outcome {outcome} on {sid!r} has zero Born probability "
+                f"(distribution {np.round(probs, 6).tolist()})"
+            )
         branch = block[outcome] / np.sqrt(probs[outcome])
         pos = axes[0]
         # gather moved the measured axis to the front and kept the rest in
@@ -403,14 +372,10 @@ class QuditRegister:
 
     # --- relabelings -----------------------------------------------------------
 
-    def relabel_site(self, sid: Hashable, image: np.ndarray, new_spec: Optional[SiteSpec] = None) -> None:
+    def relabel_site(self, sid: Hashable, image: np.ndarray) -> None:
         """Permute one site's basis labels: |x> -> |image[x]>."""
-        pos = self.pos(sid)
         inv = np.argsort(np.asarray(image, dtype=np.int64))
-        self.amps = np.take(self.amps, inv, axis=pos)
-        if new_spec is not None:
-            self.sites[pos] = new_spec
-            self._reindex()
+        self.amps = np.take(self.amps, inv, axis=self.pos(sid))
 
     def merge_sites(self, sid_a: Hashable, sid_b: Hashable, new_spec: SiteSpec) -> None:
         """Fuse two sites into one with C-order pairing (a-label major)."""
@@ -442,12 +407,10 @@ class QuditRegister:
         self._reindex()
 
 
-def _fourier_op(spec_: SiteSpec) -> LocalOperator:
+def _fourier_matrix(spec_: SiteSpec) -> np.ndarray:
     if not spec_.group.is_abelian:
         raise ValueError(f"Fourier measurement needs an abelian site, {spec_.sid!r} carries {spec_.group.name}")
-    chi = character_table(spec_.group)
-    mat = chi / np.sqrt(spec_.group.order)
-    return LocalOperator([spec_.sid], "dense", mat, unitary=True, name=f"F[{spec_.group.name}]")
+    return character_table(spec_.group) / np.sqrt(spec_.group.order)
 
 
 # ---------------------------------------------------------------------------

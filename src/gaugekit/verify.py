@@ -181,8 +181,6 @@ class StabilizerReport:
     vertex_expectations: Dict[int, float]
     plaquette_expectations: Dict[int, float]
     loop_values: Dict[str, Dict[int, float]] = field(default_factory=dict)
-    fidelity_vs_oracle: Optional[float] = None
-    gsd: Optional[int] = None
 
     def min_expectation(self) -> float:
         values = list(self.vertex_expectations.values()) + list(self.plaquette_expectations.values())
@@ -198,10 +196,6 @@ class StabilizerReport:
             },
             "min_expectation": self.min_expectation(),
         }
-        if self.fidelity_vs_oracle is not None:
-            payload["fidelity_vs_oracle"] = float(self.fidelity_vs_oracle)
-        if self.gsd is not None:
-            payload["gsd"] = int(self.gsd)
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -210,12 +204,9 @@ def stabilizer_report(
     g_group: FiniteGroup,
     cell: Cellulation,
     edge_of: Callable[[int], Hashable] = _edge_site,
-    oracle: Optional[QuditRegister] = None,
-    gsd: Optional[int] = None,
 ) -> StabilizerReport:
     """Evaluate every vertex and plaquette projector on reg, plus irrep loop
-    values where matrices are stored and the fidelity when a reference state
-    is supplied."""
+    values where matrices are stored."""
     vexp = {
         v: _real(reg.expectation(vertex_stabilizer(g_group, cell, v, edge_of)), f"A[{v}]")
         for v in range(cell.n_vertices)
@@ -240,14 +231,7 @@ def stabilizer_report(
                     for p in range(cell.n_plaquettes)
                 }
                 loop_values[irrep.label] = per
-    fid = None if oracle is None else reg.fidelity(oracle)
-    return StabilizerReport(
-        vertex_expectations=vexp,
-        plaquette_expectations=pexp,
-        loop_values=loop_values,
-        fidelity_vs_oracle=fid,
-        gsd=gsd,
-    )
+    return StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values)
 
 
 # ---------------------------------------------------------------------------
@@ -429,18 +413,26 @@ def _check_right_action_becomes_vertex_term(g_group: FiniteGroup, cell: Cellulat
     return worst
 
 
-def _check_plaquette_loops_carry_irrep_dimension(g_group: FiniteGroup, cell: Cellulation) -> float:
+def _loops_carry_irrep_dimension(subject, cell: Cellulation, irrep_group: FiniteGroup, pure_map, loop) -> float:
+    """Every irrep loop diagonal, read on every column of the pure gauging map,
+    equals the irrep dimension; loop(irrep, walk) builds the diagonal."""
     if not cell.plaquettes:
         raise ValueError("needs a cellulation with plaquettes")
-    table = irrep_table(g_group)
-    labels, dims, scale = _pure_kw_g(g_group, cell)
+    table = irrep_table(irrep_group)
+    labels, dims, scale = pure_map(subject, cell)
     worst = 0.0
     for irrep in table.irreps:
         for p in range(cell.n_plaquettes):
-            op = loop_z(irrep, cell.plaquettes[p], cell)
+            op = loop(irrep, cell.plaquettes[p])
             traces = op.diag[_flat_labels(labels, dims, op.targets)]
             worst = max(worst, scale * float(np.abs(traces - irrep.dim).max()))
     return worst
+
+
+def _check_plaquette_loops_carry_irrep_dimension(g_group: FiniteGroup, cell: Cellulation) -> float:
+    return _loops_carry_irrep_dimension(
+        g_group, cell, g_group, _pure_kw_g, lambda irrep, walk: loop_z(irrep, walk, cell)
+    )
 
 
 def _check_quotient_symmetry_survives(fs: FactorSystem, cell: Cellulation) -> float:
@@ -460,17 +452,10 @@ def _check_quotient_symmetry_survives(fs: FactorSystem, cell: Cellulation) -> fl
 
 
 def _check_dressed_loops_carry_irrep_dimension(fs: FactorSystem, cell: Cellulation) -> float:
-    if not cell.plaquettes:
-        raise ValueError("needs a cellulation with plaquettes")
-    table = irrep_table(fs.n_group)
-    labels, dims, scale = _pure_kw_n(fs, cell)
-    worst = 0.0
-    for irrep in table.irreps:
-        for p in range(cell.n_plaquettes):
-            op = loop_z_tilde(fs, irrep, cell.plaquettes[p], cell, lambda v: ("q", v), _edge_site)
-            traces = op.diag[_flat_labels(labels, dims, op.targets)]
-            worst = max(worst, scale * float(np.abs(traces - irrep.dim).max()))
-    return worst
+    return _loops_carry_irrep_dimension(
+        fs, cell, fs.n_group, _pure_kw_n,
+        lambda irrep, walk: loop_z_tilde(fs, irrep, walk, cell, lambda v: ("q", v), _edge_site),
+    )
 
 
 def _check_two_step_composition(fs: FactorSystem, cell: Cellulation) -> float:
@@ -496,55 +481,34 @@ def _conjugation_deviation(lhs_image: np.ndarray, rhs_image: np.ndarray) -> floa
     return 0.0 if np.array_equal(lhs_image, rhs_image) else 1.0
 
 
-def _pair_images(g_group: FiniteGroup, entangler):
-    """Joint pair labels and the images of an entangler and of its inverse,
-    built once per check: none of them depends on the multiplied element."""
-    d = g_group.order
-    a, b = _joint2(d, d)
-    op = entangler(g_group, "a", "b")
-    return d, a, b, op.image, op.dagger().image
+def _pair_identity(entangler, inner: str, outer: str) -> Callable[[FiniteGroup, Cellulation], float]:
+    """Check E+ (X (x) Y) E = X' (x) Y' for every g != e, with the factors spelled
+    as two letters for the pair (a, b): L is left_mult(g), R is right_mult(g),
+    1 the identity. The pair labels and the entangler's images are built once
+    per check; none of them depends on g."""
+    letters = set(inner + outer)
 
+    def check(g_group: FiniteGroup, cell: Cellulation) -> float:
+        d = g_group.order
+        a, b = _joint2(d, d)
+        op = entangler(g_group, "a", "b")
+        ent, ent_inv = op.image, op.dagger().image
 
-def _check_cl_absorbs_left_multiplication(g_group: FiniteGroup, cell: Cellulation) -> float:
-    d, a, b, cl, cl_inv = _pair_images(g_group, controlled_left)
-    worst = 0.0
-    for g in range(1, d):
-        lg = left_mult(g_group, g, "x").image
-        inner = lg[a] * d + lg[b]
-        worst = max(worst, _conjugation_deviation(cl_inv[inner[cl]], lg[a] * d + b))
-    return worst
+        def pair(spelling: str, images: Dict[str, np.ndarray]) -> np.ndarray:
+            x, y = (labels if f == "1" else images[f][labels] for f, labels in zip(spelling, (a, b)))
+            return x * d + y
 
+        worst = 0.0
+        for g in range(1, d):
+            images = {}
+            if "L" in letters:
+                images["L"] = left_mult(g_group, g, "x").image
+            if "R" in letters:
+                images["R"] = right_mult(g_group, g, "x").image
+            worst = max(worst, _conjugation_deviation(ent_inv[pair(inner, images)[ent]], pair(outer, images)))
+        return worst
 
-def _check_cr_absorbs_left_multiplication(g_group: FiniteGroup, cell: Cellulation) -> float:
-    d, a, b, cr, cr_inv = _pair_images(g_group, controlled_right)
-    worst = 0.0
-    for g in range(1, d):
-        lg = left_mult(g_group, g, "x").image
-        rg = right_mult(g_group, g, "x").image
-        inner = lg[a] * d + rg[b]
-        worst = max(worst, _conjugation_deviation(cr_inv[inner[cr]], lg[a] * d + b))
-    return worst
-
-
-def _check_cl_spreads_right_multiplication(g_group: FiniteGroup, cell: Cellulation) -> float:
-    d, a, b, cl, cl_inv = _pair_images(g_group, controlled_left)
-    worst = 0.0
-    for g in range(1, d):
-        lg = left_mult(g_group, g, "x").image
-        rg = right_mult(g_group, g, "x").image
-        inner = rg[a] * d + b
-        worst = max(worst, _conjugation_deviation(cl_inv[inner[cl]], rg[a] * d + lg[b]))
-    return worst
-
-
-def _check_cr_spreads_right_multiplication(g_group: FiniteGroup, cell: Cellulation) -> float:
-    d, a, b, cr, cr_inv = _pair_images(g_group, controlled_right)
-    worst = 0.0
-    for g in range(1, d):
-        rg = right_mult(g_group, g, "x").image
-        inner = rg[a] * d + b
-        worst = max(worst, _conjugation_deviation(cr_inv[inner[cr]], rg[a] * d + rg[b]))
-    return worst
+    return check
 
 
 def _check_charge_diagonals_push_to_edge(g_group: FiniteGroup, cell: Cellulation) -> float:
@@ -681,10 +645,10 @@ _GROUP_IDENTITIES: Dict[str, Callable[[FiniteGroup, Cellulation], float]] = {
     "right_action_becomes_vertex_term": _check_right_action_becomes_vertex_term,
     "plaquette_loops_carry_irrep_dimension": _check_plaquette_loops_carry_irrep_dimension,
     "plaquette_projector_from_irrep_sum": _check_plaquette_projector_from_irrep_sum,
-    "cl_absorbs_left_multiplication": _check_cl_absorbs_left_multiplication,
-    "cr_absorbs_left_multiplication": _check_cr_absorbs_left_multiplication,
-    "cl_spreads_right_multiplication": _check_cl_spreads_right_multiplication,
-    "cr_spreads_right_multiplication": _check_cr_spreads_right_multiplication,
+    "cl_absorbs_left_multiplication": _pair_identity(controlled_left, "LL", "L1"),
+    "cr_absorbs_left_multiplication": _pair_identity(controlled_right, "LR", "L1"),
+    "cl_spreads_right_multiplication": _pair_identity(controlled_left, "R1", "RL"),
+    "cr_spreads_right_multiplication": _pair_identity(controlled_right, "R1", "RR"),
     "charge_diagonals_push_to_edge": _check_charge_diagonals_push_to_edge,
 }
 

@@ -31,7 +31,7 @@ from gaugekit.groups import (
     irrep_table,
     subgroup_from_members,
 )
-from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _fourier_op, init_identity, init_plus
+from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _fourier_matrix, init_identity, init_plus
 
 TOL = 1e-12
 
@@ -84,7 +84,7 @@ def test_cx_rejects_nonabelian():
     with pytest.raises(ValueError, match="abelian"):
         cz_abelian(s3, "c", "t")
     with pytest.raises(ValueError, match="abelian"):
-        _fourier_op(SiteSpec("a", "edge", s3))
+        _fourier_matrix(SiteSpec("a", "edge", s3))
 
 
 def test_controlled_gates_unitary_roundtrip():
@@ -117,7 +117,7 @@ def test_conjugation_identities_on_s3():
 
 def test_fourier_z2_is_hadamard_and_squares_to_identity():
     z2 = build_cyclic(2)
-    f = _fourier_op(SiteSpec("a", "edge", z2)).matrix
+    f = _fourier_matrix(SiteSpec("a", "edge", z2))
     assert np.abs(f - np.array([[1, 1], [1, -1]]) / np.sqrt(2)).max() < TOL
     assert np.abs(f @ f - np.eye(2)).max() < TOL
 
@@ -125,7 +125,7 @@ def test_fourier_z2_is_hadamard_and_squares_to_identity():
 def test_fourier_conjugates_cx_into_cz():
     for n in (2, 3, 4):
         g = build_cyclic(n)
-        f = _fourier_op(SiteSpec("t", "edge", g)).matrix
+        f = _fourier_matrix(SiteSpec("t", "edge", g))
         cx = controlled_left(g, "c", "t").matrix
         cz = cz_abelian(g, "c", "t").matrix
         lhs = np.kron(np.eye(n), f) @ cx @ np.kron(np.eye(n), f).conj().T

@@ -86,14 +86,17 @@ def test_apply_preserves_norm_and_is_linear():
     b = init_identity(sites)
     a.amps = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
     a.amps /= np.linalg.norm(a.amps)
-    had = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    op = LocalOperator([("e", 1)], "dense", had, name="H")
+    ops = [
+        LocalOperator([("e", 2), ("e", 0)], "perm", [3, 0, 2, 1], name="P"),
+        LocalOperator([("e", 1), ("e", 2)], "diag", np.exp(1j * rng.normal(size=4)), name="D"),
+    ]
     combo = a.copy()
     combo.amps = 0.3 * a.amps + 0.7j * b.amps
-    lhs = combo.copy().apply(op).amps
-    rhs = 0.3 * a.copy().apply(op).amps + 0.7j * b.copy().apply(op).amps
-    assert np.abs(lhs - rhs).max() < GATE_TOL
-    assert abs(a.copy().apply(op).norm() - 1) < GATE_TOL
+    for op in ops:
+        lhs = combo.copy().apply(op).amps
+        rhs = 0.3 * a.copy().apply(op).amps + 0.7j * b.copy().apply(op).amps
+        assert np.abs(lhs - rhs).max() < GATE_TOL
+        assert abs(a.copy().apply(op).norm() - 1) < GATE_TOL
 
 
 def test_disjoint_support_gates_commute():
@@ -102,13 +105,13 @@ def test_disjoint_support_gates_commute():
     reg = init_plus(sites)
     reg.amps = rng.normal(size=reg.dims) + 1j * rng.normal(size=reg.dims)
     reg.amps /= np.linalg.norm(reg.amps)
-    u = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, _ = np.linalg.qr(u)
-    op1 = LocalOperator([("e", 0), ("e", 2)], "dense", q, name="U")
-    op2 = LocalOperator([("e", 3)], "dense", np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-    ab = reg.copy().apply(op1).apply(op2).amps
-    ba = reg.copy().apply(op2).apply(op1).amps
-    assert np.abs(ab - ba).max() < GATE_TOL
+    perm = LocalOperator([("e", 0), ("e", 2)], "perm", [2, 0, 3, 1], name="P")
+    diag = LocalOperator([("e", 1), ("e", 3)], "diag", np.exp(1j * rng.normal(size=4)), name="D")
+    flip = LocalOperator([("e", 3)], "perm", [1, 0], name="X")
+    for op1, op2 in [(perm, diag), (perm, flip)]:
+        ab = reg.copy().apply(op1).apply(op2).amps
+        ba = reg.copy().apply(op2).apply(op1).amps
+        assert np.abs(ab - ba).max() < GATE_TOL
 
 
 def test_gate_then_dagger_is_identity():
@@ -123,7 +126,8 @@ def test_gate_then_dagger_is_identity():
     ops = [
         LocalOperator([0], "perm", [2, 0, 1], name="L"),
         LocalOperator([1], "diag", chi[1], name="Z"),
-        LocalOperator([0, 1], "dense", np.kron(chi / np.sqrt(3), np.eye(3)), name="F0"),
+        LocalOperator([1, 0], "perm", rng.permutation(9), name="P"),
+        LocalOperator([0, 1], "diag", np.exp(1j * rng.normal(size=9)), name="D"),
     ]
     for op in ops:
         reg.apply(op)
@@ -131,9 +135,9 @@ def test_gate_then_dagger_is_identity():
         assert np.abs(reg.amps - before).max() < GATE_TOL
 
 
-def test_dense_unitary_flag_enforced():
-    with pytest.raises(ValueError, match="deviates"):
-        LocalOperator(["a"], "dense", np.array([[1.0, 0.0], [0.0, 2.0]]), name="bad")
+def test_diagonal_gate_must_be_unimodular():
+    with pytest.raises(ValueError, match="bad: unitary diagonal must be unimodular"):
+        LocalOperator(["a"], "diag", np.array([1.0, 2.0]), name="bad")
 
 
 def test_perm_image_validated():
@@ -148,11 +152,11 @@ def test_operator_arity_capped():
 
 def test_matrix_materialization_matches_kinds():
     image = np.array([1, 2, 0])
+    op = LocalOperator(["a"], "perm", image)
+    expected = np.zeros((3, 3))
+    expected[image, np.arange(3)] = 1
+    assert np.array_equal(op.matrix, expected)
     phase = np.exp(2j * np.pi * np.arange(3) / 3)
-    op = LocalOperator(["a"], "perm", image, phase=phase)
-    m = op.matrix
-    for x in range(3):
-        assert abs(m[image[x], x] - phase[x]) < GATE_TOL
     d = LocalOperator(["a"], "diag", phase)
     assert np.abs(d.matrix - np.diag(phase)).max() < GATE_TOL
 
@@ -208,6 +212,22 @@ def test_measure_needs_rng_or_forced():
     reg = init_plus(z2_sites(1))
     with pytest.raises(ValueError, match="rng or a forced outcome"):
         reg.measure_fourier(("e", 0))
+
+
+def test_rejected_measurement_leaves_register_unchanged():
+    rng = np.random.default_rng(13)
+    z3 = build_cyclic(3)
+    reg = init_plus([SiteSpec(k, "edge", z3) for k in range(3)])
+    reg.amps = rng.normal(size=reg.dims) + 1j * rng.normal(size=reg.dims)
+    reg.amps /= np.linalg.norm(reg.amps)
+    reg.measure_fourier(0, forced=1)
+    before, sites, retired = reg.amps.copy(), list(reg.sites), dict(reg.retired)
+    for kwargs, message in [({"forced": 3}, "out of range"), ({"forced": -1}, "out of range"), ({}, "rng or a forced")]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                reg.measure_fourier(2, **kwargs)
+            assert np.array_equal(reg.amps, before)
+            assert reg.sites == sites and reg.retired == retired
 
 
 def test_fourier_measurement_rejects_nonabelian_site():
@@ -433,10 +453,8 @@ def test_gated_allocation_rejects_what_one_scatter_cannot_write(monkeypatch):
     reg = init_plus([SiteSpec(("v", v), "vertex", z3) for v in range(cell.n_vertices)])
     specs = [SiteSpec(("e", e), "edge", z3) for e in range(cell.n_edges)]
     walls = _wall_gates(z3, cell, lambda v: ("v", v), lambda e: ("e", e))
-    phased = LocalOperator([("v", 0), ("e", 0)], "perm", walls[0].image, phase=np.exp(1j * np.arange(9)), name="CLphase")
     cases = [
         (register._plus_state, walls, "needs identity-state ancillas"),
-        (register._identity_state, walls + [phased], "CLphase: label push needs a phase-free permutation"),
         (register._identity_state, walls + [cz_abelian(z3, ("v", 0), ("e", 0))], "CZ: label push needs a phase-free"),
         (register._identity_state, walls + [left_mult(z3, 1, ("v", 1))], r"moved the label of live site \('v', 1\)"),
     ]

@@ -10,12 +10,13 @@ import hashlib
 
 import pytest
 
-from gaugekit.cellulation import theta_sphere
+from gaugekit.cellulation import square_torus, theta_sphere
 from gaugekit.cli import main
 from gaugekit.groups import catalog
 from gaugekit.kwmaps import KwMode
-from gaugekit.protocols import gauge_input_state
+from gaugekit.protocols import gauge_input_state, prepare_abelian_double
 from gaugekit.register import SiteSpec, init_plus
+from gaugekit.verify import stabilizer_report
 
 CLI_REPORTS = [
     pytest.param(
@@ -67,3 +68,12 @@ def test_gauge_input_transcript_bytes_pinned():
     transcript = gauge_input_state(reg, s3, cell, KwMode.sample(3))
     digest = hashlib.sha256(transcript.to_json().encode()).hexdigest()
     assert digest == "b76c30db94c43d98d47b4ae071adb37e12519a0bcff0f266b431c3781f91e6c8"
+
+
+def test_forced_abelian_transcript_and_report_bytes_pinned():
+    z3 = catalog()["Z3"]
+    cell = square_torus(2, 2)
+    transcript = prepare_abelian_double(z3, cell, KwMode.forced({0: 1, 1: 2}))
+    report = stabilizer_report(transcript.register, z3, cell)
+    digest = hashlib.sha256((transcript.to_json() + report.to_json()).encode()).hexdigest()
+    assert digest == "f6faa6a040a79f027b60bdb08f7c532c4eeefbb940bacf5b7d3e130c9f0871d2"

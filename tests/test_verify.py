@@ -22,6 +22,7 @@ from gaugekit.groups import (
     factor_system_of,
     irrep_table,
 )
+from gaugekit.gates import controlled_left, controlled_right
 from gaugekit.kwmaps import kw_exact_g
 from gaugekit.register import DiagonalOperator, QuditRegister, SiteSpec, init_plus
 from gaugekit.verify import (
@@ -271,15 +272,12 @@ def test_report_on_oracle_s3():
     g = CAT["S3"]
     cell = hexagon_torus()
     reg = oracle_double_state(g, cell)
-    rep = stabilizer_report(reg, g, cell, oracle=exact_double(g, cell), gsd=8)
+    rep = stabilizer_report(reg, g, cell)
     assert rep.min_expectation() > 1 - 1e-9
-    assert rep.fidelity_vs_oracle > 1 - 1e-9
-    assert rep.gsd == 8
     assert abs(rep.loop_values["triv"][0] - 1) < 1e-9
     assert abs(rep.loop_values["sgn"][0] - 1) < 1e-9
     assert abs(rep.loop_values["std"][0] - 2) < 1e-9
     payload = json.loads(rep.to_json())
-    assert payload["gsd"] == 8
     assert payload["vertex_expectations"]["0"] == pytest.approx(1.0)
     assert payload["loop_values"]["std"]["0"] == pytest.approx(2.0)
 
@@ -315,8 +313,7 @@ def test_report_rejects_complex_expectation():
 def test_report_dataclass_defaults():
     rep = StabilizerReport(vertex_expectations={0: 1.0}, plaquette_expectations={})
     assert rep.min_expectation() == 1.0
-    assert rep.fidelity_vs_oracle is None
-    assert "gsd" not in json.loads(rep.to_json())
+    assert rep.loop_values == {}
 
 
 # --- character sum rules --------------------------------------------------------
@@ -406,6 +403,16 @@ def test_system_identities_on_both_reference_graphs(label):
                 ), text
                 continue
             assert dev < 1e-10, (ident, label, cell.name, dev)
+
+
+def test_pair_identities_fail_with_the_other_entangler():
+    # every pair identity names its entangler; the swapped one breaks it on S3
+    swapped = {controlled_left: controlled_right, controlled_right: controlled_left}
+    spellings = [(controlled_left, "LL", "L1"), (controlled_right, "LR", "L1"),
+                 (controlled_left, "R1", "RL"), (controlled_right, "R1", "RR")]
+    for entangler, inner, outer in spellings:
+        assert verify._pair_identity(entangler, inner, outer)(CAT["S3"], hexagon_torus()) == 0.0
+        assert verify._pair_identity(swapped[entangler], inner, outer)(CAT["S3"], hexagon_torus()) == 1.0
 
 
 def test_wall_pushthrough_orientation_on_higher_genus_cells():
