@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,14 +131,16 @@ class KwResult:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _require_symmetric(reg: QuditRegister, ops_for_g, order: int, what: str) -> None:
+def _require_symmetric(reg: QuditRegister, sites: Sequence[Tuple[Hashable, ...]], sources: np.ndarray, what: str) -> None:
     """Reject inputs that carry a net charge: the global product constraint on
-    outcomes is satisfiable exactly for invariant states, so repair would fail."""
-    for g in range(1, order):
-        probe = reg.copy()
-        for op in ops_for_g(g):
-            probe.apply(op)
-        if np.abs(probe.amps - reg.amps).max() > STATE_TOL:
+    outcomes is satisfiable exactly for invariant states, so repair would fail.
+
+    sites holds each vertex's sites; under the global left action of element
+    g every vertex reads its joint label from sources[g], so each element is
+    probed by one gather."""
+    tables = [(t, reg.gather_shift(t, sources)) for t in sites]
+    for g in range(1, len(sources)):
+        if np.abs(reg.permuted([(t, table[g]) for t, table in tables]) - reg.amps).max() > STATE_TOL:
             raise ValueError(
                 f"{what}: input is not invariant under the global left action "
                 f"(element {g} moves it); the residual charge obstructs outcome repair"
@@ -206,12 +208,7 @@ def kw_abelian(
     if not a_group.is_abelian:
         raise ValueError("kw_abelian needs an abelian group")
     n_v = cell.n_vertices
-    _require_symmetric(
-        reg,
-        lambda g: [left_mult(a_group, g, vertex_of(v)) for v in range(n_v)],
-        a_group.order,
-        "kw_abelian",
-    )
+    _require_symmetric(reg, [(vertex_of(v),) for v in range(n_v)], a_group.mult[a_group.inv], "kw_abelian")
     reg.add_sites(
         [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)],
         _identity_state,
@@ -245,12 +242,7 @@ def kw_hat_abelian(
     if not cell.closed:
         raise ValueError("kw_hat_abelian needs a closed cellulation")
     n_p = cell.n_plaquettes
-    _require_symmetric(
-        reg,
-        lambda g: [left_mult(a_group, g, plaquette_of(p)) for p in range(n_p)],
-        a_group.order,
-        "kw_hat_abelian",
-    )
+    _require_symmetric(reg, [(plaquette_of(p),) for p in range(n_p)], a_group.mult[a_group.inv], "kw_hat_abelian")
     reg.add_sites(
         [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)], _plus_state
     )
@@ -333,12 +325,8 @@ def kw_n_in_g(
             "only postselect mode supports a non-abelian one"
         )
     n_v = cell.n_vertices
-    _require_symmetric(
-        reg,
-        lambda g: [split_left_mult(fs, g, n_of(v), q_of(v)) for v in range(n_v)],
-        fs.parent.order,
-        "kw_n_in_g",
-    )
+    sources = np.stack([np.argsort(split_left_mult(fs, g, "n", "q").image) for g in fs.parent.elements()])
+    _require_symmetric(reg, [(n_of(v), q_of(v)) for v in range(n_v)], sources, "kw_n_in_g")
     reg.add_sites(
         [SiteSpec(edge_of(e), "edge", n_grp) for e in range(cell.n_edges)],
         _identity_state,

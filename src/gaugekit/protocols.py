@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional
+from functools import lru_cache
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,13 +169,20 @@ def _plus_vertices(group: FiniteGroup, cell: Cellulation) -> QuditRegister:
 # solvable round planning
 
 
-def _solvable_chain(g_group: FiniteGroup) -> List[FactorSystem]:
+def _solvable_chain(g_group: FiniteGroup) -> Tuple[FactorSystem, ...]:
     """Factor systems for the rounds, innermost abelian subgroup each stage.
 
     Every stage gauges the last nontrivial derived subgroup of what remains,
     which is always abelian and normal, until the remainder itself is
-    abelian. Non-solvable groups are rejected naming the obstruction.
+    abelian. Non-solvable groups are rejected naming the obstruction. The
+    chain depends only on the group, so it is cached, keyed by the name as
+    well as the table because the round labels print the quotient names.
     """
+    return _chain_of(g_group.name, g_group)
+
+
+@lru_cache(maxsize=32)
+def _chain_of(name: str, g_group: FiniteGroup) -> Tuple[FactorSystem, ...]:
     chain, length = derived_series(g_group)
     if length is None:
         core = chain[-1]
@@ -187,12 +195,14 @@ def _solvable_chain(g_group: FiniteGroup) -> List[FactorSystem]:
     while not h.is_abelian:
         sub = derived_series(h)[0][-2]
         fs = factor_system_of(h, sub)
+        for table in (fs.sigma, fs.omega, fs.lift, fs.embed, fs.proj, fs.tpart):
+            table.setflags(write=False)
         systems.append(fs)
         h = fs.q_group
-    return systems
+    return tuple(systems)
 
 
-def _reassemble_edges(reg: QuditRegister, cell: Cellulation, systems: List[FactorSystem]) -> None:
+def _reassemble_edges(reg: QuditRegister, cell: Cellulation, systems: Sequence[FactorSystem]) -> None:
     """Merge per-round edge labels back into the full group, innermost first.
 
     Each merge pairs a subgroup label with the already-reassembled quotient
@@ -245,7 +255,7 @@ def _subgroup_round(
 def _gauge_rounds(
     reg: QuditRegister,
     g_group: FiniteGroup,
-    chain: List[FactorSystem],
+    chain: Sequence[FactorSystem],
     cell: Cellulation,
     mode: KwMode,
     protocol: str,

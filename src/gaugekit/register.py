@@ -116,11 +116,11 @@ class DiagonalOperator:
 
 
 class StabilizerOperator:
-    """Weighted sum of products of single-site factors, applied site by site.
+    """Weighted sum of products of permutation factors on disjoint sites.
 
-    terms: list of (weight, {sid: LocalOperator on that single site}).
+    terms: list of (weight, {sid: LocalOperator permutation on that site}).
     Covers A_v (group-averaged permutation products) at any arity without
-    materializing a joint matrix.
+    materializing a joint matrix: each term is one flat gather.
     """
 
     def __init__(self, terms: Sequence[Tuple[complex, Dict[Hashable, LocalOperator]]], name: str = "stab"):
@@ -270,15 +270,62 @@ class QuditRegister:
     def _scatter(self, block: np.ndarray, axes: Tuple[int, ...], shape: Tuple[int, ...]) -> None:
         self.amps = np.moveaxis(block.reshape(shape), range(len(axes)), axes)
 
+    def gather_shift(self, targets: Sequence[Hashable], sources) -> np.ndarray:
+        """Flat-index shift that reads each joint label x of targets from the
+        joint label sources[..., x]: per-site label differences times the
+        register's row-major strides.
+
+        The table is shaped to broadcast over the register behind any leading
+        axes of sources, so one call serves a whole family of permutations."""
+        axes = [self.pos(t) for t in targets]
+        dims = self.dims
+        sub = [dims[a] for a in axes]
+        sources = np.asarray(sources, dtype=np.int64)
+        if sources.shape[-1] != math.prod(sub) or sources.min() < 0 or sources.max() >= sources.shape[-1]:
+            raise ValueError(f"source labels do not index the joint basis of {tuple(targets)}")
+        label = np.arange(sources.shape[-1])
+        shift = np.zeros(sources.shape, dtype=np.int64)
+        for a, d in zip(reversed(axes), reversed(sub)):
+            sources, src = np.divmod(sources, d)
+            label, dst = np.divmod(label, d)
+            shift += (src - dst) * math.prod(dims[a + 1 :])
+        lead = shift.shape[:-1]
+        order = tuple(len(lead) + k for k in np.argsort(axes))
+        shift = shift.reshape(lead + tuple(sub)).transpose(tuple(range(len(lead))) + order)
+        return shift.reshape(lead + tuple(d if k in axes else 1 for k, d in enumerate(dims)))
+
+    def permuted(self, shifts: Sequence[Tuple[Sequence[Hashable], np.ndarray]]) -> np.ndarray:
+        """Amplitudes after permutation gates on disjoint sites, by one gather
+        flat[base + sum of shifts], base the row-major index of every entry.
+
+        Each shift is a (targets, gather_shift table) pair; the result is a new
+        array and the register is left as it was."""
+        seen: set = set()
+        total = 0
+        for targets, table in shifts:
+            overlap = seen.intersection(targets)
+            if overlap:
+                raise ValueError(f"gathered permutations overlap on sites {overlap}")
+            seen.update(targets)
+            total = total + table
+        base = np.arange(self.amps.size).reshape(self.amps.shape)
+        return self.amps.reshape(-1)[base + total]
+
+    def _averaged(self, op: StabilizerOperator) -> np.ndarray:
+        """The weighted sum of the op's permuted copies, in term order."""
+        acc = np.zeros_like(self.amps)
+        for weight, factors in op.terms:
+            shifts = []
+            for factor in factors.values():
+                if factor.kind != "perm":
+                    raise ValueError(f"{op.name}: stabilizer factor {factor.name} is not a permutation")
+                shifts.append((factor.targets, self.gather_shift(factor.targets, np.argsort(factor.image))))
+            acc += weight * self.permuted(shifts)
+        return acc
+
     def apply(self, op) -> "QuditRegister":
         if isinstance(op, StabilizerOperator):
-            acc = np.zeros_like(self.amps)
-            for weight, factors in op.terms:
-                work = self.copy()
-                for sid, factor in factors.items():
-                    work.apply(factor)
-                acc += weight * work.amps
-            self.amps = acc
+            self.amps = self._averaged(op)
             return self
         block, axes, shape = self._gather(op.targets)
         expected = int(np.prod([self.sites[a].dim for a in axes], dtype=np.int64))
@@ -289,6 +336,8 @@ class QuditRegister:
         return self
 
     def expectation(self, op) -> complex:
+        if isinstance(op, StabilizerOperator):
+            return complex(np.vdot(self.amps, self._averaged(op)))
         work = self.copy()
         work.apply(op)
         return complex(np.vdot(self.amps, work.amps))

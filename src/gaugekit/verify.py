@@ -145,14 +145,34 @@ def vertex_stabilizer(
     edge_of: Callable[[int], Hashable] = _edge_site,
 ) -> StabilizerOperator:
     """The vertex projector: the group average of the vertex actions."""
-    incident = cell.edges_at_vertex(v)
-    if len({e for e, _ in incident}) != len(incident):
-        raise ValueError(f"vertex {v} carries a self-loop edge, which the vertex term does not support")
+    _loop_free_edges(cell, v)
     terms = []
     for g in g_group.elements():
         factors = {op.targets[0]: op for op in vertex_action(g_group, cell, v, g, edge_of)}
         terms.append((1.0 / g_group.order, factors))
     return StabilizerOperator(terms, name=f"A[{v}]")
+
+
+def _loop_free_edges(cell: Cellulation, v: int) -> List[Tuple[int, int]]:
+    incident = cell.edges_at_vertex(v)
+    if len({e for e, _ in incident}) != len(incident):
+        raise ValueError(f"vertex {v} carries a self-loop edge, which the vertex term does not support")
+    return incident
+
+
+def _vertex_expectation(reg: QuditRegister, g_group: FiniteGroup, cell: Cellulation, v: int, edge_of) -> complex:
+    """<A_v> as |G| flat gathers, in element order, with every edge's shift
+    table built once for all g: L^g reads g^-1 x, R^g reads x g."""
+    d = g_group.order
+    tables = []
+    for e, sign in _loop_free_edges(cell, v):
+        sources = g_group.mult[g_group.inv] if sign == 1 else g_group.mult.T
+        tables.append(((edge_of(e),), reg.gather_shift([edge_of(e)], sources)))
+    acc = np.zeros_like(reg.amps)
+    weight = complex(1.0 / d)
+    for g in range(d):
+        acc += weight * reg.permuted([(sid, table[g]) for sid, table in tables])
+    return complex(np.vdot(reg.amps, acc))
 
 
 def plaquette_stabilizer(
@@ -208,7 +228,7 @@ def stabilizer_report(
     """Evaluate every vertex and plaquette projector on reg, plus irrep loop
     values where matrices are stored."""
     vexp = {
-        v: _real(reg.expectation(vertex_stabilizer(g_group, cell, v, edge_of)), f"A[{v}]")
+        v: _real(_vertex_expectation(reg, g_group, cell, v, edge_of), f"A[{v}]")
         for v in range(cell.n_vertices)
     }
     pexp = {

@@ -196,6 +196,15 @@ def test_vertex_route_rejects_charged_input_before_touching_it():
     assert np.array_equal(reg.amps, before)
 
 
+def test_dual_route_rejects_charged_input_before_touching_it():
+    z2 = CAT["Z2"]
+    reg = QuditRegister([SiteSpec(("p", 0), "plaquette", z2)], np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="kw_hat_abelian: input is not invariant"):
+        kw_hat_abelian(reg, hexagon_torus(), z2, KwMode.sample(0))
+    assert len(reg.sites) == 1
+    assert np.array_equal(reg.amps, [0.0, 1.0])
+
+
 def test_vertex_route_forced_branches():
     rng = np.random.default_rng(12)
     cell = hexagon_torus()

@@ -9,6 +9,7 @@ from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_
 from gaugekit.gates import left_mult
 from gaugekit.groups import (
     FactorSystem,
+    FiniteGroup,
     alternating_group,
     build_cyclic,
     catalog,
@@ -21,6 +22,7 @@ from gaugekit.kwmaps import KwMode, kw_exact_g
 from gaugekit.protocols import (
     ProtocolRound,
     ProtocolTranscript,
+    _solvable_chain,
     charge_syndromes,
     flux_syndromes,
     gauge_input_state,
@@ -208,6 +210,30 @@ def test_solvable_round_labels_name_the_stages():
     assert "order-4" in tr.rounds[0].label
     assert "order-3" in tr.rounds[1].label
     assert "abelian" in tr.rounds[2].label
+
+
+def test_solvable_chain_cache_keys_on_the_group_name():
+    # an S4 run warms the cache; an equal table under another name must not reuse its labels
+    prepare_solvable_double(CAT["S4"], theta_sphere(), KwMode.postselect(), with_oracle=False)
+    sym4 = FiniteGroup(CAT["S4"].mult, name="Sym4")
+    tr = prepare_solvable_double(sym4, theta_sphere(), KwMode.postselect(), with_oracle=False)
+    labels = [r.label for r in tr.rounds]
+    assert labels == [
+        "gauge the order-4 normal subgroup inside Sym4",
+        "gauge the order-3 normal subgroup inside Sym4/4",
+        "gauge the abelian group Sym4/4/3",
+    ]
+    assert "S4" not in tr.to_json()
+
+
+def test_solvable_chain_is_cached_and_read_only():
+    chain = _solvable_chain(CAT["S4"])
+    assert _solvable_chain(CAT["S4"]) is chain
+    assert _solvable_chain(FiniteGroup(CAT["S4"].mult, name="S4")) is chain
+    for fs in chain:
+        for table in (fs.sigma, fs.omega, fs.lift, fs.proj, fs.tpart):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """State-vector register: initialization, gates, measurement, relabelings."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugekit import register
 from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere, theta_sphere
@@ -472,3 +476,83 @@ def test_gated_allocation_rejects_what_one_scatter_cannot_write(monkeypatch):
     with pytest.raises(ValueError, match="243 amplitudes exceeds the dense register budget 242"):
         reg.add_sites(specs, register._identity_state, walls)
     assert reg.dims == (3, 3) and len(reg.sites) == 2
+
+
+# --- flat permutation gathers, cross-checked against gate-by-gate application
+
+
+def _reference_average(reg, terms):
+    """The slow path: copy the register, apply each factor, accumulate."""
+    acc = np.zeros_like(reg.amps)
+    for weight, gates in terms:
+        work = reg.copy()
+        for op in gates:
+            work.apply(op)
+        acc += weight * work.amps
+    return acc
+
+
+def _disjoint_gates(draw, dims):
+    """Random 1- and 2-site permutation gates on disjoint sites of dims."""
+    order = draw(st.permutations(range(len(dims))))
+    used = draw(st.integers(0, len(dims)))
+    gates, k = [], 0
+    while k < used:
+        sites = order[k : k + draw(st.integers(1, min(2, used - k)))]
+        k += len(sites)
+        image = draw(st.permutations(range(math.prod(dims[s] for s in sites))))
+        gates.append(LocalOperator([("s", s) for s in sites], "perm", image, name=f"P{k}"))
+    return gates
+
+
+@st.composite
+def gathered_terms(draw):
+    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sites = [SiteSpec(("s", k), "edge", build_cyclic(d)) for k, d in enumerate(dims)]
+    # first site stored fastest: a register whose amplitudes are not C-contiguous
+    raw = rng.normal(size=tuple(dims[1:]) + (dims[0],)) + 1j * rng.normal(size=tuple(dims[1:]) + (dims[0],))
+    reg = QuditRegister(sites, np.moveaxis(raw, -1, 0))
+    weight = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+    terms = [(complex(draw(weight)), _disjoint_gates(draw, dims)) for _ in range(draw(st.integers(1, 3)))]
+    return reg, terms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gathered_terms())
+def test_flat_gathers_match_gate_by_gate_application_bitwise(case):
+    reg, terms = case
+    assert not reg.amps.flags.c_contiguous
+    before = reg.amps.copy()
+    for _, gates in terms:
+        shifts = [(op.targets, reg.gather_shift(op.targets, np.argsort(op.image))) for op in gates]
+        assert np.array_equal(reg.permuted(shifts), _reference_average(reg, [(1.0, gates)]))
+    op = StabilizerOperator([(w, {g.targets[0]: g for g in gates}) for w, gates in terms])
+    ref = _reference_average(reg, terms)
+    assert reg.expectation(op) == complex(np.vdot(reg.amps, ref))
+    assert np.array_equal(reg.amps, before)
+    assert np.array_equal(reg.copy().apply(op).amps, ref)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gathered_terms(), st.data())
+def test_flat_gather_rejects_overlapping_targets(case, data):
+    reg, _ = case
+    dims = reg.dims
+    shared = data.draw(st.integers(0, len(dims) - 1))
+    other = data.draw(st.sampled_from([k for k in range(len(dims)) if k != shared]))
+    first = LocalOperator([("s", shared)], "perm", np.roll(np.arange(dims[shared]), 1))
+    second = LocalOperator([("s", other), ("s", shared)], "perm", np.arange(dims[other] * dims[shared]))
+    shifts = [(op.targets, reg.gather_shift(op.targets, np.argsort(op.image))) for op in (first, second)]
+    with pytest.raises(ValueError, match="overlap"):
+        reg.permuted(shifts)
+    with pytest.raises(ValueError, match="overlap"):
+        reg.expectation(StabilizerOperator([(1.0, {"a": first, "b": second})]))
+
+
+def test_gather_shift_rejects_sources_outside_the_joint_basis():
+    reg = init_plus(z2_sites(3))
+    with pytest.raises(ValueError, match="joint basis"):
+        reg.gather_shift([("e", 0)], [0, 2])
+    with pytest.raises(ValueError, match="joint basis"):
+        reg.gather_shift([("e", 0), ("e", 1)], [0, 1, 2])

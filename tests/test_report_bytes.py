@@ -8,14 +8,15 @@ only for a change that means to alter report contents, and say so.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from gaugekit.cellulation import square_torus, theta_sphere
+from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere
 from gaugekit.cli import main
 from gaugekit.groups import catalog
 from gaugekit.kwmaps import KwMode
 from gaugekit.protocols import gauge_input_state, prepare_abelian_double
-from gaugekit.register import SiteSpec, init_plus
+from gaugekit.register import QuditRegister, SiteSpec, _edge_site, init_plus
 from gaugekit.verify import stabilizer_report
 
 CLI_REPORTS = [
@@ -77,3 +78,31 @@ def test_forced_abelian_transcript_and_report_bytes_pinned():
     report = stabilizer_report(transcript.register, z3, cell)
     digest = hashlib.sha256((transcript.to_json() + report.to_json()).encode()).hexdigest()
     assert digest == "f6faa6a040a79f027b60bdb08f7c532c4eeefbb940bacf5b7d3e130c9f0871d2"
+
+
+def _random_edge_register(group, cell, seed):
+    """Seeded random edge state, symmetrized under inverting every edge label
+    so that complex-character loop values stay on the real axis."""
+    rng = np.random.default_rng(seed)
+    shape = (group.order,) * cell.n_edges
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    flipped = amps
+    for axis in range(cell.n_edges):
+        flipped = np.take(flipped, group.inv, axis=axis)
+    amps = amps + flipped
+    amps /= np.linalg.norm(amps)
+    return QuditRegister([SiteSpec(_edge_site(e), "edge", group) for e in range(cell.n_edges)], amps)
+
+
+@pytest.mark.parametrize(
+    "group,cell,seed,digest",
+    [
+        pytest.param("S3", hexagon_torus, 31, "182e4146476ee0a344c82e1b889af473f0a0a6c46893202cbd6b83191f8d0069", id="S3-hexagon"),
+        pytest.param("D4", hexagon_torus, 32, "dce7375af2373f96d1ddb9284b9dbb38cbe03cd89ab3a90d5a5c136646647bb4", id="D4-hexagon"),
+        pytest.param("Z3", lambda: square_torus(2, 2), 33, "f873eef845801c8f45e2512d8ccc5f1186d2915e4a5e93ee43cb8d59094b2718", id="Z3-square"),
+    ],
+)
+def test_stabilizer_report_bytes_off_ground_space_pinned(group, cell, seed, digest):
+    g_group, cellulation = catalog()[group], cell()
+    report = stabilizer_report(_random_edge_register(g_group, cellulation, seed), g_group, cellulation)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
