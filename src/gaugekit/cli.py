@@ -216,11 +216,11 @@ def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
         transcript = _run_protocol(config, subject, cell, mode)
         entry: Dict[str, object] = {
             "seed": mode.seed,
-            "transcript": json.loads(transcript.to_json()),
+            "transcript": transcript.to_dict(),
         }
         if config.stabilizers:
             report = stabilizer_report(transcript.register, group, cell)
-            entry["verification"] = json.loads(report.to_json())
+            entry["verification"] = report.to_dict()
             entry["min_stabilizer_expectation"] = report.min_expectation()
         return entry
 

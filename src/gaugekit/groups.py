@@ -368,6 +368,26 @@ class FactorSystem:
             np.array_equal(self.sigma[q], np.arange(self.n_group.order)) for q in self.q_group.elements()
         )
 
+    def _content(self) -> Tuple[Tuple[Optional[FiniteGroup], ...], Tuple[Optional[np.ndarray], ...]]:
+        groups = (self.n_group, self.q_group, self.parent)
+        tables = (self.sigma, self.omega, self.lift, self.embed, self.proj, self.tpart)
+        return groups, tuple(None if t is None else np.asarray(t, dtype=np.int64) for t in tables)
+
+    def __eq__(self, other) -> bool:
+        """Equal table content, parent tables included, like FiniteGroup:
+        independently built systems share the plans cached on them."""
+        if not isinstance(other, FactorSystem):
+            return False
+        (mine, my_tables), (theirs, their_tables) = self._content(), other._content()
+        return mine == theirs and all(
+            (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
+            for a, b in zip(my_tables, their_tables)
+        )
+
+    def __hash__(self) -> int:
+        groups, tables = self._content()
+        return hash((groups, tuple(None if t is None else t.tobytes() for t in tables)))
+
 
 def extension_from_factor_system(fs: FactorSystem, name: Optional[str] = None) -> FiniteGroup:
     """Group on pairs (n, q) with product (n1 sigma^q1[n2] omega(q1,q2), q1 q2).
@@ -530,7 +550,7 @@ def abelian_decomposition(g: FiniteGroup) -> List[Tuple[int, int]]:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _coordinates(g: FiniteGroup) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
     decomp = abelian_decomposition(g)
     coords = [None] * g.order
@@ -547,7 +567,7 @@ def _coordinates(g: FiniteGroup) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int
     return tuple(coords), tuple(k for _, k in decomp)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def character_table(g: FiniteGroup) -> np.ndarray:
     """chi[a, b] for abelian g: the symmetric perfect pairing exp(2 pi i sum a_i b_i / n_i)."""
     coords, periods = _coordinates(g)

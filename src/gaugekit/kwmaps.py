@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .register import (
     _identity_state,
     _plus_state,
     _vertex_site,
+    layout_shift,
 )
 
 __all__ = ["KwMode", "KwResult", "kw_abelian", "kw_hat_abelian", "kw_exact_g", "kw_n_in_g"]
@@ -131,15 +133,17 @@ class KwResult:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _require_symmetric(reg: QuditRegister, sites: Sequence[Tuple[Hashable, ...]], sources: np.ndarray, what: str) -> None:
+def _require_symmetric(
+    reg: QuditRegister, subject: Union[FiniteGroup, FactorSystem], sites: Sequence[Tuple[Hashable, ...]], what: str
+) -> None:
     """Reject inputs that carry a net charge: the global product constraint on
     outcomes is satisfiable exactly for invariant states, so repair would fail.
 
-    sites holds each vertex's sites; under the global left action of element
-    g every vertex reads its joint label from sources[g], so each element is
-    probed by one gather."""
-    tables = [(t, reg.gather_shift(t, sources)) for t in sites]
-    for g in range(1, len(sources)):
+    sites holds each vertex's sites, one plain-group site or a split
+    (subgroup, quotient) pair; each element g of the global left action is
+    probed by one gather through the layout's cached shift tables."""
+    tables = _symmetry_shifts(subject, reg.layout, tuple(sites))
+    for g in range(1, subject.order):
         if np.abs(reg.permuted([(t, table[g]) for t, table in tables]) - reg.amps).max() > STATE_TOL:
             raise ValueError(
                 f"{what}: input is not invariant under the global left action "
@@ -147,8 +151,38 @@ def _require_symmetric(reg: QuditRegister, sites: Sequence[Tuple[Hashable, ...]]
             )
 
 
+@lru_cache(maxsize=32)
+def _split_sources(fs: FactorSystem) -> np.ndarray:
+    """Joint (subgroup, quotient) source label of every split-vertex label
+    under the left action of each parent element, indexed [g, label]."""
+    sources = np.stack([np.argsort(split_left_mult(fs, g, "n", "q").image) for g in fs.parent.elements()])
+    sources.setflags(write=False)
+    return sources
+
+
+@lru_cache(maxsize=32)
+def _symmetry_shifts(
+    subject: Union[FiniteGroup, FactorSystem],
+    layout: Tuple[Tuple[Hashable, int], ...],
+    sites: Tuple[Tuple[Hashable, ...], ...],
+) -> Tuple[Tuple[Tuple[Hashable, ...], np.ndarray], ...]:
+    """Per-vertex shift tables of the global left action of subject on a
+    register with this layout, for all elements at once: a group's vertex
+    reads g^-1 x, a factor system's split vertex reads its split sources."""
+    if isinstance(subject, FactorSystem):
+        sources = _split_sources(subject)
+    else:
+        sources = subject.mult[subject.inv]
+    tables = []
+    for t in sites:
+        table = layout_shift(layout, t, sources)
+        table.setflags(write=False)
+        tables.append((t, table))
+    return tuple(tables)
+
+
 def _wall_gates(
-    subject,
+    subject: Union[FiniteGroup, FactorSystem],
     cell: Cellulation,
     vertex_of: Callable[[int], Hashable],
     edge_of: Callable[[int], Hashable],
@@ -157,20 +191,41 @@ def _wall_gates(
     """The vertex-route entangler, edge by edge: CL+ and CR+ write the domain
     wall g_i^-1 g_f of a group onto the identity-state edge; for a factor
     system they act on the subgroup parts, and Omega, Sigma+ then dress the
-    wall with the quotient parts. Each table is built once for all edges."""
+    wall with the quotient parts.
+
+    The gates are cached by the subject, the edge list and the realized site
+    ids, so every round with the same sites shares one read-only gate list."""
+    vertices = tuple(vertex_of(v) for v in range(cell.n_vertices))
+    edges = tuple(edge_of(e) for e in range(cell.n_edges))
+    quotients = None if q_of is None else tuple(q_of(v) for v in range(cell.n_vertices))
+    return list(_wall_gate_table(subject, cell.edges, vertices, edges, quotients))
+
+
+@lru_cache(maxsize=32)
+def _wall_gate_table(
+    subject: Union[FiniteGroup, FactorSystem],
+    ends: Tuple[Tuple[int, int], ...],
+    vertices: Tuple[Hashable, ...],
+    edges: Tuple[Hashable, ...],
+    quotients: Optional[Tuple[Hashable, ...]],
+) -> Tuple[LocalOperator, ...]:
+    """_wall_gates on realized ids: ends are the (initial, final) vertex of
+    every edge. Each table is built once for all edges."""
     fs = subject if isinstance(subject, FactorSystem) else None
     grp = subject if fs is None else fs.n_group
     # placeholder targets: end vertices i, f, their quotient parts qi, qf, edge e
     templates = [controlled_left(grp, "i", "e").dagger(), controlled_right(grp, "f", "e").dagger()]
     if fs is not None:
         templates += [omega_gate(fs, "qi", "e", "qf"), sigma_gate(fs, "qi", "e").dagger()]
+    for op in templates:
+        op.image.setflags(write=False)
     gates = []
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        sites = {"i": vertex_of(i_v), "f": vertex_of(f_v), "e": edge_of(e)}
+    for e, (i_v, f_v) in enumerate(ends):
+        sites = {"i": vertices[i_v], "f": vertices[f_v], "e": edges[e]}
         if fs is not None:
-            sites.update(qi=q_of(i_v), qf=q_of(f_v))
+            sites.update(qi=quotients[i_v], qf=quotients[f_v])
         gates += [LocalOperator([sites[t] for t in op.targets], "perm", op.image, name=op.name) for op in templates]
-    return gates
+    return tuple(gates)
 
 
 def _measure_sites(
@@ -208,7 +263,7 @@ def kw_abelian(
     if not a_group.is_abelian:
         raise ValueError("kw_abelian needs an abelian group")
     n_v = cell.n_vertices
-    _require_symmetric(reg, [(vertex_of(v),) for v in range(n_v)], a_group.mult[a_group.inv], "kw_abelian")
+    _require_symmetric(reg, a_group, [(vertex_of(v),) for v in range(n_v)], "kw_abelian")
     reg.add_sites(
         [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)],
         _identity_state,
@@ -242,7 +297,7 @@ def kw_hat_abelian(
     if not cell.closed:
         raise ValueError("kw_hat_abelian needs a closed cellulation")
     n_p = cell.n_plaquettes
-    _require_symmetric(reg, [(plaquette_of(p),) for p in range(n_p)], a_group.mult[a_group.inv], "kw_hat_abelian")
+    _require_symmetric(reg, a_group, [(plaquette_of(p),) for p in range(n_p)], "kw_hat_abelian")
     reg.add_sites(
         [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)], _plus_state
     )
@@ -325,8 +380,7 @@ def kw_n_in_g(
             "only postselect mode supports a non-abelian one"
         )
     n_v = cell.n_vertices
-    sources = np.stack([np.argsort(split_left_mult(fs, g, "n", "q").image) for g in fs.parent.elements()])
-    _require_symmetric(reg, [(n_of(v), q_of(v)) for v in range(n_v)], sources, "kw_n_in_g")
+    _require_symmetric(reg, fs, [(n_of(v), q_of(v)) for v in range(n_v)], "kw_n_in_g")
     reg.add_sites(
         [SiteSpec(edge_of(e), "edge", n_grp) for e in range(cell.n_edges)],
         _identity_state,

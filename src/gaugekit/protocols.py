@@ -120,8 +120,9 @@ class ProtocolTranscript:
         if self.shots != len(self.rounds):
             raise ValueError(f"shots {self.shots} disagrees with {len(self.rounds)} recorded rounds")
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> Dict[str, object]:
+        """The report record in JSON types: str keys, lists, Python numbers."""
+        payload: Dict[str, object] = {
             "protocol": self.protocol,
             "group": self.group,
             "graph": self.graph,
@@ -135,7 +136,10 @@ class ProtocolTranscript:
         }
         if self.fidelity_vs_oracle is not None:
             payload["fidelity_vs_oracle"] = float(self.fidelity_vs_oracle)
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _plan_record(plan: CorrectionPlan, applied: bool = True) -> Dict[str, object]:

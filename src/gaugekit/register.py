@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "init_plus",
     "init_identity",
     "init_product",
+    "layout_shift",
 ]
 
 GATE_TOL = 1e-12
@@ -66,7 +68,7 @@ class LocalOperator:
         self.name = name
         if kind == "perm":
             self.image = np.asarray(payload, dtype=np.int64)
-            if sorted(self.image.tolist()) != list(range(len(self.image))):
+            if not np.array_equal(np.sort(self.image), np.arange(len(self.image))):
                 raise ValueError(f"{name}: image is not a permutation")
         elif kind == "diag":
             self.diag = np.asarray(payload, dtype=np.complex128)
@@ -159,6 +161,72 @@ def _push_labels(labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], 
             out, labels[sid] = np.divmod(out, dims[sid])
 
 
+class _GateList:
+    """A gate sequence as a cache key: two lists are equal when their gates
+    agree in kind, targets and table, whatever the objects."""
+
+    def __init__(self, gates: Sequence[LocalOperator]):
+        self.gates = tuple(gates)
+        self.key = tuple(
+            (op.kind, op.targets, (op.image if op.kind == "perm" else op.diag).tobytes()) for op in self.gates
+        )
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _GateList) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+
+@lru_cache(maxsize=32)
+def _gated_rows(
+    ctrl: Tuple[Tuple[Hashable, int], ...], new: Tuple[Tuple[Hashable, int], ...], gates: _GateList
+) -> np.ndarray:
+    """Joint row of the new identity-state sites for every basis row of the
+    ctrl sites, (sid, dim) pairs in register order, after the gates; the
+    gates must not move a ctrl label. Read-only, shared by every register
+    with the same touched sites and gates."""
+    grid = np.indices([d for _, d in ctrl]).reshape(len(ctrl), math.prod(d for _, d in ctrl))
+    labels = {sid: grid[n] for n, (sid, _) in enumerate(ctrl)}
+    labels.update((sid, np.zeros(grid.shape[1], dtype=np.int64)) for sid, _ in new)
+    dims = dict(ctrl + new)
+    _push_labels(labels, dims, gates.gates)
+    for n, (sid, _) in enumerate(ctrl):
+        if not np.array_equal(labels[sid], grid[n]):
+            raise ValueError(f"gated allocation moved the label of live site {sid!r}")
+    rows = _flat_labels(labels, dims, [sid for sid, _ in new])
+    rows.setflags(write=False)
+    return rows
+
+
+def _shift_table(dims: Tuple[int, ...], axes: Sequence[int], sources, targets: Sequence[Hashable]) -> np.ndarray:
+    sub = [dims[a] for a in axes]
+    sources = np.asarray(sources, dtype=np.int64)
+    if sources.shape[-1] != math.prod(sub) or sources.min() < 0 or sources.max() >= sources.shape[-1]:
+        raise ValueError(f"source labels do not index the joint basis of {tuple(targets)}")
+    label = np.arange(sources.shape[-1])
+    shift = np.zeros(sources.shape, dtype=np.int64)
+    for a, d in zip(reversed(axes), reversed(sub)):
+        sources, src = np.divmod(sources, d)
+        label, dst = np.divmod(label, d)
+        shift += (src - dst) * math.prod(dims[a + 1 :])
+    lead = shift.shape[:-1]
+    order = tuple(len(lead) + k for k in np.argsort(axes))
+    shift = shift.reshape(lead + tuple(sub)).transpose(tuple(range(len(lead))) + order)
+    return shift.reshape(lead + tuple(d if k in axes else 1 for k, d in enumerate(dims)))
+
+
+def layout_shift(layout: Sequence[Tuple[Hashable, int]], targets: Sequence[Hashable], sources) -> np.ndarray:
+    """QuditRegister.gather_shift for any register whose live sites are
+    layout, (sid, dim) pairs in order, so plans can be built before the
+    register exists."""
+    index = {sid: k for k, (sid, _) in enumerate(layout)}
+    for t in targets:
+        if t not in index:
+            raise KeyError(f"no live site {t!r}")
+    return _shift_table(tuple(d for _, d in layout), [index[t] for t in targets], sources, targets)
+
+
 @dataclass
 class _Retired:
     outcome: int
@@ -199,6 +267,11 @@ class QuditRegister:
     def dims(self) -> Tuple[int, ...]:
         return tuple(s.dim for s in self.sites)
 
+    @property
+    def layout(self) -> Tuple[Tuple[Hashable, int], ...]:
+        """(sid, dim) of every live site, in axis order: the key of layout plans."""
+        return tuple((s.sid, s.dim) for s in self.sites)
+
     def norm(self) -> float:
         return float(np.sqrt(np.vdot(self.amps, self.amps).real))
 
@@ -238,18 +311,11 @@ class QuditRegister:
             for local in states:
                 self.amps = np.multiply.outer(self.amps, local)
         else:
-            new = [spec_.sid for spec_ in specs]
-            ctrl = sorted({self.pos(t) for op in gates for t in op.targets if t not in new})
+            new = tuple((spec_.sid, spec_.dim) for spec_ in specs)
+            fresh = {sid for sid, _ in new}
+            ctrl = sorted({self.pos(t) for op in gates for t in op.targets if t not in fresh})
             old = self.dims
-            grid = np.indices([old[k] for k in ctrl]).reshape(len(ctrl), math.prod(old[k] for k in ctrl))
-            labels = {self.sites[k].sid: grid[n] for n, k in enumerate(ctrl)}
-            labels.update((sid, np.zeros(grid.shape[1], dtype=np.int64)) for sid in new)
-            dims = {s.sid: s.dim for s in self.sites + list(specs)}
-            _push_labels(labels, dims, gates)
-            for n, k in enumerate(ctrl):
-                if not np.array_equal(labels[self.sites[k].sid], grid[n]):
-                    raise ValueError(f"gated allocation moved the label of live site {self.sites[k].sid!r}")
-            rows = _flat_labels(labels, dims, new)
+            rows = _gated_rows(tuple((self.sites[k].sid, old[k]) for k in ctrl), new, _GateList(gates))
             # row of the new sites for every live basis state, then one scatter
             target = np.broadcast_to(rows.reshape([d if k in ctrl else 1 for k, d in enumerate(old)]), old)
             out = np.zeros((self.amps.size, size // self.amps.size), dtype=np.complex128)
@@ -277,22 +343,7 @@ class QuditRegister:
 
         The table is shaped to broadcast over the register behind any leading
         axes of sources, so one call serves a whole family of permutations."""
-        axes = [self.pos(t) for t in targets]
-        dims = self.dims
-        sub = [dims[a] for a in axes]
-        sources = np.asarray(sources, dtype=np.int64)
-        if sources.shape[-1] != math.prod(sub) or sources.min() < 0 or sources.max() >= sources.shape[-1]:
-            raise ValueError(f"source labels do not index the joint basis of {tuple(targets)}")
-        label = np.arange(sources.shape[-1])
-        shift = np.zeros(sources.shape, dtype=np.int64)
-        for a, d in zip(reversed(axes), reversed(sub)):
-            sources, src = np.divmod(sources, d)
-            label, dst = np.divmod(label, d)
-            shift += (src - dst) * math.prod(dims[a + 1 :])
-        lead = shift.shape[:-1]
-        order = tuple(len(lead) + k for k in np.argsort(axes))
-        shift = shift.reshape(lead + tuple(sub)).transpose(tuple(range(len(lead))) + order)
-        return shift.reshape(lead + tuple(d if k in axes else 1 for k, d in enumerate(dims)))
+        return _shift_table(self.dims, [self.pos(t) for t in targets], sources, targets)
 
     def permuted(self, shifts: Sequence[Tuple[Sequence[Hashable], np.ndarray]]) -> np.ndarray:
         """Amplitudes after permutation gates on disjoint sites, by one gather
@@ -407,10 +458,8 @@ class QuditRegister:
     # --- overlaps ------------------------------------------------------------
 
     def _check_layout(self, other: "QuditRegister") -> None:
-        mine = [(s.sid, s.dim) for s in self.sites]
-        theirs = [(s.sid, s.dim) for s in other.sites]
-        if mine != theirs:
-            raise ValueError(f"live-site layouts differ: {mine} vs {theirs}")
+        if self.layout != other.layout:
+            raise ValueError(f"live-site layouts differ: {list(self.layout)} vs {list(other.layout)}")
 
     def inner_product(self, other: "QuditRegister") -> complex:
         self._check_layout(other)

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -54,6 +55,7 @@ from .register import (
     _push_labels,
     _vertex_site,
     init_plus,
+    layout_shift,
 )
 
 __all__ = [
@@ -160,21 +162,6 @@ def _loop_free_edges(cell: Cellulation, v: int) -> List[Tuple[int, int]]:
     return incident
 
 
-def _vertex_expectation(reg: QuditRegister, g_group: FiniteGroup, cell: Cellulation, v: int, edge_of) -> complex:
-    """<A_v> as |G| flat gathers, in element order, with every edge's shift
-    table built once for all g: L^g reads g^-1 x, R^g reads x g."""
-    d = g_group.order
-    tables = []
-    for e, sign in _loop_free_edges(cell, v):
-        sources = g_group.mult[g_group.inv] if sign == 1 else g_group.mult.T
-        tables.append(((edge_of(e),), reg.gather_shift([edge_of(e)], sources)))
-    acc = np.zeros_like(reg.amps)
-    weight = complex(1.0 / d)
-    for g in range(d):
-        acc += weight * reg.permuted([(sid, table[g]) for sid, table in tables])
-    return complex(np.vdot(reg.amps, acc))
-
-
 def plaquette_stabilizer(
     g_group: FiniteGroup,
     cell: Cellulation,
@@ -206,8 +193,9 @@ class StabilizerReport:
         values = list(self.vertex_expectations.values()) + list(self.plaquette_expectations.values())
         return min(values) if values else 1.0
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> Dict[str, object]:
+        """The report record in JSON types: str keys, Python floats."""
+        return {
             "vertex_expectations": {str(v): x for v, x in sorted(self.vertex_expectations.items())},
             "plaquette_expectations": {str(p): x for p, x in sorted(self.plaquette_expectations.items())},
             "loop_values": {
@@ -216,7 +204,9 @@ class StabilizerReport:
             },
             "min_expectation": self.min_expectation(),
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def stabilizer_report(
@@ -226,16 +216,64 @@ def stabilizer_report(
     edge_of: Callable[[int], Hashable] = _edge_site,
 ) -> StabilizerReport:
     """Evaluate every vertex and plaquette projector on reg, plus irrep loop
-    values where matrices are stored."""
-    vexp = {
-        v: _real(_vertex_expectation(reg, g_group, cell, v, edge_of), f"A[{v}]")
-        for v in range(cell.n_vertices)
+    values where matrices are stored.
+
+    <A_v> is |G| flat gathers in element order; the plaquette and loop
+    diagonals go through QuditRegister.expectation. All tables come from the
+    plan cached for this group, cell and register layout."""
+    plan = _stabilizer_plan(g_group, cell, reg.layout, tuple(edge_of(e) for e in range(cell.n_edges)))
+    weight = complex(1.0 / g_group.order)
+    vexp = {}
+    for v, tables in enumerate(plan.vertex_shifts):
+        acc = np.zeros_like(reg.amps)
+        for g in range(g_group.order):
+            acc += weight * reg.permuted([(sid, table[g]) for sid, table in tables])
+        vexp[v] = _real(complex(np.vdot(reg.amps, acc)), f"A[{v}]")
+    pexp = {p: _real(reg.expectation(op), f"B[{p}]") for p, op in enumerate(plan.plaquettes)}
+    loop_values = {
+        label: {p: _real(reg.expectation(op), f"loop[{label},{p}]") for p, op in enumerate(ops)}
+        for label, ops in plan.loops
     }
-    pexp = {
-        p: _real(reg.expectation(plaquette_stabilizer(g_group, cell, p, edge_of)), f"B[{p}]")
-        for p in range(cell.n_plaquettes)
-    }
-    loop_values: Dict[str, Dict[int, float]] = {}
+    return StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values)
+
+
+@dataclass(frozen=True, eq=False)
+class _StabilizerPlan:
+    """The amplitude-independent tables of stabilizer_report. Per vertex, the
+    (sites, shift table) of every incident edge for all g at once: L^g reads
+    g^-1 x, R^g reads x g. Then the plaquette projectors and, per stored
+    irrep label, the loop diagonal of every plaquette. Arrays are read-only."""
+
+    vertex_shifts: Tuple[Tuple[Tuple[Tuple[Hashable, ...], np.ndarray], ...], ...]
+    plaquettes: Tuple[DiagonalOperator, ...]
+    loops: Tuple[Tuple[str, Tuple[DiagonalOperator, ...]], ...]
+
+
+def _frozen(op: DiagonalOperator) -> DiagonalOperator:
+    op.diag.setflags(write=False)
+    return op
+
+
+@lru_cache(maxsize=16)
+def _stabilizer_plan(
+    g_group: FiniteGroup,
+    cell: Cellulation,
+    layout: Tuple[Tuple[Hashable, int], ...],
+    edges: Tuple[Hashable, ...],
+) -> _StabilizerPlan:
+    """Build the tables once per (group, cell, live layout, edge ids); the
+    self-loop, site and closed-loop checks run here."""
+    vertex_shifts = []
+    for v in range(cell.n_vertices):
+        tables = []
+        for e, sign in _loop_free_edges(cell, v):
+            table = layout_shift(layout, [edges[e]], g_group.mult[g_group.inv] if sign == 1 else g_group.mult.T)
+            table.setflags(write=False)
+            tables.append(((edges[e],), table))
+        vertex_shifts.append(tuple(tables))
+    edge_of = edges.__getitem__
+    plaquettes = tuple(_frozen(plaquette_stabilizer(g_group, cell, p, edge_of)) for p in range(cell.n_plaquettes))
+    loops = []
     if cell.n_plaquettes:
         try:
             table = irrep_table(g_group)
@@ -243,15 +281,9 @@ def stabilizer_report(
             table = None
         if table is not None:
             for irrep in table.irreps:
-                per = {
-                    p: _real(
-                        reg.expectation(loop_z(irrep, cell.plaquettes[p], cell, edge_of)),
-                        f"loop[{irrep.label},{p}]",
-                    )
-                    for p in range(cell.n_plaquettes)
-                }
-                loop_values[irrep.label] = per
-    return StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values)
+                ops = tuple(_frozen(loop_z(irrep, walk, cell, edge_of)) for walk in cell.plaquettes)
+                loops.append((irrep.label, ops))
+    return _StabilizerPlan(tuple(vertex_shifts), plaquettes, tuple(loops))
 
 
 # ---------------------------------------------------------------------------
