@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -231,11 +230,10 @@ def _bfs_tree(n_nodes: int, incidence: Dict[int, List[Tuple[int, int, int]]], wh
     return Tree(root=0, edges=tuple(tree_edges), path=tuple(paths))
 
 
-@lru_cache(maxsize=32)
 def spanning_tree(cell: Cellulation) -> Tree:
     """Breadth-first tree from vertex 0; path signs are +1 when the step's edge
     points from the current vertex toward the root side (i.e. is traversed
-    along its arrow). Cached by cell content; the tree is immutable."""
+    along its arrow)."""
     incidence: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in range(cell.n_vertices)}
     for e, (i, f) in enumerate(cell.edges):
         # moving i -> f travels along the arrow: sign +1
@@ -246,11 +244,9 @@ def spanning_tree(cell: Cellulation) -> Tree:
     return _bfs_tree(cell.n_vertices, incidence, "cellulation")
 
 
-@lru_cache(maxsize=32)
 def dual_spanning_tree(cell: Cellulation) -> Tree:
     """Breadth-first tree on plaquettes; path signs are the walk sign of the
-    crossed edge in the plaquette being left (flux transport convention).
-    Cached by cell content; the tree is immutable."""
+    crossed edge in the plaquette being left (flux transport convention)."""
     if not cell.closed:
         raise ValueError("dual tree requires a closed cellulation")
     incidence: Dict[int, List[Tuple[int, int, int]]] = {p: [] for p in range(cell.n_plaquettes)}

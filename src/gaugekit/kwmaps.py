@@ -151,13 +151,10 @@ def _require_symmetric(
             )
 
 
-@lru_cache(maxsize=32)
 def _split_sources(fs: FactorSystem) -> np.ndarray:
     """Joint (subgroup, quotient) source label of every split-vertex label
     under the left action of each parent element, indexed [g, label]."""
-    sources = np.stack([np.argsort(split_left_mult(fs, g, "n", "q").image) for g in fs.parent.elements()])
-    sources.setflags(write=False)
-    return sources
+    return np.stack([np.argsort(split_left_mult(fs, g, "n", "q").image) for g in fs.parent.elements()])
 
 
 @lru_cache(maxsize=32)
@@ -182,7 +179,7 @@ def _symmetry_shifts(
 
 
 def _wall_gates(
-    subject: Union[FiniteGroup, FactorSystem],
+    subject,
     cell: Cellulation,
     vertex_of: Callable[[int], Hashable],
     edge_of: Callable[[int], Hashable],
@@ -191,41 +188,20 @@ def _wall_gates(
     """The vertex-route entangler, edge by edge: CL+ and CR+ write the domain
     wall g_i^-1 g_f of a group onto the identity-state edge; for a factor
     system they act on the subgroup parts, and Omega, Sigma+ then dress the
-    wall with the quotient parts.
-
-    The gates are cached by the subject, the edge list and the realized site
-    ids, so every round with the same sites shares one read-only gate list."""
-    vertices = tuple(vertex_of(v) for v in range(cell.n_vertices))
-    edges = tuple(edge_of(e) for e in range(cell.n_edges))
-    quotients = None if q_of is None else tuple(q_of(v) for v in range(cell.n_vertices))
-    return list(_wall_gate_table(subject, cell.edges, vertices, edges, quotients))
-
-
-@lru_cache(maxsize=32)
-def _wall_gate_table(
-    subject: Union[FiniteGroup, FactorSystem],
-    ends: Tuple[Tuple[int, int], ...],
-    vertices: Tuple[Hashable, ...],
-    edges: Tuple[Hashable, ...],
-    quotients: Optional[Tuple[Hashable, ...]],
-) -> Tuple[LocalOperator, ...]:
-    """_wall_gates on realized ids: ends are the (initial, final) vertex of
-    every edge. Each table is built once for all edges."""
+    wall with the quotient parts. Each table is built once for all edges."""
     fs = subject if isinstance(subject, FactorSystem) else None
     grp = subject if fs is None else fs.n_group
     # placeholder targets: end vertices i, f, their quotient parts qi, qf, edge e
     templates = [controlled_left(grp, "i", "e").dagger(), controlled_right(grp, "f", "e").dagger()]
     if fs is not None:
         templates += [omega_gate(fs, "qi", "e", "qf"), sigma_gate(fs, "qi", "e").dagger()]
-    for op in templates:
-        op.image.setflags(write=False)
     gates = []
-    for e, (i_v, f_v) in enumerate(ends):
-        sites = {"i": vertices[i_v], "f": vertices[f_v], "e": edges[e]}
+    for e, (i_v, f_v) in enumerate(cell.edges):
+        sites = {"i": vertex_of(i_v), "f": vertex_of(f_v), "e": edge_of(e)}
         if fs is not None:
-            sites.update(qi=quotients[i_v], qf=quotients[f_v])
+            sites.update(qi=q_of(i_v), qf=q_of(f_v))
         gates += [LocalOperator([sites[t] for t in op.targets], "perm", op.image, name=op.name) for op in templates]
-    return tuple(gates)
+    return gates
 
 
 def _measure_sites(

@@ -68,7 +68,7 @@ class LocalOperator:
         self.name = name
         if kind == "perm":
             self.image = np.asarray(payload, dtype=np.int64)
-            if not np.array_equal(np.sort(self.image), np.arange(len(self.image))):
+            if np.sort(self.image).tolist() != list(range(len(self.image))):
                 raise ValueError(f"{name}: image is not a permutation")
         elif kind == "diag":
             self.diag = np.asarray(payload, dtype=np.complex128)
@@ -199,7 +199,16 @@ def _gated_rows(
     return rows
 
 
-def _shift_table(dims: Tuple[int, ...], axes: Sequence[int], sources, targets: Sequence[Hashable]) -> np.ndarray:
+def layout_shift(layout: Sequence[Tuple[Hashable, int]], targets: Sequence[Hashable], sources) -> np.ndarray:
+    """QuditRegister.gather_shift for any register whose live sites are
+    layout, (sid, dim) pairs in order, so plans can be built before the
+    register exists."""
+    index = {sid: k for k, (sid, _) in enumerate(layout)}
+    for t in targets:
+        if t not in index:
+            raise KeyError(f"no live site {t!r}")
+    dims = tuple(d for _, d in layout)
+    axes = [index[t] for t in targets]
     sub = [dims[a] for a in axes]
     sources = np.asarray(sources, dtype=np.int64)
     if sources.shape[-1] != math.prod(sub) or sources.min() < 0 or sources.max() >= sources.shape[-1]:
@@ -214,17 +223,6 @@ def _shift_table(dims: Tuple[int, ...], axes: Sequence[int], sources, targets: S
     order = tuple(len(lead) + k for k in np.argsort(axes))
     shift = shift.reshape(lead + tuple(sub)).transpose(tuple(range(len(lead))) + order)
     return shift.reshape(lead + tuple(d if k in axes else 1 for k, d in enumerate(dims)))
-
-
-def layout_shift(layout: Sequence[Tuple[Hashable, int]], targets: Sequence[Hashable], sources) -> np.ndarray:
-    """QuditRegister.gather_shift for any register whose live sites are
-    layout, (sid, dim) pairs in order, so plans can be built before the
-    register exists."""
-    index = {sid: k for k, (sid, _) in enumerate(layout)}
-    for t in targets:
-        if t not in index:
-            raise KeyError(f"no live site {t!r}")
-    return _shift_table(tuple(d for _, d in layout), [index[t] for t in targets], sources, targets)
 
 
 @dataclass
@@ -343,7 +341,9 @@ class QuditRegister:
 
         The table is shaped to broadcast over the register behind any leading
         axes of sources, so one call serves a whole family of permutations."""
-        return _shift_table(self.dims, [self.pos(t) for t in targets], sources, targets)
+        for t in targets:
+            self.pos(t)  # a retired target is named as such
+        return layout_shift(self.layout, targets, sources)
 
     def permuted(self, shifts: Sequence[Tuple[Sequence[Hashable], np.ndarray]]) -> np.ndarray:
         """Amplitudes after permutation gates on disjoint sites, by one gather

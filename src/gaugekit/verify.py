@@ -218,51 +218,38 @@ def stabilizer_report(
     """Evaluate every vertex and plaquette projector on reg, plus irrep loop
     values where matrices are stored.
 
-    <A_v> is |G| flat gathers in element order; the plaquette and loop
-    diagonals go through QuditRegister.expectation. All tables come from the
-    plan cached for this group, cell and register layout."""
-    plan = _stabilizer_plan(g_group, cell, reg.layout, tuple(edge_of(e) for e in range(cell.n_edges)))
+    <A_v> is |G| flat gathers in element order through the shift tables
+    cached for this group, cell and register layout; the plaquette and loop
+    diagonals, cached for the group, cell and edge ids alone, go through
+    QuditRegister.expectation."""
+    edges = tuple(edge_of(e) for e in range(cell.n_edges))
+    plaquettes, loops = _stabilizer_diagonals(g_group, cell, edges)
     weight = complex(1.0 / g_group.order)
     vexp = {}
-    for v, tables in enumerate(plan.vertex_shifts):
+    for v, tables in enumerate(_vertex_shifts(g_group, cell, reg.layout, edges)):
         acc = np.zeros_like(reg.amps)
         for g in range(g_group.order):
             acc += weight * reg.permuted([(sid, table[g]) for sid, table in tables])
         vexp[v] = _real(complex(np.vdot(reg.amps, acc)), f"A[{v}]")
-    pexp = {p: _real(reg.expectation(op), f"B[{p}]") for p, op in enumerate(plan.plaquettes)}
+    pexp = {p: _real(reg.expectation(op), f"B[{p}]") for p, op in enumerate(plaquettes)}
     loop_values = {
         label: {p: _real(reg.expectation(op), f"loop[{label},{p}]") for p, op in enumerate(ops)}
-        for label, ops in plan.loops
+        for label, ops in loops
     }
     return StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values)
 
 
-@dataclass(frozen=True, eq=False)
-class _StabilizerPlan:
-    """The amplitude-independent tables of stabilizer_report. Per vertex, the
-    (sites, shift table) of every incident edge for all g at once: L^g reads
-    g^-1 x, R^g reads x g. Then the plaquette projectors and, per stored
-    irrep label, the loop diagonal of every plaquette. Arrays are read-only."""
-
-    vertex_shifts: Tuple[Tuple[Tuple[Tuple[Hashable, ...], np.ndarray], ...], ...]
-    plaquettes: Tuple[DiagonalOperator, ...]
-    loops: Tuple[Tuple[str, Tuple[DiagonalOperator, ...]], ...]
-
-
-def _frozen(op: DiagonalOperator) -> DiagonalOperator:
-    op.diag.setflags(write=False)
-    return op
-
-
 @lru_cache(maxsize=16)
-def _stabilizer_plan(
+def _vertex_shifts(
     g_group: FiniteGroup,
     cell: Cellulation,
     layout: Tuple[Tuple[Hashable, int], ...],
     edges: Tuple[Hashable, ...],
-) -> _StabilizerPlan:
-    """Build the tables once per (group, cell, live layout, edge ids); the
-    self-loop, site and closed-loop checks run here."""
+) -> Tuple[Tuple[Tuple[Tuple[Hashable, ...], np.ndarray], ...], ...]:
+    """Per vertex, the (sites, shift table) of every incident edge for all g
+    at once: L^g reads g^-1 x, R^g reads x g. Built once per (group, cell,
+    live layout, edge ids), where the self-loop and site checks run; the
+    tables are read-only."""
     vertex_shifts = []
     for v in range(cell.n_vertices):
         tables = []
@@ -271,6 +258,23 @@ def _stabilizer_plan(
             table.setflags(write=False)
             tables.append(((edges[e],), table))
         vertex_shifts.append(tuple(tables))
+    return tuple(vertex_shifts)
+
+
+def _frozen(op: DiagonalOperator) -> DiagonalOperator:
+    op.diag.setflags(write=False)
+    return op
+
+
+@lru_cache(maxsize=16)
+def _stabilizer_diagonals(
+    g_group: FiniteGroup, cell: Cellulation, edges: Tuple[Hashable, ...]
+) -> Tuple[Tuple[DiagonalOperator, ...], Tuple[Tuple[str, Tuple[DiagonalOperator, ...]], ...]]:
+    """The plaquette projectors and, per stored irrep label, the loop
+    diagonal of every plaquette, built once per (group, cell, edge ids),
+    where the closed-loop checks run. Each is a local operator on its
+    plaquette's edges, so no register layout enters the key; the diagonals
+    are read-only."""
     edge_of = edges.__getitem__
     plaquettes = tuple(_frozen(plaquette_stabilizer(g_group, cell, p, edge_of)) for p in range(cell.n_plaquettes))
     loops = []
@@ -283,7 +287,7 @@ def _stabilizer_plan(
             for irrep in table.irreps:
                 ops = tuple(_frozen(loop_z(irrep, walk, cell, edge_of)) for walk in cell.plaquettes)
                 loops.append((irrep.label, ops))
-    return _StabilizerPlan(tuple(vertex_shifts), plaquettes, tuple(loops))
+    return plaquettes, tuple(loops)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Every table that depends only on (group or factor system, cell, register
 layout, site ids) is built once and shared by every seed. These tests pin
 that equal content shares one entry, that cached arrays cannot be written,
 that every cache is bounded, that a warm plan reports the same bytes as a
-cold one, and that a second seed rebuilds nothing.
+cold one, and that a second seed rebuilds no plan.
 """
 
 import dataclasses
@@ -16,31 +16,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugekit import cellulation, cli, groups, kwmaps, protocols, register, verify
+from gaugekit import cli, groups, kwmaps, protocols, register, verify
 from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere, theta_sphere
 from gaugekit.groups import catalog, catalog_factor_system
 from gaugekit.register import QuditRegister, SiteSpec, init_plus
 
 CAT = catalog()
 
-PLAN_CACHES = (
-    verify._stabilizer_plan,
-    kwmaps._wall_gate_table,
-    kwmaps._split_sources,
+# the plans built from (group or factor system, cell, layout, site ids)
+PLANS = (
+    verify._vertex_shifts,
+    verify._stabilizer_diagonals,
     kwmaps._symmetry_shifts,
     register._gated_rows,
-    cellulation.spanning_tree,
-    cellulation.dual_spanning_tree,
-    groups.irrep_table,
-    groups.character_table,
-    groups._coordinates,
-    protocols._chain_of,
 )
+PLAN_CACHES = PLANS + (groups.irrep_table, groups.character_table, groups._coordinates, protocols._chain_of)
 
 
 def _clear_plans():
-    for cache in PLAN_CACHES[:7]:
+    for cache in PLANS:
         cache.cache_clear()
+
+
+def _split_register(fs, n_vertices):
+    return init_plus(
+        [SiteSpec((part, v), "vertex", grp) for v in range(n_vertices) for part, grp in [("n", fs.n_group), ("q", fs.q_group)]]
+    )
 
 
 def test_every_plan_cache_is_bounded():
@@ -60,31 +61,15 @@ def test_equal_factor_systems_share_one_entry_and_distinct_ones_do_not(tmp_path)
     assert q8 != built and built != built.parent
 
     _clear_plans()
-    cell = hexagon_torus()
-    ids = (lambda v: ("n", v), lambda e: ("e", e), lambda v: ("q", v))
-    sources = kwmaps._split_sources(built)
-    gates = kwmaps._wall_gates(built, cell, *ids)
-    assert kwmaps._split_sources(loaded) is sources
-    assert all(a is b for a, b in zip(kwmaps._wall_gates(loaded, cell, *ids), gates))
-    assert kwmaps._split_sources.cache_info()[:2] == (1, 1)
-    assert kwmaps._wall_gate_table.cache_info()[:2] == (1, 1)
+    layout = _split_register(built, 2).layout
+    sites = tuple((("n", v), ("q", v)) for v in range(2))
+    shifts = kwmaps._symmetry_shifts(built, layout, sites)
+    assert kwmaps._symmetry_shifts(loaded, layout, sites) is shifts
+    assert kwmaps._symmetry_shifts.cache_info()[:2] == (1, 1)
 
-    assert not np.array_equal(kwmaps._split_sources(q8), sources)
-    q8_gates = kwmaps._wall_gates(q8, cell, *ids)
-    assert any(not np.array_equal(a.image, b.image) for a, b in zip(q8_gates, gates))
-    assert kwmaps._split_sources.cache_info().currsize == 2
-    assert kwmaps._wall_gate_table.cache_info().currsize == 2
-
-
-def test_wall_gates_are_keyed_by_realized_ids_not_by_the_callables():
-    _clear_plans()
-    z3, cell = CAT["Z3"], hexagon_torus()
-    first = kwmaps._wall_gates(z3, cell, lambda v: ("v", v), lambda e: ("e", e))
-    again = kwmaps._wall_gates(z3, cell, lambda v: ("v", v), lambda e: ("e", e))
-    moved = kwmaps._wall_gates(z3, cell, lambda v: ("v", v), lambda e: ("w", e))
-    assert again is not first and all(a is b for a, b in zip(again, first))
-    assert [op.targets for op in moved] != [op.targets for op in first]
-    assert kwmaps._wall_gate_table.cache_info()[:2] == (1, 2)
+    q8_shifts = kwmaps._symmetry_shifts(q8, layout, sites)
+    assert any(not np.array_equal(a, b) for (_, a), (_, b) in zip(q8_shifts, shifts))
+    assert kwmaps._symmetry_shifts.cache_info().currsize == 2
 
 
 def _assert_read_only(array):
@@ -98,37 +83,46 @@ def test_cached_tables_reject_writes():
     fs = catalog_factor_system("D4")
     edges = [SiteSpec(("e", e), "edge", d4) for e in range(cell.n_edges)]
     reg = init_plus(edges)
-    plan = verify._stabilizer_plan(d4, cell, reg.layout, tuple(s.sid for s in edges))
-    assert plan.vertex_shifts and plan.plaquettes and plan.loops
-    for tables in plan.vertex_shifts:
+    edge_ids = tuple(s.sid for s in edges)
+    vertex_shifts = verify._vertex_shifts(d4, cell, reg.layout, edge_ids)
+    plaquettes, loops = verify._stabilizer_diagonals(d4, cell, edge_ids)
+    assert vertex_shifts and plaquettes and loops
+    for tables in vertex_shifts:
         for _, table in tables:
             _assert_read_only(table)
-    for op in plan.plaquettes + tuple(op for _, ops in plan.loops for op in ops):
+    for op in plaquettes + tuple(op for _, ops in loops for op in ops):
         _assert_read_only(op.diag)
 
-    gates = kwmaps._wall_gates(fs, cell, lambda v: ("n", v), lambda e: ("e", e), lambda v: ("q", v))
-    for op in gates:
-        _assert_read_only(op.image)
-    _assert_read_only(kwmaps._split_sources(fs))
-    split = init_plus([SiteSpec((part, v), "vertex", grp) for v in range(2) for part, grp in [("n", fs.n_group), ("q", fs.q_group)]])
+    split = _split_register(fs, 2)
     for _, table in kwmaps._symmetry_shifts(fs, split.layout, ((("n", 0), ("q", 0)),)):
         _assert_read_only(table)
+    gates = kwmaps._wall_gates(fs, cell, lambda v: ("n", v), lambda e: ("e", e), lambda v: ("q", v))
     ctrl = tuple((s.sid, s.dim) for s in split.sites)
     new = tuple((("e", e), fs.n_group.order) for e in range(cell.n_edges))
     _assert_read_only(register._gated_rows(ctrl, new, register._GateList(gates)))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cellulation.spanning_tree(cell).root = 1
 
 
 def test_cold_and_warm_reports_are_byte_identical():
     d4, cell = CAT["D4"], hexagon_torus()
     transcript = protocols.prepare_solvable_double(d4, cell, kwmaps.KwMode.sample(5))
-    verify._stabilizer_plan.cache_clear()
+    plans = (verify._vertex_shifts, verify._stabilizer_diagonals)
+    for cache in plans:
+        cache.cache_clear()
     cold = verify.stabilizer_report(transcript.register, d4, cell).to_json()
-    assert verify._stabilizer_plan.cache_info()[:2] == (0, 1)
+    assert [cache.cache_info()[:2] for cache in plans] == [(0, 1)] * 2
     warm = verify.stabilizer_report(transcript.register, d4, cell).to_json()
-    assert verify._stabilizer_plan.cache_info()[:2] == (1, 1)
+    assert [cache.cache_info()[:2] for cache in plans] == [(1, 1)] * 2
     assert warm == cold
+
+
+def test_diagonals_are_shared_across_layouts():
+    d4, cell = CAT["D4"], hexagon_torus()
+    specs = [SiteSpec(("e", e), "edge", d4) for e in range(cell.n_edges)]
+    _clear_plans()
+    for order in (specs, specs[::-1]):
+        verify.stabilizer_report(init_plus(order), d4, cell)
+    assert verify._vertex_shifts.cache_info()[:2] == (0, 2)
+    assert verify._stabilizer_diagonals.cache_info()[:2] == (1, 1)
 
 
 def test_to_dict_is_the_json_record():
@@ -197,7 +191,8 @@ def test_plan_report_matches_the_stabilizer_builders_bitwise(case):
     assert np.array_equal(reg.amps, before)
 
 
-# --- a second seed reuses every plan
+# --- a second seed reuses every plan; the wall gates are rebuilt per round,
+# only the label push they drive is cached
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -218,20 +213,18 @@ def test_a_second_seed_rebuilds_no_plan(monkeypatch, group):
         (verify, "plaquette_stabilizer"),
         (kwmaps, "split_left_mult"),
         (register, "_push_labels"),
-        (kwmaps, "controlled_left"),
-        (cellulation, "_bfs_tree"),
     ]:
         _count_calls(monkeypatch, calls, module, name)
     config = cli.RunConfig(command="prepare", group=group, cell="hexagon", protocol="solvable", mode="sample:11")
     _clear_plans()
     first, _ = cli.cmd_prepare(config)
     # the wrappers see the cold build: every table is made on the first seed
-    expected = {"plaquette_stabilizer", "split_left_mult", "_push_labels", "controlled_left", "_bfs_tree"}
+    expected = {"plaquette_stabilizer", "split_left_mult", "_push_labels"}
     assert set(calls) == expected | ({"loop_z"} if group == "D4" else set())
-    misses = [cache.cache_info().misses for cache in PLAN_CACHES[:5]]
+    misses = [cache.cache_info().misses for cache in PLANS]
 
     calls.clear()
     second, _ = cli.cmd_prepare(dataclasses.replace(config, mode="sample:12"))
     assert calls == Counter()
-    assert [cache.cache_info().misses for cache in PLAN_CACHES[:5]] == misses
+    assert [cache.cache_info().misses for cache in PLANS] == misses
     assert second["runs"][0]["seed"] == 12 and first["runs"][0]["seed"] == 11
