@@ -33,6 +33,7 @@ from .groups import (
 from .kwmaps import KwMode
 from .protocols import (
     ProtocolTranscript,
+    plan_run,
     prepare_abelian_double,
     prepare_metabelian_double,
     prepare_nil2_double,
@@ -186,15 +187,21 @@ def _parse_subject(config: RunConfig) -> Tuple[Union[FiniteGroup, FactorSystem],
 
 
 def _run_protocol(
-    config: RunConfig, subject: Union[FiniteGroup, FactorSystem], cell: Cellulation, mode: KwMode
-) -> ProtocolTranscript:
+    config: RunConfig, subject: Union[FiniteGroup, FactorSystem], cell: Cellulation, n_seeds: int
+) -> Callable[[KwMode], ProtocolTranscript]:
+    """The protocol as a function of one seed's mode. A single seed calls the
+    protocol's entry point; several branch from one run plan, built here,
+    which shares the oracle, the gate lists and the state before the first
+    measurement among them."""
+    if n_seeds > 1:
+        return plan_run(config.protocol, subject, cell, with_oracle=config.oracle_fidelity).branch
     prepare = {
         "abelian": prepare_abelian_double,
         "nil2": prepare_nil2_double,
         "metabelian": prepare_metabelian_double,
         "solvable": prepare_solvable_double,
     }[config.protocol]
-    return prepare(subject, cell, mode, with_oracle=config.oracle_fidelity)
+    return lambda mode: prepare(subject, cell, mode, with_oracle=config.oracle_fidelity)
 
 
 def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
@@ -211,9 +218,10 @@ def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
     )
     subject, group = _parse_subject(config)
     gsd = ground_state_degeneracy(group, cell) if config.gsd else None
+    run_protocol = _run_protocol(config, subject, cell, len(modes))
 
     def run_one(mode: KwMode) -> Dict[str, object]:
-        transcript = _run_protocol(config, subject, cell, mode)
+        transcript = run_protocol(mode)
         entry: Dict[str, object] = {
             "seed": mode.seed,
             "transcript": transcript.to_dict(),

@@ -6,7 +6,9 @@ and kw_hat_abelian are the gate-level maps for an abelian group on the
 vertex route and the plaquette (dual) route; kw_n_in_g gauges a normal
 subgroup presented by a factor system, leaving the quotient parts of the
 vertices live. Measured modes repair nontrivial outcomes through feedforward
-so every sampled branch matches the postselected branch.
+so every sampled branch matches the postselected branch. Both vertex-route
+maps are one KwRound: a unitary half that every measurement record shares
+and a measure-and-repair half that each record runs.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .register import (
     layout_shift,
 )
 
-__all__ = ["KwMode", "KwResult", "kw_abelian", "kw_hat_abelian", "kw_exact_g", "kw_n_in_g"]
+__all__ = ["KwMode", "KwResult", "KwRound", "kw_abelian", "kw_hat_abelian", "kw_exact_g", "kw_n_in_g"]
 
 # dense-assembly ceiling for the enumeration oracle, in amplitudes
 EXACT_BUDGET = AMPLITUDE_BUDGET
@@ -188,20 +190,81 @@ def _wall_gates(
     """The vertex-route entangler, edge by edge: CL+ and CR+ write the domain
     wall g_i^-1 g_f of a group onto the identity-state edge; for a factor
     system they act on the subgroup parts, and Omega, Sigma+ then dress the
-    wall with the quotient parts. Each table is built once for all edges."""
+    wall with the quotient parts. Each table is built and checked once for
+    all edges; every edge's gates share it, read-only."""
     fs = subject if isinstance(subject, FactorSystem) else None
     grp = subject if fs is None else fs.n_group
     # placeholder targets: end vertices i, f, their quotient parts qi, qf, edge e
     templates = [controlled_left(grp, "i", "e").dagger(), controlled_right(grp, "f", "e").dagger()]
     if fs is not None:
         templates += [omega_gate(fs, "qi", "e", "qf"), sigma_gate(fs, "qi", "e").dagger()]
+    for op in templates:
+        op.image.setflags(write=False)
     gates = []
     for e, (i_v, f_v) in enumerate(cell.edges):
         sites = {"i": vertex_of(i_v), "f": vertex_of(f_v), "e": edge_of(e)}
         if fs is not None:
             sites.update(qi=q_of(i_v), qf=q_of(f_v))
-        gates += [LocalOperator([sites[t] for t in op.targets], "perm", op.image, name=op.name) for op in templates]
+        gates += [op.retarget([sites[t] for t in op.targets]) for op in templates]
     return gates
+
+
+class KwRound:
+    """One vertex-route gauging round, split at its measurement layer.
+
+    entangle is the unitary half, the same for every measurement record: the
+    symmetry check, then the edge ancillas allocated through the wall-gate
+    list, which is built once here. repair is the per-record half: Fourier
+    measurement of the gauged vertex parts and one layer of character
+    corrections. subject is an abelian group, gauged on the vertex sites, or
+    a factor system, whose subgroup parts vertex_of names and quotient
+    parts q_of names. kw_abelian and kw_n_in_g are one round each; a run
+    plan keeps one per stage and shares it across seeds.
+    """
+
+    def __init__(
+        self,
+        subject: Union[FiniteGroup, FactorSystem],
+        cell: Cellulation,
+        vertex_of: Callable[[int], Hashable],
+        edge_of: Callable[[int], Hashable],
+        q_of: Optional[Callable[[int], Hashable]] = None,
+    ):
+        self.subject, self.cell = subject, cell
+        self.vertex_of, self.edge_of, self.q_of = vertex_of, edge_of, q_of
+        self.fs = subject if isinstance(subject, FactorSystem) else None
+        self.group = subject if self.fs is None else self.fs.n_group
+        self.gates = tuple(_wall_gates(subject, cell, vertex_of, edge_of, q_of))
+
+    def entangle(self, reg: QuditRegister) -> None:
+        """Write the domain walls onto new identity-state edges, in place."""
+        n_v = self.cell.n_vertices
+        if self.fs is None:
+            sites, what = [(self.vertex_of(v),) for v in range(n_v)], "kw_abelian"
+        else:
+            sites, what = [(self.vertex_of(v), self.q_of(v)) for v in range(n_v)], "kw_n_in_g"
+        _require_symmetric(reg, self.subject, sites, what)
+        reg.add_sites(
+            [SiteSpec(self.edge_of(e), "edge", self.group) for e in range(self.cell.n_edges)],
+            _identity_state,
+            self.gates,
+        )
+
+    def repair(self, reg: QuditRegister, mode: KwMode) -> KwResult:
+        """Measure the gauged vertex parts of an entangled register and cancel
+        the outcome phases, in place."""
+        cell, grp = self.cell, self.group
+        outcomes, prob = _measure_sites(reg, mode, [(v, self.vertex_of(v)) for v in range(cell.n_vertices)])
+        if self.fs is not None and mode.kind == "postselect":
+            applied = CorrectionPlan(basis="Z", exponents={}, group=grp)
+        else:
+            applied = charge_correction(SyndromeSet("charge", outcomes, grp), cell, spanning_tree(cell)).inverse()
+        for e, t in sorted(applied.exponents.items()):
+            if self.fs is None:
+                reg.apply(z_dual(grp, t, self.edge_of(e)))
+            else:
+                reg.apply(z_tilde(self.fs, t, e, cell, self.q_of, self.edge_of))
+        return KwResult(register=reg, outcomes=outcomes, corrections=applied, probability=prob)
 
 
 def _measure_sites(
@@ -238,19 +301,9 @@ def kw_abelian(
     """
     if not a_group.is_abelian:
         raise ValueError("kw_abelian needs an abelian group")
-    n_v = cell.n_vertices
-    _require_symmetric(reg, a_group, [(vertex_of(v),) for v in range(n_v)], "kw_abelian")
-    reg.add_sites(
-        [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)],
-        _identity_state,
-        _wall_gates(a_group, cell, vertex_of, edge_of),
-    )
-    outcomes, prob = _measure_sites(reg, mode, [(v, vertex_of(v)) for v in range(n_v)])
-    syndrome = SyndromeSet("charge", outcomes, a_group)
-    applied = charge_correction(syndrome, cell, spanning_tree(cell)).inverse()
-    for e, t in sorted(applied.exponents.items()):
-        reg.apply(z_dual(a_group, t, edge_of(e)))
-    return KwResult(register=reg, outcomes=outcomes, corrections=applied, probability=prob)
+    rnd = KwRound(a_group, cell, vertex_of, edge_of)
+    rnd.entangle(reg)
+    return rnd.repair(reg, mode)
 
 
 def kw_hat_abelian(
@@ -349,25 +402,11 @@ def kw_n_in_g(
     would be string operators that do not stay in one layer. Postselect mode
     accepts any subgroup.
     """
-    n_grp = fs.n_group
-    if mode.kind != "postselect" and not n_grp.is_abelian:
+    if mode.kind != "postselect" and not fs.n_group.is_abelian:
         raise ValueError(
             "kw_n_in_g in a measured mode needs an abelian subgroup; "
             "only postselect mode supports a non-abelian one"
         )
-    n_v = cell.n_vertices
-    _require_symmetric(reg, fs, [(n_of(v), q_of(v)) for v in range(n_v)], "kw_n_in_g")
-    reg.add_sites(
-        [SiteSpec(edge_of(e), "edge", n_grp) for e in range(cell.n_edges)],
-        _identity_state,
-        _wall_gates(fs, cell, n_of, edge_of, q_of),
-    )
-    outcomes, prob = _measure_sites(reg, mode, [(v, n_of(v)) for v in range(n_v)])
-    if mode.kind == "postselect":
-        applied = CorrectionPlan(basis="Z", exponents={}, group=n_grp)
-    else:
-        syndrome = SyndromeSet("charge", outcomes, n_grp)
-        applied = charge_correction(syndrome, cell, spanning_tree(cell)).inverse()
-        for e, t in sorted(applied.exponents.items()):
-            reg.apply(z_tilde(fs, t, e, cell, q_of, edge_of))
-    return KwResult(register=reg, outcomes=outcomes, corrections=applied, probability=prob)
+    rnd = KwRound(fs, cell, n_of, edge_of, q_of)
+    rnd.entangle(reg)
+    return rnd.repair(reg, mode)

@@ -5,6 +5,9 @@ sampled outcomes with one feedforward layer per round, and reassembles split
 edge labels into the full group at the end. The transcript records every
 unitary layer, outcome, and correction plan, along with the branch
 probability and the fidelity against the enumeration oracle when requested.
+Everything before a run's first measurement layer is a finite-depth unitary
+on a fixed input, so a run plan builds it once, with the oracle and every
+round's gate list, and each seed branches from it.
 
 Syndrome bookkeeping helpers read dual labels back off a register: the
 charge label at a vertex is the character row traced out by the vertex
@@ -19,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .groups import (
     factor_system_of,
     is_nil2_extension,
 )
-from .kwmaps import KwMode, _measure_sites, kw_abelian, kw_exact_g, kw_n_in_g
+from .kwmaps import KwMode, KwRound, _measure_sites, kw_abelian, kw_exact_g, kw_n_in_g
 from .register import (
     DiagonalOperator,
     QuditRegister,
@@ -59,6 +62,8 @@ from .register import (
 __all__ = [
     "ProtocolRound",
     "ProtocolTranscript",
+    "RunPlan",
+    "plan_run",
     "prepare_abelian_double",
     "prepare_nil2_double",
     "prepare_metabelian_double",
@@ -235,25 +240,18 @@ def _split_vertices(reg: QuditRegister, cell: Cellulation, fs: FactorSystem, j: 
         )
 
 
-def _subgroup_round(
-    reg: QuditRegister, cell: Cellulation, fs: FactorSystem, j: int, mode: KwMode
-) -> ProtocolRound:
-    res = kw_n_in_g(
-        reg,
-        cell,
-        fs,
-        mode,
-        n_of=lambda v: ("v", v, j, "n"),
-        q_of=lambda v: ("v", v, j, "q"),
-        edge_of=lambda e: ("e", e, j),
-    )
-    return ProtocolRound(
-        label=f"gauge the order-{fs.n_group.order} normal subgroup inside {fs.parent.name}",
-        layers=["restricted edge entangler with cocycle and automorphism dressing"],
-        outcomes={"charge": res.outcomes},
-        corrections=[_plan_record(res.corrections)],
-        probability=res.probability,
-    )
+def _stages(g_group: FiniteGroup, chain: Sequence[FactorSystem]) -> List[tuple]:
+    """(subject, vertex_of, edge_of, q_of) of every round: each factor system
+    of chain gauges its subgroup parts, then the abelian remainder (g_group
+    itself when chain is empty) is gauged on the last quotient parts."""
+    stages: List[tuple] = [
+        (fs, lambda v, j=j: ("v", v, j, "n"), lambda e, j=j: ("e", e, j), lambda v, j=j: ("v", v, j, "q"))
+        for j, fs in enumerate(chain, start=1)
+    ]
+    if not chain:
+        return stages + [(g_group, _vertex_site, _edge_site, None)]
+    k = len(chain)
+    return stages + [(chain[-1].q_group, lambda v: ("v", v, k, "q"), lambda e: ("e", e, k + 1), None)]
 
 
 def _gauge_rounds(
@@ -263,63 +261,118 @@ def _gauge_rounds(
     cell: Cellulation,
     mode: KwMode,
     protocol: str,
-    oracle: Optional[QuditRegister],
+    rounds: Optional[Sequence[KwRound]] = None,
 ) -> ProtocolTranscript:
     """One measurement round per factor system in chain, then one for the
     abelian remainder, then edge reassembly.
 
     chain is empty for an abelian group. Otherwise the vertices of reg arrive
     already split for the first factor system; later stages split here.
+    Without rounds every round is one kw_n_in_g or kw_abelian call. With a
+    run plan's rounds, reg arrives entangled for round 1 and every round runs
+    on the plan's gate lists.
     """
-    total = len(chain) + 1
-    rounds: List[ProtocolRound] = []
-    for j, fs in enumerate(chain, start=1):
-        if j > 1:
-            _split_vertices(reg, cell, fs, j)
-        rounds.append(_subgroup_round(reg, cell, fs, j, _round_mode(mode, j, total)))
-    if chain:
-        a_group = chain[-1].q_group
-        vertex_of = lambda v: ("v", v, len(chain), "q")
-        edge_of = lambda e: ("e", e, total)
-    else:
-        a_group, vertex_of, edge_of = g_group, _vertex_site, _edge_site
-    res = kw_abelian(reg, cell, a_group, _round_mode(mode, total, total), vertex_of=vertex_of, edge_of=edge_of)
-    rounds.append(
-        ProtocolRound(
-            label=f"gauge the abelian group {a_group.name}",
-            layers=["controlled group multiplications write domain walls onto identity-state edges"],
-            outcomes={"charge": res.outcomes},
-            corrections=[_plan_record(res.corrections)],
-            probability=res.probability,
+    stages = _stages(g_group, chain)
+    total = len(stages)
+    records: List[ProtocolRound] = []
+    for j, (subject, vertex_of, edge_of, q_of) in enumerate(stages, start=1):
+        if 1 < j < total:
+            _split_vertices(reg, cell, subject, j)
+        round_mode = _round_mode(mode, j, total)
+        if rounds is not None:
+            if j > 1:
+                rounds[j - 1].entangle(reg)
+            res = rounds[j - 1].repair(reg, round_mode)
+        elif q_of is None:
+            res = kw_abelian(reg, cell, subject, round_mode, vertex_of=vertex_of, edge_of=edge_of)
+        else:
+            res = kw_n_in_g(reg, cell, subject, round_mode, n_of=vertex_of, q_of=q_of, edge_of=edge_of)
+        if q_of is None:
+            label = f"gauge the abelian group {subject.name}"
+            layer = "controlled group multiplications write domain walls onto identity-state edges"
+        else:
+            label = f"gauge the order-{subject.n_group.order} normal subgroup inside {subject.parent.name}"
+            layer = "restricted edge entangler with cocycle and automorphism dressing"
+        records.append(
+            ProtocolRound(
+                label=label,
+                layers=[layer],
+                outcomes={"charge": res.outcomes},
+                corrections=[_plan_record(res.corrections)],
+                probability=res.probability,
+            )
         )
-    )
     _reassemble_edges(reg, cell, chain)
     return ProtocolTranscript(
         protocol=protocol,
         group=g_group.name,
         graph=cell.name,
         shots=total,
-        rounds=rounds,
+        rounds=records,
         register=reg,
-        probability=math.prod(rnd.probability for rnd in rounds),
-        fidelity_vs_oracle=reg.fidelity(oracle) if oracle is not None else None,
+        probability=math.prod(rnd.probability for rnd in records),
     )
 
 
-def _gauge_derived_series(
-    reg: QuditRegister,
-    g_group: FiniteGroup,
-    cell: Cellulation,
-    mode: KwMode,
-    protocol: str,
-    with_oracle: bool,
-) -> ProtocolTranscript:
-    """The rounds down the derived series of g_group, on a symmetric vertex register."""
+def _scored(transcript: ProtocolTranscript, oracle: Optional[QuditRegister]) -> ProtocolTranscript:
+    if oracle is not None:
+        transcript.fidelity_vs_oracle = transcript.register.fidelity(oracle)
+    return transcript
+
+
+def _oracle(g_group: FiniteGroup, cell: Cellulation) -> QuditRegister:
+    """The enumerated double of g_group: the definitional map on the uniform vertex state."""
+    return kw_exact_g(_plus_vertices(g_group, cell), cell, g_group)
+
+
+# each start returns the register before round 1, the prepared group, the
+# factor-system chain and the oracle (None without one)
+_Start = Tuple[QuditRegister, FiniteGroup, Tuple[FactorSystem, ...], Optional[QuditRegister]]
+
+
+def _abelian_start(a_group: FiniteGroup, cell: Cellulation, with_oracle: bool) -> _Start:
+    if not a_group.is_abelian:
+        raise ValueError("prepare_abelian_double needs an abelian group")
+    oracle = _oracle(a_group, cell) if with_oracle else None
+    return _plus_vertices(a_group, cell), a_group, (), oracle
+
+
+def _metabelian_start(fs: FactorSystem, cell: Cellulation, with_oracle: bool) -> _Start:
+    if not (fs.n_group.is_abelian and fs.q_group.is_abelian):
+        raise ValueError("prepare_metabelian_double needs abelian subgroup and abelian quotient")
+    oracle = _oracle(fs.parent, cell) if with_oracle else None
+    # the split plus state is built directly, not split from parent labels:
+    # 1/sqrt(|N|) 1/sqrt(|Q|) and 1/sqrt(|G|) round apart
+    reg = init_plus(
+        [
+            SiteSpec(("v", v, 1, part), "vertex", grp)
+            for v in range(cell.n_vertices)
+            for part, grp in [("n", fs.n_group), ("q", fs.q_group)]
+        ]
+    )
+    return reg, fs.parent, (fs,), oracle
+
+
+def _derived_series_start(reg: QuditRegister, g_group: FiniteGroup, cell: Cellulation, with_oracle: bool) -> _Start:
+    """The start of the rounds down the derived series of g_group, on a
+    symmetric vertex register: round 1's split is made here."""
     chain = _solvable_chain(g_group)
     oracle = kw_exact_g(reg, cell, g_group) if with_oracle else None
     if chain:
         _split_vertices(reg, cell, chain[0], 1)
-    return _gauge_rounds(reg, g_group, chain, cell, mode, protocol, oracle)
+    return reg, g_group, chain, oracle
+
+
+def _solvable_start(g_group: FiniteGroup, cell: Cellulation, with_oracle: bool) -> _Start:
+    return _derived_series_start(_plus_vertices(g_group, cell), g_group, cell, with_oracle)
+
+
+def _nil2_start(fs: FactorSystem, cell: Cellulation) -> QuditRegister:
+    if not is_nil2_extension(fs):
+        raise ValueError("prepare_nil2_double needs a central extension with abelian subgroup and quotient")
+    if not cell.closed:
+        raise ValueError("prepare_nil2_double needs a closed cellulation")
+    return _nil2_circuit(fs, cell)
 
 
 def _nil2_circuit(fs: FactorSystem, cell: Cellulation) -> QuditRegister:
@@ -350,6 +403,55 @@ def _nil2_circuit(fs: FactorSystem, cell: Cellulation) -> QuditRegister:
     return reg
 
 
+def _nil2_tail(
+    reg: QuditRegister, fs: FactorSystem, cell: Cellulation, mode: KwMode, feedforward: bool
+) -> ProtocolTranscript:
+    """The one measurement layer of the nil2 circuit, its feedforward and the
+    edge merge; the transcript carries no fidelity."""
+    n_grp, q_grp = fs.n_group, fs.q_group
+    n_v, n_p = cell.n_vertices, cell.n_plaquettes
+    pairs = [(v, _vertex_site(v)) for v in range(n_v)] + [(n_v + p, ("p", p)) for p in range(n_p)]
+    raw, prob = _measure_sites(reg, mode, pairs)
+    v_outs = {v: raw[v] for v in range(n_v)}
+    p_outs = {p: raw[n_v + p] for p in range(n_p)}
+    charge_plan = charge_correction(
+        SyndromeSet("charge", v_outs, q_grp), cell, spanning_tree(cell)
+    ).inverse()
+    flux_plan = flux_correction(SyndromeSet("flux", p_outs, n_grp), cell, dual_spanning_tree(cell))
+    if feedforward:
+        for e, t in sorted(charge_plan.exponents.items()):
+            reg.apply(z_dual(q_grp, t, ("e", e, "q")))
+        for e, x in sorted(flux_plan.exponents.items()):
+            reg.apply(left_mult(n_grp, x, ("e", e, "n")))
+        image = np.argsort(parent_to_pair(fs))
+        for e in range(cell.n_edges):
+            reg.merge_sites(("e", e, "n"), ("e", e, "q"), SiteSpec(_edge_site(e), "edge", fs.parent))
+            reg.relabel_site(_edge_site(e), image)
+    rnd = ProtocolRound(
+        label=f"one-shot double of {fs.parent.name}",
+        layers=[
+            "plaquette-to-edge character couplings, opposite phases on each edge's plaquette pair",
+            "cocycle dressing on every edge",
+            "controlled quotient multiplications write domain walls onto identity-state quotient edges",
+        ],
+        outcomes={"charge": v_outs, "flux": p_outs},
+        corrections=[
+            _plan_record(charge_plan, applied=feedforward),
+            _plan_record(flux_plan, applied=feedforward),
+        ],
+        probability=prob,
+    )
+    return ProtocolTranscript(
+        protocol="nil2_double",
+        group=fs.parent.name,
+        graph=cell.name,
+        shots=1,
+        rounds=[rnd],
+        register=reg,
+        probability=prob,
+    )
+
+
 # ---------------------------------------------------------------------------
 # protocols
 
@@ -358,10 +460,8 @@ def prepare_abelian_double(
     a_group: FiniteGroup, cell: Cellulation, mode: KwMode, with_oracle: bool = True
 ) -> ProtocolTranscript:
     """One-shot double of an abelian group from uniform vertex ancillas."""
-    if not a_group.is_abelian:
-        raise ValueError("prepare_abelian_double needs an abelian group")
-    oracle = kw_exact_g(_plus_vertices(a_group, cell), cell, a_group) if with_oracle else None
-    return _gauge_rounds(_plus_vertices(a_group, cell), a_group, [], cell, mode, "abelian_double", oracle)
+    reg, group, chain, oracle = _abelian_start(a_group, cell, with_oracle)
+    return _scored(_gauge_rounds(reg, group, chain, cell, mode, "abelian_double"), oracle)
 
 
 def prepare_nil2_double(
@@ -385,57 +485,8 @@ def prepare_nil2_double(
     plaquette outcomes. With feedforward disabled the register keeps its
     split, uncorrected edges for inspection and no fidelity is computed.
     """
-    if not is_nil2_extension(fs):
-        raise ValueError("prepare_nil2_double needs a central extension with abelian subgroup and quotient")
-    if not cell.closed:
-        raise ValueError("prepare_nil2_double needs a closed cellulation")
-    n_grp, q_grp = fs.n_group, fs.q_group
-    n_v, n_p = cell.n_vertices, cell.n_plaquettes
-    reg = _nil2_circuit(fs, cell)
-    pairs = [(v, _vertex_site(v)) for v in range(n_v)] + [(n_v + p, ("p", p)) for p in range(n_p)]
-    raw, prob = _measure_sites(reg, mode, pairs)
-    v_outs = {v: raw[v] for v in range(n_v)}
-    p_outs = {p: raw[n_v + p] for p in range(n_p)}
-    charge_plan = charge_correction(
-        SyndromeSet("charge", v_outs, q_grp), cell, spanning_tree(cell)
-    ).inverse()
-    flux_plan = flux_correction(SyndromeSet("flux", p_outs, n_grp), cell, dual_spanning_tree(cell))
-    fid = None
-    if feedforward:
-        for e, t in sorted(charge_plan.exponents.items()):
-            reg.apply(z_dual(q_grp, t, ("e", e, "q")))
-        for e, x in sorted(flux_plan.exponents.items()):
-            reg.apply(left_mult(n_grp, x, ("e", e, "n")))
-        image = np.argsort(parent_to_pair(fs))
-        for e in range(cell.n_edges):
-            reg.merge_sites(("e", e, "n"), ("e", e, "q"), SiteSpec(_edge_site(e), "edge", fs.parent))
-            reg.relabel_site(_edge_site(e), image)
-        if with_oracle:
-            fid = reg.fidelity(kw_exact_g(_plus_vertices(fs.parent, cell), cell, fs.parent))
-    rnd = ProtocolRound(
-        label=f"one-shot double of {fs.parent.name}",
-        layers=[
-            "plaquette-to-edge character couplings, opposite phases on each edge's plaquette pair",
-            "cocycle dressing on every edge",
-            "controlled quotient multiplications write domain walls onto identity-state quotient edges",
-        ],
-        outcomes={"charge": v_outs, "flux": p_outs},
-        corrections=[
-            _plan_record(charge_plan, applied=feedforward),
-            _plan_record(flux_plan, applied=feedforward),
-        ],
-        probability=prob,
-    )
-    return ProtocolTranscript(
-        protocol="nil2_double",
-        group=fs.parent.name,
-        graph=cell.name,
-        shots=1,
-        rounds=[rnd],
-        register=reg,
-        probability=prob,
-        fidelity_vs_oracle=fid,
-    )
+    transcript = _nil2_tail(_nil2_start(fs, cell), fs, cell, mode, feedforward)
+    return _scored(transcript, _oracle(fs.parent, cell) if with_oracle and feedforward else None)
 
 
 def prepare_metabelian_double(
@@ -447,26 +498,16 @@ def prepare_metabelian_double(
     gauges the remaining quotient vertices with fresh edge ancillas; the
     edge pairs are then merged into full-group labels.
     """
-    if not (fs.n_group.is_abelian and fs.q_group.is_abelian):
-        raise ValueError("prepare_metabelian_double needs abelian subgroup and abelian quotient")
-    oracle = kw_exact_g(_plus_vertices(fs.parent, cell), cell, fs.parent) if with_oracle else None
-    # the split plus state is built directly, not split from parent labels:
-    # 1/sqrt(|N|) 1/sqrt(|Q|) and 1/sqrt(|G|) round apart
-    reg = init_plus(
-        [
-            SiteSpec(("v", v, 1, part), "vertex", grp)
-            for v in range(cell.n_vertices)
-            for part, grp in [("n", fs.n_group), ("q", fs.q_group)]
-        ]
-    )
-    return _gauge_rounds(reg, fs.parent, [fs], cell, mode, "metabelian_double", oracle)
+    reg, group, chain, oracle = _metabelian_start(fs, cell, with_oracle)
+    return _scored(_gauge_rounds(reg, group, chain, cell, mode, "metabelian_double"), oracle)
 
 
 def prepare_solvable_double(
     g_group: FiniteGroup, cell: Cellulation, mode: KwMode, with_oracle: bool = True
 ) -> ProtocolTranscript:
     """Double of any solvable group in one round per derived-series step."""
-    return _gauge_derived_series(_plus_vertices(g_group, cell), g_group, cell, mode, "solvable_double", with_oracle)
+    reg, group, chain, oracle = _solvable_start(g_group, cell, with_oracle)
+    return _scored(_gauge_rounds(reg, group, chain, cell, mode, "solvable_double"), oracle)
 
 
 def gauge_input_state(
@@ -486,7 +527,77 @@ def gauge_input_state(
         reg.spec(_vertex_site(v)).dim != g_group.order for v in range(cell.n_vertices)
     ):
         raise ValueError("gauge_input_state needs a register with exactly the vertex sites")
-    return _gauge_derived_series(reg, g_group, cell, mode, "gauge_input", with_oracle)
+    reg, group, chain, oracle = _derived_series_start(reg, g_group, cell, with_oracle)
+    return _scored(_gauge_rounds(reg, group, chain, cell, mode, "gauge_input"), oracle)
+
+
+# ---------------------------------------------------------------------------
+# run plans
+
+_VERTEX_ROUTE: Dict[str, Tuple[str, Callable[..., _Start]]] = {
+    "abelian": ("abelian_double", _abelian_start),
+    "metabelian": ("metabelian_double", _metabelian_start),
+    "solvable": ("solvable_double", _solvable_start),
+}
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """The seed-independent part of one preparation run, built once and
+    shared by every seed.
+
+    prefix is the register just before the run's first measurement layer,
+    the output of a finite-depth unitary on a fixed input: for the
+    vertex-route protocols the state after round 1's symmetry check and
+    entangler, for nil2 the whole coupling circuit. Its amplitudes are made
+    read-only. No register method writes into an amplitude array, so every
+    seed branches from the same array without a copy.
+    rounds holds one KwRound per stage (empty for nil2), each with its gate
+    list; oracle is the enumerated reference state, or None.
+    """
+
+    protocol: str
+    group: FiniteGroup
+    cell: Cellulation
+    chain: Tuple[FactorSystem, ...]
+    rounds: Tuple[KwRound, ...]
+    prefix: QuditRegister
+    oracle: Optional[QuditRegister]
+    nil2: Optional[FactorSystem] = None
+
+    def __post_init__(self):
+        for reg in (self.prefix, self.oracle):
+            if reg is not None:
+                reg.amps.setflags(write=False)
+
+    def branch(self, mode: KwMode) -> ProtocolTranscript:
+        """One seed's run: measurement and feedforward from the shared prefix on."""
+        reg = QuditRegister(self.prefix.sites, self.prefix.amps)
+        if self.nil2 is not None:
+            transcript = _nil2_tail(reg, self.nil2, self.cell, mode, feedforward=True)
+        else:
+            transcript = _gauge_rounds(reg, self.group, self.chain, self.cell, mode, self.protocol, self.rounds)
+        return _scored(transcript, self.oracle)
+
+
+def plan_run(
+    protocol: str, subject: Union[FiniteGroup, FactorSystem], cell: Cellulation, with_oracle: bool = True
+) -> RunPlan:
+    """The run plan of one protocol ("abelian", "nil2", "metabelian",
+    "solvable") on subject, with the same preconditions, checked in the same
+    order, as its prepare_* entry point; plan.branch(mode) then reports what
+    the entry point reports for that mode."""
+    if protocol == "nil2":
+        prefix = _nil2_start(subject, cell)
+        oracle = _oracle(subject.parent, cell) if with_oracle else None
+        return RunPlan("nil2_double", subject.parent, cell, (), (), prefix, oracle, nil2=subject)
+    if protocol not in _VERTEX_ROUTE:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    name, start = _VERTEX_ROUTE[protocol]
+    prefix, group, chain, oracle = start(subject, cell, with_oracle)
+    rounds = tuple(KwRound(sub, cell, *sites) for sub, *sites in _stages(group, chain))
+    rounds[0].entangle(prefix)
+    return RunPlan(name, group, cell, chain, rounds, prefix, oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ axis per live site (site-major, last site fastest). Measurement retires the
 site and reshapes the state down, so peak dimension is bounded by the largest
 single protocol round. Every gate is a phase-free permutation or a unimodular
 diagonal, so large-arity gates never materialize dense matrices; the Fourier
-rotation inside measure_fourier is the only step that mixes amplitudes.
+rotation inside measure_fourier is the only step that mixes amplitudes. No
+method writes into an amplitude array: each replaces it with a new array or
+a reshaped view, so registers can branch from one read-only amplitude array
+without copying it.
 """
 
 from __future__ import annotations
@@ -59,11 +62,7 @@ class LocalOperator:
     """
 
     def __init__(self, targets: Sequence[Hashable], kind: str, payload, name: str = "op"):
-        if not 1 <= len(targets) <= 3:
-            raise ValueError(f"LocalOperator supports 1-3 targets, got {len(targets)}")
-        if len(set(targets)) != len(targets):
-            raise ValueError("duplicate target sites")
-        self.targets = tuple(targets)
+        self.targets = _checked_targets(targets)
         self.kind = kind
         self.name = name
         if kind == "perm":
@@ -76,6 +75,22 @@ class LocalOperator:
                 raise ValueError(f"{name}: unitary diagonal must be unimodular")
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
+
+    def _from_checked(self, targets: Sequence[Hashable], table: np.ndarray, name: str) -> "LocalOperator":
+        """A gate of this kind whose table is known to pass this kind's check
+        (this gate's own, or its inverse), so only the targets are checked."""
+        op = object.__new__(LocalOperator)
+        op.targets = _checked_targets(targets)
+        op.kind = self.kind
+        op.name = name
+        setattr(op, "image" if self.kind == "perm" else "diag", table)
+        return op
+
+    def retarget(self, targets: Sequence[Hashable]) -> "LocalOperator":
+        """The same gate on other sites, sharing this gate's table."""
+        if len(targets) != len(self.targets):
+            raise ValueError(f"{self.name}: retargeting needs {len(self.targets)} targets, got {len(targets)}")
+        return self._from_checked(targets, self.image if self.kind == "perm" else self.diag, self.name)
 
     @property
     def joint_dim(self) -> int:
@@ -100,9 +115,18 @@ class LocalOperator:
         return out
 
     def dagger(self) -> "LocalOperator":
+        # the argsort of a permutation is one, the conjugate of a unimodular diagonal is one
         if self.kind == "diag":
-            return LocalOperator(self.targets, "diag", np.conj(self.diag), name=self.name + "+")
-        return LocalOperator(self.targets, "perm", np.argsort(self.image), name=self.name + "+")
+            return self._from_checked(self.targets, np.conj(self.diag), self.name + "+")
+        return self._from_checked(self.targets, np.argsort(self.image), self.name + "+")
+
+
+def _checked_targets(targets: Sequence[Hashable]) -> Tuple[Hashable, ...]:
+    if not 1 <= len(targets) <= 3:
+        raise ValueError(f"LocalOperator supports 1-3 targets, got {len(targets)}")
+    if len(set(targets)) != len(targets):
+        raise ValueError("duplicate target sites")
+    return tuple(targets)
 
 
 class DiagonalOperator:
@@ -331,8 +355,10 @@ class QuditRegister:
         block = moved.reshape(int(np.prod(shape[: len(axes)], dtype=np.int64)), -1)
         return block, axes, shape
 
-    def _scatter(self, block: np.ndarray, axes: Tuple[int, ...], shape: Tuple[int, ...]) -> None:
-        self.amps = np.moveaxis(block.reshape(shape), range(len(axes)), axes)
+    @staticmethod
+    def _scatter(block: np.ndarray, axes: Tuple[int, ...], shape: Tuple[int, ...]) -> np.ndarray:
+        """Inverse of _gather's layout change, as a view of block."""
+        return np.moveaxis(block.reshape(shape), range(len(axes)), axes)
 
     def gather_shift(self, targets: Sequence[Hashable], sources) -> np.ndarray:
         """Flat-index shift that reads each joint label x of targets from the
@@ -374,24 +400,23 @@ class QuditRegister:
             acc += weight * self.permuted(shifts)
         return acc
 
-    def apply(self, op) -> "QuditRegister":
+    def _applied(self, op) -> np.ndarray:
+        """The amplitudes after op, as a new array; the register is left as it was."""
         if isinstance(op, StabilizerOperator):
-            self.amps = self._averaged(op)
-            return self
+            return self._averaged(op)
         block, axes, shape = self._gather(op.targets)
         expected = int(np.prod([self.sites[a].dim for a in axes], dtype=np.int64))
         joint = op.diag.shape[0] if isinstance(op, DiagonalOperator) else op.joint_dim
         if joint != expected:
             raise ValueError(f"{op.name}: operator dimension {joint} mismatches targets {expected}")
-        self._scatter(op.transform(block), axes, shape)
+        return self._scatter(op.transform(block), axes, shape)
+
+    def apply(self, op) -> "QuditRegister":
+        self.amps = self._applied(op)
         return self
 
     def expectation(self, op) -> complex:
-        if isinstance(op, StabilizerOperator):
-            return complex(np.vdot(self.amps, self._averaged(op)))
-        work = self.copy()
-        work.apply(op)
-        return complex(np.vdot(self.amps, work.amps))
+        return complex(np.vdot(self.amps, self._applied(op)))
 
     # --- measurement -----------------------------------------------------------
 
@@ -415,7 +440,7 @@ class QuditRegister:
             raise ValueError("measurement needs an rng or a forced outcome")
         block, axes, shape = self._gather([sid])
         block = fourier @ block
-        self._scatter(block, axes, shape)
+        self.amps = self._scatter(block, axes, shape)
         probs = np.einsum("ij,ij->i", block, np.conj(block)).real
         total = probs.sum()
         if abs(total - 1.0) > 1e-6:

@@ -115,8 +115,17 @@ def test_prepare_precondition_failures(argv, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "precondition"
 
 
-def test_prepare_byte_identical_across_workers(tmp_path):
-    base = ["prepare", "--group", "Z2", "--cell", "square:2x2", "--protocol", "abelian",
+@pytest.mark.parametrize(
+    "group,cell,protocol",
+    [
+        pytest.param("Z2", "square:2x2", "abelian", id="Z2-abelian"),
+        # threads branching from one read-only prefix of a multi-round run
+        pytest.param("S4", "hexagon", "solvable", id="S4-solvable"),
+        pytest.param("D4", "hexagon", "nil2", id="D4-nil2"),
+    ],
+)
+def test_prepare_byte_identical_across_workers(tmp_path, group, cell, protocol):
+    base = ["prepare", "--group", group, "--cell", cell, "--protocol", protocol,
             "--mode", "sample:0", "--seeds", "6"]
     a, b = tmp_path / "w1.json", tmp_path / "w4.json"
     assert main(base + ["--workers", "1", "-o", str(a)]) == 0

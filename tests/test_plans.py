@@ -4,12 +4,17 @@ Every table that depends only on (group or factor system, cell, register
 layout, site ids) is built once and shared by every seed. These tests pin
 that equal content shares one entry, that cached arrays cannot be written,
 that every cache is bounded, that a warm plan reports the same bytes as a
-cold one, and that a second seed rebuilds no plan.
+cold one, and that a second seed rebuilds no plan. Within one run, the
+oracle, the gate lists and the state before the first measurement are built
+once and every seed branches from that read-only state.
 """
 
 import dataclasses
+import hashlib
 import json
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -191,8 +196,8 @@ def test_plan_report_matches_the_stabilizer_builders_bitwise(case):
     assert np.array_equal(reg.amps, before)
 
 
-# --- a second seed reuses every plan; the wall gates are rebuilt per round,
-# only the label push they drive is cached
+# --- a second run reuses every plan; the wall gates are rebuilt per run and
+# round, only the label push they drive is cached across runs
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -228,3 +233,104 @@ def test_a_second_seed_rebuilds_no_plan(monkeypatch, group):
     assert calls == Counter()
     assert [cache.cache_info().misses for cache in PLANS] == misses
     assert second["runs"][0]["seed"] == 12 and first["runs"][0]["seed"] == 11
+
+
+# --- one run plan per cmd_prepare: the unitary prefix is built once and every
+# seed branches from it
+
+
+def _recorded_calls(monkeypatch, calls, module, name, record=lambda args: None):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((name, record(args)))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "group,protocol,walls,later_probes",
+    [("S4", "solvable", 3, 2), ("S3", "metabelian", 2, 1), ("D4", "nil2", 0, 0)],
+)
+def test_a_run_builds_its_prefix_once_for_all_seeds(monkeypatch, group, protocol, walls, later_probes):
+    calls = []
+    _recorded_calls(monkeypatch, calls, protocols, "kw_exact_g")
+    _recorded_calls(monkeypatch, calls, protocols, "_nil2_circuit")
+    _recorded_calls(monkeypatch, calls, kwmaps, "_wall_gates")
+    # the first vertex site a symmetry probe reads names its round
+    _recorded_calls(monkeypatch, calls, kwmaps, "_require_symmetric", lambda args: args[2][0][0])
+    _recorded_calls(monkeypatch, calls, register.QuditRegister, "copy")
+    config = cli.RunConfig(command="prepare", group=group, cell="hexagon", protocol=protocol, mode="sample:3", seeds=4)
+    payload, _ = cli.cmd_prepare(config)
+    assert [run["seed"] for run in payload["runs"]] == [3, 4, 5, 6]
+
+    names = Counter(name for name, _ in calls)
+    assert names["kw_exact_g"] == 1
+    assert names["_nil2_circuit"] == (protocol == "nil2")
+    assert names["_wall_gates"] == walls
+    assert names["copy"] == 0
+    probes = Counter(site for name, site in calls if name == "_require_symmetric")
+    if protocol == "nil2":
+        assert probes == Counter()
+    else:
+        assert probes.pop(("v", 0, 1, "n")) == 1
+        assert sum(probes.values()) == 4 * later_probes
+
+
+def test_a_one_seed_abelian_run_copies_no_register(monkeypatch):
+    calls = []
+    _recorded_calls(monkeypatch, calls, register.QuditRegister, "copy")
+    # one seed runs the entry point itself, through the public round map
+    _recorded_calls(monkeypatch, calls, protocols, "kw_abelian")
+    config = cli.RunConfig(command="prepare", group="Z2", cell="square:3x2", protocol="abelian", mode="sample:1")
+    cli.cmd_prepare(config)
+    assert [name for name, _ in calls] == ["kw_abelian"]
+
+
+def _entry_bytes(entry):
+    return json.dumps(entry, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "group,protocol",
+    [("Z3", "abelian"), ("S3", "metabelian"), ("D4", "nil2"), ("S4", "solvable")],
+)
+def test_every_seed_of_a_plan_matches_its_own_one_seed_run(monkeypatch, group, protocol):
+    plans = []
+    build = cli.plan_run
+
+    def recorded(*args, **kwargs):
+        plan = build(*args, **kwargs)
+        plans.append((plan, hashlib.sha256(plan.prefix.amps.tobytes()).hexdigest()))
+        return plan
+
+    monkeypatch.setattr(cli, "plan_run", recorded)
+    config = cli.RunConfig(command="prepare", group=group, cell="hexagon", protocol=protocol, mode="sample:21", seeds=3)
+    payload, _ = cli.cmd_prepare(config)
+    [(plan, digest)] = plans
+    assert not plan.prefix.amps.flags.writeable
+    assert hashlib.sha256(plan.prefix.amps.tobytes()).hexdigest() == digest
+
+    assert [run["seed"] for run in payload["runs"]] == [21, 22, 23]
+    for run in payload["runs"]:
+        single, _ = cli.cmd_prepare(dataclasses.replace(config, seeds=1, mode=f"sample:{run['seed']}"))
+        assert _entry_bytes(run) == _entry_bytes(single["runs"][0])
+    assert len(plans) == 1
+
+
+def test_threads_branching_from_one_prefix_match_a_serial_run():
+    plan = protocols.plan_run("metabelian", catalog_factor_system("S3"), hexagon_torus())
+    digest = hashlib.sha256(plan.prefix.amps.tobytes()).hexdigest()
+    modes = [kwmaps.KwMode.sample(seed) for seed in range(16)]
+    serial = [plan.branch(mode).to_json() for mode in modes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda mode=mode: plan.branch(mode).to_json()) for mode in modes]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert hashlib.sha256(plan.prefix.amps.tobytes()).hexdigest() == digest

@@ -154,6 +154,46 @@ def test_operator_arity_capped():
         LocalOperator([0, 1, 2, 3], "perm", list(range(16)))
 
 
+def test_retarget_shares_the_checked_table_and_checks_only_targets():
+    op = LocalOperator(["a", "b"], "perm", [1, 2, 3, 0], name="P")
+    moved = op.retarget(["c", "d"])
+    assert moved.targets == ("c", "d") and moved.kind == "perm" and moved.name == "P"
+    assert moved.image is op.image
+    phase = LocalOperator(["a"], "diag", [1j, -1], name="Z")
+    assert phase.retarget(["z"]).diag is phase.diag
+    with pytest.raises(ValueError, match="duplicate target sites"):
+        op.retarget(["c", "c"])
+    with pytest.raises(ValueError, match="P: retargeting needs 2 targets, got 3"):
+        op.retarget(["c", "d", "e"])
+    with pytest.raises(ValueError, match="P: retargeting needs 2 targets, got 1"):
+        op.retarget(["c"])
+    with pytest.raises(ValueError, match="not a permutation"):
+        LocalOperator(["a", "b"], "perm", [1, 1, 3, 0])
+
+
+def test_dagger_of_a_permutation_skips_the_check(monkeypatch):
+    op = LocalOperator(["a", "b"], "perm", [2, 0, 3, 1], name="P")
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("dagger re-checked an inverse permutation")
+
+    monkeypatch.setattr(register.np, "sort", no_check)
+    inverse = op.dagger()
+    assert inverse.targets == op.targets and inverse.name == "P+"
+    assert np.array_equal(inverse.image[op.image], np.arange(4))
+
+
+def test_wall_gates_share_one_read_only_table_per_template():
+    cell = hexagon_torus()
+    gates = _wall_gates(CAT["Z3"], cell, lambda v: ("v", v), lambda e: ("e", e))
+    assert len(gates) == 2 * cell.n_edges
+    for e in range(1, cell.n_edges):
+        for k in range(2):
+            assert gates[2 * e + k].image is gates[k].image
+    assert not gates[0].image.flags.writeable
+    assert [op.targets for op in gates[:2]] == [(("v", 0), ("e", 0)), (("v", 1), ("e", 0))]
+
+
 def test_matrix_materialization_matches_kinds():
     image = np.array([1, 2, 0])
     op = LocalOperator(["a"], "perm", image)
