@@ -10,7 +10,7 @@ from typing import Dict
 from .cellulation import Cellulation, Tree
 from .groups import FiniteGroup
 
-__all__ = ["SyndromeSet", "CorrectionPlan", "charge_correction", "flux_correction", "plan_boundary"]
+__all__ = ["SyndromeSet", "CorrectionPlan", "charge_correction", "flux_correction"]
 
 
 @dataclass(frozen=True)
@@ -98,29 +98,3 @@ def flux_correction(s: SyndromeSet, cell: Cellulation, dual_tree: Tree) -> Corre
         raise ValueError("flux_correction needs a flux syndrome")
     exps = _transport(s.outcomes, dual_tree.path, s.group, flip_sign=False)
     return CorrectionPlan(basis="X", exponents=exps, group=s.group)
-
-
-def plan_boundary(plan: CorrectionPlan, cell: Cellulation) -> Dict[int, int]:
-    """Signed accumulation of plan exponents at each vertex (Z) or plaquette (X).
-
-    Z basis: an edge deposits its exponent at its head and the inverse at its
-    tail. X basis: deposits are weighted by the edge's walk signs, the
-    exponent at the positive-appearance plaquette and the inverse at the
-    negative one.
-    """
-    g = plan.group
-    out: Dict[int, int] = {}
-
-    def deposit(site: int, val: int) -> None:
-        out[site] = g.mul(out.get(site, 0), val)
-
-    for e, x in plan.exponents.items():
-        if plan.basis == "Z":
-            i_v, f_v = cell.edges[e]
-            deposit(f_v, x)
-            deposit(i_v, g.inverse(x))
-        else:
-            p_minus, p_plus = cell.plaquette_pair(e)
-            deposit(p_plus, x)
-            deposit(p_minus, g.inverse(x))
-    return {site: v for site, v in out.items() if v != 0}

@@ -2,8 +2,7 @@
 
 Covers group multiplication operators, controlled multiplications, the
 abelian CZ, character diagonals, loop diagonals, and the factor-system
-entanglers (sigma, omega, edge entanglers for a full group and for a normal
-subgroup inside a group).
+dressings (sigma and omega) with the split-label relabelings.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ __all__ = [
     "loop_z_tilde",
     "sigma_gate",
     "omega_gate",
-    "ug_edge_factor",
-    "u_ng_edge_factor",
     "parent_to_pair",
     "split_left_mult",
 ]
@@ -229,18 +226,6 @@ def omega_gate(fs: FactorSystem, qi_sid: Hashable, n_sid: Hashable, qf_sid: Hash
     return LocalOperator([qi_sid, n_sid, qf_sid], "perm", image, name="Omega")
 
 
-def ug_edge_factor(group: FiniteGroup, i_sid: Hashable, e_sid: Hashable, f_sid: Hashable) -> LocalOperator:
-    """Edge entangler |g_i, g_e, g_f> = |g_i, g_i^-1 g_e g_f, g_f>."""
-    d = group.order
-    image = np.zeros(d * d * d, dtype=np.int64)
-    for gi in range(d):
-        for ge in range(d):
-            new = group.mult[group.inv[gi], ge]
-            for gf in range(d):
-                image[(gi * d + ge) * d + gf] = (gi * d + group.mul(new, gf)) * d + gf
-    return LocalOperator([i_sid, e_sid, f_sid], "perm", image, name="U^G[e]")
-
-
 def parent_to_pair(fs: FactorSystem) -> np.ndarray:
     """Relabeling g -> tpart(g)*|Q| + proj(g) from parent labels to split pairs."""
     return fs.tpart * fs.q_group.order + fs.proj
@@ -254,25 +239,3 @@ def split_left_mult(fs: FactorSystem, g: int, n_sid: Hashable, q_sid: Hashable) 
     n2 = n_grp.mult[n_grp.mult[ng, fs.sigma[qg, n]], fs.omega[qg, q]]
     image = n2 * q_grp.order + q_grp.mult[qg, q]
     return LocalOperator([n_sid, q_sid], "perm", image, name=f"Lsplit^{g}")
-
-
-def u_ng_edge_factor(fs: FactorSystem, i_sid: Hashable, e_sid: Hashable, f_sid: Hashable) -> LocalOperator:
-    """Edge entangler for N inside G, vertices in split-pair labels n*|Q|+q.
-
-    |g_i, n_e, g_f> = |g_i, t(g_i^-1 iota(n_e) g_f), g_f> with t the
-    transversal part of the parent group.
-    """
-    parent = fs.parent
-    dq, dn, dg = fs.q_group.order, fs.n_group.order, parent.order
-    pair = parent_to_pair(fs)
-    to_parent = np.argsort(pair)
-    image = np.zeros(dg * dn * dg, dtype=np.int64)
-    for pi in range(dg):
-        gi = to_parent[pi]
-        for ne in range(dn):
-            left = parent.mul(parent.inv[gi], fs.embed[ne])
-            for pf in range(dg):
-                gf = to_parent[pf]
-                ne2 = fs.tpart[parent.mul(left, gf)]
-                image[(pi * dn + ne) * dg + pf] = (pi * dn + ne2) * dg + pf
-    return LocalOperator([i_sid, e_sid, f_sid], "perm", image, name="U^NG[e]")

@@ -8,12 +8,6 @@ probability and the fidelity against the enumeration oracle when requested.
 Everything before a run's first measurement layer is a finite-depth unitary
 on a fixed input, so a run plan builds it once, with the oracle and every
 round's gate list, and each seed branches from it.
-
-Syndrome bookkeeping helpers read dual labels back off a register: the
-charge label at a vertex is the character row traced out by the vertex
-actions, the flux label at a plaquette is the inverse of the concentrated
-boundary-walk product. On any protocol branch before feedforward these
-equal the measurement outcomes exactly.
 """
 
 from __future__ import annotations
@@ -22,37 +16,32 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .cellulation import Cellulation, dual_spanning_tree, spanning_tree
 from .feedforward import CorrectionPlan, SyndromeSet, charge_correction, flux_correction
 from .gates import (
-    _walk_product,
     controlled_left,
     controlled_right,
     cz_abelian,
     left_mult,
     omega_gate,
     parent_to_pair,
-    right_mult,
     z_dual,
 )
 from .groups import (
     FactorSystem,
     FiniteGroup,
-    character_table,
     derived_series,
     factor_system_of,
     is_nil2_extension,
 )
 from .kwmaps import KwMode, KwRound, _measure_sites, kw_abelian, kw_exact_g, kw_n_in_g
 from .register import (
-    DiagonalOperator,
     QuditRegister,
     SiteSpec,
-    StabilizerOperator,
     _edge_site,
     _identity_state,
     _vertex_site,
@@ -69,11 +58,7 @@ __all__ = [
     "prepare_metabelian_double",
     "prepare_solvable_double",
     "gauge_input_state",
-    "charge_syndromes",
-    "flux_syndromes",
 ]
-
-SYNDROME_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -598,65 +583,3 @@ def plan_run(
     rounds = tuple(KwRound(sub, cell, *sites) for sub, *sites in _stages(group, chain))
     rounds[0].entangle(prefix)
     return RunPlan(name, group, cell, chain, rounds, prefix, oracle)
-
-
-# ---------------------------------------------------------------------------
-# syndrome bookkeeping
-
-
-def charge_syndromes(
-    reg: QuditRegister,
-    a_group: FiniteGroup,
-    cell: Cellulation,
-    edge_of: Callable[[int], Hashable] = _edge_site,
-) -> Dict[int, int]:
-    """Dual label at each vertex from the vertex-action eigenvalue pattern.
-
-    Rejects states without a definite label; on a protocol branch before
-    charge feedforward the labels equal the measurement outcomes.
-    """
-    chi = character_table(a_group)
-    out: Dict[int, int] = {}
-    for v in range(cell.n_vertices):
-        vals = []
-        for g in a_group.elements():
-            factors = {}
-            for e, sign in cell.edges_at_vertex(v):
-                sid = edge_of(e)
-                op = left_mult(a_group, g, sid) if sign == 1 else right_mult(a_group, g, sid)
-                factors[sid] = op
-            vals.append(reg.expectation(StabilizerOperator([(1.0, factors)], name=f"A^{g}[{v}]")))
-        vals = np.array(vals)
-        matches = [c for c in a_group.elements() if np.abs(vals - chi[c]).max() < SYNDROME_TOL]
-        if len(matches) != 1:
-            raise ValueError(f"vertex {v} carries no definite charge label")
-        out[v] = matches[0]
-    return out
-
-
-def flux_syndromes(
-    reg: QuditRegister,
-    a_group: FiniteGroup,
-    cell: Cellulation,
-    edge_of: Callable[[int], Hashable] = _edge_site,
-) -> Dict[int, int]:
-    """Dual label at each plaquette: inverse of the concentrated walk product.
-
-    Rejects smeared flux; on a protocol branch before flux feedforward the
-    labels equal the measurement outcomes.
-    """
-    out: Dict[int, int] = {}
-    for p in range(cell.n_plaquettes):
-        edges, acc = _walk_product(a_group, cell.plaquettes[p])
-        hit = None
-        for n in a_group.elements():
-            val = reg.expectation(
-                DiagonalOperator([edge_of(e) for e in edges], (acc == n).astype(np.complex128))
-            )
-            if abs(val - 1) < SYNDROME_TOL:
-                hit = n
-                break
-        if hit is None:
-            raise ValueError(f"plaquette {p} carries no definite flux label")
-        out[p] = a_group.inverse(hit)
-    return out

@@ -29,7 +29,6 @@ __all__ = [
     "StabilizerOperator",
     "QuditRegister",
     "init_plus",
-    "init_identity",
     "init_product",
     "layout_shift",
 ]
@@ -106,14 +105,6 @@ class LocalOperator:
         m[self.image, np.arange(d)] = 1
         return m
 
-    def transform(self, block: np.ndarray) -> np.ndarray:
-        """Apply to an array of shape (joint_dim, rest)."""
-        if self.kind == "diag":
-            return block * self.diag[:, None]
-        out = np.empty_like(block)
-        out[self.image] = block
-        return out
-
     def dagger(self) -> "LocalOperator":
         # the argsort of a permutation is one, the conjugate of a unimodular diagonal is one
         if self.kind == "diag":
@@ -136,9 +127,6 @@ class DiagonalOperator:
         self.targets = tuple(targets)
         self.diag = np.asarray(diag, dtype=np.complex128)
         self.name = name
-
-    def transform(self, block: np.ndarray) -> np.ndarray:
-        return block * self.diag[:, None]
 
 
 class StabilizerOperator:
@@ -348,17 +336,12 @@ class QuditRegister:
 
     # --- gates ---------------------------------------------------------------
 
-    def _gather(self, targets: Sequence[Hashable]) -> Tuple[np.ndarray, Tuple[int, ...], Tuple[int, ...]]:
-        axes = tuple(self.pos(t) for t in targets)
-        moved = np.moveaxis(self.amps, axes, range(len(axes)))
-        shape = moved.shape
-        block = moved.reshape(int(np.prod(shape[: len(axes)], dtype=np.int64)), -1)
-        return block, axes, shape
-
-    @staticmethod
-    def _scatter(block: np.ndarray, axes: Tuple[int, ...], shape: Tuple[int, ...]) -> np.ndarray:
-        """Inverse of _gather's layout change, as a view of block."""
-        return np.moveaxis(block.reshape(shape), range(len(axes)), axes)
+    def _gather(self, sid: Hashable) -> Tuple[np.ndarray, int, Tuple[int, ...]]:
+        """The site's axis moved to the front: the (dim, rest) block, the
+        site's axis and the moved shape."""
+        pos = self.pos(sid)
+        moved = np.moveaxis(self.amps, pos, 0)
+        return moved.reshape(moved.shape[0], -1), pos, moved.shape
 
     def gather_shift(self, targets: Sequence[Hashable], sources) -> np.ndarray:
         """Flat-index shift that reads each joint label x of targets from the
@@ -404,12 +387,17 @@ class QuditRegister:
         """The amplitudes after op, as a new array; the register is left as it was."""
         if isinstance(op, StabilizerOperator):
             return self._averaged(op)
-        block, axes, shape = self._gather(op.targets)
-        expected = int(np.prod([self.sites[a].dim for a in axes], dtype=np.int64))
-        joint = op.diag.shape[0] if isinstance(op, DiagonalOperator) else op.joint_dim
-        if joint != expected:
-            raise ValueError(f"{op.name}: operator dimension {joint} mismatches targets {expected}")
-        return self._scatter(op.transform(block), axes, shape)
+        axes = [self.pos(t) for t in op.targets]
+        sub = [self.sites[a].dim for a in axes]
+        perm = isinstance(op, LocalOperator) and op.kind == "perm"
+        joint = len(op.image if perm else op.diag)
+        if joint != math.prod(sub):
+            raise ValueError(f"{op.name}: operator dimension {joint} mismatches targets {math.prod(sub)}")
+        if perm:
+            return self.permuted([(op.targets, layout_shift(self.layout, op.targets, np.argsort(op.image)))])
+        # the table in register axis order, broadcast over the other sites
+        table = op.diag.reshape(sub).transpose(np.argsort(axes))
+        return self.amps * table.reshape([d if k in axes else 1 for k, d in enumerate(self.dims)])
 
     def apply(self, op) -> "QuditRegister":
         self.amps = self._applied(op)
@@ -438,9 +426,10 @@ class QuditRegister:
                 raise ValueError(f"forced outcome {outcome} out of range for {sid!r}")
         elif rng is None:
             raise ValueError("measurement needs an rng or a forced outcome")
-        block, axes, shape = self._gather([sid])
+        block, pos, shape = self._gather(sid)
         block = fourier @ block
-        self.amps = self._scatter(block, axes, shape)
+        # the rotated state replaces the pre-rotation array now, which frees it
+        self.amps = np.moveaxis(block.reshape(shape), 0, pos)
         probs = np.einsum("ij,ij->i", block, np.conj(block)).real
         total = probs.sum()
         if abs(total - 1.0) > 1e-6:
@@ -453,7 +442,6 @@ class QuditRegister:
                 f"(distribution {np.round(probs, 6).tolist()})"
             )
         branch = block[outcome] / np.sqrt(probs[outcome])
-        pos = axes[0]
         # gather moved the measured axis to the front and kept the rest in
         # original relative order, so dropping the front axis is the collapse
         self.amps = branch.reshape(shape[1:])
@@ -469,13 +457,13 @@ class QuditRegister:
         abelian site it equals measure_fourier with forced outcome 0.
         """
         spec_ = self.spec(sid)
-        block, axes, shape = self._gather([sid])
+        block, pos, shape = self._gather(sid)
         branch = block.sum(axis=0) / np.sqrt(spec_.dim)
         prob = float(np.vdot(branch, branch).real)
         if prob < 1e-14:
             raise ValueError(f"plus-projection on {sid!r} has zero weight")
         self.amps = (branch / np.sqrt(prob)).reshape(shape[1:])
-        self.sites.pop(axes[0])
+        self.sites.pop(pos)
         self.retired[sid] = _Retired(outcome=0, probability=prob)
         self._reindex()
         return prob
@@ -571,8 +559,3 @@ def init_product(specs: Sequence[SiteSpec], state_fn: Callable[[SiteSpec], np.nd
 def init_plus(specs: Sequence[SiteSpec]) -> QuditRegister:
     """Product of uniform-superposition sites, norm 1."""
     return init_product(specs, _plus_state)
-
-
-def init_identity(specs: Sequence[SiteSpec]) -> QuditRegister:
-    """Product of identity-element basis states."""
-    return init_product(specs, _identity_state)

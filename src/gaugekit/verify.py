@@ -1,9 +1,6 @@
-"""Independent oracles and certification for prepared quantum doubles.
+"""Certification for prepared quantum doubles.
 
-oracle_double_state enumerates the reference wavefunction straight from the
-multiplication table, touching neither the gate constructors nor the gauging
-maps, so any disagreement with a protocol output is attributable. The
-stabilizer builders expose the commuting vertex and plaquette projectors,
+The stabilizer builders expose the commuting vertex and plaquette projectors,
 ground_state_degeneracy counts their joint rank and is cross-checked by an
 independent commuting-pair orbit count, and check_identity materializes both
 sides of every operator identity the gauging maps rely on and reports the
@@ -59,9 +56,7 @@ from .register import (
 )
 
 __all__ = [
-    "ORACLE_BUDGET",
     "StabilizerReport",
-    "oracle_double_state",
     "vertex_action",
     "vertex_stabilizer",
     "plaquette_stabilizer",
@@ -73,8 +68,6 @@ __all__ = [
     "identity_suite",
 ]
 
-# enumeration terms for the reference state
-ORACLE_BUDGET = 1_000_000
 # edge-space dimension for the dense degeneracy projector
 GSD_DIM_BUDGET = 2048
 # amplitudes for the register-level identity checks
@@ -94,34 +87,7 @@ def _real(value: complex, what: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reference state and stabilizers
-
-
-def oracle_double_state(
-    g_group: FiniteGroup,
-    cell: Cellulation,
-    edge_of: Callable[[int], Hashable] = _edge_site,
-) -> QuditRegister:
-    """Reference double state: equal-weight domain walls of every vertex assignment.
-
-    Plain enumeration with multiplication-table lookups only; independent of
-    the gate and gauging modules by construction.
-    """
-    d, n_v, n_e = g_group.order, cell.n_vertices, cell.n_edges
-    terms = d**n_v
-    if terms > ORACLE_BUDGET or d**n_e > ORACLE_BUDGET:
-        raise ValueError(
-            f"enumeration needs {terms} terms on a {d}^{n_e} edge space, over the budget {ORACLE_BUDGET}"
-        )
-    amps = np.zeros((d,) * n_e, dtype=np.complex128)
-    for assign in itertools.product(range(d), repeat=n_v):
-        walls = tuple(
-            g_group.mul(g_group.inverse(assign[i_v]), assign[f_v]) for i_v, f_v in cell.edges
-        )
-        amps[walls] += 1.0
-    amps /= np.linalg.norm(amps)
-    specs = [SiteSpec(edge_of(e), "edge", g_group) for e in range(n_e)]
-    return QuditRegister(specs, amps)
+# stabilizers
 
 
 def vertex_action(

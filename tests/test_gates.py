@@ -16,8 +16,6 @@ from gaugekit.gates import (
     right_mult,
     sigma_gate,
     split_left_mult,
-    u_ng_edge_factor,
-    ug_edge_factor,
     z_dual,
     z_tilde,
 )
@@ -31,7 +29,8 @@ from gaugekit.groups import (
     irrep_table,
     subgroup_from_members,
 )
-from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _fourier_matrix, init_identity, init_plus
+from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _fourier_matrix, init_plus
+from reference import init_identity, u_ng_edge_factor, ug_edge_factor
 
 TOL = 1e-12
 

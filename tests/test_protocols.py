@@ -23,8 +23,6 @@ from gaugekit.protocols import (
     ProtocolRound,
     ProtocolTranscript,
     _solvable_chain,
-    charge_syndromes,
-    flux_syndromes,
     gauge_input_state,
     prepare_abelian_double,
     prepare_metabelian_double,
@@ -32,6 +30,7 @@ from gaugekit.protocols import (
     prepare_solvable_double,
 )
 from gaugekit.register import SiteSpec, init_plus
+from reference import charge_syndromes, flux_syndromes
 
 CAT = catalog()
 

@@ -1,6 +1,7 @@
 """State-vector register: initialization, gates, measurement, relabelings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ from gaugekit.register import (
     QuditRegister,
     SiteSpec,
     StabilizerOperator,
-    init_identity,
     init_plus,
     init_product,
 )
+from reference import init_identity
 
 GATE_TOL = 1e-12
 STATE_TOL = 1e-10
@@ -408,6 +409,37 @@ def test_duplicate_site_ids_rejected():
         QuditRegister([SiteSpec("a", "edge", z2), SiteSpec("a", "edge", z2)], np.zeros((2, 2)))
 
 
+# measured on a 3^10 register: 1.0, 1.1 and 2.0 register sizes; a second
+# register-sized copy in the measurement or the diagonal exceeds its bound
+PHASES = LocalOperator([7, 2], "diag", np.exp(2j * np.pi * np.arange(9) / 9), name="D")
+SHUFFLE = LocalOperator([8, 1, 5], "perm", (np.arange(27) * 5 + 1) % 27, name="P")
+TRANSIENT_BOUNDS = [
+    ("measure_fourier on the front site", lambda reg: reg.measure_fourier(0, forced=0), 1.5),
+    ("two-site diagonal", lambda reg: reg.apply(PHASES), 1.5),
+    ("three-site permutation", lambda reg: reg.apply(SHUFFLE), 2.5),
+]
+
+
+@pytest.mark.parametrize("label, call, bound", TRANSIENT_BOUNDS, ids=[case[0] for case in TRANSIENT_BOUNDS])
+def test_register_calls_stay_within_their_transient_memory(label, call, bound):
+    tracemalloc.start()
+    try:
+        rng = np.random.default_rng(17)
+        dims = (3,) * 10
+        sites = [SiteSpec(k, "edge", build_cyclic(3)) for k in range(10)]
+        reg = QuditRegister(sites, rng.normal(size=dims) + 1j * rng.normal(size=dims))
+        reg.amps /= np.linalg.norm(reg.amps)
+        size = reg.amps.nbytes
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call(reg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(reg.norm() - 1) < STATE_TOL
+    assert peak - before <= bound * size, f"{label}: transient {(peak - before) / size:.2f} register sizes"
+
+
 # --- gated allocation -------------------------------------------------------------
 
 CAT = catalog()
@@ -518,17 +550,32 @@ def test_gated_allocation_rejects_what_one_scatter_cannot_write(monkeypatch):
     assert reg.dims == (3, 3) and len(reg.sites) == 2
 
 
-# --- flat permutation gathers, cross-checked against gate-by-gate application
+# --- gates and flat permutation gathers, cross-checked against the moveaxis path
+
+
+def _reference_applied(reg, amps, op):
+    """The slow path: move the op's target axes of amps, laid out as reg's live
+    sites, to the front, act on the (joint label, rest) block, move them back."""
+    axes = tuple(reg.pos(t) for t in op.targets)
+    moved = np.moveaxis(amps, axes, range(len(axes)))
+    block = moved.reshape(math.prod(moved.shape[: len(axes)]), -1)
+    if isinstance(op, LocalOperator) and op.kind == "perm":
+        out = np.empty_like(block)
+        out[op.image] = block
+    else:
+        out = block * op.diag[:, None]
+    return np.moveaxis(out.reshape(moved.shape), range(len(axes)), axes)
 
 
 def _reference_average(reg, terms):
-    """The slow path: copy the register, apply each factor, accumulate."""
+    """The weighted sum of the terms' gate sequences, each gate applied by the
+    slow path."""
     acc = np.zeros_like(reg.amps)
     for weight, gates in terms:
-        work = reg.copy()
+        amps = reg.amps
         for op in gates:
-            work.apply(op)
-        acc += weight * work.amps
+            amps = _reference_applied(reg, amps, op)
+        acc += weight * amps
     return acc
 
 
@@ -545,14 +592,21 @@ def _disjoint_gates(draw, dims):
     return gates
 
 
-@st.composite
-def gathered_terms(draw):
-    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+def _random_register(draw, min_sites, max_sites):
+    """Random amplitudes on 2- to 4-dimensional sites ("s", k), and the rng
+    that drew them."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=min_sites, max_size=max_sites))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sites = [SiteSpec(("s", k), "edge", build_cyclic(d)) for k, d in enumerate(dims)]
     # first site stored fastest: a register whose amplitudes are not C-contiguous
     raw = rng.normal(size=tuple(dims[1:]) + (dims[0],)) + 1j * rng.normal(size=tuple(dims[1:]) + (dims[0],))
-    reg = QuditRegister(sites, np.moveaxis(raw, -1, 0))
+    return QuditRegister(sites, np.moveaxis(raw, -1, 0)), rng
+
+
+@st.composite
+def gathered_terms(draw):
+    reg, _ = _random_register(draw, 2, 4)
+    dims = reg.dims
     weight = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
     terms = [(complex(draw(weight)), _disjoint_gates(draw, dims)) for _ in range(draw(st.integers(1, 3)))]
     return reg, terms
@@ -572,6 +626,41 @@ def test_flat_gathers_match_gate_by_gate_application_bitwise(case):
     assert reg.expectation(op) == complex(np.vdot(reg.amps, ref))
     assert np.array_equal(reg.amps, before)
     assert np.array_equal(reg.copy().apply(op).amps, ref)
+
+
+@st.composite
+def register_gates(draw):
+    """A random register and a few gates on it: 1-3-site permutations and
+    phase diagonals, and diagonal operators on up to 4 sites, each on sites
+    drawn in any register order."""
+    reg, rng = _random_register(draw, 4, 5)
+    dims = reg.dims
+    gates = []
+    for k in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["perm", "diag", "any-arity diagonal"]))
+        arity = draw(st.integers(1, 4 if kind == "any-arity diagonal" else 3))
+        sites = draw(st.permutations(range(len(dims))))[:arity]
+        targets = [("s", s) for s in sites]
+        joint = math.prod(dims[s] for s in sites)
+        if kind == "perm":
+            gates.append(LocalOperator(targets, "perm", draw(st.permutations(range(joint))), name=f"P{k}"))
+        elif kind == "diag":
+            gates.append(LocalOperator(targets, "diag", np.exp(2j * np.pi * rng.random(joint)), name=f"D{k}"))
+        else:
+            gates.append(DiagonalOperator(targets, rng.normal(size=joint) + 1j * rng.normal(size=joint), name=f"T{k}"))
+    return reg, gates
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(register_gates())
+def test_gates_match_the_moveaxis_reference_bitwise(case):
+    reg, gates = case
+    assert not reg.amps.flags.c_contiguous
+    for op in gates:
+        ref = _reference_applied(reg, reg.amps, op)
+        assert reg.expectation(op) == complex(np.vdot(reg.amps, ref))
+        reg.apply(op)
+        assert np.array_equal(reg.amps, ref), op.name
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
 """Certification layer: oracle state, stabilizers, degeneracy, identity suite."""
 
 import json
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -33,11 +34,12 @@ from gaugekit.verify import (
     ground_state_degeneracy,
     identity_names,
     identity_suite,
-    oracle_double_state,
     plaquette_stabilizer,
     stabilizer_report,
     vertex_stabilizer,
 )
+import reference
+from reference import oracle_double_state
 
 CAT = catalog()
 
@@ -92,6 +94,16 @@ def test_oracle_square_torus_z2():
 def test_oracle_budget_rejection():
     with pytest.raises(ValueError, match="budget"):
         oracle_double_state(CAT["A5"], square_torus(2, 2))
+
+
+def test_oracle_reads_no_gate_or_gauging_code():
+    """Its globals and defaults come from numpy, itertools and the register;
+    groups and cellulation enter as annotations only."""
+    names = vars(reference)
+    used = [names[n] for n in oracle_double_state.__code__.co_names if n in names]
+    used += list(oracle_double_state.__defaults__)
+    homes = {obj.__name__ if isinstance(obj, ModuleType) else obj.__module__ for obj in used if not isinstance(obj, int)}
+    assert homes == {"itertools", "numpy", "gaugekit.register"}
 
 
 # --- stabilizers --------------------------------------------------------------
