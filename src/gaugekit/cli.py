@@ -123,7 +123,7 @@ def parse_factor_system_spec(spec: str) -> FactorSystem:
     except KeyError:
         pass
     if spec.endswith(".json") or os.path.sep in spec:
-        doc = _read_document(spec)
+        doc = _read_object(spec, "extension")
         ext = doc.get("extension")
         if ext is None:
             raise ValueError(f"extension document {spec!r} needs an 'extension' entry")
@@ -151,7 +151,7 @@ def parse_cell_spec(spec: str) -> Cellulation:
             raise ValueError(f"square cell spec needs LxL, got {body!r}") from None
         return square_torus(lx, ly)
     if spec.endswith(".json") or os.path.sep in spec:
-        return cellulation_from_json(_read_document(spec))
+        return cellulation_from_json(_read_object(spec, "cellulation"))
     raise ValueError(f"unknown cellulation spec {spec!r}")
 
 
@@ -161,14 +161,22 @@ def parse_mode_spec(spec: str) -> KwMode:
     if spec.startswith("sample:"):
         return KwMode.sample(int(spec.split(":", 1)[1]))
     if spec.startswith("forced:"):
-        doc = _read_document(spec.split(":", 1)[1])
+        doc = _read_object(spec.split(":", 1)[1], "forced-outcome")
         return KwMode.forced({int(k): int(v) for k, v in doc.items()})
     raise ValueError(f"unknown mode spec {spec!r} (postselect | sample:<seed> | forced:<file>)")
 
 
-def _read_document(path: str) -> Dict[str, object]:
+def _read_document(path: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_object(path: str, what: str) -> Dict[str, object]:
+    """A JSON document that must be an object; group documents may also be lists."""
+    doc = _read_document(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document {path!r} must be a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------------------

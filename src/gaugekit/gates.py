@@ -7,7 +7,7 @@ dressings (sigma and omega) with the split-label relabelings.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Sequence, Tuple
 
 import numpy as np
 

@@ -877,7 +877,9 @@ def load_catalog(document) -> Dict[str, FiniteGroup]:
             document = json.load(fh)
     elif isinstance(document, str):
         document = json.loads(document)
-    entries = document if isinstance(document, list) else document.get("groups", [])
+    entries = document.get("groups", []) if isinstance(document, dict) else document
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise ValueError("a group catalog is a list of group objects, or an object holding one under 'groups'")
     out: Dict[str, FiniteGroup] = {}
     for entry in entries:
         name = entry["name"]

@@ -259,10 +259,10 @@ class KwRound:
             applied = CorrectionPlan(basis="Z", exponents={}, group=grp)
         else:
             applied = charge_correction(SyndromeSet("charge", outcomes, grp), cell, spanning_tree(cell)).inverse()
-        for e, t in sorted(applied.exponents.items()):
-            if self.fs is None:
-                reg.apply(z_dual(grp, t, self.edge_of(e)))
-            else:
+        if self.fs is None:
+            _apply_corrections(reg, applied, self.edge_of)
+        else:
+            for e, t in sorted(applied.exponents.items()):
                 reg.apply(z_tilde(self.fs, t, e, cell, self.q_of, self.edge_of))
         return KwResult(register=reg, outcomes=outcomes, corrections=applied, probability=prob)
 
@@ -270,6 +270,10 @@ class KwRound:
 def _measure_sites(
     reg: QuditRegister, mode: KwMode, site_pairs: List[Tuple[int, Hashable]]
 ) -> Tuple[Dict[int, int], float]:
+    if mode.kind == "forced":
+        unknown = sorted(set(mode.outcomes) - {idx for idx, _ in site_pairs})
+        if unknown:
+            raise ValueError(f"forced outcome keys {unknown} name no site this measurement layer reads")
     rng = mode.generator()
     outcomes: Dict[int, int] = {}
     prob = 1.0
@@ -282,6 +286,28 @@ def _measure_sites(
             outcomes[idx] = reg.measure_fourier(sid, rng=rng, forced=forced)
             prob *= reg.retired[sid].probability
     return outcomes, prob
+
+
+def _couple_plaquettes(
+    reg: QuditRegister, cell: Cellulation, a_group: FiniteGroup,
+    plaquette_of: Callable[[int], Hashable], edge_of: Callable[[int], Hashable]
+) -> None:
+    """The plaquette-route entangler: couple each edge to its two plaquettes
+    with opposite character phases, in place."""
+    for e in range(cell.n_edges):
+        p_minus, p_plus = cell.plaquette_pair(e)
+        if p_minus == p_plus:
+            continue  # both couplings hit the same plaquette and cancel
+        reg.apply(cz_abelian(a_group, plaquette_of(p_plus), edge_of(e)))
+        reg.apply(cz_abelian(a_group, plaquette_of(p_minus), edge_of(e)).dagger())
+
+
+def _apply_corrections(reg: QuditRegister, plan: CorrectionPlan, edge_of: Callable[[int], Hashable]) -> None:
+    """One feedforward layer of an abelian correction plan on its direct
+    edges, in place: character diagonals for basis Z, group shifts for X."""
+    gate = {"Z": z_dual, "X": left_mult}[plan.basis]
+    for e, x in sorted(plan.exponents.items()):
+        reg.apply(gate(plan.group, x, edge_of(e)))
 
 
 def kw_abelian(
@@ -330,17 +356,11 @@ def kw_hat_abelian(
     reg.add_sites(
         [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)], _plus_state
     )
-    for e in range(cell.n_edges):
-        p_minus, p_plus = cell.plaquette_pair(e)
-        if p_minus == p_plus:
-            continue  # both couplings hit the same plaquette and cancel
-        reg.apply(cz_abelian(a_group, plaquette_of(p_plus), edge_of(e)))
-        reg.apply(cz_abelian(a_group, plaquette_of(p_minus), edge_of(e)).dagger())
+    _couple_plaquettes(reg, cell, a_group, plaquette_of, edge_of)
     outcomes, prob = _measure_sites(reg, mode, [(p, plaquette_of(p)) for p in range(n_p)])
     syndrome = SyndromeSet("flux", outcomes, a_group)
     applied = flux_correction(syndrome, cell, dual_spanning_tree(cell))
-    for e, x in sorted(applied.exponents.items()):
-        reg.apply(left_mult(a_group, x, edge_of(e)))
+    _apply_corrections(reg, applied, edge_of)
     return KwResult(register=reg, outcomes=outcomes, corrections=applied, probability=prob)
 
 

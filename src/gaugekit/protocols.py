@@ -22,15 +22,7 @@ import numpy as np
 
 from .cellulation import Cellulation, dual_spanning_tree, spanning_tree
 from .feedforward import CorrectionPlan, SyndromeSet, charge_correction, flux_correction
-from .gates import (
-    controlled_left,
-    controlled_right,
-    cz_abelian,
-    left_mult,
-    omega_gate,
-    parent_to_pair,
-    z_dual,
-)
+from .gates import controlled_left, controlled_right, omega_gate, parent_to_pair
 from .groups import (
     FactorSystem,
     FiniteGroup,
@@ -38,7 +30,10 @@ from .groups import (
     factor_system_of,
     is_nil2_extension,
 )
-from .kwmaps import KwMode, KwRound, _measure_sites, kw_abelian, kw_exact_g, kw_n_in_g
+from .kwmaps import (
+    KwMode, KwRound, _apply_corrections, _couple_plaquettes, _measure_sites, _plaquette_site,
+    kw_abelian, kw_exact_g, kw_n_in_g,
+)
 from .register import (
     QuditRegister,
     SiteSpec,
@@ -362,29 +357,26 @@ def _nil2_start(fs: FactorSystem, cell: Cellulation) -> QuditRegister:
 
 def _nil2_circuit(fs: FactorSystem, cell: Cellulation) -> QuditRegister:
     """The three coupling layers of the one-shot central-extension double,
-    before any measurement: quotient vertices, plaquettes, split edges."""
+    before any measurement: the plaquette-route couplings of the subgroup
+    onto its edges, the cocycle dressing, then the quotient edges, allocated
+    with the vertex-route walls of the quotient written in the same pass."""
     n_grp, q_grp = fs.n_group, fs.q_group
     reg = init_plus(
         [SiteSpec(_vertex_site(v), "vertex", q_grp) for v in range(cell.n_vertices)]
-        + [SiteSpec(("p", p), "plaquette", n_grp) for p in range(cell.n_plaquettes)]
+        + [SiteSpec(_plaquette_site(p), "plaquette", n_grp) for p in range(cell.n_plaquettes)]
     )
     # d**-0.5, not 1/sqrt(d) as in init_plus: the two round apart at d = 2, 3, 6, 8, 12, 24
     reg.add_sites(
         [SiteSpec(("e", e, "n"), "edge", n_grp) for e in range(cell.n_edges)],
         lambda spec: np.full(spec.dim, spec.dim**-0.5, dtype=np.complex128),
     )
-    reg.add_sites([SiteSpec(("e", e, "q"), "edge", q_grp) for e in range(cell.n_edges)], _identity_state)
-    for e in range(cell.n_edges):
-        p_minus, p_plus = cell.plaquette_pair(e)
-        if p_minus == p_plus:
-            continue
-        reg.apply(cz_abelian(n_grp, ("p", p_plus), ("e", e, "n")))
-        reg.apply(cz_abelian(n_grp, ("p", p_minus), ("e", e, "n")).dagger())
+    _couple_plaquettes(reg, cell, n_grp, _plaquette_site, lambda e: ("e", e, "n"))
+    walls = []  # the list kwmaps._wall_gates builds for q_grp on these vertices and quotient edges
     for e, (i_v, f_v) in enumerate(cell.edges):
         reg.apply(omega_gate(fs, ("v", i_v), ("e", e, "n"), ("v", f_v)))
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        reg.apply(controlled_left(q_grp, ("v", i_v), ("e", e, "q")).dagger())
-        reg.apply(controlled_right(q_grp, ("v", f_v), ("e", e, "q")).dagger())
+        walls.append(controlled_left(q_grp, ("v", i_v), ("e", e, "q")).dagger())
+        walls.append(controlled_right(q_grp, ("v", f_v), ("e", e, "q")).dagger())
+    reg.add_sites([SiteSpec(("e", e, "q"), "edge", q_grp) for e in range(cell.n_edges)], _identity_state, walls)
     return reg
 
 
@@ -404,10 +396,8 @@ def _nil2_tail(
     ).inverse()
     flux_plan = flux_correction(SyndromeSet("flux", p_outs, n_grp), cell, dual_spanning_tree(cell))
     if feedforward:
-        for e, t in sorted(charge_plan.exponents.items()):
-            reg.apply(z_dual(q_grp, t, ("e", e, "q")))
-        for e, x in sorted(flux_plan.exponents.items()):
-            reg.apply(left_mult(n_grp, x, ("e", e, "n")))
+        _apply_corrections(reg, charge_plan, lambda e: ("e", e, "q"))
+        _apply_corrections(reg, flux_plan, lambda e: ("e", e, "n"))
         image = np.argsort(parent_to_pair(fs))
         for e in range(cell.n_edges):
             reg.merge_sites(("e", e, "n"), ("e", e, "q"), SiteSpec(_edge_site(e), "edge", fs.parent))
@@ -537,18 +527,14 @@ class RunPlan:
     entangler, for nil2 the whole coupling circuit. Its amplitudes are made
     read-only. No register method writes into an amplitude array, so every
     seed branches from the same array without a copy.
-    rounds holds one KwRound per stage (empty for nil2), each with its gate
-    list; oracle is the enumerated reference state, or None.
+    oracle is the enumerated reference state, or None. finish runs one
+    seed's measurements and feedforward on a branch of the prefix, through
+    the vertex-route rounds or the nil2 tail, and returns the transcript.
     """
 
-    protocol: str
-    group: FiniteGroup
-    cell: Cellulation
-    chain: Tuple[FactorSystem, ...]
-    rounds: Tuple[KwRound, ...]
     prefix: QuditRegister
     oracle: Optional[QuditRegister]
-    nil2: Optional[FactorSystem] = None
+    finish: Callable[[QuditRegister, KwMode], ProtocolTranscript]
 
     def __post_init__(self):
         for reg in (self.prefix, self.oracle):
@@ -557,12 +543,7 @@ class RunPlan:
 
     def branch(self, mode: KwMode) -> ProtocolTranscript:
         """One seed's run: measurement and feedforward from the shared prefix on."""
-        reg = QuditRegister(self.prefix.sites, self.prefix.amps)
-        if self.nil2 is not None:
-            transcript = _nil2_tail(reg, self.nil2, self.cell, mode, feedforward=True)
-        else:
-            transcript = _gauge_rounds(reg, self.group, self.chain, self.cell, mode, self.protocol, self.rounds)
-        return _scored(transcript, self.oracle)
+        return _scored(self.finish(QuditRegister(self.prefix.sites, self.prefix.amps), mode), self.oracle)
 
 
 def plan_run(
@@ -575,11 +556,11 @@ def plan_run(
     if protocol == "nil2":
         prefix = _nil2_start(subject, cell)
         oracle = _oracle(subject.parent, cell) if with_oracle else None
-        return RunPlan("nil2_double", subject.parent, cell, (), (), prefix, oracle, nil2=subject)
+        return RunPlan(prefix, oracle, lambda reg, mode: _nil2_tail(reg, subject, cell, mode, feedforward=True))
     if protocol not in _VERTEX_ROUTE:
         raise ValueError(f"unknown protocol {protocol!r}")
     name, start = _VERTEX_ROUTE[protocol]
     prefix, group, chain, oracle = start(subject, cell, with_oracle)
     rounds = tuple(KwRound(sub, cell, *sites) for sub, *sites in _stages(group, chain))
     rounds[0].entangle(prefix)
-    return RunPlan(name, group, cell, chain, rounds, prefix, oracle)
+    return RunPlan(prefix, oracle, lambda reg, mode: _gauge_rounds(reg, group, chain, cell, mode, name, rounds))

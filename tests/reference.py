@@ -11,7 +11,10 @@ syndrome helpers read dual labels back off a register: the charge label at
 a vertex is the character row traced out by the vertex actions, the flux
 label at a plaquette is the inverse of the concentrated boundary-walk
 product. On any protocol branch before feedforward these equal the
-measurement outcomes exactly.
+measurement outcomes exactly. nil2_circuit_gate_by_gate is the one-shot
+nil2 coupling circuit with every edge allocated first and every gate
+applied on its own, the form the gated allocation of the quotient walls
+is checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +26,16 @@ import numpy as np
 
 from gaugekit.cellulation import Cellulation
 from gaugekit.feedforward import CorrectionPlan
-from gaugekit.gates import _walk_product, left_mult, parent_to_pair, right_mult
+from gaugekit.gates import (
+    _walk_product,
+    controlled_left,
+    controlled_right,
+    cz_abelian,
+    left_mult,
+    omega_gate,
+    parent_to_pair,
+    right_mult,
+)
 from gaugekit.groups import FactorSystem, FiniteGroup, character_table
 from gaugekit.register import (
     DiagonalOperator,
@@ -33,6 +45,7 @@ from gaugekit.register import (
     StabilizerOperator,
     _edge_site,
     _identity_state,
+    init_plus,
     init_product,
 )
 
@@ -205,3 +218,31 @@ def flux_syndromes(
             raise ValueError(f"plaquette {p} carries no definite flux label")
         out[p] = a_group.inverse(hit)
     return out
+
+
+def nil2_circuit_gate_by_gate(fs: FactorSystem, cell: Cellulation) -> QuditRegister:
+    """protocols._nil2_circuit with the quotient edges allocated in the
+    identity state up front, then the plaquette couplings, the cocycle
+    dressing and the 2E quotient walls CL+, CR+ applied gate by gate."""
+    n_grp, q_grp = fs.n_group, fs.q_group
+    reg = init_plus(
+        [SiteSpec(("v", v), "vertex", q_grp) for v in range(cell.n_vertices)]
+        + [SiteSpec(("p", p), "plaquette", n_grp) for p in range(cell.n_plaquettes)]
+    )
+    reg.add_sites(
+        [SiteSpec(("e", e, "n"), "edge", n_grp) for e in range(cell.n_edges)],
+        lambda spec: np.full(spec.dim, spec.dim**-0.5, dtype=np.complex128),
+    )
+    reg.add_sites([SiteSpec(("e", e, "q"), "edge", q_grp) for e in range(cell.n_edges)], _identity_state)
+    for e in range(cell.n_edges):
+        p_minus, p_plus = cell.plaquette_pair(e)
+        if p_minus == p_plus:
+            continue
+        reg.apply(cz_abelian(n_grp, ("p", p_plus), ("e", e, "n")))
+        reg.apply(cz_abelian(n_grp, ("p", p_minus), ("e", e, "n")).dagger())
+    for e, (i_v, f_v) in enumerate(cell.edges):
+        reg.apply(omega_gate(fs, ("v", i_v), ("e", e, "n"), ("v", f_v)))
+    for e, (i_v, f_v) in enumerate(cell.edges):
+        reg.apply(controlled_left(q_grp, ("v", i_v), ("e", e, "q")).dagger())
+        reg.apply(controlled_right(q_grp, ("v", f_v), ("e", e, "q")).dagger())
+    return reg

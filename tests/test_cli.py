@@ -150,6 +150,35 @@ def test_prepare_forced_mode_reads_outcome_file(tmp_path):
     assert outcomes == {"0": 1, "1": 1}
 
 
+def test_prepare_forced_mode_rejects_a_key_naming_no_measured_site(tmp_path, capsys):
+    forced = tmp_path / "forced.json"
+    forced.write_text(json.dumps({"0": 1, "1": 2, "17": 1}))
+    argv = ["prepare", "--group", "Z3", "--cell", "square:2x2", "--protocol", "abelian", "--mode", f"forced:{forced}"]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "precondition" and "[17]" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        pytest.param(["--group", "Z2", "--mode", "forced:{doc}"], "forced-outcome document {doc!r}", id="forced-file"),
+        pytest.param(["--group", "{doc}", "--protocol", "nil2"], "extension document {doc!r}", id="nil2-group"),
+        pytest.param(["--group", "{doc}", "--protocol", "metabelian"], "extension document {doc!r}", id="metabelian-group"),
+        pytest.param(["--group", "Z2", "--cell", "{doc}"], "cellulation document {doc!r}", id="cell"),
+        # a group document may be a list, but only of group objects
+        pytest.param(["--group", "{doc}", "--protocol", "abelian"], "list of group objects", id="group-catalog"),
+    ],
+)
+def test_prepare_rejects_a_document_that_is_not_an_object(tmp_path, capsys, argv, names):
+    doc = tmp_path / "list.json"
+    doc.write_text("[1, 2]")
+    assert main(["prepare"] + [arg.format(doc=str(doc)) for arg in argv]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "precondition"
+    assert names.format(doc=str(doc)) in err["message"]
+
+
 def test_prepare_gsd_flag(tmp_path):
     out = tmp_path / "gsd.json"
     code = main(

@@ -229,6 +229,19 @@ def test_vertex_route_forced_rejects_impossible_tables():
         kw_abelian(base.copy(), cell, z3, KwMode.forced({0: 5, 1: 0}))
 
 
+def test_vertex_route_forced_rejects_keys_naming_no_measured_site():
+    cell = square_torus(2, 2)
+    z3 = CAT["Z3"]
+    base = init_plus([SiteSpec(("v", v), "vertex", z3) for v in range(cell.n_vertices)])
+    reg = base.copy()
+    with pytest.raises(ValueError, match=r"forced outcome keys \[-1, 17\]"):
+        kw_abelian(reg, cell, z3, KwMode.forced({0: 1, 1: 2, 17: 1, -1: 0}))
+    assert reg.retired == {}  # rejected before the first measurement
+    # absent keys still default to the trivial outcome
+    partial = kw_abelian(base.copy(), cell, z3, KwMode.forced({0: 1, 1: 2}))
+    assert partial.outcomes == {0: 1, 1: 2, 2: 0, 3: 0}
+
+
 # --- dual route ---------------------------------------------------------------
 
 

@@ -18,10 +18,11 @@ from gaugekit.groups import (
     extension_from_factor_system,
     factor_system_of,
 )
-from gaugekit.kwmaps import KwMode, kw_exact_g
+from gaugekit.kwmaps import KwMode, _wall_gates, kw_exact_g
 from gaugekit.protocols import (
     ProtocolRound,
     ProtocolTranscript,
+    _nil2_circuit,
     _solvable_chain,
     gauge_input_state,
     prepare_abelian_double,
@@ -29,8 +30,8 @@ from gaugekit.protocols import (
     prepare_nil2_double,
     prepare_solvable_double,
 )
-from gaugekit.register import SiteSpec, init_plus
-from reference import charge_syndromes, flux_syndromes
+from gaugekit.register import QuditRegister, SiteSpec, _GateList, _vertex_site, init_plus
+from reference import charge_syndromes, flux_syndromes, nil2_circuit_gate_by_gate
 
 CAT = catalog()
 
@@ -133,6 +134,45 @@ def test_nil2_forced_keys_cover_vertices_then_plaquettes():
     outs = tr.rounds[0].outcomes
     assert outs["charge"] == {0: 2, 1: 2}
     assert outs["flux"][0] == 1 and outs["flux"][1] == 1
+
+
+def test_nil2_forced_rejects_a_key_past_the_plaquettes():
+    fs = catalog_factor_system("D4")
+    cell = theta_sphere()
+    beyond = cell.n_vertices + cell.n_plaquettes
+    with pytest.raises(ValueError, match=rf"forced outcome keys \[{beyond}\]"):
+        prepare_nil2_double(fs, cell, KwMode.forced({0: 2, beyond - 1: 1, beyond: 1}), with_oracle=False)
+
+
+@pytest.mark.parametrize("label", ["D4", "Q8"])
+@pytest.mark.parametrize("make_cell", [hexagon_torus, theta_sphere], ids=["hexagon", "theta"])
+def test_nil2_circuit_matches_its_gate_by_gate_reference(monkeypatch, label, make_cell):
+    fs, cell = catalog_factor_system(label), make_cell()
+    want = nil2_circuit_gate_by_gate(fs, cell)
+    gated, applied = [], []
+    add_sites, apply = QuditRegister.add_sites, QuditRegister.apply
+
+    def recorded_add_sites(reg, specs, state_fn, gates=()):
+        if gates:
+            gated.append(list(gates))
+        return add_sites(reg, specs, state_fn, gates)
+
+    def recorded_apply(reg, op):
+        applied.append(op.name)
+        return apply(reg, op)
+
+    monkeypatch.setattr(QuditRegister, "add_sites", recorded_add_sites)
+    monkeypatch.setattr(QuditRegister, "apply", recorded_apply)
+    got = _nil2_circuit(fs, cell)
+    assert got.layout == want.layout
+    # equal as numbers, not bitwise: where the reference's outer product with
+    # the identity state leaves -0.0, the gated scatter writes +0.0
+    assert np.array_equal(got.amps, want.amps)
+    # one gated allocation carries the quotient walls, and its list is the
+    # shared vertex-route entangler's
+    [walls] = gated
+    assert _GateList(walls) == _GateList(_wall_gates(fs.q_group, cell, _vertex_site, lambda e: ("e", e, "q")))
+    assert not {"CL", "CL+", "CR", "CR+"} & set(applied)
 
 
 def test_nil2_trivial_cocycle_reduces_to_product_double():
