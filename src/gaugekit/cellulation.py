@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Cellulation",
@@ -89,33 +89,10 @@ class Cellulation:
                 out.append(f"edge {k}: endpoint out of range")
             elif i == f:
                 out.append(f"edge {k}: self-loop at vertex {i}")
-        for p, walk in enumerate(self.plaquettes):
-            if not walk:
-                out.append(f"plaquette {p}: empty boundary walk")
-                continue
-            bad = [e for e, o in walk if not (0 <= e < len(es)) or o not in (1, -1)]
-            if bad:
-                out.append(f"plaquette {p}: invalid step data {bad}")
-                continue
-            e0, o0 = walk[0]
-            pos = es[e0][0] if o0 == 1 else es[e0][1]
-            start = pos
-            for e, o in walk:
-                i, f = es[e]
-                if o == 1:
-                    if i != pos:
-                        out.append(f"plaquette {p}: walk breaks at edge {e}")
-                        break
-                    pos = f
-                else:
-                    if f != pos:
-                        out.append(f"plaquette {p}: walk breaks at edge {e}")
-                        break
-                    pos = i
-            else:
-                if pos != start:
-                    out.append(f"plaquette {p}: boundary walk does not close")
-        if self.closed:
+        defects = [(p, self.walk_defect(walk)) for p, walk in enumerate(self.plaquettes)]
+        out += [f"plaquette {p}: {defect}" for p, defect in defects if defect]
+        # the surface checks index every step's edge, so they run on well-formed walks only
+        if self.closed and not any(defect for _, defect in defects):
             apps = self._appearances()
             for e in range(len(es)):
                 signs = sorted(o for _, o in apps[e])
@@ -138,6 +115,23 @@ class Cellulation:
                 if euler != 2 - 2 * self.genus:
                     out.append(f"Euler characteristic {euler} mismatches genus {self.genus}")
         return out
+
+    def walk_defect(self, walk: Sequence[Tuple[int, int]]) -> Optional[str]:
+        """Why walk is not a closed oriented walk on this graph, or None.
+
+        A walk is a sequence of (edge, +1 along its arrow / -1 against) steps;
+        each step starts where the one before it ends, and the last ends where
+        the first starts."""
+        if not walk:
+            return "empty walk"
+        for k, (e, o) in enumerate(walk):
+            if not 0 <= e < len(self.edges) or o not in (1, -1):
+                return f"step {k} ({e}, {o}) needs an edge in [0, {len(self.edges)}) and orientation +1 or -1"
+        ends = [self.edges[e] if o == 1 else self.edges[e][::-1] for e, o in walk]
+        for k, ((_, end), (start, _)) in enumerate(zip(ends, ends[1:] + ends[:1])):
+            if end != start:
+                return f"walk is not closed at step {k}: {end} != {start}"
+        return None
 
     def _appearances(self) -> List[List[Tuple[int, int]]]:
         apps: List[List[Tuple[int, int]]] = [[] for _ in self.edges]

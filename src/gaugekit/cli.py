@@ -16,7 +16,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .cellulation import Cellulation, from_json as cellulation_from_json, hexagon_torus, square_torus, theta_sphere
 from .groups import (
@@ -26,9 +26,9 @@ from .groups import (
     catalog_factor_system,
     center,
     derived_series,
-    extension_from_factor_system,
     group_from_spec,
     load_catalog,
+    parse_extension,
 )
 from .kwmaps import KwMode
 from .protocols import (
@@ -97,7 +97,7 @@ def _group_table() -> Dict[str, FiniteGroup]:
     table = dict(catalog())
     path = os.environ.get(CATALOG_ENV)
     if path:
-        table.update(load_catalog(path))
+        table.update(_parse_document(path, f"{CATALOG_ENV} catalog", load_catalog))
     return table
 
 
@@ -109,7 +109,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     if spec in table:
         return table[spec]
     if spec.endswith(".json") or os.path.sep in spec:
-        loaded = load_catalog(_read_document(spec))
+        loaded = _parse_document(spec, "group", load_catalog)
         if len(loaded) != 1:
             raise ValueError(f"group document {spec!r} must define exactly one group")
         return next(iter(loaded.values()))
@@ -123,18 +123,7 @@ def parse_factor_system_spec(spec: str) -> FactorSystem:
     except KeyError:
         pass
     if spec.endswith(".json") or os.path.sep in spec:
-        doc = _read_object(spec, "extension")
-        ext = doc.get("extension")
-        if ext is None:
-            raise ValueError(f"extension document {spec!r} needs an 'extension' entry")
-        fs = FactorSystem(
-            n_group=group_from_spec(ext["n"]),
-            q_group=group_from_spec(ext["q"]),
-            sigma=ext["sigma"],
-            omega=ext["omega"],
-        )
-        extension_from_factor_system(fs, name=doc.get("name"))
-        return fs
+        return _parse_document(spec, "extension", lambda doc: parse_extension(_as_object(doc)))
     raise ValueError(f"{spec!r} carries no extension data (stored factor system or document required)")
 
 
@@ -151,7 +140,7 @@ def parse_cell_spec(spec: str) -> Cellulation:
             raise ValueError(f"square cell spec needs LxL, got {body!r}") from None
         return square_torus(lx, ly)
     if spec.endswith(".json") or os.path.sep in spec:
-        return cellulation_from_json(_read_object(spec, "cellulation"))
+        return _parse_document(spec, "cellulation", lambda doc: cellulation_from_json(_as_object(doc)))
     raise ValueError(f"unknown cellulation spec {spec!r}")
 
 
@@ -161,7 +150,7 @@ def parse_mode_spec(spec: str) -> KwMode:
     if spec.startswith("sample:"):
         return KwMode.sample(int(spec.split(":", 1)[1]))
     if spec.startswith("forced:"):
-        doc = _read_object(spec.split(":", 1)[1], "forced-outcome")
+        doc = _parse_document(spec.split(":", 1)[1], "forced-outcome", _as_object)
         return KwMode.forced({int(k): int(v) for k, v in doc.items()})
     raise ValueError(f"unknown mode spec {spec!r} (postselect | sample:<seed> | forced:<file>)")
 
@@ -171,11 +160,21 @@ def _read_document(path: str) -> object:
         return json.load(fh)
 
 
-def _read_object(path: str, what: str) -> Dict[str, object]:
-    """A JSON document that must be an object; group documents may also be lists."""
-    doc = _read_document(path)
+def _parse_document(path: str, what: str, parse: Callable[[Any], Any]) -> Any:
+    """parse run on the JSON document at path; a malformed document raises a
+    ValueError that names it, and the key when one is missing."""
+    try:
+        return parse(_read_document(path))
+    except KeyError as exc:
+        raise ValueError(f"{what} document {path!r} lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} document {path!r}: {exc}") from exc
+
+
+def _as_object(doc: object) -> Dict[str, object]:
+    """A document that must be a JSON object; group catalogs may also be lists."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{what} document {path!r} must be a JSON object, not {type(doc).__name__}")
+        raise ValueError(f"must be a JSON object, not {type(doc).__name__}")
     return doc
 
 

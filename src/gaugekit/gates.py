@@ -88,15 +88,9 @@ def z_dual(a_group: FiniteGroup, t: int, sid: Hashable) -> LocalOperator:
 
 
 def _check_loop_closed(loop: Sequence[Tuple[int, int]], cell: Cellulation) -> None:
-    if not loop:
-        raise ValueError("empty loop")
-    ends = []
-    for e, o in loop:
-        i, f = cell.edges[e]
-        ends.append((i, f) if o == 1 else (f, i))
-    for k in range(len(ends)):
-        if ends[k][1] != ends[(k + 1) % len(ends)][0]:
-            raise ValueError(f"loop is not closed at step {k}: {ends[k][1]} != {ends[(k + 1) % len(ends)][0]}")
+    defect = cell.walk_defect(loop)
+    if defect:
+        raise ValueError(defect)
 
 
 def _ordered_trace(irrep: Irrep, steps: Sequence[np.ndarray]) -> np.ndarray:

@@ -9,7 +9,6 @@ Q = G/N) carry the twist sigma and cocycle omega used by the gauging maps.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,6 +45,7 @@ __all__ = [
     "catalog",
     "catalog_factor_system",
     "load_catalog",
+    "parse_extension",
     "group_from_spec",
 ]
 
@@ -865,18 +865,25 @@ def group_from_spec(spec: str) -> FiniteGroup:
     return out
 
 
-def load_catalog(document) -> Dict[str, FiniteGroup]:
-    """Load groups from a JSON document (path, string, or parsed object).
+def parse_extension(entry: Dict) -> FactorSystem:
+    """The factor system of one {"extension": {"n", "q", "sigma", "omega"}}
+    entry, n and q being specs group_from_spec reads, with its parent tables
+    built and the parent named by the entry's optional "name"."""
+    ext = entry["extension"]
+    fs = FactorSystem(
+        n_group=group_from_spec(ext["n"]), q_group=group_from_spec(ext["q"]), sigma=ext["sigma"], omega=ext["omega"]
+    )
+    extension_from_factor_system(fs, name=entry.get("name"))
+    return fs
 
-    Each entry is {"name", "order", "mult_table"} or
-    {"name", "extension": {"n", "q", "sigma", "omega"}} where n/q are specs
-    understood by group_from_spec.
+
+def load_catalog(document) -> Dict[str, FiniteGroup]:
+    """Load groups from a parsed JSON catalog: a list of entries, or an
+    object holding one under "groups".
+
+    Each entry is {"name", "order", "mult_table"} or {"name", "extension"}
+    as parse_extension reads it.
     """
-    if isinstance(document, (str,)) and not document.lstrip().startswith(("[", "{")):
-        with open(document, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-    elif isinstance(document, str):
-        document = json.loads(document)
     entries = document.get("groups", []) if isinstance(document, dict) else document
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         raise ValueError("a group catalog is a list of group objects, or an object holding one under 'groups'")
@@ -888,14 +895,7 @@ def load_catalog(document) -> Dict[str, FiniteGroup]:
             if group.order != entry.get("order", group.order):
                 raise ValueError(f"catalog entry {name}: declared order does not match table")
         elif "extension" in entry:
-            ext = entry["extension"]
-            fs = FactorSystem(
-                n_group=group_from_spec(ext["n"]),
-                q_group=group_from_spec(ext["q"]),
-                sigma=np.asarray(ext["sigma"], dtype=np.int64),
-                omega=np.asarray(ext["omega"], dtype=np.int64),
-            )
-            group = extension_from_factor_system(fs, name=name)
+            group = parse_extension(entry).parent
         else:
             raise ValueError(f"catalog entry {name}: need mult_table or extension")
         out[name] = group

@@ -90,6 +90,14 @@ def _real(value: complex, what: str) -> float:
 # stabilizers
 
 
+def _vertex_tables(g_group: FiniteGroup, cell: Cellulation, v: int) -> List[Tuple[int, np.ndarray]]:
+    """A_v^g on every edge at v for all g at once, read off the multiplication
+    table: (edge, table) with table[g] the image of left multiplication by g
+    on an edge leaving v, and of right multiplication by g^-1 on an edge
+    entering it."""
+    return [(e, g_group.mult if sign == 1 else g_group.mult.T[g_group.inv]) for e, sign in cell.edges_at_vertex(v)]
+
+
 def vertex_action(
     g_group: FiniteGroup,
     cell: Cellulation,
@@ -99,11 +107,9 @@ def vertex_action(
 ) -> List[LocalOperator]:
     """One vertex gauge transformation: left multiplication on the edges
     leaving v, inverse right multiplication on the edges entering v."""
-    ops: List[LocalOperator] = []
-    for e, sign in cell.edges_at_vertex(v):
-        sid = edge_of(e)
-        ops.append(left_mult(g_group, g, sid) if sign == 1 else right_mult(g_group, g, sid))
-    return ops
+    return [
+        LocalOperator([edge_of(e)], "perm", table[g], name=f"A[{v}]^{g}") for e, table in _vertex_tables(g_group, cell, v)
+    ]
 
 
 def vertex_stabilizer(
@@ -113,19 +119,11 @@ def vertex_stabilizer(
     edge_of: Callable[[int], Hashable] = _edge_site,
 ) -> StabilizerOperator:
     """The vertex projector: the group average of the vertex actions."""
-    _loop_free_edges(cell, v)
     terms = []
     for g in g_group.elements():
         factors = {op.targets[0]: op for op in vertex_action(g_group, cell, v, g, edge_of)}
         terms.append((1.0 / g_group.order, factors))
     return StabilizerOperator(terms, name=f"A[{v}]")
-
-
-def _loop_free_edges(cell: Cellulation, v: int) -> List[Tuple[int, int]]:
-    incident = cell.edges_at_vertex(v)
-    if len({e for e, _ in incident}) != len(incident):
-        raise ValueError(f"vertex {v} carries a self-loop edge, which the vertex term does not support")
-    return incident
 
 
 def plaquette_stabilizer(
@@ -213,14 +211,14 @@ def _vertex_shifts(
     edges: Tuple[Hashable, ...],
 ) -> Tuple[Tuple[Tuple[Tuple[Hashable, ...], np.ndarray], ...], ...]:
     """Per vertex, the (sites, shift table) of every incident edge for all g
-    at once: L^g reads g^-1 x, R^g reads x g. Built once per (group, cell,
-    live layout, edge ids), where the self-loop and site checks run; the
+    at once, read from image[g^-1], which inverts image[g]. Built once per
+    (group, cell, live layout, edge ids), where the site checks run; the
     tables are read-only."""
     vertex_shifts = []
     for v in range(cell.n_vertices):
         tables = []
-        for e, sign in _loop_free_edges(cell, v):
-            table = layout_shift(layout, [edges[e]], g_group.mult[g_group.inv] if sign == 1 else g_group.mult.T)
+        for e, image in _vertex_tables(g_group, cell, v):
+            table = layout_shift(layout, [edges[e]], image[g_group.inv])
             table.setflags(write=False)
             tables.append(((edges[e],), table))
         vertex_shifts.append(tuple(tables))
@@ -264,12 +262,10 @@ def _vertex_perm_columns(
     g_group: FiniteGroup, cell: Cellulation, v: int, g: int, grids: np.ndarray
 ) -> np.ndarray:
     """Row index hit by each basis column under one vertex action."""
-    d = g_group.order
     labels = grids.copy()
-    for e, sign in cell.edges_at_vertex(v):
-        op = left_mult(g_group, g, "x") if sign == 1 else right_mult(g_group, g, "x")
-        labels[e] = op.image[labels[e]]
-    return np.ravel_multi_index(tuple(labels), (d,) * cell.n_edges)
+    for e, table in _vertex_tables(g_group, cell, v):
+        labels[e] = table[g][labels[e]]
+    return np.ravel_multi_index(tuple(labels), (g_group.order,) * cell.n_edges)
 
 
 def ground_state_degeneracy(g_group: FiniteGroup, cell: Cellulation) -> int:
@@ -303,11 +299,9 @@ def ground_state_degeneracy(g_group: FiniteGroup, cell: Cellulation) -> int:
             rows = perm[rows]
         proj[rows, cols] += weight
     keep = np.ones(dim)
-    for p in range(cell.n_plaquettes):
-        bp = plaquette_stabilizer(g_group, cell, p)
-        spots = [sid[1] for sid in bp.targets]
-        joint = np.ravel_multi_index(tuple(grids[e] for e in spots), (d,) * len(spots))
-        keep *= bp.diag[joint].real
+    for walk in cell.plaquettes:
+        spots, acc = _walk_product(g_group, walk)
+        keep *= acc[np.ravel_multi_index(tuple(grids[e] for e in spots), (d,) * len(spots))] == 0
     proj *= keep[:, None]
     herm_dev = np.abs(proj - proj.T).max()
     if herm_dev > 1e-10:
@@ -423,14 +417,14 @@ def _check_right_action_becomes_vertex_term(g_group: FiniteGroup, cell: Cellulat
     d = g_group.order
     worst = 0.0
     for v in range(cell.n_vertices):
+        tables = _vertex_tables(g_group, cell, v)
         for g in range(1, d):
             mapped = grids.copy()
             mapped[v] = g_group.mult[grids[v], g_group.inv[g]]
             perm = np.ravel_multi_index(mapped, (d,) * cell.n_vertices)
             moved = dict(labels)
-            for e, sign in cell.edges_at_vertex(v):
-                op = left_mult(g_group, g, "x") if sign == 1 else right_mult(g_group, g, "x")
-                moved[_edge_site(e)] = op.image[moved[_edge_site(e)]]
+            for e, table in tables:
+                moved[_edge_site(e)] = table[g][moved[_edge_site(e)]]
             worst = max(worst, _pure_deviation(rows[perm], scale, _flat_labels(moved, dims, order), scale))
     return worst
 
@@ -635,7 +629,7 @@ def _check_decorated_wall_pushthrough(fs: FactorSystem, cell: Cellulation) -> fl
     worst = 0.0
     for qs in itertools.product(range(dq), repeat=cell.n_vertices):
         for bs in itertools.product(range(dn), repeat=cell.n_plaquettes):
-            lhs_vecs: List[np.ndarray] = []
+            lhs = rhs = np.ones(1, dtype=np.complex128)
             rhs_phase = 1.0 + 0.0j
             for e, (i_v, f_v) in enumerate(cell.edges):
                 p_minus, p_plus = pairs[e]
@@ -644,20 +638,11 @@ def _check_decorated_wall_pushthrough(fs: FactorSystem, cell: Cellulation) -> fl
                     vec = vec * cz[bs[p_plus]] * np.conj(cz[bs[p_minus]])
                 qi, qf = qs[i_v], qs[f_v]
                 moved = np.empty_like(vec)
-                targets = (omega_images[qi, :, qf] // dq) % dn
-                moved[targets] = vec
-                lhs_vecs.append(moved)
+                moved[(omega_images[qi, :, qf] // dq) % dn] = vec
+                lhs = np.multiply.outer(lhs, moved).reshape(-1)
+                rhs = np.multiply.outer(rhs, vec).reshape(-1)
                 wall = n_grp.mul(n_grp.inverse(bs[p_plus]), bs[p_minus])
                 rhs_phase *= chi[fs.omega_inv(qi, q_grp.mul(q_grp.inverse(qi), qf)), wall]
-            lhs = np.ones(1, dtype=np.complex128)
-            rhs = np.ones(1, dtype=np.complex128)
-            for e in range(cell.n_edges):
-                lhs = np.multiply.outer(lhs, lhs_vecs[e]).reshape(-1)
-                base = np.full(dn, edge_scale, dtype=np.complex128)
-                p_minus, p_plus = pairs[e]
-                if p_minus != p_plus:
-                    base = base * cz[bs[p_plus]] * np.conj(cz[bs[p_minus]])
-                rhs = np.multiply.outer(rhs, base).reshape(-1)
             worst = max(worst, float(np.abs(lhs - rhs_phase * rhs).max()))
     return worst
 

@@ -1,0 +1,57 @@
+"""Every lru_cache in the source is bounded.
+
+A cache keyed by groups, cells or register layouts grows with every distinct
+input, so each one must name an integer maxsize. This reads each module's
+syntax tree, so a new cache is checked without being listed anywhere.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gaugekit"
+MAX_ENTRIES = 64
+
+
+def cache_sizes(source: str) -> list:
+    """(line, maxsize) for every use of lru_cache; maxsize is None unless it
+    is an integer literal (a bare @lru_cache defaults to 128)."""
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    sizes = []
+    for node in ast.walk(tree):
+        if getattr(node, "id", getattr(node, "attr", None)) != "lru_cache":
+            continue
+        call = calls.get(id(node))
+        args = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1] if call else []
+        literal = args and isinstance(args[0], ast.Constant) and type(args[0].value) is int
+        sizes.append((node.lineno, args[0].value if literal else None))
+    return sorted(sizes)
+
+
+def test_the_scan_finds_every_spelling():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=8)\n"
+        "def a(): pass\n"
+        "@lru_cache(4)\n"
+        "def b(): pass\n"
+        "@lru_cache\n"
+        "def c(): pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def d(): pass\n"
+        "e = lru_cache(maxsize=2 * 8)(len)\n"
+    )
+    assert cache_sizes(source) == [(3, 8), (5, 4), (7, None), (9, None), (11, None)]
+
+
+def test_the_source_has_caches():
+    assert sum(len(cache_sizes(path.read_text(encoding="utf-8"))) for path in SRC.glob("*.py")) >= 10
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_cache_has_a_small_integer_maxsize(path):
+    sizes = cache_sizes(path.read_text(encoding="utf-8"))
+    assert [(line, size) for line, size in sizes if size is None or not 1 <= size <= MAX_ENTRIES] == []

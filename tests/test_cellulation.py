@@ -77,6 +77,11 @@ def test_open_walk_rejected_with_location():
         )
 
 
+def test_out_of_range_step_rejected_naming_it():
+    with pytest.raises(C.CellulationError, match=r"plaquette 0: step 0 \(5, 1\)"):
+        C.Cellulation(n_vertices=2, edges=((0, 1),), plaquettes=(((5, 1),),), dual_edges=((0, 0),))
+
+
 def test_euler_mismatch_rejected():
     with pytest.raises(C.CellulationError, match="Euler"):
         C.Cellulation(

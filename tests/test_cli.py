@@ -179,6 +179,32 @@ def test_prepare_rejects_a_document_that_is_not_an_object(tmp_path, capsys, argv
     assert names.format(doc=str(doc)) in err["message"]
 
 
+NAMELESS_GROUP = json.dumps([{"order": 2, "mult_table": [[0, 1], [1, 0]]}])
+EXTENSION_WITHOUT_N = json.dumps({"extension": {"q": "Z2", "sigma": [[0, 1], [0, 1]], "omega": [[0, 0], [0, 0]]}})
+
+
+@pytest.mark.parametrize(
+    "argv,text,env,names",
+    [
+        pytest.param(["--group", "{doc}"], NAMELESS_GROUP, False, ["group document", "'name'"], id="nameless-group"),
+        pytest.param(["--group", "{doc}"], "[1, 2]", False, ["group document", "list of group objects"], id="group-list"),
+        pytest.param(["--group", "{doc}", "--protocol", "nil2"], EXTENSION_WITHOUT_N, False, ["'n'"], id="extension-without-n"),
+        pytest.param(["--group", "Z2"], NAMELESS_GROUP, True, ["GAUGEKIT_CATALOG", "'name'"], id="catalog-env-nameless"),
+        pytest.param(["--group", "Z2"], "{not json", True, ["GAUGEKIT_CATALOG"], id="catalog-env-not-json"),
+    ],
+)
+def test_prepare_document_errors_name_the_document(tmp_path, monkeypatch, capsys, argv, text, env, names):
+    doc = tmp_path / "bad.json"
+    doc.write_text(text)
+    if env:
+        monkeypatch.setenv("GAUGEKIT_CATALOG", str(doc))
+    assert main(["prepare", "--protocol", "abelian"] + [arg.format(doc=str(doc)) for arg in argv]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "precondition"
+    for name in [repr(str(doc))] + names:
+        assert name in err["message"]
+
+
 def test_prepare_gsd_flag(tmp_path):
     out = tmp_path / "gsd.json"
     code = main(

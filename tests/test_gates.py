@@ -166,6 +166,28 @@ def test_loop_z_open_loop_rejected():
         loop_z(sign, ((0, 1), (1, 1)), cell)
 
 
+SQUARE_WALK = square_torus(2, 2).plaquettes[0]
+
+
+@pytest.mark.parametrize(
+    "walk,step",
+    [
+        # the closure check would read 2 as a reversed step, the trace as a forward one
+        pytest.param(tuple((e, 2 if o == -1 else o) for e, o in SQUARE_WALK), 2, id="orientation-2"),
+        pytest.param(((99, 1),) + SQUARE_WALK[1:], 0, id="edge-99"),
+    ],
+)
+def test_loops_reject_bad_step_data_naming_the_step(walk, step):
+    cell = square_torus(2, 2)
+    fs = catalog_factor_system("D4")
+    std = irrep_table(catalog()["S3"]).by_label("std")
+    sign = irrep_table(fs.n_group).by_label("chi1")
+    with pytest.raises(ValueError, match=rf"step {step} \("):
+        loop_z(std, walk, cell)
+    with pytest.raises(ValueError, match=rf"step {step} \("):
+        loop_z_tilde(fs, sign, walk, cell, lambda v: ("q", v), lambda e: ("e", e))
+
+
 def test_loop_z_hexagon_repeated_edges():
     cell = hexagon_torus()
     z3 = build_cyclic(3)

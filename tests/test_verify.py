@@ -13,6 +13,7 @@ from gaugekit.cellulation import (
     square_torus,
     tetrahedron_sphere,
     theta_sphere,
+    triangle_graph,
     two_vertex_graph,
 )
 from gaugekit.groups import (
@@ -23,7 +24,7 @@ from gaugekit.groups import (
     factor_system_of,
     irrep_table,
 )
-from gaugekit.gates import controlled_left, controlled_right
+from gaugekit.gates import controlled_left, controlled_right, left_mult, right_mult
 from gaugekit.kwmaps import kw_exact_g
 from gaugekit.register import DiagonalOperator, QuditRegister, SiteSpec, init_plus
 from gaugekit.verify import (
@@ -139,6 +140,23 @@ def test_stabilizers_are_commuting_projectors(name):
             ab = reg.copy().apply(a).apply(b)
             ba = reg.copy().apply(b).apply(a)
             assert np.abs(ab.amps - ba.amps).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "S3", "D4"])
+def test_vertex_tables_are_the_gate_constructor_images(name):
+    """Every reader of A_v^g reads one table; pin it to the constructors the
+    pair identities certify: L^g on an edge leaving v, R^g on one entering it."""
+    g_group = CAT[name]
+    cells = [square_torus(2, 2), hexagon_torus(), theta_sphere(), tetrahedron_sphere(), two_vertex_graph(2), triangle_graph()]
+    for cell in cells:
+        for v in range(cell.n_vertices):
+            incident = cell.edges_at_vertex(v)
+            tables = verify._vertex_tables(g_group, cell, v)
+            assert [e for e, _ in tables] == [e for e, _ in incident]
+            for (e, sign), (_, table) in zip(incident, tables):
+                for g in g_group.elements():
+                    gate = left_mult(g_group, g, "x") if sign == 1 else right_mult(g_group, g, "x")
+                    assert np.array_equal(table[g], gate.image), (cell.name, v, e, g)
 
 
 def test_vertex_stabilizer_expectation_is_symmetric_weight():
@@ -257,22 +275,25 @@ def test_degeneracy_matches_dense_product_reference():
 
 
 def test_degeneracy_checks_still_fire(monkeypatch):
-    true_plaquette = verify.plaquette_stabilizer
+    def first_edge_is_identity(g_group, walk):
+        return [0], np.arange(g_group.order)
 
-    def first_edge_is_identity(g_group, cell, p, **_):
-        return DiagonalOperator([("e", 0)], np.arange(g_group.order) == 0, name=f"B[{p}]")
-
-    monkeypatch.setattr(verify, "plaquette_stabilizer", first_edge_is_identity)
+    monkeypatch.setattr(verify, "_walk_product", first_edge_is_identity)
     for name, dev in [("Z2", "5.00e-01"), ("S3", "1.67e-01"), ("D4", "1.25e-01")]:
         with pytest.raises(ValueError, match=f"fails hermiticity by {dev}"):
             ground_state_degeneracy(CAT[name], hexagon_torus())
+    monkeypatch.undo()
 
-    def half_plaquette(g_group, cell, p, **kw):
-        bp = true_plaquette(g_group, cell, p, **kw)
-        return DiagonalOperator(bp.targets, bp.diag / 2, name=bp.name)
+    true_columns = verify._vertex_perm_columns
 
-    monkeypatch.setattr(verify, "plaquette_stabilizer", half_plaquette)
-    for name, make_cell, count in [("Z2", hexagon_torus, 4), ("S3", hexagon_torus, 8), ("D4", theta_sphere, 1)]:
+    def one_involution_acts(g_group, cell, v, g, grids):
+        # every other element acts as the identity: each vertex average is
+        # symmetric, but with |G| > 2 it is no projector
+        t = next(h for h in g_group.elements() if h and g_group.mul(h, h) == 0)
+        return true_columns(g_group, cell, v, g if g in (0, t) else 0, grids)
+
+    monkeypatch.setattr(verify, "_vertex_perm_columns", one_involution_acts)
+    for name, make_cell, count in [("Z4", hexagon_torus, 32), ("S3", hexagon_torus, 79), ("D4", theta_sphere, 5)]:
         with pytest.raises(ValueError, match=f"spectrum has {count} values away from 0 and 1"):
             ground_state_degeneracy(CAT[name], make_cell())
 
