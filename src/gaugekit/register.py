@@ -340,7 +340,7 @@ class QuditRegister:
         """The site's axis moved to the front: the (dim, rest) block, the
         site's axis and the moved shape."""
         pos = self.pos(sid)
-        moved = np.moveaxis(self.amps, pos, 0)
+        moved = self.amps if pos == 0 else np.moveaxis(self.amps, pos, 0)
         return moved.reshape(moved.shape[0], -1), pos, moved.shape
 
     def gather_shift(self, targets: Sequence[Hashable], sources) -> np.ndarray:
@@ -419,7 +419,8 @@ class QuditRegister:
         site's axis is removed.
         """
         spec_ = self.spec(sid)
-        fourier = _fourier_matrix(spec_)
+        if not spec_.group.is_abelian:
+            raise ValueError(f"Fourier measurement needs an abelian site, {sid!r} carries {spec_.group.name}")
         if forced is not None:
             outcome = int(forced)
             if not 0 <= outcome < spec_.dim:
@@ -427,9 +428,9 @@ class QuditRegister:
         elif rng is None:
             raise ValueError("measurement needs an rng or a forced outcome")
         block, pos, shape = self._gather(sid)
-        block = fourier @ block
+        block = _fourier_matrix(spec_.group) @ block
         # the rotated state replaces the pre-rotation array now, which frees it
-        self.amps = np.moveaxis(block.reshape(shape), 0, pos)
+        self.amps = block.reshape(shape) if pos == 0 else np.moveaxis(block.reshape(shape), 0, pos)
         probs = np.einsum("ij,ij->i", block, np.conj(block)).real
         total = probs.sum()
         if abs(total - 1.0) > 1e-6:
@@ -518,10 +519,13 @@ class QuditRegister:
         self._reindex()
 
 
-def _fourier_matrix(spec_: SiteSpec) -> np.ndarray:
-    if not spec_.group.is_abelian:
-        raise ValueError(f"Fourier measurement needs an abelian site, {spec_.sid!r} carries {spec_.group.name}")
-    return character_table(spec_.group) / np.sqrt(spec_.group.order)
+@lru_cache(maxsize=16)
+def _fourier_matrix(group: FiniteGroup) -> np.ndarray:
+    """F_ab = chi^a(b)/sqrt|A| of an abelian group, built once per group
+    table; read-only."""
+    fourier = character_table(group) / np.sqrt(group.order)
+    fourier.setflags(write=False)
+    return fourier
 
 
 # ---------------------------------------------------------------------------

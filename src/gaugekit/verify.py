@@ -52,7 +52,6 @@ from .register import (
     _push_labels,
     _vertex_site,
     init_plus,
-    layout_shift,
 )
 
 __all__ = [
@@ -182,18 +181,24 @@ def stabilizer_report(
     """Evaluate every vertex and plaquette projector on reg, plus irrep loop
     values where matrices are stored.
 
-    <A_v> is |G| flat gathers in element order through the shift tables
-    cached for this group, cell and register layout; the plaquette and loop
-    diagonals, cached for the group, cell and edge ids alone, go through
+    <A_v> sums, in element order, the state scaled once by 1/|G| and read
+    through the source row image[g^-1] of every edge at v, one np.take per
+    edge axis, so no register-sized index is built; the products and sums
+    are those of the weighted permuted copies. The plaquette and loop
+    diagonals, cached for the group, cell and edge ids, go through
     QuditRegister.expectation."""
     edges = tuple(edge_of(e) for e in range(cell.n_edges))
     plaquettes, loops = _stabilizer_diagonals(g_group, cell, edges)
-    weight = complex(1.0 / g_group.order)
+    scaled = complex(1.0 / g_group.order) * reg.amps
     vexp = {}
-    for v, tables in enumerate(_vertex_shifts(g_group, cell, reg.layout, edges)):
+    for v in range(cell.n_vertices):
+        rows = [(reg.pos(edges[e]), image[g_group.inv]) for e, image in _vertex_tables(g_group, cell, v)]
         acc = np.zeros_like(reg.amps)
         for g in range(g_group.order):
-            acc += weight * reg.permuted([(sid, table[g]) for sid, table in tables])
+            term = scaled
+            for axis, sources in rows:
+                term = np.take(term, sources[g], axis=axis)
+            acc += term
         vexp[v] = _real(complex(np.vdot(reg.amps, acc)), f"A[{v}]")
     pexp = {p: _real(reg.expectation(op), f"B[{p}]") for p, op in enumerate(plaquettes)}
     loop_values = {
@@ -201,28 +206,6 @@ def stabilizer_report(
         for label, ops in loops
     }
     return StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values)
-
-
-@lru_cache(maxsize=16)
-def _vertex_shifts(
-    g_group: FiniteGroup,
-    cell: Cellulation,
-    layout: Tuple[Tuple[Hashable, int], ...],
-    edges: Tuple[Hashable, ...],
-) -> Tuple[Tuple[Tuple[Tuple[Hashable, ...], np.ndarray], ...], ...]:
-    """Per vertex, the (sites, shift table) of every incident edge for all g
-    at once, read from image[g^-1], which inverts image[g]. Built once per
-    (group, cell, live layout, edge ids), where the site checks run; the
-    tables are read-only."""
-    vertex_shifts = []
-    for v in range(cell.n_vertices):
-        tables = []
-        for e, image in _vertex_tables(g_group, cell, v):
-            table = layout_shift(layout, [edges[e]], image[g_group.inv])
-            table.setflags(write=False)
-            tables.append(((edges[e],), table))
-        vertex_shifts.append(tuple(tables))
-    return tuple(vertex_shifts)
 
 
 def _frozen(op: DiagonalOperator) -> DiagonalOperator:

@@ -82,8 +82,8 @@ def test_cx_rejects_nonabelian():
     s3 = catalog()["S3"]
     with pytest.raises(ValueError, match="abelian"):
         cz_abelian(s3, "c", "t")
-    with pytest.raises(ValueError, match="abelian"):
-        _fourier_matrix(SiteSpec("a", "edge", s3))
+    with pytest.raises(ValueError, match="abelian site, 'a' carries S3"):
+        init_plus([SiteSpec("a", "edge", s3)]).measure_fourier("a", forced=0)
 
 
 def test_controlled_gates_unitary_roundtrip():
@@ -116,7 +116,8 @@ def test_conjugation_identities_on_s3():
 
 def test_fourier_z2_is_hadamard_and_squares_to_identity():
     z2 = build_cyclic(2)
-    f = _fourier_matrix(SiteSpec("a", "edge", z2))
+    f = _fourier_matrix(z2)
+    assert _fourier_matrix(build_cyclic(2)) is f and not f.flags.writeable
     assert np.abs(f - np.array([[1, 1], [1, -1]]) / np.sqrt(2)).max() < TOL
     assert np.abs(f @ f - np.eye(2)).max() < TOL
 
@@ -124,7 +125,7 @@ def test_fourier_z2_is_hadamard_and_squares_to_identity():
 def test_fourier_conjugates_cx_into_cz():
     for n in (2, 3, 4):
         g = build_cyclic(n)
-        f = _fourier_matrix(SiteSpec("t", "edge", g))
+        f = _fourier_matrix(g)
         cx = controlled_left(g, "c", "t").matrix
         cz = cz_abelian(g, "c", "t").matrix
         lhs = np.kron(np.eye(n), f) @ cx @ np.kron(np.eye(n), f).conj().T

@@ -9,12 +9,14 @@ oracle, the gate lists and the state before the first measurement are built
 once and every seed branches from that read-only state.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,12 +32,17 @@ CAT = catalog()
 
 # the plans built from (group or factor system, cell, layout, site ids)
 PLANS = (
-    verify._vertex_shifts,
     verify._stabilizer_diagonals,
     kwmaps._symmetry_shifts,
     register._gated_rows,
 )
-PLAN_CACHES = PLANS + (groups.irrep_table, groups.character_table, groups._coordinates, protocols._chain_of)
+PLAN_CACHES = PLANS + (
+    groups.irrep_table,
+    groups.character_table,
+    groups._coordinates,
+    protocols._chain_of,
+    register._fourier_matrix,
+)
 
 
 def _clear_plans():
@@ -87,14 +94,9 @@ def test_cached_tables_reject_writes():
     d4, cell = CAT["D4"], hexagon_torus()
     fs = catalog_factor_system("D4")
     edges = [SiteSpec(("e", e), "edge", d4) for e in range(cell.n_edges)]
-    reg = init_plus(edges)
     edge_ids = tuple(s.sid for s in edges)
-    vertex_shifts = verify._vertex_shifts(d4, cell, reg.layout, edge_ids)
     plaquettes, loops = verify._stabilizer_diagonals(d4, cell, edge_ids)
-    assert vertex_shifts and plaquettes and loops
-    for tables in vertex_shifts:
-        for _, table in tables:
-            _assert_read_only(table)
+    assert plaquettes and loops
     for op in plaquettes + tuple(op for _, ops in loops for op in ops):
         _assert_read_only(op.diag)
 
@@ -110,23 +112,27 @@ def test_cached_tables_reject_writes():
 def test_cold_and_warm_reports_are_byte_identical():
     d4, cell = CAT["D4"], hexagon_torus()
     transcript = protocols.prepare_solvable_double(d4, cell, kwmaps.KwMode.sample(5))
-    plans = (verify._vertex_shifts, verify._stabilizer_diagonals)
-    for cache in plans:
-        cache.cache_clear()
+    verify._stabilizer_diagonals.cache_clear()
     cold = verify.stabilizer_report(transcript.register, d4, cell).to_json()
-    assert [cache.cache_info()[:2] for cache in plans] == [(0, 1)] * 2
+    assert verify._stabilizer_diagonals.cache_info()[:2] == (0, 1)
     warm = verify.stabilizer_report(transcript.register, d4, cell).to_json()
-    assert [cache.cache_info()[:2] for cache in plans] == [(1, 1)] * 2
+    assert verify._stabilizer_diagonals.cache_info()[:2] == (1, 1)
     assert warm == cold
 
 
 def test_diagonals_are_shared_across_layouts():
     d4, cell = CAT["D4"], hexagon_torus()
     specs = [SiteSpec(("e", e), "edge", d4) for e in range(cell.n_edges)]
+    rng = np.random.default_rng(4)
+    amps = rng.normal(size=(d4.order,) * cell.n_edges) + 1j * rng.normal(size=(d4.order,) * cell.n_edges)
     _clear_plans()
     for order in (specs, specs[::-1]):
-        verify.stabilizer_report(init_plus(order), d4, cell)
-    assert verify._vertex_shifts.cache_info()[:2] == (0, 2)
+        # the same state stored in either edge order
+        reg = QuditRegister(order, amps.transpose([specs.index(s) for s in order]) / np.linalg.norm(amps))
+        report = verify.stabilizer_report(reg, d4, cell)
+        assert report.vertex_expectations == {
+            v: verify._real(reg.expectation(verify.vertex_stabilizer(d4, cell, v)), "A") for v in range(cell.n_vertices)
+        }
     assert verify._stabilizer_diagonals.cache_info()[:2] == (1, 1)
 
 
@@ -148,22 +154,24 @@ CELLS = (hexagon_torus, theta_sphere, tetrahedron_sphere, lambda: square_torus(2
 @st.composite
 def edge_registers(draw):
     """A random edge state on a random (group, cell) with its edges stored in
-    shuffled order, optionally renamed and with a spectator site among them."""
+    shuffled order, optionally renamed and with up to two spectator sites of
+    another dimension interleaved among them."""
     cell = draw(st.sampled_from(CELLS))()
     fitting = [name for name in ("Z2", "Z3", "S3", "D4") if CAT[name].order ** cell.n_edges <= 6561]
     group = CAT[draw(st.sampled_from(fitting))]
     renamed = draw(st.booleans())
     edge_of = (lambda e: ("w", e, "x")) if renamed else register._edge_site
     specs = [SiteSpec(edge_of(e), "edge", group) for e in draw(st.permutations(range(cell.n_edges)))]
-    if draw(st.booleans()):
-        specs.insert(draw(st.integers(0, len(specs))), SiteSpec("spectator", "edge", CAT["Z2"]))
+    other = CAT["Z3"] if group.order == 2 else CAT["Z2"]
+    for k in range(draw(st.integers(0, 2))):
+        specs.insert(draw(st.integers(0, len(specs))), SiteSpec(("spectator", k), "edge", other))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dims = tuple(s.dim for s in specs)
     amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
     # symmetrize under inverting every edge label so loop values stay real
     flipped = amps
     for axis, spec in enumerate(specs):
-        if spec.sid != "spectator":
+        if spec.sid[0] != "spectator":
             flipped = np.take(flipped, group.inv, axis=axis)
     amps = amps + flipped
     return QuditRegister(specs, amps / np.linalg.norm(amps)), group, cell, edge_of
@@ -172,9 +180,26 @@ def edge_registers(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(edge_registers())
 def test_plan_report_matches_the_stabilizer_builders_bitwise(case):
+    """The report's per-axis vertex sweep equals the StabilizerOperator flat
+    gathers bitwise, and builds no flat index on the way."""
     reg, group, cell, edge_of = case
     before = reg.amps.copy()
-    report = verify.stabilizer_report(reg, group, cell, edge_of)
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(QuditRegister, "permuted", spy("permuted", QuditRegister.permuted)))
+        for module in (register, verify, kwmaps):
+            if hasattr(module, "layout_shift"):
+                stack.enter_context(mock.patch.object(module, "layout_shift", spy("layout_shift", module.layout_shift)))
+        report = verify.stabilizer_report(reg, group, cell, edge_of)
+    assert calls == []
     vexp = {
         v: verify._real(reg.expectation(verify.vertex_stabilizer(group, cell, v, edge_of)), "A")
         for v in range(cell.n_vertices)
