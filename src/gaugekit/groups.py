@@ -70,6 +70,7 @@ class FiniteGroup:
         self._validate()
         self.inv = self._build_inverses()
         self.inv.setflags(write=False)
+        self.is_abelian = bool(np.array_equal(table, table.T))
         # Optional cyclic decomposition [(generator, order), ...], attached by
         # the abelian builders so the character pairing is the factor-wise one.
         self._decomposition = decomposition
@@ -123,10 +124,6 @@ class FiniteGroup:
             x = int(self.mult[x, a])
             k += 1
         return k
-
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mult, self.mult.T))
 
     def conjugacy_classes(self) -> List[Tuple[int, ...]]:
         seen = set()

@@ -14,8 +14,8 @@ and a measure-and-repair half that each record runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,8 +28,8 @@ from .gates import (
     cz_abelian,
     left_mult,
     omega_gate,
+    parent_to_pair,
     sigma_gate,
-    split_left_mult,
     z_dual,
     z_tilde,
 )
@@ -43,8 +43,8 @@ from .register import (
     _edge_site,
     _identity_state,
     _plus_state,
+    _taken,
     _vertex_site,
-    layout_shift,
 )
 
 __all__ = ["KwMode", "KwResult", "KwRound", "kw_abelian", "kw_hat_abelian", "kw_exact_g", "kw_n_in_g"]
@@ -142,42 +142,28 @@ def _require_symmetric(
     outcomes is satisfiable exactly for invariant states, so repair would fail.
 
     sites holds each vertex's sites, one plain-group site or a split
-    (subgroup, quotient) pair; each element g of the global left action is
-    probed by one gather through the layout's cached shift tables."""
-    tables = _symmetry_shifts(subject, reg.layout, tuple(sites))
+    (subgroup, quotient) pair. Each element g is probed by one per-axis take
+    per vertex of its row of the source table, read off the group tables and
+    so trusted: g^-1 x on a group's vertex, the pair label of g^-1 times the
+    parent element of x on a split vertex."""
+    if isinstance(subject, FactorSystem):
+        pair = parent_to_pair(subject)
+        table = pair[subject.parent.mult[subject.parent.inv][:, np.argsort(pair)]]
+    else:
+        table = subject.mult[subject.inv]
+    vertices = [[reg.pos(s) for s in t] for t in sites]
+    for t, axes in zip(sites, vertices):
+        if math.prod(reg.dims[a] for a in axes) != subject.order:
+            raise ValueError(f"{what}: vertex sites {t} do not carry the joint basis of the symmetry")
     for g in range(1, subject.order):
-        if np.abs(reg.permuted([(t, table[g]) for t, table in tables]) - reg.amps).max() > STATE_TOL:
+        probe = reg.amps
+        for axes in vertices:
+            probe = _taken(probe, axes, table[g])
+        if np.abs(probe - reg.amps).max() > STATE_TOL:
             raise ValueError(
                 f"{what}: input is not invariant under the global left action "
                 f"(element {g} moves it); the residual charge obstructs outcome repair"
             )
-
-
-def _split_sources(fs: FactorSystem) -> np.ndarray:
-    """Joint (subgroup, quotient) source label of every split-vertex label
-    under the left action of each parent element, indexed [g, label]."""
-    return np.stack([np.argsort(split_left_mult(fs, g, "n", "q").image) for g in fs.parent.elements()])
-
-
-@lru_cache(maxsize=32)
-def _symmetry_shifts(
-    subject: Union[FiniteGroup, FactorSystem],
-    layout: Tuple[Tuple[Hashable, int], ...],
-    sites: Tuple[Tuple[Hashable, ...], ...],
-) -> Tuple[Tuple[Tuple[Hashable, ...], np.ndarray], ...]:
-    """Per-vertex shift tables of the global left action of subject on a
-    register with this layout, for all elements at once: a group's vertex
-    reads g^-1 x, a factor system's split vertex reads its split sources."""
-    if isinstance(subject, FactorSystem):
-        sources = _split_sources(subject)
-    else:
-        sources = subject.mult[subject.inv]
-    tables = []
-    for t in sites:
-        table = layout_shift(layout, t, sources)
-        table.setflags(write=False)
-        tables.append((t, table))
-    return tuple(tables)
 
 
 def _wall_gates(

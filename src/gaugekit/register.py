@@ -3,12 +3,12 @@
 Sites are ordered; amplitudes live in a C-ordered complex128 array with one
 axis per live site (site-major, last site fastest). Measurement retires the
 site and reshapes the state down, so peak dimension is bounded by the largest
-single protocol round. Every gate is a phase-free permutation or a unimodular
-diagonal, so large-arity gates never materialize dense matrices; the Fourier
-rotation inside measure_fourier is the only step that mixes amplitudes. No
-method writes into an amplitude array: each replaces it with a new array or
-a reshaped view, so registers can branch from one read-only amplitude array
-without copying it.
+single protocol round. Every gate is a phase-free permutation, one np.take on
+its merged target axes, or a unimodular diagonal, so large-arity gates never
+materialize dense matrices; the Fourier rotation inside measure_fourier is
+the only step that mixes amplitudes. No method writes into an amplitude
+array: each replaces it with a new array or a reshaped view, so registers
+can branch from one read-only amplitude array without copying it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "QuditRegister",
     "init_plus",
     "init_product",
-    "layout_shift",
 ]
 
 GATE_TOL = 1e-12
@@ -134,7 +133,7 @@ class StabilizerOperator:
 
     terms: list of (weight, {sid: LocalOperator permutation on that site}).
     Covers A_v (group-averaged permutation products) at any arity without
-    materializing a joint matrix: each term is one flat gather.
+    materializing a joint matrix: each factor of a term is one per-axis take.
     """
 
     def __init__(self, terms: Sequence[Tuple[complex, Dict[Hashable, LocalOperator]]], name: str = "stab"):
@@ -211,30 +210,19 @@ def _gated_rows(
     return rows
 
 
-def layout_shift(layout: Sequence[Tuple[Hashable, int]], targets: Sequence[Hashable], sources) -> np.ndarray:
-    """QuditRegister.gather_shift for any register whose live sites are
-    layout, (sid, dim) pairs in order, so plans can be built before the
-    register exists."""
-    index = {sid: k for k, (sid, _) in enumerate(layout)}
-    for t in targets:
-        if t not in index:
-            raise KeyError(f"no live site {t!r}")
-    dims = tuple(d for _, d in layout)
-    axes = [index[t] for t in targets]
-    sub = [dims[a] for a in axes]
-    sources = np.asarray(sources, dtype=np.int64)
-    if sources.shape[-1] != math.prod(sub) or sources.min() < 0 or sources.max() >= sources.shape[-1]:
-        raise ValueError(f"source labels do not index the joint basis of {tuple(targets)}")
-    label = np.arange(sources.shape[-1])
-    shift = np.zeros(sources.shape, dtype=np.int64)
-    for a, d in zip(reversed(axes), reversed(sub)):
-        sources, src = np.divmod(sources, d)
-        label, dst = np.divmod(label, d)
-        shift += (src - dst) * math.prod(dims[a + 1 :])
-    lead = shift.shape[:-1]
-    order = tuple(len(lead) + k for k in np.argsort(axes))
-    shift = shift.reshape(lead + tuple(sub)).transpose(tuple(range(len(lead))) + order)
-    return shift.reshape(lead + tuple(d if k in axes else 1 for k, d in enumerate(dims)))
+def _taken(amps: np.ndarray, axes: Sequence[int], sources: np.ndarray) -> np.ndarray:
+    """amps with the joint label x of axes, row-major in the given order, read
+    from sources[x] by one np.take on the axes merged into one: in place for
+    one axis or adjacent ascending axes, moved to the front otherwise. Callers
+    check sources (permuted) or read it off group tables."""
+    shape = amps.shape
+    first, k = axes[0], len(axes)
+    if list(axes) == list(range(first, first + k)):
+        merged = amps.reshape(shape[:first] + (-1,) + shape[first + k :])
+        return np.take(merged, sources, axis=first).reshape(shape)
+    moved = np.moveaxis(amps, axes, range(k))
+    out = np.take(moved.reshape((-1,) + moved.shape[k:]), sources, axis=0)
+    return np.moveaxis(out.reshape(moved.shape), range(k), axes)
 
 
 @dataclass
@@ -279,7 +267,7 @@ class QuditRegister:
 
     @property
     def layout(self) -> Tuple[Tuple[Hashable, int], ...]:
-        """(sid, dim) of every live site, in axis order: the key of layout plans."""
+        """(sid, dim) of every live site, in axis order."""
         return tuple((s.sid, s.dim) for s in self.sites)
 
     def norm(self) -> float:
@@ -327,9 +315,9 @@ class QuditRegister:
             old = self.dims
             rows = _gated_rows(tuple((self.sites[k].sid, old[k]) for k in ctrl), new, _GateList(gates))
             # row of the new sites for every live basis state, then one scatter
-            target = np.broadcast_to(rows.reshape([d if k in ctrl else 1 for k, d in enumerate(old)]), old)
-            out = np.zeros((self.amps.size, size // self.amps.size), dtype=np.complex128)
-            out[np.arange(self.amps.size), target.reshape(-1)] = self.amps.reshape(-1)
+            at = rows.reshape([d if k in ctrl else 1 for k, d in enumerate(old)] + [1])
+            out = np.zeros(old + (size // self.amps.size,), dtype=np.complex128)
+            np.put_along_axis(out, at, self.amps[..., None], axis=-1)
             self.amps = out.reshape(old + tuple(spec_.dim for spec_ in specs))
         self.sites.extend(specs)
         self._reindex()
@@ -343,44 +331,36 @@ class QuditRegister:
         moved = self.amps if pos == 0 else np.moveaxis(self.amps, pos, 0)
         return moved.reshape(moved.shape[0], -1), pos, moved.shape
 
-    def gather_shift(self, targets: Sequence[Hashable], sources) -> np.ndarray:
-        """Flat-index shift that reads each joint label x of targets from the
-        joint label sources[..., x]: per-site label differences times the
-        register's row-major strides.
-
-        The table is shaped to broadcast over the register behind any leading
-        axes of sources, so one call serves a whole family of permutations."""
-        for t in targets:
-            self.pos(t)  # a retired target is named as such
-        return layout_shift(self.layout, targets, sources)
-
-    def permuted(self, shifts: Sequence[Tuple[Sequence[Hashable], np.ndarray]]) -> np.ndarray:
-        """Amplitudes after permutation gates on disjoint sites, by one gather
-        flat[base + sum of shifts], base the row-major index of every entry.
-
-        Each shift is a (targets, gather_shift table) pair; the result is a new
-        array and the register is left as it was."""
+    def permuted(self, perms: Sequence[Tuple[Sequence[Hashable], np.ndarray]]) -> np.ndarray:
+        """Amplitudes after permutation gates on disjoint sites, one per-axis
+        take each: a (targets, sources) pair reads the joint label x of targets
+        from the joint source label sources[x]. The register is left as it was."""
         seen: set = set()
-        total = 0
-        for targets, table in shifts:
+        amps = self.amps
+        for targets, sources in perms:
             overlap = seen.intersection(targets)
             if overlap:
-                raise ValueError(f"gathered permutations overlap on sites {overlap}")
+                raise ValueError(f"permutations overlap on sites {overlap}")
             seen.update(targets)
-            total = total + table
-        base = np.arange(self.amps.size).reshape(self.amps.shape)
-        return self.amps.reshape(-1)[base + total]
+            axes = [self.pos(t) for t in targets]
+            joint = math.prod(self.sites[a].dim for a in axes)
+            sources = np.asarray(sources, dtype=np.int64)
+            # np.take would wrap a negative entry silently
+            if sources.shape != (joint,) or sources.min() < 0 or sources.max() >= joint:
+                raise ValueError(f"source labels do not index the joint basis of {tuple(targets)}")
+            amps = _taken(amps, axes, sources)
+        return amps
 
     def _averaged(self, op: StabilizerOperator) -> np.ndarray:
         """The weighted sum of the op's permuted copies, in term order."""
         acc = np.zeros_like(self.amps)
         for weight, factors in op.terms:
-            shifts = []
+            perms = []
             for factor in factors.values():
                 if factor.kind != "perm":
                     raise ValueError(f"{op.name}: stabilizer factor {factor.name} is not a permutation")
-                shifts.append((factor.targets, self.gather_shift(factor.targets, np.argsort(factor.image))))
-            acc += weight * self.permuted(shifts)
+                perms.append((factor.targets, np.argsort(factor.image)))
+            acc += weight * self.permuted(perms)
         return acc
 
     def _applied(self, op) -> np.ndarray:
@@ -394,7 +374,7 @@ class QuditRegister:
         if joint != math.prod(sub):
             raise ValueError(f"{op.name}: operator dimension {joint} mismatches targets {math.prod(sub)}")
         if perm:
-            return self.permuted([(op.targets, layout_shift(self.layout, op.targets, np.argsort(op.image)))])
+            return self.permuted([(op.targets, np.argsort(op.image))])
         # the table in register axis order, broadcast over the other sites
         table = op.diag.reshape(sub).transpose(np.argsort(axes))
         return self.amps * table.reshape([d if k in axes else 1 for k, d in enumerate(self.dims)])
@@ -486,8 +466,7 @@ class QuditRegister:
 
     def relabel_site(self, sid: Hashable, image: np.ndarray) -> None:
         """Permute one site's basis labels: |x> -> |image[x]>."""
-        inv = np.argsort(np.asarray(image, dtype=np.int64))
-        self.amps = np.take(self.amps, inv, axis=self.pos(sid))
+        self.amps = _taken(self.amps, [self.pos(sid)], np.argsort(np.asarray(image, dtype=np.int64)))
 
     def merge_sites(self, sid_a: Hashable, sid_b: Hashable, new_spec: SiteSpec) -> None:
         """Fuse two sites into one with C-order pairing (a-label major)."""

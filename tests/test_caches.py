@@ -48,7 +48,7 @@ def test_the_scan_finds_every_spelling():
 
 
 def test_the_source_has_caches():
-    assert sum(len(cache_sizes(path.read_text(encoding="utf-8"))) for path in SRC.glob("*.py")) >= 10
+    assert sum(len(cache_sizes(path.read_text(encoding="utf-8"))) for path in SRC.glob("*.py")) >= 9
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)

@@ -1,11 +1,15 @@
-"""Every name a source module imports is used there or re-exported.
+"""Every name a source module imports is used there or re-exported, and
+every name it exports exists.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree: an imported name counts as used when it appears as a name
-anywhere in the module (annotations included) or is listed in __all__.
+anywhere in the module (annotations included) or is listed in __all__. A
+stale __all__ entry would otherwise fail only at a star import.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,21 @@ def test_the_check_flags_only_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_source_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unresolved_exports(module) -> list:
+    return [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+
+
+def test_the_export_check_flags_only_missing_names():
+    module = types.ModuleType("probe")
+    exec("def kept(): pass\n__all__ = ['kept', 'deleted']\n", module.__dict__)
+    assert unresolved_exports(module) == ["deleted"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_exported_name_resolves(path):
+    name = "gaugekit" if path.stem == "__init__" else f"gaugekit.{path.stem}"
+    module = importlib.import_module(name)
+    assert hasattr(module, "__all__")
+    assert unresolved_exports(module) == []

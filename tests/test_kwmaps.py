@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from gaugekit import kwmaps
 from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_vertex_graph
-from gaugekit.gates import left_mult, loop_z, parent_to_pair
+from gaugekit.gates import left_mult, loop_z, parent_to_pair, split_left_mult
 from gaugekit.groups import (
     catalog,
     catalog_factor_system,
@@ -18,6 +19,7 @@ from gaugekit.groups import (
     subgroup_from_members,
 )
 from gaugekit.kwmaps import EXACT_BUDGET, KwMode, kw_abelian, kw_exact_g, kw_hat_abelian, kw_n_in_g
+from gaugekit.protocols import _solvable_chain
 from gaugekit.register import QuditRegister, SiteSpec, init_plus
 
 CAT = catalog()
@@ -203,6 +205,47 @@ def test_dual_route_rejects_charged_input_before_touching_it():
         kw_hat_abelian(reg, hexagon_torus(), z2, KwMode.sample(0))
     assert len(reg.sites) == 1
     assert np.array_equal(reg.amps, [0.0, 1.0])
+
+
+def _split_vertices(fs):
+    """Two split vertices: vertex 0 stored (n, q) in adjacent axes, vertex 1
+    stored (q, n) with a Z2 site between them."""
+    n_site = lambda v: SiteSpec(("n", v), "vertex", fs.n_group)
+    q_site = lambda v: SiteSpec(("q", v), "vertex", fs.q_group)
+    return [n_site(0), q_site(0), q_site(1), SiteSpec("x", "edge", CAT["Z2"]), n_site(1)]
+
+
+def test_split_probes_read_the_sources_of_split_left_mult(monkeypatch):
+    """Every split-vertex probe row, built from the parent tables, equals the
+    source row of split_left_mult, for every catalog factor system and every
+    A4/S4 chain stage."""
+    systems = [catalog_factor_system(name) for name in ("S3", "D4", "Q8")]
+    systems += [fs for name in ("A4", "S4") for fs in _solvable_chain(CAT[name])]
+    taken = kwmaps._taken
+    for fs in systems:
+        rows = []
+        monkeypatch.setattr(kwmaps, "_taken", lambda amps, axes, sources: rows.append(sources) or taken(amps, axes, sources))
+        sites = [(("n", v), ("q", v)) for v in range(2)]
+        kwmaps._require_symmetric(init_plus(_split_vertices(fs)), fs, sites, "probe")
+        expected = [np.argsort(split_left_mult(fs, g, *t).image) for g in range(1, fs.parent.order) for t in sites]
+        assert len(rows) == len(expected)
+        assert all(np.array_equal(row, want) for row, want in zip(rows, expected)), fs
+
+
+def test_split_probe_names_the_first_element_that_moves_the_input():
+    """A state spread evenly over the cyclic subgroup {0, 1, 4, 5} of Q8 on
+    each split vertex is moved first by element 2."""
+    fs = catalog_factor_system("Q8")
+    local = np.zeros(fs.parent.order)
+    local[parent_to_pair(fs)[[0, 1, 4, 5]]] = 0.5
+    vertex = local.reshape(fs.n_group.order, fs.q_group.order)
+    # axes n0, q0, q1, x, n1
+    amps = np.einsum("ab,ce,d->abcde", vertex, vertex.T, np.full(2, np.sqrt(0.5)))
+    reg = QuditRegister(_split_vertices(fs), amps)
+    with pytest.raises(ValueError, match=r"probe: input is not invariant under the global left action \(element 2 moves it\)"):
+        kwmaps._require_symmetric(reg, fs, [(("n", v), ("q", v)) for v in range(2)], "probe")
+    with pytest.raises(ValueError, match="do not carry the joint basis"):
+        kwmaps._require_symmetric(reg, CAT["Z3"], [("x",)], "probe")
 
 
 def test_vertex_route_forced_branches():

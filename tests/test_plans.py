@@ -9,7 +9,6 @@ oracle, the gate lists and the state before the first measurement are built
 once and every seed branches from that read-only state.
 """
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -33,7 +32,6 @@ CAT = catalog()
 # the plans built from (group or factor system, cell, layout, site ids)
 PLANS = (
     verify._stabilizer_diagonals,
-    kwmaps._symmetry_shifts,
     register._gated_rows,
 )
 PLAN_CACHES = PLANS + (
@@ -73,15 +71,19 @@ def test_equal_factor_systems_share_one_entry_and_distinct_ones_do_not(tmp_path)
     assert q8 != built and built != built.parent
 
     _clear_plans()
-    layout = _split_register(built, 2).layout
-    sites = tuple((("n", v), ("q", v)) for v in range(2))
-    shifts = kwmaps._symmetry_shifts(built, layout, sites)
-    assert kwmaps._symmetry_shifts(loaded, layout, sites) is shifts
-    assert kwmaps._symmetry_shifts.cache_info()[:2] == (1, 1)
+    cell = hexagon_torus()
+    ctrl = tuple((s.sid, s.dim) for s in _split_register(built, cell.n_vertices).sites)
+    new = tuple((("e", e), built.n_group.order) for e in range(cell.n_edges))
 
-    q8_shifts = kwmaps._symmetry_shifts(q8, layout, sites)
-    assert any(not np.array_equal(a, b) for (_, a), (_, b) in zip(q8_shifts, shifts))
-    assert kwmaps._symmetry_shifts.cache_info().currsize == 2
+    def rows(fs):
+        gates = kwmaps._wall_gates(fs, cell, lambda v: ("n", v), lambda e: ("e", e), lambda v: ("q", v))
+        return register._gated_rows(ctrl, new, register._GateList(gates))
+
+    shared = rows(built)
+    assert rows(loaded) is shared
+    assert register._gated_rows.cache_info()[:2] == (1, 1)
+    assert not np.array_equal(rows(q8), shared)
+    assert register._gated_rows.cache_info().currsize == 2
 
 
 def _assert_read_only(array):
@@ -101,8 +103,6 @@ def test_cached_tables_reject_writes():
         _assert_read_only(op.diag)
 
     split = _split_register(fs, 2)
-    for _, table in kwmaps._symmetry_shifts(fs, split.layout, ((("n", 0), ("q", 0)),)):
-        _assert_read_only(table)
     gates = kwmaps._wall_gates(fs, cell, lambda v: ("n", v), lambda e: ("e", e), lambda v: ("q", v))
     ctrl = tuple((s.sid, s.dim) for s in split.sites)
     new = tuple((("e", e), fs.n_group.order) for e in range(cell.n_edges))
@@ -180,8 +180,8 @@ def edge_registers(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(edge_registers())
 def test_plan_report_matches_the_stabilizer_builders_bitwise(case):
-    """The report's per-axis vertex sweep equals the StabilizerOperator flat
-    gathers bitwise, and builds no flat index on the way."""
+    """The report's per-axis vertex sweep equals the StabilizerOperator
+    expectations bitwise, and runs no permuted call on the way."""
     reg, group, cell, edge_of = case
     before = reg.amps.copy()
     calls = []
@@ -193,11 +193,7 @@ def test_plan_report_matches_the_stabilizer_builders_bitwise(case):
 
         return counted
 
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(QuditRegister, "permuted", spy("permuted", QuditRegister.permuted)))
-        for module in (register, verify, kwmaps):
-            if hasattr(module, "layout_shift"):
-                stack.enter_context(mock.patch.object(module, "layout_shift", spy("layout_shift", module.layout_shift)))
+    with mock.patch.object(QuditRegister, "permuted", spy("permuted", QuditRegister.permuted)):
         report = verify.stabilizer_report(reg, group, cell, edge_of)
     assert calls == []
     vexp = {
@@ -241,7 +237,6 @@ def test_a_second_seed_rebuilds_no_plan(monkeypatch, group):
     for module, name in [
         (verify, "loop_z"),
         (verify, "plaquette_stabilizer"),
-        (kwmaps, "split_left_mult"),
         (register, "_push_labels"),
     ]:
         _count_calls(monkeypatch, calls, module, name)
@@ -249,7 +244,7 @@ def test_a_second_seed_rebuilds_no_plan(monkeypatch, group):
     _clear_plans()
     first, _ = cli.cmd_prepare(config)
     # the wrappers see the cold build: every table is made on the first seed
-    expected = {"plaquette_stabilizer", "split_left_mult", "_push_labels"}
+    expected = {"plaquette_stabilizer", "_push_labels"}
     assert set(calls) == expected | ({"loop_z"} if group == "D4" else set())
     misses = [cache.cache_info().misses for cache in PLANS]
 

@@ -441,14 +441,18 @@ def random_z3_register(symmetric_axes=()):
     return QuditRegister([SiteSpec(k, "edge", z3) for k in range(10)], amps / np.linalg.norm(amps))
 
 
-# measured on a 3^10 register: 1.0, 1.1 and 2.0 register sizes; a second
-# register-sized copy in the measurement or the diagonal exceeds its bound
+# measured on a 3^10 register: 1.0, 1.1, 2.0 and 1.0 register sizes; a second
+# register-sized copy in the measurement, the diagonal or the one-site take
+# exceeds its bound. The three-site permutation moves its axes to the front
+# and merges them, a copy, before its take.
 PHASES = LocalOperator([7, 2], "diag", np.exp(2j * np.pi * np.arange(9) / 9), name="D")
 SHUFFLE = LocalOperator([8, 1, 5], "perm", (np.arange(27) * 5 + 1) % 27, name="P")
+CYCLE = LocalOperator([4], "perm", [1, 2, 0], name="C")
 TRANSIENT_BOUNDS = [
     ("measure_fourier on the front site", lambda reg: reg.measure_fourier(0, forced=0), 1.5),
     ("two-site diagonal", lambda reg: reg.apply(PHASES), 1.5),
     ("three-site permutation", lambda reg: reg.apply(SHUFFLE), 2.5),
+    ("one-site permutation", lambda reg: reg.apply(CYCLE), 1.5),
 ]
 
 
@@ -585,7 +589,7 @@ def test_gated_allocation_rejects_what_one_scatter_cannot_write(monkeypatch):
     assert reg.dims == (3, 3) and len(reg.sites) == 2
 
 
-# --- gates and flat permutation gathers, cross-checked against the moveaxis path
+# --- gates and per-axis permutation takes, cross-checked against the moveaxis path
 
 
 def _reference_applied(reg, amps, op):
@@ -639,7 +643,7 @@ def _random_register(draw, min_sites, max_sites):
 
 
 @st.composite
-def gathered_terms(draw):
+def permutation_terms(draw):
     reg, _ = _random_register(draw, 2, 4)
     dims = reg.dims
     weight = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
@@ -648,14 +652,14 @@ def gathered_terms(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(gathered_terms())
-def test_flat_gathers_match_gate_by_gate_application_bitwise(case):
+@given(permutation_terms())
+def test_permuted_matches_gate_by_gate_application_bitwise(case):
     reg, terms = case
     assert not reg.amps.flags.c_contiguous
     before = reg.amps.copy()
     for _, gates in terms:
-        shifts = [(op.targets, reg.gather_shift(op.targets, np.argsort(op.image))) for op in gates]
-        assert np.array_equal(reg.permuted(shifts), _reference_average(reg, [(1.0, gates)]))
+        perms = [(op.targets, np.argsort(op.image)) for op in gates]
+        assert np.array_equal(reg.permuted(perms), _reference_average(reg, [(1.0, gates)]))
     op = StabilizerOperator([(w, {g.targets[0]: g for g in gates}) for w, gates in terms])
     ref = _reference_average(reg, terms)
     assert reg.expectation(op) == complex(np.vdot(reg.amps, ref))
@@ -699,7 +703,7 @@ def test_gates_match_the_moveaxis_reference_bitwise(case):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(gathered_terms(), st.data())
+@given(permutation_terms(), st.data())
 def test_flat_gather_rejects_overlapping_targets(case, data):
     reg, _ = case
     dims = reg.dims
@@ -707,16 +711,46 @@ def test_flat_gather_rejects_overlapping_targets(case, data):
     other = data.draw(st.sampled_from([k for k in range(len(dims)) if k != shared]))
     first = LocalOperator([("s", shared)], "perm", np.roll(np.arange(dims[shared]), 1))
     second = LocalOperator([("s", other), ("s", shared)], "perm", np.arange(dims[other] * dims[shared]))
-    shifts = [(op.targets, reg.gather_shift(op.targets, np.argsort(op.image))) for op in (first, second)]
     with pytest.raises(ValueError, match="overlap"):
-        reg.permuted(shifts)
+        reg.permuted([(op.targets, np.argsort(op.image)) for op in (first, second)])
     with pytest.raises(ValueError, match="overlap"):
         reg.expectation(StabilizerOperator([(1.0, {"a": first, "b": second})]))
 
 
-def test_gather_shift_rejects_sources_outside_the_joint_basis():
+def test_permuted_rejects_sources_outside_the_joint_basis():
+    """A short row, an entry past the joint dimension and a negative entry,
+    which np.take would wrap, are each rejected."""
     reg = init_plus(z2_sites(3))
-    with pytest.raises(ValueError, match="joint basis"):
-        reg.gather_shift([("e", 0)], [0, 2])
-    with pytest.raises(ValueError, match="joint basis"):
-        reg.gather_shift([("e", 0), ("e", 1)], [0, 1, 2])
+    before = reg.amps.copy()
+    for targets, sources in [
+        ([("e", 0)], [0]),
+        ([("e", 0), ("e", 1)], [0, 1, 2, 4]),
+        ([("e", 2), ("e", 0)], [0, 1, 2, -1]),
+    ]:
+        with pytest.raises(ValueError, match="joint basis"):
+            reg.permuted([(targets, sources)])
+    assert np.array_equal(reg.amps, before)
+
+
+# one per-axis take for each target shape: merged in place, or moved to the front first
+TARGET_SHAPES = {"adjacent ascending": [1, 2], "adjacent descending": [2, 1], "non-adjacent": [3, 0, 2]}
+
+
+@pytest.mark.parametrize("targets", TARGET_SHAPES.values(), ids=TARGET_SHAPES.keys())
+def test_permuted_reads_every_target_shape_from_its_source_labels(targets):
+    rng = np.random.default_rng(8)
+    dims = (2, 3, 4, 2, 3)
+    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    reg = QuditRegister([SiteSpec(("s", k), "edge", build_cyclic(d)) for k, d in enumerate(dims)], amps)
+    sub = [dims[k] for k in targets]
+    sources = rng.permutation(math.prod(sub))
+    out = reg.permuted([([("s", k) for k in targets], sources)])
+    for index in np.ndindex(*dims):
+        # the joint label of the targets, row-major in target order, and its source
+        label = np.ravel_multi_index([index[k] for k in targets], sub)
+        src = list(index)
+        for k, part in zip(targets, np.unravel_index(sources[label], sub)):
+            src[k] = part
+        assert out[index] == amps[tuple(src)]
+    op = LocalOperator([("s", k) for k in targets], "perm", np.argsort(sources))
+    assert np.array_equal(out, _reference_applied(reg, amps, op))
