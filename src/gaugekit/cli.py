@@ -405,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prep.add_argument("--workers", type=int, default=1, help="worker threads for independent seeds")
     prep.add_argument("--no-stabilizers", dest="stabilizers", action="store_false")
     prep.add_argument("--no-oracle-fidelity", dest="oracle_fidelity", action="store_false")
-    prep.add_argument("--gsd", action="store_true", help="include the projector-rank degeneracy")
+    prep.add_argument("--gsd", action="store_true", help="include the ground-space degeneracy")
     prep.add_argument("--output", "-o", default="")
     prep.add_argument("--pretty", action="store_true")
 

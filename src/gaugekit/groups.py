@@ -36,12 +36,10 @@ __all__ = [
     "derived_length",
     "center",
     "perfect_core",
-    "central_quotient",
     "is_nil2_extension",
     "abelian_decomposition",
     "character_table",
     "irrep_table",
-    "is_isomorphic",
     "catalog",
     "catalog_factor_system",
     "load_catalog",
@@ -487,11 +485,6 @@ def perfect_core(g: FiniteGroup) -> Subgroup:
     return derived_series(g)[0][-1]
 
 
-def central_quotient(g: FiniteGroup) -> FiniteGroup:
-    q, _, _ = quotient_group(g, center(g))
-    return q
-
-
 def is_nil2_extension(fs: FactorSystem) -> bool:
     """True iff the extension is central with abelian N and Q."""
     if not (fs.n_group.is_abelian and fs.q_group.is_abelian):
@@ -713,77 +706,6 @@ def irrep_table(g: FiniteGroup) -> IrrepTable:
     raise ValueError(
         f"irreps unsupported for non-abelian {g.name} outside the stored catalog"
     )
-
-
-# ---------------------------------------------------------------------------
-# isomorphism testing (tests and round-trip checks only)
-
-
-def _generating_set(g: FiniteGroup) -> List[int]:
-    gens: List[int] = []
-    span = {0}
-    for a in sorted(g.elements(), key=lambda x: (-g.element_order(x), x)):
-        if a in span:
-            continue
-        gens.append(a)
-        span = set(generated_subgroup(g, gens).members)
-        if len(span) == g.order:
-            break
-    return gens
-
-
-def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    """Backtracking generator-image search; fine for order <= 64."""
-    if g1.order != g2.order:
-        return False
-    orders1 = sorted(g1.element_order(a) for a in g1.elements())
-    orders2 = sorted(g2.element_order(a) for a in g2.elements())
-    if orders1 != orders2:
-        return False
-    gens = _generating_set(g1)
-    by_order: Dict[int, List[int]] = {}
-    for a in g2.elements():
-        by_order.setdefault(g2.element_order(a), []).append(a)
-
-    def words(limit_gens: List[int]) -> Dict[int, List[int]]:
-        """Every g1 element as a word (list of generator positions)."""
-        table: Dict[int, List[int]] = {0: []}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop(0)
-            for pos, s in enumerate(limit_gens):
-                y = g1.mul(x, s)
-                if y not in table:
-                    table[y] = table[x] + [pos]
-                    frontier.append(y)
-        return table
-
-    word_table = words(gens)
-    if len(word_table) != g1.order:
-        raise RuntimeError("generating set does not generate")
-
-    def image_of(word: List[int], images: List[int]) -> int:
-        x = 0
-        for pos in word:
-            x = g2.mul(x, images[pos])
-        return x
-
-    def assign(k: int, images: List[int]) -> bool:
-        if k == len(gens):
-            mapping = {a: image_of(w, images) for a, w in word_table.items()}
-            if len(set(mapping.values())) != g1.order:
-                return False
-            return all(
-                mapping[g1.mul(a, b)] == g2.mul(mapping[a], mapping[b])
-                for a in g1.elements()
-                for b in g1.elements()
-            )
-        for cand in by_order[g1.element_order(gens[k])]:
-            if assign(k + 1, images + [cand]):
-                return True
-        return False
-
-    return assign(0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,18 @@ product. On any protocol branch before feedforward these equal the
 measurement outcomes exactly. nil2_circuit_gate_by_gate is the one-shot
 nil2 coupling circuit with every edge allocated first and every gate
 applied on its own, the form the gated allocation of the quotient walls
-is checked against.
+is checked against. theta_sphere_reversed is theta_sphere with edge 1
+reversed, so its edges no longer all point the same way. dense_projector_rank is the joint stabilizer projector
+as a dense |G|^E x |G|^E matrix with its rank read off the spectrum, the
+reference for the orbit count of verify.ground_state_degeneracy.
+is_isomorphic and central_quotient are the group-theory checks of the
+factor-system round trips.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Hashable, Sequence
+from typing import Callable, Dict, Hashable, List, Sequence
 
 import numpy as np
 
@@ -36,7 +41,14 @@ from gaugekit.gates import (
     parent_to_pair,
     right_mult,
 )
-from gaugekit.groups import FactorSystem, FiniteGroup, character_table
+from gaugekit.groups import (
+    FactorSystem,
+    FiniteGroup,
+    center,
+    character_table,
+    generated_subgroup,
+    quotient_group,
+)
 from gaugekit.register import (
     DiagonalOperator,
     LocalOperator,
@@ -48,10 +60,30 @@ from gaugekit.register import (
     init_plus,
     init_product,
 )
+from gaugekit.verify import GSD_DIM_BUDGET, _vertex_tables
 
 # enumeration terms for the reference state
 ORACLE_BUDGET = 1_000_000
 SYNDROME_TOL = 1e-8
+
+
+# ---------------------------------------------------------------------------
+# fixture cell
+
+
+def theta_sphere_reversed() -> Cellulation:
+    """theta_sphere with edge 1 pointing from vertex 1 to vertex 0: its step
+    is negated in both walks, the dual edges are unchanged. With mixed
+    orientations the cocycle dressing of the one-shot nil2 circuit no
+    longer cancels around every plaquette."""
+    return Cellulation(
+        n_vertices=2,
+        edges=((0, 1), (1, 0), (0, 1)),
+        plaquettes=(((0, 1), (1, 1)), ((1, -1), (2, -1)), ((2, 1), (0, -1))),
+        dual_edges=((2, 0), (0, 1), (1, 2)),
+        genus=0,
+        name="theta_sphere_reversed",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +278,140 @@ def nil2_circuit_gate_by_gate(fs: FactorSystem, cell: Cellulation) -> QuditRegis
         reg.apply(controlled_left(q_grp, ("v", i_v), ("e", e, "q")).dagger())
         reg.apply(controlled_right(q_grp, ("v", f_v), ("e", e, "q")).dagger())
     return reg
+
+
+# ---------------------------------------------------------------------------
+# dense degeneracy projector
+
+
+def _vertex_perm_columns(
+    g_group: FiniteGroup, cell: Cellulation, v: int, g: int, grids: np.ndarray
+) -> np.ndarray:
+    """Row index hit by each basis column under one vertex action."""
+    labels = grids.copy()
+    for e, table in _vertex_tables(g_group, cell, v):
+        labels[e] = table[g][labels[e]]
+    return np.ravel_multi_index(tuple(labels), (g_group.order,) * cell.n_edges)
+
+
+def dense_projector_rank(g_group: FiniteGroup, cell: Cellulation) -> int:
+    """Rank of the joint stabilizer projector on the edge space.
+
+    The vertex product is a real average of permutation matrices: every
+    joint choice of vertex actions scatters |G|^-V along one composed
+    permutation, vertex 0 acting first. The plaquette diagonal then zeroes
+    each non-flat row. Every nonzero entry is at least |G|^-V, far above
+    the hermiticity tolerance, so a hermitian projector also has zero
+    flat-row, non-flat-column entries and its spectrum is that of the flat
+    block plus exact zeros.
+    """
+    if not cell.closed:
+        raise ValueError("degeneracy counting needs a closed cellulation")
+    d, n_e = g_group.order, cell.n_edges
+    dim = d**n_e
+    if dim > GSD_DIM_BUDGET:
+        raise ValueError(f"edge space {d}^{n_e} exceeds the dense projector budget {GSD_DIM_BUDGET}")
+    grids = np.indices((d,) * n_e).reshape(n_e, -1)
+    cols = np.arange(dim)
+    actions = [
+        [_vertex_perm_columns(g_group, cell, v, g, grids) for g in g_group.elements()]
+        for v in range(cell.n_vertices)
+    ]
+    weight = 1.0 / d**cell.n_vertices
+    proj = np.zeros((dim, dim))
+    for choice in itertools.product(*actions):
+        rows = cols
+        for perm in choice:
+            rows = perm[rows]
+        proj[rows, cols] += weight
+    keep = np.ones(dim)
+    for walk in cell.plaquettes:
+        spots, acc = _walk_product(g_group, walk)
+        keep *= acc[np.ravel_multi_index(tuple(grids[e] for e in spots), (d,) * len(spots))] == 0
+    proj *= keep[:, None]
+    herm_dev = np.abs(proj - proj.T).max()
+    if herm_dev > 1e-10:
+        raise ValueError(f"stabilizer projector fails hermiticity by {herm_dev:.2e}")
+    flat = np.flatnonzero(keep)
+    block = proj[np.ix_(flat, flat)]
+    eigs = np.linalg.eigvalsh((block + block.T) / 2)
+    loose = eigs[(eigs > 1e-8) & (eigs < 1 - 1e-8)]
+    if loose.size:
+        raise ValueError(f"projector spectrum has {loose.size} values away from 0 and 1")
+    return int(np.count_nonzero(eigs >= 1 - 1e-8))
+
+
+# ---------------------------------------------------------------------------
+# isomorphism testing and the central quotient
+
+
+def central_quotient(g: FiniteGroup) -> FiniteGroup:
+    q, _, _ = quotient_group(g, center(g))
+    return q
+
+
+def _generating_set(g: FiniteGroup) -> List[int]:
+    gens: List[int] = []
+    span = {0}
+    for a in sorted(g.elements(), key=lambda x: (-g.element_order(x), x)):
+        if a in span:
+            continue
+        gens.append(a)
+        span = set(generated_subgroup(g, gens).members)
+        if len(span) == g.order:
+            break
+    return gens
+
+
+def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
+    """Backtracking generator-image search; fine for order <= 64."""
+    if g1.order != g2.order:
+        return False
+    orders1 = sorted(g1.element_order(a) for a in g1.elements())
+    orders2 = sorted(g2.element_order(a) for a in g2.elements())
+    if orders1 != orders2:
+        return False
+    gens = _generating_set(g1)
+    by_order: Dict[int, List[int]] = {}
+    for a in g2.elements():
+        by_order.setdefault(g2.element_order(a), []).append(a)
+
+    def words(limit_gens: List[int]) -> Dict[int, List[int]]:
+        """Every g1 element as a word (list of generator positions)."""
+        table: Dict[int, List[int]] = {0: []}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop(0)
+            for pos, s in enumerate(limit_gens):
+                y = g1.mul(x, s)
+                if y not in table:
+                    table[y] = table[x] + [pos]
+                    frontier.append(y)
+        return table
+
+    word_table = words(gens)
+    if len(word_table) != g1.order:
+        raise RuntimeError("generating set does not generate")
+
+    def image_of(word: List[int], images: List[int]) -> int:
+        x = 0
+        for pos in word:
+            x = g2.mul(x, images[pos])
+        return x
+
+    def assign(k: int, images: List[int]) -> bool:
+        if k == len(gens):
+            mapping = {a: image_of(w, images) for a, w in word_table.items()}
+            if len(set(mapping.values())) != g1.order:
+                return False
+            return all(
+                mapping[g1.mul(a, b)] == g2.mul(mapping[a], mapping[b])
+                for a in g1.elements()
+                for b in g1.elements()
+            )
+        for cand in by_order[g1.element_order(gens[k])]:
+            if assign(k + 1, images + [cand]):
+                return True
+        return False
+
+    return assign(0, [])

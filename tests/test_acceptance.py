@@ -31,7 +31,6 @@ from gaugekit.groups import (
     derived_series,
     extension_from_factor_system,
     factor_system_of,
-    is_isomorphic,
     perfect_core,
 )
 from gaugekit.kwmaps import KwMode, kw_exact_g
@@ -48,7 +47,7 @@ from gaugekit.verify import (
     identity_suite,
     stabilizer_report,
 )
-from reference import charge_syndromes, flux_syndromes, oracle_double_state
+from reference import charge_syndromes, dense_projector_rank, flux_syndromes, is_isomorphic, oracle_double_state
 
 CAT = catalog()
 
@@ -255,18 +254,20 @@ def test_criterion_6_ground_state_degeneracy(criterion_log):
     expected = {"Z2": 4, "Z3": 9, "S3": 8, "D4": 22}
     got = {}
     for name, want in expected.items():
-        projector = ground_state_degeneracy(CAT[name], cell)
+        projector = dense_projector_rank(CAT[name], cell)
         classes = commuting_pair_classes(CAT[name])
-        got[name] = (projector, classes)
-    ok = all(got[name] == (want, want) for name, want in expected.items())
+        orbits = ground_state_degeneracy(CAT[name], cell)
+        got[name] = (projector, classes, orbits)
+    ok = all(got[name] == (want, want, want) for name, want in expected.items())
     criterion_log(
         6,
         ok,
-        "torus degeneracy, projector rank == commuting-pair classes: "
-        + ", ".join(f"{name}={got[name][0]}" for name in expected),
+        "torus degeneracy, projector rank == commuting-pair classes == flat-labelling gauge orbits: "
+        + ", ".join(f"{name}={got[name][0]} (orbits {got[name][2]})" for name in expected),
     )
     for name, want in expected.items():
-        assert got[name] == (want, want)
+        assert got[name][:2] == (want, want)
+        assert got[name][2] == want
 
 
 def test_criterion_7_group_suite(criterion_log):

@@ -220,10 +220,11 @@ def test_prepare_gsd_budget_checked_before_any_protocol_run(monkeypatch, capsys)
         raise AssertionError("a protocol ran before the degeneracy budget was checked")
 
     monkeypatch.setattr(cli, "_run_protocol", no_protocol)
-    argv = ["prepare", "--group", "S4", "--protocol", "solvable", "--mode", "sample:0", "--seeds", "20", "--gsd"]
+    argv = ["prepare", "--group", "S4", "--cell", "square:2x2", "--protocol", "solvable", "--mode", "sample:0",
+            "--seeds", "20", "--gsd"]
     assert main(argv) == 1
     err = json.loads(capsys.readouterr().out)["error"]
-    assert err == {"type": "precondition", "message": "edge space 24^3 exceeds the dense projector budget 2048"}
+    assert err == {"type": "precondition", "message": "edge space 24^8 exceeds the degeneracy label budget 262144"}
 
 
 def test_prepare_cell_document(tmp_path):

@@ -1,10 +1,12 @@
 """Preparation protocols: shot counts, feedforward, transcripts, syndromes."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from gaugekit import protocols
 from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_vertex_graph
 from gaugekit.gates import left_mult
 from gaugekit.groups import (
@@ -30,8 +32,9 @@ from gaugekit.protocols import (
     prepare_nil2_double,
     prepare_solvable_double,
 )
-from gaugekit.register import QuditRegister, SiteSpec, _GateList, _vertex_site, init_plus
-from reference import charge_syndromes, flux_syndromes, nil2_circuit_gate_by_gate
+from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _GateList, _vertex_site, init_plus
+from gaugekit.verify import check_identity, stabilizer_report
+from reference import charge_syndromes, flux_syndromes, nil2_circuit_gate_by_gate, theta_sphere_reversed
 
 CAT = catalog()
 
@@ -100,6 +103,38 @@ def test_nil2_hexagon_torus_flat_sector_weight(label):
     for mode in [KwMode.postselect(), KwMode.sample(0), KwMode.sample(1)]:
         tr = prepare_nil2_double(fs, hexagon_torus(), mode)
         assert tr.fidelity_vs_oracle == pytest.approx(0.25, abs=1e-9)
+
+
+@pytest.mark.parametrize("label", ["D4", "Q8"])
+def test_nil2_reversed_theta_sphere_exact(label):
+    fs, cell = catalog_factor_system(label), theta_sphere_reversed()
+    for seed in range(6):
+        tr = prepare_nil2_double(fs, cell, KwMode.sample(seed))
+        assert tr.fidelity_vs_oracle > 1 - 1e-9
+        assert stabilizer_report(tr.register, fs.parent, cell).min_expectation() > 1 - 1e-9
+
+
+def omega_dropped(fs, qi_sid, n_sid, qf_sid):
+    dims = fs.q_group.order * fs.n_group.order * fs.q_group.order
+    return LocalOperator([qi_sid, n_sid, qf_sid], "perm", np.arange(dims), name="Omega")
+
+
+@pytest.mark.parametrize("label,fidelity", [("D4", 0.5625), ("Q8", 0.0625)])
+def test_dropped_cocycle_dressing_is_caught_on_mixed_orientations(label, fidelity):
+    # every edge of theta_sphere and hexagon_torus points from vertex 0 to
+    # vertex 1, so the dressing shifts cancel around each plaquette there;
+    # with edge 1 reversed they do not
+    fs, mixed = catalog_factor_system(label), theta_sphere_reversed()
+    name = "central_extension_circuit_matches_composition"
+    with mock.patch.object(protocols, "omega_gate", omega_dropped):
+        same = [prepare_nil2_double(fs, theta_sphere(), KwMode.sample(seed)) for seed in range(6)]
+        runs = [prepare_nil2_double(fs, mixed, KwMode.sample(seed)) for seed in range(6)]
+        blind = check_identity(name, fs, theta_sphere())
+        caught = check_identity(name, fs, mixed)
+    assert min(tr.fidelity_vs_oracle for tr in same) > 1 - 1e-9
+    assert blind <= 1e-10
+    assert min(tr.fidelity_vs_oracle for tr in runs) == pytest.approx(fidelity, abs=1e-9)
+    assert caught > 1e-2
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Certification layer: oracle state, stabilizers, degeneracy, identity suite."""
 
 import json
+import tracemalloc
 from types import ModuleType
 
 import numpy as np
@@ -28,8 +29,8 @@ from gaugekit.gates import controlled_left, controlled_right, left_mult, right_m
 from gaugekit.kwmaps import kw_exact_g
 from gaugekit.register import DiagonalOperator, QuditRegister, SiteSpec, init_plus
 from gaugekit.verify import (
+    GSD_DIM_BUDGET,
     StabilizerReport,
-    _vertex_perm_columns,
     check_identity,
     commuting_pair_classes,
     ground_state_degeneracy,
@@ -40,7 +41,7 @@ from gaugekit.verify import (
     vertex_stabilizer,
 )
 import reference
-from reference import oracle_double_state
+from reference import dense_projector_rank, oracle_double_state, theta_sphere_reversed
 
 CAT = catalog()
 
@@ -210,8 +211,8 @@ def test_degeneracy_sphere_is_one():
 
 
 def test_degeneracy_rejections():
-    with pytest.raises(ValueError, match="budget"):
-        ground_state_degeneracy(CAT["S4"], hexagon_torus())
+    with pytest.raises(ValueError, match=r"^edge space 24\^8 exceeds the degeneracy label budget 262144$"):
+        ground_state_degeneracy(CAT["S4"], square_torus(2, 2))
     with pytest.raises(ValueError, match="closed"):
         ground_state_degeneracy(CAT["Z2"], two_vertex_graph())
 
@@ -243,7 +244,7 @@ def dense_product_rank(g_group, cell):
     for v in range(cell.n_vertices):
         acc = np.zeros((dim, dim), dtype=np.complex128)
         for g in g_group.elements():
-            acc[_vertex_perm_columns(g_group, cell, v, g, grids), cols] += 1.0 / d
+            acc[reference._vertex_perm_columns(g_group, cell, v, g, grids), cols] += 1.0 / d
         proj = acc @ proj
     for p in range(cell.n_plaquettes):
         bp = plaquette_stabilizer(g_group, cell, p)
@@ -269,22 +270,91 @@ GSD_CROSS_CHECK = [(name, hexagon_torus, 1) for name in ["Z2", "Z3", "Z4", "Z6",
 def test_degeneracy_matches_dense_product_reference():
     for name, make_cell, genus in GSD_CROSS_CHECK:
         g, cell = CAT[name], make_cell()
-        rank = ground_state_degeneracy(g, cell)
+        rank = dense_projector_rank(g, cell)
         assert rank == dense_product_rank(g, cell), (name, cell.name)
+        assert rank == ground_state_degeneracy(g, cell), (name, cell.name)
         assert rank == (commuting_pair_classes(g) if genus else 1), (name, cell.name)
+
+
+FIXTURE_CELLS = [
+    hexagon_torus,
+    theta_sphere,
+    theta_sphere_reversed,
+    tetrahedron_sphere,
+    lambda: square_torus(2, 2),
+]
+
+
+def test_orbit_count_matches_dense_rank_wherever_the_projector_fits():
+    checked = 0
+    for make_cell in FIXTURE_CELLS:
+        cell = make_cell()
+        for name, g in CAT.items():
+            if g.order**cell.n_edges > GSD_DIM_BUDGET:
+                continue
+            assert ground_state_degeneracy(g, cell) == dense_projector_rank(g, cell), (name, cell.name)
+            checked += 1
+    assert checked == 35
+
+
+@pytest.mark.parametrize(
+    "name,make_cell,want",
+    [
+        ("S4", hexagon_torus, 21),
+        ("Z3", lambda: square_torus(2, 2), 9),
+        ("S3", tetrahedron_sphere, 1),
+        ("Z6", tetrahedron_sphere, 1),
+    ],
+    ids=["S4-hexagon_torus", "Z3-square_torus", "S3-tetrahedron", "Z6-tetrahedron"],
+)
+def test_orbit_count_past_the_dense_budget(name, make_cell, want):
+    g, cell = CAT[name], make_cell()
+    assert g.order**cell.n_edges > GSD_DIM_BUDGET
+    assert ground_state_degeneracy(g, cell) == want
+    if cell.genus:
+        assert want == commuting_pair_classes(g)
+    with pytest.raises(ValueError, match=f"dense projector budget {GSD_DIM_BUDGET}"):
+        dense_projector_rank(g, cell)
+
+
+def test_orbit_count_calls_no_linear_algebra(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the orbit count called np.linalg")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refused)
+    assert ground_state_degeneracy(CAT["A4"], hexagon_torus()) == 14
+    assert ground_state_degeneracy(CAT["S4"], hexagon_torus()) == 21
+    with pytest.raises(AssertionError, match="called np.linalg"):
+        dense_projector_rank(CAT["Z2"], hexagon_torus())
+
+
+def test_orbit_count_holds_no_edge_space_square():
+    # the dense projector of A4 on the torus is 1728 x 1728 floats (24 MB);
+    # the orbit count peaks near 0.3 MB
+    g, cell = CAT["A4"], hexagon_torus()
+    ground_state_degeneracy(g, cell)
+    tracemalloc.start()
+    try:
+        ground_state_degeneracy(g, cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (g.order**cell.n_edges) ** 2 * 8 // 16
 
 
 def test_degeneracy_checks_still_fire(monkeypatch):
     def first_edge_is_identity(g_group, walk):
         return [0], np.arange(g_group.order)
 
-    monkeypatch.setattr(verify, "_walk_product", first_edge_is_identity)
+    monkeypatch.setattr(reference, "_walk_product", first_edge_is_identity)
     for name, dev in [("Z2", "5.00e-01"), ("S3", "1.67e-01"), ("D4", "1.25e-01")]:
         with pytest.raises(ValueError, match=f"fails hermiticity by {dev}"):
-            ground_state_degeneracy(CAT[name], hexagon_torus())
+            dense_projector_rank(CAT[name], hexagon_torus())
     monkeypatch.undo()
 
-    true_columns = verify._vertex_perm_columns
+    true_columns = reference._vertex_perm_columns
 
     def one_involution_acts(g_group, cell, v, g, grids):
         # every other element acts as the identity: each vertex average is
@@ -292,10 +362,10 @@ def test_degeneracy_checks_still_fire(monkeypatch):
         t = next(h for h in g_group.elements() if h and g_group.mul(h, h) == 0)
         return true_columns(g_group, cell, v, g if g in (0, t) else 0, grids)
 
-    monkeypatch.setattr(verify, "_vertex_perm_columns", one_involution_acts)
+    monkeypatch.setattr(reference, "_vertex_perm_columns", one_involution_acts)
     for name, make_cell, count in [("Z4", hexagon_torus, 32), ("S3", hexagon_torus, 79), ("D4", theta_sphere, 5)]:
         with pytest.raises(ValueError, match=f"spectrum has {count} values away from 0 and 1"):
-            ground_state_degeneracy(CAT[name], make_cell())
+            dense_projector_rank(CAT[name], make_cell())
 
 
 # --- report -------------------------------------------------------------------
@@ -477,6 +547,17 @@ def test_identity_suite_rows_and_skips():
     assert len(ran) + len(skipped) == len(rows)
     assert all(row["deviation"] < 1e-10 for row in ran)
     assert {row["subject"] for row in skipped} == {"A4"}
+
+
+@pytest.mark.parametrize("label", ["D4", "Q8"])
+def test_reversed_theta_sphere_identities_and_degeneracy(label):
+    cell = theta_sphere_reversed()
+    fs = catalog_factor_system(label)
+    rows = identity_suite(cell, groups={label: fs.parent}, systems={label: fs})
+    ran = {row["identity"]: row["deviation"] for row in rows if "deviation" in row}
+    assert "central_extension_circuit_matches_composition" in ran
+    assert max(ran.values()) <= 1e-10
+    assert ground_state_degeneracy(fs.parent, cell) == 1
 
 
 def test_check_identity_subject_type_errors():
