@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +36,13 @@ GATE_TOL = 1e-12
 STATE_TOL = 1e-10
 # dense ceiling on the amplitude count of one register, checked before allocation
 AMPLITUDE_BUDGET = 20_000_000
+# amplitudes below which a measurement reads its whole block: the column scan
+# and gather of a live-column read cost more than they save there (about
+# 4,096 on the machine the crossover was measured on, 2-4 rows)
+LIVE_READ_MIN = 4096
+# (row, support position) pairs one support read gathers at once, which bounds
+# the transient of an expectation read on the support of a dense state
+SUPPORT_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,7 @@ class LocalOperator:
             self.image = np.asarray(payload, dtype=np.int64)
             if np.sort(self.image).tolist() != list(range(len(self.image))):
                 raise ValueError(f"{name}: image is not a permutation")
+            self._sources = None
         elif kind == "diag":
             self.diag = np.asarray(payload, dtype=np.complex128)
             if np.abs(np.abs(self.diag) - 1).max() > GATE_TOL:
@@ -74,21 +82,34 @@ class LocalOperator:
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
 
-    def _from_checked(self, targets: Sequence[Hashable], table: np.ndarray, name: str) -> "LocalOperator":
-        """A gate of this kind whose table is known to pass this kind's check
-        (this gate's own, or its inverse), so only the targets are checked."""
+    def _from_checked(self, targets: Sequence[Hashable], name: str, **tables: np.ndarray) -> "LocalOperator":
+        """A gate of this kind whose tables are known to pass this kind's
+        check (this gate's own, or its inverse), so only the targets are
+        checked."""
         op = object.__new__(LocalOperator)
         op.targets = _checked_targets(targets)
         op.kind = self.kind
         op.name = name
-        setattr(op, "image" if self.kind == "perm" else "diag", table)
+        vars(op).update(tables)
         return op
 
     def retarget(self, targets: Sequence[Hashable]) -> "LocalOperator":
-        """The same gate on other sites, sharing this gate's table."""
+        """The same gate on other sites, sharing this gate's tables."""
         if len(targets) != len(self.targets):
             raise ValueError(f"{self.name}: retargeting needs {len(self.targets)} targets, got {len(targets)}")
-        return self._from_checked(targets, self.image if self.kind == "perm" else self.diag, self.name)
+        if self.kind == "diag":
+            return self._from_checked(targets, self.name, diag=self.diag)
+        return self._from_checked(targets, self.name, image=self.image, _sources=self._sources)
+
+    @property
+    def sources(self) -> np.ndarray:
+        """The source row argsort(image) of a permutation: output label x
+        reads input label sources[x]. Built once, on first use, read-only;
+        a copy retargeted after that shares it."""
+        if self._sources is None:
+            self._sources = np.argsort(self.image)
+            self._sources.setflags(write=False)
+        return self._sources
 
     @property
     def joint_dim(self) -> int:
@@ -105,10 +126,11 @@ class LocalOperator:
         return m
 
     def dagger(self) -> "LocalOperator":
-        # the argsort of a permutation is one, the conjugate of a unimodular diagonal is one
+        # the conjugate of a unimodular diagonal is one; the inverse of a
+        # permutation swaps its image and source row
         if self.kind == "diag":
-            return self._from_checked(self.targets, np.conj(self.diag), self.name + "+")
-        return self._from_checked(self.targets, np.argsort(self.image), self.name + "+")
+            return self._from_checked(self.targets, self.name + "+", diag=np.conj(self.diag))
+        return self._from_checked(self.targets, self.name + "+", image=self.sources, _sources=self.image)
 
 
 def _checked_targets(targets: Sequence[Hashable]) -> Tuple[Hashable, ...]:
@@ -126,6 +148,10 @@ class DiagonalOperator:
         self.targets = tuple(targets)
         self.diag = np.asarray(diag, dtype=np.complex128)
         self.name = name
+
+    @property
+    def joint_dim(self) -> int:
+        return len(self.diag)
 
 
 class StabilizerOperator:
@@ -148,6 +174,15 @@ class StabilizerOperator:
                 if sid not in out:
                     out.append(sid)
         return tuple(out)
+
+
+def _require_disjoint(target_lists) -> None:
+    seen: set = set()
+    for targets in target_lists:
+        overlap = seen.intersection(targets)
+        if overlap:
+            raise ValueError(f"permutations overlap on sites {overlap}")
+        seen.update(targets)
 
 
 def _flat_labels(labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], order: Sequence[Hashable]) -> np.ndarray:
@@ -223,6 +258,28 @@ def _taken(amps: np.ndarray, axes: Sequence[int], sources: np.ndarray) -> np.nda
     moved = np.moveaxis(amps, axes, range(k))
     out = np.take(moved.reshape((-1,) + moved.shape[k:]), sources, axis=0)
     return np.moveaxis(out.reshape(moved.shape), range(k), axes)
+
+
+def _live_columns(block: np.ndarray) -> Union[np.ndarray, slice]:
+    """The columns of a (rows, n) block with a nonzero entry, or every
+    column, slice(None), when reading them costs more than reading the
+    block whole: below LIVE_READ_MIN amplitudes, and when more than half the
+    columns are live, where the gathered copy and its conjugate would also
+    break the measurement's transient bound."""
+    if block.size < LIVE_READ_MIN:
+        return slice(None)
+    live = np.flatnonzero(block.any(axis=0))
+    return slice(None) if 2 * live.size > block.shape[1] else live
+
+
+def _spread(values: np.ndarray, live: Union[np.ndarray, slice], size: int) -> np.ndarray:
+    """A row of size entries holding values at the live columns and zeros
+    elsewhere; values itself when every column was read."""
+    if isinstance(live, slice):
+        return values
+    row = np.zeros(size, dtype=values.dtype)
+    row[live] = values
+    return row
 
 
 @dataclass
@@ -334,14 +391,12 @@ class QuditRegister:
     def permuted(self, perms: Sequence[Tuple[Sequence[Hashable], np.ndarray]]) -> np.ndarray:
         """Amplitudes after permutation gates on disjoint sites, one per-axis
         take each: a (targets, sources) pair reads the joint label x of targets
-        from the joint source label sources[x]. The register is left as it was."""
-        seen: set = set()
+        from the joint source label sources[x]. The register is left as it was.
+        The rows come from outside the register, so each is checked here; a
+        gate's own source row was checked when the gate was built."""
+        _require_disjoint(targets for targets, _ in perms)
         amps = self.amps
         for targets, sources in perms:
-            overlap = seen.intersection(targets)
-            if overlap:
-                raise ValueError(f"permutations overlap on sites {overlap}")
-            seen.update(targets)
             axes = [self.pos(t) for t in targets]
             joint = math.prod(self.sites[a].dim for a in axes)
             sources = np.asarray(sources, dtype=np.int64)
@@ -351,32 +406,37 @@ class QuditRegister:
             amps = _taken(amps, axes, sources)
         return amps
 
+    def _target_axes(self, op) -> List[int]:
+        """The axes of op's targets, whose joint dimension its table must have."""
+        axes = [self.pos(t) for t in op.targets]
+        joint = math.prod(self.sites[a].dim for a in axes)
+        if op.joint_dim != joint:
+            raise ValueError(f"{op.name}: operator dimension {op.joint_dim} mismatches targets {joint}")
+        return axes
+
     def _averaged(self, op: StabilizerOperator) -> np.ndarray:
-        """The weighted sum of the op's permuted copies, in term order."""
+        """The weighted sum of the op's permuted copies, in term order, each
+        factor one take through its gate's source row."""
         acc = np.zeros_like(self.amps)
         for weight, factors in op.terms:
-            perms = []
+            _require_disjoint(factor.targets for factor in factors.values())
+            amps = self.amps
             for factor in factors.values():
                 if factor.kind != "perm":
                     raise ValueError(f"{op.name}: stabilizer factor {factor.name} is not a permutation")
-                perms.append((factor.targets, np.argsort(factor.image)))
-            acc += weight * self.permuted(perms)
+                amps = _taken(amps, self._target_axes(factor), factor.sources)
+            acc += weight * amps
         return acc
 
     def _applied(self, op) -> np.ndarray:
         """The amplitudes after op, as a new array; the register is left as it was."""
         if isinstance(op, StabilizerOperator):
             return self._averaged(op)
-        axes = [self.pos(t) for t in op.targets]
-        sub = [self.sites[a].dim for a in axes]
-        perm = isinstance(op, LocalOperator) and op.kind == "perm"
-        joint = len(op.image if perm else op.diag)
-        if joint != math.prod(sub):
-            raise ValueError(f"{op.name}: operator dimension {joint} mismatches targets {math.prod(sub)}")
-        if perm:
-            return self.permuted([(op.targets, np.argsort(op.image))])
+        axes = self._target_axes(op)
+        if isinstance(op, LocalOperator) and op.kind == "perm":
+            return _taken(self.amps, axes, op.sources)
         # the table in register axis order, broadcast over the other sites
-        table = op.diag.reshape(sub).transpose(np.argsort(axes))
+        table = op.diag.reshape([self.sites[a].dim for a in axes]).transpose(np.argsort(axes))
         return self.amps * table.reshape([d if k in axes else 1 for k, d in enumerate(self.dims)])
 
     def apply(self, op) -> "QuditRegister":
@@ -394,9 +454,18 @@ class QuditRegister:
         The rotation is the register's only amplitude-mixing step. Exactly one
         of rng and forced selects the branch; a forced outcome out of range or
         a call with neither is rejected before the register changes. A forced
-        outcome with zero Born probability is rejected after the rotation and
-        leaves the site rotated. The collapsed state is renormalized and the
-        site's axis is removed.
+        outcome with zero Born probability, or a zero state, is rejected after
+        the rotation and leaves the site rotated. The collapsed state is
+        renormalized and the site's axis is removed.
+
+        The rotation is one dense F @ block over every column: a product over
+        a subset of the columns is not bitwise the same columns of the full
+        product. The Born weights and the collapsed branch then read only the
+        live columns, those with a nonzero entry (see _live_columns). An
+        all-zero column adds an exact zero to each weight, which complex
+        einsum sums in column order, and its branch entries are zeros, so the
+        weights and the branch are bitwise those of the whole block (a zero's
+        sign aside).
         """
         spec_ = self.spec(sid)
         if not spec_.group.is_abelian:
@@ -411,8 +480,12 @@ class QuditRegister:
         block = _fourier_matrix(spec_.group) @ block
         # the rotated state replaces the pre-rotation array now, which frees it
         self.amps = block.reshape(shape) if pos == 0 else np.moveaxis(block.reshape(shape), 0, pos)
-        probs = np.einsum("ij,ij->i", block, np.conj(block)).real
+        live = _live_columns(block)
+        cols = block if isinstance(live, slice) else block[:, live]
+        probs = np.einsum("ij,ij->i", cols, np.conj(cols)).real
         total = probs.sum()
+        if not total > 0:
+            raise ValueError(f"measurement of {sid!r} on a zero state")
         if abs(total - 1.0) > 1e-6:
             probs = probs / total
         if forced is None:
@@ -422,7 +495,7 @@ class QuditRegister:
                 f"forced outcome {outcome} on {sid!r} has zero Born probability "
                 f"(distribution {np.round(probs, 6).tolist()})"
             )
-        branch = block[outcome] / np.sqrt(probs[outcome])
+        branch = _spread(cols[outcome] / np.sqrt(probs[outcome]), live, block.shape[1])
         # gather moved the measured axis to the front and kept the rest in
         # original relative order, so dropping the front axis is the collapse
         self.amps = branch.reshape(shape[1:])
@@ -435,15 +508,22 @@ class QuditRegister:
         """Contract one site with <+|, retire it, renormalize.
 
         Returns the branch probability. Works for any site group; for an
-        abelian site it equals measure_fourier with forced outcome 0.
+        abelian site it equals measure_fourier with forced outcome 0. The
+        contraction, a column sum, stays dense like the rotation; the scaled
+        and collapsed branch reads only its nonzero entries, and the weight is
+        one np.vdot over the whole branch, so the bits are those of the dense
+        branch (a zero's sign aside).
         """
         spec_ = self.spec(sid)
         block, pos, shape = self._gather(sid)
-        branch = block.sum(axis=0) / np.sqrt(spec_.dim)
-        prob = float(np.vdot(branch, branch).real)
+        summed = block.sum(axis=0)
+        live = _live_columns(summed[np.newaxis])
+        branch = summed[live] / np.sqrt(spec_.dim)
+        full = _spread(branch, live, summed.size)
+        prob = float(np.vdot(full, full).real)
         if prob < 1e-14:
             raise ValueError(f"plus-projection on {sid!r} has zero weight")
-        self.amps = (branch / np.sqrt(prob)).reshape(shape[1:])
+        self.amps = _spread(branch / np.sqrt(prob), live, summed.size).reshape(shape[1:])
         self.sites.pop(pos)
         self.retired[sid] = _Retired(outcome=0, probability=prob)
         self._reindex()
@@ -496,6 +576,66 @@ class QuditRegister:
         self.amps = self.amps.reshape(shape[:pos] + [spec_a.dim, spec_b.dim] + shape[pos + 1 :])
         self.sites[pos : pos + 1] = [spec_a, spec_b]
         self._reindex()
+
+
+class _Support:
+    """The nonzero amplitudes of one register, for expectations that read
+    only them.
+
+    <psi|O|psi> sums conj(psi[x]) (O psi)[x], so O psi is needed only where
+    psi is nonzero. expectation puts a caller's values of O psi at the
+    support positions into a zero ket of full length and calls the same
+    np.vdot over the whole C-order state as the dense product: a position
+    off the support adds a signed zero, which leaves a nonzero BLAS sum
+    unchanged, so the bits are those of the dense expectation. A caller
+    reading rows values per position gets SUPPORT_CHUNK // rows positions
+    at a time.
+    """
+
+    def __init__(self, reg: QuditRegister):
+        self.bra = np.ravel(reg.amps)
+        self.flat = np.flatnonzero(self.bra != 0)
+        self._reg = reg
+        dims = reg.dims
+        self._place = {s.sid: (math.prod(dims[k + 1 :]), s.dim) for k, s in enumerate(reg.sites)}
+        self._ket = np.zeros_like(self.bra)
+        self._whole: Dict[Tuple[Hashable, ...], np.ndarray] = {}
+
+    def stride(self, sid: Hashable) -> int:
+        """The C-order flat step of one label of the site."""
+        return self._place[sid][0]
+
+    def labels(self, targets: Tuple[Hashable, ...], at: np.ndarray) -> np.ndarray:
+        """The row-major joint label of the target sites at each flat
+        position of at, kept per targets when at is the whole support."""
+        whole = at is self.flat
+        if whole and targets in self._whole:
+            return self._whole[targets]
+        out = 0
+        for sid in targets:
+            stride, dim = self._place[sid]
+            out = out * dim + at // stride % dim
+        if whole:
+            self._whole[targets] = out
+        return out
+
+    def expectation(self, values: Callable[[np.ndarray], np.ndarray], rows: int = 1) -> complex:
+        """<psi|ket> for the ket whose entries at a chunk of support positions
+        values(at) returns, reading rows values per position."""
+        step = max(1, SUPPORT_CHUNK // rows)
+        if self.flat.size <= step:
+            self._ket[self.flat] = values(self.flat)
+        else:
+            for lo in range(0, self.flat.size, step):
+                at = self.flat[lo : lo + step]
+                self._ket[at] = values(at)
+        return complex(np.vdot(self.bra, self._ket))
+
+    def diagonal(self, op: DiagonalOperator) -> complex:
+        """<psi|op|psi>: the amplitude times the diagonal entry at each
+        support position, the operands of the register's broadcast multiply."""
+        self._reg._target_axes(op)
+        return self.expectation(lambda at: self.bra[at] * op.diag[self.labels(op.targets, at)])
 
 
 @lru_cache(maxsize=16)

@@ -36,6 +36,7 @@ from .groups import (
     FactorSystem,
     FiniteGroup,
     character_table,
+    generated_subgroup,
     is_nil2_extension,
     irrep_table,
 )
@@ -47,6 +48,7 @@ from .register import (
     QuditRegister,
     SiteSpec,
     StabilizerOperator,
+    _Support,
     _edge_site,
     _flat_labels,
     _push_labels,
@@ -184,28 +186,39 @@ def stabilizer_report(
     """Evaluate every vertex and plaquette projector on reg, plus irrep loop
     values where matrices are stored.
 
-    <A_v> sums, in element order, the state scaled once by 1/|G| and read
-    through the source row image[g^-1] of every edge at v, one np.take per
-    edge axis, so no register-sized index is built; the products and sums
-    are those of the weighted permuted copies. The plaquette and loop
-    diagonals, cached for the group, cell and edge ids, go through
-    QuditRegister.expectation."""
+    Each expectation reads the state on its support only (register._Support):
+    <A_v> gathers, for every support position and all g at once, the state
+    at the source label image[g^-1] of every edge at v, scales it by 1/|G|
+    and sums the |G| copies in element order; a plaquette or loop diagonal
+    multiplies the amplitude by its entry. The values go into a zero ket and
+    one np.vdot over the whole state, so every value is bitwise the one the
+    dense weighted permuted copies and broadcast diagonals give. The
+    diagonals are cached for the group, cell and edge ids."""
     edges = tuple(edge_of(e) for e in range(cell.n_edges))
+    wrong = [sid for sid in edges if reg.spec(sid).dim != g_group.order]
+    if wrong:
+        raise ValueError(f"stabilizer report: edge sites {wrong} do not carry {g_group.name}")
     plaquettes, loops = _stabilizer_diagonals(g_group, cell, edges)
-    scaled = complex(1.0 / g_group.order) * reg.amps
+    support = _Support(reg)
+    scale = complex(1.0 / g_group.order)
     vexp = {}
     for v in range(cell.n_vertices):
-        rows = [(reg.pos(edges[e]), image[g_group.inv]) for e, image in _vertex_tables(g_group, cell, v)]
-        acc = np.zeros_like(reg.amps)
-        for g in range(g_group.order):
-            term = scaled
-            for axis, sources in rows:
-                term = np.take(term, sources[g], axis=axis)
-            acc += term
-        vexp[v] = _real(complex(np.vdot(reg.amps, acc)), f"A[{v}]")
-    pexp = {p: _real(reg.expectation(op), f"B[{p}]") for p, op in enumerate(plaquettes)}
+        sources = [(edges[e], image[g_group.inv]) for e, image in _vertex_tables(g_group, cell, v)]
+
+        def averaged(at: np.ndarray, sources=sources) -> np.ndarray:
+            src = at + np.zeros((g_group.order, 1), dtype=np.int64)
+            for sid, table in sources:
+                labels = support.labels((sid,), at)
+                src = src + support.stride(sid) * (table[:, labels] - labels)
+            acc = np.zeros(at.size, dtype=np.complex128)
+            for term in scale * support.bra[src]:
+                acc += term
+            return acc
+
+        vexp[v] = _real(support.expectation(averaged, rows=g_group.order), f"A[{v}]")
+    pexp = {p: _real(support.diagonal(op), f"B[{p}]") for p, op in enumerate(plaquettes)}
     loop_values = {
-        label: {p: _real(reg.expectation(op), f"loop[{label},{p}]") for p, op in enumerate(ops)}
+        label: {p: _real(support.diagonal(op), f"loop[{label},{p}]") for p, op in enumerate(ops)}
         for label, ops in loops
     }
     return StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values)
@@ -244,16 +257,37 @@ def _stabilizer_diagonals(
 # ground state degeneracy
 
 
+@lru_cache(maxsize=16)
+def _generating_set(g_group: FiniteGroup) -> Tuple[int, ...]:
+    """A small generating set of g_group: greedily the element of largest
+    order, then of smallest label, that the set so far does not generate.
+    Built once per group table."""
+    gens: List[int] = []
+    span = {0}
+    for a in sorted(g_group.elements(), key=lambda x: (-g_group.element_order(x), x)):
+        if a in span:
+            continue
+        gens.append(a)
+        span = set(generated_subgroup(g_group, gens).members)
+        if len(span) == g_group.order:
+            break
+    return tuple(gens)
+
+
 def ground_state_degeneracy(g_group: FiniteGroup, cell: Cellulation) -> int:
     """Number of gauge orbits of flat edge labellings.
 
     This is the rank of the joint stabilizer projector: the plaquette
     product keeps the flat labellings, a gauge-invariant set, and the vertex
     product averages the gauge group's permutation action on them, so each
-    orbit spans one ground state. Every A_v^g with g != e moves the flat
-    labels along one image array; min-label propagation over those arrays,
-    with pointer jumping, runs until no label changes, and then each orbit
-    has exactly one flat label that is its own root.
+    orbit spans one ground state. The actions A_v^s, s in a generating set
+    of G, generate the gauge group, and each moves the flat labels along one
+    image array. Min-label propagation over those arrays, with pointer
+    jumping, runs until no label changes: a label's root is then at most the
+    root of every label one move away, and forward moves reach the whole
+    orbit, since every element of a finite group is a product of
+    generators, so each orbit has exactly one flat label that is its own
+    root.
     """
     if not cell.closed:
         raise ValueError("degeneracy counting needs a closed cellulation")
@@ -270,11 +304,12 @@ def ground_state_degeneracy(g_group: FiniteGroup, cell: Cellulation) -> int:
     flat = np.flatnonzero(mask)
     labels = np.unravel_index(flat, shape)
     strides = d ** np.arange(n_e - 1, -1, -1)
+    gens = np.array(_generating_set(g_group), dtype=np.int64)
     moves = []
     for v in range(cell.n_vertices):
-        moved = np.tile(flat, (d - 1, 1))
+        moved = np.tile(flat, (len(gens), 1))
         for e, table in _vertex_tables(g_group, cell, v):
-            moved += strides[e] * (table[1:, labels[e]] - labels[e])
+            moved += strides[e] * (table[gens][:, labels[e]] - labels[e])
         moves.append(np.searchsorted(flat, moved))
     moves = np.concatenate(moves)
     root = np.arange(flat.size)

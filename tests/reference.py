@@ -18,6 +18,9 @@ is checked against. theta_sphere_reversed is theta_sphere with edge 1
 reversed, so its edges no longer all point the same way. dense_projector_rank is the joint stabilizer projector
 as a dense |G|^E x |G|^E matrix with its rank read off the spectrum, the
 reference for the orbit count of verify.ground_state_degeneracy.
+dense_stabilizer_report, dense_measure_fourier and dense_project_plus read
+every amplitude, the paths the support reads of the report and the
+measurements are checked against bitwise.
 is_isomorphic and central_quotient are the group-theory checks of the
 factor-system round trips.
 """
@@ -46,7 +49,6 @@ from gaugekit.groups import (
     FiniteGroup,
     center,
     character_table,
-    generated_subgroup,
     quotient_group,
 )
 from gaugekit.register import (
@@ -56,11 +58,20 @@ from gaugekit.register import (
     SiteSpec,
     StabilizerOperator,
     _edge_site,
+    _fourier_matrix,
     _identity_state,
+    _Retired,
     init_plus,
     init_product,
 )
-from gaugekit.verify import GSD_DIM_BUDGET, _vertex_tables
+from gaugekit.verify import (
+    GSD_DIM_BUDGET,
+    StabilizerReport,
+    _generating_set,
+    _real,
+    _stabilizer_diagonals,
+    _vertex_tables,
+)
 
 # enumeration terms for the reference state
 ORACLE_BUDGET = 1_000_000
@@ -281,6 +292,94 @@ def nil2_circuit_gate_by_gate(fs: FactorSystem, cell: Cellulation) -> QuditRegis
 
 
 # ---------------------------------------------------------------------------
+# dense stabilizer sweep and measurement
+
+
+def dense_stabilizer_report(
+    reg: QuditRegister,
+    g_group: FiniteGroup,
+    cell: Cellulation,
+    edge_of: Callable[[int], Hashable] = _edge_site,
+) -> StabilizerReport:
+    """stabilizer_report reading every amplitude: <A_v> sums, in element
+    order, the state scaled once by 1/|G| and read through the source row
+    image[g^-1] of every edge at v, one np.take per edge axis, and the
+    diagonals go through QuditRegister.expectation's broadcast multiply."""
+    edges = tuple(edge_of(e) for e in range(cell.n_edges))
+    plaquettes, loops = _stabilizer_diagonals(g_group, cell, edges)
+    scaled = complex(1.0 / g_group.order) * reg.amps
+    vexp = {}
+    for v in range(cell.n_vertices):
+        rows = [(reg.pos(edges[e]), image[g_group.inv]) for e, image in _vertex_tables(g_group, cell, v)]
+        acc = np.zeros_like(reg.amps)
+        for g in range(g_group.order):
+            term = scaled
+            for axis, sources in rows:
+                term = np.take(term, sources[g], axis=axis)
+            acc += term
+        vexp[v] = _real(complex(np.vdot(reg.amps, acc)), f"A[{v}]")
+    pexp = {p: _real(reg.expectation(op), f"B[{p}]") for p, op in enumerate(plaquettes)}
+    loop_values = {
+        label: {p: _real(reg.expectation(op), f"loop[{label},{p}]") for p, op in enumerate(ops)}
+        for label, ops in loops
+    }
+    return StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values)
+
+
+def dense_measure_fourier(reg: QuditRegister, sid: Hashable, rng=None, forced=None) -> int:
+    """QuditRegister.measure_fourier with the Born weights and the collapse
+    over every column of the rotated block; a zero state is rejected as
+    there."""
+    spec_ = reg.spec(sid)
+    if not spec_.group.is_abelian:
+        raise ValueError(f"Fourier measurement needs an abelian site, {sid!r} carries {spec_.group.name}")
+    if forced is not None:
+        outcome = int(forced)
+        if not 0 <= outcome < spec_.dim:
+            raise ValueError(f"forced outcome {outcome} out of range for {sid!r}")
+    elif rng is None:
+        raise ValueError("measurement needs an rng or a forced outcome")
+    block, pos, shape = reg._gather(sid)
+    block = _fourier_matrix(spec_.group) @ block
+    reg.amps = block.reshape(shape) if pos == 0 else np.moveaxis(block.reshape(shape), 0, pos)
+    probs = np.einsum("ij,ij->i", block, np.conj(block)).real
+    total = probs.sum()
+    if not total > 0:
+        raise ValueError(f"measurement of {sid!r} on a zero state")
+    if abs(total - 1.0) > 1e-6:
+        probs = probs / total
+    if forced is None:
+        outcome = int(rng.choice(spec_.dim, p=probs / probs.sum()))
+    elif probs[outcome] < 1e-14:
+        raise ValueError(
+            f"forced outcome {outcome} on {sid!r} has zero Born probability "
+            f"(distribution {np.round(probs, 6).tolist()})"
+        )
+    branch = block[outcome] / np.sqrt(probs[outcome])
+    reg.amps = branch.reshape(shape[1:])
+    reg.sites.pop(pos)
+    reg.retired[sid] = _Retired(outcome=outcome, probability=float(probs[outcome]))
+    reg._reindex()
+    return outcome
+
+
+def dense_project_plus(reg: QuditRegister, sid: Hashable) -> float:
+    """QuditRegister.project_plus with the scaled and collapsed branch over
+    every column."""
+    spec_ = reg.spec(sid)
+    block, pos, shape = reg._gather(sid)
+    branch = block.sum(axis=0) / np.sqrt(spec_.dim)
+    prob = float(np.vdot(branch, branch).real)
+    if prob < 1e-14:
+        raise ValueError(f"plus-projection on {sid!r} has zero weight")
+    reg.amps = (branch / np.sqrt(prob)).reshape(shape[1:])
+    reg.sites.pop(pos)
+    reg.retired[sid] = _Retired(outcome=0, probability=prob)
+    reg._reindex()
+    return prob
+
+
+# ---------------------------------------------------------------------------
 # dense degeneracy projector
 
 
@@ -348,19 +447,6 @@ def dense_projector_rank(g_group: FiniteGroup, cell: Cellulation) -> int:
 def central_quotient(g: FiniteGroup) -> FiniteGroup:
     q, _, _ = quotient_group(g, center(g))
     return q
-
-
-def _generating_set(g: FiniteGroup) -> List[int]:
-    gens: List[int] = []
-    span = {0}
-    for a in sorted(g.elements(), key=lambda x: (-g.element_order(x), x)):
-        if a in span:
-            continue
-        gens.append(a)
-        span = set(generated_subgroup(g, gens).members)
-        if len(span) == g.order:
-            break
-    return gens
 
 
 def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:

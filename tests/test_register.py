@@ -182,6 +182,30 @@ def test_dagger_of_a_permutation_skips_the_check(monkeypatch):
     inverse = op.dagger()
     assert inverse.targets == op.targets and inverse.name == "P+"
     assert np.array_equal(inverse.image[op.image], np.arange(4))
+    # the inverse's image and source row are the gate's source row and image
+    assert inverse.image is op.sources and inverse.sources is op.image
+
+
+def test_a_permutation_gate_carries_its_read_only_source_row(monkeypatch):
+    """A gate builds its source row argsort(image) once; applying the gate,
+    a retargeted copy or a stabilizer term built from it sorts nothing
+    again, and permuted still checks rows from outside."""
+    op = LocalOperator(["a"], "perm", [2, 0, 1], name="C")
+    assert np.array_equal(op.sources, np.argsort(op.image)) and not op.sources.flags.writeable
+    assert op.retarget(["b"]).sources is op.sources, "a copy retargeted after the first use shares the row"
+    reg = QuditRegister([SiteSpec(s, "edge", build_cyclic(3)) for s in "ab"], np.arange(9.0).reshape(3, 3))
+    expected = reg.permuted([(["a"], op.sources)])
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a checked gate was sorted again")
+
+    monkeypatch.setattr(register.np, "argsort", no_sort)
+    monkeypatch.setattr(register.np, "sort", no_sort)
+    assert np.array_equal(reg.copy().apply(op).amps, expected)
+    stab = StabilizerOperator([(1.0, {"a": op}), (1.0, {"b": op.retarget(["b"])})])
+    assert reg.expectation(stab) == complex(np.vdot(reg.amps, expected + reg.permuted([(["b"], op.sources)])))
+    with pytest.raises(ValueError, match="joint basis"):
+        reg.permuted([(["a"], [0, 1, 3])])
 
 
 def test_wall_gates_share_one_read_only_table_per_template():
@@ -242,6 +266,15 @@ def test_forced_zero_probability_rejected_with_report():
     reg = init_plus(z2_sites(1))
     with pytest.raises(ValueError, match="zero Born probability"):
         reg.measure_fourier(("e", 0), forced=1)
+
+
+def test_measurement_of_a_zero_state_rejected_after_the_rotation():
+    sites = [SiteSpec(k, "edge", build_cyclic(3)) for k in range(2)]
+    for kwargs in ({"forced": 0}, {"rng": np.random.default_rng(0)}):
+        reg = QuditRegister(sites, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="zero state"):
+            reg.measure_fourier(1, **kwargs)
+        assert reg.dims == (3, 3) and not reg.retired
 
 
 def test_measure_retires_site_and_keeps_order():
@@ -463,19 +496,60 @@ def test_register_calls_stay_within_their_transient_memory(label, call, bound):
     assert transient <= bound, f"{label}: transient {transient:.2f} register sizes"
 
 
-def test_stabilizer_report_stays_within_its_transient_memory():
-    """The Z3 edges of square_torus(2,2) on sites 1..8 between two spectators.
-
-    Measured at 4.1 register sizes: the scaled state, the vertex accumulator
-    and the two ends of one per-axis take. The flat gathers it replaced held
-    3.0: the accumulator, a flat index base and sum, and the gathered copy."""
+def _report_transient(build):
+    """The transient of the report on the Z3 edges of square_torus(2,2), on
+    sites 1..8 between two spectators, of a register build returns."""
     cell = square_torus(2, 2)
     reports = []
-    reg, transient = _transient(
-        lambda: random_z3_register(symmetric_axes=range(1, 9)),
-        lambda reg: reports.append(verify.stabilizer_report(reg, reg.spec(1).group, cell, lambda e: e + 1)),
+    _, transient = _transient(
+        build, lambda reg: reports.append(verify.stabilizer_report(reg, reg.spec(1).group, cell, lambda e: e + 1))
     )
     assert len(reports[0].vertex_expectations) == cell.n_vertices
+    return transient
+
+
+def test_stabilizer_report_stays_within_its_transient_memory():
+    """Measured at 2.3 register sizes on the dense state: the zero ket, the
+    support positions (half a register at full density) and one chunk of
+    gathered copies. The dense sweep it replaced held 4.1: the scaled state,
+    the vertex accumulator and the two ends of one per-axis take."""
+    transient = _report_transient(lambda: random_z3_register(symmetric_axes=range(1, 9)))
+    assert transient <= 4.5, f"stabilizer_report: transient {transient:.2f} register sizes"
+
+
+def thinned_z3_register(density, measured_axis=None):
+    """random_z3_register zeroed off a random support of about the density,
+    then normalized. For a measured axis the support is whole columns of
+    the other sites, so that about that share of the measurement's columns
+    is live; otherwise it is closed under the label inversion of sites 1..8,
+    so the state stays even under it."""
+    rng = np.random.default_rng(5)
+    reg = random_z3_register(symmetric_axes=() if measured_axis is not None else range(1, 9))
+    if measured_axis is not None:
+        live = rng.permutation(3**9) < int(density * 3**9)
+        mask = np.expand_dims(live.reshape((3,) * 9), measured_axis)
+    else:
+        # x in the support or its inverse in it: density 1-(1-p)^2
+        keep = rng.random(reg.dims) < 1 - np.sqrt(1 - density)
+        mask = keep
+        for axis in range(1, 9):
+            mask = np.take(mask, reg.spec(axis).group.inv, axis=axis)
+        mask = mask | keep
+    amps = reg.amps * mask
+    return QuditRegister(reg.sites, amps / np.linalg.norm(amps))
+
+
+# half the columns is the most the measurement gathers; measured 1.09 and 1.00
+# register sizes for the measurement, 2.1 and 1.1 for the report
+THINNED = {"half-dense": 0.5, "sparse": 0.01}
+
+
+@pytest.mark.parametrize("density", THINNED.values(), ids=THINNED.keys())
+def test_support_reads_stay_within_their_transient_memory_on_thinned_registers(density):
+    reg, transient = _transient(lambda: thinned_z3_register(density, 0), lambda reg: reg.measure_fourier(0, forced=0))
+    assert abs(reg.norm() - 1) < STATE_TOL
+    assert transient <= 1.5, f"measure_fourier: transient {transient:.2f} register sizes"
+    transient = _report_transient(lambda: thinned_z3_register(density))
     assert transient <= 4.5, f"stabilizer_report: transient {transient:.2f} register sizes"
 
 

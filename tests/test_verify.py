@@ -23,6 +23,7 @@ from gaugekit.groups import (
     character_table,
     commutator_subgroup,
     factor_system_of,
+    generated_subgroup,
     irrep_table,
 )
 from gaugekit.gates import controlled_left, controlled_right, left_mult, right_mult
@@ -304,8 +305,9 @@ def test_orbit_count_matches_dense_rank_wherever_the_projector_fits():
         ("Z3", lambda: square_torus(2, 2), 9),
         ("S3", tetrahedron_sphere, 1),
         ("Z6", tetrahedron_sphere, 1),
+        ("A5", hexagon_torus, 22),
     ],
-    ids=["S4-hexagon_torus", "Z3-square_torus", "S3-tetrahedron", "Z6-tetrahedron"],
+    ids=["S4-hexagon_torus", "Z3-square_torus", "S3-tetrahedron", "Z6-tetrahedron", "A5-hexagon_torus"],
 )
 def test_orbit_count_past_the_dense_budget(name, make_cell, want):
     g, cell = CAT[name], make_cell()
@@ -328,6 +330,37 @@ def test_orbit_count_calls_no_linear_algebra(monkeypatch):
     assert ground_state_degeneracy(CAT["S4"], hexagon_torus()) == 21
     with pytest.raises(AssertionError, match="called np.linalg"):
         dense_projector_rank(CAT["Z2"], hexagon_torus())
+
+
+def test_report_rejects_edges_of_another_group():
+    """The support read indexes the vertex tables by register labels, so an
+    edge of the wrong dimension is rejected by name rather than read."""
+    cell = theta_sphere()
+    sites = [SiteSpec(("e", e), "edge", CAT["Z3"] if e == 1 else CAT["S3"]) for e in range(cell.n_edges)]
+    reg = init_plus(sites)
+    with pytest.raises(ValueError, match=r"edge sites \[\('e', 1\)\] do not carry S3"):
+        stabilizer_report(reg, CAT["S3"], cell)
+
+
+def test_orbit_count_moves_labels_along_a_generating_set_only(monkeypatch):
+    """Every catalog group is generated by at most two elements of the
+    greedy set, and the orbit count builds one move array per generator and
+    vertex, not one per group element."""
+    for name, g in CAT.items():
+        gens = verify._generating_set(g)
+        assert len(generated_subgroup(g, gens).members) == g.order, name
+        assert len(gens) <= 2, name
+    rows = []
+    searched = np.searchsorted
+
+    def spy(flat, moved):
+        rows.append(moved.shape[0])
+        return searched(flat, moved)
+
+    monkeypatch.setattr(verify.np, "searchsorted", spy)
+    cell = hexagon_torus()
+    assert ground_state_degeneracy(CAT["A5"], cell) == 22
+    assert rows == [2] * cell.n_vertices
 
 
 def test_orbit_count_holds_no_edge_space_square():
