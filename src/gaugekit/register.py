@@ -508,22 +508,18 @@ class QuditRegister:
         """Contract one site with <+|, retire it, renormalize.
 
         Returns the branch probability. Works for any site group; for an
-        abelian site it equals measure_fourier with forced outcome 0. The
-        contraction, a column sum, stays dense like the rotation; the scaled
-        and collapsed branch reads only its nonzero entries, and the weight is
-        one np.vdot over the whole branch, so the bits are those of the dense
-        branch (a zero's sign aside).
+        abelian site it equals measure_fourier with forced outcome 0. Unlike
+        the measurement it reads the whole branch, zeros included: a support
+        read showed no gain on the nil2 identity check, the only caller the
+        perfbench workloads run (post-selected runs are the other).
         """
         spec_ = self.spec(sid)
         block, pos, shape = self._gather(sid)
-        summed = block.sum(axis=0)
-        live = _live_columns(summed[np.newaxis])
-        branch = summed[live] / np.sqrt(spec_.dim)
-        full = _spread(branch, live, summed.size)
-        prob = float(np.vdot(full, full).real)
+        branch = block.sum(axis=0) / np.sqrt(spec_.dim)
+        prob = float(np.vdot(branch, branch).real)
         if prob < 1e-14:
             raise ValueError(f"plus-projection on {sid!r} has zero weight")
-        self.amps = _spread(branch / np.sqrt(prob), live, summed.size).reshape(shape[1:])
+        self.amps = (branch / np.sqrt(prob)).reshape(shape[1:])
         self.sites.pop(pos)
         self.retired[sid] = _Retired(outcome=0, probability=prob)
         self._reindex()
@@ -599,7 +595,6 @@ class _Support:
         dims = reg.dims
         self._place = {s.sid: (math.prod(dims[k + 1 :]), s.dim) for k, s in enumerate(reg.sites)}
         self._ket = np.zeros_like(self.bra)
-        self._whole: Dict[Tuple[Hashable, ...], np.ndarray] = {}
 
     def stride(self, sid: Hashable) -> int:
         """The C-order flat step of one label of the site."""
@@ -607,16 +602,11 @@ class _Support:
 
     def labels(self, targets: Tuple[Hashable, ...], at: np.ndarray) -> np.ndarray:
         """The row-major joint label of the target sites at each flat
-        position of at, kept per targets when at is the whole support."""
-        whole = at is self.flat
-        if whole and targets in self._whole:
-            return self._whole[targets]
+        position of at."""
         out = 0
         for sid in targets:
             stride, dim = self._place[sid]
             out = out * dim + at // stride % dim
-        if whole:
-            self._whole[targets] = out
         return out
 
     def expectation(self, values: Callable[[np.ndarray], np.ndarray], rows: int = 1) -> complex:

@@ -18,9 +18,9 @@ is checked against. theta_sphere_reversed is theta_sphere with edge 1
 reversed, so its edges no longer all point the same way. dense_projector_rank is the joint stabilizer projector
 as a dense |G|^E x |G|^E matrix with its rank read off the spectrum, the
 reference for the orbit count of verify.ground_state_degeneracy.
-dense_stabilizer_report, dense_measure_fourier and dense_project_plus read
-every amplitude, the paths the support reads of the report and the
-measurements are checked against bitwise.
+dense_stabilizer_report and dense_measure_fourier read every amplitude,
+the paths the support reads of the report and the measurement are checked
+against bitwise.
 is_isomorphic and central_quotient are the group-theory checks of the
 factor-system round trips.
 """
@@ -361,22 +361,6 @@ def dense_measure_fourier(reg: QuditRegister, sid: Hashable, rng=None, forced=No
     reg.retired[sid] = _Retired(outcome=outcome, probability=float(probs[outcome]))
     reg._reindex()
     return outcome
-
-
-def dense_project_plus(reg: QuditRegister, sid: Hashable) -> float:
-    """QuditRegister.project_plus with the scaled and collapsed branch over
-    every column."""
-    spec_ = reg.spec(sid)
-    block, pos, shape = reg._gather(sid)
-    branch = block.sum(axis=0) / np.sqrt(spec_.dim)
-    prob = float(np.vdot(branch, branch).real)
-    if prob < 1e-14:
-        raise ValueError(f"plus-projection on {sid!r} has zero weight")
-    reg.amps = (branch / np.sqrt(prob)).reshape(shape[1:])
-    reg.sites.pop(pos)
-    reg.retired[sid] = _Retired(outcome=0, probability=prob)
-    reg._reindex()
-    return prob
 
 
 # ---------------------------------------------------------------------------

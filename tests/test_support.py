@@ -1,4 +1,4 @@
-"""The support reads of the stabilizer report and of the measurements,
+"""The support reads of the stabilizer report and of the Fourier measurement,
 checked bitwise against the dense paths in reference.py that read every
 amplitude, and the premise they rest on: protocol states are exact zeros off
 a small support."""
@@ -17,7 +17,7 @@ from gaugekit.kwmaps import KwMode
 from gaugekit.protocols import plan_run
 from gaugekit.register import QuditRegister, SiteSpec
 from gaugekit.verify import stabilizer_report
-from reference import dense_measure_fourier, dense_project_plus, dense_stabilizer_report
+from reference import dense_measure_fourier, dense_stabilizer_report
 
 CAT = catalog()
 # the zero state last: hypothesis draws the first entries of a list most often
@@ -136,10 +136,10 @@ def _same(a, b):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(measured_registers(), st.data())
 def test_measurement_on_live_columns_matches_the_dense_path_bitwise(case, data):
-    """Sampled and forced outcomes, the zero-probability rejection (which
-    leaves the site rotated, on both paths alike) and the plus projection;
-    the small drawn blocks read their live columns when the size floor is
-    lifted, and their whole block under the shipped floor."""
+    """Sampled and forced outcomes and the zero-probability rejection (which
+    leaves the site rotated, on both paths alike); the small drawn blocks
+    read their live columns when the size floor is lifted, and their whole
+    block under the shipped floor."""
     reg, sid = case
     ref = QuditRegister(list(reg.sites), reg.amps)
     floor = data.draw(st.sampled_from([0, register.LIVE_READ_MIN]))
@@ -148,18 +148,14 @@ def test_measurement_on_live_columns_matches_the_dense_path_bitwise(case, data):
 
 
 def _measure_both(reg, ref, sid, data):
-    how = data.draw(st.sampled_from(["forced", "sample", "plus"]))
-    if how == "sample":
+    if data.draw(st.booleans()):
         seed = data.draw(st.integers(0, 2**16))
         got = _outcome(lambda: reg.measure_fourier(sid, rng=np.random.default_rng(seed)))
         want = _outcome(lambda: dense_measure_fourier(ref, sid, rng=np.random.default_rng(seed)))
-    elif how == "forced":
+    else:
         forced = data.draw(st.integers(0, reg.spec(sid).dim - 1))
         got = _outcome(lambda: reg.measure_fourier(sid, forced=forced))
         want = _outcome(lambda: dense_measure_fourier(ref, sid, forced=forced))
-    else:
-        got = _outcome(lambda: _bits(reg.project_plus(sid)))
-        want = _outcome(lambda: _bits(dense_project_plus(ref, sid)))
     assert got == want
     assert _same(reg, ref)
     if got[0] == "raised":
