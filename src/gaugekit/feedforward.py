@@ -63,6 +63,10 @@ class CorrectionPlan:
     def is_empty(self) -> bool:
         return not self.exponents
 
+    def as_dict(self) -> Dict[str, object]:
+        """The plan's record in JSON types: basis and str-keyed exponents."""
+        return {"basis": self.basis, "exponents": {str(e): int(x) for e, x in sorted(self.exponents.items())}}
+
 
 def _transport(outcomes: Dict[int, int], paths, group: FiniteGroup, flip_sign: bool) -> Dict[int, int]:
     exps: Dict[int, int] = {}

@@ -125,10 +125,7 @@ class KwResult:
     def to_json(self) -> str:
         payload = {
             "outcomes": {str(k): int(v) for k, v in sorted(self.outcomes.items())},
-            "corrections": {
-                "basis": self.corrections.basis,
-                "exponents": {str(e): int(x) for e, x in sorted(self.corrections.exponents.items())},
-            },
+            "corrections": self.corrections.as_dict(),
             "probability": float(self.probability),
             "normalization": self.normalization,
         }
@@ -241,10 +238,8 @@ class KwRound:
         the outcome phases, in place."""
         cell, grp = self.cell, self.group
         outcomes, prob = _measure_sites(reg, mode, [(v, self.vertex_of(v)) for v in range(cell.n_vertices)])
-        if self.fs is not None and mode.kind == "postselect":
-            applied = CorrectionPlan(basis="Z", exponents={}, group=grp)
-        else:
-            applied = charge_correction(SyndromeSet("charge", outcomes, grp), cell, spanning_tree(cell)).inverse()
+        trivial = self.fs is not None and mode.kind == "postselect"  # a non-abelian subgroup has no syndrome
+        applied = CorrectionPlan(basis="Z", exponents={}, group=grp) if trivial else _charge_plan(outcomes, grp, cell)
         if self.fs is None:
             _apply_corrections(reg, applied, self.edge_of)
         else:
@@ -272,6 +267,16 @@ def _measure_sites(
             outcomes[idx] = reg.measure_fourier(sid, rng=rng, forced=forced)
             prob *= reg.retired[sid].probability
     return outcomes, prob
+
+
+def _charge_plan(outcomes: Dict[int, int], group: FiniteGroup, cell: Cellulation) -> CorrectionPlan:
+    """The character layer that cancels measured vertex charges on the spanning tree."""
+    return charge_correction(SyndromeSet("charge", outcomes, group), cell, spanning_tree(cell)).inverse()
+
+
+def _flux_plan(outcomes: Dict[int, int], group: FiniteGroup, cell: Cellulation) -> CorrectionPlan:
+    """The group-shift layer that cancels measured plaquette fluxes on the dual tree."""
+    return flux_correction(SyndromeSet("flux", outcomes, group), cell, dual_spanning_tree(cell))
 
 
 def _couple_plaquettes(
@@ -344,8 +349,7 @@ def kw_hat_abelian(
     )
     _couple_plaquettes(reg, cell, a_group, plaquette_of, edge_of)
     outcomes, prob = _measure_sites(reg, mode, [(p, plaquette_of(p)) for p in range(n_p)])
-    syndrome = SyndromeSet("flux", outcomes, a_group)
-    applied = flux_correction(syndrome, cell, dual_spanning_tree(cell))
+    applied = _flux_plan(outcomes, a_group, cell)
     _apply_corrections(reg, applied, edge_of)
     return KwResult(register=reg, outcomes=outcomes, corrections=applied, probability=prob)
 

@@ -16,12 +16,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cellulation import Cellulation, dual_spanning_tree, spanning_tree
-from .feedforward import CorrectionPlan, SyndromeSet, charge_correction, flux_correction
+from .cellulation import Cellulation
+from .feedforward import CorrectionPlan
 from .gates import controlled_left, controlled_right, omega_gate, parent_to_pair
 from .groups import (
     FactorSystem,
@@ -31,8 +31,8 @@ from .groups import (
     is_nil2_extension,
 )
 from .kwmaps import (
-    KwMode, KwRound, _apply_corrections, _couple_plaquettes, _measure_sites, _plaquette_site,
-    kw_abelian, kw_exact_g, kw_n_in_g,
+    KwMode, KwRound, _apply_corrections, _charge_plan, _couple_plaquettes, _flux_plan, _measure_sites,
+    _plaquette_site, kw_abelian, kw_exact_g, kw_n_in_g,
 )
 from .register import (
     QuditRegister,
@@ -87,23 +87,26 @@ class ProtocolRound:
 class ProtocolTranscript:
     """Full run record plus the final register.
 
-    shots counts the measurement layers actually executed, one per round;
-    corrections within a round commute (diagonals commute among themselves,
-    and the two correction families act on disjoint sites).
+    shots and probability are read off the rounds: one measurement layer per
+    round, and the product of the rounds' branch probabilities. Corrections
+    within a round commute (diagonals commute among themselves, and the two
+    correction families act on disjoint sites).
     """
 
     protocol: str
     group: str
     graph: str
-    shots: int
     rounds: List[ProtocolRound]
     register: QuditRegister
-    probability: float
     fidelity_vs_oracle: Optional[float] = None
 
-    def __post_init__(self):
-        if self.shots != len(self.rounds):
-            raise ValueError(f"shots {self.shots} disagrees with {len(self.rounds)} recorded rounds")
+    @property
+    def shots(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def probability(self) -> float:
+        return math.prod(rnd.probability for rnd in self.rounds)
 
     def to_dict(self) -> Dict[str, object]:
         """The report record in JSON types: str keys, lists, Python numbers."""
@@ -128,11 +131,7 @@ class ProtocolTranscript:
 
 
 def _plan_record(plan: CorrectionPlan, applied: bool = True) -> Dict[str, object]:
-    return {
-        "basis": plan.basis,
-        "exponents": {str(e): int(x) for e, x in sorted(plan.exponents.items())},
-        "applied": bool(applied),
-    }
+    return {**plan.as_dict(), "applied": bool(applied)}
 
 
 def _round_seed(seed: int, r: int) -> int:
@@ -191,20 +190,25 @@ def _chain_of(name: str, g_group: FiniteGroup) -> Tuple[FactorSystem, ...]:
     return tuple(systems)
 
 
-def _reassemble_edges(reg: QuditRegister, cell: Cellulation, systems: Sequence[FactorSystem]) -> None:
-    """Merge per-round edge labels back into the full group, innermost first.
+def _merge_edge_pairs(
+    reg: QuditRegister, cell: Cellulation, fs: FactorSystem,
+    n_of: Callable[[int], Hashable], q_of: Callable[[int], Hashable], edge_of: Callable[[int], Hashable],
+) -> None:
+    """Fuse each edge's subgroup and quotient labels into one site of the
+    parent group (subgroup-major) and relabel the pair to the parent's
+    elements: a pure relabeling, no gates."""
+    image = np.argsort(parent_to_pair(fs))
+    for e in range(cell.n_edges):
+        reg.merge_sites(n_of(e), q_of(e), SiteSpec(edge_of(e), "edge", fs.parent))
+        reg.relabel_site(edge_of(e), image)
 
-    Each merge pairs a subgroup label with the already-reassembled quotient
-    label (subgroup-major) and relabels the pair to the parent's elements: a
-    pure relabeling, no gates.
-    """
+
+def _reassemble_edges(reg: QuditRegister, cell: Cellulation, systems: Sequence[FactorSystem]) -> None:
+    """Merge per-round edge labels back into the full group, innermost first:
+    each subgroup label pairs with the already-reassembled quotient label."""
     for j in range(len(systems), 0, -1):
-        fs = systems[j - 1]
-        image = np.argsort(parent_to_pair(fs))
-        for e in range(cell.n_edges):
-            new_sid = _edge_site(e) if j == 1 else ("e", e, j)
-            reg.merge_sites(("e", e, j), ("e", e, j + 1), SiteSpec(new_sid, "edge", fs.parent))
-            reg.relabel_site(new_sid, image)
+        inner, outer = (lambda e, j=j: ("e", e, j)), (lambda e, j=j: ("e", e, j + 1))
+        _merge_edge_pairs(reg, cell, systems[j - 1], inner, outer, _edge_site if j == 1 else inner)
 
 
 def _split_vertices(reg: QuditRegister, cell: Cellulation, fs: FactorSystem, j: int) -> None:
@@ -273,25 +277,10 @@ def _gauge_rounds(
         else:
             label = f"gauge the order-{subject.n_group.order} normal subgroup inside {subject.parent.name}"
             layer = "restricted edge entangler with cocycle and automorphism dressing"
-        records.append(
-            ProtocolRound(
-                label=label,
-                layers=[layer],
-                outcomes={"charge": res.outcomes},
-                corrections=[_plan_record(res.corrections)],
-                probability=res.probability,
-            )
-        )
+        corrections = [_plan_record(res.corrections)]
+        records.append(ProtocolRound(label, [layer], {"charge": res.outcomes}, corrections, res.probability))
     _reassemble_edges(reg, cell, chain)
-    return ProtocolTranscript(
-        protocol=protocol,
-        group=g_group.name,
-        graph=cell.name,
-        shots=total,
-        rounds=records,
-        register=reg,
-        probability=math.prod(rnd.probability for rnd in records),
-    )
+    return ProtocolTranscript(protocol=protocol, group=g_group.name, graph=cell.name, rounds=records, register=reg)
 
 
 def _scored(transcript: ProtocolTranscript, oracle: Optional[QuditRegister]) -> ProtocolTranscript:
@@ -313,8 +302,7 @@ _Start = Tuple[QuditRegister, FiniteGroup, Tuple[FactorSystem, ...], Optional[Qu
 def _abelian_start(a_group: FiniteGroup, cell: Cellulation, with_oracle: bool) -> _Start:
     if not a_group.is_abelian:
         raise ValueError("prepare_abelian_double needs an abelian group")
-    oracle = _oracle(a_group, cell) if with_oracle else None
-    return _plus_vertices(a_group, cell), a_group, (), oracle
+    return _solvable_start(a_group, cell, with_oracle)
 
 
 def _metabelian_start(fs: FactorSystem, cell: Cellulation, with_oracle: bool) -> _Start:
@@ -391,17 +379,12 @@ def _nil2_tail(
     raw, prob = _measure_sites(reg, mode, pairs)
     v_outs = {v: raw[v] for v in range(n_v)}
     p_outs = {p: raw[n_v + p] for p in range(n_p)}
-    charge_plan = charge_correction(
-        SyndromeSet("charge", v_outs, q_grp), cell, spanning_tree(cell)
-    ).inverse()
-    flux_plan = flux_correction(SyndromeSet("flux", p_outs, n_grp), cell, dual_spanning_tree(cell))
+    charge_plan, flux_plan = _charge_plan(v_outs, q_grp, cell), _flux_plan(p_outs, n_grp, cell)
     if feedforward:
-        _apply_corrections(reg, charge_plan, lambda e: ("e", e, "q"))
-        _apply_corrections(reg, flux_plan, lambda e: ("e", e, "n"))
-        image = np.argsort(parent_to_pair(fs))
-        for e in range(cell.n_edges):
-            reg.merge_sites(("e", e, "n"), ("e", e, "q"), SiteSpec(_edge_site(e), "edge", fs.parent))
-            reg.relabel_site(_edge_site(e), image)
+        n_of, q_of = (lambda e: ("e", e, "n")), (lambda e: ("e", e, "q"))
+        _apply_corrections(reg, charge_plan, q_of)
+        _apply_corrections(reg, flux_plan, n_of)
+        _merge_edge_pairs(reg, cell, fs, n_of, q_of, _edge_site)
     rnd = ProtocolRound(
         label=f"one-shot double of {fs.parent.name}",
         layers=[
@@ -410,21 +393,10 @@ def _nil2_tail(
             "controlled quotient multiplications write domain walls onto identity-state quotient edges",
         ],
         outcomes={"charge": v_outs, "flux": p_outs},
-        corrections=[
-            _plan_record(charge_plan, applied=feedforward),
-            _plan_record(flux_plan, applied=feedforward),
-        ],
+        corrections=[_plan_record(plan, applied=feedforward) for plan in (charge_plan, flux_plan)],
         probability=prob,
     )
-    return ProtocolTranscript(
-        protocol="nil2_double",
-        group=fs.parent.name,
-        graph=cell.name,
-        shots=1,
-        rounds=[rnd],
-        register=reg,
-        probability=prob,
-    )
+    return ProtocolTranscript(protocol="nil2_double", group=fs.parent.name, graph=cell.name, rounds=[rnd], register=reg)
 
 
 # ---------------------------------------------------------------------------

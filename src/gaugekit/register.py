@@ -456,7 +456,9 @@ class QuditRegister:
         a call with neither is rejected before the register changes. A forced
         outcome with zero Born probability, or a zero state, is rejected after
         the rotation and leaves the site rotated. The collapsed state is
-        renormalized and the site's axis is removed.
+        divided by the root of its raw Born weight, so it has norm 1, and the
+        site's axis is removed. Sampling and the retired probability use the
+        weights over their sum when that sum is more than 1e-6 off 1.
 
         The rotation is one dense F @ block over every column: a product over
         a subset of the columns is not bitwise the same columns of the full
@@ -482,7 +484,7 @@ class QuditRegister:
         self.amps = block.reshape(shape) if pos == 0 else np.moveaxis(block.reshape(shape), 0, pos)
         live = _live_columns(block)
         cols = block if isinstance(live, slice) else block[:, live]
-        probs = np.einsum("ij,ij->i", cols, np.conj(cols)).real
+        weights = probs = np.einsum("ij,ij->i", cols, np.conj(cols)).real
         total = probs.sum()
         if not total > 0:
             raise ValueError(f"measurement of {sid!r} on a zero state")
@@ -495,7 +497,7 @@ class QuditRegister:
                 f"forced outcome {outcome} on {sid!r} has zero Born probability "
                 f"(distribution {np.round(probs, 6).tolist()})"
             )
-        branch = _spread(cols[outcome] / np.sqrt(probs[outcome]), live, block.shape[1])
+        branch = _spread(cols[outcome] / np.sqrt(weights[outcome]), live, block.shape[1])
         # gather moved the measured axis to the front and kept the rest in
         # original relative order, so dropping the front axis is the collapse
         self.amps = branch.reshape(shape[1:])
@@ -541,8 +543,13 @@ class QuditRegister:
     # --- relabelings -----------------------------------------------------------
 
     def relabel_site(self, sid: Hashable, image: np.ndarray) -> None:
-        """Permute one site's basis labels: |x> -> |image[x]>."""
-        self.amps = _taken(self.amps, [self.pos(sid)], np.argsort(np.asarray(image, dtype=np.int64)))
+        """Permute one site's basis labels: |x> -> |image[x]>; image must be
+        a permutation of the site's labels."""
+        pos, image = self.pos(sid), np.asarray(image, dtype=np.int64)
+        dim, inverse = self.sites[pos].dim, image.argsort()
+        if image.shape != (dim,) or (image[inverse] != np.arange(dim)).any():
+            raise ValueError(f"relabelling of {sid!r} is not a permutation of its {dim} labels")
+        self.amps = _taken(self.amps, [pos], inverse)
 
     def merge_sites(self, sid_a: Hashable, sid_b: Hashable, new_spec: SiteSpec) -> None:
         """Fuse two sites into one with C-order pairing (a-label major)."""

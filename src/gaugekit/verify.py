@@ -557,19 +557,19 @@ def _check_charge_diagonals_push_to_edge(g_group: FiniteGroup, cell: Cellulation
 
 def _check_plaquette_projector_from_irrep_sum(g_group: FiniteGroup, cell: Cellulation) -> float:
     """The delta-form plaquette projector equals the dimension-weighted sum of
-    irrep loop diagonals."""
+    irrep loop diagonals, both read off the tables the stabilizer report
+    reads."""
     if not cell.plaquettes:
         raise ValueError("needs a cellulation with plaquettes")
-    table = irrep_table(g_group)
+    dims = [irrep.dim for irrep in irrep_table(g_group).irreps]
+    plaquettes, loops = _stabilizer_diagonals(g_group, cell, tuple(_edge_site(e) for e in range(cell.n_edges)))
     worst = 0.0
-    for p in range(cell.n_plaquettes):
-        bp = plaquette_stabilizer(g_group, cell, p)
+    for p, bp in enumerate(plaquettes):
         acc = np.zeros_like(bp.diag)
-        for irrep in table.irreps:
-            op = loop_z(irrep, cell.plaquettes[p], cell)
-            if list(op.targets) != list(bp.targets):
+        for dim, (_, ops) in zip(dims, loops, strict=True):
+            if list(ops[p].targets) != list(bp.targets):
                 raise ValueError("loop and projector disagree on the edge set")
-            acc += irrep.dim * op.diag
+            acc += dim * ops[p].diag
         worst = max(worst, float(np.abs(acc / g_group.order - bp.diag).max()))
     return worst
 

@@ -342,7 +342,7 @@ def dense_measure_fourier(reg: QuditRegister, sid: Hashable, rng=None, forced=No
     block, pos, shape = reg._gather(sid)
     block = _fourier_matrix(spec_.group) @ block
     reg.amps = block.reshape(shape) if pos == 0 else np.moveaxis(block.reshape(shape), 0, pos)
-    probs = np.einsum("ij,ij->i", block, np.conj(block)).real
+    weights = probs = np.einsum("ij,ij->i", block, np.conj(block)).real
     total = probs.sum()
     if not total > 0:
         raise ValueError(f"measurement of {sid!r} on a zero state")
@@ -355,7 +355,7 @@ def dense_measure_fourier(reg: QuditRegister, sid: Hashable, rng=None, forced=No
             f"forced outcome {outcome} on {sid!r} has zero Born probability "
             f"(distribution {np.round(probs, 6).tolist()})"
         )
-    branch = block[outcome] / np.sqrt(probs[outcome])
+    branch = block[outcome] / np.sqrt(weights[outcome])
     reg.amps = branch.reshape(shape[1:])
     reg.sites.pop(pos)
     reg.retired[sid] = _Retired(outcome=outcome, probability=float(probs[outcome]))

@@ -1,12 +1,13 @@
 """Preparation protocols: shot counts, feedforward, transcripts, syndromes."""
 
 import json
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from gaugekit import protocols
+from gaugekit import feedforward, kwmaps, protocols
 from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_vertex_graph
 from gaugekit.gates import left_mult
 from gaugekit.groups import (
@@ -23,7 +24,6 @@ from gaugekit.groups import (
 from gaugekit.kwmaps import KwMode, _wall_gates, kw_exact_g
 from gaugekit.protocols import (
     ProtocolRound,
-    ProtocolTranscript,
     _nil2_circuit,
     _solvable_chain,
     gauge_input_state,
@@ -400,18 +400,47 @@ def test_transcript_json_round_trip():
         assert all(isinstance(k, str) for k in rnd["outcomes"]["charge"])
 
 
-def test_transcript_shot_mismatch_rejected():
-    tr = prepare_abelian_double(CAT["Z2"], theta_sphere(), KwMode.postselect())
-    with pytest.raises(ValueError, match="shots"):
-        ProtocolTranscript(
-            protocol="x",
-            group="Z2",
-            graph="theta",
-            shots=2,
-            rounds=tr.rounds,
-            register=tr.register,
-            probability=1.0,
-        )
+def _every_protocol_run(mode):
+    cell = theta_sphere()
+    s3_vertices = init_plus([SiteSpec(_vertex_site(v), "vertex", CAT["S3"]) for v in range(cell.n_vertices)])
+    return {
+        "abelian": prepare_abelian_double(CAT["Z3"], cell, mode),
+        "nil2": prepare_nil2_double(catalog_factor_system("D4"), cell, mode),
+        "nil2 without feedforward": prepare_nil2_double(catalog_factor_system("Q8"), cell, mode, feedforward=False),
+        "metabelian": prepare_metabelian_double(catalog_factor_system("S3"), cell, mode),
+        "solvable": prepare_solvable_double(CAT["S4"], cell, mode),
+        "gauge_input": gauge_input_state(s3_vertices, CAT["S3"], cell, mode),
+    }
+
+
+@pytest.mark.parametrize("mode", [KwMode.sample(11), KwMode.postselect()], ids=["sample", "postselect"])
+def test_transcript_totals_are_read_off_the_rounds(mode):
+    """shots and probability are the round count and the product of the
+    rounds' probabilities, bit for bit, in the object and in its record."""
+    for name, tr in _every_protocol_run(mode).items():
+        doc = tr.to_dict()
+        assert tr.shots == doc["shots"] == len(tr.rounds) == len(doc["rounds"]), name
+        product = math.prod(rnd.probability for rnd in tr.rounds)
+        assert tr.probability.hex() == doc["probability"].hex() == product.hex(), name
+        assert product == math.prod(rnd["probability"] for rnd in doc["rounds"]), name
+        retired = math.prod(r.probability for r in tr.register.retired.values())
+        assert tr.probability == pytest.approx(retired, rel=1e-12), name
+
+
+def test_every_correction_plan_is_built_by_the_kwmaps_helpers():
+    """A one-seed nil2 run and a solvable run reach the feedforward plan
+    makers only through kwmaps, once per recorded plan of each basis."""
+    runs = {
+        "nil2": lambda: prepare_nil2_double(catalog_factor_system("D4"), theta_sphere(), KwMode.sample(5)),
+        "solvable": lambda: prepare_solvable_double(CAT["S3"], theta_sphere(), KwMode.sample(5)),
+    }
+    for name, run in runs.items():
+        with mock.patch.object(kwmaps, "charge_correction", wraps=feedforward.charge_correction) as charge, \
+                mock.patch.object(kwmaps, "flux_correction", wraps=feedforward.flux_correction) as flux:
+            tr = run()
+        bases = [plan["basis"] for rnd in tr.rounds for plan in rnd.corrections]
+        assert (charge.call_count, flux.call_count) == (bases.count("Z"), bases.count("X")), name
+        assert charge.call_count >= 1, name
 
 
 def test_same_seed_transcripts_identical():

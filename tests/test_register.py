@@ -262,6 +262,24 @@ def test_forced_branches_sum_to_one():
     assert abs(total - 1) < STATE_TOL
 
 
+def test_collapse_of_an_unnormalized_register_has_norm_one():
+    """A norm-5 input: the branch is divided by its raw Born weight, while the
+    retired probability stays the normalized one, as in the dense reference."""
+    rng = np.random.default_rng(21)
+    z3 = build_cyclic(3)
+    base = init_plus([SiteSpec(k, "edge", z3) for k in range(2)])
+    base.amps = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    base.amps *= 5 / np.linalg.norm(base.amps)
+    for outcome in range(3):
+        reg, ref = base.copy(), base.copy()
+        reg.measure_fourier(0, forced=outcome)
+        dense_measure_fourier(ref, 0, forced=outcome)
+        assert abs(reg.norm() - 1) < 1e-12
+        assert 0 < reg.retired[0].probability < 1
+        assert reg.retired[0].probability.hex() == ref.retired[0].probability.hex()
+        assert np.array_equal(reg.amps, ref.amps)
+
+
 def test_forced_zero_probability_rejected_with_report():
     reg = init_plus(z2_sites(1))
     with pytest.raises(ValueError, match="zero Born probability"):
@@ -424,6 +442,16 @@ def test_relabel_site_permutes_basis():
     reg = init_identity([SiteSpec("a", "edge", z3)])
     reg.relabel_site("a", np.array([2, 0, 1]))
     assert abs(reg.amps[2] - 1) < GATE_TOL
+
+
+@pytest.mark.parametrize("image", [[0, 0, 1], [0, 1, 5], [2, 0], [0, 1, 2, 3], [[0, 1, 2]]])
+def test_relabel_site_rejects_a_non_permutation_naming_the_site(image):
+    z3 = build_cyclic(3)
+    reg = init_identity([SiteSpec("a", "edge", z3), SiteSpec("b", "edge", z3)])
+    before = reg.amps.copy()
+    with pytest.raises(ValueError, match=r"relabelling of 'b' is not a permutation of its 3 labels"):
+        reg.relabel_site("b", image)
+    assert np.array_equal(reg.amps, before)
 
 
 def test_add_sites_rejects_register_over_budget(monkeypatch):
