@@ -300,10 +300,15 @@ def cmd_verify(config: RunConfig) -> Tuple[Dict[str, object], int]:
         code = 0 if all(d <= IDENTITY_TOL for d in deviations) else 2
         return payload, code
     if config.suite == "gsd":
+        # a closed surface's degeneracy: 1 on the sphere, the anyon count on the torus
+        euler = cell.n_vertices - cell.n_edges + cell.n_plaquettes
+        if cell.closed and euler not in (0, 2):
+            raise ValueError(f"gsd suite needs a sphere or a torus, got Euler characteristic {euler}")
         projector = ground_state_degeneracy(group, cell)
         classes = commuting_pair_classes(group)
         payload["gsd"] = {"projector_rank": projector, "commuting_pair_classes": classes}
-        return payload, 0 if projector == classes else 2
+        expected = 1 if euler == 2 else classes
+        return payload, 0 if projector == expected else 2
     raise ValueError(f"unknown suite {config.suite!r}")
 
 

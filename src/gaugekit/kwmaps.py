@@ -83,6 +83,8 @@ class KwMode:
             raise ValueError(f"unknown mode kind {self.kind!r}")
         if self.kind == "sample" and self.seed is None:
             raise ValueError("sample mode needs a seed")
+        if self.kind == "sample" and self.seed < 0:
+            raise ValueError(f"sample mode needs a non-negative seed, got {self.seed}")
         if self.kind == "forced" and self.outcomes is None:
             raise ValueError("forced mode needs an outcome table")
 

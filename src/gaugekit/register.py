@@ -26,7 +26,6 @@ __all__ = [
     "SiteSpec",
     "LocalOperator",
     "DiagonalOperator",
-    "StabilizerOperator",
     "QuditRegister",
     "init_plus",
     "init_product",
@@ -154,37 +153,6 @@ class DiagonalOperator:
         return len(self.diag)
 
 
-class StabilizerOperator:
-    """Weighted sum of products of permutation factors on disjoint sites.
-
-    terms: list of (weight, {sid: LocalOperator permutation on that site}).
-    Covers A_v (group-averaged permutation products) at any arity without
-    materializing a joint matrix: each factor of a term is one per-axis take.
-    """
-
-    def __init__(self, terms: Sequence[Tuple[complex, Dict[Hashable, LocalOperator]]], name: str = "stab"):
-        self.terms = [(complex(w), dict(fs)) for w, fs in terms]
-        self.name = name
-
-    @property
-    def targets(self) -> Tuple[Hashable, ...]:
-        out: List[Hashable] = []
-        for _, factors in self.terms:
-            for sid in factors:
-                if sid not in out:
-                    out.append(sid)
-        return tuple(out)
-
-
-def _require_disjoint(target_lists) -> None:
-    seen: set = set()
-    for targets in target_lists:
-        overlap = seen.intersection(targets)
-        if overlap:
-            raise ValueError(f"permutations overlap on sites {overlap}")
-        seen.update(targets)
-
-
 def _flat_labels(labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], order: Sequence[Hashable]) -> np.ndarray:
     """Row-major joint index of the sites in order, one entry per row."""
     flat = 0
@@ -249,7 +217,7 @@ def _taken(amps: np.ndarray, axes: Sequence[int], sources: np.ndarray) -> np.nda
     """amps with the joint label x of axes, row-major in the given order, read
     from sources[x] by one np.take on the axes merged into one: in place for
     one axis or adjacent ascending axes, moved to the front otherwise. Callers
-    check sources (permuted) or read it off group tables."""
+    pass a checked gate's source row or read it off group tables."""
     shape = amps.shape
     first, k = axes[0], len(axes)
     if list(axes) == list(range(first, first + k)):
@@ -388,24 +356,6 @@ class QuditRegister:
         moved = self.amps if pos == 0 else np.moveaxis(self.amps, pos, 0)
         return moved.reshape(moved.shape[0], -1), pos, moved.shape
 
-    def permuted(self, perms: Sequence[Tuple[Sequence[Hashable], np.ndarray]]) -> np.ndarray:
-        """Amplitudes after permutation gates on disjoint sites, one per-axis
-        take each: a (targets, sources) pair reads the joint label x of targets
-        from the joint source label sources[x]. The register is left as it was.
-        The rows come from outside the register, so each is checked here; a
-        gate's own source row was checked when the gate was built."""
-        _require_disjoint(targets for targets, _ in perms)
-        amps = self.amps
-        for targets, sources in perms:
-            axes = [self.pos(t) for t in targets]
-            joint = math.prod(self.sites[a].dim for a in axes)
-            sources = np.asarray(sources, dtype=np.int64)
-            # np.take would wrap a negative entry silently
-            if sources.shape != (joint,) or sources.min() < 0 or sources.max() >= joint:
-                raise ValueError(f"source labels do not index the joint basis of {tuple(targets)}")
-            amps = _taken(amps, axes, sources)
-        return amps
-
     def _target_axes(self, op) -> List[int]:
         """The axes of op's targets, whose joint dimension its table must have."""
         axes = [self.pos(t) for t in op.targets]
@@ -414,24 +364,8 @@ class QuditRegister:
             raise ValueError(f"{op.name}: operator dimension {op.joint_dim} mismatches targets {joint}")
         return axes
 
-    def _averaged(self, op: StabilizerOperator) -> np.ndarray:
-        """The weighted sum of the op's permuted copies, in term order, each
-        factor one take through its gate's source row."""
-        acc = np.zeros_like(self.amps)
-        for weight, factors in op.terms:
-            _require_disjoint(factor.targets for factor in factors.values())
-            amps = self.amps
-            for factor in factors.values():
-                if factor.kind != "perm":
-                    raise ValueError(f"{op.name}: stabilizer factor {factor.name} is not a permutation")
-                amps = _taken(amps, self._target_axes(factor), factor.sources)
-            acc += weight * amps
-        return acc
-
     def _applied(self, op) -> np.ndarray:
         """The amplitudes after op, as a new array; the register is left as it was."""
-        if isinstance(op, StabilizerOperator):
-            return self._averaged(op)
         axes = self._target_axes(op)
         if isinstance(op, LocalOperator) and op.kind == "perm":
             return _taken(self.amps, axes, op.sources)

@@ -1,10 +1,13 @@
 """Certification for prepared quantum doubles.
 
-The stabilizer builders expose the commuting vertex and plaquette projectors,
-ground_state_degeneracy counts their joint rank as the gauge orbits of flat
-edge labellings and is cross-checked by an independent commuting-pair orbit
-count, and check_identity materializes both sides of every operator identity
-the gauging maps rely on and reports the largest entry difference.
+The vertex projector A_v is the group average of the gauge actions A_v^g,
+whose tables on every edge at v, for all g at once, are _vertex_tables;
+stabilizer_report reads them on the state's support, next to the diagonal
+plaquette projectors plaquette_stabilizer builds. ground_state_degeneracy
+counts the joint rank of the projectors as the gauge orbits of flat edge
+labellings and is cross-checked by an independent commuting-pair orbit
+count, and check_identity materializes both sides of every operator
+identity the gauging maps rely on and reports the largest entry difference.
 """
 
 from __future__ import annotations
@@ -44,10 +47,8 @@ from .kwmaps import _wall_gates, kw_abelian, kw_hat_abelian, KwMode
 from .protocols import _nil2_circuit
 from .register import (
     DiagonalOperator,
-    LocalOperator,
     QuditRegister,
     SiteSpec,
-    StabilizerOperator,
     _Support,
     _edge_site,
     _flat_labels,
@@ -58,8 +59,6 @@ from .register import (
 
 __all__ = [
     "StabilizerReport",
-    "vertex_action",
-    "vertex_stabilizer",
     "plaquette_stabilizer",
     "stabilizer_report",
     "ground_state_degeneracy",
@@ -100,34 +99,6 @@ def _vertex_tables(g_group: FiniteGroup, cell: Cellulation, v: int) -> List[Tupl
     on an edge leaving v, and of right multiplication by g^-1 on an edge
     entering it."""
     return [(e, g_group.mult if sign == 1 else g_group.mult.T[g_group.inv]) for e, sign in cell.edges_at_vertex(v)]
-
-
-def vertex_action(
-    g_group: FiniteGroup,
-    cell: Cellulation,
-    v: int,
-    g: int,
-    edge_of: Callable[[int], Hashable] = _edge_site,
-) -> List[LocalOperator]:
-    """One vertex gauge transformation: left multiplication on the edges
-    leaving v, inverse right multiplication on the edges entering v."""
-    return [
-        LocalOperator([edge_of(e)], "perm", table[g], name=f"A[{v}]^{g}") for e, table in _vertex_tables(g_group, cell, v)
-    ]
-
-
-def vertex_stabilizer(
-    g_group: FiniteGroup,
-    cell: Cellulation,
-    v: int,
-    edge_of: Callable[[int], Hashable] = _edge_site,
-) -> StabilizerOperator:
-    """The vertex projector: the group average of the vertex actions."""
-    terms = []
-    for g in g_group.elements():
-        factors = {op.targets[0]: op for op in vertex_action(g_group, cell, v, g, edge_of)}
-        terms.append((1.0 / g_group.order, factors))
-    return StabilizerOperator(terms, name=f"A[{v}]")
 
 
 def plaquette_stabilizer(
@@ -191,9 +162,10 @@ def stabilizer_report(
     at the source label image[g^-1] of every edge at v, scales it by 1/|G|
     and sums the |G| copies in element order; a plaquette or loop diagonal
     multiplies the amplitude by its entry. The values go into a zero ket and
-    one np.vdot over the whole state, so every value is bitwise the one the
-    dense weighted permuted copies and broadcast diagonals give. The
-    diagonals are cached for the group, cell and edge ids."""
+    one np.vdot over the whole state, so every value is bitwise the one a
+    dense sweep over every amplitude gives (tests/reference.py,
+    dense_stabilizer_report). The diagonals are cached for the group, cell
+    and edge ids."""
     edges = tuple(edge_of(e) for e in range(cell.n_edges))
     wrong = [sid for sid in edges if reg.spec(sid).dim != g_group.order]
     if wrong:

@@ -15,9 +15,11 @@ measurement outcomes exactly. nil2_circuit_gate_by_gate is the one-shot
 nil2 coupling circuit with every edge allocated first and every gate
 applied on its own, the form the gated allocation of the quotient walls
 is checked against. theta_sphere_reversed is theta_sphere with edge 1
-reversed, so its edges no longer all point the same way. dense_projector_rank is the joint stabilizer projector
-as a dense |G|^E x |G|^E matrix with its rank read off the spectrum, the
-reference for the orbit count of verify.ground_state_degeneracy.
+reversed, so its edges no longer all point the same way.
+dense_vertex_projector is one vertex term A_v as a dense matrix, and
+dense_projector_rank is the joint stabilizer projector as a dense
+|G|^E x |G|^E matrix with its rank read off the spectrum, the reference for
+the orbit count of verify.ground_state_degeneracy.
 dense_stabilizer_report and dense_measure_fourier read every amplitude,
 the paths the support reads of the report and the measurement are checked
 against bitwise.
@@ -56,7 +58,6 @@ from gaugekit.register import (
     LocalOperator,
     QuditRegister,
     SiteSpec,
-    StabilizerOperator,
     _edge_site,
     _fourier_matrix,
     _identity_state,
@@ -221,12 +222,11 @@ def charge_syndromes(
     for v in range(cell.n_vertices):
         vals = []
         for g in a_group.elements():
-            factors = {}
+            moved = reg.copy()
             for e, sign in cell.edges_at_vertex(v):
                 sid = edge_of(e)
-                op = left_mult(a_group, g, sid) if sign == 1 else right_mult(a_group, g, sid)
-                factors[sid] = op
-            vals.append(reg.expectation(StabilizerOperator([(1.0, factors)], name=f"A^{g}[{v}]")))
+                moved.apply(left_mult(a_group, g, sid) if sign == 1 else right_mult(a_group, g, sid))
+            vals.append(np.vdot(reg.amps, moved.amps))
         vals = np.array(vals)
         matches = [c for c in a_group.elements() if np.abs(vals - chi[c]).max() < SYNDROME_TOL]
         if len(matches) != 1:
@@ -375,6 +375,18 @@ def _vertex_perm_columns(
     for e, table in _vertex_tables(g_group, cell, v):
         labels[e] = table[g][labels[e]]
     return np.ravel_multi_index(tuple(labels), (g_group.order,) * cell.n_edges)
+
+
+def dense_vertex_projector(g_group: FiniteGroup, cell: Cellulation, v: int) -> np.ndarray:
+    """A_v as a dense |G|^E x |G|^E matrix over the edges in cell order: the
+    group average of the vertex-action permutation matrices."""
+    n_e = cell.n_edges
+    grids = np.indices((g_group.order,) * n_e).reshape(n_e, -1)
+    cols = np.arange(grids.shape[1])
+    proj = np.zeros((cols.size, cols.size))
+    for g in g_group.elements():
+        proj[_vertex_perm_columns(g_group, cell, v, g, grids), cols] += 1.0 / g_group.order
+    return proj
 
 
 def dense_projector_rank(g_group: FiniteGroup, cell: Cellulation) -> int:

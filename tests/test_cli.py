@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from gaugekit.cellulation import theta_sphere, to_json as cell_to_json
+from gaugekit.cellulation import Cellulation, tetrahedron_sphere, theta_sphere, to_json as cell_to_json
 from gaugekit import cli
 from gaugekit.cli import RunConfig, main
 from gaugekit.groups import catalog_factor_system
@@ -289,6 +289,42 @@ def test_verify_gsd_suite(tmp_path):
     assert main(["verify", "--suite", "gsd", "--group", "Z3", "--cell", "hexagon", "-o", str(out)]) == 0
     doc = read(out)
     assert doc["gsd"] == {"projector_rank": 9, "commuting_pair_classes": 9}
+
+
+@pytest.mark.parametrize("group,classes", [("Z3", 9), ("S3", 8), ("D4", 22)])
+@pytest.mark.parametrize("cell", ["theta", "tetrahedron"])
+def test_verify_gsd_suite_expects_one_ground_state_on_a_sphere(tmp_path, cell, group, classes):
+    spec = "theta"
+    if cell == "tetrahedron":
+        spec = tmp_path / "tetrahedron.json"
+        spec.write_text(cell_to_json(tetrahedron_sphere()), encoding="utf-8")
+    out = tmp_path / "gsd.json"
+    assert main(["verify", "--suite", "gsd", "--group", group, "--cell", str(spec), "-o", str(out)]) == 0
+    assert read(out)["gsd"] == {"projector_rank": 1, "commuting_pair_classes": classes}
+
+
+def test_verify_gsd_suite_rejects_other_surfaces_naming_the_euler_characteristic(tmp_path, capsys):
+    """Two disjoint theta spheres: a closed cellulation of Euler characteristic 4."""
+    one = theta_sphere()
+    two = Cellulation(
+        n_vertices=4,
+        edges=one.edges + tuple((i + 2, f + 2) for i, f in one.edges),
+        plaquettes=one.plaquettes + tuple(tuple((e + 3, o) for e, o in walk) for walk in one.plaquettes),
+        dual_edges=one.dual_edges + tuple((a + 3, b + 3) for a, b in one.dual_edges),
+        name="two_spheres",
+    )
+    spec = tmp_path / "two.json"
+    spec.write_text(cell_to_json(two), encoding="utf-8")
+    assert main(["verify", "--suite", "gsd", "--group", "Z2", "--cell", str(spec)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "precondition", "message": "gsd suite needs a sphere or a torus, got Euler characteristic 4"}
+
+
+def test_prepare_rejects_a_negative_sample_seed(capsys):
+    code = main(["prepare", "--group", "Z2", "--cell", "theta", "--protocol", "abelian", "--mode", "sample:-1"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "precondition", "message": "sample mode needs a non-negative seed, got -1"}
 
 
 def test_pretty_prints_summary_without_touching_file(tmp_path, capsys):

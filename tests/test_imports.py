@@ -1,15 +1,19 @@
-"""Every name a source module imports is used there or re-exported, and
-every name it exports exists.
+"""Every name a source module imports is used there or re-exported, every
+name it exports exists, and every private definition is named elsewhere.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree: an imported name counts as used when it appears as a name
 anywhere in the module (annotations included) or is listed in __all__. A
-stale __all__ entry would otherwise fail only at a star import.
+stale __all__ entry would otherwise fail only at a star import. A private
+function, class or method (a _name that is not a dunder) counts as used when
+some place in src/gaugekit outside its own definition names it: a name, an
+attribute or an import.
 """
 
 import ast
 import importlib
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,3 +73,54 @@ def test_every_exported_name_resolves(path):
     module = importlib.import_module(name)
     assert hasattr(module, "__all__")
     assert unresolved_exports(module) == []
+
+
+def _mentions(tree: ast.AST) -> Counter:
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """The private definitions in sources (module name -> text) that no place
+    outside their own definition names."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    total = sum((_mentions(tree) for tree in trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") and not name.endswith("__") and total[name] == _mentions(node)[name]:
+                dead.append(f"{module}.{name} (line {node.lineno})")
+    return sorted(dead)
+
+
+def test_the_dead_code_check_flags_only_unnamed_private_definitions():
+    sources = {
+        "a": (
+            "def _called(): pass\n"
+            "def _dead(): pass\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class _Box:\n"
+            "    def __init__(self): self._read()\n"
+            "    def _read(self): pass\n"
+            "    def _unread(self): pass\n"
+            "    @property\n"
+            "    def _size(self): return 0\n"
+        ),
+        "b": "from .a import _called, _Box\ndef f(box): return _called(), box._size\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._dead (line 2)", "a._recursive (line 3)", "a._unread (line 7)"]
+
+
+def test_every_private_definition_is_named_elsewhere():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

@@ -106,6 +106,11 @@ def test_mode_validation():
     assert KwMode.sample(7).generator() is not None
 
 
+def test_sample_mode_rejects_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="sample mode needs a non-negative seed, got -1"):
+        KwMode.sample(-1)
+
+
 def test_sample_mode_is_deterministic_per_seed():
     cell = square_torus(2, 2)
     z2 = CAT["Z2"]

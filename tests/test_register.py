@@ -19,7 +19,6 @@ from gaugekit.register import (
     LocalOperator,
     QuditRegister,
     SiteSpec,
-    StabilizerOperator,
     init_plus,
     init_product,
 )
@@ -187,25 +186,22 @@ def test_dagger_of_a_permutation_skips_the_check(monkeypatch):
 
 
 def test_a_permutation_gate_carries_its_read_only_source_row(monkeypatch):
-    """A gate builds its source row argsort(image) once; applying the gate,
-    a retargeted copy or a stabilizer term built from it sorts nothing
-    again, and permuted still checks rows from outside."""
+    """A gate builds its source row argsort(image) once; applying the gate
+    or a copy retargeted from it sorts nothing again."""
     op = LocalOperator(["a"], "perm", [2, 0, 1], name="C")
     assert np.array_equal(op.sources, np.argsort(op.image)) and not op.sources.flags.writeable
-    assert op.retarget(["b"]).sources is op.sources, "a copy retargeted after the first use shares the row"
+    moved = op.retarget(["b"])
+    assert moved.sources is op.sources, "a copy retargeted after the first use shares the row"
     reg = QuditRegister([SiteSpec(s, "edge", build_cyclic(3)) for s in "ab"], np.arange(9.0).reshape(3, 3))
-    expected = reg.permuted([(["a"], op.sources)])
+    expected = [_reference_applied(reg, reg.amps, gate) for gate in (op, moved)]
 
     def no_sort(*args, **kwargs):
         raise AssertionError("a checked gate was sorted again")
 
     monkeypatch.setattr(register.np, "argsort", no_sort)
     monkeypatch.setattr(register.np, "sort", no_sort)
-    assert np.array_equal(reg.copy().apply(op).amps, expected)
-    stab = StabilizerOperator([(1.0, {"a": op}), (1.0, {"b": op.retarget(["b"])})])
-    assert reg.expectation(stab) == complex(np.vdot(reg.amps, expected + reg.permuted([(["b"], op.sources)])))
-    with pytest.raises(ValueError, match="joint basis"):
-        reg.permuted([(["a"], [0, 1, 3])])
+    assert np.array_equal(reg.copy().apply(op).amps, expected[0])
+    assert reg.expectation(moved) == complex(np.vdot(reg.amps, expected[1]))
 
 
 def test_wall_gates_share_one_read_only_table_per_template():
@@ -372,21 +368,6 @@ def test_diagonal_operator_any_arity():
     val = reg.expectation(op)
     assert abs(val) < GATE_TOL
     assert abs(chi[1, 1] + 1) < GATE_TOL
-
-
-def test_stabilizer_operator_group_average_projector():
-    z2 = build_cyclic(2)
-    spec = SiteSpec("a", "edge", z2)
-    terms = []
-    for g in range(2):
-        image = np.array([z2.mul(g, h) for h in range(2)])
-        terms.append((0.5, {"a": LocalOperator(["a"], "perm", image, name=f"L{g}")}))
-    proj = StabilizerOperator(terms, name="avg")
-    plus = init_plus([spec])
-    assert plus.expectation(proj) == pytest.approx(1.0, abs=GATE_TOL)
-    point = init_identity([spec])
-    assert point.expectation(proj) == pytest.approx(0.5, abs=GATE_TOL)
-    assert proj.targets == ("a",)
 
 
 def test_add_sites_appends_and_rejects_duplicates():
@@ -725,31 +706,6 @@ def _reference_applied(reg, amps, op):
     return np.moveaxis(out.reshape(moved.shape), range(len(axes)), axes)
 
 
-def _reference_average(reg, terms):
-    """The weighted sum of the terms' gate sequences, each gate applied by the
-    slow path."""
-    acc = np.zeros_like(reg.amps)
-    for weight, gates in terms:
-        amps = reg.amps
-        for op in gates:
-            amps = _reference_applied(reg, amps, op)
-        acc += weight * amps
-    return acc
-
-
-def _disjoint_gates(draw, dims):
-    """Random 1- and 2-site permutation gates on disjoint sites of dims."""
-    order = draw(st.permutations(range(len(dims))))
-    used = draw(st.integers(0, len(dims)))
-    gates, k = [], 0
-    while k < used:
-        sites = order[k : k + draw(st.integers(1, min(2, used - k)))]
-        k += len(sites)
-        image = draw(st.permutations(range(math.prod(dims[s] for s in sites))))
-        gates.append(LocalOperator([("s", s) for s in sites], "perm", image, name=f"P{k}"))
-    return gates
-
-
 def _random_register(draw, min_sites, max_sites):
     """Random amplitudes on 2- to 4-dimensional sites ("s", k), and the rng
     that drew them."""
@@ -759,31 +715,6 @@ def _random_register(draw, min_sites, max_sites):
     # first site stored fastest: a register whose amplitudes are not C-contiguous
     raw = rng.normal(size=tuple(dims[1:]) + (dims[0],)) + 1j * rng.normal(size=tuple(dims[1:]) + (dims[0],))
     return QuditRegister(sites, np.moveaxis(raw, -1, 0)), rng
-
-
-@st.composite
-def permutation_terms(draw):
-    reg, _ = _random_register(draw, 2, 4)
-    dims = reg.dims
-    weight = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
-    terms = [(complex(draw(weight)), _disjoint_gates(draw, dims)) for _ in range(draw(st.integers(1, 3)))]
-    return reg, terms
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(permutation_terms())
-def test_permuted_matches_gate_by_gate_application_bitwise(case):
-    reg, terms = case
-    assert not reg.amps.flags.c_contiguous
-    before = reg.amps.copy()
-    for _, gates in terms:
-        perms = [(op.targets, np.argsort(op.image)) for op in gates]
-        assert np.array_equal(reg.permuted(perms), _reference_average(reg, [(1.0, gates)]))
-    op = StabilizerOperator([(w, {g.targets[0]: g for g in gates}) for w, gates in terms])
-    ref = _reference_average(reg, terms)
-    assert reg.expectation(op) == complex(np.vdot(reg.amps, ref))
-    assert np.array_equal(reg.amps, before)
-    assert np.array_equal(reg.copy().apply(op).amps, ref)
 
 
 @st.composite
@@ -821,36 +752,6 @@ def test_gates_match_the_moveaxis_reference_bitwise(case):
         assert np.array_equal(reg.amps, ref), op.name
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(permutation_terms(), st.data())
-def test_flat_gather_rejects_overlapping_targets(case, data):
-    reg, _ = case
-    dims = reg.dims
-    shared = data.draw(st.integers(0, len(dims) - 1))
-    other = data.draw(st.sampled_from([k for k in range(len(dims)) if k != shared]))
-    first = LocalOperator([("s", shared)], "perm", np.roll(np.arange(dims[shared]), 1))
-    second = LocalOperator([("s", other), ("s", shared)], "perm", np.arange(dims[other] * dims[shared]))
-    with pytest.raises(ValueError, match="overlap"):
-        reg.permuted([(op.targets, np.argsort(op.image)) for op in (first, second)])
-    with pytest.raises(ValueError, match="overlap"):
-        reg.expectation(StabilizerOperator([(1.0, {"a": first, "b": second})]))
-
-
-def test_permuted_rejects_sources_outside_the_joint_basis():
-    """A short row, an entry past the joint dimension and a negative entry,
-    which np.take would wrap, are each rejected."""
-    reg = init_plus(z2_sites(3))
-    before = reg.amps.copy()
-    for targets, sources in [
-        ([("e", 0)], [0]),
-        ([("e", 0), ("e", 1)], [0, 1, 2, 4]),
-        ([("e", 2), ("e", 0)], [0, 1, 2, -1]),
-    ]:
-        with pytest.raises(ValueError, match="joint basis"):
-            reg.permuted([(targets, sources)])
-    assert np.array_equal(reg.amps, before)
-
-
 # one per-axis take for each target shape: merged in place, or moved to the front first
 TARGET_SHAPES = {"adjacent ascending": [1, 2], "adjacent descending": [2, 1], "non-adjacent": [3, 0, 2]}
 
@@ -863,7 +764,8 @@ def test_permuted_reads_every_target_shape_from_its_source_labels(targets):
     reg = QuditRegister([SiteSpec(("s", k), "edge", build_cyclic(d)) for k, d in enumerate(dims)], amps)
     sub = [dims[k] for k in targets]
     sources = rng.permutation(math.prod(sub))
-    out = reg.permuted([([("s", k) for k in targets], sources)])
+    op = LocalOperator([("s", k) for k in targets], "perm", np.argsort(sources))
+    out = reg.copy().apply(op).amps
     for index in np.ndindex(*dims):
         # the joint label of the targets, row-major in target order, and its source
         label = np.ravel_multi_index([index[k] for k in targets], sub)
@@ -871,5 +773,4 @@ def test_permuted_reads_every_target_shape_from_its_source_labels(targets):
         for k, part in zip(targets, np.unravel_index(sources[label], sub)):
             src[k] = part
         assert out[index] == amps[tuple(src)]
-    op = LocalOperator([("s", k) for k in targets], "perm", np.argsort(sources))
     assert np.array_equal(out, _reference_applied(reg, amps, op))
