@@ -39,6 +39,7 @@ from .register import (
     SiteSpec,
     _edge_site,
     _identity_state,
+    _require_within_budget,
     _vertex_site,
     init_plus,
 )
@@ -305,10 +306,25 @@ def _abelian_start(a_group: FiniteGroup, cell: Cellulation, with_oracle: bool) -
     return _solvable_start(a_group, cell, with_oracle)
 
 
+def _require_rounds_fit(
+    reg: QuditRegister, g_group: FiniteGroup, chain: Sequence[FactorSystem], cell: Cellulation
+) -> None:
+    """Reject a run, from its register before round 1, when one of its rounds
+    would build a register over the budget, with the error that round's
+    add_sites raises: a round adds one edge site per edge of the group it
+    gauges, and its measurement retires that group's vertex parts. Checked
+    before the oracle, which can cost more than the rounds that fit."""
+    size = reg.amps.size
+    for subject, *_ in _stages(g_group, chain):
+        order = (subject.n_group if isinstance(subject, FactorSystem) else subject).order
+        size *= order**cell.n_edges
+        _require_within_budget(size)
+        size //= order**cell.n_vertices
+
+
 def _metabelian_start(fs: FactorSystem, cell: Cellulation, with_oracle: bool) -> _Start:
     if not (fs.n_group.is_abelian and fs.q_group.is_abelian):
         raise ValueError("prepare_metabelian_double needs abelian subgroup and abelian quotient")
-    oracle = _oracle(fs.parent, cell) if with_oracle else None
     # the split plus state is built directly, not split from parent labels:
     # 1/sqrt(|N|) 1/sqrt(|Q|) and 1/sqrt(|G|) round apart
     reg = init_plus(
@@ -318,6 +334,8 @@ def _metabelian_start(fs: FactorSystem, cell: Cellulation, with_oracle: bool) ->
             for part, grp in [("n", fs.n_group), ("q", fs.q_group)]
         ]
     )
+    _require_rounds_fit(reg, fs.parent, (fs,), cell)
+    oracle = _oracle(fs.parent, cell) if with_oracle else None
     return reg, fs.parent, (fs,), oracle
 
 
@@ -325,6 +343,7 @@ def _derived_series_start(reg: QuditRegister, g_group: FiniteGroup, cell: Cellul
     """The start of the rounds down the derived series of g_group, on a
     symmetric vertex register: round 1's split is made here."""
     chain = _solvable_chain(g_group)
+    _require_rounds_fit(reg, g_group, chain, cell)
     oracle = kw_exact_g(reg, cell, g_group) if with_oracle else None
     if chain:
         _split_vertices(reg, cell, chain[0], 1)

@@ -8,12 +8,15 @@ its merged target axes, or a unimodular diagonal, so large-arity gates never
 materialize dense matrices; the Fourier rotation inside measure_fourier is
 the only step that mixes amplitudes. No method writes into an amplitude
 array: each replaces it with a new array or a reshaped view, so registers
-can branch from one read-only amplitude array without copying it.
+can branch from one read-only amplitude array without copying it. The one
+array a method writes is its thread's rotation buffer (_rotation_buffer),
+which no register holds once the method returns.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -42,6 +45,9 @@ LIVE_READ_MIN = 4096
 # (row, support position) pairs one support read gathers at once, which bounds
 # the transient of an expectation read on the support of a dense state
 SUPPORT_CHUNK = 1 << 14
+# the calling thread's rotation buffer; one per thread, since the seeds of a
+# run may be measured on worker threads at once
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -228,6 +234,40 @@ def _taken(amps: np.ndarray, axes: Sequence[int], sources: np.ndarray) -> np.nda
     return np.moveaxis(out.reshape(moved.shape), range(k), axes)
 
 
+def _require_within_budget(size: int) -> None:
+    """Reject a register of size amplitudes over AMPLITUDE_BUDGET, naming
+    the limit; callers check before they allocate."""
+    if size > AMPLITUDE_BUDGET:
+        raise ValueError(f"register of {size} amplitudes exceeds the dense register budget {AMPLITUDE_BUDGET}")
+
+
+def _rotation_buffer(shape: Tuple[int, int]) -> np.ndarray:
+    """A C-order view of shape on the calling thread's rotation buffer.
+
+    The buffer grows to the largest block its thread has rotated and is
+    never shrunk, so a warm measurement writes into pages already mapped
+    instead of faulting in a fresh output; a block over AMPLITUDE_BUDGET
+    gets a fresh array and leaves the buffer as it was. The view is
+    overwritten by the thread's next rotation, so no register may keep it
+    past the call that wrote it."""
+    size = shape[0] * shape[1]
+    if size > AMPLITUDE_BUDGET:
+        return np.empty(shape, dtype=np.complex128)
+    buffer = getattr(_workspace, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _workspace.buffer = np.empty(size, dtype=np.complex128)
+    return buffer[:size].reshape(shape)
+
+
+def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """The outcome rng.choice(len(probs), p=probs) draws, from the same one
+    uniform draw: numpy's own inverse-CDF search, without its argument
+    checks. probs must be non-negative with a positive sum."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _live_columns(block: np.ndarray) -> Union[np.ndarray, slice]:
     """The columns of a (rows, n) block with a nonzero entry, or every
     column, slice(None), when reading them costs more than reading the
@@ -316,10 +356,7 @@ class QuditRegister:
         each basis row of the live sites it touches lands on one new-site row,
         so the labels are pushed over that grid and one scatter writes them."""
         size = self.amps.size * math.prod(spec_.dim for spec_ in specs)
-        if size > AMPLITUDE_BUDGET:
-            raise ValueError(
-                f"register of {size} amplitudes exceeds the dense register budget {AMPLITUDE_BUDGET}"
-            )
+        _require_within_budget(size)
         states = []
         for spec_ in specs:
             if spec_.sid in self._index or spec_.sid in self.retired:
@@ -396,12 +433,16 @@ class QuditRegister:
 
         The rotation is one dense F @ block over every column: a product over
         a subset of the columns is not bitwise the same columns of the full
-        product. The Born weights and the collapsed branch then read only the
-        live columns, those with a nonzero entry (see _live_columns). An
-        all-zero column adds an exact zero to each weight, which complex
-        einsum sums in column order, and its branch entries are zeros, so the
-        weights and the branch are bitwise those of the whole block (a zero's
-        sign aside).
+        product. It is written into the thread's rotation buffer (the same
+        product, into pages already mapped); the rotated view replaces the
+        register's amplitudes until the collapse, and a rejection after the
+        rotation stores a copy, so no register keeps the buffer. The Born
+        weights and the collapsed branch then read only the live columns,
+        those with a nonzero entry (see _live_columns). An all-zero column
+        adds an exact zero to each weight, which complex einsum sums in
+        column order, and its branch entries are zeros, so the weights and
+        the branch are bitwise those of the whole block (a zero's sign
+        aside).
         """
         spec_ = self.spec(sid)
         if not spec_.group.is_abelian:
@@ -413,7 +454,7 @@ class QuditRegister:
         elif rng is None:
             raise ValueError("measurement needs an rng or a forced outcome")
         block, pos, shape = self._gather(sid)
-        block = _fourier_matrix(spec_.group) @ block
+        block = np.matmul(_fourier_matrix(spec_.group), block, out=_rotation_buffer(block.shape))
         # the rotated state replaces the pre-rotation array now, which frees it
         self.amps = block.reshape(shape) if pos == 0 else np.moveaxis(block.reshape(shape), 0, pos)
         live = _live_columns(block)
@@ -421,12 +462,14 @@ class QuditRegister:
         weights = probs = np.einsum("ij,ij->i", cols, np.conj(cols)).real
         total = probs.sum()
         if not total > 0:
+            self.amps = self.amps.copy()  # a rejected register keeps no view of the buffer
             raise ValueError(f"measurement of {sid!r} on a zero state")
         if abs(total - 1.0) > 1e-6:
             probs = probs / total
         if forced is None:
-            outcome = int(rng.choice(spec_.dim, p=probs / probs.sum()))
+            outcome = _sample(rng, probs / probs.sum())
         elif probs[outcome] < 1e-14:
+            self.amps = self.amps.copy()
             raise ValueError(
                 f"forced outcome {outcome} on {sid!r} has zero Born probability "
                 f"(distribution {np.round(probs, 6).tolist()})"

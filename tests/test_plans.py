@@ -344,3 +344,62 @@ def test_threads_branching_from_one_prefix_match_a_serial_run():
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert hashlib.sha256(plan.prefix.amps.tobytes()).hexdigest() == digest
+
+
+# --- the register budget, checked before the oracle
+
+# each run's round 2 is over the register budget; its oracle (8^8 and 6^8
+# amplitudes) is not, and enumerating it took 0.5 s and 380 MB for D4
+OVER_BUDGET = {
+    "D4 solvable": ("solvable", "D4", 4_294_967_296),
+    "S3 metabelian": ("metabelian", "S3", 26_873_856),
+}
+
+
+def _subject(protocol, group):
+    return catalog_factor_system(group) if protocol == "metabelian" else catalog()[group]
+
+
+def _forbid_the_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle was enumerated for a run the register budget rejects")
+
+    monkeypatch.setattr(protocols, "kw_exact_g", no_oracle)
+
+
+@pytest.mark.parametrize("protocol, group, size", OVER_BUDGET.values(), ids=OVER_BUDGET.keys())
+def test_a_run_over_the_register_budget_is_rejected_before_its_oracle(monkeypatch, capsys, protocol, group, size):
+    message = f"register of {size} amplitudes exceeds the dense register budget 20000000"
+    _forbid_the_oracle(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        protocols.plan_run(protocol, _subject(protocol, group), square_torus(2, 2))
+    for extra in ([], ["--mode", "sample:3", "--seeds", "2"]):
+        argv = ["prepare", "--group", group, "--cell", "square:2x2", "--protocol", protocol] + extra
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {"type": "precondition", "message": message}
+
+
+@pytest.mark.parametrize(
+    "protocol, group", [("abelian", "Z3"), ("metabelian", "S3"), ("solvable", "D4"), ("solvable", "S4")]
+)
+def test_the_early_budget_check_predicts_the_largest_round_exactly(monkeypatch, protocol, group):
+    """With the budget at the largest register a run builds, the run fits;
+    one amplitude less, it is rejected naming that register, before the
+    oracle."""
+    sizes = []
+    add_sites = QuditRegister.add_sites
+
+    def recorded(reg, *args, **kwargs):
+        add_sites(reg, *args, **kwargs)
+        sizes.append(reg.amps.size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(QuditRegister, "add_sites", recorded)
+        protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus()).branch(kwmaps.KwMode.sample(5))
+    peak = max(sizes)
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", peak)
+    protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus()).branch(kwmaps.KwMode.sample(5))
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", peak - 1)
+    _forbid_the_oracle(monkeypatch)
+    with pytest.raises(ValueError, match=f"^register of {peak} amplitudes exceeds the dense register budget {peak - 1}$"):
+        protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus())

@@ -1,7 +1,9 @@
 """State-vector register: initialization, gates, measurement, relabelings."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -577,6 +579,117 @@ def test_live_column_measurement_matches_the_dense_path_bitwise_on_thinned_regis
         assert reg.measure_fourier(axis, **rngs[0]) == dense_measure_fourier(ref, axis, **rngs[1]), kwargs
         assert reg.retired[axis].probability.hex() == ref.retired[axis].probability.hex(), kwargs
         assert reg.layout == ref.layout and np.array_equal(reg.amps, ref.amps), kwargs
+
+
+def test_a_warm_rotation_buffer_allocates_only_the_branch():
+    """A second same-shape measurement writes its rotation into the buffer
+    the first one grew. Its other allocations, the weights' conjugate read
+    and the branch (1/3 of the register), fit in the pre-rotation array the
+    rotation frees: measured 0.00 register sizes, 1.00 with a fresh
+    rotation output."""
+    random_z3_register().measure_fourier(0, forced=0)
+    reg, transient = _transient(random_z3_register, lambda reg: reg.measure_fourier(0, forced=0))
+    assert abs(reg.norm() - 1) < STATE_TOL
+    assert transient <= 0.5, f"warm measure_fourier: transient {transient:.2f} register sizes"
+
+
+def _assert_keeps_no_buffer(reg):
+    assert not np.shares_memory(reg.amps, register._workspace.buffer)
+
+
+def test_a_measured_register_keeps_no_view_of_the_rotation_buffer():
+    for axis in (0, 4):
+        reg = random_z3_register()
+        reg.measure_fourier(axis, forced=1)
+        _assert_keeps_no_buffer(reg)
+
+
+def odd_z3_register():
+    """random_z3_register made odd under inverting the labels of site 2, so
+    its Fourier outcome 0 on that site has weight zero."""
+    reg = random_z3_register()
+    odd = reg.amps - np.take(reg.amps, reg.spec(2).group.inv, axis=2)
+    return QuditRegister(reg.sites, odd / np.linalg.norm(odd))
+
+
+REJECTIONS = {
+    "zero-probability forced outcome": (odd_z3_register, "zero Born probability"),
+    "zero state": (lambda: QuditRegister(random_z3_register().sites, np.zeros((3,) * 10)), "zero state"),
+}
+
+
+@pytest.mark.parametrize("build, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_a_rejected_register_keeps_its_rotated_state_out_of_the_buffer(build, message):
+    """A rejection after the rotation stores the rotated state as the
+    register's own array: a later measurement of another register in the
+    same thread, which overwrites the buffer, leaves it unchanged."""
+    reg = build()
+    rotated = np.moveaxis(np.tensordot(register._fourier_matrix(reg.spec(2).group), reg.amps, axes=(1, 2)), 0, 2)
+    with pytest.raises(ValueError, match=message):
+        reg.measure_fourier(2, forced=0)
+    _assert_keeps_no_buffer(reg)
+    kept = reg.amps.copy()
+    assert np.allclose(kept, rotated, atol=1e-12) and reg.dims == (3,) * 10 and not reg.retired
+    random_z3_register().measure_fourier(2, forced=1)
+    assert np.array_equal(reg.amps, kept)
+
+
+def _measured_record(seed):
+    """Five sampled measurements of a random state on ten Z3 sites, with
+    each outcome, probability and the collapsed amplitudes."""
+    rng = np.random.default_rng(seed)
+    z3 = build_cyclic(3)
+    amps = rng.normal(size=(3,) * 10) + 1j * rng.normal(size=(3,) * 10)
+    reg = QuditRegister([SiteSpec(k, "edge", z3) for k in range(10)], amps / np.linalg.norm(amps))
+    record = []
+    for sid in (3, 0, 7, 1, 9):
+        outcome = reg.measure_fourier(sid, rng=rng)
+        record.append((outcome, reg.retired[sid].probability.hex()))
+    return record, reg.amps
+
+
+def test_threads_measuring_at_once_match_a_serial_run_bitwise():
+    """16 registers measured on 8 threads, switching as often as the
+    interpreter allows: each thread rotates into its own buffer, so no
+    measurement reads another's rotation."""
+    serial = [_measured_record(seed) for seed in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(_measured_record, seed) for seed in range(16)]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (record, amps), (ref_record, ref_amps) in zip(threaded, serial):
+        assert record == ref_record
+        assert np.array_equal(amps, ref_amps)
+
+
+def test_a_block_over_the_budget_leaves_the_buffer_as_it_was(monkeypatch):
+    random_z3_register().measure_fourier(0, forced=0)
+    buffer = register._workspace.buffer
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 3**10 - 1)
+    reg = random_z3_register()
+    reg.measure_fourier(0, forced=0)
+    assert register._workspace.buffer is buffer and buffer.size >= 3**10
+    _assert_keeps_no_buffer(reg)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_the_sampler_draws_what_rng_choice_draws(dim):
+    """Same outcome and same generator state as rng.choice(dim, p=q), over
+    weights with exact zeros (first, last and inner) and several draws per
+    generator."""
+    weights = np.random.default_rng(dim)
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            w = weights.random(dim) * (weights.random(dim) < 0.7)
+            w[weights.integers(dim)] += 0.5
+            q = w / w.sum()
+            assert register._sample(rng, q) == int(ref.choice(dim, p=q))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # --- gated allocation -------------------------------------------------------------
