@@ -42,6 +42,7 @@ from .register import (
     SiteSpec,
     _edge_site,
     _identity_state,
+    _overlap,
     _plus_state,
     _taken,
     _vertex_site,
@@ -386,7 +387,7 @@ def kw_exact_g(
     flat = np.ravel_multi_index(tuple(walls), (d,) * n_e)
     out = np.zeros(d ** n_e, dtype=np.complex128)
     np.add.at(out, flat, amps)
-    norm = np.linalg.norm(out)
+    norm = np.sqrt(_overlap(out, out).real)
     if norm < 1e-12:
         raise ValueError("input has no invariant component; the map projects it to zero")
     specs = [SiteSpec(edge_of(e), "edge", g_group) for e in range(n_e)]

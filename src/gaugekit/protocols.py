@@ -143,7 +143,8 @@ def _round_mode(mode: KwMode, r: int, total: int) -> KwMode:
     """Per-round sampling streams; postselect and forced pass through.
 
     A forced outcome table applies to every round (absent keys default to
-    the trivial outcome), so an empty table reproduces postselect exactly.
+    the trivial outcome), so an empty table reproduces postselect up to a
+    few ulps (a measurement of outcome 0 against project_plus).
     """
     if mode.kind != "sample" or total == 1:
         return mode

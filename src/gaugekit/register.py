@@ -6,17 +6,15 @@ site and reshapes the state down, so peak dimension is bounded by the largest
 single protocol round. Every gate is a phase-free permutation, one np.take on
 its merged target axes, or a unimodular diagonal, so large-arity gates never
 materialize dense matrices; the Fourier rotation inside measure_fourier is
-the only step that mixes amplitudes. No method writes into an amplitude
-array: each replaces it with a new array or a reshaped view, so registers
-can branch from one read-only amplitude array without copying it. The one
-array a method writes is its thread's rotation buffer (_rotation_buffer),
-which no register holds once the method returns.
+the only step that mixes amplitudes, and it reads only the nonzero columns.
+No method writes into an amplitude array: each replaces it with a new array
+or a reshaped view, so registers can branch from one read-only amplitude
+array without copying it. Overlaps are summed in fixed chunks (_overlap).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -45,9 +43,9 @@ LIVE_READ_MIN = 4096
 # (row, support position) pairs one support read gathers at once, which bounds
 # the transient of an expectation read on the support of a dense state
 SUPPORT_CHUNK = 1 << 14
-# the calling thread's rotation buffer; one per thread, since the seeds of a
-# run may be measured on worker threads at once
-_workspace = threading.local()
+# amplitudes one np.vdot of an overlap reads: OpenBLAS splits a complex dot
+# product of more than 10,000 across its threads, moving the sum's last bit
+OVERLAP_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -241,22 +239,35 @@ def _require_within_budget(size: int) -> None:
         raise ValueError(f"register of {size} amplitudes exceeds the dense register budget {AMPLITUDE_BUDGET}")
 
 
-def _rotation_buffer(shape: Tuple[int, int]) -> np.ndarray:
-    """A C-order view of shape on the calling thread's rotation buffer.
+def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
+    """<bra|ket> over the C-order flattened arrays: one np.vdot per fixed
+    chunk of OVERLAP_CHUNK amplitudes, summed in order, so the bits are the
+    same at any BLAS thread count (and those of one np.vdot up to a chunk)."""
+    if bra.size <= OVERLAP_CHUNK:
+        return complex(np.vdot(bra, ket))
+    bra, ket = np.ravel(bra), np.ravel(ket)
+    chunks = range(0, max(bra.size, ket.size), OVERLAP_CHUNK)  # np.vdot rejects a length mismatch
+    parts = [complex(np.vdot(bra[lo : lo + OVERLAP_CHUNK], ket[lo : lo + OVERLAP_CHUNK])) for lo in chunks]
+    return sum(parts[1:], parts[0])
 
-    The buffer grows to the largest block its thread has rotated and is
-    never shrunk, so a warm measurement writes into pages already mapped
-    instead of faulting in a fresh output; a block over AMPLITUDE_BUDGET
-    gets a fresh array and leaves the buffer as it was. The view is
-    overwritten by the thread's next rotation, so no register may keep it
-    past the call that wrote it."""
-    size = shape[0] * shape[1]
-    if size > AMPLITUDE_BUDGET:
-        return np.empty(shape, dtype=np.complex128)
-    buffer = getattr(_workspace, "buffer", None)
-    if buffer is None or buffer.size < size:
-        buffer = _workspace.buffer = np.empty(size, dtype=np.complex128)
-    return buffer[:size].reshape(shape)
+
+def _rotated(fourier: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """fourier applied to the first axis of block, as one einsum: each
+    column's bits do not depend on which other columns, in which layout, the
+    block holds, which a BLAS product does not give (OpenBLAS runs the tail
+    columns of a width that is not a multiple of 4 through another kernel)."""
+    return np.einsum("ij,j...->i...", fourier, block)
+
+
+def _born_weights(block: np.ndarray) -> np.ndarray:
+    """np.einsum("ij,ij->i", block, np.conj(block)).real, bitwise; a block of
+    LIVE_READ_MIN amplitudes or more one conjugated row at a time, each as a
+    two-row broadcast, since einsum sums a lone row of more than 8,192
+    entries in another order than a row of a taller operand."""
+    if block.size < LIVE_READ_MIN:
+        return np.einsum("ij,ij->i", block, np.conj(block)).real
+    pairs = ((np.broadcast_to(r, (2, r.size)) for r in (row, np.conj(row))) for row in block)  # one row at a time
+    return np.array([np.einsum("ij,ij->i", *pair)[0].real for pair in pairs])
 
 
 def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
@@ -268,16 +279,19 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _live_columns(block: np.ndarray) -> Union[np.ndarray, slice]:
-    """The columns of a (rows, n) block with a nonzero entry, or every
-    column, slice(None), when reading them costs more than reading the
-    block whole: below LIVE_READ_MIN amplitudes, and when more than half the
-    columns are live, where the gathered copy and its conjugate would also
-    break the measurement's transient bound."""
-    if block.size < LIVE_READ_MIN:
-        return slice(None)
-    live = np.flatnonzero(block.any(axis=0))
-    return slice(None) if 2 * live.size > block.shape[1] else live
+def _live_block(view: np.ndarray) -> Tuple[np.ndarray, Union[np.ndarray, slice]]:
+    """The columns of an (A, rows, B) view that a measurement reads, rows
+    first, in the order np.moveaxis(view, 1, 0).reshape(rows, -1) gives, and
+    which they are. The live ones, a x B + b with a nonzero entry, are
+    gathered in place; below LIVE_READ_MIN amplitudes, or with more than
+    half the columns live, every column is read, as a strided view, and
+    slice(None) names them."""
+    if view.size >= LIVE_READ_MIN:
+        live = np.flatnonzero(view.any(axis=1))
+        if 2 * live.size <= view.shape[0] * view.shape[2]:
+            front, back = np.divmod(live, view.shape[2])
+            return view[front, :, back].T, live
+    return np.moveaxis(view, 1, 0), slice(None)
 
 
 def _spread(values: np.ndarray, live: Union[np.ndarray, slice], size: int) -> np.ndarray:
@@ -336,7 +350,7 @@ class QuditRegister:
         return tuple((s.sid, s.dim) for s in self.sites)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.amps, self.amps).real))
+        return float(np.sqrt(_overlap(self.amps, self.amps).real))
 
     def copy(self) -> "QuditRegister":
         out = QuditRegister(list(self.sites), self.amps.copy())
@@ -386,13 +400,6 @@ class QuditRegister:
 
     # --- gates ---------------------------------------------------------------
 
-    def _gather(self, sid: Hashable) -> Tuple[np.ndarray, int, Tuple[int, ...]]:
-        """The site's axis moved to the front: the (dim, rest) block, the
-        site's axis and the moved shape."""
-        pos = self.pos(sid)
-        moved = self.amps if pos == 0 else np.moveaxis(self.amps, pos, 0)
-        return moved.reshape(moved.shape[0], -1), pos, moved.shape
-
     def _target_axes(self, op) -> List[int]:
         """The axes of op's targets, whose joint dimension its table must have."""
         axes = [self.pos(t) for t in op.targets]
@@ -415,34 +422,27 @@ class QuditRegister:
         return self
 
     def expectation(self, op) -> complex:
-        return complex(np.vdot(self.amps, self._applied(op)))
+        return _overlap(self.amps, self._applied(op))
 
     # --- measurement -----------------------------------------------------------
 
     def measure_fourier(self, sid: Hashable, rng: Optional[np.random.Generator] = None, forced: Optional[int] = None) -> int:
         """Rotate one abelian site by F_ab = chi^a(b)/sqrt|A|, measure, retire it.
 
-        The rotation is the register's only amplitude-mixing step. Exactly one
-        of rng and forced selects the branch; a forced outcome out of range or
-        a call with neither is rejected before the register changes. A forced
-        outcome with zero Born probability, or a zero state, is rejected after
-        the rotation and leaves the site rotated. The collapsed state is
-        divided by the root of its raw Born weight, so it has norm 1, and the
-        site's axis is removed. Sampling and the retired probability use the
-        weights over their sum when that sum is more than 1e-6 off 1.
+        Exactly one of rng and forced selects the branch. A forced outcome out
+        of range or a call with neither is rejected before the rotation, a
+        zero state or a forced outcome of zero Born probability after it; the
+        register never holds the rotation, so every rejection leaves it
+        bitwise as it was. The branch is divided by the root of its raw Born
+        weight, and sampling and the retired probability use the weights over
+        their sum when that sum is more than 1e-6 off 1.
 
-        The rotation is one dense F @ block over every column: a product over
-        a subset of the columns is not bitwise the same columns of the full
-        product. It is written into the thread's rotation buffer (the same
-        product, into pages already mapped); the rotated view replaces the
-        register's amplitudes until the collapse, and a rejection after the
-        rotation stores a copy, so no register keeps the buffer. The Born
-        weights and the collapsed branch then read only the live columns,
-        those with a nonzero entry (see _live_columns). An all-zero column
-        adds an exact zero to each weight, which complex einsum sums in
-        column order, and its branch entries are zeros, so the weights and
-        the branch are bitwise those of the whole block (a zero's sign
-        aside).
+        Only the live columns of the (A, dim, B) reshape are read, in place,
+        and rotated (_live_block). _rotated gives each column the bits it has
+        in the whole block's rotation, and an all-zero column adds exact
+        zeros to the weights, which einsum sums in column order, so the
+        weights and the branch are bitwise those of the whole block (a
+        zero's sign aside).
         """
         spec_ = self.spec(sid)
         if not spec_.group.is_abelian:
@@ -453,31 +453,25 @@ class QuditRegister:
                 raise ValueError(f"forced outcome {outcome} out of range for {sid!r}")
         elif rng is None:
             raise ValueError("measurement needs an rng or a forced outcome")
-        block, pos, shape = self._gather(sid)
-        block = np.matmul(_fourier_matrix(spec_.group), block, out=_rotation_buffer(block.shape))
-        # the rotated state replaces the pre-rotation array now, which frees it
-        self.amps = block.reshape(shape) if pos == 0 else np.moveaxis(block.reshape(shape), 0, pos)
-        live = _live_columns(block)
-        cols = block if isinstance(live, slice) else block[:, live]
-        weights = probs = np.einsum("ij,ij->i", cols, np.conj(cols)).real
+        pos, dims = self.pos(sid), self.amps.shape
+        view = self.amps.reshape(math.prod(dims[:pos]), spec_.dim, -1)
+        cols, live = _live_block(view)
+        cols = _rotated(_fourier_matrix(spec_.group), cols).reshape(spec_.dim, -1)  # frees the gathered block
+        weights = probs = _born_weights(cols)
         total = probs.sum()
         if not total > 0:
-            self.amps = self.amps.copy()  # a rejected register keeps no view of the buffer
             raise ValueError(f"measurement of {sid!r} on a zero state")
         if abs(total - 1.0) > 1e-6:
             probs = probs / total
         if forced is None:
             outcome = _sample(rng, probs / probs.sum())
         elif probs[outcome] < 1e-14:
-            self.amps = self.amps.copy()
             raise ValueError(
                 f"forced outcome {outcome} on {sid!r} has zero Born probability "
                 f"(distribution {np.round(probs, 6).tolist()})"
             )
-        branch = _spread(cols[outcome] / np.sqrt(weights[outcome]), live, block.shape[1])
-        # gather moved the measured axis to the front and kept the rest in
-        # original relative order, so dropping the front axis is the collapse
-        self.amps = branch.reshape(shape[1:])
+        branch = _spread(cols[outcome] / np.sqrt(weights[outcome]), live, view.shape[0] * view.shape[2])
+        self.amps = branch.reshape(dims[:pos] + dims[pos + 1 :])
         self.sites.pop(pos)
         self.retired[sid] = _Retired(outcome=outcome, probability=float(probs[outcome]))
         self._reindex()
@@ -492,13 +486,12 @@ class QuditRegister:
         read showed no gain on the nil2 identity check, the only caller the
         perfbench workloads run (post-selected runs are the other).
         """
-        spec_ = self.spec(sid)
-        block, pos, shape = self._gather(sid)
-        branch = block.sum(axis=0) / np.sqrt(spec_.dim)
-        prob = float(np.vdot(branch, branch).real)
+        spec_, pos, dims = self.spec(sid), self.pos(sid), self.amps.shape
+        branch = np.moveaxis(self.amps, pos, 0).reshape(spec_.dim, -1).sum(axis=0) / np.sqrt(spec_.dim)
+        prob = float(_overlap(branch, branch).real)
         if prob < 1e-14:
             raise ValueError(f"plus-projection on {sid!r} has zero weight")
-        self.amps = (branch / np.sqrt(prob)).reshape(shape[1:])
+        self.amps = (branch / np.sqrt(prob)).reshape(dims[:pos] + dims[pos + 1 :])
         self.sites.pop(pos)
         self.retired[sid] = _Retired(outcome=0, probability=prob)
         self._reindex()
@@ -512,7 +505,7 @@ class QuditRegister:
 
     def inner_product(self, other: "QuditRegister") -> complex:
         self._check_layout(other)
-        return complex(np.vdot(self.amps, other.amps))
+        return _overlap(self.amps, other.amps)
 
     def fidelity(self, other: "QuditRegister") -> float:
         return abs(self.inner_product(other)) ** 2
@@ -564,10 +557,11 @@ class _Support:
 
     <psi|O|psi> sums conj(psi[x]) (O psi)[x], so O psi is needed only where
     psi is nonzero. expectation puts a caller's values of O psi at the
-    support positions into a zero ket of full length and calls the same
-    np.vdot over the whole C-order state as the dense product: a position
-    off the support adds a signed zero, which leaves a nonzero BLAS sum
-    unchanged, so the bits are those of the dense expectation. A caller
+    support positions into a zero ket of full length and takes the same
+    chunked overlap (_overlap) of the whole C-order state as the dense
+    product: a position off the support adds a signed zero, which leaves a
+    nonzero BLAS sum unchanged, so the bits are those of the dense
+    expectation. A caller
     reading rows values per position gets SUPPORT_CHUNK // rows positions
     at a time.
     """
@@ -603,7 +597,7 @@ class _Support:
             for lo in range(0, self.flat.size, step):
                 at = self.flat[lo : lo + step]
                 self._ket[at] = values(at)
-        return complex(np.vdot(self.bra, self._ket))
+        return _overlap(self.bra, self._ket)
 
     def diagonal(self, op: DiagonalOperator) -> complex:
         """<psi|op|psi>: the amplitude times the diagonal entry at each

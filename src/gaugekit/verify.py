@@ -162,7 +162,7 @@ def stabilizer_report(
     at the source label image[g^-1] of every edge at v, scales it by 1/|G|
     and sums the |G| copies in element order; a plaquette or loop diagonal
     multiplies the amplitude by its entry. The values go into a zero ket and
-    one np.vdot over the whole state, so every value is bitwise the one a
+    one chunked overlap of the whole state, so every value is bitwise the one a
     dense sweep over every amplitude gives (tests/reference.py,
     dense_stabilizer_report). The diagonals are cached for the group, cell
     and edge ids."""

@@ -22,7 +22,9 @@ dense_projector_rank is the joint stabilizer projector as a dense
 the orbit count of verify.ground_state_degeneracy.
 dense_stabilizer_report and dense_measure_fourier read every amplitude,
 the paths the support reads of the report and the measurement are checked
-against bitwise.
+against bitwise; they take their overlaps and the Fourier rotation through
+the register's own kernels (_overlap, _rotated), whose bits do not depend on
+the BLAS thread count or on which columns they are given.
 is_isomorphic and central_quotient are the group-theory checks of the
 factor-system round trips.
 """
@@ -61,7 +63,9 @@ from gaugekit.register import (
     _edge_site,
     _fourier_matrix,
     _identity_state,
+    _overlap,
     _Retired,
+    _rotated,
     init_plus,
     init_product,
 )
@@ -124,7 +128,7 @@ def oracle_double_state(
             g_group.mul(g_group.inverse(assign[i_v]), assign[f_v]) for i_v, f_v in cell.edges
         )
         amps[walls] += 1.0
-    amps /= np.linalg.norm(amps)
+    amps /= np.sqrt(_overlap(amps, amps).real)
     specs = [SiteSpec(edge_of(e), "edge", g_group) for e in range(n_e)]
     return QuditRegister(specs, amps)
 
@@ -226,7 +230,7 @@ def charge_syndromes(
             for e, sign in cell.edges_at_vertex(v):
                 sid = edge_of(e)
                 moved.apply(left_mult(a_group, g, sid) if sign == 1 else right_mult(a_group, g, sid))
-            vals.append(np.vdot(reg.amps, moved.amps))
+            vals.append(_overlap(reg.amps, moved.amps))
         vals = np.array(vals)
         matches = [c for c in a_group.elements() if np.abs(vals - chi[c]).max() < SYNDROME_TOL]
         if len(matches) != 1:
@@ -317,7 +321,7 @@ def dense_stabilizer_report(
             for axis, sources in rows:
                 term = np.take(term, sources[g], axis=axis)
             acc += term
-        vexp[v] = _real(complex(np.vdot(reg.amps, acc)), f"A[{v}]")
+        vexp[v] = _real(_overlap(reg.amps, acc), f"A[{v}]")
     pexp = {p: _real(reg.expectation(op), f"B[{p}]") for p, op in enumerate(plaquettes)}
     loop_values = {
         label: {p: _real(reg.expectation(op), f"loop[{label},{p}]") for p, op in enumerate(ops)}
@@ -327,9 +331,10 @@ def dense_stabilizer_report(
 
 
 def dense_measure_fourier(reg: QuditRegister, sid: Hashable, rng=None, forced=None) -> int:
-    """QuditRegister.measure_fourier with the Born weights and the collapse
-    over every column of the rotated block; a zero state is rejected as
-    there."""
+    """QuditRegister.measure_fourier with the same rotation kernel over
+    every column of the block, the Born weights as one einsum over the whole
+    rotated block, and the collapse read off it; a zero state is rejected as
+    there, leaving the register as it was."""
     spec_ = reg.spec(sid)
     if not spec_.group.is_abelian:
         raise ValueError(f"Fourier measurement needs an abelian site, {sid!r} carries {spec_.group.name}")
@@ -339,9 +344,9 @@ def dense_measure_fourier(reg: QuditRegister, sid: Hashable, rng=None, forced=No
             raise ValueError(f"forced outcome {outcome} out of range for {sid!r}")
     elif rng is None:
         raise ValueError("measurement needs an rng or a forced outcome")
-    block, pos, shape = reg._gather(sid)
-    block = _fourier_matrix(spec_.group) @ block
-    reg.amps = block.reshape(shape) if pos == 0 else np.moveaxis(block.reshape(shape), 0, pos)
+    pos = reg.pos(sid)
+    moved = np.moveaxis(reg.amps, pos, 0)
+    block = _rotated(_fourier_matrix(spec_.group), moved.reshape(spec_.dim, -1))
     weights = probs = np.einsum("ij,ij->i", block, np.conj(block)).real
     total = probs.sum()
     if not total > 0:
@@ -356,7 +361,7 @@ def dense_measure_fourier(reg: QuditRegister, sid: Hashable, rng=None, forced=No
             f"(distribution {np.round(probs, 6).tolist()})"
         )
     branch = block[outcome] / np.sqrt(weights[outcome])
-    reg.amps = branch.reshape(shape[1:])
+    reg.amps = branch.reshape(moved.shape[1:])
     reg.sites.pop(pos)
     reg.retired[sid] = _Retired(outcome=outcome, probability=float(probs[outcome]))
     reg._reindex()

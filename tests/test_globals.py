@@ -2,9 +2,9 @@
 
 A module variable that a function rebinds through a `global` statement is
 one object shared by every thread and every caller in the process: two
-threads measuring at once would overwrite each other's state. Per-thread
-state lives on a `threading.local` instead (`register._workspace`). This
-reads each module's syntax tree, so a new `global` is found without being
+threads measuring at once would overwrite each other's state. State a
+call needs lives on an object the caller passes, such as the register it
+measures. This reads each module's syntax tree, so a new `global` is found without being
 listed anywhere.
 """
 
