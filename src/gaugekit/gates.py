@@ -28,7 +28,6 @@ __all__ = [
     "sigma_gate",
     "omega_gate",
     "parent_to_pair",
-    "split_left_mult",
 ]
 
 
@@ -223,13 +222,3 @@ def omega_gate(fs: FactorSystem, qi_sid: Hashable, n_sid: Hashable, qf_sid: Hash
 def parent_to_pair(fs: FactorSystem) -> np.ndarray:
     """Relabeling g -> tpart(g)*|Q| + proj(g) from parent labels to split pairs."""
     return fs.tpart * fs.q_group.order + fs.proj
-
-
-def split_left_mult(fs: FactorSystem, g: int, n_sid: Hashable, q_sid: Hashable) -> LocalOperator:
-    """L^g on a split vertex: |n_v, q_v> = |n_g sigma^{q_g}[n_v] omega(q_g, q_v), q_g q_v>."""
-    n_grp, q_grp = fs.n_group, fs.q_group
-    ng, qg = int(fs.tpart[g]), int(fs.proj[g])
-    n, q = _joint2(n_grp.order, q_grp.order)
-    n2 = n_grp.mult[n_grp.mult[ng, fs.sigma[qg, n]], fs.omega[qg, q]]
-    image = n2 * q_grp.order + q_grp.mult[qg, q]
-    return LocalOperator([n_sid, q_sid], "perm", image, name=f"Lsplit^{g}")

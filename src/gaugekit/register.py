@@ -1,15 +1,22 @@
-"""Dense state vector over heterogeneous group-algebra sites.
+"""State vector over heterogeneous group-algebra sites, held dense or on its
+support.
 
-Sites are ordered; amplitudes live in a C-ordered complex128 array with one
-axis per live site (site-major, last site fastest). Measurement retires the
-site and reshapes the state down, so peak dimension is bounded by the largest
-single protocol round. Every gate is a phase-free permutation, one np.take on
-its merged target axes, or a unimodular diagonal, so large-arity gates never
-materialize dense matrices; the Fourier rotation inside measure_fourier is
-the only step that mixes amplitudes, and it reads only the nonzero columns.
-No method writes into an amplitude array: each replaces it with a new array
-or a reshaped view, so registers can branch from one read-only amplitude
-array without copying it. Overlaps are summed in fixed chunks (_overlap).
+Sites are ordered; amplitudes are indexed C-order, one axis per live site
+(site-major, last site fastest). A register holds them in one of two forms:
+a dense complex128 array (amps), or its support form, the sorted flat
+positions of the nonzero amplitudes and their values. A gated allocation
+writes the support form, a Fourier measurement reads its live columns off it
+and leaves a branch it read by live columns in it; every other reader takes
+amps, which writes the dense array once and drops the support form. Measurement retires the
+site and reshapes the state down, so peak dimension is bounded by the
+largest single protocol round. Every gate is a phase-free permutation, one
+np.take on its merged target axes, or a unimodular diagonal, so large-arity
+gates never materialize dense matrices; the Fourier rotation inside
+measure_fourier is the only step that mixes amplitudes, and it reads only
+the nonzero columns. No method writes into an amplitude array: each replaces
+it with a new array or a reshaped view, so registers can branch from one
+read-only dense array without copying it. Overlaps are summed in fixed
+chunks (_overlap).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,16 +124,6 @@ class LocalOperator:
     @property
     def joint_dim(self) -> int:
         return len(self.image) if self.kind == "perm" else len(self.diag)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense materialization over the joint target basis."""
-        if self.kind == "diag":
-            return np.diag(self.diag)
-        d = self.joint_dim
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[self.image, np.arange(d)] = 1
-        return m
 
     def dagger(self) -> "LocalOperator":
         # the conjugate of a unimodular diagonal is one; the inverse of a
@@ -279,31 +276,6 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _live_block(view: np.ndarray) -> Tuple[np.ndarray, Union[np.ndarray, slice]]:
-    """The columns of an (A, rows, B) view that a measurement reads, rows
-    first, in the order np.moveaxis(view, 1, 0).reshape(rows, -1) gives, and
-    which they are. The live ones, a x B + b with a nonzero entry, are
-    gathered in place; below LIVE_READ_MIN amplitudes, or with more than
-    half the columns live, every column is read, as a strided view, and
-    slice(None) names them."""
-    if view.size >= LIVE_READ_MIN:
-        live = np.flatnonzero(view.any(axis=1))
-        if 2 * live.size <= view.shape[0] * view.shape[2]:
-            front, back = np.divmod(live, view.shape[2])
-            return view[front, :, back].T, live
-    return np.moveaxis(view, 1, 0), slice(None)
-
-
-def _spread(values: np.ndarray, live: Union[np.ndarray, slice], size: int) -> np.ndarray:
-    """A row of size entries holding values at the live columns and zeros
-    elsewhere; values itself when every column was read."""
-    if isinstance(live, slice):
-        return values
-    row = np.zeros(size, dtype=values.dtype)
-    row[live] = values
-    return row
-
-
 @dataclass
 class _Retired:
     outcome: int
@@ -311,7 +283,8 @@ class _Retired:
 
 
 class QuditRegister:
-    """Dense complex state over an ordered list of live sites."""
+    """Complex state over an ordered list of live sites, dense or in support
+    form (module docstring)."""
 
     def __init__(self, sites: Sequence[SiteSpec], amplitudes: np.ndarray):
         self.sites: List[SiteSpec] = list(sites)
@@ -345,6 +318,28 @@ class QuditRegister:
         return tuple(s.dim for s in self.sites)
 
     @property
+    def amps(self) -> np.ndarray:
+        """The dense amplitudes; a register in support form writes them
+        here, once, and leaves that form."""
+        if self._support is not None:
+            self.amps = self._dense()
+        return self._amps
+
+    @amps.setter
+    def amps(self, amps: np.ndarray) -> None:
+        self._amps, self._support = amps, None
+
+    def _dense(self) -> np.ndarray:
+        """The dense amplitudes, without storing them: one zero-fill and one
+        scatter of the support form."""
+        if self._support is None:
+            return self._amps
+        flat, values = self._support
+        dense = np.zeros(math.prod(self.dims), dtype=np.complex128)
+        dense[flat] = values
+        return dense.reshape(self.dims)
+
+    @property
     def layout(self) -> Tuple[Tuple[Hashable, int], ...]:
         """(sid, dim) of every live site, in axis order."""
         return tuple((s.sid, s.dim) for s in self.sites)
@@ -368,9 +363,14 @@ class QuditRegister:
         A non-empty gates list of permutations, which must not move
         a live site's label, runs in the same pass on identity-state ancillas:
         each basis row of the live sites it touches lands on one new-site row,
-        so the labels are pushed over that grid and one scatter writes them."""
-        size = self.amps.size * math.prod(spec_.dim for spec_ in specs)
-        _require_within_budget(size)
+        so the labels are pushed over that grid once (_gated_rows), and the
+        register is left in support form: each nonzero amplitude keeps its
+        value, at its old flat position times the new sites' joint dimension
+        plus the new-site row of its ctrl labels. No dense array of the new
+        size is written. AMPLITUDE_BUDGET applies to that size all the same,
+        checked before anything is allocated."""
+        old, extra = self.dims, math.prod(spec_.dim for spec_ in specs)
+        _require_within_budget(math.prod(old) * extra)
         states = []
         for spec_ in specs:
             if spec_.sid in self._index or spec_.sid in self.retired:
@@ -388,13 +388,16 @@ class QuditRegister:
             new = tuple((spec_.sid, spec_.dim) for spec_ in specs)
             fresh = {sid for sid, _ in new}
             ctrl = sorted({self.pos(t) for op in gates for t in op.targets if t not in fresh})
-            old = self.dims
             rows = _gated_rows(tuple((self.sites[k].sid, old[k]) for k in ctrl), new, _GateList(gates))
-            # row of the new sites for every live basis state, then one scatter
-            at = rows.reshape([d if k in ctrl else 1 for k, d in enumerate(old)] + [1])
-            out = np.zeros(old + (size // self.amps.size,), dtype=np.complex128)
-            np.put_along_axis(out, at, self.amps[..., None], axis=-1)
-            self.amps = out.reshape(old + tuple(spec_.dim for spec_ in specs))
+            if self._support is None:
+                dense = np.ravel(self._amps)
+                flat = np.flatnonzero(dense)
+                self._support = (flat, dense[flat])
+            flat, values = self._support
+            at = 0  # the joint ctrl label of every support position
+            for k in ctrl:
+                at = at * old[k] + flat // math.prod(old[k + 1 :]) % old[k]
+            self._amps, self._support = None, (flat * extra + rows[at], values)
         self.sites.extend(specs)
         self._reindex()
 
@@ -437,12 +440,15 @@ class QuditRegister:
         weight, and sampling and the retired probability use the weights over
         their sum when that sum is more than 1e-6 off 1.
 
-        Only the live columns of the (A, dim, B) reshape are read, in place,
-        and rotated (_live_block). _rotated gives each column the bits it has
-        in the whole block's rotation, and an all-zero column adds exact
-        zeros to the weights, which einsum sums in column order, so the
-        weights and the branch are bitwise those of the whole block (a
-        zero's sign aside).
+        Only the live columns of the (A, dim, B) reshape are rotated
+        (_live_block): read off the support form's positions, or found by a
+        scan of the dense array and read in place. _rotated gives each column
+        the bits it has in the whole block's rotation, and an all-zero column
+        adds exact zeros to the weights, which einsum sums in column order,
+        so the weights and the branch are bitwise those of the whole block (a
+        zero's sign aside). A live-column read leaves the branch in support
+        form, its nonzero entries at the live columns; a whole-block read
+        leaves it dense.
         """
         spec_ = self.spec(sid)
         if not spec_.group.is_abelian:
@@ -453,9 +459,8 @@ class QuditRegister:
                 raise ValueError(f"forced outcome {outcome} out of range for {sid!r}")
         elif rng is None:
             raise ValueError("measurement needs an rng or a forced outcome")
-        pos, dims = self.pos(sid), self.amps.shape
-        view = self.amps.reshape(math.prod(dims[:pos]), spec_.dim, -1)
-        cols, live = _live_block(view)
+        pos, dims = self.pos(sid), self.dims
+        cols, live = self._live_block(math.prod(dims[:pos]), spec_.dim, math.prod(dims[pos + 1 :]))
         cols = _rotated(_fourier_matrix(spec_.group), cols).reshape(spec_.dim, -1)  # frees the gathered block
         weights = probs = _born_weights(cols)
         total = probs.sum()
@@ -470,12 +475,44 @@ class QuditRegister:
                 f"forced outcome {outcome} on {sid!r} has zero Born probability "
                 f"(distribution {np.round(probs, 6).tolist()})"
             )
-        branch = _spread(cols[outcome] / np.sqrt(weights[outcome]), live, view.shape[0] * view.shape[2])
-        self.amps = branch.reshape(dims[:pos] + dims[pos + 1 :])
+        branch = cols[outcome] / np.sqrt(weights[outcome])
+        if live is None:
+            self.amps = branch.reshape(dims[:pos] + dims[pos + 1 :])
+        else:
+            kept = branch != 0
+            self._amps, self._support = None, (live[kept], branch[kept])
         self.sites.pop(pos)
         self.retired[sid] = _Retired(outcome=outcome, probability=float(probs[outcome]))
         self._reindex()
         return outcome
+
+    def _live_block(self, outer: int, dim: int, inner: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The columns of the (outer, dim, inner) reshape that a measurement
+        reads, rows first, in the order np.moveaxis(view, 1, 0).reshape(dim,
+        -1) gives, and which they are. The live ones, a x inner + b with a
+        nonzero entry, are read off the support positions (divmod, then
+        np.unique) into the layout a gather of the dense array gives, or
+        found by a scan of the dense array and gathered in place; below
+        LIVE_READ_MIN amplitudes, or with more than half the columns live,
+        every column of the dense amplitudes is read, as a strided view,
+        and None names them. The register is left as it was."""
+        if outer * dim * inner >= LIVE_READ_MIN:
+            if self._support is not None:
+                flat, values = self._support
+                rest, back = np.divmod(flat, inner)
+                front, row = np.divmod(rest, dim)
+                live, col = np.unique(front * inner + back, return_inverse=True)
+            else:
+                view = self._amps.reshape(outer, dim, inner)
+                live = np.flatnonzero(view.any(axis=1))
+            if 2 * live.size <= outer * inner:
+                if self._support is None:
+                    front, back = np.divmod(live, inner)
+                    return view[front, :, back].T, live
+                block = np.zeros((live.size, dim), dtype=np.complex128)
+                block[col, row] = values
+                return block.T, live
+        return np.moveaxis(self._dense().reshape(outer, dim, inner), 1, 0), None
 
     def project_plus(self, sid: Hashable) -> float:
         """Contract one site with <+|, retire it, renormalize.

@@ -26,7 +26,10 @@ against bitwise; they take their overlaps and the Fourier rotation through
 the register's own kernels (_overlap, _rotated), whose bits do not depend on
 the BLAS thread count or on which columns they are given.
 is_isomorphic and central_quotient are the group-theory checks of the
-factor-system round trips.
+factor-system round trips. gate_matrix is a register gate as a dense
+matrix, and split_left_mult is L^g on a split vertex built from the factor
+system's own formula, the reference the split-vertex symmetry probes are
+pinned to.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import numpy as np
 from gaugekit.cellulation import Cellulation
 from gaugekit.feedforward import CorrectionPlan
 from gaugekit.gates import (
+    _joint2,
     _walk_product,
     controlled_left,
     controlled_right,
@@ -140,6 +144,26 @@ def init_identity(specs: Sequence[SiteSpec]) -> QuditRegister:
 
 # ---------------------------------------------------------------------------
 # edge entanglers
+
+
+def gate_matrix(op: LocalOperator) -> np.ndarray:
+    """A register gate as a dense matrix over its joint target basis."""
+    if op.kind == "diag":
+        return np.diag(op.diag)
+    d = op.joint_dim
+    m = np.zeros((d, d), dtype=np.complex128)
+    m[op.image, np.arange(d)] = 1
+    return m
+
+
+def split_left_mult(fs: FactorSystem, g: int, n_sid: Hashable, q_sid: Hashable) -> LocalOperator:
+    """L^g on a split vertex: |n_v, q_v> = |n_g sigma^{q_g}[n_v] omega(q_g, q_v), q_g q_v>."""
+    n_grp, q_grp = fs.n_group, fs.q_group
+    ng, qg = int(fs.tpart[g]), int(fs.proj[g])
+    n, q = _joint2(n_grp.order, q_grp.order)
+    n2 = n_grp.mult[n_grp.mult[ng, fs.sigma[qg, n]], fs.omega[qg, q]]
+    image = n2 * q_grp.order + q_grp.mult[qg, q]
+    return LocalOperator([n_sid, q_sid], "perm", image, name=f"Lsplit^{g}")
 
 
 def ug_edge_factor(group: FiniteGroup, i_sid: Hashable, e_sid: Hashable, f_sid: Hashable) -> LocalOperator:

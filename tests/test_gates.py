@@ -15,7 +15,6 @@ from gaugekit.gates import (
     parent_to_pair,
     right_mult,
     sigma_gate,
-    split_left_mult,
     z_dual,
     z_tilde,
 )
@@ -30,7 +29,7 @@ from gaugekit.groups import (
     subgroup_from_members,
 )
 from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _fourier_matrix, init_plus
-from reference import init_identity, u_ng_edge_factor, ug_edge_factor
+from reference import gate_matrix, init_identity, split_left_mult, u_ng_edge_factor, ug_edge_factor
 
 TOL = 1e-12
 
@@ -64,7 +63,7 @@ def test_left_right_mult_leave_identity_state_invariant():
 
 def test_z2_cx_is_cnot_and_cz_is_diag():
     z2 = build_cyclic(2)
-    cx = controlled_left(z2, "c", "t").matrix
+    cx = gate_matrix(controlled_left(z2, "c", "t"))
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     assert np.abs(cx - cnot).max() < TOL
     cz = cz_abelian(z2, "c", "t")
@@ -90,20 +89,20 @@ def test_controlled_gates_unitary_roundtrip():
     s3 = catalog()["S3"]
     for ctor in (controlled_left, controlled_right):
         op = ctor(s3, "c", "t")
-        m = op.matrix
-        assert np.abs(m @ op.dagger().matrix - np.eye(36)).max() < TOL
+        m = gate_matrix(op)
+        assert np.abs(m @ gate_matrix(op.dagger()) - np.eye(36)).max() < TOL
 
 
 def test_conjugation_identities_on_s3():
     """CL+(L^g x L^g)CL = L^g x 1 and the companion relations, as matrices."""
     s3 = catalog()["S3"]
     d = s3.order
-    cl = controlled_left(s3, "v", "e").matrix
-    cr = controlled_right(s3, "v", "e").matrix
+    cl = gate_matrix(controlled_left(s3, "v", "e"))
+    cr = gate_matrix(controlled_right(s3, "v", "e"))
     eye = np.eye(d)
     for g in s3.elements():
-        lg = left_mult(s3, g, "x").matrix
-        rg = right_mult(s3, g, "x").matrix
+        lg = gate_matrix(left_mult(s3, g, "x"))
+        rg = gate_matrix(right_mult(s3, g, "x"))
         lhs = cl.conj().T @ np.kron(lg, lg) @ cl
         assert np.abs(lhs - np.kron(lg, eye)).max() < TOL
         lhs = cr.conj().T @ np.kron(lg, rg) @ cr
@@ -126,8 +125,8 @@ def test_fourier_conjugates_cx_into_cz():
     for n in (2, 3, 4):
         g = build_cyclic(n)
         f = _fourier_matrix(g)
-        cx = controlled_left(g, "c", "t").matrix
-        cz = cz_abelian(g, "c", "t").matrix
+        cx = gate_matrix(controlled_left(g, "c", "t"))
+        cz = gate_matrix(cz_abelian(g, "c", "t"))
         lhs = np.kron(np.eye(n), f) @ cx @ np.kron(np.eye(n), f).conj().T
         assert np.abs(lhs - cz).max() < 1e-12
 

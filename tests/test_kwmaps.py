@@ -7,7 +7,7 @@ import pytest
 
 from gaugekit import kwmaps
 from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_vertex_graph
-from gaugekit.gates import left_mult, loop_z, parent_to_pair, split_left_mult
+from gaugekit.gates import left_mult, loop_z, parent_to_pair
 from gaugekit.groups import (
     catalog,
     catalog_factor_system,
@@ -21,6 +21,7 @@ from gaugekit.groups import (
 from gaugekit.kwmaps import EXACT_BUDGET, KwMode, kw_abelian, kw_exact_g, kw_hat_abelian, kw_n_in_g
 from gaugekit.protocols import _solvable_chain
 from gaugekit.register import QuditRegister, SiteSpec, init_plus
+from reference import split_left_mult
 
 CAT = catalog()
 

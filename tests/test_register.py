@@ -12,19 +12,22 @@ from hypothesis import strategies as st
 
 from gaugekit import register, verify
 from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere, theta_sphere
-from gaugekit.gates import cz_abelian, left_mult, split_left_mult
+from gaugekit.gates import controlled_left, cz_abelian, left_mult
 from gaugekit.groups import FactorSystem, build_cyclic, catalog, catalog_factor_system, character_table
-from gaugekit.kwmaps import _wall_gates
+from gaugekit.kwmaps import KwMode, KwRound, _wall_gates
 from gaugekit.protocols import _solvable_chain
 from gaugekit.register import (
     DiagonalOperator,
     LocalOperator,
     QuditRegister,
     SiteSpec,
+    _edge_site,
+    _identity_state,
+    _vertex_site,
     init_plus,
     init_product,
 )
-from reference import dense_measure_fourier, init_identity
+from reference import dense_measure_fourier, gate_matrix, init_identity, split_left_mult
 
 GATE_TOL = 1e-12
 STATE_TOL = 1e-10
@@ -222,10 +225,10 @@ def test_matrix_materialization_matches_kinds():
     op = LocalOperator(["a"], "perm", image)
     expected = np.zeros((3, 3))
     expected[image, np.arange(3)] = 1
-    assert np.array_equal(op.matrix, expected)
+    assert np.array_equal(gate_matrix(op), expected)
     phase = np.exp(2j * np.pi * np.arange(3) / 3)
     d = LocalOperator(["a"], "diag", phase)
-    assert np.abs(d.matrix - np.diag(phase)).max() < GATE_TOL
+    assert np.abs(gate_matrix(d) - np.diag(phase)).max() < GATE_TOL
 
 
 def test_measure_plus_gives_trivial_outcome():
@@ -445,6 +448,15 @@ def test_add_sites_rejects_register_over_budget(monkeypatch):
         reg.add_sites(more, lambda spec: np.ones(2) / np.sqrt(2))
     assert reg.amps.shape == (2, 2, 2)
     assert len(reg.sites) == 3
+    # a gated allocation writes no dense array, but the budget is on the
+    # logical size all the same, checked before the rows or a position
+    gated, z2 = init_identity(z2_sites(2)), build_cyclic(2)
+    gated.add_sites([SiteSpec(("e", 2), "edge", z2)], _identity_state, [controlled_left(z2, ("e", 0), ("e", 2))])
+    support, rows = gated._support, register._gated_rows.cache_info()
+    with pytest.raises(ValueError, match="16 amplitudes exceeds the dense register budget 8"):
+        gated.add_sites(more, _identity_state, [controlled_left(z2, ("e", 1), ("e", 3))])
+    assert gated._support is support and register._gated_rows.cache_info() == rows
+    assert gated.amps.shape == (2, 2, 2) and len(gated.sites) == 3
 
 
 def test_duplicate_site_ids_rejected():
@@ -531,6 +543,37 @@ def test_stabilizer_report_stays_within_its_transient_memory():
     assert transient <= 4.5, f"stabilizer_report: transient {transient:.2f} register sizes"
 
 
+def test_a_vertex_route_round_writes_no_register_sized_array():
+    """Z3 on square_torus(2, 2): entangle and repair of one KwRound pass
+    through 3^12 = 531,441 amplitudes (8.5 MB) with 81 of them nonzero.
+    The gated allocation writes the support form and the four measurements
+    read it, so nothing is dense until the 3^8 output the corrections read:
+    measured 0.038 register sizes (the output and one gate's copies), 1.33
+    when the allocation wrote the dense array and the measurements read
+    it. A warm-up run builds the cached gate rows and Fourier matrix."""
+    z3, cell = build_cyclic(3), square_torus(2, 2)
+    rnd = KwRound(z3, cell, _vertex_site, _edge_site)
+
+    def run(seed):
+        reg = init_plus([SiteSpec(_vertex_site(v), "vertex", z3) for v in range(cell.n_vertices)])
+        rnd.entangle(reg)
+        rnd.repair(reg, KwMode.sample(seed))
+        return reg
+
+    run(0)
+    for seed in range(1, 5):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            reg = run(seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        transient = (peak - before) / (3**12 * 16)
+        assert reg.dims == (3,) * 8 and abs(reg.norm() - 1) < STATE_TOL
+        assert transient <= 0.06, f"seed {seed}: transient {transient:.3f} register sizes"
+
+
 def thinned_z3_register(density, measured_axis=None):
     """random_z3_register zeroed off a random support of about the density,
     then normalized. For a measured axis the support is whole columns of
@@ -574,8 +617,7 @@ def test_live_column_measurement_matches_the_dense_path_bitwise_on_thinned_regis
     at half density, more than one 8,192-element numpy iterator buffer,
     which could split the einsum's reduction. Forced and sampled outcomes
     give the dense path's outcome, weight and collapsed state bit for bit."""
-    view = thinned_z3_register(density, axis).amps.reshape(3**axis, 3, -1)
-    assert not isinstance(register._live_block(view)[1], slice)
+    assert thinned_z3_register(density, axis)._live_block(3**axis, 3, 3 ** (9 - axis))[1] is not None
     for kwargs in [{"forced": k} for k in range(3)] + [{"seed": seed} for seed in range(3)]:
         reg, ref = thinned_z3_register(density, axis), thinned_z3_register(density, axis)
         rngs = [{"rng": np.random.default_rng(kwargs["seed"])} if "seed" in kwargs else kwargs for _ in range(2)]
@@ -685,6 +727,19 @@ def test_a_rejected_measurement_leaves_the_register_bitwise_as_it_was(build, mes
     assert reg.amps is amps and np.array_equal(reg.amps, before) and reg.sites == sites and not reg.retired
     if message == "zero Born probability":
         assert reg.measure_fourier(2, forced=1) == 1 and abs(reg.norm() - 1) < 1e-12
+
+
+def test_a_branch_in_support_form_keeps_only_its_nonzero_entries(monkeypatch):
+    """Of two live columns of a Z2 site, one sums to zero, so the outcome-0
+    branch holds an exact zero there: the support positions leave it out,
+    as a scan of the dense branch would, and hold the other column."""
+    monkeypatch.setattr(register, "LIVE_READ_MIN", 0)
+    amps = np.zeros((2, 4), dtype=np.complex128)
+    amps[:, 0], amps[:, 1] = [0.5, -0.5], [0.5, 0.5]
+    reg = QuditRegister([SiteSpec("a", "edge", build_cyclic(2)), SiteSpec("b", "edge", build_cyclic(4))], amps)
+    assert reg.measure_fourier("a", forced=0) == 0
+    assert reg._support[0].tolist() == [1]
+    assert np.allclose(reg.amps, [0, 1, 0, 0], atol=STATE_TOL, rtol=0)
 
 
 def _measured_record(seed):

@@ -1,8 +1,10 @@
 """The support reads of the stabilizer report and of the Fourier measurement,
 checked bitwise against the dense paths in reference.py that read every
-amplitude, and the premise they rest on: protocol states are exact zeros off
-a small support."""
+amplitude; the register's support form, checked bitwise against the same
+steps on a register densified before every step; and the premise they rest
+on: protocol states are exact zeros off a small support."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere
 from gaugekit.groups import build_cyclic, catalog, catalog_factor_system
 from gaugekit.kwmaps import KwMode
 from gaugekit.protocols import plan_run
-from gaugekit.register import QuditRegister, SiteSpec
+from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _identity_state
 from gaugekit.verify import stabilizer_report
 from reference import dense_measure_fourier, dense_stabilizer_report
 
@@ -124,8 +126,12 @@ def measured_registers(draw):
     return _stored(draw, sites, raw), ("s", at)
 
 
+def _retired(reg):
+    return {sid: (r.outcome, r.probability.hex()) for sid, r in reg.retired.items()}
+
+
 def _state(reg):
-    return reg.layout, reg.amps, {sid: (r.outcome, r.probability.hex()) for sid, r in reg.retired.items()}
+    return reg.layout, reg.amps, _retired(reg)
 
 
 def _same(a, b):
@@ -160,6 +166,94 @@ def _measure_both(reg, ref, sid, data):
     assert _same(reg, ref)
     if got[0] == "raised":
         assert sid in dict(reg.layout), "a rejected measurement retires no site"
+
+
+# --- the support form against a register densified before every step ---------
+
+
+def _wall(rng, sid, dims, pool):
+    """A permutation gate on sid and up to two sites of pool, in a random
+    target order, that adds a random function of their labels to sid's
+    label and keeps theirs."""
+    ctrl = [pool[k] for k in rng.permutation(len(pool))[: rng.integers(0, min(2, len(pool)) + 1)]]
+    targets = [(ctrl + [sid])[k] for k in rng.permutation(len(ctrl) + 1)]
+    shape = [dims[t] for t in targets]
+    labels = dict(zip(targets, np.indices(shape).reshape(len(shape), -1)))
+    joint = np.ravel_multi_index([labels[t] for t in ctrl], [dims[t] for t in ctrl]) if ctrl else 0
+    shift = rng.integers(0, dims[sid], size=math.prod(dims[t] for t in ctrl))
+    labels[sid] = (labels[sid] + shift[joint]) % dims[sid]
+    return LocalOperator(targets, "perm", np.ravel_multi_index([labels[t] for t in targets], shape), name=f"wall{sid}")
+
+
+def _allocation(draw, rng, reg, tag):
+    """One or two identity-state sites of dimension 2 or 3, each written by a
+    wall on live sites and the new sites before it."""
+    new = [SiteSpec((tag, j), "edge", build_cyclic(d)) for j, d in enumerate(draw(st.lists(st.integers(2, 3), min_size=1, max_size=2)))]
+    dims = dict(reg.layout) | {s.sid: s.dim for s in new}
+    pool, gates = [sid for sid, _ in reg.layout], []
+    for spec_ in new:
+        gates.append(_wall(rng, spec_.sid, dims, pool))
+        pool.append(spec_.sid)
+    return new, gates
+
+
+def _support_bits(reg):
+    return None if reg._support is None else tuple(a.tobytes() for a in reg._support)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_support_form_matches_a_register_densified_before_every_step_bitwise(data):
+    """Random inputs on one to three cyclic sites (densities 1%, 50%, 100%
+    and the zero state; sometimes constant, or summing to zero, along one
+    site in all or half of its columns), then twice a gated allocation
+    and sampled or forced measurements of drawn sites. At every step the
+    register in support form and the densified one agree on the outcome or
+    the error, the retired record and the generator state; the support
+    positions are exactly the nonzero entries of the dense state, with its
+    values; a rejected measurement leaves the positions and values bitwise
+    as they were; and the final amplitudes are bitwise equal. The size floor
+    is lifted or not, so the small registers read live columns too."""
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = [build_cyclic(d) for d in draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))]
+    sites, dims = [SiteSpec(("s", k), "edge", g) for k, g in enumerate(groups)], tuple(g.order for g in groups)
+    shape, axis = draw(st.sampled_from(["random", "plus", "minus"])), draw(st.integers(0, len(dims) - 1))
+    raw = _amplitudes(rng, dims, draw(st.sampled_from(DENSITIES)), [k for k in range(len(dims)) if k != axis or shape == "random"])
+    if shape != "random":  # in all or half of the live columns along axis: zero weights, exact zeros
+        columns = rng.random([1 if k == axis else d for k, d in enumerate(dims)]) < draw(st.sampled_from([1.0, 0.5]))
+        shaped = np.take(raw, [0], axis=axis) if shape == "plus" else raw - np.roll(raw, 1, axis=axis)
+        raw = np.where(columns, shaped, raw)
+    reg = _stored(draw, sites, raw)
+    ref = QuditRegister(list(reg.sites), reg.amps)
+    seed = draw(st.integers(0, 2**16))
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    floor = draw(st.sampled_from([0, register.LIVE_READ_MIN]))
+    with mock.patch.object(register, "LIVE_READ_MIN", floor):
+        for tag in ("n", "m"):
+            new, gates = _allocation(draw, rng, reg, tag)
+            reg.add_sites(new, _identity_state, gates)
+            ref.amps  # densified before every step
+            ref.add_sites(new, _identity_state, gates)
+            for _ in range(draw(st.integers(0, 3))):
+                if not reg.layout:
+                    break
+                sid = draw(st.sampled_from([sid for sid, _ in reg.layout]))
+                forced = draw(st.none() | st.integers(0, reg.spec(sid).dim - 1))
+                kwargs = [{"forced": forced} if forced is not None else {"rng": r} for r in rngs]
+                before = _support_bits(reg)
+                got = _outcome(lambda: reg.measure_fourier(sid, **kwargs[0]))
+                ref.amps
+                assert got == _outcome(lambda: ref.measure_fourier(sid, **kwargs[1]))
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                assert (reg.layout, _retired(reg)) == (ref.layout, _retired(ref))
+                if got[0] == "raised":
+                    assert _support_bits(reg) == before
+                if reg._support is not None:
+                    dense = np.ravel(ref.amps)
+                    assert np.array_equal(reg._support[0], np.flatnonzero(dense))
+                    assert reg._support[1].tobytes() == dense[reg._support[0]].tobytes()
+    assert np.ascontiguousarray(reg.amps).tobytes() == np.ascontiguousarray(ref.amps).tobytes()
 
 
 # --- the premise: exact zeros off a small support ---------------------------------
