@@ -140,19 +140,6 @@ class Cellulation:
                 apps[e].append((p, o))
         return apps
 
-    def walk_sign(self, p: int, e: int) -> int:
-        """Orientation with which plaquette p's boundary walk traverses edge e.
-
-        Ambiguous (and rejected) when p traverses e twice, as on the
-        hexagon torus; degenerate dual edges never enter transport paths.
-        """
-        hits = [o for pp, o in self._appearances()[e] if pp == p]
-        if not hits:
-            raise KeyError(f"edge {e} is not on plaquette {p}")
-        if len(hits) > 1:
-            raise ValueError(f"edge {e} appears {len(hits)} times on plaquette {p}")
-        return hits[0]
-
     def plaquette_pair(self, e: int) -> Tuple[int, int]:
         """(plaquette traversing e against its arrow, plaquette traversing along).
 

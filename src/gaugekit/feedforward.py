@@ -40,9 +40,6 @@ class SyndromeSet:
                 "the global constraint is violated"
             )
 
-    def nontrivial(self) -> Dict[int, int]:
-        return {site: c for site, c in self.outcomes.items() if c != 0}
-
 
 @dataclass(frozen=True)
 class CorrectionPlan:
@@ -59,9 +56,6 @@ class CorrectionPlan:
     def inverse(self) -> "CorrectionPlan":
         inv = {e: self.group.inverse(x) for e, x in self.exponents.items()}
         return CorrectionPlan(basis=self.basis, exponents=inv, group=self.group)
-
-    def is_empty(self) -> bool:
-        return not self.exponents
 
     def as_dict(self) -> Dict[str, object]:
         """The plan's record in JSON types: basis and str-keyed exponents."""

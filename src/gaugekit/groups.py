@@ -123,17 +123,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def conjugacy_classes(self) -> List[Tuple[int, ...]]:
-        seen = set()
-        classes = []
-        for a in range(self.order):
-            if a in seen:
-                continue
-            orbit = sorted({self.conjugate(g, a) for g in range(self.order)})
-            seen.update(orbit)
-            classes.append(tuple(orbit))
-        return classes
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -357,11 +346,6 @@ class FactorSystem:
 
     def omega_inv(self, q1: int, q2: int) -> int:
         return self.n_group.inverse(int(self.omega[q1, q2]))
-
-    def is_trivial(self) -> bool:
-        return bool(np.all(self.omega == 0)) and all(
-            np.array_equal(self.sigma[q], np.arange(self.n_group.order)) for q in self.q_group.elements()
-        )
 
     def _content(self) -> Tuple[Tuple[Optional[FiniteGroup], ...], Tuple[Optional[np.ndarray], ...]]:
         groups = (self.n_group, self.q_group, self.parent)
@@ -600,11 +584,6 @@ class IrrepTable:
     def characters(self) -> np.ndarray:
         return np.stack([ir.characters for ir in self.irreps])
 
-    def by_label(self, label: str) -> Irrep:
-        for ir in self.irreps:
-            if ir.label == label:
-                return ir
-        raise KeyError(label)
 
 
 def _validate_irreps(g: FiniteGroup, irreps: Sequence[Irrep], tol: float = 1e-12) -> None:

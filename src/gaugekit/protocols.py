@@ -516,9 +516,11 @@ class RunPlan:
     prefix is the register just before the run's first measurement layer,
     the output of a finite-depth unitary on a fixed input: for the
     vertex-route protocols the state after round 1's symmetry check and
-    entangler, for nil2 the whole coupling circuit. Its amplitudes are made
-    read-only. No register method writes into an amplitude array, so every
-    seed branches from the same array without a copy.
+    entangler, for nil2 the whole coupling circuit. It is kept in support
+    form, its positions and values read-only, and every seed forks from it
+    without a copy (QuditRegister.freeze, fork), so each seed's first
+    measurement reads the support. The oracle's amplitudes are made
+    read-only too.
     oracle is the enumerated reference state, or None. finish runs one
     seed's measurements and feedforward on a branch of the prefix, through
     the vertex-route rounds or the nil2 tail, and returns the transcript.
@@ -529,13 +531,13 @@ class RunPlan:
     finish: Callable[[QuditRegister, KwMode], ProtocolTranscript]
 
     def __post_init__(self):
-        for reg in (self.prefix, self.oracle):
-            if reg is not None:
-                reg.amps.setflags(write=False)
+        self.prefix.freeze()
+        if self.oracle is not None:
+            self.oracle.amps.setflags(write=False)
 
     def branch(self, mode: KwMode) -> ProtocolTranscript:
         """One seed's run: measurement and feedforward from the shared prefix on."""
-        return _scored(self.finish(QuditRegister(self.prefix.sites, self.prefix.amps), mode), self.oracle)
+        return _scored(self.finish(self.prefix.fork(), mode), self.oracle)
 
 
 def plan_run(

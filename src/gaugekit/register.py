@@ -7,20 +7,21 @@ a dense complex128 array (amps), or its support form, the sorted flat
 positions of the nonzero amplitudes and their values. A gated allocation
 writes the support form, a Fourier measurement reads its live columns off it
 and leaves a branch it read by live columns in it; every other reader takes
-amps, which writes the dense array once and drops the support form. Measurement retires the
-site and reshapes the state down, so peak dimension is bounded by the
-largest single protocol round. Every gate is a phase-free permutation, one
-np.take on its merged target axes, or a unimodular diagonal, so large-arity
-gates never materialize dense matrices; the Fourier rotation inside
-measure_fourier is the only step that mixes amplitudes, and it reads only
-the nonzero columns. No method writes into an amplitude array: each replaces
-it with a new array or a reshaped view, so registers can branch from one
-read-only dense array without copying it. Overlaps are summed in fixed
-chunks (_overlap).
+amps, which writes the dense array once and drops the support form.
+Measurement retires the site and reshapes the state down, so peak dimension
+is bounded by the largest single protocol round. Every gate is a phase-free
+permutation, one np.take on its merged target axes, or a unimodular
+diagonal, so large-arity gates never materialize dense matrices; the
+Fourier rotation inside measure_fourier is the only step that mixes
+amplitudes, and it reads only the nonzero columns. No method writes into an
+amplitude array or a support form: each replaces it with a new array or a
+reshaped view, so registers can fork from one frozen register without
+copying it. Overlaps are summed in fixed chunks (_overlap).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,9 +48,6 @@ AMPLITUDE_BUDGET = 20_000_000
 # and gather of a live-column read cost more than they save there (about
 # 4,096 on the machine the crossover was measured on, 2-4 rows)
 LIVE_READ_MIN = 4096
-# (row, support position) pairs one support read gathers at once, which bounds
-# the transient of an expectation read on the support of a dense state
-SUPPORT_CHUNK = 1 << 14
 # amplitudes one np.vdot of an overlap reads: OpenBLAS splits a complex dot
 # product of more than 10,000 across its threads, moving the sum's last bit
 OVERLAP_CHUNK = 8192
@@ -320,9 +318,12 @@ class QuditRegister:
     @property
     def amps(self) -> np.ndarray:
         """The dense amplitudes; a register in support form writes them
-        here, once, and leaves that form."""
+        here, once, and leaves that form. They are read-only when the
+        support form was (freeze)."""
         if self._support is not None:
-            self.amps = self._dense()
+            dense = self._dense()
+            dense.setflags(write=self._support[1].flags.writeable)
+            self.amps = dense
         return self._amps
 
     @amps.setter
@@ -343,6 +344,30 @@ class QuditRegister:
     def layout(self) -> Tuple[Tuple[Hashable, int], ...]:
         """(sid, dim) of every live site, in axis order."""
         return tuple((s.sid, s.dim) for s in self.sites)
+
+    def _positions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The support form, found by one scan of the dense array if the
+        register is dense; the register is left in it."""
+        if self._support is None:
+            dense = np.ravel(self._amps)
+            flat = np.flatnonzero(dense)
+            self._amps, self._support = None, (flat, dense[flat])
+        return self._support
+
+    def freeze(self) -> None:
+        """Leave the register in support form with read-only positions and
+        values, so that registers can start from it without a copy (fork)."""
+        for array in self._positions():
+            array.setflags(write=False)
+
+    def fork(self) -> "QuditRegister":
+        """A register over the same live sites that starts from this one's
+        state, in the form this one holds it, without a copy: no method
+        writes into an amplitude array or a support form, so the two go on
+        apart. It retires no site yet."""
+        out = copy.copy(self)
+        out.sites, out.retired, out._index = list(self.sites), {}, dict(self._index)
+        return out
 
     def norm(self) -> float:
         return float(np.sqrt(_overlap(self.amps, self.amps).real))
@@ -389,11 +414,7 @@ class QuditRegister:
             fresh = {sid for sid, _ in new}
             ctrl = sorted({self.pos(t) for op in gates for t in op.targets if t not in fresh})
             rows = _gated_rows(tuple((self.sites[k].sid, old[k]) for k in ctrl), new, _GateList(gates))
-            if self._support is None:
-                dense = np.ravel(self._amps)
-                flat = np.flatnonzero(dense)
-                self._support = (flat, dense[flat])
-            flat, values = self._support
+            flat, values = self._positions()
             at = 0  # the joint ctrl label of every support position
             for k in ctrl:
                 at = at * old[k] + flat // math.prod(old[k + 1 :]) % old[k]
@@ -586,61 +607,6 @@ class QuditRegister:
         self.amps = self.amps.reshape(shape[:pos] + [spec_a.dim, spec_b.dim] + shape[pos + 1 :])
         self.sites[pos : pos + 1] = [spec_a, spec_b]
         self._reindex()
-
-
-class _Support:
-    """The nonzero amplitudes of one register, for expectations that read
-    only them.
-
-    <psi|O|psi> sums conj(psi[x]) (O psi)[x], so O psi is needed only where
-    psi is nonzero. expectation puts a caller's values of O psi at the
-    support positions into a zero ket of full length and takes the same
-    chunked overlap (_overlap) of the whole C-order state as the dense
-    product: a position off the support adds a signed zero, which leaves a
-    nonzero BLAS sum unchanged, so the bits are those of the dense
-    expectation. A caller
-    reading rows values per position gets SUPPORT_CHUNK // rows positions
-    at a time.
-    """
-
-    def __init__(self, reg: QuditRegister):
-        self.bra = np.ravel(reg.amps)
-        self.flat = np.flatnonzero(self.bra != 0)
-        self._reg = reg
-        dims = reg.dims
-        self._place = {s.sid: (math.prod(dims[k + 1 :]), s.dim) for k, s in enumerate(reg.sites)}
-        self._ket = np.zeros_like(self.bra)
-
-    def stride(self, sid: Hashable) -> int:
-        """The C-order flat step of one label of the site."""
-        return self._place[sid][0]
-
-    def labels(self, targets: Tuple[Hashable, ...], at: np.ndarray) -> np.ndarray:
-        """The row-major joint label of the target sites at each flat
-        position of at."""
-        out = 0
-        for sid in targets:
-            stride, dim = self._place[sid]
-            out = out * dim + at // stride % dim
-        return out
-
-    def expectation(self, values: Callable[[np.ndarray], np.ndarray], rows: int = 1) -> complex:
-        """<psi|ket> for the ket whose entries at a chunk of support positions
-        values(at) returns, reading rows values per position."""
-        step = max(1, SUPPORT_CHUNK // rows)
-        if self.flat.size <= step:
-            self._ket[self.flat] = values(self.flat)
-        else:
-            for lo in range(0, self.flat.size, step):
-                at = self.flat[lo : lo + step]
-                self._ket[at] = values(at)
-        return _overlap(self.bra, self._ket)
-
-    def diagonal(self, op: DiagonalOperator) -> complex:
-        """<psi|op|psi>: the amplitude times the diagonal entry at each
-        support position, the operands of the register's broadcast multiply."""
-        self._reg._target_axes(op)
-        return self.expectation(lambda at: self.bra[at] * op.diag[self.labels(op.targets, at)])
 
 
 @lru_cache(maxsize=16)

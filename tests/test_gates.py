@@ -29,7 +29,15 @@ from gaugekit.groups import (
     subgroup_from_members,
 )
 from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _fourier_matrix, init_plus
-from reference import gate_matrix, init_identity, split_left_mult, u_ng_edge_factor, ug_edge_factor
+from reference import (
+    gate_matrix,
+    init_identity,
+    irrep_by_label,
+    is_trivial,
+    split_left_mult,
+    u_ng_edge_factor,
+    ug_edge_factor,
+)
 
 TOL = 1e-12
 
@@ -141,7 +149,7 @@ def test_z_dual_characters():
 def test_loop_z_trivial_irrep_is_identity():
     cell = square_torus(2, 2)
     z2 = build_cyclic(2)
-    triv = irrep_table(z2).by_label("chi0")
+    triv = irrep_by_label(irrep_table(z2), "chi0")
     loop = cell.plaquettes[0]
     op = loop_z(triv, loop, cell)
     assert np.abs(op.diag - 1).max() < TOL
@@ -150,7 +158,7 @@ def test_loop_z_trivial_irrep_is_identity():
 def test_loop_z_sign_irrep_is_plaquette_parity():
     cell = square_torus(2, 2)
     z2 = build_cyclic(2)
-    sign = irrep_table(z2).by_label("chi1")
+    sign = irrep_by_label(irrep_table(z2), "chi1")
     loop = cell.plaquettes[0]
     op = loop_z(sign, loop, cell)
     dims = [2] * 4
@@ -161,7 +169,7 @@ def test_loop_z_sign_irrep_is_plaquette_parity():
 def test_loop_z_open_loop_rejected():
     cell = square_torus(2, 2)
     z2 = build_cyclic(2)
-    sign = irrep_table(z2).by_label("chi1")
+    sign = irrep_by_label(irrep_table(z2), "chi1")
     with pytest.raises(ValueError, match="not closed"):
         loop_z(sign, ((0, 1), (1, 1)), cell)
 
@@ -180,8 +188,8 @@ SQUARE_WALK = square_torus(2, 2).plaquettes[0]
 def test_loops_reject_bad_step_data_naming_the_step(walk, step):
     cell = square_torus(2, 2)
     fs = catalog_factor_system("D4")
-    std = irrep_table(catalog()["S3"]).by_label("std")
-    sign = irrep_table(fs.n_group).by_label("chi1")
+    std = irrep_by_label(irrep_table(catalog()["S3"]), "std")
+    sign = irrep_by_label(irrep_table(fs.n_group), "chi1")
     with pytest.raises(ValueError, match=rf"step {step} \("):
         loop_z(std, walk, cell)
     with pytest.raises(ValueError, match=rf"step {step} \("):
@@ -191,7 +199,7 @@ def test_loops_reject_bad_step_data_naming_the_step(walk, step):
 def test_loop_z_hexagon_repeated_edges():
     cell = hexagon_torus()
     z3 = build_cyclic(3)
-    chi1 = irrep_table(z3).by_label("chi1")
+    chi1 = irrep_by_label(irrep_table(z3), "chi1")
     op = loop_z(chi1, cell.plaquettes[0], cell)
     # each edge appears twice with opposite signs: the trace is always 1
     assert np.abs(op.diag - 1).max() < TOL
@@ -296,7 +304,7 @@ def test_u_ng_trivial_fs_restricts_to_ug():
     p = direct_product(build_cyclic(2), build_cyclic(3))
     n_sub = subgroup_from_members(p, [0, 3])  # first factor {0} x {0,1} has index step 3
     fs = factor_system_of(p, n_sub)
-    assert fs.is_trivial
+    assert is_trivial(fs)
     op = u_ng_edge_factor(fs, "i", "e", "f")
     n_grp = fs.n_group
     dq, dn, dg = fs.q_group.order, 2, 6

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from gaugekit import groups as G
-from reference import central_quotient, is_isomorphic
+from reference import central_quotient, conjugacy_classes, is_isomorphic
 
 TOL = 1e-12
 
 
 def normal_subgroups(g):
     """All normal subgroups, as unions of conjugacy classes closed under mult."""
-    classes = g.conjugacy_classes()
+    classes = conjugacy_classes(g)
     out = []
     for r in range(1, len(classes) + 1):
         for combo in itertools.combinations(range(len(classes)), r):

@@ -21,7 +21,7 @@ from gaugekit.groups import (
 from gaugekit.kwmaps import EXACT_BUDGET, KwMode, kw_abelian, kw_exact_g, kw_hat_abelian, kw_n_in_g
 from gaugekit.protocols import _solvable_chain
 from gaugekit.register import QuditRegister, SiteSpec, init_plus
-from reference import split_left_mult
+from reference import is_trivial, split_left_mult
 
 CAT = catalog()
 
@@ -147,7 +147,7 @@ def test_vertex_route_postselect_matches_oracle():
     assert res.register is reg
     assert abs(res.register.fidelity(oracle) - 1) < 1e-12
     assert set(res.outcomes.values()) == {0}
-    assert res.corrections.is_empty()
+    assert not res.corrections.exponents
     # each of the four plus-projections keeps weight 1/2 except the redundant last one
     assert abs(res.probability - 1 / 8) < 1e-12
 
@@ -264,7 +264,7 @@ def test_vertex_route_forced_branches():
         res = kw_abelian(base.copy(), cell, z3, KwMode.forced({0: c0, 1: (3 - c0) % 3}))
         assert res.register.fidelity(ref) >= 1 - 1e-12, c0
         if c0:
-            assert not res.corrections.is_empty()
+            assert res.corrections.exponents
 
 
 def test_vertex_route_forced_rejects_impossible_tables():
@@ -550,7 +550,7 @@ def test_split_route_trivial_factor_system_reduces_to_abelian_route():
     cell = hexagon_torus()
     g6 = direct_product(CAT["Z2"], CAT["Z3"])
     fs = factor_system_of(g6, subgroup_from_members(g6, [0, 3]))
-    assert fs.is_trivial()
+    assert is_trivial(fs)
     base = symmetric_vertex_register(rng, cell, g6)
     work = split_input(base, fs, cell.n_vertices)
     a = kw_n_in_g(work.copy(), cell, fs, KwMode.sample(21)).register
@@ -569,7 +569,7 @@ def test_split_route_forced_and_sampled_branches():
     ref = kw_n_in_g(work.copy(), cell, fs, KwMode.postselect()).register
     forced = kw_n_in_g(work.copy(), cell, fs, KwMode.forced({0: 1, 1: 2}))
     assert forced.register.fidelity(ref) >= 1 - 1e-12
-    assert not forced.corrections.is_empty()
+    assert forced.corrections.exponents
     for seed in range(20):
         out = kw_n_in_g(work.copy(), cell, fs, KwMode.sample(seed)).register
         assert out.fidelity(ref) >= 1 - 1e-9, seed

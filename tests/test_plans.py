@@ -97,10 +97,12 @@ def test_cached_tables_reject_writes():
     fs = catalog_factor_system("D4")
     edges = [SiteSpec(("e", e), "edge", d4) for e in range(cell.n_edges)]
     edge_ids = tuple(s.sid for s in edges)
-    plaquettes, loops = verify._stabilizer_diagonals(d4, cell, edge_ids)
-    assert plaquettes and loops
-    for op in plaquettes + tuple(op for _, ops in loops for op in ops):
+    terms = verify._stabilizer_diagonals(d4, cell, edge_ids)
+    assert terms.plaquettes and terms.loops
+    for op in terms.diagonals:
         _assert_read_only(op.diag)
+    for array in (terms.vertex_edges, terms.vertex_moves, terms.weights, terms.offsets, terms.table):
+        _assert_read_only(array)
 
     split = _split_register(fs, 2)
     gates = kwmaps._wall_gates(fs, cell, lambda v: ("n", v), lambda e: ("e", e), lambda v: ("q", v))
@@ -298,6 +300,12 @@ def test_a_one_seed_abelian_run_copies_no_register(monkeypatch):
     assert [name for name, _ in calls] == ["kw_abelian"]
 
 
+def _prefix_digest(plan):
+    """The digest of the prefix's support positions and values, read without
+    densifying the prefix, so that the seeds still fork its support form."""
+    return hashlib.sha256(b"".join(a.tobytes() for a in plan.prefix._support)).hexdigest()
+
+
 def _entry_bytes(entry):
     return json.dumps(entry, sort_keys=True, indent=2)
 
@@ -312,15 +320,15 @@ def test_every_seed_of_a_plan_matches_its_own_one_seed_run(monkeypatch, group, p
 
     def recorded(*args, **kwargs):
         plan = build(*args, **kwargs)
-        plans.append((plan, hashlib.sha256(plan.prefix.amps.tobytes()).hexdigest()))
+        plans.append((plan, _prefix_digest(plan)))
         return plan
 
     monkeypatch.setattr(cli, "plan_run", recorded)
     config = cli.RunConfig(command="prepare", group=group, cell="hexagon", protocol=protocol, mode="sample:21", seeds=3)
     payload, _ = cli.cmd_prepare(config)
     [(plan, digest)] = plans
-    assert not plan.prefix.amps.flags.writeable
-    assert hashlib.sha256(plan.prefix.amps.tobytes()).hexdigest() == digest
+    assert not any(array.flags.writeable for array in plan.prefix._support)
+    assert _prefix_digest(plan) == digest
 
     assert [run["seed"] for run in payload["runs"]] == [21, 22, 23]
     for run in payload["runs"]:
@@ -329,9 +337,42 @@ def test_every_seed_of_a_plan_matches_its_own_one_seed_run(monkeypatch, group, p
     assert len(plans) == 1
 
 
+@pytest.mark.parametrize(
+    "group,protocol,size", [("S4", "solvable", 576), ("D4", "nil2", 256)]
+)
+def test_every_seed_forks_the_prefix_in_support_form(monkeypatch, group, protocol, size):
+    """The prefix stays in support form, its positions and values read-only,
+    and each seed's first measurement reads those positions (36,864 and
+    16,384 amplitudes); each transcript and its register are bitwise those
+    of seeds forked from the same prefix densified first, whose first
+    measurement scans the dense array."""
+    subject = catalog_factor_system(group) if protocol == "nil2" else CAT[group]
+    plan, dense = (protocols.plan_run(protocol, subject, hexagon_torus()) for _ in range(2))
+    flat, values = plan.prefix._support
+    assert flat.size == size and not flat.flags.writeable and not values.flags.writeable
+    assert not dense.prefix.amps.flags.writeable and dense.prefix._support is None
+    first_reads = []
+    live_block = QuditRegister._live_block
+
+    def recorded(reg, *args):
+        if not reg.retired:
+            first_reads.append(reg._support is not None)
+        return live_block(reg, *args)
+
+    monkeypatch.setattr(QuditRegister, "_live_block", recorded)
+    for seed in range(3):
+        mode = kwmaps.KwMode.sample(seed)
+        got, want = plan.branch(mode), dense.branch(mode)
+        assert got.to_json() == want.to_json()
+        assert got.register.layout == want.register.layout
+        assert got.register.amps.tobytes() == want.register.amps.tobytes()
+    assert first_reads == [True, False] * 3
+    assert plan.prefix._support[0] is flat and plan.prefix._support[1] is values
+
+
 def test_threads_branching_from_one_prefix_match_a_serial_run():
     plan = protocols.plan_run("metabelian", catalog_factor_system("S3"), hexagon_torus())
-    digest = hashlib.sha256(plan.prefix.amps.tobytes()).hexdigest()
+    digest = _prefix_digest(plan)
     modes = [kwmaps.KwMode.sample(seed) for seed in range(16)]
     serial = [plan.branch(mode).to_json() for mode in modes]
     interval = sys.getswitchinterval()
@@ -343,7 +384,7 @@ def test_threads_branching_from_one_prefix_match_a_serial_run():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert hashlib.sha256(plan.prefix.amps.tobytes()).hexdigest() == digest
+    assert _prefix_digest(plan) == digest
 
 
 # --- the register budget, checked before the oracle

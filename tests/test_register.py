@@ -535,10 +535,11 @@ def _report_transient(build):
 
 
 def test_stabilizer_report_stays_within_its_transient_memory():
-    """Measured at 2.3 register sizes on the dense state: the zero ket, the
-    support positions (half a register at full density) and one chunk of
-    gathered copies. The dense sweep it replaced held 4.1: the scaled state,
-    the vertex accumulator and the two ends of one per-axis take."""
+    """Measured at 1.85 register sizes on the dense state: the zero ket, the
+    support positions (half a register at full density) and one block of
+    label moves and gathered copies (2.3 when each term read the support on
+    its own). The dense sweep it replaced held 4.1: the scaled state, the
+    vertex accumulator and the two ends of one per-axis take."""
     transient = _report_transient(lambda: random_z3_register(symmetric_axes=range(1, 9)))
     assert transient <= 4.5, f"stabilizer_report: transient {transient:.2f} register sizes"
 
@@ -597,7 +598,7 @@ def thinned_z3_register(density, measured_axis=None):
 
 
 # half the columns is the most the measurement gathers; measured 1.09 and 0.35
-# register sizes for the measurement, 2.1 and 1.1 for the report
+# register sizes for the measurement, 1.53 and 1.20 for the report
 THINNED = {"half-dense": 0.5, "sparse": 0.01}
 
 

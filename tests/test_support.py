@@ -9,10 +9,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaugekit import register
+from gaugekit import register, verify
 from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere, theta_sphere
 from gaugekit.groups import build_cyclic, catalog, catalog_factor_system
 from gaugekit.kwmaps import KwMode
@@ -90,15 +90,69 @@ def report_registers(draw):
     return _stored(draw, sites, raw), group, cell
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(report_registers())
-def test_report_on_the_support_matches_the_dense_sweep_bitwise(case):
-    reg, group, cell = case
+def _same_report(reg, group, cell):
     before = reg.amps.copy()
     got = _outcome(lambda: _bits(stabilizer_report(reg, group, cell).to_dict()))
     want = _outcome(lambda: _bits(dense_stabilizer_report(reg, group, cell).to_dict()))
     assert got == want
     assert np.array_equal(reg.amps, before)
+    return got
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(report_registers())
+def test_report_on_the_support_matches_the_dense_sweep_bitwise(case):
+    _same_report(*case)
+
+
+@pytest.mark.parametrize("chunk", [1, 64])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(report_registers())
+def test_report_in_small_blocks_matches_the_dense_sweep_bitwise(chunk, case):
+    """At a block of one entry every term reads one position at a time; at
+    64, small supports put several terms in one block and larger ones run
+    one term over runs of positions. Supports past 512 positions are left
+    to the shipped block size: one block per position would take minutes."""
+    assume(np.count_nonzero(case[0].amps) <= 512)
+    with mock.patch.object(verify, "SUPPORT_CHUNK", chunk):
+        _same_report(*case)
+
+
+def test_report_blocks_match_the_dense_sweep_bitwise_on_either_side_of_one_block():
+    """Six support positions of a Z3 edge state on square_torus(2, 2), three
+    random ones and their images under inverting every edge label, with
+    equal amplitudes, so that every loop value is real: a vertex term reads
+    12 entries per position (4 edges, 3 elements), a diagonal 8 (every
+    edge's label), so the block sizes 1..160 run both kinds through single
+    positions, runs of positions, exactly one block of all six, and
+    several terms per block."""
+    group, cell = CAT["Z3"], square_torus(2, 2)
+    sites = [SiteSpec(("e", e), "edge", group) for e in range(cell.n_edges)]
+    rng = np.random.default_rng(8)
+    amps = np.zeros((3,) * 8, dtype=np.complex128)
+    for _ in range(3):
+        labels = rng.integers(0, 3, size=8)
+        amps[tuple(labels)] = amps[tuple(group.inv[labels])] = rng.normal() + 1j * rng.normal()
+    assert np.count_nonzero(amps) == 6
+    reg = QuditRegister(sites, amps / np.linalg.norm(amps))
+    for chunk in range(1, 161):
+        with mock.patch.object(verify, "SUPPORT_CHUNK", chunk):
+            assert _same_report(reg, group, cell)[0] == "ok"
+
+
+@pytest.mark.parametrize("chunk", [verify.SUPPORT_CHUNK, 1])
+@pytest.mark.parametrize("scale, first", [(None, "loop[chi1,0]"), (1e6, "A[0]")], ids=["loop", "vertex"])
+def test_an_off_axis_term_raises_the_dense_sweeps_first_error(chunk, scale, first):
+    """A random Z3 edge state on about 5% of the labels: its chi1 loops are
+    complex, so the first plaquette's raises; scaled up a millionfold, the
+    rounding of the vertex sums leaves A[0] off the real axis first."""
+    group, cell = CAT["Z3"], square_torus(2, 2)
+    sites = [SiteSpec(("e", e), "edge", group) for e in range(cell.n_edges)]
+    amps = _amplitudes(np.random.default_rng(1), (3,) * 8, 0.05, range(8))
+    reg = QuditRegister(sites, amps * (scale or 1 / np.linalg.norm(amps)))
+    with mock.patch.object(verify, "SUPPORT_CHUNK", chunk):
+        got = _same_report(reg, group, cell)
+    assert got[0] == "raised" and got[1].startswith(f"{first} expectation (")
 
 
 @st.composite
