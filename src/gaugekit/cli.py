@@ -16,7 +16,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cellulation import Cellulation, from_json as cellulation_from_json, hexagon_torus, square_torus, theta_sphere
 from .groups import (
@@ -195,20 +195,20 @@ def _parse_subject(config: RunConfig) -> Tuple[Union[FiniteGroup, FactorSystem],
 
 def _run_protocol(
     config: RunConfig, subject: Union[FiniteGroup, FactorSystem], cell: Cellulation, n_seeds: int
-) -> Callable[[KwMode], ProtocolTranscript]:
-    """The protocol as a function of one seed's mode. A single seed calls the
-    protocol's entry point; several branch from one run plan, built here,
-    which shares the oracle, the gate lists and the state before the first
-    measurement among them."""
+) -> Callable[[Sequence[KwMode]], Iterable[ProtocolTranscript]]:
+    """The protocol as a function of some seeds' modes, one transcript each. A
+    single seed calls the protocol's entry point; several run in lockstep
+    from one run plan, built here, which shares the oracle, the gate lists
+    and the state before the first measurement among them."""
     if n_seeds > 1:
-        return plan_run(config.protocol, subject, cell, with_oracle=config.oracle_fidelity).branch
+        return plan_run(config.protocol, subject, cell, with_oracle=config.oracle_fidelity).run
     prepare = {
         "abelian": prepare_abelian_double,
         "nil2": prepare_nil2_double,
         "metabelian": prepare_metabelian_double,
         "solvable": prepare_solvable_double,
     }[config.protocol]
-    return lambda mode: prepare(subject, cell, mode, with_oracle=config.oracle_fidelity)
+    return lambda modes: [prepare(subject, cell, mode, with_oracle=config.oracle_fidelity) for mode in modes]
 
 
 def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
@@ -227,23 +227,28 @@ def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
     gsd = ground_state_degeneracy(group, cell) if config.gsd else None
     run_protocol = _run_protocol(config, subject, cell, len(modes))
 
-    def run_one(mode: KwMode) -> Dict[str, object]:
-        transcript = run_protocol(mode)
-        entry: Dict[str, object] = {
-            "seed": mode.seed,
-            "transcript": transcript.to_dict(),
-        }
-        if config.stabilizers:
-            report = stabilizer_report(transcript.register, group, cell)
-            entry["verification"] = report.to_dict()
-            entry["min_stabilizer_expectation"] = report.min_expectation()
-        return entry
+    def run_seeds(part: Sequence[KwMode]) -> List[Dict[str, object]]:
+        entries = []
+        for mode, transcript in zip(part, run_protocol(part)):  # one stack's transcripts at a time
+            entry: Dict[str, object] = {
+                "seed": mode.seed,
+                "transcript": transcript.to_dict(),
+            }
+            if config.stabilizers:
+                report = stabilizer_report(transcript.register, group, cell)
+                entry["verification"] = report.to_dict()
+                entry["min_stabilizer_expectation"] = report.min_expectation()
+            entries.append(entry)
+        return entries
 
-    if config.workers == 1 or len(modes) == 1:
-        runs = [run_one(mode) for mode in modes]
+    # each worker runs its own consecutive seeds, as stacks of their own
+    parts = min(config.workers, len(modes))
+    cuts = [k * len(modes) // parts for k in range(parts + 1)]
+    if parts == 1:
+        runs = run_seeds(modes)
     else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            runs = list(pool.map(run_one, modes))
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            runs = [entry for part in pool.map(run_seeds, [modes[a:b] for a, b in zip(cuts, cuts[1:])]) for entry in part]
 
     payload: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
@@ -407,7 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
     prep.add_argument("--protocol", default="solvable", choices=["abelian", "nil2", "metabelian", "solvable"])
     prep.add_argument("--mode", default="postselect", help="postselect | sample:<seed> | forced:<file>")
     prep.add_argument("--seeds", type=int, default=1, help="consecutive seeds starting at the sample seed")
-    prep.add_argument("--workers", type=int, default=1, help="worker threads for independent seeds")
+    prep.add_argument(
+        "--workers", type=int, default=1,
+        help="worker threads, each running its share of the seeds in lockstep stacks",
+    )
     prep.add_argument("--no-stabilizers", dest="stabilizers", action="store_false")
     prep.add_argument("--no-oracle-fidelity", dest="oracle_fidelity", action="store_false")
     prep.add_argument("--gsd", action="store_true", help="include the ground-space degeneracy")

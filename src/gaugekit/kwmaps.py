@@ -36,7 +36,9 @@ from .gates import (
 from .groups import FactorSystem, FiniteGroup
 from .register import (
     AMPLITUDE_BUDGET,
+    SEED_SITE,
     STATE_TOL,
+    DiagonalOperator,
     LocalOperator,
     QuditRegister,
     SiteSpec,
@@ -113,7 +115,8 @@ class KwResult:
 
     outcomes maps each measured site index to its dual label; corrections is
     the plan that was applied (empty in postselect mode); probability is the
-    joint Born weight of the branch.
+    joint Born weight of the branch. A seed of a stack holds the stack as its
+    register.
     """
 
     register: QuditRegister
@@ -202,10 +205,11 @@ class KwRound:
     symmetry check, then the edge ancillas allocated through the wall-gate
     list, which is built once here. repair is the per-record half: Fourier
     measurement of the gauged vertex parts and one layer of character
-    corrections. subject is an abelian group, gauged on the vertex sites, or
-    a factor system, whose subgroup parts vertex_of names and quotient
-    parts q_of names. kw_abelian and kw_n_in_g are one round each; a run
-    plan keeps one per stage and shares it across seeds.
+    corrections, run for every seed of a stack at once (repair_stack).
+    subject is an abelian group, gauged on the vertex sites, or a factor
+    system, whose subgroup parts vertex_of names and quotient parts q_of
+    names. kw_abelian and kw_n_in_g are one round each; a run plan keeps one
+    per stage and runs it on its stacks of seeds.
     """
 
     def __init__(
@@ -239,47 +243,65 @@ class KwRound:
     def repair(self, reg: QuditRegister, mode: KwMode) -> KwResult:
         """Measure the gauged vertex parts of an entangled register and cancel
         the outcome phases, in place."""
+        return self.repair_stack(reg, [mode])[0]
+
+    def repair_stack(self, reg: QuditRegister, modes: Sequence[KwMode]) -> List[KwResult]:
+        """repair for every seed of reg at once, modes one per seed: one
+        measurement per vertex part and one correction gate per edge."""
         cell, grp = self.cell, self.group
-        outcomes, prob = _measure_sites(reg, mode, [(v, self.vertex_of(v)) for v in range(cell.n_vertices)])
-        trivial = self.fs is not None and mode.kind == "postselect"  # a non-abelian subgroup has no syndrome
-        applied = CorrectionPlan(basis="Z", exponents={}, group=grp) if trivial else _charge_plan(outcomes, grp, cell)
-        if self.fs is None:
-            _apply_corrections(reg, applied, self.edge_of)
+        outcomes, probs = _measure_sites(reg, modes, [(v, self.vertex_of(v)) for v in range(cell.n_vertices)])
+        if self.fs is not None and modes[0].kind == "postselect":  # a non-abelian subgroup has no syndrome
+            plans = [CorrectionPlan(basis="Z", exponents={}, group=grp)]
         else:
-            for e, t in sorted(applied.exponents.items()):
-                reg.apply(z_tilde(self.fs, t, e, cell, self.q_of, self.edge_of))
-        return KwResult(register=reg, outcomes=outcomes, corrections=applied, probability=prob)
+            plans = _charge_plans(outcomes, grp, cell)
+        if self.fs is None:
+            _apply_corrections(reg, plans, _plan_gate(plans[0], self.edge_of))
+        else:
+            _apply_corrections(reg, plans, lambda e, t: z_tilde(self.fs, t, e, cell, self.q_of, self.edge_of))
+        return [KwResult(reg, *record) for record in zip(outcomes, plans, probs)]
 
 
 def _measure_sites(
-    reg: QuditRegister, mode: KwMode, site_pairs: List[Tuple[int, Hashable]]
-) -> Tuple[Dict[int, int], float]:
-    if mode.kind == "forced":
-        unknown = sorted(set(mode.outcomes) - {idx for idx, _ in site_pairs})
-        if unknown:
-            raise ValueError(f"forced outcome keys {unknown} name no site this measurement layer reads")
-    rng = mode.generator()
-    outcomes: Dict[int, int] = {}
-    prob = 1.0
+    reg: QuditRegister, modes: Sequence[KwMode], site_pairs: List[Tuple[int, Hashable]]
+) -> Tuple[List[Dict[int, int]], List[float]]:
+    """Measure the sites in order, once each for every seed of reg, modes one
+    per seed and all of one kind: each seed's outcomes and joint probability."""
+    kind = modes[0].kind
+    if any(mode.kind != kind for mode in modes) or len(modes) != reg.seeds:
+        raise ValueError(f"a measurement layer of {reg.seeds} seeds needs one mode per seed, all of one kind")
+    if kind == "forced":
+        for mode in modes:
+            unknown = sorted(set(mode.outcomes) - {idx for idx, _ in site_pairs})
+            if unknown:
+                raise ValueError(f"forced outcome keys {unknown} name no site this measurement layer reads")
+    rngs = [mode.generator() for mode in modes]
+    outcomes: List[Dict[int, int]] = [{} for _ in modes]
+    probs = [1.0] * len(modes)
     for idx, sid in site_pairs:
-        if mode.kind == "postselect":
-            prob *= reg.project_plus(sid)
-            outcomes[idx] = 0
+        if kind == "postselect":
+            reg.project_plus(sid)
         else:
-            forced = mode.outcomes.get(idx, 0) if mode.kind == "forced" else None
-            outcomes[idx] = reg.measure_fourier(sid, rng=rng, forced=forced)
-            prob *= reg.retired[sid].probability
-    return outcomes, prob
+            forced = [mode.outcomes.get(idx, 0) for mode in modes] if kind == "forced" else None
+            reg.measure_fourier(sid, rng=rngs, forced=forced)
+        record = reg.retired[sid]
+        for s, (outcome, prob) in enumerate(zip(record.outcomes, record.probabilities)):
+            outcomes[s][idx] = outcome
+            probs[s] *= prob
+    return outcomes, probs
 
 
-def _charge_plan(outcomes: Dict[int, int], group: FiniteGroup, cell: Cellulation) -> CorrectionPlan:
-    """The character layer that cancels measured vertex charges on the spanning tree."""
-    return charge_correction(SyndromeSet("charge", outcomes, group), cell, spanning_tree(cell)).inverse()
+def _charge_plans(outcomes: Sequence[Dict[int, int]], group: FiniteGroup, cell: Cellulation) -> List[CorrectionPlan]:
+    """The character layer that cancels each seed's measured vertex charges
+    on the spanning tree, built once for all seeds."""
+    tree = spanning_tree(cell)
+    return [charge_correction(SyndromeSet("charge", seen, group), cell, tree).inverse() for seen in outcomes]
 
 
-def _flux_plan(outcomes: Dict[int, int], group: FiniteGroup, cell: Cellulation) -> CorrectionPlan:
-    """The group-shift layer that cancels measured plaquette fluxes on the dual tree."""
-    return flux_correction(SyndromeSet("flux", outcomes, group), cell, dual_spanning_tree(cell))
+def _flux_plans(outcomes: Sequence[Dict[int, int]], group: FiniteGroup, cell: Cellulation) -> List[CorrectionPlan]:
+    """The group-shift layer that cancels each seed's measured plaquette
+    fluxes on the dual tree, built once for all seeds."""
+    tree = dual_spanning_tree(cell)
+    return [flux_correction(SyndromeSet("flux", seen, group), cell, tree) for seen in outcomes]
 
 
 def _couple_plaquettes(
@@ -296,12 +318,38 @@ def _couple_plaquettes(
         reg.apply(cz_abelian(a_group, plaquette_of(p_minus), edge_of(e)).dagger())
 
 
-def _apply_corrections(reg: QuditRegister, plan: CorrectionPlan, edge_of: Callable[[int], Hashable]) -> None:
-    """One feedforward layer of an abelian correction plan on its direct
-    edges, in place: character diagonals for basis Z, group shifts for X."""
+def _plan_gate(plan: CorrectionPlan, edge_of: Callable[[int], Hashable]) -> Callable[[int, int], LocalOperator]:
+    """The gate of an abelian correction plan's basis for exponent x on edge
+    e: a character diagonal for basis Z, a group shift for X."""
     gate = {"Z": z_dual, "X": left_mult}[plan.basis]
-    for e, x in sorted(plan.exponents.items()):
-        reg.apply(gate(plan.group, x, edge_of(e)))
+    return lambda e, x: gate(plan.group, x, edge_of(e))
+
+
+def _apply_corrections(
+    reg: QuditRegister, plans: Sequence[CorrectionPlan], gate_of: Callable[[int, int], LocalOperator]
+) -> None:
+    """One feedforward layer, plans one per seed of reg, in place: the edges
+    any plan corrects, in sorted order, each as one gate_of(edge, exponent)
+    gate per seed, merged into one gate over the seed site (_seed_gate). So
+    each seed goes through its own corrections in the order a run of that
+    seed alone takes, with an identity row where it has none."""
+    for e in sorted(set().union(*(plan.exponents for plan in plans))):
+        gates = [gate_of(e, plan.exponents[e]) if e in plan.exponents else None for plan in plans]
+        reg.apply(gates[0] if len(gates) == 1 else _seed_gate(gates))
+
+
+def _seed_gate(gates: Sequence[Optional[LocalOperator]]) -> Union[LocalOperator, DiagonalOperator]:
+    """One gate over (SEED_SITE, the gates' targets) that runs gates[s] on
+    seed s and the identity where gates[s] is None: the diagonals' rows, a row
+    of exact ones for the identity, or the permutations' images shifted to
+    each seed's block of labels."""
+    op = next(gate for gate in gates if gate is not None)
+    targets, dim = (SEED_SITE,) + op.targets, op.joint_dim
+    if op.kind == "diag":
+        ones = np.ones(dim, dtype=np.complex128)
+        return DiagonalOperator(targets, np.concatenate([ones if g is None else g.diag for g in gates]), op.name)
+    rows = [np.arange(dim) if g is None else g.image for g in gates]
+    return LocalOperator(targets, "perm", np.concatenate([s * dim + row for s, row in enumerate(rows)]), op.name)
 
 
 def kw_abelian(
@@ -351,9 +399,9 @@ def kw_hat_abelian(
         [SiteSpec(edge_of(e), "edge", a_group) for e in range(cell.n_edges)], _plus_state
     )
     _couple_plaquettes(reg, cell, a_group, plaquette_of, edge_of)
-    outcomes, prob = _measure_sites(reg, mode, [(p, plaquette_of(p)) for p in range(n_p)])
-    applied = _flux_plan(outcomes, a_group, cell)
-    _apply_corrections(reg, applied, edge_of)
+    [outcomes], [prob] = _measure_sites(reg, [mode], [(p, plaquette_of(p)) for p in range(n_p)])
+    [applied] = _flux_plans([outcomes], a_group, cell)
+    _apply_corrections(reg, [applied], _plan_gate(applied, edge_of))
     return KwResult(register=reg, outcomes=outcomes, corrections=applied, probability=prob)
 
 

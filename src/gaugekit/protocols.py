@@ -7,7 +7,9 @@ unitary layer, outcome, and correction plan, along with the branch
 probability and the fidelity against the enumeration oracle when requested.
 Everything before a run's first measurement layer is a finite-depth unitary
 on a fixed input, so a run plan builds it once, with the oracle and every
-round's gate list, and each seed branches from it.
+round's gate list. From there its seeds run in lockstep, as one stack
+(QuditRegister.stack): one measurement per site and one correction gate per
+edge for every seed, and every seed-independent step once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,8 +33,8 @@ from .groups import (
     is_nil2_extension,
 )
 from .kwmaps import (
-    KwMode, KwRound, _apply_corrections, _charge_plan, _couple_plaquettes, _flux_plan, _measure_sites,
-    _plaquette_site, kw_abelian, kw_exact_g, kw_n_in_g,
+    KwMode, KwRound, _apply_corrections, _charge_plans, _couple_plaquettes, _flux_plans, _measure_sites,
+    _plan_gate, _plaquette_site, kw_abelian, kw_exact_g, kw_n_in_g,
 )
 from .register import (
     QuditRegister,
@@ -40,6 +42,7 @@ from .register import (
     _edge_site,
     _identity_state,
     _require_within_budget,
+    _seeds_within_budget,
     _vertex_site,
     init_plus,
 )
@@ -245,44 +248,49 @@ def _gauge_rounds(
     g_group: FiniteGroup,
     chain: Sequence[FactorSystem],
     cell: Cellulation,
-    mode: KwMode,
+    modes: Sequence[KwMode],
     protocol: str,
     rounds: Optional[Sequence[KwRound]] = None,
-) -> ProtocolTranscript:
+) -> List[ProtocolTranscript]:
     """One measurement round per factor system in chain, then one for the
-    abelian remainder, then edge reassembly.
+    abelian remainder, then edge reassembly; one transcript per mode.
 
     chain is empty for an abelian group. Otherwise the vertices of reg arrive
     already split for the first factor system; later stages split here.
-    Without rounds every round is one kw_n_in_g or kw_abelian call. With a
-    run plan's rounds, reg arrives entangled for round 1 and every round runs
-    on the plan's gate lists.
+    Without rounds reg is one seed and every round is one kw_n_in_g or
+    kw_abelian call. With a run plan's rounds, reg is a stack of one seed per
+    mode, entangled for round 1, and every round runs on the plan's gate
+    lists for all of them at once.
     """
     stages = _stages(g_group, chain)
     total = len(stages)
-    records: List[ProtocolRound] = []
+    records: List[List[ProtocolRound]] = [[] for _ in modes]
     for j, (subject, vertex_of, edge_of, q_of) in enumerate(stages, start=1):
         if 1 < j < total:
             _split_vertices(reg, cell, subject, j)
-        round_mode = _round_mode(mode, j, total)
+        round_modes = [_round_mode(mode, j, total) for mode in modes]
         if rounds is not None:
             if j > 1:
                 rounds[j - 1].entangle(reg)
-            res = rounds[j - 1].repair(reg, round_mode)
+            results = rounds[j - 1].repair_stack(reg, round_modes)
         elif q_of is None:
-            res = kw_abelian(reg, cell, subject, round_mode, vertex_of=vertex_of, edge_of=edge_of)
+            results = [kw_abelian(reg, cell, subject, round_modes[0], vertex_of=vertex_of, edge_of=edge_of)]
         else:
-            res = kw_n_in_g(reg, cell, subject, round_mode, n_of=vertex_of, q_of=q_of, edge_of=edge_of)
+            results = [kw_n_in_g(reg, cell, subject, round_modes[0], n_of=vertex_of, q_of=q_of, edge_of=edge_of)]
         if q_of is None:
             label = f"gauge the abelian group {subject.name}"
             layer = "controlled group multiplications write domain walls onto identity-state edges"
         else:
             label = f"gauge the order-{subject.n_group.order} normal subgroup inside {subject.parent.name}"
             layer = "restricted edge entangler with cocycle and automorphism dressing"
-        corrections = [_plan_record(res.corrections)]
-        records.append(ProtocolRound(label, [layer], {"charge": res.outcomes}, corrections, res.probability))
+        for record, res in zip(records, results):
+            corrections = [_plan_record(res.corrections)]
+            record.append(ProtocolRound(label, [layer], {"charge": res.outcomes}, corrections, res.probability))
     _reassemble_edges(reg, cell, chain)
-    return ProtocolTranscript(protocol=protocol, group=g_group.name, graph=cell.name, rounds=records, register=reg)
+    return [
+        ProtocolTranscript(protocol=protocol, group=g_group.name, graph=cell.name, rounds=record, register=reg.seed(s))
+        for s, record in enumerate(records)
+    ]
 
 
 def _scored(transcript: ProtocolTranscript, oracle: Optional[QuditRegister]) -> ProtocolTranscript:
@@ -297,8 +305,9 @@ def _oracle(g_group: FiniteGroup, cell: Cellulation) -> QuditRegister:
 
 
 # each start returns the register before round 1, the prepared group, the
-# factor-system chain and the oracle (None without one)
-_Start = Tuple[QuditRegister, FiniteGroup, Tuple[FactorSystem, ...], Optional[QuditRegister]]
+# factor-system chain, the oracle (None without one) and the seeds one stack
+# of the run holds (_require_rounds_fit)
+_Start = Tuple[QuditRegister, FiniteGroup, Tuple[FactorSystem, ...], Optional[QuditRegister], int]
 
 
 def _abelian_start(a_group: FiniteGroup, cell: Cellulation, with_oracle: bool) -> _Start:
@@ -309,18 +318,23 @@ def _abelian_start(a_group: FiniteGroup, cell: Cellulation, with_oracle: bool) -
 
 def _require_rounds_fit(
     reg: QuditRegister, g_group: FiniteGroup, chain: Sequence[FactorSystem], cell: Cellulation
-) -> None:
+) -> int:
     """Reject a run, from its register before round 1, when one of its rounds
     would build a register over the budget, with the error that round's
     add_sites raises: a round adds one edge site per edge of the group it
     gauges, and its measurement retires that group's vertex parts. Checked
-    before the oracle, which can cost more than the rounds that fit."""
-    size = reg.amps.size
+    before the oracle, which can cost more than the rounds that fit. Returns
+    the seeds one stack of the run holds (_seeds_within_budget), from the
+    largest register the rounds build and the largest a measurement leaves."""
+    size, peak, held = reg.amps.size, 0, 0
     for subject, *_ in _stages(g_group, chain):
         order = (subject.n_group if isinstance(subject, FactorSystem) else subject).order
         size *= order**cell.n_edges
         _require_within_budget(size)
+        peak = max(peak, size)
         size //= order**cell.n_vertices
+        held = max(held, size)
+    return _seeds_within_budget(peak, held)
 
 
 def _metabelian_start(fs: FactorSystem, cell: Cellulation, with_oracle: bool) -> _Start:
@@ -335,20 +349,20 @@ def _metabelian_start(fs: FactorSystem, cell: Cellulation, with_oracle: bool) ->
             for part, grp in [("n", fs.n_group), ("q", fs.q_group)]
         ]
     )
-    _require_rounds_fit(reg, fs.parent, (fs,), cell)
+    seeds = _require_rounds_fit(reg, fs.parent, (fs,), cell)
     oracle = _oracle(fs.parent, cell) if with_oracle else None
-    return reg, fs.parent, (fs,), oracle
+    return reg, fs.parent, (fs,), oracle, seeds
 
 
 def _derived_series_start(reg: QuditRegister, g_group: FiniteGroup, cell: Cellulation, with_oracle: bool) -> _Start:
     """The start of the rounds down the derived series of g_group, on a
     symmetric vertex register: round 1's split is made here."""
     chain = _solvable_chain(g_group)
-    _require_rounds_fit(reg, g_group, chain, cell)
+    seeds = _require_rounds_fit(reg, g_group, chain, cell)
     oracle = kw_exact_g(reg, cell, g_group) if with_oracle else None
     if chain:
         _split_vertices(reg, cell, chain[0], 1)
-    return reg, g_group, chain, oracle
+    return reg, g_group, chain, oracle, seeds
 
 
 def _solvable_start(g_group: FiniteGroup, cell: Cellulation, with_oracle: bool) -> _Start:
@@ -389,34 +403,35 @@ def _nil2_circuit(fs: FactorSystem, cell: Cellulation) -> QuditRegister:
 
 
 def _nil2_tail(
-    reg: QuditRegister, fs: FactorSystem, cell: Cellulation, mode: KwMode, feedforward: bool
-) -> ProtocolTranscript:
+    reg: QuditRegister, fs: FactorSystem, cell: Cellulation, modes: Sequence[KwMode], feedforward: bool
+) -> List[ProtocolTranscript]:
     """The one measurement layer of the nil2 circuit, its feedforward and the
-    edge merge; the transcript carries no fidelity."""
+    edge merge, for every seed of reg at once, modes one per seed; the
+    transcripts carry no fidelity."""
     n_grp, q_grp = fs.n_group, fs.q_group
     n_v, n_p = cell.n_vertices, cell.n_plaquettes
     pairs = [(v, _vertex_site(v)) for v in range(n_v)] + [(n_v + p, ("p", p)) for p in range(n_p)]
-    raw, prob = _measure_sites(reg, mode, pairs)
-    v_outs = {v: raw[v] for v in range(n_v)}
-    p_outs = {p: raw[n_v + p] for p in range(n_p)}
-    charge_plan, flux_plan = _charge_plan(v_outs, q_grp, cell), _flux_plan(p_outs, n_grp, cell)
+    raws, probs = _measure_sites(reg, modes, pairs)
+    v_outs = [{v: raw[v] for v in range(n_v)} for raw in raws]
+    p_outs = [{p: raw[n_v + p] for p in range(n_p)} for raw in raws]
+    charge_plans, flux_plans = _charge_plans(v_outs, q_grp, cell), _flux_plans(p_outs, n_grp, cell)
     if feedforward:
         n_of, q_of = (lambda e: ("e", e, "n")), (lambda e: ("e", e, "q"))
-        _apply_corrections(reg, charge_plan, q_of)
-        _apply_corrections(reg, flux_plan, n_of)
+        _apply_corrections(reg, charge_plans, _plan_gate(charge_plans[0], q_of))
+        _apply_corrections(reg, flux_plans, _plan_gate(flux_plans[0], n_of))
         _merge_edge_pairs(reg, cell, fs, n_of, q_of, _edge_site)
-    rnd = ProtocolRound(
-        label=f"one-shot double of {fs.parent.name}",
-        layers=[
-            "plaquette-to-edge character couplings, opposite phases on each edge's plaquette pair",
-            "cocycle dressing on every edge",
-            "controlled quotient multiplications write domain walls onto identity-state quotient edges",
-        ],
-        outcomes={"charge": v_outs, "flux": p_outs},
-        corrections=[_plan_record(plan, applied=feedforward) for plan in (charge_plan, flux_plan)],
-        probability=prob,
-    )
-    return ProtocolTranscript(protocol="nil2_double", group=fs.parent.name, graph=cell.name, rounds=[rnd], register=reg)
+    label = f"one-shot double of {fs.parent.name}"
+    layers = [
+        "plaquette-to-edge character couplings, opposite phases on each edge's plaquette pair",
+        "cocycle dressing on every edge",
+        "controlled quotient multiplications write domain walls onto identity-state quotient edges",
+    ]
+    transcripts = []
+    for s, prob in enumerate(probs):
+        corrections = [_plan_record(plan, applied=feedforward) for plan in (charge_plans[s], flux_plans[s])]
+        rnd = ProtocolRound(label, list(layers), {"charge": v_outs[s], "flux": p_outs[s]}, corrections, prob)
+        transcripts.append(ProtocolTranscript("nil2_double", fs.parent.name, cell.name, [rnd], reg.seed(s)))
+    return transcripts
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +442,9 @@ def prepare_abelian_double(
     a_group: FiniteGroup, cell: Cellulation, mode: KwMode, with_oracle: bool = True
 ) -> ProtocolTranscript:
     """One-shot double of an abelian group from uniform vertex ancillas."""
-    reg, group, chain, oracle = _abelian_start(a_group, cell, with_oracle)
-    return _scored(_gauge_rounds(reg, group, chain, cell, mode, "abelian_double"), oracle)
+    reg, group, chain, oracle, _ = _abelian_start(a_group, cell, with_oracle)
+    [transcript] = _gauge_rounds(reg, group, chain, cell, [mode], "abelian_double")
+    return _scored(transcript, oracle)
 
 
 def prepare_nil2_double(
@@ -452,7 +468,7 @@ def prepare_nil2_double(
     plaquette outcomes. With feedforward disabled the register keeps its
     split, uncorrected edges for inspection and no fidelity is computed.
     """
-    transcript = _nil2_tail(_nil2_start(fs, cell), fs, cell, mode, feedforward)
+    [transcript] = _nil2_tail(_nil2_start(fs, cell), fs, cell, [mode], feedforward)
     return _scored(transcript, _oracle(fs.parent, cell) if with_oracle and feedforward else None)
 
 
@@ -465,16 +481,18 @@ def prepare_metabelian_double(
     gauges the remaining quotient vertices with fresh edge ancillas; the
     edge pairs are then merged into full-group labels.
     """
-    reg, group, chain, oracle = _metabelian_start(fs, cell, with_oracle)
-    return _scored(_gauge_rounds(reg, group, chain, cell, mode, "metabelian_double"), oracle)
+    reg, group, chain, oracle, _ = _metabelian_start(fs, cell, with_oracle)
+    [transcript] = _gauge_rounds(reg, group, chain, cell, [mode], "metabelian_double")
+    return _scored(transcript, oracle)
 
 
 def prepare_solvable_double(
     g_group: FiniteGroup, cell: Cellulation, mode: KwMode, with_oracle: bool = True
 ) -> ProtocolTranscript:
     """Double of any solvable group in one round per derived-series step."""
-    reg, group, chain, oracle = _solvable_start(g_group, cell, with_oracle)
-    return _scored(_gauge_rounds(reg, group, chain, cell, mode, "solvable_double"), oracle)
+    reg, group, chain, oracle, _ = _solvable_start(g_group, cell, with_oracle)
+    [transcript] = _gauge_rounds(reg, group, chain, cell, [mode], "solvable_double")
+    return _scored(transcript, oracle)
 
 
 def gauge_input_state(
@@ -494,8 +512,9 @@ def gauge_input_state(
         reg.spec(_vertex_site(v)).dim != g_group.order for v in range(cell.n_vertices)
     ):
         raise ValueError("gauge_input_state needs a register with exactly the vertex sites")
-    reg, group, chain, oracle = _derived_series_start(reg, g_group, cell, with_oracle)
-    return _scored(_gauge_rounds(reg, group, chain, cell, mode, "gauge_input"), oracle)
+    reg, group, chain, oracle, _ = _derived_series_start(reg, g_group, cell, with_oracle)
+    [transcript] = _gauge_rounds(reg, group, chain, cell, [mode], "gauge_input")
+    return _scored(transcript, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -517,27 +536,41 @@ class RunPlan:
     the output of a finite-depth unitary on a fixed input: for the
     vertex-route protocols the state after round 1's symmetry check and
     entangler, for nil2 the whole coupling circuit. It is kept in support
-    form, its positions and values read-only, and every seed forks from it
-    without a copy (QuditRegister.freeze, fork), so each seed's first
+    form, its positions and values read-only, and every stack starts from it
+    without writing it (QuditRegister.freeze, stack), so each stack's first
     measurement reads the support. The oracle's amplitudes are made
     read-only too.
-    oracle is the enumerated reference state, or None. finish runs one
-    seed's measurements and feedforward on a branch of the prefix, through
-    the vertex-route rounds or the nil2 tail, and returns the transcript.
+    oracle is the enumerated reference state, or None. seeds is the most
+    seeds one stack holds (_seeds_within_budget). finish runs the
+    measurements and feedforward of a stack of seeds, one mode each,
+    through the vertex-route rounds or the nil2 tail, and returns one
+    transcript per seed, whose register is that seed of the stack.
     """
 
     prefix: QuditRegister
     oracle: Optional[QuditRegister]
-    finish: Callable[[QuditRegister, KwMode], ProtocolTranscript]
+    seeds: int
+    finish: Callable[[QuditRegister, Sequence[KwMode]], List[ProtocolTranscript]]
 
     def __post_init__(self):
         self.prefix.freeze()
         if self.oracle is not None:
             self.oracle.amps.setflags(write=False)
 
+    def run(self, modes: Sequence[KwMode]) -> Iterator[ProtocolTranscript]:
+        """One transcript per mode, in order, the seeds run in lockstep as
+        stacks of at most self.seeds; each stack runs once the previous
+        one's transcripts are taken. Several seeds need sample modes."""
+        if len(modes) > 1 and any(mode.kind != "sample" for mode in modes):
+            raise ValueError("running multiple seeds needs sample mode")
+        for lo in range(0, len(modes), self.seeds):
+            stack = modes[lo : lo + self.seeds]
+            yield from (_scored(t, self.oracle) for t in self.finish(self.prefix.stack(len(stack)), stack))
+
     def branch(self, mode: KwMode) -> ProtocolTranscript:
-        """One seed's run: measurement and feedforward from the shared prefix on."""
-        return _scored(self.finish(self.prefix.fork(), mode), self.oracle)
+        """One seed's run: a stack of one."""
+        [transcript] = self.run([mode])
+        return transcript
 
 
 def plan_run(
@@ -545,16 +578,23 @@ def plan_run(
 ) -> RunPlan:
     """The run plan of one protocol ("abelian", "nil2", "metabelian",
     "solvable") on subject, with the same preconditions, checked in the same
-    order, as its prepare_* entry point; plan.branch(mode) then reports what
-    the entry point reports for that mode."""
+    order, as its prepare_* entry point; plan.run(modes) then reports what
+    the entry point reports for each mode."""
     if protocol == "nil2":
         prefix = _nil2_start(subject, cell)
         oracle = _oracle(subject.parent, cell) if with_oracle else None
-        return RunPlan(prefix, oracle, lambda reg, mode: _nil2_tail(reg, subject, cell, mode, feedforward=True))
+        # the prefix is the run's largest register; its one measurement layer
+        # retires every vertex and plaquette site
+        peak = math.prod(prefix.dims)
+        held = peak // (subject.q_group.order**cell.n_vertices * subject.n_group.order**cell.n_plaquettes)
+        return RunPlan(
+            prefix, oracle, _seeds_within_budget(peak, held),
+            lambda reg, modes: _nil2_tail(reg, subject, cell, modes, feedforward=True),
+        )
     if protocol not in _VERTEX_ROUTE:
         raise ValueError(f"unknown protocol {protocol!r}")
     name, start = _VERTEX_ROUTE[protocol]
-    prefix, group, chain, oracle = start(subject, cell, with_oracle)
+    prefix, group, chain, oracle, seeds = start(subject, cell, with_oracle)
     rounds = tuple(KwRound(sub, cell, *sites) for sub, *sites in _stages(group, chain))
     rounds[0].entangle(prefix)
-    return RunPlan(prefix, oracle, lambda reg, mode: _gauge_rounds(reg, group, chain, cell, mode, name, rounds))
+    return RunPlan(prefix, oracle, seeds, lambda reg, modes: _gauge_rounds(reg, group, chain, cell, modes, name, rounds))

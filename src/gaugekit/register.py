@@ -17,6 +17,12 @@ amplitudes, and it reads only the nonzero columns. No method writes into an
 amplitude array or a support form: each replaces it with a new array or a
 reshaped view, so registers can fork from one frozen register without
 copying it. Overlaps are summed in fixed chunks (_overlap).
+
+A stack holds several seeds of one run in one register (stacked): its
+leading site, SEED_SITE, labels the seed, so each seed's amplitudes are one
+contiguous, seed-major run of the state. Gates and relabelings act on every
+seed at once; a measurement draws, weighs and normalizes each seed on its
+own, and seed(s) reads one seed back as a register of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +44,7 @@ __all__ = [
     "QuditRegister",
     "init_plus",
     "init_product",
+    "SEED_SITE",
 ]
 
 GATE_TOL = 1e-12
@@ -48,6 +55,8 @@ AMPLITUDE_BUDGET = 20_000_000
 # and gather of a live-column read cost more than they save there (about
 # 4,096 on the machine the crossover was measured on, 2-4 rows)
 LIVE_READ_MIN = 4096
+# the id of a stack's leading site, whose labels are its seeds
+SEED_SITE = ("seed",)
 # amplitudes one np.vdot of an overlap reads: OpenBLAS splits a complex dot
 # product of more than 10,000 across its threads, moving the sum's last bit
 OVERLAP_CHUNK = 8192
@@ -58,7 +67,7 @@ class SiteSpec:
     """One group-algebra qudit: a site id, its role, and its local group."""
 
     sid: Hashable
-    role: str  # vertex | edge | plaquette
+    role: str  # vertex | edge | plaquette | seed
     group: FiniteGroup
 
     @property
@@ -234,6 +243,17 @@ def _require_within_budget(size: int) -> None:
         raise ValueError(f"register of {size} amplitudes exceeds the dense register budget {AMPLITUDE_BUDGET}")
 
 
+def _seeds_within_budget(peak: int, held: int) -> int:
+    """The most seeds a stack holds when one seed's run builds registers of
+    at most peak amplitudes and holds at most held of them dense (what a
+    measurement layer leaves, which its corrections densify): the stack fits
+    AMPLITUDE_BUDGET at the peak, and its dense arrays hold no more than
+    peak, one seed's largest register, so the memory a run holds does not
+    grow with its seed count. At least one, since a run over the budget is
+    rejected on its own."""
+    return max(1, min(AMPLITUDE_BUDGET // peak, peak // held))
+
+
 def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
     """<bra|ket> over the C-order flattened arrays: one np.vdot per fixed
     chunk of OVERLAP_CHUNK amplitudes, summed in order, so the bits are the
@@ -276,8 +296,41 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
 
 @dataclass
 class _Retired:
-    outcome: int
-    probability: float
+    """A measured site's outcome and branch probability for each seed of its
+    register, in seed order: one of each on a register that is not a stack."""
+
+    outcomes: List[int]
+    probabilities: List[float]
+
+    @property
+    def outcome(self) -> int:
+        """The outcome of a register of one seed."""
+        [outcome] = self.outcomes
+        return outcome
+
+    @property
+    def probability(self) -> float:
+        """The branch probability of a register of one seed."""
+        [probability] = self.probabilities
+        return probability
+
+
+@dataclass(frozen=True)
+class _SeedSite(SiteSpec):
+    """The leading site of a stack: one label per seed, and no group, since
+    nothing acts on it but a correction gate's seed rows (no multiplication
+    table is built, whatever the seed count)."""
+
+    seeds: int
+
+    @property
+    def dim(self) -> int:
+        return self.seeds
+
+
+def _seed_spec(n: int) -> SiteSpec:
+    """The seed site of a stack of n seeds."""
+    return _SeedSite(SEED_SITE, "seed", None, n)
 
 
 class QuditRegister:
@@ -369,6 +422,57 @@ class QuditRegister:
         out.sites, out.retired, out._index = list(self.sites), {}, dict(self._index)
         return out
 
+    @property
+    def stacked(self) -> bool:
+        """Whether the register is a stack of seeds: its leading site is SEED_SITE."""
+        return bool(self.sites) and self.sites[0].sid == SEED_SITE
+
+    @property
+    def seeds(self) -> int:
+        """The seeds the register holds: its seed site's labels, or 1."""
+        return self.sites[0].dim if self.stacked else 1
+
+    def stack(self, n: int) -> "QuditRegister":
+        """n seeds of this register's state as one stack, seed-major: a
+        register whose leading site is SEED_SITE, in the form this one holds
+        it, retiring no site yet. A stack of one shares this register's
+        arrays, since a leading axis of one label moves no flat position;
+        more seeds repeat its support form, or its dense array, once per
+        seed. AMPLITUDE_BUDGET applies to the stack's size."""
+        size = math.prod(self.dims)
+        _require_within_budget(n * size)
+        out = self.fork()
+        out.sites.insert(0, _seed_spec(n))
+        out._reindex()
+        if self._support is not None:
+            flat, values = self._support
+            if n > 1:
+                flat, values = (np.arange(n)[:, None] * size + flat).reshape(-1), np.tile(values, n)
+            out._support = (flat, values)
+        else:
+            out._amps = self._amps[None] if n == 1 else np.repeat(self._amps[None], n, axis=0)
+        return out
+
+    def seed(self, s: int) -> "QuditRegister":
+        """Seed s of a stack, as a register over the sites after the seed site
+        with its entries of the stack's retired records: a view of the
+        stack's dense amplitudes, or its run of the support form. A register
+        without a seed site is its own seed 0."""
+        if not self.stacked:
+            return self
+        out = self.fork()
+        del out.sites[0]
+        out._reindex()
+        out.retired = {sid: _Retired([r.outcomes[s]], [r.probabilities[s]]) for sid, r in self.retired.items()}
+        if self._support is not None:
+            flat, values = self._support
+            size = math.prod(out.dims)
+            lo, hi = np.searchsorted(flat, [s * size, (s + 1) * size])
+            out._support = (flat[lo:hi] - s * size, values[lo:hi])
+        else:
+            out._amps = self._amps[s]
+        return out
+
     def norm(self) -> float:
         return float(np.sqrt(_overlap(self.amps, self.amps).real))
 
@@ -450,7 +554,12 @@ class QuditRegister:
 
     # --- measurement -----------------------------------------------------------
 
-    def measure_fourier(self, sid: Hashable, rng: Optional[np.random.Generator] = None, forced: Optional[int] = None) -> int:
+    def measure_fourier(
+        self,
+        sid: Hashable,
+        rng: Union[None, np.random.Generator, Sequence[np.random.Generator]] = None,
+        forced: Union[None, int, Sequence[int]] = None,
+    ) -> Union[int, List[int]]:
         """Rotate one abelian site by F_ab = chi^a(b)/sqrt|A|, measure, retire it.
 
         Exactly one of rng and forced selects the branch. A forced outcome out
@@ -460,6 +569,16 @@ class QuditRegister:
         bitwise as it was. The branch is divided by the root of its raw Born
         weight, and sampling and the retired probability use the weights over
         their sum when that sum is more than 1e-6 off 1.
+
+        Given a list or tuple of generators, or of forced outcomes, one per
+        seed, it returns a list of outcomes, one per seed; given one, it
+        measures a register of one seed and returns its outcome. A stack's live
+        columns are read and rotated once for every seed; the seed digit is
+        the most significant, so each seed's columns are one contiguous run,
+        and each run is weighed, drawn from and normalized on its own, in seed
+        order, as if the seed were measured alone. The first seed rejected
+        stops the call, and the retired record holds one outcome and one
+        probability per seed.
 
         Only the live columns of the (A, dim, B) reshape are rotated
         (_live_block): read off the support form's positions, or found by a
@@ -474,38 +593,56 @@ class QuditRegister:
         spec_ = self.spec(sid)
         if not spec_.group.is_abelian:
             raise ValueError(f"Fourier measurement needs an abelian site, {sid!r} carries {spec_.group.name}")
+        seeds, per_seed = self.seeds, isinstance(rng if forced is None else forced, (list, tuple))
         if forced is not None:
-            outcome = int(forced)
-            if not 0 <= outcome < spec_.dim:
-                raise ValueError(f"forced outcome {outcome} out of range for {sid!r}")
+            forced = [int(outcome) for outcome in (forced if per_seed else [forced])]
+            for outcome in forced:
+                if not 0 <= outcome < spec_.dim:
+                    raise ValueError(f"forced outcome {outcome} out of range for {sid!r}")
         elif rng is None:
             raise ValueError("measurement needs an rng or a forced outcome")
+        rngs = rng if per_seed else [rng]
+        if len(rngs if forced is None else forced) != seeds:
+            raise ValueError(f"a measurement of {seeds} seeds needs one rng or forced outcome per seed")
         pos, dims = self.pos(sid), self.dims
-        cols, live = self._live_block(math.prod(dims[:pos]), spec_.dim, math.prod(dims[pos + 1 :]))
+        outer, inner = math.prod(dims[:pos]), math.prod(dims[pos + 1 :])
+        cols, live = self._live_block(outer, spec_.dim, inner)
         cols = _rotated(_fourier_matrix(spec_.group), cols).reshape(spec_.dim, -1)  # frees the gathered block
-        weights = probs = _born_weights(cols)
-        total = probs.sum()
-        if not total > 0:
-            raise ValueError(f"measurement of {sid!r} on a zero state")
-        if abs(total - 1.0) > 1e-6:
-            probs = probs / total
-        if forced is None:
-            outcome = _sample(rng, probs / probs.sum())
-        elif probs[outcome] < 1e-14:
-            raise ValueError(
-                f"forced outcome {outcome} on {sid!r} has zero Born probability "
-                f"(distribution {np.round(probs, 6).tolist()})"
-            )
-        branch = cols[outcome] / np.sqrt(weights[outcome])
+        width = outer // seeds * inner  # one seed's columns of the whole block
+        runs = [s * width for s in range(seeds + 1)]
+        if live is not None and seeds > 1:  # one seed's run is every live column
+            runs = live.searchsorted(runs).tolist()
+        outcomes, probabilities, branch = [], [], []
+        for s in range(seeds):
+            block = cols[:, runs[s] : runs[s + 1]]
+            weights = probs = _born_weights(block)
+            total = probs.sum()
+            if not total > 0:
+                raise ValueError(f"measurement of {sid!r} on a zero state")
+            if abs(total - 1.0) > 1e-6:
+                probs = probs / total
+            if forced is None:
+                outcome = _sample(rngs[s], probs / probs.sum())
+            else:
+                outcome = forced[s]
+                if probs[outcome] < 1e-14:
+                    raise ValueError(
+                        f"forced outcome {outcome} on {sid!r} has zero Born probability "
+                        f"(distribution {np.round(probs, 6).tolist()})"
+                    )
+            branch.append(block[outcome] / np.sqrt(weights[outcome]))
+            outcomes.append(outcome)
+            probabilities.append(float(probs[outcome]))
+        branch = branch[0] if seeds == 1 else np.concatenate(branch)
         if live is None:
             self.amps = branch.reshape(dims[:pos] + dims[pos + 1 :])
         else:
             kept = branch != 0
             self._amps, self._support = None, (live[kept], branch[kept])
         self.sites.pop(pos)
-        self.retired[sid] = _Retired(outcome=outcome, probability=float(probs[outcome]))
+        self.retired[sid] = _Retired(outcomes, probabilities)
         self._reindex()
-        return outcome
+        return outcomes if per_seed else outcomes[0]
 
     def _live_block(self, outer: int, dim: int, inner: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """The columns of the (outer, dim, inner) reshape that a measurement
@@ -539,11 +676,16 @@ class QuditRegister:
         """Contract one site with <+|, retire it, renormalize.
 
         Returns the branch probability. Works for any site group; for an
-        abelian site it equals measure_fourier with forced outcome 0. Unlike
-        the measurement it reads the whole branch, zeros included: a support
-        read showed no gain on the nil2 identity check, the only caller the
-        perfbench workloads run (post-selected runs are the other).
+        abelian site it equals measure_fourier with forced outcome 0 up to a
+        few ulps: the two compute the branch and its weight in different
+        orders. Unlike the measurement it reads the whole branch, zeros
+        included: a support read showed no gain on the nil2 identity check,
+        the only caller the perfbench workloads run (post-selected runs are
+        the other). It projects a register of one seed; a stack of more is
+        rejected.
         """
+        if self.seeds > 1:
+            raise ValueError(f"plus-projection of {sid!r} needs one seed, the stack holds {self.seeds}")
         spec_, pos, dims = self.spec(sid), self.pos(sid), self.amps.shape
         branch = np.moveaxis(self.amps, pos, 0).reshape(spec_.dim, -1).sum(axis=0) / np.sqrt(spec_.dim)
         prob = float(_overlap(branch, branch).real)
@@ -551,7 +693,7 @@ class QuditRegister:
             raise ValueError(f"plus-projection on {sid!r} has zero weight")
         self.amps = (branch / np.sqrt(prob)).reshape(dims[:pos] + dims[pos + 1 :])
         self.sites.pop(pos)
-        self.retired[sid] = _Retired(outcome=0, probability=prob)
+        self.retired[sid] = _Retired([0], [prob])
         self._reindex()
         return prob
 

@@ -391,7 +391,7 @@ def dense_measure_fourier(reg: QuditRegister, sid: Hashable, rng=None, forced=No
     branch = block[outcome] / np.sqrt(weights[outcome])
     reg.amps = branch.reshape(moved.shape[1:])
     reg.sites.pop(pos)
-    reg.retired[sid] = _Retired(outcome=outcome, probability=float(probs[outcome]))
+    reg.retired[sid] = _Retired(outcomes=[outcome], probabilities=[float(probs[outcome])])
     reg._reindex()
     return outcome
 

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -247,8 +248,8 @@ def test_a_second_seed_rebuilds_no_plan(monkeypatch, group):
     assert second["runs"][0]["seed"] == 12 and first["runs"][0]["seed"] == 11
 
 
-# --- one run plan per cmd_prepare: the unitary prefix is built once and every
-# seed branches from it
+# --- one run plan per cmd_prepare: the unitary prefix is built once and the
+# seeds run from it in lockstep, as one stack
 
 
 def _recorded_calls(monkeypatch, calls, module, name, record=lambda args: None):
@@ -273,6 +274,7 @@ def test_a_run_builds_its_prefix_once_for_all_seeds(monkeypatch, group, protocol
     # the first vertex site a symmetry probe reads names its round
     _recorded_calls(monkeypatch, calls, kwmaps, "_require_symmetric", lambda args: args[2][0][0])
     _recorded_calls(monkeypatch, calls, register.QuditRegister, "copy")
+    _recorded_calls(monkeypatch, calls, register.QuditRegister, "measure_fourier")
     config = cli.RunConfig(command="prepare", group=group, cell="hexagon", protocol=protocol, mode="sample:3", seeds=4)
     payload, _ = cli.cmd_prepare(config)
     assert [run["seed"] for run in payload["runs"]] == [3, 4, 5, 6]
@@ -282,12 +284,17 @@ def test_a_run_builds_its_prefix_once_for_all_seeds(monkeypatch, group, protocol
     assert names["_nil2_circuit"] == (protocol == "nil2")
     assert names["_wall_gates"] == walls
     assert names["copy"] == 0
+    # the four seeds are one stack: the later rounds' symmetry probes run once
+    # for all of them, and each site is measured once for all of them
     probes = Counter(site for name, site in calls if name == "_require_symmetric")
     if protocol == "nil2":
         assert probes == Counter()
     else:
         assert probes.pop(("v", 0, 1, "n")) == 1
-        assert sum(probes.values()) == 4 * later_probes
+        assert sum(probes.values()) == later_probes
+    calls.clear()
+    protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus()).branch(kwmaps.KwMode.sample(3))
+    assert Counter(name for name, _ in calls)["measure_fourier"] == names["measure_fourier"] > 0
 
 
 def test_a_one_seed_abelian_run_copies_no_register(monkeypatch):
@@ -398,7 +405,7 @@ OVER_BUDGET = {
 
 
 def _subject(protocol, group):
-    return catalog_factor_system(group) if protocol == "metabelian" else catalog()[group]
+    return catalog_factor_system(group) if protocol in ("metabelian", "nil2") else catalog()[group]
 
 
 def _forbid_the_oracle(monkeypatch):
@@ -418,6 +425,55 @@ def test_a_run_over_the_register_budget_is_rejected_before_its_oracle(monkeypatc
         argv = ["prepare", "--group", group, "--cell", "square:2x2", "--protocol", protocol] + extra
         assert cli.main(argv) == 1
         assert json.loads(capsys.readouterr().out)["error"] == {"type": "precondition", "message": message}
+
+
+def test_a_run_splits_its_seeds_into_stacks_that_fit_the_budget_with_the_same_bytes(monkeypatch):
+    """S3 metabelian on the hexagon torus builds at most 972 amplitudes per
+    seed and holds at most 216 dense, so five seeds run as stacks of 4 and
+    1; at a budget of two seeds' worth they run as stacks of 2, 2 and 1, and
+    report the same bytes."""
+    config = cli.RunConfig(command="prepare", group="S3", cell="hexagon", protocol="metabelian", mode="sample:9", seeds=5)
+    stacks = []
+    stack = QuditRegister.stack
+
+    def recorded(reg, n):
+        stacks.append(n)
+        return stack(reg, n)
+
+    monkeypatch.setattr(QuditRegister, "stack", recorded)
+    whole, _ = cli.cmd_prepare(config)
+    assert stacks == [4, 1]
+    stacks.clear()
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 2 * 972)
+    split, _ = cli.cmd_prepare(config)
+    assert stacks == [2, 2, 1]
+    assert _entry_bytes(split) == _entry_bytes(whole)
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 971)
+    with pytest.raises(ValueError, match="^register of 972 amplitudes exceeds the dense register budget 971$"):
+        cli.cmd_prepare(config)
+
+
+@pytest.mark.parametrize("protocol, group, seeds", [("solvable", "D4", 16), ("nil2", "D4", 32)])
+def test_the_memory_a_run_holds_does_not_grow_with_its_seed_count(protocol, group, seeds):
+    """A stack's dense arrays hold no more than one seed's largest register
+    (register._seeds_within_budget), and each stack runs once the last
+    one's transcripts are taken: a run of eight stacks' worth of seeds
+    reaches about the traced peak of a run of two."""
+    plan = protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus(), with_oracle=False)
+    assert plan.seeds == seeds
+
+    def traced_peak(n):
+        modes = [kwmaps.KwMode.sample(s) for s in range(n)]
+        tracemalloc.start()
+        try:
+            for _ in plan.run(modes):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(seeds)  # the gate caches fill on a first run
+    assert traced_peak(8 * seeds) < 1.25 * traced_peak(2 * seeds)
 
 
 @pytest.mark.parametrize(
