@@ -46,7 +46,6 @@ from .register import (
     _identity_state,
     _overlap,
     _plus_state,
-    _taken,
     _vertex_site,
 )
 
@@ -148,7 +147,8 @@ def _require_symmetric(
     (subgroup, quotient) pair. Each element g is probed by one per-axis take
     per vertex of its row of the source table, read off the group tables and
     so trusted: g^-1 x on a group's vertex, the pair label of g^-1 times the
-    parent element of x on a split vertex."""
+    parent element of x on a split vertex. The probe reads the register in
+    the form it holds (QuditRegister.probe_residual)."""
     if isinstance(subject, FactorSystem):
         pair = parent_to_pair(subject)
         table = pair[subject.parent.mult[subject.parent.inv][:, np.argsort(pair)]]
@@ -159,10 +159,7 @@ def _require_symmetric(
         if math.prod(reg.dims[a] for a in axes) != subject.order:
             raise ValueError(f"{what}: vertex sites {t} do not carry the joint basis of the symmetry")
     for g in range(1, subject.order):
-        probe = reg.amps
-        for axes in vertices:
-            probe = _taken(probe, axes, table[g])
-        if np.abs(probe - reg.amps).max() > STATE_TOL:
+        if reg.probe_residual(vertices, table[g]) > STATE_TOL:
             raise ValueError(
                 f"{what}: input is not invariant under the global left action "
                 f"(element {g} moves it); the residual charge obstructs outcome repair"

@@ -6,7 +6,10 @@ Sites are ordered; amplitudes are indexed C-order, one axis per live site
 a dense complex128 array (amps), or its support form, the sorted flat
 positions of the nonzero amplitudes and their values. A gated allocation
 writes the support form, a Fourier measurement reads its live columns off it
-and leaves a branch it read by live columns in it; every other reader takes
+and leaves a branch it read by live columns in it, and the steps that map a
+basis state to one basis state times a phase keep it: gates, relabelings,
+merges, splits and the symmetry probe (probe_residual) act on the positions
+and values, each with the bits of its dense path. Every other reader takes
 amps, which writes the dense array once and drops the support form.
 Measurement retires the site and reshapes the state down, so peak dimension
 is bounded by the largest single protocol round. Every gate is a phase-free
@@ -236,6 +239,37 @@ def _taken(amps: np.ndarray, axes: Sequence[int], sources: np.ndarray) -> np.nda
     return np.moveaxis(out.reshape(moved.shape), range(k), axes)
 
 
+def _support_joint(flat: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
+    """The joint label of axes, row-major in the given order, at every flat
+    position of a C-order array of shape dims."""
+    joint = 0
+    for a in axes:
+        joint = joint * dims[a] + flat // math.prod(dims[a + 1 :]) % dims[a]
+    return joint
+
+
+def _label_moves(flat: np.ndarray, dims: Sequence[int], axes: Sequence[int], image: np.ndarray) -> np.ndarray:
+    """How far each flat position moves when the joint label x of axes,
+    row-major in the given order, goes to image[x]."""
+    grid = np.indices([dims[a] for a in axes]).reshape(len(axes), -1)
+    offsets = np.dot([math.prod(dims[a + 1 :]) for a in axes], grid)
+    return (offsets[image] - offsets)[_support_joint(flat, dims, axes)]
+
+
+def _sorted(flat: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A support form from moved positions: one stable argsort carries the
+    values with their positions."""
+    order = np.argsort(flat, kind="stable")
+    return flat[order], values[order]
+
+
+def _on_union(union: np.ndarray, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values at their positions flat within the sorted positions union, zero elsewhere."""
+    out = np.zeros(union.size, dtype=np.complex128)
+    out[np.searchsorted(union, flat)] = values
+    return out
+
+
 def _require_within_budget(size: int) -> None:
     """Reject a register of size amplitudes over AMPLITUDE_BUDGET, naming
     the limit; callers check before they allocate."""
@@ -246,11 +280,12 @@ def _require_within_budget(size: int) -> None:
 def _seeds_within_budget(peak: int, held: int) -> int:
     """The most seeds a stack holds when one seed's run builds registers of
     at most peak amplitudes and holds at most held of them dense (what a
-    measurement layer leaves, which its corrections densify): the stack fits
-    AMPLITUDE_BUDGET at the peak, and its dense arrays hold no more than
-    peak, one seed's largest register, so the memory a run holds does not
-    grow with its seed count. At least one, since a run over the budget is
-    rejected on its own."""
+    measurement layer leaves, dense after a whole-block read; the
+    corrections and relabelings after it keep the form it leaves): the
+    stack fits AMPLITUDE_BUDGET at the peak, and its dense arrays hold no
+    more than peak, one seed's largest register, so the memory a run holds
+    does not grow with its seed count. At least one, since a run over the
+    budget is rejected on its own."""
     return max(1, min(AMPLITUDE_BUDGET // peak, peak // held))
 
 
@@ -519,10 +554,7 @@ class QuditRegister:
             ctrl = sorted({self.pos(t) for op in gates for t in op.targets if t not in fresh})
             rows = _gated_rows(tuple((self.sites[k].sid, old[k]) for k in ctrl), new, _GateList(gates))
             flat, values = self._positions()
-            at = 0  # the joint ctrl label of every support position
-            for k in ctrl:
-                at = at * old[k] + flat // math.prod(old[k + 1 :]) % old[k]
-            self._amps, self._support = None, (flat * extra + rows[at], values)
+            self._amps, self._support = None, (flat * extra + rows[_support_joint(flat, old, ctrl)], values)
         self.sites.extend(specs)
         self._reindex()
 
@@ -546,7 +578,21 @@ class QuditRegister:
         return self.amps * table.reshape([d if k in axes else 1 for k, d in enumerate(self.dims)])
 
     def apply(self, op) -> "QuditRegister":
-        self.amps = self._applied(op)
+        """Run op on the register, in the form it holds: a dense register
+        takes _applied; on the support form a diagonal multiplies each value
+        by its entry at the targets' joint label (one 1-D product of equal
+        shapes, so every value has the bits of the dense product), and a
+        permutation moves each position to its image's labels and sorts the
+        positions, carrying the values."""
+        if self._support is None:
+            self.amps = self._applied(op)
+            return self
+        axes, dims = self._target_axes(op), self.dims
+        flat, values = self._support
+        if isinstance(op, LocalOperator) and op.kind == "perm":
+            self._support = _sorted(flat + _label_moves(flat, dims, axes, op.image), values)
+        else:
+            self._support = (flat, values * op.diag[_support_joint(flat, dims, axes)])
         return self
 
     def expectation(self, op) -> complex:
@@ -714,41 +760,82 @@ class QuditRegister:
 
     def relabel_site(self, sid: Hashable, image: np.ndarray) -> None:
         """Permute one site's basis labels: |x> -> |image[x]>; image must be
-        a permutation of the site's labels."""
+        a permutation of the site's labels. A dense register takes one
+        per-axis take; on the support form each position moves to its new
+        label and the positions are sorted, carrying the values."""
         pos, image = self.pos(sid), np.asarray(image, dtype=np.int64)
         dim, inverse = self.sites[pos].dim, image.argsort()
         if image.shape != (dim,) or (image[inverse] != np.arange(dim)).any():
             raise ValueError(f"relabelling of {sid!r} is not a permutation of its {dim} labels")
-        self.amps = _taken(self.amps, [pos], inverse)
+        if self._support is None:
+            self.amps = _taken(self._amps, [pos], inverse)
+            return
+        flat, values = self._support
+        self._support = _sorted(flat + _label_moves(flat, self.dims, [pos], image), values)
 
     def merge_sites(self, sid_a: Hashable, sid_b: Hashable, new_spec: SiteSpec) -> None:
-        """Fuse two sites into one with C-order pairing (a-label major)."""
+        """Fuse two sites into one with C-order pairing (a-label major), at
+        a's place: a dense register moves b's axis behind a's and reshapes;
+        on the support form each position drops b's label and takes it back
+        behind a's, and the positions are sorted, carrying the values."""
         pa, pb = self.pos(sid_a), self.pos(sid_b)
         if pa == pb:
             raise ValueError("merge needs two distinct sites")
         spec_a, spec_b = self.sites[pa], self.sites[pb]
         if new_spec.dim != spec_a.dim * spec_b.dim:
             raise ValueError("merged spec dimension mismatch")
-        dst = pa + 1 if pb > pa else pa
-        self.amps = np.moveaxis(self.amps, pb, dst)
         new_pa = pa if pb > pa else pa - 1
+        if self._support is None:
+            moved = np.moveaxis(self._amps, pb, new_pa + 1)
+            self.amps = moved.reshape(moved.shape[:new_pa] + (new_spec.dim,) + moved.shape[new_pa + 2 :])
+        else:
+            flat, values, dims = *self._support, self.dims
+            rest = dims[:pb] + dims[pb + 1 :]  # the layout without b
+            below, after = math.prod(dims[pb + 1 :]), math.prod(rest[new_pa + 1 :])
+            high, low = np.divmod(flat, below)
+            high, label = np.divmod(high, dims[pb])
+            high, low = np.divmod(high * below + low, after)
+            self._support = _sorted((high * dims[pb] + label) * after + low, values)
         self.sites.pop(pb)
-        self.sites.insert(new_pa + 1, spec_b)
-        shape = list(self.amps.shape)
-        self.amps = self.amps.reshape(shape[:new_pa] + [new_spec.dim] + shape[new_pa + 2 :])
-        self.sites[new_pa : new_pa + 2] = [new_spec]
+        self.sites[new_pa] = new_spec
         self._reindex()
 
     def split_site(self, sid: Hashable, spec_a: SiteSpec, spec_b: SiteSpec) -> None:
-        """Inverse of merge_sites: C-order split of one site into two."""
+        """Inverse of merge_sites: C-order split of one site into two. No
+        flat position moves, so the support form keeps its arrays and a
+        dense register is reshaped."""
         pos = self.pos(sid)
         d = self.sites[pos].dim
         if spec_a.dim * spec_b.dim != d:
             raise ValueError("split dimensions do not factor the site")
-        shape = list(self.amps.shape)
-        self.amps = self.amps.reshape(shape[:pos] + [spec_a.dim, spec_b.dim] + shape[pos + 1 :])
         self.sites[pos : pos + 1] = [spec_a, spec_b]
+        if self._support is None:
+            self.amps = self._amps.reshape(self.dims)
         self._reindex()
+
+    def probe_residual(self, vertices: Sequence[Sequence[int]], sources: np.ndarray) -> float:
+        """max |probe - state| over every amplitude, where probe reads the
+        joint label x of each axis group in vertices (row-major in its
+        order) from sources[x], a permutation the caller trusts. A dense
+        register is read through one per-axis take per group. On the support
+        form each position moves to the labels that read it, and the values
+        are compared over the union of the two supports: an entry outside
+        it is zero on both sides, so the maximum has the dense check's bits."""
+        if self._support is None:
+            probe = self._amps
+            for axes in vertices:
+                probe = _taken(probe, axes, sources)
+            return float(np.abs(probe - self._amps).max())
+        flat, values = self._support
+        image, dims = np.argsort(sources), self.dims
+        moved = flat + sum(_label_moves(flat, dims, axes, image) for axes in vertices)
+        moved, carried = _sorted(moved, values)
+        if np.array_equal(moved, flat):
+            diff = carried - values
+        else:
+            union = np.union1d(flat, moved)
+            diff = _on_union(union, moved, carried) - _on_union(union, flat, values)
+        return float(np.abs(diff).max()) if diff.size else 0.0
 
 
 @lru_cache(maxsize=16)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gaugekit import kwmaps
+from gaugekit import kwmaps, register
 from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_vertex_graph
 from gaugekit.gates import left_mult, loop_z, parent_to_pair
 from gaugekit.groups import (
@@ -224,13 +224,14 @@ def _split_vertices(fs):
 def test_split_probes_read_the_sources_of_split_left_mult(monkeypatch):
     """Every split-vertex probe row, built from the parent tables, equals the
     source row of split_left_mult, for every catalog factor system and every
-    A4/S4 chain stage."""
+    A4/S4 chain stage. The probe of a dense register reads them through
+    register._taken."""
     systems = [catalog_factor_system(name) for name in ("S3", "D4", "Q8")]
     systems += [fs for name in ("A4", "S4") for fs in _solvable_chain(CAT[name])]
-    taken = kwmaps._taken
+    taken = register._taken
     for fs in systems:
         rows = []
-        monkeypatch.setattr(kwmaps, "_taken", lambda amps, axes, sources: rows.append(sources) or taken(amps, axes, sources))
+        monkeypatch.setattr(register, "_taken", lambda amps, axes, sources: rows.append(sources) or taken(amps, axes, sources))
         sites = [(("n", v), ("q", v)) for v in range(2)]
         kwmaps._require_symmetric(init_plus(_split_vertices(fs)), fs, sites, "probe")
         expected = [np.argsort(split_left_mult(fs, g, *t).image) for g in range(1, fs.parent.order) for t in sites]

@@ -6,7 +6,8 @@ that equal content shares one entry, that cached arrays cannot be written,
 that every cache is bounded, that a warm plan reports the same bytes as a
 cold one, and that a second seed rebuilds no plan. Within one run, the
 oracle, the gate lists and the state before the first measurement are built
-once and every seed branches from that read-only state.
+once and every seed branches from that read-only state, and a stack of seeds
+stays on its support from its first measurement to its transcripts.
 """
 
 import dataclasses
@@ -392,6 +393,84 @@ def test_threads_branching_from_one_prefix_match_a_serial_run():
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert _prefix_digest(plan) == digest
+
+
+# --- after the first measurement a stack stays on its support
+
+
+@pytest.mark.parametrize("group, protocol", [("S4", "solvable"), ("D4", "nil2")])
+def test_a_stacked_run_writes_no_dense_array_after_its_first_measurement(monkeypatch, group, protocol):
+    """Every step between a 4-seed stack's first measurement and its
+    transcripts (corrections, symmetry probes, gated allocations, vertex
+    splits, edge merges and relabelings) keeps the support form: the only
+    dense arrays written for a register with a retired site are each
+    transcript's seed, densified once by its fidelity."""
+    plan = protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus())
+    written, scoring = [], []
+    amps, dense, fidelity = QuditRegister.amps, QuditRegister._dense, QuditRegister.fidelity
+
+    def record(reg):
+        if reg.retired:
+            written.append((reg, bool(scoring)))
+
+    def set_amps(reg, value):
+        record(reg)
+        amps.fset(reg, value)
+
+    def densify(reg):
+        if reg._support is not None:
+            record(reg)
+        return dense(reg)
+
+    def scored(reg, other):
+        scoring.append(reg)
+        try:
+            return fidelity(reg, other)
+        finally:
+            scoring.pop()
+
+    monkeypatch.setattr(QuditRegister, "amps", property(amps.fget, set_amps))
+    monkeypatch.setattr(QuditRegister, "_dense", densify)
+    monkeypatch.setattr(QuditRegister, "fidelity", scored)
+    transcripts = list(plan.run([kwmaps.KwMode.sample(seed) for seed in range(4)]))
+    assert all(during_fidelity and not reg.stacked for reg, during_fidelity in written)
+    # one scatter of the support form and one store per transcript
+    assert Counter(id(reg) for reg, _ in written) == Counter({id(t.register): 2 for t in transcripts})
+
+
+def test_the_last_corrections_and_the_edge_reassembly_hold_a_sliver_of_the_dense_stack(monkeypatch):
+    """tracemalloc over the 4-seed S4 stack's last correction layer and
+    _reassemble_edges: the stack is 4 x 13,824 = 55,296 amplitudes (884,736
+    bytes dense) with 96 nonzero. On the support form the two steps peak at
+    0.019-0.020 of the dense stack (17.1-17.7 kB over five runs); the dense
+    paths they replaced held 2.0-2.15 of it, each correction, merge and
+    relabeling writing a copy. The bound, 0.05, is 2.5x the measured value."""
+    plan = protocols.plan_run("solvable", CAT["S4"], hexagon_torus(), with_oracle=False)
+    assert plan.seeds == 4
+    corrections, reassemble = kwmaps._apply_corrections, protocols._reassemble_edges
+    layers, peaks = [], []
+
+    def traced_corrections(reg, plans, gate_of):
+        layers.append(reg)
+        if len(layers) == 3:  # the abelian round, the last of the three
+            tracemalloc.start()
+        return corrections(reg, plans, gate_of)
+
+    def traced_reassembly(reg, cell, systems):
+        try:
+            reassemble(reg, cell, systems)
+            peaks.append((tracemalloc.get_traced_memory()[1], reg.dims, reg._support[0].size))
+        finally:
+            tracemalloc.stop()
+
+    modes = [kwmaps.KwMode.sample(seed) for seed in range(4)]
+    list(plan.run(modes))  # the gate caches fill on a first run
+    monkeypatch.setattr(kwmaps, "_apply_corrections", traced_corrections)
+    monkeypatch.setattr(protocols, "_reassemble_edges", traced_reassembly)
+    list(plan.run(modes))
+    [(peak, dims, support)] = peaks
+    assert (int(np.prod(dims)), support) == (55_296, 96)
+    assert peak < 0.05 * 55_296 * 16
 
 
 # --- the register budget, checked before the oracle

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaugekit import register, verify
+from gaugekit import kwmaps, register, verify
 from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere, theta_sphere
 from gaugekit.groups import build_cyclic, catalog, catalog_factor_system
-from gaugekit.kwmaps import KwMode
+from gaugekit.kwmaps import KwMode, _seed_gate
 from gaugekit.protocols import plan_run
-from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _identity_state
+from gaugekit.register import SEED_SITE, LocalOperator, QuditRegister, SiteSpec, _identity_state
 from gaugekit.verify import stabilizer_report
 from reference import dense_measure_fourier, dense_stabilizer_report
 
@@ -181,7 +181,7 @@ def measured_registers(draw):
 
 
 def _retired(reg):
-    return {sid: (r.outcome, r.probability.hex()) for sid, r in reg.retired.items()}
+    return {sid: (r.outcomes, [p.hex() for p in r.probabilities]) for sid, r in reg.retired.items()}
 
 
 def _state(reg):
@@ -255,24 +255,116 @@ def _support_bits(reg):
     return None if reg._support is None else tuple(a.tobytes() for a in reg._support)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+def _signless(amps):
+    """The amplitudes' bytes with every zero spelled +0: a dense diagonal
+    writes -0 where 0 times a phase rounds so, where the support form has no
+    entry at all."""
+    return (np.ascontiguousarray(amps) + 0.0).tobytes()
+
+
+def _same_form_state(reg, ref):
+    """reg, in either form, holds ref's state: the support positions are
+    exactly the nonzero entries of the densified register, with its values,
+    bitwise; a dense reg is ref's array up to the sign of zero."""
+    assert (reg.layout, _retired(reg)) == (ref.layout, _retired(ref))
+    dense = np.ravel(ref.amps)
+    if reg._support is None:
+        assert _signless(reg._amps) == _signless(ref.amps)
+    else:
+        assert np.array_equal(reg._support[0], np.flatnonzero(dense))
+        assert reg._support[1].tobytes() == dense[reg._support[0]].tobytes()
+
+
+def _gate(rng, targets, dims, kind):
+    size = math.prod(dims[t] for t in targets)
+    if kind == "perm":
+        return LocalOperator(targets, "perm", rng.permutation(size))
+    return LocalOperator(targets, "diag", np.exp(2j * np.pi * rng.random(size)))
+
+
+def _targets(draw, live, most):
+    return draw(st.permutations(live))[: draw(st.integers(1, min(most, len(live))))]
+
+
+def _drawn_step(draw, rng, reg, fresh):
+    """A step that maps a basis state to one basis state times a phase, on
+    the live sites other than the seed site, as a callable on a register
+    and its result: a diagonal or permutation gate on one to three targets
+    in a drawn order; on a stack, a seed gate over one or two targets, a
+    seed row of a diagonal or a permutation, or the identity; a
+    relabeling, sometimes of a non-permutation; a merge with the second
+    site before or after the first; a split; or the symmetry probe on one
+    or two vertices of one or two sites each, which returns its residual
+    and what _require_symmetric raises. fresh names new sites."""
+    dims = dict(reg.layout)
+    live = [sid for sid in dims if sid != SEED_SITE]
+    kinds = ["diag", "perm", "relabel", "probe"] + ["seed"] * reg.stacked + ["merge"] * (len(live) > 1)
+    kinds += ["split"] * any(d in (4, 6, 8, 9) for sid, d in dims.items() if sid != SEED_SITE)
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("diag", "perm"):
+        op = _gate(rng, _targets(draw, live, 3), dims, kind)
+        return lambda r: r.apply(op) and None
+    if kind == "seed":
+        row_kind = draw(st.sampled_from(["diag", "perm"]))
+        targets = _targets(draw, live, 3 if row_kind == "diag" else 2)
+        rows = [_gate(rng, targets, dims, row_kind) if draw(st.booleans()) else None for _ in range(reg.seeds)]
+        rows[draw(st.integers(0, reg.seeds - 1))] = _gate(rng, targets, dims, row_kind)
+        op = _seed_gate(rows)
+        return lambda r: r.apply(op) and None
+    if kind == "relabel":
+        sid = draw(st.sampled_from(live))
+        image = rng.permutation(dims[sid]) if draw(st.integers(0, 3)) else np.zeros(dims[sid], dtype=np.int64)
+        return lambda r: r.relabel_site(sid, image)
+    if kind == "merge":
+        a, b = draw(st.permutations(live))[:2]
+        spec_ = SiteSpec(fresh(), "edge", build_cyclic(dims[a] * dims[b]))
+        return lambda r: r.merge_sites(a, b, spec_)
+    if kind == "split":
+        sid = draw(st.sampled_from([sid for sid in live if dims[sid] in (4, 6, 8, 9)]))
+        first = draw(st.sampled_from([k for k in (2, 3, 4) if dims[sid] % k == 0 and dims[sid] > k]))
+        halves = [SiteSpec(fresh(), "edge", build_cyclic(d)) for d in (first, dims[sid] // first)]
+        return lambda r: r.split_site(sid, *halves)
+    vertex = _targets(draw, live, 2)
+    joint = math.prod(dims[t] for t in vertex)
+    others = [(sid,) for sid in live if sid not in vertex and dims[sid] == joint]
+    vertices = [tuple(vertex)] + others[: draw(st.integers(0, min(1, len(others))))]
+    sources = rng.permutation(joint)
+
+    def probe(r):
+        residual = r.probe_residual([[r.pos(t) for t in v] for v in vertices], sources).hex()
+        return residual, _outcome(lambda: kwmaps._require_symmetric(r, build_cyclic(joint), vertices, "probe"))
+
+    return probe
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(st.data())
 def test_the_support_form_matches_a_register_densified_before_every_step_bitwise(data):
     """Random inputs on one to three cyclic sites (densities 1%, 50%, 100%
     and the zero state; sometimes constant, or summing to zero, along one
-    site in all or half of its columns), then twice a gated allocation
-    and sampled or forced measurements of drawn sites. At every step the
-    register in support form and the densified one agree on the outcome or
-    the error, the retired record and the generator state; the support
+    site in all or half of its columns), sometimes behind a seed site of one
+    to three seeds and sometimes starting in support form, then twice a
+    gated allocation followed by drawn steps: sampled or forced
+    measurements, diagonal and permutation gates, seed gates, relabelings,
+    merges, splits and the symmetry probe (_drawn_step). At every step the
+    register in either form and the densified one agree on the result or
+    the error, the retired record and the generator states; the support
     positions are exactly the nonzero entries of the dense state, with its
-    values; a rejected measurement leaves the positions and values bitwise
-    as they were; and the final amplitudes are bitwise equal. The size floor
-    is lifted or not, so the small registers read live columns too."""
+    values, bitwise; a rejected step leaves the positions and values
+    bitwise as they were; and the final amplitudes are bitwise equal up to
+    the sign of zero. The size floor is lifted or not, so the small
+    registers read live columns too. At a density of 1% most supports are
+    one position, so the one-value product of a diagonal is checked against
+    the dense product."""
     draw = data.draw
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     groups = [build_cyclic(d) for d in draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))]
-    sites, dims = [SiteSpec(("s", k), "edge", g) for k, g in enumerate(groups)], tuple(g.order for g in groups)
-    shape, axis = draw(st.sampled_from(["random", "plus", "minus"])), draw(st.integers(0, len(dims) - 1))
+    sites = [SiteSpec(("s", k), "edge", g) for k, g in enumerate(groups)]
+    seeds = draw(st.sampled_from([None, 1, 2, 3]))
+    if seeds is not None:
+        sites.insert(0, register._seed_spec(seeds))
+    dims, lead = tuple(s.dim for s in sites), int(seeds is not None)
+    shape, axis = draw(st.sampled_from(["random", "plus", "minus"])), draw(st.integers(lead, len(dims) - 1))
     raw = _amplitudes(rng, dims, draw(st.sampled_from(DENSITIES)), [k for k in range(len(dims)) if k != axis or shape == "random"])
     if shape != "random":  # in all or half of the live columns along axis: zero weights, exact zeros
         columns = rng.random([1 if k == axis else d for k, d in enumerate(dims)]) < draw(st.sampled_from([1.0, 0.5]))
@@ -280,8 +372,11 @@ def test_the_support_form_matches_a_register_densified_before_every_step_bitwise
         raw = np.where(columns, shaped, raw)
     reg = _stored(draw, sites, raw)
     ref = QuditRegister(list(reg.sites), reg.amps)
+    if draw(st.booleans()):
+        reg._positions()
     seed = draw(st.integers(0, 2**16))
-    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    gens = [[np.random.default_rng(seed + s) for s in range(reg.seeds)] for _ in range(2)]
+    names = iter(range(1000))
     floor = draw(st.sampled_from([0, register.LIVE_READ_MIN]))
     with mock.patch.object(register, "LIVE_READ_MIN", floor):
         for tag in ("n", "m"):
@@ -289,25 +384,91 @@ def test_the_support_form_matches_a_register_densified_before_every_step_bitwise
             reg.add_sites(new, _identity_state, gates)
             ref.amps  # densified before every step
             ref.add_sites(new, _identity_state, gates)
-            for _ in range(draw(st.integers(0, 3))):
-                if not reg.layout:
+            _same_form_state(reg, ref)
+            for _ in range(draw(st.integers(0, 6))):
+                live = [sid for sid, _ in reg.layout if sid != SEED_SITE]
+                if not live:
                     break
-                sid = draw(st.sampled_from([sid for sid, _ in reg.layout]))
-                forced = draw(st.none() | st.integers(0, reg.spec(sid).dim - 1))
-                kwargs = [{"forced": forced} if forced is not None else {"rng": r} for r in rngs]
+                if draw(st.integers(0, 2)) == 0:
+                    sid = draw(st.sampled_from(live))
+                    forced = draw(st.none() | st.integers(0, reg.spec(sid).dim - 1))
+                    if forced is not None:
+                        kwargs = [{"forced": forced if seeds is None else [forced] * seeds}] * 2
+                    else:
+                        kwargs = [{"rng": g[0] if seeds is None else g} for g in gens]
+                    steps = [lambda r, kw=kw: r.measure_fourier(sid, **kw) for kw in kwargs]
+                else:
+                    step = _drawn_step(draw, rng, reg, lambda: ("g", next(names)))
+                    steps = [step, step]
                 before = _support_bits(reg)
-                got = _outcome(lambda: reg.measure_fourier(sid, **kwargs[0]))
+                got = _outcome(lambda: steps[0](reg))
                 ref.amps
-                assert got == _outcome(lambda: ref.measure_fourier(sid, **kwargs[1]))
-                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-                assert (reg.layout, _retired(reg)) == (ref.layout, _retired(ref))
+                assert got == _outcome(lambda: steps[1](ref))
+                assert [[g.bit_generator.state for g in side] for side in gens] == [
+                    [g.bit_generator.state for g in gens[1]]
+                ] * 2
                 if got[0] == "raised":
                     assert _support_bits(reg) == before
-                if reg._support is not None:
-                    dense = np.ravel(ref.amps)
-                    assert np.array_equal(reg._support[0], np.flatnonzero(dense))
-                    assert reg._support[1].tobytes() == dense[reg._support[0]].tobytes()
-    assert np.ascontiguousarray(reg.amps).tobytes() == np.ascontiguousarray(ref.amps).tobytes()
+                _same_form_state(reg, ref)
+    assert _signless(reg.amps) == _signless(ref.amps)
+
+
+def _symmetric_register(group, perturb, eps, support_form):
+    """A state of two vertex sites of group and one Z2 spectator: the
+    invariant sum over x of |x, x> |0>, normalized, its |0, 0> |0> entry
+    raised by eps ("on the support") or eps written at |0, 1> |0>, which no
+    group element maps into the support ("off the support")."""
+    d = group.order
+    amps = np.zeros((d, d, 2), dtype=np.complex128)
+    amps[np.arange(d), np.arange(d), 0] = 1 / np.sqrt(d)
+    amps[(0, 0, 0) if perturb == "on" else (0, 1, 0)] += eps
+    sites = [SiteSpec(("v", 0), "vertex", group), SiteSpec(("v", 1), "vertex", group), SiteSpec("x", "edge", build_cyclic(2))]
+    reg = QuditRegister(sites, amps)
+    if support_form:
+        reg._positions()
+    return reg
+
+
+@pytest.mark.parametrize("perturb", ["on", "off"])
+@pytest.mark.parametrize("scale, moved", [(1 - 1e-4, False), (1 + 1e-4, True), (1e8, True)], ids=["below", "above", "far"])
+def test_the_support_probe_accepts_and_rejects_as_the_dense_probe(perturb, scale, moved):
+    """A perturbation of STATE_TOL times scale: just below the tolerance the
+    probe accepts, just above it and far above it it rejects naming
+    element 1, on the support form and on the densified register alike;
+    off the support the moved support is not the state's own."""
+    group = build_cyclic(3)
+    results = []
+    for support_form in (True, False):
+        reg = _symmetric_register(group, perturb, register.STATE_TOL * scale, support_form)
+        before = _support_bits(reg)
+        results.append(_outcome(lambda: kwmaps._require_symmetric(reg, group, [(("v", 0),), (("v", 1),)], "probe")))
+        assert (reg._support is not None, _support_bits(reg)) == (support_form, before)
+    assert results[0] == results[1]
+    if moved:
+        assert results[0] == (
+            "raised",
+            "probe: input is not invariant under the global left action (element 1 moves it); "
+            "the residual charge obstructs outcome repair",
+        )
+    else:
+        assert results[0] == ("ok", None)
+
+
+def test_the_support_probe_names_the_first_element_that_moves_the_state():
+    """|0> + |1> on a Z2xZ2 site is kept by element 1 and moved by element 2;
+    the support probe and the dense probe agree on every element's residual
+    bitwise and both name element 2."""
+    group = CAT["Z2xZ2"]
+    assert group.mult[1, 0] == 1 and group.mult[2, 0] == 2
+    local = np.zeros(4)
+    local[[0, 1]] = np.sqrt(0.5)
+    regs = [QuditRegister([SiteSpec(("v", 0), "vertex", group)], local) for _ in range(2)]
+    regs[0]._positions()
+    for g in range(1, 4):
+        sources = group.mult[group.inv[g]]
+        assert regs[0].probe_residual([[0]], sources).hex() == regs[1].probe_residual([[0]], sources).hex()
+    results = [_outcome(lambda: kwmaps._require_symmetric(reg, group, [(("v", 0),)], "probe")) for reg in regs]
+    assert results[0] == results[1] and "(element 2 moves it)" in results[0][1]
 
 
 # --- the premise: exact zeros off a small support ---------------------------------
