@@ -255,21 +255,23 @@ def _support_bits(reg):
     return None if reg._support is None else tuple(a.tobytes() for a in reg._support)
 
 
-def _signless(amps):
-    """The amplitudes' bytes with every zero spelled +0: a dense diagonal
-    writes -0 where 0 times a phase rounds so, where the support form has no
-    entry at all."""
-    return (np.ascontiguousarray(amps) + 0.0).tobytes()
+def _amplitude_bits(amps, signless):
+    """The amplitudes' bytes, with every zero spelled +0 if signless: a dense
+    diagonal writes -0 where 0 times a phase rounds so, where the support
+    form has no entry at all."""
+    amps = np.ascontiguousarray(amps)
+    return (amps + 0.0 if signless else amps).tobytes()
 
 
-def _same_form_state(reg, ref):
+def _same_form_state(reg, ref, signless):
     """reg, in either form, holds ref's state: the support positions are
     exactly the nonzero entries of the densified register, with its values,
-    bitwise; a dense reg is ref's array up to the sign of zero."""
+    bitwise; a dense reg is ref's array bitwise, up to the sign of zero if
+    signless."""
     assert (reg.layout, _retired(reg)) == (ref.layout, _retired(ref))
     dense = np.ravel(ref.amps)
     if reg._support is None:
-        assert _signless(reg._amps) == _signless(ref.amps)
+        assert _amplitude_bits(reg._amps, signless) == _amplitude_bits(ref.amps, signless)
     else:
         assert np.array_equal(reg._support[0], np.flatnonzero(dense))
         assert reg._support[1].tobytes() == dense[reg._support[0]].tobytes()
@@ -295,7 +297,8 @@ def _drawn_step(draw, rng, reg, fresh):
     relabeling, sometimes of a non-permutation; a merge with the second
     site before or after the first; a split; or the symmetry probe on one
     or two vertices of one or two sites each, which returns its residual
-    and what _require_symmetric raises. fresh names new sites."""
+    and what _require_symmetric raises. The callable comes second, after
+    whether the step multiplies by phases. fresh names new sites."""
     dims = dict(reg.layout)
     live = [sid for sid in dims if sid != SEED_SITE]
     kinds = ["diag", "perm", "relabel", "probe"] + ["seed"] * reg.stacked + ["merge"] * (len(live) > 1)
@@ -303,27 +306,27 @@ def _drawn_step(draw, rng, reg, fresh):
     kind = draw(st.sampled_from(kinds))
     if kind in ("diag", "perm"):
         op = _gate(rng, _targets(draw, live, 3), dims, kind)
-        return lambda r: r.apply(op) and None
+        return kind == "diag", lambda r: r.apply(op) and None
     if kind == "seed":
         row_kind = draw(st.sampled_from(["diag", "perm"]))
         targets = _targets(draw, live, 3 if row_kind == "diag" else 2)
         rows = [_gate(rng, targets, dims, row_kind) if draw(st.booleans()) else None for _ in range(reg.seeds)]
         rows[draw(st.integers(0, reg.seeds - 1))] = _gate(rng, targets, dims, row_kind)
         op = _seed_gate(rows)
-        return lambda r: r.apply(op) and None
+        return row_kind == "diag", lambda r: r.apply(op) and None
     if kind == "relabel":
         sid = draw(st.sampled_from(live))
         image = rng.permutation(dims[sid]) if draw(st.integers(0, 3)) else np.zeros(dims[sid], dtype=np.int64)
-        return lambda r: r.relabel_site(sid, image)
+        return False, lambda r: r.relabel_site(sid, image)
     if kind == "merge":
         a, b = draw(st.permutations(live))[:2]
         spec_ = SiteSpec(fresh(), "edge", build_cyclic(dims[a] * dims[b]))
-        return lambda r: r.merge_sites(a, b, spec_)
+        return False, lambda r: r.merge_sites(a, b, spec_)
     if kind == "split":
         sid = draw(st.sampled_from([sid for sid in live if dims[sid] in (4, 6, 8, 9)]))
         first = draw(st.sampled_from([k for k in (2, 3, 4) if dims[sid] % k == 0 and dims[sid] > k]))
         halves = [SiteSpec(fresh(), "edge", build_cyclic(d)) for d in (first, dims[sid] // first)]
-        return lambda r: r.split_site(sid, *halves)
+        return False, lambda r: r.split_site(sid, *halves)
     vertex = _targets(draw, live, 2)
     joint = math.prod(dims[t] for t in vertex)
     others = [(sid,) for sid in live if sid not in vertex and dims[sid] == joint]
@@ -334,7 +337,7 @@ def _drawn_step(draw, rng, reg, fresh):
         residual = r.probe_residual([[r.pos(t) for t in v] for v in vertices], sources).hex()
         return residual, _outcome(lambda: kwmaps._require_symmetric(r, build_cyclic(joint), vertices, "probe"))
 
-    return probe
+    return False, probe
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -351,9 +354,10 @@ def test_the_support_form_matches_a_register_densified_before_every_step_bitwise
     the error, the retired record and the generator states; the support
     positions are exactly the nonzero entries of the dense state, with its
     values, bitwise; a rejected step leaves the positions and values
-    bitwise as they were; and the final amplitudes are bitwise equal up to
-    the sign of zero. The size floor is lifted or not, so the small
-    registers read live columns too. At a density of 1% most supports are
+    bitwise as they were; and the final amplitudes are bitwise equal, up to
+    the sign of zero once a diagonal ran on the support form (where the
+    dense product writes -0, the support form holds no entry). The size
+    floor is lifted or not, so the small registers read live columns too. At a density of 1% most supports are
     one position, so the one-value product of a diagonal is checked against
     the dense product."""
     draw = data.draw
@@ -378,13 +382,14 @@ def test_the_support_form_matches_a_register_densified_before_every_step_bitwise
     gens = [[np.random.default_rng(seed + s) for s in range(reg.seeds)] for _ in range(2)]
     names = iter(range(1000))
     floor = draw(st.sampled_from([0, register.LIVE_READ_MIN]))
+    signless = False
     with mock.patch.object(register, "LIVE_READ_MIN", floor):
         for tag in ("n", "m"):
             new, gates = _allocation(draw, rng, reg, tag)
             reg.add_sites(new, _identity_state, gates)
             ref.amps  # densified before every step
             ref.add_sites(new, _identity_state, gates)
-            _same_form_state(reg, ref)
+            _same_form_state(reg, ref, signless)
             for _ in range(draw(st.integers(0, 6))):
                 live = [sid for sid, _ in reg.layout if sid != SEED_SITE]
                 if not live:
@@ -398,7 +403,8 @@ def test_the_support_form_matches_a_register_densified_before_every_step_bitwise
                         kwargs = [{"rng": g[0] if seeds is None else g} for g in gens]
                     steps = [lambda r, kw=kw: r.measure_fourier(sid, **kw) for kw in kwargs]
                 else:
-                    step = _drawn_step(draw, rng, reg, lambda: ("g", next(names)))
+                    phases, step = _drawn_step(draw, rng, reg, lambda: ("g", next(names)))
+                    signless |= phases and reg._support is not None
                     steps = [step, step]
                 before = _support_bits(reg)
                 got = _outcome(lambda: steps[0](reg))
@@ -409,8 +415,8 @@ def test_the_support_form_matches_a_register_densified_before_every_step_bitwise
                 ] * 2
                 if got[0] == "raised":
                     assert _support_bits(reg) == before
-                _same_form_state(reg, ref)
-    assert _signless(reg.amps) == _signless(ref.amps)
+                _same_form_state(reg, ref, signless)
+    assert _amplitude_bits(reg.amps, signless) == _amplitude_bits(ref.amps, signless)
 
 
 def _symmetric_register(group, perturb, eps, support_form):
