@@ -374,13 +374,10 @@ class QuditRegister:
 
     def __init__(self, sites: Sequence[SiteSpec], amplitudes: np.ndarray):
         self.sites: List[SiteSpec] = list(sites)
-        dims = tuple(s.dim for s in self.sites)
+        self._reindex()
         amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.shape != dims:
-            amps = amps.reshape(dims)
-        self.amps = amps
+        self.amps = amps if amps.shape == self.dims else amps.reshape(self.dims)
         self.retired: Dict[Hashable, _Retired] = {}
-        self._index: Dict[Hashable, int] = {s.sid: k for k, s in enumerate(self.sites)}
         if len(self._index) != len(self.sites):
             raise ValueError("duplicate site ids")
 
@@ -397,11 +394,9 @@ class QuditRegister:
         return self.sites[self.pos(sid)]
 
     def _reindex(self) -> None:
-        self._index = {s.sid: k for k, s in enumerate(self.sites)}
-
-    @property
-    def dims(self) -> Tuple[int, ...]:
-        return tuple(s.dim for s in self.sites)
+        """The site index and dims, rebuilt on every change to the site list."""
+        self._index: Dict[Hashable, int] = {s.sid: k for k, s in enumerate(self.sites)}
+        self.dims: Tuple[int, ...] = tuple(s.dim for s in self.sites)
 
     @property
     def amps(self) -> np.ndarray:
@@ -809,9 +804,9 @@ class QuditRegister:
         if spec_a.dim * spec_b.dim != d:
             raise ValueError("split dimensions do not factor the site")
         self.sites[pos : pos + 1] = [spec_a, spec_b]
+        self._reindex()
         if self._support is None:
             self.amps = self._amps.reshape(self.dims)
-        self._reindex()
 
     def probe_residual(self, vertices: Sequence[Sequence[int]], sources: np.ndarray) -> float:
         """max |probe - state| over every amplitude, where probe reads the

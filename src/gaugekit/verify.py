@@ -9,7 +9,10 @@ ground_state_degeneracy counts the joint rank of the projectors as the
 gauge orbits of flat edge labellings and is cross-checked by an independent
 commuting-pair orbit count, and check_identity materializes both sides of
 every operator identity the gauging maps rely on and reports the largest
-entry difference.
+entry difference. A g-indexed identity runs on a generating set only: g
+enters each side only through a homomorphism from G to permutations (L_g,
+R_g, A_v^g, the column and quotient shifts), two of which agree on G when
+they agree on its generators, and each deviation is 0 or one constant.
 """
 
 from __future__ import annotations
@@ -93,6 +96,23 @@ def _real(value: complex, what: str) -> float:
     if abs(value.imag) > EXPECTATION_IMAG_TOL:
         raise ValueError(f"{what} expectation {value} is off the real axis beyond {EXPECTATION_IMAG_TOL}")
     return float(value.real)
+
+
+@lru_cache(maxsize=16)
+def _generating_set(g_group: FiniteGroup) -> Tuple[int, ...]:
+    """A small generating set of g_group: greedily the element of largest
+    order, then of smallest label, that the set so far does not generate.
+    Built once per group table."""
+    gens: List[int] = []
+    span = {0}
+    for a in sorted(g_group.elements(), key=lambda x: (-g_group.element_order(x), x)):
+        if a in span:
+            continue
+        gens.append(a)
+        span = set(generated_subgroup(g_group, gens).members)
+        if len(span) == g_group.order:
+            break
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -341,23 +361,6 @@ def _stabilizer_diagonals(g_group: FiniteGroup, cell: Cellulation, edges: Tuple[
 # ground state degeneracy
 
 
-@lru_cache(maxsize=16)
-def _generating_set(g_group: FiniteGroup) -> Tuple[int, ...]:
-    """A small generating set of g_group: greedily the element of largest
-    order, then of smallest label, that the set so far does not generate.
-    Built once per group table."""
-    gens: List[int] = []
-    span = {0}
-    for a in sorted(g_group.elements(), key=lambda x: (-g_group.element_order(x), x)):
-        if a in span:
-            continue
-        gens.append(a)
-        span = set(generated_subgroup(g_group, gens).members)
-        if len(span) == g_group.order:
-            break
-    return tuple(gens)
-
-
 def ground_state_degeneracy(g_group: FiniteGroup, cell: Cellulation) -> int:
     """Number of gauge orbits of flat edge labellings.
 
@@ -493,7 +496,7 @@ def _check_left_action_gauged_away(g_group: FiniteGroup, cell: Cellulation) -> f
     rows = _flat_labels(labels, dims, _edge_order(cell))
     grids = _column_grids(g_group.order, cell.n_vertices)
     worst = 0.0
-    for g in range(1, g_group.order):
+    for g in _generating_set(g_group):
         perm = np.ravel_multi_index(g_group.mult[g, grids], (g_group.order,) * cell.n_vertices)
         worst = max(worst, _pure_deviation(rows[perm], scale, rows, scale))
     return worst
@@ -508,7 +511,7 @@ def _check_right_action_becomes_vertex_term(g_group: FiniteGroup, cell: Cellulat
     worst = 0.0
     for v in range(cell.n_vertices):
         tables = _vertex_tables(g_group, cell, v)
-        for g in range(1, d):
+        for g in _generating_set(g_group):
             mapped = grids.copy()
             mapped[v] = g_group.mult[grids[v], g_group.inv[g]]
             perm = np.ravel_multi_index(mapped, (d,) * cell.n_vertices)
@@ -548,7 +551,7 @@ def _check_quotient_symmetry_survives(fs: FactorSystem, cell: Cellulation) -> fl
     parent, q_grp = fs.parent, fs.q_group
     grids = _column_grids(parent.order, cell.n_vertices)
     worst = 0.0
-    for g in range(1, parent.order):
+    for g in _generating_set(parent):
         perm = np.ravel_multi_index(parent.mult[g, grids], (parent.order,) * cell.n_vertices)
         shifted = dict(labels)
         for v in range(cell.n_vertices):
@@ -588,10 +591,12 @@ def _conjugation_deviation(lhs_image: np.ndarray, rhs_image: np.ndarray) -> floa
 
 
 def _pair_identity(entangler, inner: str, outer: str) -> Callable[[FiniteGroup, Cellulation], float]:
-    """Check E+ (X (x) Y) E = X' (x) Y' for every g != e, with the factors spelled
-    as two letters for the pair (a, b): L is left_mult(g), R is right_mult(g),
-    1 the identity. The pair labels and the entangler's images are built once
-    per check; none of them depends on g."""
+    """Check E+ (X (x) Y) E = X' (x) Y' for every g in G, with the factors
+    spelled as two letters for the pair (a, b): L is left_mult(g), R is
+    right_mult(g), 1 the identity. L and R are left actions, so both sides are
+    homomorphisms from G to permutations of the pair and agree on G when they
+    agree on the generators (_generating_set), the only g built. The pair
+    labels and the entangler's images do not depend on g."""
     letters = set(inner + outer)
 
     def check(g_group: FiniteGroup, cell: Cellulation) -> float:
@@ -605,7 +610,7 @@ def _pair_identity(entangler, inner: str, outer: str) -> Callable[[FiniteGroup, 
             return x * d + y
 
         worst = 0.0
-        for g in range(1, d):
+        for g in _generating_set(g_group):
             images = {}
             if "L" in letters:
                 images["L"] = left_mult(g_group, g, "x").image

@@ -31,7 +31,10 @@ matrix, and split_left_mult is L^g on a split vertex built from the factor
 system's own formula, the reference the split-vertex symmetry probes are
 pinned to. walk_sign, nontrivial, conjugacy_classes, is_trivial and
 irrep_by_label are small queries on the program's records that only the
-tests ask.
+tests ask. The all_element_* checks are verify's g-indexed identities as a
+loop over every g != e, from the same pure columns, actions and deviation
+constants; verify loops over a generating set only, and must give the same
+bits.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from gaugekit.register import (
     QuditRegister,
     SiteSpec,
     _edge_site,
+    _flat_labels,
     _fourier_matrix,
     _identity_state,
     _overlap,
@@ -80,8 +84,15 @@ from gaugekit.register import (
 from gaugekit.verify import (
     GSD_DIM_BUDGET,
     StabilizerReport,
+    _column_grids,
+    _conjugation_deviation,
+    _edge_order,
     _generating_set,
+    _pure_deviation,
+    _pure_kw_g,
+    _pure_kw_n,
     _real,
+    _split_row_order,
     _stabilizer_diagonals,
     _vertex_tables,
 )
@@ -467,6 +478,95 @@ def dense_projector_rank(g_group: FiniteGroup, cell: Cellulation) -> int:
     if loose.size:
         raise ValueError(f"projector spectrum has {loose.size} values away from 0 and 1")
     return int(np.count_nonzero(eigs >= 1 - 1e-8))
+
+
+# ---------------------------------------------------------------------------
+# g-indexed identities over every element
+
+
+def all_element_left_action_gauged_away(g_group: FiniteGroup, cell: Cellulation) -> float:
+    labels, dims, scale = _pure_kw_g(g_group, cell)
+    rows = _flat_labels(labels, dims, _edge_order(cell))
+    grids = _column_grids(g_group.order, cell.n_vertices)
+    worst = 0.0
+    for g in range(1, g_group.order):
+        perm = np.ravel_multi_index(g_group.mult[g, grids], (g_group.order,) * cell.n_vertices)
+        worst = max(worst, _pure_deviation(rows[perm], scale, rows, scale))
+    return worst
+
+
+def all_element_right_action_becomes_vertex_term(g_group: FiniteGroup, cell: Cellulation) -> float:
+    labels, dims, scale = _pure_kw_g(g_group, cell)
+    order = _edge_order(cell)
+    rows = _flat_labels(labels, dims, order)
+    grids = _column_grids(g_group.order, cell.n_vertices)
+    d = g_group.order
+    worst = 0.0
+    for v in range(cell.n_vertices):
+        tables = _vertex_tables(g_group, cell, v)
+        for g in range(1, d):
+            mapped = grids.copy()
+            mapped[v] = g_group.mult[grids[v], g_group.inv[g]]
+            perm = np.ravel_multi_index(mapped, (d,) * cell.n_vertices)
+            moved = dict(labels)
+            for e, table in tables:
+                moved[_edge_site(e)] = table[g][moved[_edge_site(e)]]
+            worst = max(worst, _pure_deviation(rows[perm], scale, _flat_labels(moved, dims, order), scale))
+    return worst
+
+
+def all_element_quotient_symmetry_survives(fs: FactorSystem, cell: Cellulation) -> float:
+    labels, dims, scale = _pure_kw_n(fs, cell)
+    order = _split_row_order(cell)
+    rows = _flat_labels(labels, dims, order)
+    parent, q_grp = fs.parent, fs.q_group
+    grids = _column_grids(parent.order, cell.n_vertices)
+    worst = 0.0
+    for g in range(1, parent.order):
+        perm = np.ravel_multi_index(parent.mult[g, grids], (parent.order,) * cell.n_vertices)
+        shifted = dict(labels)
+        for v in range(cell.n_vertices):
+            shifted[("q", v)] = q_grp.mult[fs.proj[g], labels[("q", v)]]
+        worst = max(worst, _pure_deviation(rows[perm], scale, _flat_labels(shifted, dims, order), scale))
+    return worst
+
+
+def all_element_pair_identity(entangler, inner: str, outer: str) -> Callable[[FiniteGroup, Cellulation], float]:
+    """E+ (X (x) Y) E = X' (x) Y' checked on every g != e, with verify's
+    spelling: L is left_mult(g), R is right_mult(g), 1 the identity."""
+
+    def check(g_group: FiniteGroup, cell: Cellulation) -> float:
+        d = g_group.order
+        a, b = _joint2(d, d)
+        op = entangler(g_group, "a", "b")
+        ent, ent_inv = op.image, op.dagger().image
+        worst = 0.0
+        for g in range(1, d):
+            images = {"L": left_mult(g_group, g, "x").image, "R": right_mult(g_group, g, "x").image}
+
+            def pair(spelling: str) -> np.ndarray:
+                x, y = (labels if f == "1" else images[f][labels] for f, labels in zip(spelling, (a, b)))
+                return x * d + y
+
+            worst = max(worst, _conjugation_deviation(ent_inv[pair(inner)[ent]], pair(outer)))
+        return worst
+
+    return check
+
+
+# every identity of verify that is indexed by a group element, as a loop over
+# the whole group: the reference for verify's loop over a generating set
+ALL_ELEMENT_GROUP_IDENTITIES: Dict[str, Callable[[FiniteGroup, Cellulation], float]] = {
+    "left_action_gauged_away": all_element_left_action_gauged_away,
+    "right_action_becomes_vertex_term": all_element_right_action_becomes_vertex_term,
+    "cl_absorbs_left_multiplication": all_element_pair_identity(controlled_left, "LL", "L1"),
+    "cr_absorbs_left_multiplication": all_element_pair_identity(controlled_right, "LR", "L1"),
+    "cl_spreads_right_multiplication": all_element_pair_identity(controlled_left, "R1", "RL"),
+    "cr_spreads_right_multiplication": all_element_pair_identity(controlled_right, "R1", "RR"),
+}
+ALL_ELEMENT_SYSTEM_IDENTITIES: Dict[str, Callable[[FactorSystem, Cellulation], float]] = {
+    "quotient_symmetry_survives": all_element_quotient_symmetry_survives,
+}
 
 
 # ---------------------------------------------------------------------------

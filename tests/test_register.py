@@ -411,6 +411,41 @@ def test_merge_then_split_round_trip():
     assert np.abs(reg.amps - np.moveaxis(before, 2, 1)).max() < GATE_TOL
 
 
+@pytest.mark.parametrize("support", [False, True], ids=["dense", "support"])
+def test_dims_follow_every_change_to_the_site_list(support):
+    """dims is stored and rebuilt with the site index, so it must equal the
+    live sites' dimensions after every step that changes the site list."""
+    z2, z3, z6 = build_cyclic(2), build_cyclic(3), build_cyclic(6)
+    base = init_plus([SiteSpec("a", "edge", z2), SiteSpec("b", "edge", z3)])
+    if support:
+        base._positions()
+    seen = []
+
+    def check(reg):
+        assert reg.dims == tuple(s.dim for s in reg.sites)
+        assert reg._dense().shape == reg.dims
+        seen.append(reg.dims)
+
+    stack = base.stack(3)
+    check(stack)
+    reg = stack.seed(1)
+    check(reg)
+    reg.add_sites([SiteSpec("c", "edge", z2)], _identity_state, [controlled_left(z2, "a", "c")])
+    check(reg)
+    reg.merge_sites("b", "a", SiteSpec("ba", "edge", z6))
+    check(reg)
+    reg.split_site("ba", SiteSpec("b", "edge", z3), SiteSpec("a", "edge", z2))
+    check(reg)
+    reg.measure_fourier("c", np.random.default_rng(0))
+    check(reg)
+    reg.add_sites([SiteSpec("p", "plaquette", z3)], lambda s: np.full(3, 1 / np.sqrt(3)))
+    check(reg)
+    reg.project_plus("p")
+    check(reg)
+    assert seen == [(3, 2, 3), (2, 3), (2, 3, 2), (6, 2), (3, 2, 2), (3, 2), (3, 2, 3), (3, 2)]
+    assert base.dims == (2, 3)
+
+
 def test_merge_respects_label_order_when_b_precedes_a():
     z2 = build_cyclic(2)
     z4 = build_cyclic(4)

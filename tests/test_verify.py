@@ -24,11 +24,12 @@ from gaugekit.groups import (
     commutator_subgroup,
     factor_system_of,
     generated_subgroup,
+    group_from_spec,
     irrep_table,
 )
 from gaugekit.gates import controlled_left, controlled_right, left_mult, right_mult
 from gaugekit.kwmaps import kw_exact_g
-from gaugekit.register import DiagonalOperator, QuditRegister, SiteSpec, init_plus
+from gaugekit.register import DiagonalOperator, LocalOperator, QuditRegister, SiteSpec, init_plus
 from gaugekit.verify import (
     GSD_DIM_BUDGET,
     StabilizerReport,
@@ -551,6 +552,138 @@ def test_pair_identities_fail_with_the_other_entangler():
     for entangler, inner, outer in spellings:
         assert verify._pair_identity(entangler, inner, outer)(CAT["S3"], hexagon_torus()) == 0.0
         assert verify._pair_identity(swapped[entangler], inner, outer)(CAT["S3"], hexagon_torus()) == 1.0
+
+
+# the g-indexed identities run on a generating set; the all-element loops of
+# tests/reference.py are the slow path they must match bit for bit
+CROSS_CHECK_GROUPS = {**CAT, "Z2xZ4": group_from_spec("Z2xZ4")}
+CROSS_CHECK_CELLS = [hexagon_torus, theta_sphere, theta_sphere_reversed, two_vertex_graph]
+
+
+def both_paths(check, all_element_check, subject, cell):
+    """The deviation bits of a generating-set check and of its all-element
+    loop; every group here fits COLUMN_BUDGET on every cross-check cell."""
+    return float(check(subject, cell)).hex(), float(all_element_check(subject, cell)).hex()
+
+
+def test_every_g_indexed_identity_has_an_all_element_loop():
+    assert set(reference.ALL_ELEMENT_GROUP_IDENTITIES) <= set(GROUP_IDENTITY_NAMES)
+    assert set(reference.ALL_ELEMENT_SYSTEM_IDENTITIES) <= set(SYSTEM_IDENTITY_NAMES)
+    assert len(reference.ALL_ELEMENT_GROUP_IDENTITIES) + len(reference.ALL_ELEMENT_SYSTEM_IDENTITIES) == 7
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_GROUPS))
+def test_group_identities_match_the_all_element_loops(name):
+    g = CROSS_CHECK_GROUPS[name]
+    for make_cell in CROSS_CHECK_CELLS:
+        cell = make_cell()
+        for ident, all_element in reference.ALL_ELEMENT_GROUP_IDENTITIES.items():
+            fast, slow = both_paths(verify._GROUP_IDENTITIES[ident], all_element, g, cell)
+            assert fast == slow == (0.0).hex(), (ident, cell.name)
+
+
+@pytest.mark.parametrize("label", ["S3", "D4", "Q8", "A4/V4", "S4/A4"])
+def test_quotient_identity_matches_the_all_element_loop(label):
+    fs = catalog_systems()[label]
+    for make_cell in CROSS_CHECK_CELLS:
+        cell = make_cell()
+        for ident, all_element in reference.ALL_ELEMENT_SYSTEM_IDENTITIES.items():
+            fast, slow = both_paths(verify._SYSTEM_IDENTITIES[ident], all_element, fs, cell)
+            assert fast == slow == (0.0).hex(), (ident, cell.name)
+
+
+def swapped_controlled_left(group, c_sid, t_sid):
+    """CL with the images of |0, 0> and |0, 1> exchanged: still a permutation."""
+    op = controlled_left(group, c_sid, t_sid)
+    image = op.image.copy()
+    image[[0, 1]] = image[[1, 0]]
+    return LocalOperator(op.targets, "perm", image, name="CL swapped")
+
+
+def test_a_broken_entangler_reads_the_same_on_both_paths():
+    for name, g in CROSS_CHECK_GROUPS.items():
+        if g.order == 1:
+            continue
+        for inner, outer in [("LL", "L1"), ("R1", "RL")]:
+            fast = verify._pair_identity(swapped_controlled_left, inner, outer)(g, hexagon_torus())
+            slow = reference.all_element_pair_identity(swapped_controlled_left, inner, outer)(g, hexagon_torus())
+            assert fast.hex() == slow.hex() == (1.0).hex(), (name, inner, outer)
+
+
+def test_an_entangler_broken_off_the_first_generator_reads_the_same_on_both_paths():
+    """E = (1 (x) L^k) CL takes E+ (L^g (x) L^g) E to L^g (x) L^(k^-1 g k), so
+    cl_absorbs_left_multiplication holds exactly for g in the centralizer of
+    k. With k the first generator of a non-abelian group the first generator
+    passes and the second fails: the generating-set loop must reach it."""
+    for name, g in CROSS_CHECK_GROUPS.items():
+        if g.is_abelian:
+            continue
+        k = verify._generating_set(g)[0]
+
+        def shifted_cl(group, c_sid, t_sid):
+            a, b = np.divmod(np.arange(group.order**2), group.order)
+            return LocalOperator([c_sid, t_sid], "perm", a * group.order + group.mult[k, group.mult[a, b]])
+
+        fast = verify._pair_identity(shifted_cl, "LL", "L1")(g, hexagon_torus())
+        slow = reference.all_element_pair_identity(shifted_cl, "LL", "L1")(g, hexagon_torus())
+        assert fast.hex() == slow.hex() == (1.0).hex(), name
+
+
+def test_a_dropped_wall_gate_reads_the_same_on_both_paths(monkeypatch):
+    true_gates = verify._wall_gates
+    monkeypatch.setattr(verify, "_wall_gates", lambda *args: true_gates(*args)[1:])
+    cell = hexagon_torus()
+    for name, g in CROSS_CHECK_GROUPS.items():
+        if g.order == 1:
+            continue
+        seen = []
+        for ident, all_element in reference.ALL_ELEMENT_GROUP_IDENTITIES.items():
+            fast, slow = both_paths(verify._GROUP_IDENTITIES[ident], all_element, g, cell)
+            assert fast == slow, (name, ident)
+            seen.append(float.fromhex(fast))
+        # a failing pure-column check reads the columns' common amplitude
+        assert max(seen) == verify._pure_kw_g(g, cell)[2], name
+    for label, fs in catalog_systems().items():
+        fast, slow = both_paths(
+            verify._check_quotient_symmetry_survives, reference.all_element_quotient_symmetry_survives, fs, cell
+        )
+        assert fast == slow == verify._pure_kw_n(fs, cell)[2].hex(), label
+
+
+def test_pair_identities_build_the_gates_of_a_generating_set_only(monkeypatch):
+    """On A5 each pair identity builds L^g and R^g for the two generators,
+    not for the 59 elements g != e."""
+    g = CAT["A5"]
+    gens = verify._generating_set(g)
+    assert len(gens) == 2
+    built = []
+    for letter, gate in [("L", left_mult), ("R", right_mult)]:
+
+        def spy(group, h, sid, letter=letter, gate=gate):
+            built.append((letter, h))
+            return gate(group, h, sid)
+
+        monkeypatch.setattr(verify, gate.__name__, spy)
+    for ident, letters in [
+        ("cl_absorbs_left_multiplication", "L"),
+        ("cr_absorbs_left_multiplication", "LR"),
+        ("cl_spreads_right_multiplication", "LR"),
+        ("cr_spreads_right_multiplication", "R"),
+    ]:
+        built.clear()
+        assert check_identity(ident, g, hexagon_torus()) == 0.0
+        assert sorted(built) == sorted((letter, h) for letter in letters for h in gens), ident
+
+
+def test_catalog_identity_suite_finds_one_generating_set_per_group():
+    verify._generating_set.cache_clear()
+    cell = hexagon_torus()
+    for name, g in CAT.items():
+        systems = {name: catalog_factor_system(name)} if name in ("S3", "D4", "Q8") else {}
+        identity_suite(cell, groups={name: g}, systems=systems)
+    info = verify._generating_set.cache_info()
+    assert info.misses == len(CAT)
+    assert info.hits > 0
 
 
 def test_wall_pushthrough_orientation_on_higher_genus_cells():
