@@ -13,11 +13,16 @@ entry difference. A g-indexed identity runs on a generating set only: g
 enters each side only through a homomorphism from G to permutations (L_g,
 R_g, A_v^g, the column and quotient shifts), two of which agree on G when
 they agree on its generators, and each deviation is 0 or one constant.
+identity_suite builds each pure gauging map once per subject and gives it,
+read-only, to every check of that call (_PureMaps); no map outlives the
+call, and a direct check_identity call builds its own. The plaquette-loop
+identity reads the loop diagonals of the stabilizer report's tables, and
+the decorated-wall push-through sweeps its columns in blocks, each value
+bitwise that of one column at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -84,9 +89,9 @@ DENSE_CHECK_BUDGET = 5_000_000
 WORK_BUDGET = 20_000_000
 # basis columns for the pure-column identity checks
 COLUMN_BUDGET = 2_000_000
-# entries of the widest array one block of the stabilizer report builds, rows
-# per (term, support position), which bounds its transient on the support of a
-# dense state
+# entries of the widest array one block builds: rows per (term, support
+# position) in the stabilizer report, which bounds its transient on the support
+# of a dense state, and joint edge labels per column in the decorated-wall sweep
 SUPPORT_CHUNK = 1 << 14
 
 EXPECTATION_IMAG_TOL = 1e-10
@@ -479,6 +484,36 @@ def _pure_kw_n(fs: FactorSystem, cell: Cellulation) -> Tuple[Dict, Dict, float]:
     return labels, dims, math.prod([dn**-0.5] * n_v)
 
 
+class _PureMaps:
+    """The pure gauging maps of one cell, each built on first use and kept
+    as long as this object: identity_suite makes one per call and gives it
+    to every check, and a direct check_identity call makes its own, so no
+    map outlives a suite. A map is keyed by its subject, whose tables are
+    all it reads, so a factor system's parent shares the map of an equal
+    group. Its label arrays are read-only, and each call hands out fresh
+    dicts, which a check may extend."""
+
+    def __init__(self, cell: Cellulation):
+        self.cell = cell
+        self._built: Dict[Hashable, Tuple[Dict, Dict, float]] = {}
+
+    def kw_g(self, g_group: FiniteGroup) -> Tuple[Dict, Dict, float]:
+        return self._get(_pure_kw_g, g_group)
+
+    def kw_n(self, fs: FactorSystem) -> Tuple[Dict, Dict, float]:
+        return self._get(_pure_kw_n, fs)
+
+    def _get(self, build, subject) -> Tuple[Dict, Dict, float]:
+        key = build, subject
+        if key not in self._built:
+            labels, dims, scale = build(subject, self.cell)
+            for array in labels.values():
+                array.setflags(write=False)
+            self._built[key] = labels, dims, scale
+        labels, dims, scale = self._built[key]
+        return dict(labels), dict(dims), scale
+
+
 def _edge_order(cell: Cellulation) -> List[Hashable]:
     return [_edge_site(e) for e in range(cell.n_edges)]
 
@@ -491,8 +526,10 @@ def _split_row_order(cell: Cellulation) -> List[Hashable]:
 # identity checks
 
 
-def _check_left_action_gauged_away(g_group: FiniteGroup, cell: Cellulation) -> float:
-    labels, dims, scale = _pure_kw_g(g_group, cell)
+def _check_left_action_gauged_away(
+    g_group: FiniteGroup, cell: Cellulation, maps: Optional[_PureMaps] = None
+) -> float:
+    labels, dims, scale = (maps or _PureMaps(cell)).kw_g(g_group)
     rows = _flat_labels(labels, dims, _edge_order(cell))
     grids = _column_grids(g_group.order, cell.n_vertices)
     worst = 0.0
@@ -502,8 +539,10 @@ def _check_left_action_gauged_away(g_group: FiniteGroup, cell: Cellulation) -> f
     return worst
 
 
-def _check_right_action_becomes_vertex_term(g_group: FiniteGroup, cell: Cellulation) -> float:
-    labels, dims, scale = _pure_kw_g(g_group, cell)
+def _check_right_action_becomes_vertex_term(
+    g_group: FiniteGroup, cell: Cellulation, maps: Optional[_PureMaps] = None
+) -> float:
+    labels, dims, scale = (maps or _PureMaps(cell)).kw_g(g_group)
     order = _edge_order(cell)
     rows = _flat_labels(labels, dims, order)
     grids = _column_grids(g_group.order, cell.n_vertices)
@@ -522,30 +561,38 @@ def _check_right_action_becomes_vertex_term(g_group: FiniteGroup, cell: Cellulat
     return worst
 
 
-def _loops_carry_irrep_dimension(subject, cell: Cellulation, irrep_group: FiniteGroup, pure_map, loop) -> float:
-    """Every irrep loop diagonal, read on every column of the pure gauging map,
-    equals the irrep dimension; loop(irrep, walk) builds the diagonal."""
-    if not cell.plaquettes:
-        raise ValueError("needs a cellulation with plaquettes")
-    table = irrep_table(irrep_group)
-    labels, dims, scale = pure_map(subject, cell)
+def _loop_deviation(pure: Tuple[Dict, Dict, float], irrep_loops) -> float:
+    """How far the irrep loop diagonals, read on every column of a pure
+    gauging map, are from the irrep dimension, in units of the columns'
+    common amplitude; irrep_loops pairs each irrep with its loops, in
+    plaquette order."""
+    labels, dims, scale = pure
     worst = 0.0
-    for irrep in table.irreps:
-        for p in range(cell.n_plaquettes):
-            op = loop(irrep, cell.plaquettes[p])
+    for irrep, ops in irrep_loops:
+        for op in ops:
             traces = op.diag[_flat_labels(labels, dims, op.targets)]
             worst = max(worst, scale * float(np.abs(traces - irrep.dim).max()))
     return worst
 
 
-def _check_plaquette_loops_carry_irrep_dimension(g_group: FiniteGroup, cell: Cellulation) -> float:
-    return _loops_carry_irrep_dimension(
-        g_group, cell, g_group, _pure_kw_g, lambda irrep, walk: loop_z(irrep, walk, cell)
-    )
+def _check_plaquette_loops_carry_irrep_dimension(
+    g_group: FiniteGroup, cell: Cellulation, maps: Optional[_PureMaps] = None
+) -> float:
+    """Every plaquette's irrep loop equals the irrep dimension on every column
+    of the gauging map; the loops are the diagonals the stabilizer report
+    reads (_stabilizer_diagonals)."""
+    if not cell.plaquettes:
+        raise ValueError("needs a cellulation with plaquettes")
+    irreps = irrep_table(g_group).irreps
+    pure = (maps or _PureMaps(cell)).kw_g(g_group)
+    terms = _stabilizer_diagonals(g_group, cell, tuple(_edge_order(cell)))
+    return _loop_deviation(pure, zip(irreps, (ops for _, ops in terms.loops), strict=True))
 
 
-def _check_quotient_symmetry_survives(fs: FactorSystem, cell: Cellulation) -> float:
-    labels, dims, scale = _pure_kw_n(fs, cell)
+def _check_quotient_symmetry_survives(
+    fs: FactorSystem, cell: Cellulation, maps: Optional[_PureMaps] = None
+) -> float:
+    labels, dims, scale = (maps or _PureMaps(cell)).kw_n(fs)
     order = _split_row_order(cell)
     rows = _flat_labels(labels, dims, order)
     parent, q_grp = fs.parent, fs.q_group
@@ -560,15 +607,26 @@ def _check_quotient_symmetry_survives(fs: FactorSystem, cell: Cellulation) -> fl
     return worst
 
 
-def _check_dressed_loops_carry_irrep_dimension(fs: FactorSystem, cell: Cellulation) -> float:
-    return _loops_carry_irrep_dimension(
-        fs, cell, fs.n_group, _pure_kw_n,
-        lambda irrep, walk: loop_z_tilde(fs, irrep, walk, cell, lambda v: ("q", v), _edge_site),
-    )
+def _check_dressed_loops_carry_irrep_dimension(
+    fs: FactorSystem, cell: Cellulation, maps: Optional[_PureMaps] = None
+) -> float:
+    """Every plaquette's dressed subgroup-irrep loop equals the irrep dimension
+    on every column of the subgroup gauging map."""
+    if not cell.plaquettes:
+        raise ValueError("needs a cellulation with plaquettes")
+    irreps = irrep_table(fs.n_group).irreps
+    pure = (maps or _PureMaps(cell)).kw_n(fs)
+    def loops(irrep):
+        return (loop_z_tilde(fs, irrep, walk, cell, lambda v: ("q", v), _edge_site) for walk in cell.plaquettes)
+
+    return _loop_deviation(pure, ((irrep, loops(irrep)) for irrep in irreps))
 
 
-def _check_two_step_composition(fs: FactorSystem, cell: Cellulation) -> float:
-    labels, dims, scale = _pure_kw_n(fs, cell)
+def _check_two_step_composition(
+    fs: FactorSystem, cell: Cellulation, maps: Optional[_PureMaps] = None
+) -> float:
+    maps = maps or _PureMaps(cell)
+    labels, dims, scale = maps.kw_n(fs)
     dq = fs.q_group.order
     for e in range(cell.n_edges):
         labels[("qe", e)], dims[("qe", e)] = np.zeros_like(labels[("e", e)]), dq
@@ -576,7 +634,7 @@ def _check_two_step_composition(fs: FactorSystem, cell: Cellulation) -> float:
     to_parent = np.argsort(parent_to_pair(fs))
     for e in range(cell.n_edges):
         labels[("e", e)] = to_parent[labels[("e", e)] * dq + labels[("qe", e)]]
-    full_labels, full_dims, full_scale = _pure_kw_g(fs.parent, cell)
+    full_labels, full_dims, full_scale = maps.kw_g(fs.parent)
     order = _edge_order(cell)
     return _pure_deviation(
         _flat_labels(labels, full_dims, order),
@@ -599,7 +657,7 @@ def _pair_identity(entangler, inner: str, outer: str) -> Callable[[FiniteGroup, 
     labels and the entangler's images do not depend on g."""
     letters = set(inner + outer)
 
-    def check(g_group: FiniteGroup, cell: Cellulation) -> float:
+    def check(g_group: FiniteGroup, cell: Cellulation, maps: Optional[_PureMaps] = None) -> float:
         d = g_group.order
         a, b = _joint2(d, d)
         op = entangler(g_group, "a", "b")
@@ -622,7 +680,9 @@ def _pair_identity(entangler, inner: str, outer: str) -> Callable[[FiniteGroup, 
     return check
 
 
-def _check_charge_diagonals_push_to_edge(g_group: FiniteGroup, cell: Cellulation) -> float:
+def _check_charge_diagonals_push_to_edge(
+    g_group: FiniteGroup, cell: Cellulation, maps: Optional[_PureMaps] = None
+) -> float:
     """Conjugating the paired charge diagonal through either entangler leaves
     a bare edge diagonal, component by component."""
     table = irrep_table(g_group)
@@ -644,14 +704,16 @@ def _check_charge_diagonals_push_to_edge(g_group: FiniteGroup, cell: Cellulation
     return worst
 
 
-def _check_plaquette_projector_from_irrep_sum(g_group: FiniteGroup, cell: Cellulation) -> float:
+def _check_plaquette_projector_from_irrep_sum(
+    g_group: FiniteGroup, cell: Cellulation, maps: Optional[_PureMaps] = None
+) -> float:
     """The delta-form plaquette projector equals the dimension-weighted sum of
     irrep loop diagonals, both read off the tables the stabilizer report
     reads."""
     if not cell.plaquettes:
         raise ValueError("needs a cellulation with plaquettes")
     dims = [irrep.dim for irrep in irrep_table(g_group).irreps]
-    terms = _stabilizer_diagonals(g_group, cell, tuple(_edge_site(e) for e in range(cell.n_edges)))
+    terms = _stabilizer_diagonals(g_group, cell, tuple(_edge_order(cell)))
     worst = 0.0
     for p, bp in enumerate(terms.plaquettes):
         acc = np.zeros_like(bp.diag)
@@ -664,7 +726,7 @@ def _check_plaquette_projector_from_irrep_sum(g_group: FiniteGroup, cell: Cellul
 
 
 def _check_central_extension_circuit_matches_composition(
-    fs: FactorSystem, cell: Cellulation
+    fs: FactorSystem, cell: Cellulation, maps: Optional[_PureMaps] = None
 ) -> float:
     """The three-layer circuit prepare_nil2_double runs, with deferred
     projections, equals the chained plaquette-route, dressing, vertex-route
@@ -704,7 +766,9 @@ def _check_central_extension_circuit_matches_composition(
     return float(np.abs(diff).max())
 
 
-def _check_decorated_wall_pushthrough(fs: FactorSystem, cell: Cellulation) -> float:
+def _check_decorated_wall_pushthrough(
+    fs: FactorSystem, cell: Cellulation, maps: Optional[_PureMaps] = None
+) -> float:
     """Commuting the dressing layer through the plaquette-route map leaves a
     pure diagonal pairing each edge's vertex cocycle with its plaquette wall."""
     n_grp, q_grp = fs.n_group, fs.q_group
@@ -716,33 +780,69 @@ def _check_decorated_wall_pushthrough(fs: FactorSystem, cell: Cellulation) -> fl
     n_cols = dq**cell.n_vertices * dn**cell.n_plaquettes
     if n_cols * dn**cell.n_edges > WORK_BUDGET:
         raise ValueError(f"column sweep exceeds the work budget {WORK_BUDGET}")
+    return _decorated_wall_sweep(fs, cell, max(1, SUPPORT_CHUNK // dn**cell.n_edges))
+
+
+def _decorated_wall_sweep(fs: FactorSystem, cell: Cellulation, width: int) -> float:
+    """The push-through deviation over every column (q_v per vertex, b_p per
+    plaquette, the last plaquette fastest), width columns at a time.
+
+    Per column, each edge's plus vector, dressed by the CZ walls of its
+    plaquette pair, is Omega-moved on the left side, and both sides grow by
+    one outer product per edge; the right side carries the cocycle phase of
+    every edge. A block runs these on a (column, joint edge label) array,
+    the last edge's label slowest, so every entry is the product of the same
+    operands, in the same order, as on one column at a time
+    (tests/reference.py, column_wall_sweep). The phase takes numpy's scalar
+    complex product, real and imaginary parts apart, since its array loops
+    may round the last bit differently."""
+    n_grp, q_grp = fs.n_group, fs.q_group
+    dn, dq = n_grp.order, q_grp.order
     chi = character_table(n_grp)
     cz = cz_abelian(n_grp, "p", "e").diag.reshape(dn, dn)
-    omega_images = omega_gate(fs, "qi", "e", "qf").image.reshape(dq, dn, dq)
+    cz_bar = np.conj(cz)
+    # the Omega image of the plus vector's label n on an edge from qi to qf
+    shift = (omega_gate(fs, "qi", "e", "qf").image.reshape(dq, dn, dq) // dq) % dn
+    # the character label of an edge from qi to qf
+    cocycle = np.array(
+        [[fs.omega_inv(qi, q_grp.mul(q_grp.inverse(qi), qf)) for qf in range(dq)] for qi in range(dq)]
+    )
+    shape = (dq,) * cell.n_vertices + (dn,) * cell.n_plaquettes
+    n_cols = math.prod(shape)
     pairs = [cell.plaquette_pair(e) for e in range(cell.n_edges)]
     edge_scale = dn**-0.5
     worst = 0.0
-    for qs in itertools.product(range(dq), repeat=cell.n_vertices):
-        for bs in itertools.product(range(dn), repeat=cell.n_plaquettes):
-            lhs = rhs = np.ones(1, dtype=np.complex128)
-            rhs_phase = 1.0 + 0.0j
-            for e, (i_v, f_v) in enumerate(cell.edges):
-                p_minus, p_plus = pairs[e]
-                vec = np.full(dn, edge_scale, dtype=np.complex128)
-                if p_minus != p_plus:
-                    vec = vec * cz[bs[p_plus]] * np.conj(cz[bs[p_minus]])
-                qi, qf = qs[i_v], qs[f_v]
-                moved = np.empty_like(vec)
-                moved[(omega_images[qi, :, qf] // dq) % dn] = vec
-                lhs = np.multiply.outer(lhs, moved).reshape(-1)
-                rhs = np.multiply.outer(rhs, vec).reshape(-1)
-                wall = n_grp.mul(n_grp.inverse(bs[p_plus]), bs[p_minus])
-                rhs_phase *= chi[fs.omega_inv(qi, q_grp.mul(q_grp.inverse(qi), qf)), wall]
-            worst = max(worst, float(np.abs(lhs - rhs_phase * rhs).max()))
+    for lo in range(0, n_cols, width):
+        at = np.arange(lo, min(lo + width, n_cols))
+        labels = np.unravel_index(at, shape)
+        qs, bs = labels[: cell.n_vertices], labels[cell.n_vertices :]
+        rows = np.arange(at.size)[:, None]
+        lhs = rhs = np.ones((at.size, 1), dtype=np.complex128)
+        re, im = np.ones(at.size), np.zeros(at.size)
+        for e, (i_v, f_v) in enumerate(cell.edges):
+            p_minus, p_plus = pairs[e]
+            vec = np.full((at.size, dn), edge_scale, dtype=np.complex128)
+            if p_minus != p_plus:
+                vec = vec * cz[bs[p_plus]] * cz_bar[bs[p_minus]]
+            qi, qf = qs[i_v], qs[f_v]
+            moved = np.empty_like(vec)
+            moved[rows, shift[qi, :, qf]] = vec
+            # edge e's label is the slowest of a column's entries so far
+            lhs = (lhs[:, None, :] * moved[:, :, None]).reshape(at.size, -1)
+            rhs = (rhs[:, None, :] * vec[:, :, None]).reshape(at.size, -1)
+            factor = chi[cocycle[qi, qf], n_grp.mult[n_grp.inv[bs[p_plus]], bs[p_minus]]]
+            re, im = re * factor.real - im * factor.imag, re * factor.imag + im * factor.real
+        phase = np.empty((at.size, 1), dtype=np.complex128)
+        phase.real[:, 0], phase.imag[:, 0] = re, im
+        # the right side turns into the difference in place
+        np.subtract(lhs, np.multiply(phase, rhs, out=rhs), out=rhs)
+        worst = max(worst, float(np.abs(rhs).max()))
     return worst
 
 
-_GROUP_IDENTITIES: Dict[str, Callable[[FiniteGroup, Cellulation], float]] = {
+# every check takes its subject, the cell and the suite's pure gauging maps,
+# and builds the maps it reads when given none
+_GROUP_IDENTITIES: Dict[str, Callable[..., float]] = {
     "left_action_gauged_away": _check_left_action_gauged_away,
     "right_action_becomes_vertex_term": _check_right_action_becomes_vertex_term,
     "plaquette_loops_carry_irrep_dimension": _check_plaquette_loops_carry_irrep_dimension,
@@ -754,7 +854,7 @@ _GROUP_IDENTITIES: Dict[str, Callable[[FiniteGroup, Cellulation], float]] = {
     "charge_diagonals_push_to_edge": _check_charge_diagonals_push_to_edge,
 }
 
-_SYSTEM_IDENTITIES: Dict[str, Callable[[FactorSystem, Cellulation], float]] = {
+_SYSTEM_IDENTITIES: Dict[str, Callable[..., float]] = {
     "two_step_composition": _check_two_step_composition,
     "quotient_symmetry_survives": _check_quotient_symmetry_survives,
     "dressed_loops_carry_irrep_dimension": _check_dressed_loops_carry_irrep_dimension,
@@ -769,15 +869,20 @@ def identity_names() -> Tuple[str, ...]:
 
 def check_identity(name: str, subject, cell: Cellulation) -> float:
     """Materialize both sides of one named identity on one graph and return
-    the largest absolute entry difference."""
+    the largest absolute entry difference; the gauging maps it reads are
+    built for this call alone."""
+    return _check(name, subject, cell, _PureMaps(cell))
+
+
+def _check(name: str, subject, cell: Cellulation, maps: _PureMaps) -> float:
     if name in _GROUP_IDENTITIES:
         if not isinstance(subject, FiniteGroup):
             raise TypeError(f"identity {name!r} takes a group, got {type(subject).__name__}")
-        return _GROUP_IDENTITIES[name](subject, cell)
+        return _GROUP_IDENTITIES[name](subject, cell, maps)
     if name in _SYSTEM_IDENTITIES:
         if not isinstance(subject, FactorSystem):
             raise TypeError(f"identity {name!r} takes a factor system, got {type(subject).__name__}")
-        return _SYSTEM_IDENTITIES[name](subject, cell)
+        return _SYSTEM_IDENTITIES[name](subject, cell, maps)
     raise KeyError(f"unknown identity {name!r}; known: {', '.join(identity_names())}")
 
 
@@ -790,15 +895,17 @@ def identity_suite(
 
     Returns a flat table; combinations an identity cannot apply to (open
     graph, missing irrep matrices, non-central extension, budget) appear as
-    rows with a skip reason instead of a deviation.
+    rows with a skip reason instead of a deviation. Every check reads one
+    set of pure gauging maps, built once per subject for this call.
     """
+    maps = _PureMaps(cell)
     rows: List[Dict[str, object]] = []
     for name in identity_names():
         subjects = (groups or {}) if name in _GROUP_IDENTITIES else (systems or {})
         for label, subject in subjects.items():
             row: Dict[str, object] = {"identity": name, "subject": label, "graph": cell.name}
             try:
-                row["deviation"] = check_identity(name, subject, cell)
+                row["deviation"] = _check(name, subject, cell, maps)
             except ValueError as err:
                 row["skipped"] = str(err)
             rows.append(row)

@@ -34,7 +34,11 @@ irrep_by_label are small queries on the program's records that only the
 tests ask. The all_element_* checks are verify's g-indexed identities as a
 loop over every g != e, from the same pure columns, actions and deviation
 constants; verify loops over a generating set only, and must give the same
-bits.
+bits. per_op_plaquette_loops_carry_irrep_dimension builds each loop
+diagonal with loop_z, where verify reads the stabilizer report's tables,
+and column_wall_sweep is the decorated-wall push-through one column at a
+time, where verify sweeps blocks of columns as one array; both must give
+verify's bits.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from gaugekit.gates import (
     controlled_right,
     cz_abelian,
     left_mult,
+    loop_z,
     omega_gate,
     parent_to_pair,
     right_mult,
@@ -64,6 +69,7 @@ from gaugekit.groups import (
     IrrepTable,
     center,
     character_table,
+    irrep_table,
     quotient_group,
 )
 from gaugekit.register import (
@@ -567,6 +573,61 @@ ALL_ELEMENT_GROUP_IDENTITIES: Dict[str, Callable[[FiniteGroup, Cellulation], flo
 ALL_ELEMENT_SYSTEM_IDENTITIES: Dict[str, Callable[[FactorSystem, Cellulation], float]] = {
     "quotient_symmetry_survives": all_element_quotient_symmetry_survives,
 }
+
+
+# ---------------------------------------------------------------------------
+# identities one table or one column at a time
+
+
+def per_op_plaquette_loops_carry_irrep_dimension(g_group: FiniteGroup, cell: Cellulation) -> float:
+    """verify's plaquette-loop identity with every loop diagonal built on its
+    own by loop_z, one per (irrep, plaquette); verify reads the loops of the
+    stabilizer report's tables and must give the same bits."""
+    if not cell.plaquettes:
+        raise ValueError("needs a cellulation with plaquettes")
+    table = irrep_table(g_group)
+    labels, dims, scale = _pure_kw_g(g_group, cell)
+    worst = 0.0
+    for irrep in table.irreps:
+        for p in range(cell.n_plaquettes):
+            op = loop_z(irrep, cell.plaquettes[p], cell)
+            traces = op.diag[_flat_labels(labels, dims, op.targets)]
+            worst = max(worst, scale * float(np.abs(traces - irrep.dim).max()))
+    return worst
+
+
+def column_wall_sweep(fs: FactorSystem, cell: Cellulation) -> float:
+    """verify's decorated-wall push-through deviation one column at a time:
+    per edge, the plus vector dressed by its CZ walls, Omega-moved on the
+    left side, one outer product per side, and the cocycle phase as a
+    complex scalar. verify runs the same products on blocks of columns and
+    must give the same bits."""
+    n_grp, q_grp = fs.n_group, fs.q_group
+    dn, dq = n_grp.order, q_grp.order
+    chi = character_table(n_grp)
+    cz = cz_abelian(n_grp, "p", "e").diag.reshape(dn, dn)
+    omega_images = omega_gate(fs, "qi", "e", "qf").image.reshape(dq, dn, dq)
+    pairs = [cell.plaquette_pair(e) for e in range(cell.n_edges)]
+    edge_scale = dn**-0.5
+    worst = 0.0
+    for qs in itertools.product(range(dq), repeat=cell.n_vertices):
+        for bs in itertools.product(range(dn), repeat=cell.n_plaquettes):
+            lhs = rhs = np.ones(1, dtype=np.complex128)
+            rhs_phase = 1.0 + 0.0j
+            for e, (i_v, f_v) in enumerate(cell.edges):
+                p_minus, p_plus = pairs[e]
+                vec = np.full(dn, edge_scale, dtype=np.complex128)
+                if p_minus != p_plus:
+                    vec = vec * cz[bs[p_plus]] * np.conj(cz[bs[p_minus]])
+                qi, qf = qs[i_v], qs[f_v]
+                moved = np.empty_like(vec)
+                moved[(omega_images[qi, :, qf] // dq) % dn] = vec
+                lhs = np.multiply.outer(lhs, moved).reshape(-1)
+                rhs = np.multiply.outer(rhs, vec).reshape(-1)
+                wall = n_grp.mul(n_grp.inverse(bs[p_plus]), bs[p_minus])
+                rhs_phase *= chi[fs.omega_inv(qi, q_grp.mul(q_grp.inverse(qi), qf)), wall]
+            worst = max(worst, float(np.abs(lhs - rhs_phase * rhs).max()))
+    return worst
 
 
 # ---------------------------------------------------------------------------

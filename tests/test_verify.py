@@ -27,7 +27,7 @@ from gaugekit.groups import (
     group_from_spec,
     irrep_table,
 )
-from gaugekit.gates import controlled_left, controlled_right, left_mult, right_mult
+from gaugekit.gates import controlled_left, controlled_right, cz_abelian, left_mult, right_mult
 from gaugekit.kwmaps import kw_exact_g
 from gaugekit.register import DiagonalOperator, LocalOperator, QuditRegister, SiteSpec, init_plus
 from gaugekit.verify import (
@@ -684,6 +684,156 @@ def test_catalog_identity_suite_finds_one_generating_set_per_group():
     info = verify._generating_set.cache_info()
     assert info.misses == len(CAT)
     assert info.hits > 0
+
+
+# an identity suite builds each pure gauging map once and shares it with
+# every check; the decorated walls run as blocks of columns and the plaquette
+# loops off the stabilizer report's tables, each checked bit for bit against
+# the slow path of tests/reference.py
+WALL_CELLS = [hexagon_torus, theta_sphere, theta_sphere_reversed, lambda: square_torus(2, 2)]
+
+
+@pytest.mark.parametrize("label", ["D4", "Q8", "S3"])
+def test_one_suite_builds_each_pure_map_once(label, monkeypatch):
+    """Before the suite shared its maps it built the group's map four times
+    and the subgroup map three times; now each subject's walls, and the
+    two-step check's quotient walls, are built once."""
+    fs = catalog_factor_system(label)
+    true_gates, built = verify._wall_gates, []
+
+    def spy(subject, *args):
+        built.append(subject)
+        return true_gates(subject, *args)
+
+    monkeypatch.setattr(verify, "_wall_gates", spy)
+    identity_suite(hexagon_torus(), groups={label: CAT[label]}, systems={label: fs})
+    # the system's parent is the catalog group, so the two share one map
+    assert built == [CAT[label], fs, fs.q_group]
+
+
+def test_no_pure_map_outlives_its_suite(monkeypatch):
+    cell = hexagon_torus()
+    for label in ["D4", "Q8", "S3"]:
+        fs = catalog_factor_system(label)
+        identity_suite(cell, groups={label: CAT[label]}, systems={label: fs})
+    true_gates = verify._wall_gates
+    monkeypatch.setattr(verify, "_wall_gates", lambda *args: true_gates(*args)[1:])
+    for label in ["D4", "Q8", "S3"]:
+        g, fs = CAT[label], catalog_factor_system(label)
+        # a dropped wall gate reads the columns' common amplitude, which a
+        # map kept from the suite above would hide
+        assert check_identity("left_action_gauged_away", g, cell) == verify._pure_kw_g(g, cell)[2]
+        assert check_identity("quotient_symmetry_survives", fs, cell) == verify._pure_kw_n(fs, cell)[2]
+
+
+def test_shared_pure_maps_are_read_only():
+    maps = verify._PureMaps(hexagon_torus())
+    labels, dims, _ = maps.kw_g(CAT["D4"])
+    labels[("x", 0)] = np.zeros(1, dtype=np.int64)
+    assert ("x", 0) not in maps.kw_g(CAT["D4"])[0]
+    with pytest.raises(ValueError, match="read-only"):
+        labels[("e", 0)][0] = 1
+
+
+@pytest.mark.parametrize("label", ["D4", "Q8", "S3"])
+def test_wall_sweep_matches_the_column_loop(label):
+    fs = catalog_factor_system(label)
+    for make_cell in WALL_CELLS:
+        cell = make_cell()
+        slow = reference.column_wall_sweep(fs, cell).hex()
+        n_cols = fs.q_group.order**cell.n_vertices * fs.n_group.order**cell.n_plaquettes
+        for width in (1, 7, n_cols):
+            assert verify._decorated_wall_sweep(fs, cell, width).hex() == slow, (cell.name, width)
+        assert check_identity("decorated_wall_pushthrough", fs, cell).hex() == slow, cell.name
+
+
+def squared_cz(group, c_sid, t_sid):
+    """CZ^2: the identity on Z2, so the walls drop out of both sides of the
+    push-through and stay only in its cocycle phase."""
+    op = cz_abelian(group, c_sid, t_sid)
+    return DiagonalOperator(op.targets, op.diag**2, name="CZ^2")
+
+
+def test_a_squared_cz_reads_the_same_on_both_wall_paths(monkeypatch):
+    monkeypatch.setattr(verify, "cz_abelian", squared_cz)
+    monkeypatch.setattr(reference, "cz_abelian", squared_cz)
+    fs, cell = catalog_factor_system("D4"), square_torus(2, 2)
+    slow = reference.column_wall_sweep(fs, cell)
+    assert slow > 0.1
+    for width in (7, 4096):
+        assert verify._decorated_wall_sweep(fs, cell, width).hex() == slow.hex()
+    assert check_identity("decorated_wall_pushthrough", fs, cell).hex() == slow.hex()
+
+
+@pytest.mark.parametrize("label", ["S3", "D4"])
+def test_wall_sweep_memory_stays_within_a_few_blocks(label):
+    """The sweep holds a few arrays of one block, SUPPORT_CHUNK entries, at a
+    time (about 3.6 blocks of complex entries at peak); all columns at once
+    would take 17 MB for D4 and 136 MB for S3 on this torus."""
+    fs, cell = catalog_factor_system(label), square_torus(2, 2)
+    check_identity("decorated_wall_pushthrough", fs, cell)
+    tracemalloc.start()
+    try:
+        check_identity("decorated_wall_pushthrough", fs, cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * verify.SUPPORT_CHUNK
+
+
+def has_irreps(g_group):
+    try:
+        irrep_table(g_group)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", [name for name, g in sorted(CAT.items()) if has_irreps(g)])
+def test_plaquette_loops_match_the_per_op_loops(name):
+    """Every catalog group with stored irreps fits COLUMN_BUDGET on every
+    cross-check cell."""
+    g = CAT[name]
+    for make_cell in CROSS_CHECK_CELLS:
+        cell = make_cell()
+        if not cell.plaquettes:
+            for check in (verify._check_plaquette_loops_carry_irrep_dimension,
+                          reference.per_op_plaquette_loops_carry_irrep_dimension):
+                with pytest.raises(ValueError, match="plaquettes"):
+                    check(g, cell)
+            continue
+        fast, slow = both_paths(
+            verify._check_plaquette_loops_carry_irrep_dimension,
+            reference.per_op_plaquette_loops_carry_irrep_dimension,
+            g,
+            cell,
+        )
+        assert fast == slow, cell.name
+
+
+def test_a_corrupted_loop_table_is_caught(monkeypatch):
+    """The check reads the report's cached tables, so a wrong loop_z must reach
+    them: rebuilt from a loop_z whose entry at the all-identity label is one
+    too large, they read one common amplitude off on the column of equal
+    vertex labels."""
+    true_loop = verify.loop_z
+
+    def off_by_one(irrep, walk, cell, edge_of=verify._edge_site):
+        op = true_loop(irrep, walk, cell, edge_of)
+        diag = op.diag.copy()
+        diag[0] += 1.0
+        return DiagonalOperator(op.targets, diag, name=op.name)
+
+    g, cell = CAT["D4"], hexagon_torus()
+    monkeypatch.setattr(verify, "loop_z", off_by_one)
+    verify._stabilizer_diagonals.cache_clear()
+    try:
+        dev = check_identity("plaquette_loops_carry_irrep_dimension", g, cell)
+    finally:
+        verify._stabilizer_diagonals.cache_clear()
+    assert dev == verify._pure_kw_g(g, cell)[2]
+    monkeypatch.undo()
+    assert check_identity("plaquette_loops_carry_irrep_dimension", g, cell) == 0.0
 
 
 def test_wall_pushthrough_orientation_on_higher_genus_cells():
