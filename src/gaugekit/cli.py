@@ -1,8 +1,8 @@
 """Batch front-end: protocols, verification suites, and group queries.
 
 Reports are JSON only, schema-versioned, and written atomically; an
-identical config (seed included) produces byte-identical reports at any
-worker-thread count. Exit codes: 0 success, 1 precondition failure,
+identical config (seed included) produces byte-identical reports, whatever
+its --workers value. Exit codes: 0 success, 1 precondition failure,
 2 tolerance failure. The --pretty flag prints a short summary to standard
 output without affecting the report file.
 """
@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -227,28 +226,17 @@ def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
     gsd = ground_state_degeneracy(group, cell) if config.gsd else None
     run_protocol = _run_protocol(config, subject, cell, len(modes))
 
-    def run_seeds(part: Sequence[KwMode]) -> List[Dict[str, object]]:
-        entries = []
-        for mode, transcript in zip(part, run_protocol(part)):  # one stack's transcripts at a time
-            entry: Dict[str, object] = {
-                "seed": mode.seed,
-                "transcript": transcript.to_dict(),
-            }
-            if config.stabilizers:
-                report = stabilizer_report(transcript.register, group, cell)
-                entry["verification"] = report.to_dict()
-                entry["min_stabilizer_expectation"] = report.min_expectation()
-            entries.append(entry)
-        return entries
-
-    # each worker runs its own consecutive seeds, as stacks of their own
-    parts = min(config.workers, len(modes))
-    cuts = [k * len(modes) // parts for k in range(parts + 1)]
-    if parts == 1:
-        runs = run_seeds(modes)
-    else:
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            runs = [entry for part in pool.map(run_seeds, [modes[a:b] for a, b in zip(cuts, cuts[1:])]) for entry in part]
+    runs = []
+    for mode, transcript in zip(modes, run_protocol(modes)):  # one stack's transcripts at a time
+        entry: Dict[str, object] = {
+            "seed": mode.seed,
+            "transcript": transcript.to_dict(),
+        }
+        if config.stabilizers:
+            report = stabilizer_report(transcript.register, group, cell)
+            entry["verification"] = report.to_dict()
+            entry["min_stabilizer_expectation"] = report.min_expectation()
+        runs.append(entry)
 
     payload: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
@@ -414,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prep.add_argument("--seeds", type=int, default=1, help="consecutive seeds starting at the sample seed")
     prep.add_argument(
         "--workers", type=int, default=1,
-        help="worker threads, each running its share of the seeds in lockstep stacks",
+        help="accepted for compatibility and checked to be positive; every seed runs in the calling thread",
     )
     prep.add_argument("--no-stabilizers", dest="stabilizers", action="store_false")
     prep.add_argument("--no-oracle-fidelity", dest="oracle_fidelity", action="store_false")

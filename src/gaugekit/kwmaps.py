@@ -71,9 +71,10 @@ def _q_site(v: int) -> Hashable:
 class KwMode:
     """Measurement handling for the gate-level maps.
 
-    postselect keeps the trivial branch of every measurement, sample draws
-    one branch per site with a counter-based generator, forced selects the
-    stated outcomes (rejected when their Born probability vanishes).
+    postselect keeps the trivial branch of every measurement (forced outcome
+    0 on every site), sample draws one branch per site with a counter-based
+    generator, forced selects the stated outcomes, 0 for a site the table
+    does not name (rejected when their Born probability vanishes).
     """
 
     kind: str
@@ -245,12 +246,9 @@ class KwRound:
     def repair_stack(self, reg: QuditRegister, modes: Sequence[KwMode]) -> List[KwResult]:
         """repair for every seed of reg at once, modes one per seed: one
         measurement per vertex part and one correction gate per edge."""
-        cell, grp = self.cell, self.group
+        cell = self.cell
         outcomes, probs = _measure_sites(reg, modes, [(v, self.vertex_of(v)) for v in range(cell.n_vertices)])
-        if self.fs is not None and modes[0].kind == "postselect":  # a non-abelian subgroup has no syndrome
-            plans = [CorrectionPlan(basis="Z", exponents={}, group=grp)]
-        else:
-            plans = _charge_plans(outcomes, grp, cell)
+        plans = _charge_plans(outcomes, self.group, cell)
         if self.fs is None:
             _apply_corrections(reg, plans, _plan_gate(plans[0], self.edge_of))
         else:
@@ -262,7 +260,9 @@ def _measure_sites(
     reg: QuditRegister, modes: Sequence[KwMode], site_pairs: List[Tuple[int, Hashable]]
 ) -> Tuple[List[Dict[int, int]], List[float]]:
     """Measure the sites in order, once each for every seed of reg, modes one
-    per seed and all of one kind: each seed's outcomes and joint probability."""
+    per seed and all of one kind: each seed's outcomes and joint probability.
+    Postselect is the Fourier measurement at forced outcome 0, the trivial
+    branch, so a forced table that names no site reproduces it bitwise."""
     kind = modes[0].kind
     if any(mode.kind != kind for mode in modes) or len(modes) != reg.seeds:
         raise ValueError(f"a measurement layer of {reg.seeds} seeds needs one mode per seed, all of one kind")
@@ -275,11 +275,10 @@ def _measure_sites(
     outcomes: List[Dict[int, int]] = [{} for _ in modes]
     probs = [1.0] * len(modes)
     for idx, sid in site_pairs:
-        if kind == "postselect":
-            reg.project_plus(sid)
+        if kind == "sample":
+            reg.measure_fourier(sid, rng=rngs)
         else:
-            forced = [mode.outcomes.get(idx, 0) for mode in modes] if kind == "forced" else None
-            reg.measure_fourier(sid, rng=rngs, forced=forced)
+            reg.measure_fourier(sid, forced=[(mode.outcomes or {}).get(idx, 0) for mode in modes])
         record = reg.retired[sid]
         for s, (outcome, prob) in enumerate(zip(record.outcomes, record.probabilities)):
             outcomes[s][idx] = outcome
@@ -456,15 +455,13 @@ def kw_n_in_g(
     measures only the subgroup part of every vertex, and repairs outcomes
     with one layer of dressed character diagonals. Quotient parts stay live.
 
-    Measured modes need an abelian subgroup: repairs for a non-abelian one
-    would be string operators that do not stay in one layer. Postselect mode
-    accepts any subgroup.
+    The subgroup must be abelian, in every mode: its parts are measured in
+    the Fourier basis, and repairs for a non-abelian one would be string
+    operators that do not stay in one layer. A non-abelian one is rejected
+    before the register is touched.
     """
-    if mode.kind != "postselect" and not fs.n_group.is_abelian:
-        raise ValueError(
-            "kw_n_in_g in a measured mode needs an abelian subgroup; "
-            "only postselect mode supports a non-abelian one"
-        )
+    if not fs.n_group.is_abelian:
+        raise ValueError("kw_n_in_g needs an abelian subgroup")
     rnd = KwRound(fs, cell, n_of, edge_of, q_of)
     rnd.entangle(reg)
     return rnd.repair(reg, mode)

@@ -146,8 +146,7 @@ def _round_mode(mode: KwMode, r: int, total: int) -> KwMode:
     """Per-round sampling streams; postselect and forced pass through.
 
     A forced outcome table applies to every round (absent keys default to
-    the trivial outcome), so an empty table reproduces postselect up to a
-    few ulps (a measurement of outcome 0 against project_plus).
+    the trivial outcome), so an empty table reproduces postselect bitwise.
     """
     if mode.kind != "sample" or total == 1:
         return mode

@@ -19,7 +19,9 @@ Fourier rotation inside measure_fourier is the only step that mixes
 amplitudes, and it reads only the nonzero columns. No method writes into an
 amplitude array or a support form: each replaces it with a new array or a
 reshaped view, so registers can fork from one frozen register without
-copying it. Overlaps are summed in fixed chunks (_overlap).
+copying it. Overlaps are summed over the positions where both operands are
+nonzero, in fixed chunks (_overlap), so an overlap with a register in
+support form reads the other one only at its positions.
 
 A stack holds several seeds of one run in one register (stacked): its
 leading site, SEED_SITE, labels the seed, so each seed's amplitudes are one
@@ -290,15 +292,24 @@ def _seeds_within_budget(peak: int, held: int) -> int:
 
 
 def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
-    """<bra|ket> over the C-order flattened arrays: one np.vdot per fixed
-    chunk of OVERLAP_CHUNK amplitudes, summed in order, so the bits are the
-    same at any BLAS thread count (and those of one np.vdot up to a chunk)."""
-    if bra.size <= OVERLAP_CHUNK:
-        return complex(np.vdot(bra, ket))
-    bra, ket = np.ravel(bra), np.ravel(ket)
-    chunks = range(0, max(bra.size, ket.size), OVERLAP_CHUNK)  # np.vdot rejects a length mismatch
-    parts = [complex(np.vdot(bra[lo : lo + OVERLAP_CHUNK], ket[lo : lo + OVERLAP_CHUNK])) for lo in chunks]
-    return sum(parts[1:], parts[0])
+    """<bra|ket> over the C-order flattened arrays, summed over the positions
+    where both are nonzero, in position order: one np.vdot per fixed chunk of
+    OVERLAP_CHUNK of those positions, and the chunks summed in order. So the
+    bits do not depend on the BLAS thread count, nor on the entries that are
+    zero on either side: two support forms read at their positions give the
+    bits of the dense call. A chunk is gathered when it is used, or read in
+    place when every position is shared."""
+    bra, ket = bra.ravel(), ket.ravel()
+    both = np.logical_and(bra, ket)
+    if np.count_nonzero(both) == both.size:
+        if both.size <= OVERLAP_CHUNK:
+            return complex(np.vdot(bra, ket))
+        chunks = [slice(lo, lo + OVERLAP_CHUNK) for lo in range(0, both.size, OVERLAP_CHUNK)]
+    else:
+        shared = both.nonzero()[0]
+        chunks = [shared[lo : lo + OVERLAP_CHUNK] for lo in range(0, shared.size, OVERLAP_CHUNK)]
+    parts = [complex(np.vdot(bra[at], ket[at])) for at in chunks]
+    return sum(parts[1:], parts[0]) if parts else 0j
 
 
 def _rotated(fourier: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -504,7 +515,8 @@ class QuditRegister:
         return out
 
     def norm(self) -> float:
-        return float(np.sqrt(_overlap(self.amps, self.amps).real))
+        amps = self._amps if self._support is None else self._support[1]
+        return float(np.sqrt(_overlap(amps, amps).real))
 
     def copy(self) -> "QuditRegister":
         out = QuditRegister(list(self.sites), self.amps.copy())
@@ -713,31 +725,6 @@ class QuditRegister:
                 return block.T, live
         return np.moveaxis(self._dense().reshape(outer, dim, inner), 1, 0), None
 
-    def project_plus(self, sid: Hashable) -> float:
-        """Contract one site with <+|, retire it, renormalize.
-
-        Returns the branch probability. Works for any site group; for an
-        abelian site it equals measure_fourier with forced outcome 0 up to a
-        few ulps: the two compute the branch and its weight in different
-        orders. Unlike the measurement it reads the whole branch, zeros
-        included: a support read showed no gain on the nil2 identity check,
-        the only caller the perfbench workloads run (post-selected runs are
-        the other). It projects a register of one seed; a stack of more is
-        rejected.
-        """
-        if self.seeds > 1:
-            raise ValueError(f"plus-projection of {sid!r} needs one seed, the stack holds {self.seeds}")
-        spec_, pos, dims = self.spec(sid), self.pos(sid), self.amps.shape
-        branch = np.moveaxis(self.amps, pos, 0).reshape(spec_.dim, -1).sum(axis=0) / np.sqrt(spec_.dim)
-        prob = float(_overlap(branch, branch).real)
-        if prob < 1e-14:
-            raise ValueError(f"plus-projection on {sid!r} has zero weight")
-        self.amps = (branch / np.sqrt(prob)).reshape(dims[:pos] + dims[pos + 1 :])
-        self.sites.pop(pos)
-        self.retired[sid] = _Retired([0], [prob])
-        self._reindex()
-        return prob
-
     # --- overlaps ------------------------------------------------------------
 
     def _check_layout(self, other: "QuditRegister") -> None:
@@ -745,8 +732,27 @@ class QuditRegister:
             raise ValueError(f"live-site layouts differ: {list(self.layout)} vs {list(other.layout)}")
 
     def inner_product(self, other: "QuditRegister") -> complex:
+        """<self|other> (_overlap). A register in support form reads the other
+        only at its own positions, so no dense array is written."""
         self._check_layout(other)
-        return _overlap(self.amps, other.amps)
+        if self._support is not None:
+            flat, values = self._support
+            return _overlap(values, other._values_at(flat))
+        if other._support is not None:
+            flat, values = other._support
+            return _overlap(self._values_at(flat), values)
+        return _overlap(self._amps, other._amps)
+
+    def _values_at(self, flat: np.ndarray) -> np.ndarray:
+        """The amplitudes at the flat positions flat, sorted, in the form the
+        register holds them: zero where its support form has no entry."""
+        if self._support is None:
+            return np.ravel(self._amps)[flat]
+        own, values = self._support
+        out = np.zeros(flat.size, dtype=np.complex128)
+        _, mine, theirs = np.intersect1d(own, flat, assume_unique=True, return_indices=True)
+        out[theirs] = values[mine]
+        return out
 
     def fidelity(self, other: "QuditRegister") -> float:
         return abs(self.inner_product(other)) ** 2

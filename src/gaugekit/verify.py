@@ -195,9 +195,9 @@ def stabilizer_report(
     at the source label image[g^-1] of every edge at v, scales it by 1/|G|
     and sums the |G| copies in element order; a plaquette or loop diagonal
     multiplies the amplitude by its entry in one concatenated table, at the
-    joint label its weight row gives. Each term's values go into one shared
-    zero ket and one chunked overlap of the whole state, so every value is
-    bitwise the one a dense sweep over every amplitude gives
+    joint label its weight row gives. Each term's values at the support
+    positions are overlapped with the state there (_overlap), so every value
+    is bitwise the one a dense sweep over every amplitude gives
     (tests/reference.py, dense_stabilizer_report), and the first value off
     the real axis, in the order A, B, loops, raises. The tables are cached
     for the group, cell and edge ids (_stabilizer_diagonals)."""
@@ -211,7 +211,8 @@ def stabilizer_report(
     d, dims = g_group.order, reg.dims
     strides = np.array([math.prod(dims[reg.pos(sid) + 1 :]) for sid in edges], dtype=np.int64)
     bra = np.ravel(reg.amps)
-    flat, ket = np.flatnonzero(bra != 0), np.zeros_like(bra)
+    flat = np.flatnonzero(bra)
+    on_support = bra[flat]
     scale = complex(1.0 / d)
     # steps[base[v, k] + x, g]: the flat step that moves label x of vertex
     # v's k-th edge to its source label under g
@@ -238,9 +239,9 @@ def stabilizer_report(
 
     # a vertex term reads |G| steps on each of its edges per position, a
     # diagonal the labels of every edge
-    read = _expectations(bra, flat, ket, k * d, n_v, averaged)
+    read = _expectations(on_support, flat, k * d, n_v, averaged)
     vexp = {v: _real(value, f"A[{v}]") for v, value in enumerate(read)}
-    read = _expectations(bra, flat, ket, len(edges), len(terms.names), diagonal)
+    read = _expectations(on_support, flat, len(edges), len(terms.names), diagonal)
     values = iter([_real(value, name) for value, name in zip(read, terms.names)])
     pexp = {p: next(values) for p in range(cell.n_plaquettes)}
     loop_values = {label: {p: next(values) for p in range(len(ops))} for label, ops in terms.loops}
@@ -250,36 +251,30 @@ def stabilizer_report(
 def _expectations(
     bra: np.ndarray,
     flat: np.ndarray,
-    ket: np.ndarray,
     rows: int,
     count: int,
     values: Callable[[int, int, np.ndarray], np.ndarray],
 ) -> List[complex]:
-    """<psi|O_t|psi> for the terms t < count, in order.
+    """<psi|O_t|psi> for the terms t < count, in order, bra the state at its
+    support positions flat.
 
     values(lo, hi, at) returns O_t psi at the support positions at for the
     terms lo..hi-1, one row each, reading rows amplitudes per term and
     position; one block reads at most SUPPORT_CHUNK of them: several terms
     at every position of a small support, one term over a run of positions
-    of a large one. Each term's row goes into ket, zero off the support flat,
-    which every term writes whole, and one chunked overlap (_overlap) of the
-    whole C-order state bra: a position off the support adds a signed zero,
-    which leaves a nonzero BLAS sum unchanged, so the bits are those of the
-    dense expectation."""
+    of a large one, written into one row buffer that every term fills. Each
+    term's row over the support is overlapped with bra (_overlap): off the
+    support the state is zero, so the bits are those of the dense
+    expectation."""
     step = max(1, SUPPORT_CHUNK // rows)
-    out = []
     if flat.size <= step:
         per = step // max(1, flat.size)
-        for lo in range(0, count, per):
-            for row in values(lo, min(lo + per, count), flat):
-                ket[flat] = row
-                out.append(_overlap(bra, ket))
-        return out
+        return [_overlap(bra, row) for lo in range(0, count, per) for row in values(lo, min(lo + per, count), flat)]
+    row, out = np.empty_like(bra), []
     for t in range(count):
         for lo in range(0, flat.size, step):
-            at = flat[lo : lo + step]
-            ket[at] = values(t, t + 1, at)[0]
-        out.append(_overlap(bra, ket))
+            row[lo : lo + step] = values(t, t + 1, flat[lo : lo + step])[0]
+        out.append(_overlap(bra, row))
     return out
 
 
@@ -745,10 +740,9 @@ def _check_central_extension_circuit_matches_composition(
         raise ValueError(f"joint space of {dim} amplitudes exceeds the budget {DENSE_CHECK_BUDGET}")
     one = _nil2_circuit(fs, cell)
     prob_one = 1.0
-    for p in range(cell.n_plaquettes):
-        prob_one *= one.project_plus(("p", p))
-    for v in range(cell.n_vertices):
-        prob_one *= one.project_plus(("v", v))
+    for sid in [("p", p) for p in range(cell.n_plaquettes)] + [("v", v) for v in range(cell.n_vertices)]:
+        one.measure_fourier(sid, forced=0)
+        prob_one *= one.retired[sid].probability
 
     q_verts = [SiteSpec(("v", v), "vertex", q_grp) for v in range(cell.n_vertices)]
     hat_reg = init_plus([SiteSpec(("p", p), "plaquette", n_grp) for p in range(cell.n_plaquettes)])

@@ -528,20 +528,24 @@ def test_split_route_two_step_matches_oracle():
         assert abs(sampled.fidelity(oracle) - 1) < 1e-10, name
 
 
-def test_split_route_nonabelian_subgroup_postselect_only():
-    """A non-abelian subgroup still gauges correctly by postselection, and the
-    measured modes refuse it."""
+@pytest.mark.parametrize(
+    "mode", [KwMode.postselect(), KwMode.sample(1), KwMode.forced({})], ids=["postselect", "sample", "forced"]
+)
+def test_split_route_refuses_a_nonabelian_subgroup_in_every_mode(mode):
+    """Every mode measures the subgroup parts in the Fourier basis, so a
+    non-abelian subgroup is refused in all three, before the register is
+    touched."""
     rng = np.random.default_rng(17)
     cell = hexagon_torus()
     s4 = CAT["S4"]
     fs = factor_system_of(s4, commutator_subgroup(s4))
     assert not fs.n_group.is_abelian
-    base = symmetric_vertex_register(rng, cell, s4)
-    oracle = kw_exact_g(base.copy(), cell, s4)
-    post = two_step(base.copy(), cell, fs, KwMode.postselect(), KwMode.postselect())
-    assert abs(post.fidelity(oracle) - 1) < 1e-10
-    with pytest.raises(ValueError, match="abelian subgroup"):
-        kw_n_in_g(split_input(base, fs, cell.n_vertices), cell, fs, KwMode.sample(1))
+    reg = split_input(symmetric_vertex_register(rng, cell, s4), fs, cell.n_vertices)
+    layout, amps = reg.layout, reg.amps.copy()
+    with pytest.raises(ValueError, match="kw_n_in_g needs an abelian subgroup"):
+        kw_n_in_g(reg, cell, fs, mode)
+    assert reg.layout == layout and not reg.retired
+    assert reg.amps.tobytes() == amps.tobytes()
 
 
 def test_split_route_trivial_factor_system_reduces_to_abelian_route():

@@ -398,44 +398,61 @@ def test_threads_branching_from_one_prefix_match_a_serial_run():
 # --- after the first measurement a stack stays on its support
 
 
-@pytest.mark.parametrize("group, protocol", [("S4", "solvable"), ("D4", "nil2")])
-def test_a_stacked_run_writes_no_dense_array_after_its_first_measurement(monkeypatch, group, protocol):
-    """Every step between a 4-seed stack's first measurement and its
-    transcripts (corrections, symmetry probes, gated allocations, vertex
-    splits, edge merges and relabelings) keeps the support form: the only
-    dense arrays written for a register with a retired site are each
-    transcript's seed, densified once by its fidelity."""
-    plan = protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus())
-    written, scoring = [], []
-    amps, dense, fidelity = QuditRegister.amps, QuditRegister._dense, QuditRegister.fidelity
-
-    def record(reg):
-        if reg.retired:
-            written.append((reg, bool(scoring)))
+def _spy_dense_writes(monkeypatch):
+    """The registers a dense array is written for from here on while they
+    hold the support form or have retired a site: a scatter of the support
+    form (_dense) or a store of amplitudes (amps)."""
+    written = []
+    amps, dense = QuditRegister.amps, QuditRegister._dense
 
     def set_amps(reg, value):
-        record(reg)
+        if getattr(reg, "retired", None) or getattr(reg, "_support", None) is not None:
+            written.append(reg)
         amps.fset(reg, value)
 
     def densify(reg):
         if reg._support is not None:
-            record(reg)
+            written.append(reg)
         return dense(reg)
-
-    def scored(reg, other):
-        scoring.append(reg)
-        try:
-            return fidelity(reg, other)
-        finally:
-            scoring.pop()
 
     monkeypatch.setattr(QuditRegister, "amps", property(amps.fget, set_amps))
     monkeypatch.setattr(QuditRegister, "_dense", densify)
-    monkeypatch.setattr(QuditRegister, "fidelity", scored)
+    return written
+
+
+@pytest.mark.parametrize("group, protocol", [("S4", "solvable"), ("D4", "nil2")])
+def test_a_stacked_run_writes_no_dense_array_after_its_first_measurement(monkeypatch, group, protocol):
+    """Every step of a 4-seed stack from its frozen prefix to its scored
+    transcripts (measurements, corrections, symmetry probes, gated
+    allocations, vertex splits, edge merges, relabelings and the fidelity,
+    which reads the oracle at the seed's positions) keeps the support form:
+    no dense array is written at all."""
+    plan = protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus())
+    written = _spy_dense_writes(monkeypatch)
     transcripts = list(plan.run([kwmaps.KwMode.sample(seed) for seed in range(4)]))
-    assert all(during_fidelity and not reg.stacked for reg, during_fidelity in written)
-    # one scatter of the support form and one store per transcript
-    assert Counter(id(reg) for reg, _ in written) == Counter({id(t.register): 2 for t in transcripts})
+    assert written == []
+    assert all(t.register._support is not None and t.fidelity_vs_oracle is not None for t in transcripts)
+
+
+@pytest.mark.parametrize(
+    "prepare, group, make_cell",
+    [
+        (protocols.prepare_solvable_double, "S4", hexagon_torus),
+        (protocols.prepare_abelian_double, "Z3", lambda: square_torus(2, 2)),
+    ],
+    ids=["S4-solvable-hexagon", "Z3-abelian-square"],
+)
+def test_a_one_seed_postselected_run_writes_no_dense_array(monkeypatch, prepare, group, make_cell):
+    """The CLI's default traffic, one postselected seed through the protocol's
+    entry point, oracle included: after the first gated allocation every
+    measurement reads live columns at forced outcome 0 and every later step
+    keeps the support form, so no dense array is written for a register
+    that held it."""
+    written = _spy_dense_writes(monkeypatch)
+    transcript = prepare(catalog()[group], make_cell(), kwmaps.KwMode.postselect())
+    assert written == []
+    assert transcript.register._support is not None
+    assert abs(transcript.fidelity_vs_oracle - 1) < 1e-12
 
 
 def test_the_last_corrections_and_the_edge_reassembly_hold_a_sliver_of_the_dense_stack(monkeypatch):

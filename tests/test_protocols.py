@@ -153,12 +153,26 @@ def test_nil2_syndromes_match_outcomes_before_feedforward(label, cell):
         assert fluxes == outs["flux"]
 
 
-def test_nil2_forced_empty_reproduces_postselect():
-    fs = catalog_factor_system("D4")
-    a = prepare_nil2_double(fs, theta_sphere(), KwMode.postselect())
-    b = prepare_nil2_double(fs, theta_sphere(), KwMode.forced({}))
-    assert np.abs(a.register.amps - b.register.amps).max() < 1e-12
-    assert a.probability == pytest.approx(b.probability)
+@pytest.mark.parametrize(
+    "prepare, subject, make_cell",
+    [
+        (prepare_nil2_double, catalog_factor_system("D4"), theta_sphere),
+        (prepare_solvable_double, CAT["S4"], hexagon_torus),
+        (prepare_abelian_double, CAT["Z3"], lambda: square_torus(2, 2)),
+    ],
+    ids=["nil2-D4-theta", "solvable-S4-hexagon", "abelian-Z3-square"],
+)
+def test_forced_empty_reproduces_postselect_bitwise(prepare, subject, make_cell):
+    """Postselect is the measurement at forced outcome 0 on every site, which
+    an empty forced table selects too: the same amplitudes, probability,
+    fidelity and record, bit for bit."""
+    a = prepare(subject, make_cell(), KwMode.postselect())
+    b = prepare(subject, make_cell(), KwMode.forced({}))
+    assert a.register.layout == b.register.layout
+    assert a.register.amps.tobytes() == b.register.amps.tobytes()
+    assert a.probability.hex() == b.probability.hex()
+    assert a.fidelity_vs_oracle.hex() == b.fidelity_vs_oracle.hex()
+    assert a.to_json() == b.to_json()
 
 
 def test_nil2_forced_keys_cover_vertices_then_plaquettes():

@@ -440,7 +440,7 @@ def test_dims_follow_every_change_to_the_site_list(support):
     check(reg)
     reg.add_sites([SiteSpec("p", "plaquette", z3)], lambda s: np.full(3, 1 / np.sqrt(3)))
     check(reg)
-    reg.project_plus("p")
+    reg.measure_fourier("p", forced=0)
     check(reg)
     assert seen == [(3, 2, 3), (2, 3), (2, 3, 2), (6, 2), (3, 2, 2), (3, 2), (3, 2, 3), (3, 2)]
     assert base.dims == (2, 3)
@@ -494,6 +494,48 @@ def test_add_sites_rejects_register_over_budget(monkeypatch):
     assert gated.amps.shape == (2, 2, 2) and len(gated.sites) == 3
 
 
+# the density of each side; every pair but the sparse ones shares more than
+# OVERLAP_CHUNK positions on the larger register. Where one side is full, a
+# call on the other side's support form shares every position it reads, and
+# reads its chunks in place, while the dense call gathers them.
+DENSITIES = {"sparse": (0.01, 0.01), "half": (0.5, 0.5), "full": (1.0, 1.0), "sparse-full": (0.01, 1.0),
+             "half-full": (0.5, 1.0), "full-half": (1.0, 0.5)}
+
+
+@pytest.mark.parametrize("sites", [6, 8], ids=["4^6", "4^8"])
+@pytest.mark.parametrize("densities", DENSITIES.values(), ids=DENSITIES.keys())
+def test_overlaps_on_the_support_match_the_densified_registers_bitwise(sites, densities):
+    """inner_product, fidelity and norm give the same bits whichever operand
+    holds the support form: both sum the products at the positions where
+    both sides are nonzero, in position order. The draws leave entries that
+    are zero on one side only, some of them negative zeros, and a support
+    form is read where it is, never densified."""
+    z4 = build_cyclic(4)
+    specs = [SiteSpec(k, "edge", z4) for k in range(sites)]
+    rng = np.random.default_rng(sites)
+
+    def draw(density):
+        size = 4**sites
+        amps = (rng.normal(size=size) + 1j * rng.normal(size=size)) * (rng.random(size) < density)
+        return amps / np.linalg.norm(amps)
+
+    def forms(amps):
+        dense, support = QuditRegister(specs, amps), QuditRegister(specs, amps)
+        support._positions()
+        return {"dense": dense, "support": support}
+
+    bras, kets = forms(draw(densities[0])), forms(draw(densities[1]))
+    want = bras["dense"].inner_product(kets["dense"])
+    assert abs(want - np.vdot(bras["dense"].amps, kets["dense"].amps)) < 1e-12
+    for bra_form, bra in bras.items():
+        assert bra.norm().hex() == bras["dense"].norm().hex(), bra_form
+        for ket_form, ket in kets.items():
+            got = bra.inner_product(ket)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (bra_form, ket_form)
+            assert bra.fidelity(ket).hex() == (abs(want) ** 2).hex(), (bra_form, ket_form)
+    assert bras["support"]._support is not None and kets["support"]._support is not None
+
+
 def test_duplicate_site_ids_rejected():
     z2 = build_cyclic(2)
     with pytest.raises(ValueError, match="duplicate"):
@@ -534,7 +576,9 @@ def random_z3_register(symmetric_axes=()):
 
 # measured on a 3^10 register: 1.34, 1.34, 1.1, 2.0 and 1.0 register sizes; a
 # second register-sized copy in the measurement, the diagonal or the one-site
-# take exceeds its bound. A measurement of the dense state rotates every column
+# take exceeds its bound. The norm took 0.07: every position is shared, so its
+# overlap holds their mask and reads the chunks in place (0.59 at half density,
+# with the shared positions); a gathered copy of the register exceeds its bound. A measurement of the dense state rotates every column
 # and holds the rotated block, one conjugated row of it and the branch. The
 # three-site permutation moves its axes to the front and merges them, a copy,
 # before its take.
@@ -547,6 +591,7 @@ TRANSIENT_BOUNDS = [
     ("two-site diagonal", lambda reg: reg.apply(PHASES), 1.5),
     ("three-site permutation", lambda reg: reg.apply(SHUFFLE), 2.5),
     ("one-site permutation", lambda reg: reg.apply(CYCLE), 1.5),
+    ("norm", lambda reg: reg.norm(), 1.0),
 ]
 
 
@@ -570,11 +615,14 @@ def _report_transient(build):
 
 
 def test_stabilizer_report_stays_within_its_transient_memory():
-    """Measured at 1.85 register sizes on the dense state: the zero ket, the
-    support positions (half a register at full density) and one block of
-    label moves and gathered copies (2.3 when each term read the support on
-    its own). The dense sweep it replaced held 4.1: the scaled state, the
-    vertex accumulator and the two ends of one per-axis take."""
+    """Measured at 3.06 register sizes on the dense state: the state at its
+    support positions and one term's row there (a register each at full
+    density), the positions and a projector row's shared positions (half a
+    register each) and one block of label moves and gathered copies. A zero
+    ket of full length in place of the row held 1.85, but its overlap read
+    every amplitude, and on a sparse state the rows are smaller (THINNED).
+    The dense sweep it replaced held 4.1: the scaled state, the vertex
+    accumulator and the two ends of one per-axis take."""
     transient = _report_transient(lambda: random_z3_register(symmetric_axes=range(1, 9)))
     assert transient <= 4.5, f"stabilizer_report: transient {transient:.2f} register sizes"
 
@@ -633,7 +681,8 @@ def thinned_z3_register(density, measured_axis=None):
 
 
 # half the columns is the most the measurement gathers; measured 1.09 and 0.35
-# register sizes for the measurement, 1.53 and 1.20 for the report
+# register sizes for the measurement, 1.65 and 0.21 for the report (1.53 and
+# 1.20 with a zero ket of full length)
 THINNED = {"half-dense": 0.5, "sparse": 0.01}
 
 
