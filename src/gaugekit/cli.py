@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cellulation import Cellulation, from_json as cellulation_from_json, hexagon_torus, square_torus, theta_sphere
 from .groups import (
@@ -38,7 +38,7 @@ from .protocols import (
     prepare_nil2_double,
     prepare_solvable_double,
 )
-from .verify import commuting_pair_classes, ground_state_degeneracy, identity_suite, stabilizer_report
+from .verify import commuting_pair_classes, ground_state_degeneracy, identity_suite, stabilizer_reports
 
 __all__ = ["RunConfig", "main", "cmd_prepare", "cmd_verify", "cmd_groups"]
 
@@ -193,21 +193,22 @@ def _parse_subject(config: RunConfig) -> Tuple[Union[FiniteGroup, FactorSystem],
 
 
 def _run_protocol(
-    config: RunConfig, subject: Union[FiniteGroup, FactorSystem], cell: Cellulation, n_seeds: int
-) -> Callable[[Sequence[KwMode]], Iterable[ProtocolTranscript]]:
-    """The protocol as a function of some seeds' modes, one transcript each. A
-    single seed calls the protocol's entry point; several run in lockstep
-    from one run plan, built here, which shares the oracle, the gate lists
-    and the state before the first measurement among them."""
-    if n_seeds > 1:
-        return plan_run(config.protocol, subject, cell, with_oracle=config.oracle_fidelity).run
+    config: RunConfig, subject: Union[FiniteGroup, FactorSystem], cell: Cellulation, modes: Sequence[KwMode]
+) -> Iterator[List[ProtocolTranscript]]:
+    """One list of transcripts per stack of seeds, a stack run once the last
+    one's list is taken. A single seed calls the protocol's entry point;
+    several run in lockstep from one run plan, built here, which shares the
+    oracle, the gate lists and the state before the first measurement."""
+    if len(modes) > 1:
+        plan = plan_run(config.protocol, subject, cell, with_oracle=config.oracle_fidelity)
+        return (list(plan.run(modes[lo : lo + plan.seeds])) for lo in range(0, len(modes), plan.seeds))
     prepare = {
         "abelian": prepare_abelian_double,
         "nil2": prepare_nil2_double,
         "metabelian": prepare_metabelian_double,
         "solvable": prepare_solvable_double,
     }[config.protocol]
-    return lambda modes: [prepare(subject, cell, mode, with_oracle=config.oracle_fidelity) for mode in modes]
+    return iter([[prepare(subject, cell, modes[0], with_oracle=config.oracle_fidelity)]])
 
 
 def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
@@ -224,19 +225,16 @@ def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:
     )
     subject, group = _parse_subject(config)
     gsd = ground_state_degeneracy(group, cell) if config.gsd else None
-    run_protocol = _run_protocol(config, subject, cell, len(modes))
 
     runs = []
-    for mode, transcript in zip(modes, run_protocol(modes)):  # one stack's transcripts at a time
-        entry: Dict[str, object] = {
-            "seed": mode.seed,
-            "transcript": transcript.to_dict(),
-        }
+    # one stack's transcripts at a time, the stabilizers of its seeds reported in one pass
+    for transcripts in _run_protocol(config, subject, cell, modes):
+        entries = [{"seed": mode.seed, "transcript": t.to_dict()} for mode, t in zip(modes[len(runs) :], transcripts)]
         if config.stabilizers:
-            report = stabilizer_report(transcript.register, group, cell)
-            entry["verification"] = report.to_dict()
-            entry["min_stabilizer_expectation"] = report.min_expectation()
-        runs.append(entry)
+            for entry, report in zip(entries, stabilizer_reports([t.register for t in transcripts], group, cell)):
+                entry["verification"] = report.to_dict()
+                entry["min_stabilizer_expectation"] = report.min_expectation()
+        runs += entries
 
     payload: Dict[str, object] = {
         "schema": SCHEMA_VERSION,

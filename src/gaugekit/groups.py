@@ -190,6 +190,34 @@ def generated_subgroup(parent: FiniteGroup, generators: Sequence[int]) -> Subgro
     return Subgroup(parent, tuple(sorted(members)))
 
 
+@lru_cache(maxsize=16)
+def _generating_set(g: FiniteGroup) -> Tuple[int, ...]:
+    """A small generating set of g: greedily the element of largest order,
+    then of smallest label, that the set so far does not generate. Built
+    once per group table."""
+    gens: List[int] = []
+    span = {0}
+    for a in sorted(g.elements(), key=lambda x: (-g.element_order(x), x)):
+        if a in span:
+            continue
+        gens.append(a)
+        span = set(generated_subgroup(g, gens).members)
+        if len(span) == g.order:
+            break
+    return tuple(gens)
+
+
+@lru_cache(maxsize=16)
+def _cayley_diameter(g: FiniteGroup) -> int:
+    """The longest shortest word of an element of g over _generating_set(g)
+    and its inverses: the depth of a breadth-first search from the identity."""
+    steps = [s for a in _generating_set(g) for s in (a, int(g.inv[a]))]
+    reached, depth = {0}, 0
+    while len(reached) < g.order:
+        reached, depth = reached | {int(g.mult[a, s]) for a in reached for s in steps}, depth + 1
+    return depth
+
+
 def build_cyclic(n: int) -> FiniteGroup:
     """Z_n with addition mod n."""
     if n < 1:

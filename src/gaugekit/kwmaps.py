@@ -33,7 +33,7 @@ from .gates import (
     z_dual,
     z_tilde,
 )
-from .groups import FactorSystem, FiniteGroup
+from .groups import FactorSystem, FiniteGroup, _cayley_diameter, _generating_set
 from .register import (
     AMPLITUDE_BUDGET,
     SEED_SITE,
@@ -138,6 +138,16 @@ class KwResult:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _probe_table(subject: Union[FiniteGroup, FactorSystem]) -> np.ndarray:
+    """The symmetry probe's source rows, read off the group tables and so
+    trusted: row g holds g^-1 x at label x of a group's vertex, and the pair
+    label of g^-1 times the parent element of x on a split vertex."""
+    if isinstance(subject, FactorSystem):
+        pair = parent_to_pair(subject)
+        return pair[subject.parent.mult[subject.parent.inv][:, np.argsort(pair)]]
+    return subject.mult[subject.inv]
+
+
 def _require_symmetric(
     reg: QuditRegister, subject: Union[FiniteGroup, FactorSystem], sites: Sequence[Tuple[Hashable, ...]], what: str
 ) -> None:
@@ -145,20 +155,23 @@ def _require_symmetric(
     outcomes is satisfiable exactly for invariant states, so repair would fail.
 
     sites holds each vertex's sites, one plain-group site or a split
-    (subgroup, quotient) pair. Each element g is probed by one per-axis take
-    per vertex of its row of the source table, read off the group tables and
-    so trusted: g^-1 x on a group's vertex, the pair label of g^-1 times the
-    parent element of x on a split vertex. The probe reads the register in
-    the form it holds (QuditRegister.probe_residual)."""
-    if isinstance(subject, FactorSystem):
-        pair = parent_to_pair(subject)
-        table = pair[subject.parent.mult[subject.parent.inv][:, np.argsort(pair)]]
-    else:
-        table = subject.mult[subject.inv]
+    (subgroup, quotient) pair. Element g is probed by one per-axis take per
+    vertex of its row of _probe_table, in the form the register holds
+    (QuditRegister.probe_residual). A probe reads psi o s_g, g -> s_g a
+    homomorphism into permutations, so residual(gh) <= residual(g) +
+    residual(h): a generating set's largest residual times the Cayley-graph
+    diameter (and 1 + 1e-9 for rounding) within STATE_TOL accepts the input;
+    else every element is probed in order, and the first that moves it is
+    named."""
+    table = _probe_table(subject)
     vertices = [[reg.pos(s) for s in t] for t in sites]
     for t, axes in zip(sites, vertices):
         if math.prod(reg.dims[a] for a in axes) != subject.order:
             raise ValueError(f"{what}: vertex sites {t} do not carry the joint basis of the symmetry")
+    group = subject.parent if isinstance(subject, FactorSystem) else subject
+    worst = max((reg.probe_residual(vertices, table[g]) for g in _generating_set(group)), default=0.0)
+    if worst * _cayley_diameter(group) * (1 + 1e-9) <= STATE_TOL:
+        return
     for g in range(1, subject.order):
         if reg.probe_residual(vertices, table[g]) > STATE_TOL:
             raise ValueError(

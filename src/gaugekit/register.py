@@ -439,13 +439,17 @@ class QuditRegister:
         """(sid, dim) of every live site, in axis order."""
         return tuple((s.sid, s.dim) for s in self.sites)
 
-    def _positions(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _support_form(self) -> Tuple[np.ndarray, np.ndarray]:
         """The support form, found by one scan of the dense array if the
-        register is dense; the register is left in it."""
+        register is dense, which stays as it is."""
         if self._support is None:
-            dense = np.ravel(self._amps)
-            flat = np.flatnonzero(dense)
-            self._amps, self._support = None, (flat, dense[flat])
+            flat = np.flatnonzero(self._amps)
+            return flat, np.ravel(self._amps)[flat]
+        return self._support
+
+    def _positions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The support form (_support_form); the register is left in it."""
+        self._amps, self._support = None, self._support_form()
         return self._support
 
     def freeze(self) -> None:

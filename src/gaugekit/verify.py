@@ -2,9 +2,9 @@
 
 The vertex projector A_v is the group average of the gauge actions A_v^g,
 whose tables on every edge at v, for all g at once, are _vertex_tables;
-stabilizer_report reads the state's support once and evaluates every vertex
-term, the diagonal plaquette projectors plaquette_stabilizer builds and the
-irrep loops in batches on it, each value bitwise that of a dense sweep.
+stabilizer_reports reads the joined supports of a stack's seeds and runs
+every vertex term, plaquette projector (plaquette_stabilizer) and irrep
+loop in batches on them, each value bitwise that of a dense sweep.
 ground_state_degeneracy counts the joint rank of the projectors as the
 gauge orbits of flat edge labellings and is cross-checked by an independent
 commuting-pair orbit count, and check_identity materializes both sides of
@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +48,8 @@ from .gates import (
 from .groups import (
     FactorSystem,
     FiniteGroup,
+    _generating_set,
     character_table,
-    generated_subgroup,
     is_nil2_extension,
     irrep_table,
 )
@@ -71,6 +71,7 @@ __all__ = [
     "StabilizerReport",
     "plaquette_stabilizer",
     "stabilizer_report",
+    "stabilizer_reports",
     "ground_state_degeneracy",
     "commuting_pair_classes",
     "check_identity",
@@ -101,23 +102,6 @@ def _real(value: complex, what: str) -> float:
     if abs(value.imag) > EXPECTATION_IMAG_TOL:
         raise ValueError(f"{what} expectation {value} is off the real axis beyond {EXPECTATION_IMAG_TOL}")
     return float(value.real)
-
-
-@lru_cache(maxsize=16)
-def _generating_set(g_group: FiniteGroup) -> Tuple[int, ...]:
-    """A small generating set of g_group: greedily the element of largest
-    order, then of smallest label, that the set so far does not generate.
-    Built once per group table."""
-    gens: List[int] = []
-    span = {0}
-    for a in sorted(g_group.elements(), key=lambda x: (-g_group.element_order(x), x)):
-        if a in span:
-            continue
-        gens.append(a)
-        span = set(generated_subgroup(g_group, gens).members)
-        if len(span) == g_group.order:
-            break
-    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -180,39 +164,47 @@ class StabilizerReport:
 
 
 def stabilizer_report(
-    reg: QuditRegister,
-    g_group: FiniteGroup,
-    cell: Cellulation,
-    edge_of: Callable[[int], Hashable] = _edge_site,
+    reg: QuditRegister, g_group: FiniteGroup, cell: Cellulation, edge_of: Callable[[int], Hashable] = _edge_site
 ) -> StabilizerReport:
-    """Evaluate every vertex and plaquette projector on reg, plus irrep loop
-    values where matrices are stored.
+    """stabilizer_reports of one register."""
+    return stabilizer_reports([reg], g_group, cell, edge_of)[0]
 
-    The state's support, the flat positions of its nonzero amplitudes, is
-    read once, and the terms run in blocks (_expectations) on the edge
-    labels at those positions, flat // stride % |G| for every edge at once.
-    <A_v> gathers, for every support position and all g at once, the state
-    at the source label image[g^-1] of every edge at v, scales it by 1/|G|
-    and sums the |G| copies in element order; a plaquette or loop diagonal
-    multiplies the amplitude by its entry in one concatenated table, at the
-    joint label its weight row gives. Each term's values at the support
-    positions are overlapped with the state there (_overlap), so every value
-    is bitwise the one a dense sweep over every amplitude gives
-    (tests/reference.py, dense_stabilizer_report), and the first value off
-    the real axis, in the order A, B, loops, raises. The tables are cached
-    for the group, cell and edge ids (_stabilizer_diagonals)."""
+
+def stabilizer_reports(
+    registers: Sequence[QuditRegister], g_group: FiniteGroup, cell: Cellulation,
+    edge_of: Callable[[int], Hashable] = _edge_site,
+) -> List[StabilizerReport]:
+    """Every vertex and plaquette projector, plus irrep loop values where
+    matrices are stored, on each of registers of one layout (a stack's seeds).
+
+    The supports, read in the form each register holds, are joined
+    seed-major (register s at s times the register size), and the terms run
+    once for all, in blocks (_expectations), on the edge labels there. <A_v>
+    sums, in element order, the state scaled by 1/|G| at the source label
+    image[g^-1] of every edge at v, found by searchsorted on the positions
+    (zero off them); a diagonal multiplies each amplitude by its entry in
+    one table (_stabilizer_diagonals). Each (register, term) row is
+    overlapped with that register's state on its run of positions
+    (_overlap), so each value has the bits of a dense sweep
+    (tests/reference.py, dense_stabilizer_report); the first value off the
+    real axis, by register, then A, B, loops, raises."""
+    first = registers[0]
+    for reg in registers[1:]:
+        first._check_layout(reg)
     edges = tuple(edge_of(e) for e in range(cell.n_edges))
-    wrong = [sid for sid in edges if reg.spec(sid).dim != g_group.order]
+    wrong = [sid for sid in edges if first.spec(sid).dim != g_group.order]
     if wrong:
         raise ValueError(f"stabilizer report: edge sites {wrong} do not carry {g_group.name}")
     terms = _stabilizer_diagonals(g_group, cell, edges)
-    for op in terms.diagonals:
-        reg._target_axes(op)
-    d, dims = g_group.order, reg.dims
-    strides = np.array([math.prod(dims[reg.pos(sid) + 1 :]) for sid in edges], dtype=np.int64)
-    bra = np.ravel(reg.amps)
-    flat = np.flatnonzero(bra)
-    on_support = bra[flat]
+    d, dims = g_group.order, first.dims
+    strides = np.array([math.prod(dims[first.pos(sid) + 1 :]) for sid in edges], dtype=np.int64)
+    supports = [reg._support_form() for reg in registers]
+    ends = np.cumsum([0] + [at.size for at, _ in supports])
+    runs = list(zip(ends[:-1], ends[1:]))
+    flat, bra = supports[0]
+    if len(supports) > 1:
+        flat = np.concatenate([s * math.prod(dims) + at for s, (at, _) in enumerate(supports)])
+        bra = np.concatenate([values for _, values in supports])
     scale = complex(1.0 / d)
     # steps[base[v, k] + x, g]: the flat step that moves label x of vertex
     # v's k-th edge to its source label under g
@@ -220,61 +212,66 @@ def stabilizer_report(
     steps = (terms.vertex_moves * strides[terms.vertex_edges][:, :, None, None]).reshape(-1, d)
     base = (np.arange(n_v * k) * d).reshape(n_v, k, 1)
 
-    def averaged(lo: int, hi: int, at: np.ndarray) -> np.ndarray:
+    def averaged(lo: int, hi: int, span: slice) -> np.ndarray:
+        at = flat[span]
         src = steps[base[lo:hi] + at // strides[terms.vertex_edges[lo:hi], None] % d].sum(axis=1)
         src += at[:, None]
-        gathered = bra[src]
+        found = np.minimum(np.searchsorted(flat, src), flat.size - 1)
+        gathered = np.where(flat[found] == src, bra[found], 0)
         gathered *= scale
         acc = np.zeros((hi - lo, at.size), dtype=np.complex128)
         for g in range(d):
             acc += gathered[:, :, g]
         return acc
 
-    def diagonal(lo: int, hi: int, at: np.ndarray) -> np.ndarray:
-        joint = terms.weights[lo:hi] @ (at // strides[:, None] % d) + terms.offsets[lo:hi, None]
+    def diagonal(lo: int, hi: int, span: slice) -> np.ndarray:
+        joint = terms.weights[lo:hi] @ (flat[span] // strides[:, None] % d) + terms.offsets[lo:hi, None]
         # operands of one shape: a (1,) amplitude row against a (1, 1) block
         # sends numpy's complex multiply down its scalar loop, whose last bit
         # can differ from its vector loops
-        return bra[np.broadcast_to(at, joint.shape)] * terms.table[joint]
+        return np.repeat(bra[None, span], hi - lo, axis=0) * terms.table[joint]
 
     # a vertex term reads |G| steps on each of its edges per position, a
     # diagonal the labels of every edge
-    read = _expectations(on_support, flat, k * d, n_v, averaged)
-    vexp = {v: _real(value, f"A[{v}]") for v, value in enumerate(read)}
-    read = _expectations(on_support, flat, len(edges), len(terms.names), diagonal)
-    values = iter([_real(value, name) for value, name in zip(read, terms.names)])
-    pexp = {p: next(values) for p in range(cell.n_plaquettes)}
-    loop_values = {label: {p: next(values) for p in range(len(ops))} for label, ops in terms.loops}
-    return StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values)
+    vertex = _expectations(bra, runs, k * d, n_v, averaged)
+    diagonals = _expectations(bra, runs, len(edges), len(terms.names), diagonal)
+    reports = []
+    for s in range(len(registers)):
+        vexp = {v: _real(per[s], f"A[{v}]") for v, per in enumerate(vertex)}
+        values = iter([_real(per[s], name) for per, name in zip(diagonals, terms.names)])
+        pexp = {p: next(values) for p in range(cell.n_plaquettes)}
+        loop_values = {label: {p: next(values) for p in range(len(ops))} for label, ops in terms.loops}
+        reports.append(StabilizerReport(vertex_expectations=vexp, plaquette_expectations=pexp, loop_values=loop_values))
+    return reports
 
 
 def _expectations(
     bra: np.ndarray,
-    flat: np.ndarray,
+    runs: Sequence[Tuple[int, int]],
     rows: int,
     count: int,
-    values: Callable[[int, int, np.ndarray], np.ndarray],
-) -> List[complex]:
-    """<psi|O_t|psi> for the terms t < count, in order, bra the state at its
-    support positions flat.
+    values: Callable[[int, int, slice], np.ndarray],
+) -> List[List[complex]]:
+    """<psi_s|O_t|psi_s> for the terms t < count, in order, each for every
+    state s, bra the states at their support positions, state s at runs[s].
 
-    values(lo, hi, at) returns O_t psi at the support positions at for the
+    values(lo, hi, span) returns O_t psi at the support entries span for the
     terms lo..hi-1, one row each, reading rows amplitudes per term and
     position; one block reads at most SUPPORT_CHUNK of them: several terms
     at every position of a small support, one term over a run of positions
-    of a large one, written into one row buffer that every term fills. Each
-    term's row over the support is overlapped with bra (_overlap): off the
-    support the state is zero, so the bits are those of the dense
-    expectation."""
+    of a large one, written into one row buffer. Each (state, term) row is
+    overlapped with bra on the state's run (_overlap): off the support the
+    state is zero, so the bits are those of the dense expectation."""
     step = max(1, SUPPORT_CHUNK // rows)
-    if flat.size <= step:
-        per = step // max(1, flat.size)
-        return [_overlap(bra, row) for lo in range(0, count, per) for row in values(lo, min(lo + per, count), flat)]
+    if bra.size <= step:
+        per = step // max(1, bra.size)
+        blocks = (values(lo, min(lo + per, count), slice(None)) for lo in range(0, count, per))
+        return [[_overlap(bra[a:b], row[a:b]) for a, b in runs] for block in blocks for row in block]
     row, out = np.empty_like(bra), []
     for t in range(count):
-        for lo in range(0, flat.size, step):
-            row[lo : lo + step] = values(t, t + 1, flat[lo : lo + step])[0]
-        out.append(_overlap(bra, row))
+        for lo in range(0, bra.size, step):
+            row[lo : lo + step] = values(t, t + 1, slice(lo, lo + step))[0]
+        out.append([_overlap(bra[a:b], row[a:b]) for a, b in runs])
     return out
 
 

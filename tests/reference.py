@@ -29,13 +29,15 @@ is_isomorphic and central_quotient are the group-theory checks of the
 factor-system round trips. gate_matrix is a register gate as a dense
 matrix, and split_left_mult is L^g on a split vertex built from the factor
 system's own formula, the reference the split-vertex symmetry probes are
-pinned to. walk_sign, nontrivial, conjugacy_classes, is_trivial and
-irrep_by_label are small queries on the program's records that only the
-tests ask. The all_element_* checks are verify's g-indexed identities as a
-loop over every g != e, from the same pure columns, actions and deviation
-constants; verify loops over a generating set only, and must give the same
-bits. per_op_plaquette_loops_carry_irrep_dimension builds each loop
-diagonal with loop_z, where verify reads the stabilizer report's tables,
+pinned to. all_element_require_symmetric is the symmetry probe over every
+g != e, the reference for the probe on a generating set. walk_sign,
+nontrivial, conjugacy_classes, is_trivial and irrep_by_label are small
+queries on the program's records that only the tests ask. The other
+all_element_* checks are verify's g-indexed identities as a loop over every
+g != e, from the same pure columns, actions and deviation constants; verify
+loops over a generating set only, and must give the same bits.
+per_op_plaquette_loops_carry_irrep_dimension builds each loop diagonal with
+loop_z, where verify reads the stabilizer report's tables,
 and column_wall_sweep is the decorated-wall push-through one column at a
 time, where verify sweeps blocks of columns as one array; both must give
 verify's bits.
@@ -67,12 +69,15 @@ from gaugekit.groups import (
     FiniteGroup,
     Irrep,
     IrrepTable,
+    _generating_set,
     center,
     character_table,
     irrep_table,
     quotient_group,
 )
+from gaugekit.kwmaps import _probe_table
 from gaugekit.register import (
+    STATE_TOL,
     DiagonalOperator,
     LocalOperator,
     QuditRegister,
@@ -93,7 +98,6 @@ from gaugekit.verify import (
     _column_grids,
     _conjugation_deviation,
     _edge_order,
-    _generating_set,
     _pure_deviation,
     _pure_kw_g,
     _pure_kw_n,
@@ -573,6 +577,29 @@ ALL_ELEMENT_GROUP_IDENTITIES: Dict[str, Callable[[FiniteGroup, Cellulation], flo
 ALL_ELEMENT_SYSTEM_IDENTITIES: Dict[str, Callable[[FactorSystem, Cellulation], float]] = {
     "quotient_symmetry_survives": all_element_quotient_symmetry_survives,
 }
+
+
+# ---------------------------------------------------------------------------
+# the symmetry probe over every element
+
+
+def all_element_require_symmetric(
+    reg: QuditRegister, subject, sites: Sequence[Sequence[Hashable]], what: str
+) -> None:
+    """kwmaps._require_symmetric probing every g != e in order, naming the
+    first one that moves the input; kwmaps accepts on a generating set when
+    the Cayley-graph bound allows and must decide, and word, the same."""
+    table = _probe_table(subject)
+    vertices = [[reg.pos(s) for s in t] for t in sites]
+    for t, axes in zip(sites, vertices):
+        if int(np.prod([reg.dims[a] for a in axes])) != subject.order:
+            raise ValueError(f"{what}: vertex sites {t} do not carry the joint basis of the symmetry")
+    for g in range(1, subject.order):
+        if reg.probe_residual(vertices, table[g]) > STATE_TOL:
+            raise ValueError(
+                f"{what}: input is not invariant under the global left action "
+                f"(element {g} moves it); the residual charge obstructs outcome repair"
+            )
 
 
 # ---------------------------------------------------------------------------

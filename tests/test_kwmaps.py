@@ -1,14 +1,18 @@
 """Kramers-Wannier maps: exact oracle, measured modes, outcome repair."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaugekit import kwmaps, register
+from gaugekit import cli, groups, kwmaps, register
 from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_vertex_graph
 from gaugekit.gates import left_mult, loop_z, parent_to_pair
 from gaugekit.groups import (
+    FactorSystem,
     catalog,
     catalog_factor_system,
     character_table,
@@ -21,7 +25,7 @@ from gaugekit.groups import (
 from gaugekit.kwmaps import EXACT_BUDGET, KwMode, kw_abelian, kw_exact_g, kw_hat_abelian, kw_n_in_g
 from gaugekit.protocols import _solvable_chain
 from gaugekit.register import QuditRegister, SiteSpec, init_plus
-from reference import is_trivial, split_left_mult
+from reference import all_element_require_symmetric, is_trivial, split_left_mult
 
 CAT = catalog()
 
@@ -221,21 +225,33 @@ def _split_vertices(fs):
     return [n_site(0), q_site(0), q_site(1), SiteSpec("x", "edge", CAT["Z2"]), n_site(1)]
 
 
-def test_split_probes_read_the_sources_of_split_left_mult(monkeypatch):
-    """Every split-vertex probe row, built from the parent tables, equals the
-    source row of split_left_mult, for every catalog factor system and every
-    A4/S4 chain stage. The probe of a dense register reads them through
-    register._taken."""
-    systems = [catalog_factor_system(name) for name in ("S3", "D4", "Q8")]
-    systems += [fs for name in ("A4", "S4") for fs in _solvable_chain(CAT[name])]
+SPLIT_SYSTEMS = [catalog_factor_system(name) for name in ("S3", "D4", "Q8")]
+SPLIT_SYSTEMS += [fs for name in ("A4", "S4") for fs in _solvable_chain(CAT[name])]
+
+
+def test_split_probes_read_the_sources_of_split_left_mult():
+    """Every element's row of the split probe table, built from the parent
+    tables, equals the source row of split_left_mult, for every catalog
+    factor system and every A4/S4 chain stage."""
+    for fs in SPLIT_SYSTEMS:
+        table = kwmaps._probe_table(fs)
+        assert table.shape == (fs.parent.order, fs.order)
+        for g in range(fs.parent.order):
+            assert np.array_equal(table[g], np.argsort(split_left_mult(fs, g, ("n", 0), ("q", 0)).image)), (fs, g)
+
+
+def test_an_accepted_probe_reads_only_the_generator_rows(monkeypatch):
+    """On an invariant input the probe of a dense register reads, through
+    register._taken, one generator row per vertex and nothing else."""
     taken = register._taken
-    for fs in systems:
+    for fs in SPLIT_SYSTEMS:
         rows = []
         monkeypatch.setattr(register, "_taken", lambda amps, axes, sources: rows.append(sources) or taken(amps, axes, sources))
         sites = [(("n", v), ("q", v)) for v in range(2)]
         kwmaps._require_symmetric(init_plus(_split_vertices(fs)), fs, sites, "probe")
-        expected = [np.argsort(split_left_mult(fs, g, *t).image) for g in range(1, fs.parent.order) for t in sites]
-        assert len(rows) == len(expected)
+        table = kwmaps._probe_table(fs)
+        expected = [table[g] for g in groups._generating_set(fs.parent) for _ in sites]
+        assert len(rows) == len(expected) < 2 * (fs.parent.order - 1)
         assert all(np.array_equal(row, want) for row, want in zip(rows, expected)), fs
 
 
@@ -253,6 +269,97 @@ def test_split_probe_names_the_first_element_that_moves_the_input():
         kwmaps._require_symmetric(reg, fs, [(("n", v), ("q", v)) for v in range(2)], "probe")
     with pytest.raises(ValueError, match="do not carry the joint basis"):
         kwmaps._require_symmetric(reg, CAT["Z3"], [("x",)], "probe")
+
+
+# the plain groups the probe is checked on, and one split factor system
+PROBE_SUBJECTS = [CAT[name] for name in ("Z4", "S3", "D4", "Q8", "A4", "S4")] + [catalog_factor_system("D4")]
+# the largest residual in units of STATE_TOL, from the Cayley-graph diameter d
+# and a drawn u in [0.01, 0.99]
+PROBE_LEVELS = {
+    "zero": lambda d, u: 0.0,
+    "below the bound": lambda d, u: u / d,
+    "between the bound and the tolerance": lambda d, u: (1 - u) / d + u,
+    "just below the tolerance": lambda d, u: 1 - 1e-4,
+    "just above the tolerance": lambda d, u: 1 + 1e-4,
+}
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except ValueError as err:
+        return "raised", str(err)
+
+
+@st.composite
+def perturbed_inputs(draw, subject, level):
+    """Two vertices of subject and a Z2 spectator: a state constant on every
+    orbit of the probe's action (so exactly invariant), plus eps on the
+    orbit of one configuration under a drawn subgroup H, which every element
+    of H keeps and every other element moves by eps. eps lands at the
+    level; the register is dense or in support form."""
+    split = isinstance(subject, FactorSystem)
+    group = subject.parent if split else subject
+    n = subject.order
+    table = kwmaps._probe_table(subject)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = np.divmod(np.arange(n * n), n)
+    orbit = (table[:, a] * n + table[:, b]).min(axis=0)
+    values = 0.05 * (rng.normal(size=(n * n, 2)) + 1j * rng.normal(size=(n * n, 2)))
+    state = values[orbit]
+    members = groups.generated_subgroup(group, draw(st.lists(st.integers(0, n - 1), max_size=2))).members
+    eps = register.STATE_TOL * PROBE_LEVELS[level](groups._cayley_diameter(group), draw(st.floats(0.01, 0.99)))
+    x, c = draw(st.integers(0, n * n - 1)), draw(st.integers(0, 1))
+    state[table[list(members), x // n] * n + table[list(members), x % n], c] += eps
+    if split:
+        nn, nq = subject.n_group.order, subject.q_group.order
+        amps = state.reshape(nn, nq, nn, nq, 2).transpose(0, 1, 3, 4, 2)  # n0, q0, q1, x, n1
+        reg, sites = QuditRegister(_split_vertices(subject), amps), [(("n", v), ("q", v)) for v in range(2)]
+    else:
+        specs = [SiteSpec(("v", 0), "vertex", group), SiteSpec("x", "edge", CAT["Z2"]), SiteSpec(("v", 1), "vertex", group)]
+        reg, sites = QuditRegister(specs, state.reshape(n, n, 2).transpose(0, 2, 1)), [(("v", 0),), (("v", 1),)]
+    if draw(st.booleans()):
+        reg._positions()
+    moved = next((g for g in range(1, n) if g not in members and eps), None)
+    return reg, group, sites, moved
+
+
+@pytest.mark.parametrize("level", PROBE_LEVELS)
+@pytest.mark.parametrize("subject", PROBE_SUBJECTS, ids=lambda s: getattr(s, "name", "D4 split"))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_probe_decides_and_words_as_the_all_element_loop(subject, level, data):
+    """The probe on a generating set and the loop over every element accept
+    and reject the same inputs with the same message, naming the same
+    element; the first probes only the generators wherever the Cayley-graph
+    bound accepts, and probes every element in order past it."""
+    reg, group, sites, moved = data.draw(perturbed_inputs(subject, level))
+    calls = []
+    probe = QuditRegister.probe_residual
+    with mock.patch.object(QuditRegister, "probe_residual", lambda r, *args: calls.append(1) or probe(r, *args)):
+        got = _outcome(lambda: kwmaps._require_symmetric(reg, subject, sites, "probe"))
+    probes = len(calls)
+    assert got == _outcome(lambda: all_element_require_symmetric(reg, subject, sites, "probe"))
+    gens = len(groups._generating_set(group))
+    if moved is None or level in ("zero", "below the bound"):
+        assert (got, probes) == (("ok", None), gens)
+    elif level == "just above the tolerance":
+        assert got == ("raised", f"probe: input is not invariant under the global left action (element {moved} moves it); "
+                       "the residual charge obstructs outcome repair")
+        assert probes == gens + moved
+    else:
+        assert (got, probes) == (("ok", None), gens + subject.order - 1)
+
+
+def test_a_four_seed_s4_run_probes_five_times(monkeypatch):
+    """The S4 solvable rounds probe S4, then S3, then Z2: 2 + 2 + 1
+    generators, where every element took 23 + 5 + 1."""
+    calls = []
+    probe = QuditRegister.probe_residual
+    monkeypatch.setattr(QuditRegister, "probe_residual", lambda r, *args: calls.append(1) or probe(r, *args))
+    config = cli.RunConfig(command="prepare", group="S4", cell="hexagon", protocol="solvable", mode="sample:3", seeds=4)
+    cli.cmd_prepare(config)
+    assert len(calls) == 5
 
 
 def test_vertex_route_forced_branches():

@@ -455,6 +455,50 @@ def test_a_one_seed_postselected_run_writes_no_dense_array(monkeypatch, prepare,
     assert abs(transcript.fidelity_vs_oracle - 1) < 1e-12
 
 
+# whole CLI runs with stabilizers and oracle on: two 4-seed stacks and the
+# CLI's default, one postselected seed
+CLI_RUNS = {
+    "S4-solvable-4-seeds": dict(group="S4", cell="hexagon", protocol="solvable", mode="sample:3", seeds=4),
+    "D4-nil2-4-seeds": dict(group="D4", cell="hexagon", protocol="nil2", mode="sample:3", seeds=4),
+    "S4-solvable-postselect": dict(group="S4", cell="hexagon", protocol="solvable"),
+    "Z3-abelian-square-postselect": dict(group="Z3", cell="square:2x2", protocol="abelian"),
+}
+
+
+@pytest.mark.parametrize("run", CLI_RUNS.values(), ids=CLI_RUNS.keys())
+def test_a_cli_prepare_with_stabilizers_writes_no_dense_array(monkeypatch, run):
+    """cmd_prepare from its plan to its report: the stabilizer report reads
+    each seed's support form where the run left it, gathering its vertex
+    sources by searchsorted on the positions, so no dense array is written
+    for a register that held the support form."""
+    written = _spy_dense_writes(monkeypatch)
+    payload, _ = cli.cmd_prepare(cli.RunConfig(command="prepare", **run))
+    assert written == []
+    assert len(payload["runs"]) == run.get("seeds", 1)
+    assert all("verification" in entry and "fidelity_vs_oracle" in entry["transcript"] for entry in payload["runs"])
+
+
+def test_the_report_runs_once_per_stack_with_the_bytes_of_one_stack(monkeypatch):
+    """Four S3 metabelian seeds on the hexagon torus are one stack, and their
+    stabilizers one report call; at a budget of two seeds' worth they run as
+    two stacks, reported once each, with the same bytes."""
+    config = cli.RunConfig(command="prepare", group="S3", cell="hexagon", protocol="metabelian", mode="sample:9", seeds=4)
+    calls = []
+    reports = cli.stabilizer_reports
+    monkeypatch.setattr(cli, "stabilizer_reports", lambda regs, *args: calls.append(len(regs)) or reports(regs, *args))
+    whole, _ = cli.cmd_prepare(config)
+    assert calls == [4]
+    calls.clear()
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 2 * 972)
+    split, _ = cli.cmd_prepare(config)
+    assert calls == [2, 2]
+    assert _entry_bytes(split) == _entry_bytes(whole)
+    calls.clear()
+    one, _ = cli.cmd_prepare(dataclasses.replace(config, seeds=1))
+    assert calls == [1]
+    assert _entry_bytes(one["runs"]) == _entry_bytes(whole["runs"][:1])
+
+
 def test_the_last_corrections_and_the_edge_reassembly_hold_a_sliver_of_the_dense_stack(monkeypatch):
     """tracemalloc over the 4-seed S4 stack's last correction layer and
     _reassemble_edges: the stack is 4 x 13,824 = 55,296 amplitudes (884,736

@@ -155,6 +155,78 @@ def test_an_off_axis_term_raises_the_dense_sweeps_first_error(chunk, scale, firs
     assert got[0] == "raised" and got[1].startswith(f"{first} expectation (")
 
 
+# (protocol, group): 4-seed stacks whose seeds are reported in one pass
+STACK_CASES = [("solvable", "S4"), ("nil2", "D4"), ("metabelian", "S3")]
+
+
+def _respread(regs, rng):
+    """The registers' states over one shuffled layout: their sites and a Z2
+    and a Z3 spectator, each in a state with two nonzero labels, in a random
+    order; every other register in support form."""
+    spectators = [
+        (SiteSpec(("x", 0), "spectator", build_cyclic(2)), np.array([0.6, 0.8j])),
+        (SiteSpec(("x", 1), "spectator", build_cyclic(3)), np.array([0.0, np.sqrt(0.5), -np.sqrt(0.5)])),
+    ]
+    sites = list(regs[0].sites) + [spec for spec, _ in spectators]
+    order = rng.permutation(len(sites))
+    out = []
+    for s, reg in enumerate(regs):
+        amps = reg._dense()
+        for _, local in spectators:
+            amps = np.multiply.outer(amps, local)
+        out.append(QuditRegister([sites[k] for k in order], amps.transpose(order)))
+        if s % 2:
+            out[-1]._positions()
+    return out
+
+
+@pytest.mark.parametrize("chunk", [verify.SUPPORT_CHUNK, 1, 64])
+@pytest.mark.parametrize("protocol, name", STACK_CASES, ids=[f"{name}-{protocol}" for protocol, name in STACK_CASES])
+def test_a_stacks_reports_match_the_dense_sweep_of_each_seed_bitwise(chunk, protocol, name):
+    """The four seeds of a stack, as the run leaves them (views of the stack,
+    in support form but for S3, whose measurements leave it dense) and
+    moved to a shuffled layout with spectators (dense and support form
+    alternately), reported in one pass at the shipped block size and at
+    blocks of 1 and 64 entries: each report is the dense sweep of its seed
+    alone, bitwise."""
+    subject = catalog_factor_system(name) if protocol in ("nil2", "metabelian") else CAT[name]
+    cell = hexagon_torus()
+    plan = plan_run(protocol, subject, cell, with_oracle=False)
+    registers = [t.register for t in plan.run([KwMode.sample(seed) for seed in range(4)])]
+    for regs in (registers, _respread(registers, np.random.default_rng(len(STACK_CASES) + chunk))):
+        with mock.patch.object(verify, "SUPPORT_CHUNK", chunk):
+            got = [_bits(report.to_dict()) for report in verify.stabilizer_reports(regs, CAT[name], cell)]
+        assert got == [_bits(dense_stabilizer_report(reg, CAT[name], cell).to_dict()) for reg in regs]
+
+
+def test_a_stack_raises_the_first_error_of_its_first_failing_seed():
+    """Seed 0 a basis state, every value real; the 5%-support Z3 state of the
+    test above raises at its chi1 loop, and scaled a millionfold at A[0],
+    earlier in term order. A stack raises the error of its first failing
+    seed: seeds first, then A, B, loops within a seed."""
+    group, cell = CAT["Z3"], square_torus(2, 2)
+    sites = [SiteSpec(("e", e), "edge", group) for e in range(cell.n_edges)]
+    amps = _amplitudes(np.random.default_rng(1), (3,) * 8, 0.05, range(8))
+    ground = np.zeros((3,) * 8, dtype=np.complex128)
+    ground.flat[0] = 1
+    regs = [QuditRegister(sites, state) for state in (ground, amps / np.linalg.norm(amps), amps * 1e6)]
+    alone = [_outcome(lambda: stabilizer_report(reg, group, cell)) for reg in regs]
+    assert alone[0][0] == "ok" and alone[1][1].startswith("loop[chi1,0] ") and alone[2][1].startswith("A[0] ")
+    assert _outcome(lambda: verify.stabilizer_reports(regs, group, cell)) == alone[1]
+    assert _outcome(lambda: verify.stabilizer_reports([regs[0], regs[2], regs[1]], group, cell)) == alone[2]
+
+
+def test_registers_of_different_layouts_are_rejected_naming_both():
+    group, cell = CAT["Z3"], square_torus(2, 2)
+    sites = [SiteSpec(("e", e), "edge", group) for e in range(cell.n_edges)]
+    amps = np.zeros((3,) * 8, dtype=np.complex128)
+    amps.flat[0] = 1
+    regs = [QuditRegister(sites, amps), QuditRegister(sites[::-1], amps)]
+    with pytest.raises(ValueError) as raised:
+        verify.stabilizer_reports(regs, group, cell)
+    assert str(list(regs[0].layout)) in str(raised.value) and str(list(regs[1].layout)) in str(raised.value)
+
+
 @st.composite
 def measured_registers(draw):
     """One to four cyclic sites of dimensions 2 to 4 and one measured site,

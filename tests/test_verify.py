@@ -7,7 +7,7 @@ from types import ModuleType
 import numpy as np
 import pytest
 
-from gaugekit import verify
+from gaugekit import groups, verify
 from gaugekit.cellulation import (
     Cellulation,
     hexagon_torus,
@@ -350,7 +350,7 @@ def test_orbit_count_moves_labels_along_a_generating_set_only(monkeypatch):
     greedy set, and the orbit count builds one move array per generator and
     vertex, not one per group element."""
     for name, g in CAT.items():
-        gens = verify._generating_set(g)
+        gens = groups._generating_set(g)
         assert len(generated_subgroup(g, gens).members) == g.order, name
         assert len(gens) <= 2, name
     rows = []
@@ -618,7 +618,7 @@ def test_an_entangler_broken_off_the_first_generator_reads_the_same_on_both_path
     for name, g in CROSS_CHECK_GROUPS.items():
         if g.is_abelian:
             continue
-        k = verify._generating_set(g)[0]
+        k = groups._generating_set(g)[0]
 
         def shifted_cl(group, c_sid, t_sid):
             a, b = np.divmod(np.arange(group.order**2), group.order)
@@ -654,7 +654,7 @@ def test_pair_identities_build_the_gates_of_a_generating_set_only(monkeypatch):
     """On A5 each pair identity builds L^g and R^g for the two generators,
     not for the 59 elements g != e."""
     g = CAT["A5"]
-    gens = verify._generating_set(g)
+    gens = groups._generating_set(g)
     assert len(gens) == 2
     built = []
     for letter, gate in [("L", left_mult), ("R", right_mult)]:
@@ -676,12 +676,12 @@ def test_pair_identities_build_the_gates_of_a_generating_set_only(monkeypatch):
 
 
 def test_catalog_identity_suite_finds_one_generating_set_per_group():
-    verify._generating_set.cache_clear()
+    groups._generating_set.cache_clear()
     cell = hexagon_torus()
     for name, g in CAT.items():
         systems = {name: catalog_factor_system(name)} if name in ("S3", "D4", "Q8") else {}
         identity_suite(cell, groups={name: g}, systems=systems)
-    info = verify._generating_set.cache_info()
+    info = groups._generating_set.cache_info()
     assert info.misses == len(CAT)
     assert info.hits > 0
 
