@@ -30,14 +30,7 @@ from .groups import (
     parse_extension,
 )
 from .kwmaps import KwMode
-from .protocols import (
-    ProtocolTranscript,
-    plan_run,
-    prepare_abelian_double,
-    prepare_metabelian_double,
-    prepare_nil2_double,
-    prepare_solvable_double,
-)
+from .protocols import ProtocolTranscript, plan_run
 from .verify import commuting_pair_classes, ground_state_degeneracy, identity_suite, stabilizer_reports
 
 __all__ = ["RunConfig", "main", "cmd_prepare", "cmd_verify", "cmd_groups"]
@@ -196,19 +189,10 @@ def _run_protocol(
     config: RunConfig, subject: Union[FiniteGroup, FactorSystem], cell: Cellulation, modes: Sequence[KwMode]
 ) -> Iterator[List[ProtocolTranscript]]:
     """One list of transcripts per stack of seeds, a stack run once the last
-    one's list is taken. A single seed calls the protocol's entry point;
-    several run in lockstep from one run plan, built here, which shares the
-    oracle, the gate lists and the state before the first measurement."""
-    if len(modes) > 1:
-        plan = plan_run(config.protocol, subject, cell, with_oracle=config.oracle_fidelity)
-        return (list(plan.run(modes[lo : lo + plan.seeds])) for lo in range(0, len(modes), plan.seeds))
-    prepare = {
-        "abelian": prepare_abelian_double,
-        "nil2": prepare_nil2_double,
-        "metabelian": prepare_metabelian_double,
-        "solvable": prepare_solvable_double,
-    }[config.protocol]
-    return iter([[prepare(subject, cell, modes[0], with_oracle=config.oracle_fidelity)]])
+    one's list is taken, from the run plan built here, one seed or many: it
+    shares the oracle and the start register among the stacks."""
+    plan = plan_run(config.protocol, subject, cell, with_oracle=config.oracle_fidelity)
+    return (list(plan.run(modes[lo : lo + plan.seeds])) for lo in range(0, len(modes), plan.seeds))
 
 
 def cmd_prepare(config: RunConfig) -> Tuple[Dict[str, object], int]:

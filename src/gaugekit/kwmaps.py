@@ -7,8 +7,10 @@ vertex route and the plaquette (dual) route; kw_n_in_g gauges a normal
 subgroup presented by a factor system, leaving the quotient parts of the
 vertices live. Measured modes repair nontrivial outcomes through feedforward
 so every sampled branch matches the postselected branch. Both vertex-route
-maps are one KwRound: a unitary half that every measurement record shares
-and a measure-and-repair half that each record runs.
+maps run one whole round through one body (_kw_round): the symmetry check,
+the gated edge allocation, the Fourier measurement and one correction
+layer, on one seed or on a stack of seeds, one mode each. Every
+vertex-route round of every protocol is one of these two calls.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .register import (
     _vertex_site,
 )
 
-__all__ = ["KwMode", "KwResult", "KwRound", "kw_abelian", "kw_hat_abelian", "kw_exact_g", "kw_n_in_g"]
+__all__ = ["KwMode", "KwResult", "kw_abelian", "kw_hat_abelian", "kw_exact_g", "kw_n_in_g"]
 
 # dense-assembly ceiling for the enumeration oracle, in amplitudes
 EXACT_BUDGET = AMPLITUDE_BUDGET
@@ -209,64 +211,41 @@ def _wall_gates(
     return gates
 
 
-class KwRound:
-    """One vertex-route gauging round, split at its measurement layer.
-
-    entangle is the unitary half, the same for every measurement record: the
-    symmetry check, then the edge ancillas allocated through the wall-gate
-    list, which is built once here. repair is the per-record half: Fourier
+def _kw_round(
+    reg: QuditRegister,
+    subject: Union[FiniteGroup, FactorSystem],
+    cell: Cellulation,
+    mode: Union[KwMode, Sequence[KwMode]],
+    vertex_of: Callable[[int], Hashable],
+    edge_of: Callable[[int], Hashable],
+    q_of: Optional[Callable[[int], Hashable]] = None,
+) -> Union[KwResult, List[KwResult]]:
+    """One vertex-route gauging round, in place: the symmetry check, the
+    edge ancillas allocated through the wall-gate list, the Fourier
     measurement of the gauged vertex parts and one layer of character
-    corrections, run for every seed of a stack at once (repair_stack).
-    subject is an abelian group, gauged on the vertex sites, or a factor
-    system, whose subgroup parts vertex_of names and quotient parts q_of
-    names. kw_abelian and kw_n_in_g are one round each; a run plan keeps one
-    per stage and runs it on its stacks of seeds.
-    """
-
-    def __init__(
-        self,
-        subject: Union[FiniteGroup, FactorSystem],
-        cell: Cellulation,
-        vertex_of: Callable[[int], Hashable],
-        edge_of: Callable[[int], Hashable],
-        q_of: Optional[Callable[[int], Hashable]] = None,
-    ):
-        self.subject, self.cell = subject, cell
-        self.vertex_of, self.edge_of, self.q_of = vertex_of, edge_of, q_of
-        self.fs = subject if isinstance(subject, FactorSystem) else None
-        self.group = subject if self.fs is None else self.fs.n_group
-        self.gates = tuple(_wall_gates(subject, cell, vertex_of, edge_of, q_of))
-
-    def entangle(self, reg: QuditRegister) -> None:
-        """Write the domain walls onto new identity-state edges, in place."""
-        n_v = self.cell.n_vertices
-        if self.fs is None:
-            sites, what = [(self.vertex_of(v),) for v in range(n_v)], "kw_abelian"
-        else:
-            sites, what = [(self.vertex_of(v), self.q_of(v)) for v in range(n_v)], "kw_n_in_g"
-        _require_symmetric(reg, self.subject, sites, what)
-        reg.add_sites(
-            [SiteSpec(self.edge_of(e), "edge", self.group) for e in range(self.cell.n_edges)],
-            _identity_state,
-            self.gates,
-        )
-
-    def repair(self, reg: QuditRegister, mode: KwMode) -> KwResult:
-        """Measure the gauged vertex parts of an entangled register and cancel
-        the outcome phases, in place."""
-        return self.repair_stack(reg, [mode])[0]
-
-    def repair_stack(self, reg: QuditRegister, modes: Sequence[KwMode]) -> List[KwResult]:
-        """repair for every seed of reg at once, modes one per seed: one
-        measurement per vertex part and one correction gate per edge."""
-        cell = self.cell
-        outcomes, probs = _measure_sites(reg, modes, [(v, self.vertex_of(v)) for v in range(cell.n_vertices)])
-        plans = _charge_plans(outcomes, self.group, cell)
-        if self.fs is None:
-            _apply_corrections(reg, plans, _plan_gate(plans[0], self.edge_of))
-        else:
-            _apply_corrections(reg, plans, lambda e, t: z_tilde(self.fs, t, e, cell, self.q_of, self.edge_of))
-        return [KwResult(reg, *record) for record in zip(outcomes, plans, probs)]
+    corrections. subject is an abelian group, gauged on the vertex sites,
+    or a factor system, whose subgroup parts vertex_of names and quotient
+    parts q_of names. reg is one seed or a stack: mode is one KwMode, which
+    returns one KwResult, or one mode per seed, which returns a list."""
+    modes = [mode] if isinstance(mode, KwMode) else list(mode)
+    fs = subject if isinstance(subject, FactorSystem) else None
+    group = subject if fs is None else fs.n_group
+    n_v = cell.n_vertices
+    parts = [(vertex_of(v),) if fs is None else (vertex_of(v), q_of(v)) for v in range(n_v)]
+    _require_symmetric(reg, subject, parts, "kw_abelian" if fs is None else "kw_n_in_g")
+    reg.add_sites(
+        [SiteSpec(edge_of(e), "edge", group) for e in range(cell.n_edges)],
+        _identity_state,
+        _wall_gates(subject, cell, vertex_of, edge_of, q_of),
+    )
+    outcomes, probs = _measure_sites(reg, modes, [(v, vertex_of(v)) for v in range(n_v)])
+    plans = _charge_plans(outcomes, group, cell)
+    if fs is None:
+        _apply_corrections(reg, plans, _plan_gate(plans[0], edge_of))
+    else:
+        _apply_corrections(reg, plans, lambda e, t: z_tilde(fs, t, e, cell, q_of, edge_of))
+    results = [KwResult(reg, *record) for record in zip(outcomes, plans, probs)]
+    return results[0] if isinstance(mode, KwMode) else results
 
 
 def _measure_sites(
@@ -365,22 +344,21 @@ def kw_abelian(
     reg: QuditRegister,
     cell: Cellulation,
     a_group: FiniteGroup,
-    mode: KwMode,
+    mode: Union[KwMode, Sequence[KwMode]],
     vertex_of: Callable[[int], Hashable] = _vertex_site,
     edge_of: Callable[[int], Hashable] = _edge_site,
-) -> KwResult:
+) -> Union[KwResult, List[KwResult]]:
     """Gauge an abelian symmetry along the vertex route.
 
     Allocates edge ancillas in the identity state, writes each domain wall
     a_i^-1 a_f onto its edge, measures every vertex in the Fourier basis and
     cancels the outcome phases with one layer of character diagonals. The
-    register is modified in place and returned inside the result.
+    register is modified in place and returned inside the result. On a
+    stack of seeds mode is a list, one mode per seed, and so is the result.
     """
     if not a_group.is_abelian:
         raise ValueError("kw_abelian needs an abelian group")
-    rnd = KwRound(a_group, cell, vertex_of, edge_of)
-    rnd.entangle(reg)
-    return rnd.repair(reg, mode)
+    return _kw_round(reg, a_group, cell, mode, vertex_of, edge_of)
 
 
 def kw_hat_abelian(
@@ -455,11 +433,11 @@ def kw_n_in_g(
     reg: QuditRegister,
     cell: Cellulation,
     fs: FactorSystem,
-    mode: KwMode,
+    mode: Union[KwMode, Sequence[KwMode]],
     n_of: Callable[[int], Hashable] = _n_site,
     q_of: Callable[[int], Hashable] = _q_site,
     edge_of: Callable[[int], Hashable] = _edge_site,
-) -> KwResult:
+) -> Union[KwResult, List[KwResult]]:
     """Gauge a normal subgroup inside a group given in the split basis.
 
     Vertex sites must be presented as (subgroup part, quotient part) pairs.
@@ -467,6 +445,7 @@ def kw_n_in_g(
     entangler followed by the omega and inverse-sigma dressing layers,
     measures only the subgroup part of every vertex, and repairs outcomes
     with one layer of dressed character diagonals. Quotient parts stay live.
+    mode is one KwMode or, on a stack of seeds, one per seed (kw_abelian).
 
     The subgroup must be abelian, in every mode: its parts are measured in
     the Fourier basis, and repairs for a non-abelian one would be string
@@ -475,6 +454,4 @@ def kw_n_in_g(
     """
     if not fs.n_group.is_abelian:
         raise ValueError("kw_n_in_g needs an abelian subgroup")
-    rnd = KwRound(fs, cell, n_of, edge_of, q_of)
-    rnd.entangle(reg)
-    return rnd.repair(reg, mode)
+    return _kw_round(reg, fs, cell, mode, n_of, edge_of, q_of)

@@ -5,11 +5,12 @@ sampled outcomes with one feedforward layer per round, and reassembles split
 edge labels into the full group at the end. The transcript records every
 unitary layer, outcome, and correction plan, along with the branch
 probability and the fidelity against the enumeration oracle when requested.
-Everything before a run's first measurement layer is a finite-depth unitary
-on a fixed input, so a run plan builds it once, with the oracle and every
-round's gate list. From there its seeds run in lockstep, as one stack
-(QuditRegister.stack): one measurement per site and one correction gate per
-edge for every seed, and every seed-independent step once.
+Every run, one seed or many, is a run plan (plan_run): the preconditions,
+the start register and the oracle, built once. Its seeds run in lockstep
+from the start register, as one stack (QuditRegister.stack), and each
+vertex-route round is one kw_n_in_g or kw_abelian call on the stack: one
+symmetry probe and one gated allocation, one measurement per site and one
+correction gate per edge for every seed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .groups import (
     is_nil2_extension,
 )
 from .kwmaps import (
-    KwMode, KwRound, _apply_corrections, _charge_plans, _couple_plaquettes, _flux_plans, _measure_sites,
+    KwMode, _apply_corrections, _charge_plans, _couple_plaquettes, _flux_plans, _measure_sites,
     _plan_gate, _plaquette_site, kw_abelian, kw_exact_g, kw_n_in_g,
 )
 from .register import (
@@ -249,17 +250,14 @@ def _gauge_rounds(
     cell: Cellulation,
     modes: Sequence[KwMode],
     protocol: str,
-    rounds: Optional[Sequence[KwRound]] = None,
 ) -> List[ProtocolTranscript]:
     """One measurement round per factor system in chain, then one for the
-    abelian remainder, then edge reassembly; one transcript per mode.
+    abelian remainder, then edge reassembly, on reg, a stack of one seed per
+    mode; one transcript per mode.
 
     chain is empty for an abelian group. Otherwise the vertices of reg arrive
     already split for the first factor system; later stages split here.
-    Without rounds reg is one seed and every round is one kw_n_in_g or
-    kw_abelian call. With a run plan's rounds, reg is a stack of one seed per
-    mode, entangled for round 1, and every round runs on the plan's gate
-    lists for all of them at once.
+    Every round is one kw_n_in_g or kw_abelian call on the whole stack.
     """
     stages = _stages(g_group, chain)
     total = len(stages)
@@ -268,18 +266,12 @@ def _gauge_rounds(
         if 1 < j < total:
             _split_vertices(reg, cell, subject, j)
         round_modes = [_round_mode(mode, j, total) for mode in modes]
-        if rounds is not None:
-            if j > 1:
-                rounds[j - 1].entangle(reg)
-            results = rounds[j - 1].repair_stack(reg, round_modes)
-        elif q_of is None:
-            results = [kw_abelian(reg, cell, subject, round_modes[0], vertex_of=vertex_of, edge_of=edge_of)]
-        else:
-            results = [kw_n_in_g(reg, cell, subject, round_modes[0], n_of=vertex_of, q_of=q_of, edge_of=edge_of)]
         if q_of is None:
+            results = kw_abelian(reg, cell, subject, round_modes, vertex_of=vertex_of, edge_of=edge_of)
             label = f"gauge the abelian group {subject.name}"
             layer = "controlled group multiplications write domain walls onto identity-state edges"
         else:
+            results = kw_n_in_g(reg, cell, subject, round_modes, n_of=vertex_of, q_of=q_of, edge_of=edge_of)
             label = f"gauge the order-{subject.n_group.order} normal subgroup inside {subject.parent.name}"
             layer = "restricted edge entangler with cocycle and automorphism dressing"
         for record, res in zip(records, results):
@@ -325,7 +317,7 @@ def _require_rounds_fit(
     before the oracle, which can cost more than the rounds that fit. Returns
     the seeds one stack of the run holds (_seeds_within_budget), from the
     largest register the rounds build and the largest a measurement leaves."""
-    size, peak, held = reg.amps.size, 0, 0
+    size, peak, held = math.prod(reg.dims), 0, 0
     for subject, *_ in _stages(g_group, chain):
         order = (subject.n_group if isinstance(subject, FactorSystem) else subject).order
         size *= order**cell.n_edges
@@ -441,9 +433,7 @@ def prepare_abelian_double(
     a_group: FiniteGroup, cell: Cellulation, mode: KwMode, with_oracle: bool = True
 ) -> ProtocolTranscript:
     """One-shot double of an abelian group from uniform vertex ancillas."""
-    reg, group, chain, oracle, _ = _abelian_start(a_group, cell, with_oracle)
-    [transcript] = _gauge_rounds(reg, group, chain, cell, [mode], "abelian_double")
-    return _scored(transcript, oracle)
+    return plan_run("abelian", a_group, cell, with_oracle).branch(mode)
 
 
 def prepare_nil2_double(
@@ -480,18 +470,14 @@ def prepare_metabelian_double(
     gauges the remaining quotient vertices with fresh edge ancillas; the
     edge pairs are then merged into full-group labels.
     """
-    reg, group, chain, oracle, _ = _metabelian_start(fs, cell, with_oracle)
-    [transcript] = _gauge_rounds(reg, group, chain, cell, [mode], "metabelian_double")
-    return _scored(transcript, oracle)
+    return plan_run("metabelian", fs, cell, with_oracle).branch(mode)
 
 
 def prepare_solvable_double(
     g_group: FiniteGroup, cell: Cellulation, mode: KwMode, with_oracle: bool = True
 ) -> ProtocolTranscript:
     """Double of any solvable group in one round per derived-series step."""
-    reg, group, chain, oracle, _ = _solvable_start(g_group, cell, with_oracle)
-    [transcript] = _gauge_rounds(reg, group, chain, cell, [mode], "solvable_double")
-    return _scored(transcript, oracle)
+    return plan_run("solvable", g_group, cell, with_oracle).branch(mode)
 
 
 def gauge_input_state(
@@ -505,15 +491,16 @@ def gauge_input_state(
 
     The input register must hold exactly the vertex sites and be invariant
     under the global left action within 1e-10, which the first round checks;
-    the output matches the definitional map applied to the same input.
+    the output matches the definitional map applied to the same input. The
+    run starts from a fork of reg (QuditRegister.fork), so reg is left as it
+    was given.
     """
     if len(reg.sites) != cell.n_vertices or any(
         reg.spec(_vertex_site(v)).dim != g_group.order for v in range(cell.n_vertices)
     ):
         raise ValueError("gauge_input_state needs a register with exactly the vertex sites")
-    reg, group, chain, oracle, _ = _derived_series_start(reg, g_group, cell, with_oracle)
-    [transcript] = _gauge_rounds(reg, group, chain, cell, [mode], "gauge_input")
-    return _scored(transcript, oracle)
+    start = _derived_series_start(reg.fork(), g_group, cell, with_oracle)
+    return _vertex_route_plan("gauge_input", cell, start).branch(mode)
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +518,21 @@ class RunPlan:
     """The seed-independent part of one preparation run, built once and
     shared by every seed.
 
-    prefix is the register just before the run's first measurement layer,
-    the output of a finite-depth unitary on a fixed input: for the
-    vertex-route protocols the state after round 1's symmetry check and
-    entangler, for nil2 the whole coupling circuit. It is kept in support
-    form, its positions and values read-only, and every stack starts from it
-    without writing it (QuditRegister.freeze, stack), so each stack's first
-    measurement reads the support. The oracle's amplitudes are made
-    read-only too.
+    prefix is the run's start register: for the vertex-route protocols the
+    input after the preconditions and round 1's vertex split, so each stack
+    runs round 1's symmetry check and gated allocation itself; for nil2 the
+    whole coupling circuit. It is made read-only in the form its start left
+    it (QuditRegister.freeze), and every stack starts from it without
+    writing it (stack): a plus-state start stays dense, since its support
+    is full, and the nil2 circuit, which ends in a gated allocation, stays
+    in support form, which each stack's one measurement layer reads. The
+    oracle's amplitudes are made read-only too.
     oracle is the enumerated reference state, or None. seeds is the most
-    seeds one stack holds (_seeds_within_budget). finish runs the
-    measurements and feedforward of a stack of seeds, one mode each,
-    through the vertex-route rounds or the nil2 tail, and returns one
-    transcript per seed, whose register is that seed of the stack.
+    seeds one stack holds (_seeds_within_budget). finish runs the rounds of
+    a stack of seeds, one mode each: the vertex-route rounds, one
+    kw_n_in_g or kw_abelian call per round (_gauge_rounds), or the nil2
+    tail. It returns one transcript per seed, whose register is that seed
+    of the stack.
     """
 
     prefix: QuditRegister
@@ -572,13 +561,20 @@ class RunPlan:
         return transcript
 
 
+def _vertex_route_plan(protocol: str, cell: Cellulation, start: _Start) -> RunPlan:
+    """The run plan of a vertex-route start: its rounds run on each stack."""
+    prefix, group, chain, oracle, seeds = start
+    return RunPlan(prefix, oracle, seeds, lambda reg, modes: _gauge_rounds(reg, group, chain, cell, modes, protocol))
+
+
 def plan_run(
     protocol: str, subject: Union[FiniteGroup, FactorSystem], cell: Cellulation, with_oracle: bool = True
 ) -> RunPlan:
     """The run plan of one protocol ("abelian", "nil2", "metabelian",
-    "solvable") on subject, with the same preconditions, checked in the same
-    order, as its prepare_* entry point; plan.run(modes) then reports what
-    the entry point reports for each mode."""
+    "solvable") on subject, its preconditions checked here: each
+    vertex-route prepare_* entry point is plan_run(...).branch(mode), and
+    prepare_nil2_double checks the same ones in the same order, so
+    plan.run(modes) reports what the entry point reports for each mode."""
     if protocol == "nil2":
         prefix = _nil2_start(subject, cell)
         oracle = _oracle(subject.parent, cell) if with_oracle else None
@@ -593,7 +589,4 @@ def plan_run(
     if protocol not in _VERTEX_ROUTE:
         raise ValueError(f"unknown protocol {protocol!r}")
     name, start = _VERTEX_ROUTE[protocol]
-    prefix, group, chain, oracle, seeds = start(subject, cell, with_oracle)
-    rounds = tuple(KwRound(sub, cell, *sites) for sub, *sites in _stages(group, chain))
-    rounds[0].entangle(prefix)
-    return RunPlan(prefix, oracle, seeds, lambda reg, modes: _gauge_rounds(reg, group, chain, cell, modes, name, rounds))
+    return _vertex_route_plan(name, cell, start(subject, cell, with_oracle))

@@ -4,9 +4,10 @@ Every table that depends only on (group or factor system, cell, register
 layout, site ids) is built once and shared by every seed. These tests pin
 that equal content shares one entry, that cached arrays cannot be written,
 that every cache is bounded, that a warm plan reports the same bytes as a
-cold one, and that a second seed rebuilds no plan. Within one run, the
-oracle, the gate lists and the state before the first measurement are built
-once and every seed branches from that read-only state, and a stack of seeds
+cold one, and that a second seed rebuilds no plan. Every run, one seed or
+many, is one run plan: the oracle and the start register are built once, every
+stack of seeds branches from that read-only register and runs each
+vertex-route round as one kw_abelian or kw_n_in_g call, and a stack of seeds
 stays on its support from its first measurement to its transcripts.
 """
 
@@ -249,7 +250,7 @@ def test_a_second_seed_rebuilds_no_plan(monkeypatch, group):
     assert second["runs"][0]["seed"] == 12 and first["runs"][0]["seed"] == 11
 
 
-# --- one run plan per cmd_prepare: the unitary prefix is built once and the
+# --- one run plan per cmd_prepare: the start register is built once and the
 # seeds run from it in lockstep, as one stack
 
 
@@ -285,8 +286,8 @@ def test_a_run_builds_its_prefix_once_for_all_seeds(monkeypatch, group, protocol
     assert names["_nil2_circuit"] == (protocol == "nil2")
     assert names["_wall_gates"] == walls
     assert names["copy"] == 0
-    # the four seeds are one stack: the later rounds' symmetry probes run once
-    # for all of them, and each site is measured once for all of them
+    # the four seeds are one stack: each round's symmetry probe runs once for
+    # all of them, and each site is measured once for all of them
     probes = Counter(site for name, site in calls if name == "_require_symmetric")
     if protocol == "nil2":
         assert probes == Counter()
@@ -301,17 +302,111 @@ def test_a_run_builds_its_prefix_once_for_all_seeds(monkeypatch, group, protocol
 def test_a_one_seed_abelian_run_copies_no_register(monkeypatch):
     calls = []
     _recorded_calls(monkeypatch, calls, register.QuditRegister, "copy")
-    # one seed runs the entry point itself, through the public round map
+    # one seed is a stack of one, whose round is one public round map call
     _recorded_calls(monkeypatch, calls, protocols, "kw_abelian")
     config = cli.RunConfig(command="prepare", group="Z2", cell="square:3x2", protocol="abelian", mode="sample:1")
     cli.cmd_prepare(config)
     assert [name for name, _ in calls] == ["kw_abelian"]
 
 
+# every protocol in the four kinds of run: the CLI default, one sampled seed,
+# one 4-seed stack, and a forced outcome table
+ONE_PATH_GROUPS = {"abelian": "Z3", "metabelian": "S3", "solvable": "S4", "nil2": "D4"}
+ONE_PATH_ROUNDS = {
+    "abelian": ["kw_abelian"],
+    "metabelian": ["kw_n_in_g", "kw_abelian"],
+    "solvable": ["kw_n_in_g", "kw_n_in_g", "kw_abelian"],
+    "nil2": [],
+}
+ONE_PATH_MODES = {
+    "postselect": {},
+    "sample": {"mode": "sample:5"},
+    "4-seeds": {"mode": "sample:5", "seeds": 4},
+    "forced": {"mode": "forced:{path}"},
+}
+
+
+@pytest.mark.parametrize("mode", ONE_PATH_MODES)
+@pytest.mark.parametrize("protocol", ONE_PATH_ROUNDS)
+def test_every_vertex_route_round_of_every_stack_is_one_public_round_call(monkeypatch, tmp_path, protocol, mode):
+    """cmd_prepare runs one plan, and each vertex-route round of its stack
+    is exactly one kw_n_in_g or kw_abelian call on the whole stack, which
+    probes, allocates and measures once; nil2 makes none. A one-seed report
+    is the plan's own branch, bitwise."""
+    path = tmp_path / "forced.json"
+    path.write_text(json.dumps({"1": 0}))
+    options = {k: v.format(path=path) if k == "mode" else v for k, v in ONE_PATH_MODES[mode].items()}
+    config = cli.RunConfig(command="prepare", group=ONE_PATH_GROUPS[protocol], cell="hexagon", protocol=protocol, **options)
+    calls, steps = [], Counter()
+    _recorded_calls(monkeypatch, calls, cli, "plan_run")
+    for name in ("kw_abelian", "kw_n_in_g"):
+        _recorded_calls(monkeypatch, calls, protocols, name, lambda args: args[0].seeds)
+    for name in ("_require_symmetric", "_wall_gates", "_measure_sites"):
+        _count_calls(monkeypatch, steps, kwmaps, name)
+    payload, _ = cli.cmd_prepare(config)
+    monkeypatch.undo()
+
+    seeds = config.seeds
+    assert calls == [("plan_run", None)] + [(name, seeds) for name in ONE_PATH_ROUNDS[protocol]]
+    rounds = len(ONE_PATH_ROUNDS[protocol])
+    assert steps == Counter(dict.fromkeys(("_require_symmetric", "_wall_gates", "_measure_sites"), rounds))
+    if seeds == 1:
+        subject = _subject(protocol, config.group)
+        transcript = protocols.plan_run(protocol, subject, hexagon_torus()).branch(cli.parse_mode_spec(config.mode))
+        report = verify.stabilizer_report(transcript.register, groups.catalog()[config.group], hexagon_torus())
+        entry = payload["runs"][0]
+        assert _entry_bytes(entry["transcript"]) == _entry_bytes(transcript.to_dict())
+        assert _entry_bytes(entry["verification"]) == _entry_bytes(report.to_dict())
+
+
+def test_each_stack_probes_once_per_round_with_the_bytes_of_one_stack(monkeypatch):
+    """Four S3 metabelian seeds at a budget of two seeds' worth run as two
+    stacks of two, and each stack runs each of its two rounds' symmetry
+    probes once, for both of its seeds; the report has the bytes of the
+    one-stack run."""
+    config = cli.RunConfig(command="prepare", group="S3", cell="hexagon", protocol="metabelian", mode="sample:9", seeds=4)
+    whole, _ = cli.cmd_prepare(config)
+    probes = []
+    _recorded_calls(monkeypatch, probes, kwmaps, "_require_symmetric", lambda args: (args[0].seeds, args[2][0][0]))
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 2 * 972)
+    split, _ = cli.cmd_prepare(config)
+    first, second = ("_require_symmetric", (2, ("v", 0, 1, "n"))), ("_require_symmetric", (2, ("v", 0, 1, "q")))
+    assert probes == [first, second, first, second]
+    assert _entry_bytes(split) == _entry_bytes(whole)
+
+
+def test_a_vertex_route_start_writes_no_dense_array(monkeypatch):
+    """An S4 input held in support form, the orbit of one vertex labelling
+    under the global left action (24 of 576 amplitudes): the start counts
+    the rounds' registers from the layout (_require_rounds_fit) and splits
+    the vertices on the support, so without the oracle it writes no dense
+    array, and gauge_input_state leaves its input as it was given."""
+    s4, cell = CAT["S4"], hexagon_torus()
+    reg = init_plus([SiteSpec(register._vertex_site(v), "vertex", s4) for v in range(cell.n_vertices)])
+    orbit = np.zeros(reg.dims, dtype=np.complex128)
+    orbit[np.arange(24), s4.mult[np.arange(24), 5]] = 24**-0.5
+    reg.amps = orbit
+    flat, values = reg._positions()
+    written = _spy_dense_writes(monkeypatch)
+    protocols._derived_series_start(reg.fork(), s4, cell, with_oracle=False)
+    assert written == []
+    transcript = protocols.gauge_input_state(reg, s4, cell, kwmaps.KwMode.sample(2), with_oracle=False)
+    assert transcript.fidelity_vs_oracle is None and transcript.register.layout != reg.layout
+    assert reg._support[0] is flat and reg._support[1] is values and not reg.retired
+    assert reg.layout == tuple((register._vertex_site(v), 24) for v in range(cell.n_vertices))
+
+
+def _prefix_arrays(plan):
+    """The prefix's arrays in the form it holds: its support positions and
+    values, or its dense amplitudes."""
+    prefix = plan.prefix
+    return prefix._support if prefix._support is not None else (prefix._amps,)
+
+
 def _prefix_digest(plan):
-    """The digest of the prefix's support positions and values, read without
-    densifying the prefix, so that the seeds still fork its support form."""
-    return hashlib.sha256(b"".join(a.tobytes() for a in plan.prefix._support)).hexdigest()
+    """The digest of the prefix's arrays, read without moving the prefix to
+    the other form, so that the seeds still fork it as it was."""
+    return hashlib.sha256(b"".join(a.tobytes() for a in _prefix_arrays(plan))).hexdigest()
 
 
 def _entry_bytes(entry):
@@ -335,30 +430,42 @@ def test_every_seed_of_a_plan_matches_its_own_one_seed_run(monkeypatch, group, p
     config = cli.RunConfig(command="prepare", group=group, cell="hexagon", protocol=protocol, mode="sample:21", seeds=3)
     payload, _ = cli.cmd_prepare(config)
     [(plan, digest)] = plans
-    assert not any(array.flags.writeable for array in plan.prefix._support)
+    assert not any(array.flags.writeable for array in _prefix_arrays(plan))
     assert _prefix_digest(plan) == digest
 
     assert [run["seed"] for run in payload["runs"]] == [21, 22, 23]
     for run in payload["runs"]:
+        plans.clear()
         single, _ = cli.cmd_prepare(dataclasses.replace(config, seeds=1, mode=f"sample:{run['seed']}"))
+        # one seed is a run plan too, one per call
+        assert len(plans) == 1
         assert _entry_bytes(run) == _entry_bytes(single["runs"][0])
-    assert len(plans) == 1
 
 
 @pytest.mark.parametrize(
     "group,protocol,size", [("S4", "solvable", 576), ("D4", "nil2", 256)]
 )
 def test_every_seed_forks_the_prefix_in_support_form(monkeypatch, group, protocol, size):
-    """The prefix stays in support form, its positions and values read-only,
-    and each seed's first measurement reads those positions (36,864 and
-    16,384 amplitudes); each transcript and its register are bitwise those
-    of seeds forked from the same prefix densified first, whose first
-    measurement scans the dense array."""
+    """The prefix keeps the form its start left it in, read-only: the S4
+    solvable start (the split plus state, 576 amplitudes) dense, the D4 nil2
+    coupling circuit in support form (256 positions of 16,384). Each seed's
+    first measurement reads a support form: the prefix's own positions for
+    nil2, and for S4 the positions the stack's round-1 gated allocation
+    writes (of 36,864 amplitudes). Each transcript and its register are
+    bitwise those of seeds forked from the same prefix moved to the other
+    form first: for nil2 densified, so that the first measurement scans the
+    dense array, for S4 in support form, so that the round-1 symmetry probe
+    and allocation read positions."""
     subject = catalog_factor_system(group) if protocol == "nil2" else CAT[group]
-    plan, dense = (protocols.plan_run(protocol, subject, hexagon_torus()) for _ in range(2))
-    flat, values = plan.prefix._support
-    assert flat.size == size and not flat.flags.writeable and not values.flags.writeable
-    assert not dense.prefix.amps.flags.writeable and dense.prefix._support is None
+    plan, other = (protocols.plan_run(protocol, subject, hexagon_torus()) for _ in range(2))
+    arrays = _prefix_arrays(plan)
+    assert arrays[0].size == size and not any(array.flags.writeable for array in arrays)
+    if protocol == "nil2":
+        assert not other.prefix.amps.flags.writeable and other.prefix._support is None
+    else:
+        assert plan.prefix._support is None
+        other.prefix._positions()
+        other.prefix.freeze()
     first_reads = []
     live_block = QuditRegister._live_block
 
@@ -370,12 +477,12 @@ def test_every_seed_forks_the_prefix_in_support_form(monkeypatch, group, protoco
     monkeypatch.setattr(QuditRegister, "_live_block", recorded)
     for seed in range(3):
         mode = kwmaps.KwMode.sample(seed)
-        got, want = plan.branch(mode), dense.branch(mode)
+        got, want = plan.branch(mode), other.branch(mode)
         assert got.to_json() == want.to_json()
         assert got.register.layout == want.register.layout
         assert got.register.amps.tobytes() == want.register.amps.tobytes()
-    assert first_reads == [True, False] * 3
-    assert plan.prefix._support[0] is flat and plan.prefix._support[1] is values
+    assert first_reads == [True, protocol != "nil2"] * 3
+    assert all(a is b for a, b in zip(_prefix_arrays(plan), arrays))
 
 
 def test_threads_branching_from_one_prefix_match_a_serial_run():

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from gaugekit import feedforward, kwmaps, protocols
+from gaugekit import feedforward, kwmaps, protocols, register
 from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_vertex_graph
 from gaugekit.gates import left_mult
 from gaugekit.groups import (
@@ -31,6 +31,7 @@ from gaugekit.protocols import (
     prepare_metabelian_double,
     prepare_nil2_double,
     prepare_solvable_double,
+    plan_run,
 )
 from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _GateList, _vertex_site, init_plus
 from gaugekit.verify import check_identity, stabilizer_report
@@ -373,6 +374,65 @@ def test_gauge_input_rejects_nonsolvable_before_gauging():
     g, cell = alternating_group(5), theta_sphere()
     with pytest.raises(ValueError, match="perfect core"):
         gauge_input_state(vertex_register(g, cell), g, cell, KwMode.postselect())
+
+
+def _rejection(run):
+    with pytest.raises(ValueError) as info:
+        run()
+    return str(info.value)
+
+
+def test_gauge_input_state_checks_its_preconditions_in_order(monkeypatch):
+    """Each input below passes the checks before the one it is rejected by,
+    and fails the ones after it, so the messages pin the order: the vertex
+    sites, the register budget of the rounds, the oracle's invariant
+    component, then round 1's symmetry probe, naming the first element that
+    moves the input. A rejected input is left as it was given."""
+    g, cell = CAT["S3"], theta_sphere()
+    one_site = init_plus([SiteSpec(("v", 0), "vertex", g)])
+    # |e,e> - |a,a>: both labellings write the trivial walls, which cancel
+    cancelling = vertex_register(g, cell)
+    amps = np.zeros(cancelling.dims, dtype=np.complex128)
+    amps[0, 0], amps[1, 1] = 2**-0.5, -(2**-0.5)
+    cancelling.amps = amps
+    layout = cancelling.layout
+
+    def run(reg, **kwargs):
+        return lambda: gauge_input_state(reg, g, cell, KwMode.postselect(), **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(register, "AMPLITUDE_BUDGET", 1)
+        assert _rejection(run(one_site)) == "gauge_input_state needs a register with exactly the vertex sites"
+        assert _rejection(run(cancelling)) == "register of 972 amplitudes exceeds the dense register budget 1"
+    assert _rejection(run(cancelling)) == "input has no invariant component; the map projects it to zero"
+    for _ in range(2):
+        assert _rejection(run(cancelling, with_oracle=False)) == (
+            "kw_n_in_g: input is not invariant under the global left action (element 1 moves it); "
+            "the residual charge obstructs outcome repair"
+        )
+    assert cancelling.layout == layout and cancelling.amps.tobytes() == amps.tobytes()
+
+
+def test_plan_run_checks_the_group_then_the_budget_then_builds_the_oracle(monkeypatch):
+    """plan_run rejects the group for its protocol first, at any budget, then
+    a round over the register budget, before the oracle is enumerated."""
+    cell = theta_sphere()
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle was enumerated before the preconditions")
+
+    monkeypatch.setattr(protocols, "kw_exact_g", no_oracle)
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 1)
+    assert _rejection(lambda: plan_run("abelian", CAT["S3"], cell)) == "prepare_abelian_double needs an abelian group"
+    assert _rejection(lambda: plan_run("metabelian", _solvable_chain(CAT["S4"])[0], cell)) == (
+        "prepare_metabelian_double needs abelian subgroup and abelian quotient"
+    )
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 3600)
+    assert _rejection(lambda: plan_run("solvable", alternating_group(5), cell)).startswith("A5 is not solvable")
+    monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 971)
+    assert _rejection(lambda: plan_run("solvable", CAT["S3"], cell)) == (
+        "register of 972 amplitudes exceeds the dense register budget 971"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,13 @@ from gaugekit import register, verify
 from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere, theta_sphere
 from gaugekit.gates import controlled_left, cz_abelian, left_mult
 from gaugekit.groups import FactorSystem, build_cyclic, catalog, catalog_factor_system, character_table
-from gaugekit.kwmaps import KwMode, KwRound, _wall_gates
+from gaugekit.kwmaps import KwMode, _wall_gates, kw_abelian
 from gaugekit.protocols import _solvable_chain
 from gaugekit.register import (
     DiagonalOperator,
     LocalOperator,
     QuditRegister,
     SiteSpec,
-    _edge_site,
     _identity_state,
     _vertex_site,
     init_plus,
@@ -628,20 +627,20 @@ def test_stabilizer_report_stays_within_its_transient_memory():
 
 
 def test_a_vertex_route_round_writes_no_register_sized_array():
-    """Z3 on square_torus(2, 2): entangle and repair of one KwRound pass
-    through 3^12 = 531,441 amplitudes (8.5 MB) with 81 of them nonzero.
-    The gated allocation writes the support form and the four measurements
-    read it, so nothing is dense until the 3^8 output the corrections read:
-    measured 0.038 register sizes (the output and one gate's copies), 1.33
-    when the allocation wrote the dense array and the measurements read
-    it. A warm-up run builds the cached gate rows and Fourier matrix."""
+    """Z3 on square_torus(2, 2): one kw_abelian round (symmetry check,
+    gated allocation, measurements and corrections, its wall-gate list
+    included) passes through 3^12 = 531,441 amplitudes (8.5 MB) with 81 of
+    them nonzero. The gated allocation writes the support form and the four
+    measurements read it, so nothing is dense until the 3^8 output the
+    corrections read: measured 0.0024 register sizes, as when the round
+    ran on a wall-gate list built before it; 1.33 when the allocation wrote
+    the dense array and the measurements read it. A warm-up run builds the
+    cached gate rows and Fourier matrix."""
     z3, cell = build_cyclic(3), square_torus(2, 2)
-    rnd = KwRound(z3, cell, _vertex_site, _edge_site)
 
     def run(seed):
         reg = init_plus([SiteSpec(_vertex_site(v), "vertex", z3) for v in range(cell.n_vertices)])
-        rnd.entangle(reg)
-        rnd.repair(reg, KwMode.sample(seed))
+        kw_abelian(reg, cell, z3, KwMode.sample(seed))
         return reg
 
     run(0)

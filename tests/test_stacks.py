@@ -68,6 +68,7 @@ def seed_stacks(draw):
     stack = QuditRegister([register._seed_spec(n)] + sites, np.stack(raws))
     if draw(st.booleans()):
         for reg in seeds + [stack]:
+            reg._positions()
             reg.freeze()
     if draw(st.booleans()):
         forced = [draw(st.integers(0, measured.order - 1)) for _ in range(n)]
@@ -127,6 +128,7 @@ def test_a_stack_of_thousands_of_seeds_holds_only_their_amplitudes(monkeypatch):
         raise AssertionError(f"a {group.order}-element group table was built")
 
     prefix = init_plus([SiteSpec("a", "edge", build_cyclic(2))])
+    prefix._positions()
     prefix.freeze()
     monkeypatch.setattr(FiniteGroup, "_validate", no_table)
     tracemalloc.start()
@@ -140,19 +142,48 @@ def test_a_stack_of_thousands_of_seeds_holds_only_their_amplitudes(monkeypatch):
 
 
 def test_a_stack_of_one_shares_its_prefix_and_more_seeds_read_back_as_it():
+    """A stack of one is a fork of the frozen prefix, without a seed site,
+    sharing its support form or its read-only view of a dense array; the
+    array the dense prefix was built on stays writable."""
     rng = np.random.default_rng(3)
     sites = [SiteSpec(("s", k), "edge", build_cyclic(d)) for k, d in enumerate((3, 2, 4))]
     amps = rng.normal(size=(3, 2, 4)) * (rng.random((3, 2, 4)) < 0.3)
+    dense = QuditRegister(sites, amps.astype(np.complex128))
+    base = dense._amps
+    dense.freeze()
+    assert dense._support is None and not dense._amps.flags.writeable and base.flags.writeable
+    one = dense.stack(1)
+    assert not one.stacked and one.seeds == 1 and one.layout == dense.layout and one._amps is dense._amps
     prefix = QuditRegister(sites, amps)
+    prefix._positions()
     prefix.freeze()
     one = prefix.stack(1)
-    assert one.stacked and one.seeds == 1 and one.layout == ((SEED_SITE, 1),) + prefix.layout
+    assert not one.stacked and one.seeds == 1 and one.layout == prefix.layout
     assert all(a is b for a, b in zip(one._support, prefix._support))
     three = prefix.stack(3)
     assert three.seeds == 3 and np.array_equal(three.amps, np.stack([amps] * 3))
     for s in range(3):
         assert three.seed(s).layout == prefix.layout and np.array_equal(three.seed(s).amps, amps)
     assert prefix.seed(0) is prefix
+
+
+def test_a_fork_sets_every_attribute_of_its_register():
+    """fork sets the attributes one by one, not through the instance dict,
+    so an attribute added to QuditRegister must be added there too: a fork
+    of a dense or a support-form register has the same attribute names,
+    shares the amplitude arrays and dims, and owns its site list, index and
+    retired records."""
+    sites = [SiteSpec(("s", k), "edge", build_cyclic(d)) for k, d in enumerate((3, 2))]
+    for support in (False, True):
+        reg = init_plus(sites)
+        if support:
+            reg._positions()
+        out = reg.fork()
+        assert sorted(vars(out)) == sorted(vars(reg))
+        assert out._amps is reg._amps and out._support is reg._support and out.dims is reg.dims
+        assert out.sites == reg.sites and out.sites is not reg.sites
+        assert out._index == reg._index and out._index is not reg._index
+        assert out.retired == {} and out.retired is not reg.retired
 
 
 # --- the correction gates: a broadcast diagonal is the equal-shape product

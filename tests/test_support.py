@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaugekit import kwmaps, register, verify
+from gaugekit import kwmaps, protocols, register, verify
 from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere, theta_sphere
 from gaugekit.groups import build_cyclic, catalog, catalog_factor_system
 from gaugekit.kwmaps import KwMode, _seed_gate
@@ -551,24 +551,42 @@ def test_the_support_probe_names_the_first_element_that_moves_the_state():
 
 # --- the premise: exact zeros off a small support ---------------------------------
 
-# (group, protocol, cell): nonzero amplitudes of the plan's prefix and of one
-# seed's output, each over the register size
+# (group, protocol, cell): nonzero amplitudes of the plan's start register
+# (prefix), of the register its first measurement layer reads and of one
+# seed's output, each over the register size: a vertex-route start is the
+# full-support plus state, which round 1's gated allocation spreads over the
+# edges it adds; the nil2 start is the coupling circuit itself
 SPARSE_CASES = [
-    ("S4", "solvable", hexagon_torus(), (576, 36_864), (24, 13_824)),
-    ("D4", "nil2", hexagon_torus(), (256, 16_384), (32, 512)),
-    ("Z3", "abelian", square_torus(2, 2), (81, 531_441), (27, 6_561)),
-    ("Z2", "abelian", square_torus(3, 2), (64, 262_144), (32, 4_096)),
+    ("S4", "solvable", hexagon_torus(), (576, 576), (576, 36_864), (24, 13_824)),
+    ("D4", "nil2", hexagon_torus(), (256, 16_384), (256, 16_384), (32, 512)),
+    ("Z3", "abelian", square_torus(2, 2), (81, 81), (81, 531_441), (27, 6_561)),
+    ("Z2", "abelian", square_torus(3, 2), (64, 64), (64, 262_144), (32, 4_096)),
 ]
 
 
-@pytest.mark.parametrize("name, protocol, cell, prefix, output", SPARSE_CASES, ids=[c[0] + "-" + c[1] for c in SPARSE_CASES])
-def test_protocol_states_are_exact_zeros_off_their_support(name, protocol, cell, prefix, output):
+@pytest.mark.parametrize(
+    "name, protocol, cell, prefix, measured, output", SPARSE_CASES, ids=[c[0] + "-" + c[1] for c in SPARSE_CASES]
+)
+def test_protocol_states_are_exact_zeros_off_their_support(monkeypatch, name, protocol, cell, prefix, measured, output):
     subject = catalog_factor_system(name) if protocol == "nil2" else CAT[name]
     plan = plan_run(protocol, subject, cell, with_oracle=False)
+    first_reads = []
+    measure_sites = kwmaps._measure_sites
+
+    def recorded(reg, *args):
+        if not reg.retired:
+            first_reads.append(reg._dense())  # read without leaving the support form
+        return measure_sites(reg, *args)
+
+    monkeypatch.setattr(kwmaps, "_measure_sites", recorded)
+    monkeypatch.setattr(protocols, "_measure_sites", recorded)  # the nil2 tail's import
     for seed in (3, 11):
-        states = {"prefix": plan.prefix.amps, "output": plan.branch(KwMode.sample(seed)).register.amps}
+        first_reads.clear()
+        output_amps = plan.branch(KwMode.sample(seed)).register.amps
+        states = {"prefix": plan.prefix.amps, "measured": first_reads[0], "output": output_amps}
         for label, amps in states.items():
             magnitudes = np.abs(amps[amps != 0])
-            assert (magnitudes.size, amps.size) == {"prefix": prefix, "output": output}[label], label
+            want = {"prefix": prefix, "measured": measured, "output": output}[label]
+            assert (magnitudes.size, amps.size) == want, label
             # no amplitude sits between exact zero and rounding noise
             assert magnitudes.min() > 1e-12, label
