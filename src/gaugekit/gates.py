@@ -3,10 +3,16 @@
 Covers group multiplication operators, controlled multiplications, the
 abelian CZ, character diagonals, loop diagonals, and the factor-system
 dressings (sigma and omega) with the split-label relabelings.
+
+The table-building gates (CL, CR, CZ, Sigma, Omega and each dressed charge
+diagonal) are retargets of one template per group or factor system, built
+and checked once on placeholder targets and cached like character_table: a
+gate and its inverse share the template's read-only tables.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Hashable, List, Sequence, Tuple
 
 import numpy as np
@@ -49,20 +55,28 @@ def _joint2(da: int, db: int) -> Tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def controlled_left(group: FiniteGroup, c_sid: Hashable, t_sid: Hashable) -> LocalOperator:
-    """CL |g1, g2> = |g1, g1 g2>."""
+@lru_cache(maxsize=32)
+def _controlled_left(group: FiniteGroup) -> LocalOperator:
     d = group.order
     g1, g2 = _joint2(d, d)
-    image = g1 * d + group.mult[g1, g2]
-    return LocalOperator([c_sid, t_sid], "perm", image, name="CL")
+    return LocalOperator([0, 1], "perm", g1 * d + group.mult[g1, g2], name="CL")
+
+
+def controlled_left(group: FiniteGroup, c_sid: Hashable, t_sid: Hashable) -> LocalOperator:
+    """CL |g1, g2> = |g1, g1 g2>."""
+    return _controlled_left(group).retarget([c_sid, t_sid])
+
+
+@lru_cache(maxsize=32)
+def _controlled_right(group: FiniteGroup) -> LocalOperator:
+    d = group.order
+    g1, g2 = _joint2(d, d)
+    return LocalOperator([0, 1], "perm", g1 * d + group.mult[g2, group.inv[g1]], name="CR")
 
 
 def controlled_right(group: FiniteGroup, c_sid: Hashable, t_sid: Hashable) -> LocalOperator:
     """CR |g1, g2> = |g1, g2 g1bar>."""
-    d = group.order
-    g1, g2 = _joint2(d, d)
-    image = g1 * d + group.mult[g2, group.inv[g1]]
-    return LocalOperator([c_sid, t_sid], "perm", image, name="CR")
+    return _controlled_right(group).retarget([c_sid, t_sid])
 
 
 def _require_abelian(group: FiniteGroup, what: str) -> None:
@@ -70,13 +84,15 @@ def _require_abelian(group: FiniteGroup, what: str) -> None:
         raise ValueError(f"{what} needs an abelian group, got {group.name}")
 
 
+@lru_cache(maxsize=32)
+def _cz_abelian(a_group: FiniteGroup) -> LocalOperator:
+    _require_abelian(a_group, "cz_abelian")
+    return LocalOperator([0, 1], "diag", character_table(a_group).reshape(-1), name="CZ")
+
+
 def cz_abelian(a_group: FiniteGroup, c_sid: Hashable, t_sid: Hashable) -> LocalOperator:
     """CZ |a_v, a_e> = chi^{a_v}(a_e) |a_v, a_e>."""
-    _require_abelian(a_group, "cz_abelian")
-    chi = character_table(a_group)
-    d = a_group.order
-    a, b = _joint2(d, d)
-    return LocalOperator([c_sid, t_sid], "diag", chi[a, b], name="CZ")
+    return _cz_abelian(a_group).retarget([c_sid, t_sid])
 
 
 def z_dual(a_group: FiniteGroup, t: int, sid: Hashable) -> LocalOperator:
@@ -156,6 +172,13 @@ def _dressed_labels(fs: FactorSystem) -> np.ndarray:
     return fs.n_group.mult[fs.sigma[:, :, None], _cocycle_step(fs)[:, None, :]]
 
 
+@lru_cache(maxsize=32)
+def _z_tilde(fs: FactorSystem, t: int) -> LocalOperator:
+    _require_abelian(fs.n_group, "z_tilde")
+    diag = character_table(fs.n_group)[t, _dressed_labels(fs).reshape(-1)]
+    return LocalOperator([0, 1, 2], "diag", diag, name=f"Zt^{t}")
+
+
 def z_tilde(
     fs: FactorSystem,
     t: int,
@@ -168,12 +191,8 @@ def z_tilde(
 
     Acts on (Q-part of i_e, N-edge, Q-part of f_e); needs abelian N.
     """
-    _require_abelian(fs.n_group, "z_tilde")
-    diag = character_table(fs.n_group)[t, _dressed_labels(fs).reshape(-1)]
     i_v, f_v = cell.edges[edge]
-    return LocalOperator(
-        [vertex_of(i_v), edge_of(edge), vertex_of(f_v)], "diag", diag, name=f"Zt^{t}[{edge}]"
-    )
+    return _z_tilde(fs, t).retarget([vertex_of(i_v), edge_of(edge), vertex_of(f_v)])
 
 
 def loop_z_tilde(
@@ -201,22 +220,30 @@ def loop_z_tilde(
     return DiagonalOperator(targets, _ordered_trace(irrep, steps), name=f"loopZt^{irrep.label}")
 
 
-def sigma_gate(fs: FactorSystem, q_sid: Hashable, n_sid: Hashable) -> LocalOperator:
-    """Sigma |q, n> = |q, sigma^q[n]>."""
+@lru_cache(maxsize=32)
+def _sigma_gate(fs: FactorSystem) -> LocalOperator:
     dq, dn = fs.q_group.order, fs.n_group.order
     q, n = _joint2(dq, dn)
-    image = q * dn + fs.sigma[q, n]
-    return LocalOperator([q_sid, n_sid], "perm", image, name="Sigma")
+    return LocalOperator([0, 1], "perm", q * dn + fs.sigma[q, n], name="Sigma")
 
 
-def omega_gate(fs: FactorSystem, qi_sid: Hashable, n_sid: Hashable, qf_sid: Hashable) -> LocalOperator:
-    """Omega |q1, n, q2> = |q1, n * omega(q1, q1^-1 q2)^-1, q2>."""
+def sigma_gate(fs: FactorSystem, q_sid: Hashable, n_sid: Hashable) -> LocalOperator:
+    """Sigma |q, n> = |q, sigma^q[n]>."""
+    return _sigma_gate(fs).retarget([q_sid, n_sid])
+
+
+@lru_cache(maxsize=32)
+def _omega_gate(fs: FactorSystem) -> LocalOperator:
     n_grp = fs.n_group
     dq, dn = fs.q_group.order, n_grp.order
     q1, n, q2 = np.indices((dq, dn, dq)).reshape(3, -1)
     n2 = n_grp.mult[n, n_grp.inv[_cocycle_step(fs)[q1, q2]]]
-    image = (q1 * dn + n2) * dq + q2
-    return LocalOperator([qi_sid, n_sid, qf_sid], "perm", image, name="Omega")
+    return LocalOperator([0, 1, 2], "perm", (q1 * dn + n2) * dq + q2, name="Omega")
+
+
+def omega_gate(fs: FactorSystem, qi_sid: Hashable, n_sid: Hashable, qf_sid: Hashable) -> LocalOperator:
+    """Omega |q1, n, q2> = |q1, n * omega(q1, q1^-1 q2)^-1, q2>."""
+    return _omega_gate(fs).retarget([qi_sid, n_sid, qf_sid])
 
 
 def parent_to_pair(fs: FactorSystem) -> np.ndarray:

@@ -63,6 +63,8 @@ class FiniteGroup:
             raise ValueError("group must contain at least the identity")
         self.mult = table
         self.mult.setflags(write=False)
+        # the table is read-only, so its hash is computed once
+        self._hash = hash((self.order, table.tobytes()))
         self.name = name
         self.identity = 0
         self._validate()
@@ -130,7 +132,7 @@ class FiniteGroup:
         return isinstance(other, FiniteGroup) and np.array_equal(self.mult, other.mult)
 
     def __hash__(self) -> int:
-        return hash((self.order, self.mult.tobytes()))
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -245,19 +247,22 @@ def permutation_group(perms: Sequence[Tuple[int, ...]], name: str) -> FiniteGrou
     """Group of permutation tuples under composition (p*q)(i) = p[q[i]].
 
     The tuples are sorted lexicographically, so the identity gets index 0.
+    Every product is found by one gather of the composed tuples and one
+    search of their base-k keys (k points), which sort like the tuples.
     """
     elems = sorted(set(tuple(p) for p in perms))
     if elems[0] != tuple(range(len(elems[0]))):
         raise ValueError("permutation set must contain the identity")
-    index = {p: i for i, p in enumerate(elems)}
-    n = len(elems)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            comp = tuple(p[q[k]] for k in range(len(p)))
-            if comp not in index:
-                raise ValueError("permutation set not closed under composition")
-            table[i, j] = index[comp]
+    points = np.array(elems, dtype=np.int64)
+    k = points.shape[1]
+    if k**k > 2**63:
+        raise ValueError(f"permutations of {k} points overflow the 64-bit product keys; at most 15 points")
+    radix = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    keys = points @ radix
+    composed = points[:, points] @ radix  # [i, j] is the key of p_i after p_j
+    table = np.minimum(np.searchsorted(keys, composed), len(keys) - 1)
+    if not np.array_equal(keys[table], composed):
+        raise ValueError("permutation set not closed under composition")
     return FiniteGroup(table, name=name)
 
 

@@ -192,16 +192,14 @@ def _wall_gates(
     """The vertex-route entangler, edge by edge: CL+ and CR+ write the domain
     wall g_i^-1 g_f of a group onto the identity-state edge; for a factor
     system they act on the subgroup parts, and Omega, Sigma+ then dress the
-    wall with the quotient parts. Each table is built and checked once for
-    all edges; every edge's gates share it, read-only."""
+    wall with the quotient parts. Every edge's gates share the read-only
+    tables of one cached template per gate (gates.py)."""
     fs = subject if isinstance(subject, FactorSystem) else None
     grp = subject if fs is None else fs.n_group
     # placeholder targets: end vertices i, f, their quotient parts qi, qf, edge e
     templates = [controlled_left(grp, "i", "e").dagger(), controlled_right(grp, "f", "e").dagger()]
     if fs is not None:
         templates += [omega_gate(fs, "qi", "e", "qf"), sigma_gate(fs, "qi", "e").dagger()]
-    for op in templates:
-        op.image.setflags(write=False)
     gates = []
     for e, (i_v, f_v) in enumerate(cell.edges):
         sites = {"i": vertex_of(i_v), "f": vertex_of(f_v), "e": edge_of(e)}

@@ -83,8 +83,13 @@ class LocalOperator:
     """Unitary gate on 1 to 3 sites, a permutation or a diagonal over the
     joint target basis.
 
-    perm: image array, |x> -> |image[x]>.
+    perm: image array, |x> -> |image[x]>, and its source row
+    sources = argsort(image): output label x reads input label sources[x].
     diag: unimodular phases, |x> -> diag[x] |x>.
+
+    The tables are checked, and a permutation's source row built, once at
+    construction, read-only: a retargeted copy shares them, and the inverse
+    of a permutation shares them swapped.
     """
 
     def __init__(self, targets: Sequence[Hashable], kind: str, payload, name: str = "op"):
@@ -92,14 +97,18 @@ class LocalOperator:
         self.kind = kind
         self.name = name
         if kind == "perm":
-            self.image = np.asarray(payload, dtype=np.int64)
-            if np.sort(self.image).tolist() != list(range(len(self.image))):
+            self.image = np.array(payload, dtype=np.int64)
+            self.sources = np.argsort(self.image)
+            # image[argsort(image)] is the sorted image
+            if not np.array_equal(self.image[self.sources], np.arange(len(self.image))):
                 raise ValueError(f"{name}: image is not a permutation")
-            self._sources = None
+            self.sources.setflags(write=False)
+            self.image.setflags(write=False)
         elif kind == "diag":
-            self.diag = np.asarray(payload, dtype=np.complex128)
+            self.diag = np.array(payload, dtype=np.complex128)
             if np.abs(np.abs(self.diag) - 1).max() > GATE_TOL:
                 raise ValueError(f"{name}: unitary diagonal must be unimodular")
+            self.diag.setflags(write=False)
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -120,17 +129,7 @@ class LocalOperator:
             raise ValueError(f"{self.name}: retargeting needs {len(self.targets)} targets, got {len(targets)}")
         if self.kind == "diag":
             return self._from_checked(targets, self.name, diag=self.diag)
-        return self._from_checked(targets, self.name, image=self.image, _sources=self._sources)
-
-    @property
-    def sources(self) -> np.ndarray:
-        """The source row argsort(image) of a permutation: output label x
-        reads input label sources[x]. Built once, on first use, read-only;
-        a copy retargeted after that shares it."""
-        if self._sources is None:
-            self._sources = np.argsort(self.image)
-            self._sources.setflags(write=False)
-        return self._sources
+        return self._from_checked(targets, self.name, image=self.image, sources=self.sources)
 
     @property
     def joint_dim(self) -> int:
@@ -141,7 +140,7 @@ class LocalOperator:
         # permutation swaps its image and source row
         if self.kind == "diag":
             return self._from_checked(self.targets, self.name + "+", diag=np.conj(self.diag))
-        return self._from_checked(self.targets, self.name + "+", image=self.sources, _sources=self.image)
+        return self._from_checked(self.targets, self.name + "+", image=self.sources, sources=self.image)
 
 
 def _checked_targets(targets: Sequence[Hashable]) -> Tuple[Hashable, ...]:

@@ -26,7 +26,9 @@ against bitwise; they take their overlaps and the Fourier rotation through
 the register's own kernels (_overlap, _rotated), whose bits do not depend on
 the BLAS thread count or on which columns they are given.
 is_isomorphic and central_quotient are the group-theory checks of the
-factor-system round trips. gate_matrix is a register gate as a dense
+factor-system round trips, and loop_permutation_table is the composition
+table of a permutation group one tuple composition at a time, the reference
+for the vectorized groups.permutation_group. gate_matrix is a register gate as a dense
 matrix, and split_left_mult is L^g on a split vertex built from the factor
 system's own formula, the reference the split-vertex symmetry probes are
 pinned to. all_element_require_symmetric is the symmetry probe over every
@@ -664,6 +666,18 @@ def column_wall_sweep(fs: FactorSystem, cell: Cellulation) -> float:
 def central_quotient(g: FiniteGroup) -> FiniteGroup:
     q, _, _ = quotient_group(g, center(g))
     return q
+
+
+def loop_permutation_table(perms: Sequence[tuple]) -> np.ndarray:
+    """mult[i, j] of the sorted distinct tuples under (p*q)(i) = p[q[i]],
+    each product composed and looked up on its own."""
+    elems = sorted(set(tuple(p) for p in perms))
+    index = {p: i for i, p in enumerate(elems)}
+    table = np.empty((len(elems), len(elems)), dtype=np.int64)
+    for i, p in enumerate(elems):
+        for j, q in enumerate(elems):
+            table[i, j] = index[tuple(p[q[k]] for k in range(len(p)))]
+    return table
 
 
 def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:

@@ -2,13 +2,20 @@
 
 A cache keyed by groups, cells or register layouts grows with every distinct
 input, so each one must name an integer maxsize. This reads each module's
-syntax tree, so a new cache is checked without being listed anywhere.
+syntax tree, so a new cache is checked without being listed anywhere. The
+gate template caches are also sized: a second pass of the benchmark's op
+kinds builds no template again.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from gaugekit import cli, gates
+from gaugekit.cellulation import hexagon_torus
+from gaugekit.groups import catalog
+from gaugekit.verify import GSD_DIM_BUDGET
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaugekit"
 MAX_ENTRIES = 64
@@ -55,3 +62,37 @@ def test_the_source_has_caches():
 def test_every_cache_has_a_small_integer_maxsize(path):
     sizes = cache_sizes(path.read_text(encoding="utf-8"))
     assert [(line, size) for line, size in sizes if size is None or not 1 <= size <= MAX_ENTRIES] == []
+
+
+TEMPLATES = [
+    gates._controlled_left,
+    gates._controlled_right,
+    gates._cz_abelian,
+    gates._sigma_gate,
+    gates._omega_gate,
+    gates._z_tilde,
+]
+
+
+def run_rotation():
+    """The op kinds of the certify_catalog and prepare_seeds benchmark
+    workloads, once each: the identity suite of every catalog group, the
+    degeneracy suite of each that fits, and four seeds of each prepare case."""
+    n_edges = hexagon_torus().n_edges
+    for name, group in catalog().items():
+        cli.cmd_verify(cli.RunConfig(command="verify", group=name, suite="identities"))
+        if group.order**n_edges <= GSD_DIM_BUDGET:
+            cli.cmd_verify(cli.RunConfig(command="verify", group=name, suite="gsd"))
+    for name, protocol in [("S4", "solvable"), ("S3", "metabelian"), ("D4", "nil2"), ("D4", "solvable")]:
+        cli.cmd_prepare(cli.RunConfig(command="prepare", group=name, protocol=protocol, mode="sample:3", seeds=4))
+
+
+def test_a_warm_rotation_builds_no_gate_template():
+    """The gate template caches hold every key one rotation of the benchmark
+    op kinds asks for, so a second rotation only hits."""
+    run_rotation()
+    before = [cache.cache_info() for cache in TEMPLATES]
+    run_rotation()
+    after = [cache.cache_info() for cache in TEMPLATES]
+    assert [b.misses for b in before] == [a.misses for a in after]
+    assert all(a.hits > b.hits for a, b in zip(after, before)), "a template the rotation never reads"

@@ -1,5 +1,7 @@
 """Gate constructors: multiplication operators, entanglers, character gates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,13 @@ from gaugekit.groups import (
     catalog,
     catalog_factor_system,
     character_table,
+    derived_length,
     direct_product,
     factor_system_of,
     irrep_table,
     subgroup_from_members,
 )
+from gaugekit.protocols import _solvable_chain
 from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _fourier_matrix, init_plus
 from reference import (
     gate_matrix,
@@ -378,6 +382,47 @@ def test_z_tilde_matches_dressing_formula():
             for qf in range(dq):
                 ntil = fs.n_group.mul(fs.sigma[qi, n], fs.omega[qi, fs.q_group.mul(fs.q_group.inverse(qi), qf)])
                 assert abs(op.diag[(qi * dn + n) * dq + qf] - chi[1, ntil]) < TOL
+
+
+def test_every_template_equals_its_defining_formula():
+    """The cached CL, CR, CZ, Sigma, Omega and dressed-charge templates, read
+    through their constructors, against each gate's formula written out one
+    joint label at a time, for every catalog group and every shipped or
+    solvable-chain factor system; a permutation's source row is its argsort."""
+    perms = []
+    for g in catalog().values():
+        d = g.order
+        pairs = list(itertools.product(range(d), repeat=2))
+        cl, cr = controlled_left(g, "c", "t"), controlled_right(g, "c", "t")
+        assert cl.image.tolist() == [g1 * d + g.mul(g1, g2) for g1, g2 in pairs], g.name
+        assert cr.image.tolist() == [g1 * d + g.mul(g2, g.inverse(g1)) for g1, g2 in pairs], g.name
+        perms += [cl, cr]
+        if g.is_abelian:
+            chi = character_table(g)
+            assert np.array_equal(cz_abelian(g, "c", "t").diag, [chi[a, b] for a, b in pairs]), g.name
+    systems = [catalog_factor_system(name) for name in ("S3", "D4", "Q8")]
+    systems += [fs for g in catalog().values() if not g.is_abelian and derived_length(g) for fs in _solvable_chain(g)]
+    cell = two_vertex_graph(1)
+    for fs in systems:
+        n_grp, q_grp = fs.n_group, fs.q_group
+        dn, dq = n_grp.order, q_grp.order
+        triples = list(itertools.product(range(dq), range(dn), range(dq)))
+
+        def step(q1, q2):
+            return int(fs.omega[q1, q_grp.mul(q_grp.inverse(q1), q2)])
+
+        sigma, omega = sigma_gate(fs, "q", "n"), omega_gate(fs, "qi", "n", "qf")
+        assert sigma.image.tolist() == [q * dn + int(fs.sigma[q, n]) for q in range(dq) for n in range(dn)]
+        expect = [(q1 * dn + n_grp.mul(n, n_grp.inverse(step(q1, q2)))) * dq + q2 for q1, n, q2 in triples]
+        assert omega.image.tolist() == expect
+        perms += [sigma, omega]
+        if n_grp.is_abelian:
+            chi = character_table(n_grp)
+            for t in range(dn):
+                op = z_tilde(fs, t, 0, cell, lambda v: ("v", v), lambda e: ("e", e))
+                assert np.array_equal(op.diag, [chi[t, n_grp.mul(int(fs.sigma[q1, n]), step(q1, q2))] for q1, n, q2 in triples])
+    for op in perms:
+        assert np.array_equal(op.sources, np.argsort(op.image)) and not op.sources.flags.writeable
 
 
 def test_parent_to_pair_is_bijection():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gaugekit import groups as G
-from reference import central_quotient, conjugacy_classes, is_isomorphic
+from reference import central_quotient, conjugacy_classes, is_isomorphic, loop_permutation_table
 
 TOL = 1e-12
 
@@ -121,6 +121,32 @@ def test_q8_extension_structure():
 def test_d4_q8_not_isomorphic():
     assert not is_isomorphic(G.catalog()["D4"], G.catalog()["Q8"])
     assert not is_isomorphic(G.build_cyclic(4), G.direct_product(G.build_cyclic(2), G.build_cyclic(2)))
+
+
+def test_permutation_group_tables_match_the_tuple_loop():
+    """The vectorized composition table equals, bitwise, the table composed
+    one tuple pair at a time, identity first; a set that is not closed or
+    lacks the identity is still rejected."""
+    for n, even in [(3, False), (4, False), (4, True), (5, True)]:
+        perms = [p for p in itertools.permutations(range(n)) if not even or G._is_even(p)]
+        g = G.alternating_group(n) if even else G.symmetric_group(n)
+        assert g.mult.dtype == np.int64 and np.array_equal(g.mult, loop_permutation_table(perms)), g.name
+        assert np.array_equal(g.mult[0], np.arange(g.order))
+    with pytest.raises(ValueError, match="not closed under composition"):
+        G.permutation_group([(0, 1, 2), (1, 2, 0)], name="C3 without its square")
+    with pytest.raises(ValueError, match="must contain the identity"):
+        G.permutation_group([(1, 0, 2), (1, 2, 0)], name="no identity")
+    with pytest.raises(ValueError, match="at most 15 points"):
+        G.permutation_group([tuple(range(16))], name="too many points")
+    assert G.permutation_group([tuple(range(15))], name="trivial on 15 points").order == 1
+
+
+def test_group_hash_is_taken_once_from_the_read_only_table(monkeypatch):
+    built = G.symmetric_group(4)
+    again = G.permutation_group(list(itertools.permutations(range(4))), name="other")
+    assert built == again and hash(built) == hash(again) == hash((24, built.mult.tobytes()))
+    monkeypatch.setattr(built, "mult", None)
+    assert hash(built) == hash(again), "hashing a group reads its table again"
 
 
 def test_s3_extension_matches_permutation_group():

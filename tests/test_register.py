@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugekit import gates as gates_module
 from gaugekit import register, verify
 from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere, theta_sphere
-from gaugekit.gates import controlled_left, cz_abelian, left_mult
+from gaugekit.gates import controlled_left, controlled_right, cz_abelian, left_mult
 from gaugekit.groups import FactorSystem, build_cyclic, catalog, catalog_factor_system, character_table
 from gaugekit.kwmaps import KwMode, _wall_gates, kw_abelian
 from gaugekit.protocols import _solvable_chain
@@ -208,15 +209,37 @@ def test_a_permutation_gate_carries_its_read_only_source_row(monkeypatch):
     assert reg.expectation(moved) == complex(np.vdot(reg.amps, expected[1]))
 
 
-def test_wall_gates_share_one_read_only_table_per_template():
+def test_wall_gates_share_one_read_only_table_per_template(monkeypatch):
+    """Every edge's wall gates, in every call, share the tables of one cached
+    template per gate: read-only, and inverted without a sort."""
     cell = hexagon_torus()
-    gates = _wall_gates(CAT["Z3"], cell, lambda v: ("v", v), lambda e: ("e", e))
+    namers = (lambda v: ("v", v), lambda e: ("e", e))
+    gates, again = (_wall_gates(CAT["Z3"], cell, *namers) for _ in range(2))
     assert len(gates) == 2 * cell.n_edges
     for e in range(1, cell.n_edges):
         for k in range(2):
             assert gates[2 * e + k].image is gates[k].image
-    assert not gates[0].image.flags.writeable
     assert [op.targets for op in gates[:2]] == [(("v", 0), ("e", 0)), (("v", 1), ("e", 0))]
+    fs = catalog_factor_system("D4")
+    split = [_wall_gates(fs, cell, *namers, lambda v: ("q", v)) for _ in range(2)]
+    for first, second in [(gates, again), split]:
+        assert all(a.image is b.image and a.sources is b.sources for a, b in zip(first, second))
+    cl = gates_module._controlled_left(CAT["Z3"])
+    assert gates[0].image is cl.sources and gates[0].sources is cl.image, "CL+ is CL's tables swapped"
+    for table in [op.image for op in split[0][:4]] + [op.sources for op in split[0][:4]] + [cz_abelian(CAT["Z3"], 0, 1).diag]:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[1]
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a shared permutation was sorted again")
+
+    pairs = [(controlled_left, gates_module._controlled_left(CAT["A5"])), (controlled_right, gates_module._controlled_right(CAT["A5"]))]
+    monkeypatch.setattr(register.np, "argsort", no_sort)
+    monkeypatch.setattr(register.np, "sort", no_sort)
+    for build, template in pairs:
+        shared = build(CAT["A5"], "a", "b")
+        assert shared.dagger().image is template.sources
+        assert shared.retarget(["c", "d"]).dagger().sources is template.image
 
 
 def test_matrix_materialization_matches_kinds():
