@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -244,9 +245,11 @@ def dual_spanning_tree(cell: Cellulation) -> Tree:
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# constructors: the torus and sphere cells the CLI names are built and
+# validated once per process and shared, since a Cellulation is frozen
 
 
+@lru_cache(maxsize=16)
 def square_torus(lx: int, ly: int) -> Cellulation:
     """Square lattice on the torus. Vertex v = x + lx*y; edge 2v points +x,
     edge 2v+1 points +y; plaquette v sits northeast of vertex v with a
@@ -297,6 +300,7 @@ def square_torus(lx: int, ly: int) -> Cellulation:
     )
 
 
+@lru_cache(maxsize=1)
 def hexagon_torus() -> Cellulation:
     """Hexagonal fundamental domain with opposite sides identified: the
     smallest self-loop-free torus cellulation (V=2, E=3, F=1)."""
@@ -311,6 +315,7 @@ def hexagon_torus() -> Cellulation:
     )
 
 
+@lru_cache(maxsize=1)
 def theta_sphere() -> Cellulation:
     """Theta graph on the sphere: V=2, E=3, F=3, genus 0."""
     plaquettes = (

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cellulation import Cellulation, from_json as cellulation_from_json, hexagon_torus, square_torus, theta_sphere
@@ -42,13 +42,6 @@ CATALOG_ENV = "GAUGEKIT_CATALOG"
 
 # execution details that must not change report bytes
 _VOLATILE_FIELDS = ("workers", "output", "pretty")
-
-
-def _config_record(config: "RunConfig") -> Dict[str, object]:
-    doc = asdict(config)
-    for key in _VOLATILE_FIELDS:
-        doc.pop(key)
-    return doc
 
 
 @dataclass(frozen=True)
@@ -79,6 +72,15 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config fields {unknown}")
         return RunConfig(**doc)  # type: ignore[arg-type]
+
+
+# the fields a report records, in declaration order; every one is a str, int
+# or bool, so reading them off the frozen config needs no copy
+_RECORD_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name not in _VOLATILE_FIELDS)
+
+
+def _config_record(config: RunConfig) -> Dict[str, object]:
+    return {name: getattr(config, name) for name in _RECORD_FIELDS}
 
 
 # ---------------------------------------------------------------------------

@@ -333,14 +333,21 @@ class FactorSystem:
     tpart: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=np.int64)
-        self.omega = np.asarray(self.omega, dtype=np.int64)
+        # read-only copies: the hash is taken once from them
+        self.sigma = np.array(self.sigma, dtype=np.int64)
+        self.omega = np.array(self.omega, dtype=np.int64)
+        self.sigma.setflags(write=False)
+        self.omega.setflags(write=False)
         nn, nq = self.n_group.order, self.q_group.order
         if self.sigma.shape != (nq, nn):
             raise ValueError(f"sigma table must have shape ({nq},{nn})")
         if self.omega.shape != (nq, nq):
             raise ValueError(f"omega table must have shape ({nq},{nq})")
         self.validate()
+        # hashed once, on what construction fixes: the parent tables may be
+        # filled in later (extension_from_factor_system), and equal systems
+        # agree on this part, so __eq__ reads more than the hash does
+        self._hash = hash((self.n_group, self.q_group, self.sigma.tobytes(), self.omega.tobytes()))
 
     def validate(self) -> None:
         ng, qg = self.n_group, self.q_group
@@ -397,8 +404,7 @@ class FactorSystem:
         )
 
     def __hash__(self) -> int:
-        groups, tables = self._content()
-        return hash((groups, tuple(None if t is None else t.tobytes() for t in tables)))
+        return self._hash
 
 
 def extension_from_factor_system(fs: FactorSystem, name: Optional[str] = None) -> FiniteGroup:

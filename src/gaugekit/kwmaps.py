@@ -44,8 +44,8 @@ from .register import (
     LocalOperator,
     QuditRegister,
     SiteSpec,
+    WallCircuit,
     _edge_site,
-    _identity_state,
     _overlap,
     _plus_state,
     _vertex_site,
@@ -188,25 +188,25 @@ def _wall_gates(
     vertex_of: Callable[[int], Hashable],
     edge_of: Callable[[int], Hashable],
     q_of: Optional[Callable[[int], Hashable]] = None,
-) -> List[LocalOperator]:
-    """The vertex-route entangler, edge by edge: CL+ and CR+ write the domain
-    wall g_i^-1 g_f of a group onto the identity-state edge; for a factor
-    system they act on the subgroup parts, and Omega, Sigma+ then dress the
-    wall with the quotient parts. Every edge's gates share the read-only
-    tables of one cached template per gate (gates.py)."""
+) -> WallCircuit:
+    """The vertex-route entangler as one wall circuit: CL+ and CR+ write the
+    domain wall g_i^-1 g_f of a group onto the identity-state edge; for a
+    factor system they act on the subgroup parts, and Omega, Sigma+ then
+    dress the wall with the quotient parts. Its templates are the cached
+    gates of gates.py on slots (i, f, e, qi, qf): the end vertices, the
+    edge, and the end vertices' quotient parts; its target table holds
+    those sites for every edge, in edge order."""
     fs = subject if isinstance(subject, FactorSystem) else None
     grp = subject if fs is None else fs.n_group
-    # placeholder targets: end vertices i, f, their quotient parts qi, qf, edge e
-    templates = [controlled_left(grp, "i", "e").dagger(), controlled_right(grp, "f", "e").dagger()]
-    if fs is not None:
-        templates += [omega_gate(fs, "qi", "e", "qf"), sigma_gate(fs, "qi", "e").dagger()]
-    gates = []
-    for e, (i_v, f_v) in enumerate(cell.edges):
-        sites = {"i": vertex_of(i_v), "f": vertex_of(f_v), "e": edge_of(e)}
-        if fs is not None:
-            sites.update(qi=q_of(i_v), qf=q_of(f_v))
-        gates += [op.retarget([sites[t] for t in op.targets]) for op in templates]
-    return gates
+    templates = [controlled_left(grp, 0, 2).dagger(), controlled_right(grp, 1, 2).dagger()]
+    if fs is None:
+        rows = [(vertex_of(i_v), vertex_of(f_v), edge_of(e)) for e, (i_v, f_v) in enumerate(cell.edges)]
+    else:
+        templates += [omega_gate(fs, 3, 2, 4), sigma_gate(fs, 3, 2).dagger()]
+        rows = [
+            (vertex_of(i_v), vertex_of(f_v), edge_of(e), q_of(i_v), q_of(f_v)) for e, (i_v, f_v) in enumerate(cell.edges)
+        ]
+    return WallCircuit(templates, rows)
 
 
 def _kw_round(
@@ -219,7 +219,7 @@ def _kw_round(
     q_of: Optional[Callable[[int], Hashable]] = None,
 ) -> Union[KwResult, List[KwResult]]:
     """One vertex-route gauging round, in place: the symmetry check, the
-    edge ancillas allocated through the wall-gate list, the Fourier
+    edge ancillas allocated through the wall circuit, the Fourier
     measurement of the gauged vertex parts and one layer of character
     corrections. subject is an abelian group, gauged on the vertex sites,
     or a factor system, whose subgroup parts vertex_of names and quotient
@@ -233,7 +233,6 @@ def _kw_round(
     _require_symmetric(reg, subject, parts, "kw_abelian" if fs is None else "kw_n_in_g")
     reg.add_sites(
         [SiteSpec(edge_of(e), "edge", group) for e in range(cell.n_edges)],
-        _identity_state,
         _wall_gates(subject, cell, vertex_of, edge_of, q_of),
     )
     outcomes, probs = _measure_sites(reg, modes, [(v, vertex_of(v)) for v in range(n_v)])

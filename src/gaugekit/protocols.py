@@ -40,8 +40,8 @@ from .kwmaps import (
 from .register import (
     QuditRegister,
     SiteSpec,
+    WallCircuit,
     _edge_site,
-    _identity_state,
     _require_within_budget,
     _seeds_within_budget,
     _vertex_site,
@@ -384,12 +384,14 @@ def _nil2_circuit(fs: FactorSystem, cell: Cellulation) -> QuditRegister:
         lambda spec: np.full(spec.dim, spec.dim**-0.5, dtype=np.complex128),
     )
     _couple_plaquettes(reg, cell, n_grp, _plaquette_site, lambda e: ("e", e, "n"))
-    walls = []  # the list kwmaps._wall_gates builds for q_grp on these vertices and quotient edges
     for e, (i_v, f_v) in enumerate(cell.edges):
         reg.apply(omega_gate(fs, ("v", i_v), ("e", e, "n"), ("v", f_v)))
-        walls.append(controlled_left(q_grp, ("v", i_v), ("e", e, "q")).dagger())
-        walls.append(controlled_right(q_grp, ("v", f_v), ("e", e, "q")).dagger())
-    reg.add_sites([SiteSpec(("e", e, "q"), "edge", q_grp) for e in range(cell.n_edges)], _identity_state, walls)
+    # the circuit kwmaps._wall_gates builds for q_grp on these vertices and quotient edges
+    walls = WallCircuit(
+        [controlled_left(q_grp, 0, 2).dagger(), controlled_right(q_grp, 1, 2).dagger()],
+        [(_vertex_site(i_v), _vertex_site(f_v), ("e", e, "q")) for e, (i_v, f_v) in enumerate(cell.edges)],
+    )
+    reg.add_sites([SiteSpec(("e", e, "q"), "edge", q_grp) for e in range(cell.n_edges)], walls)
     return reg
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "LocalOperator",
     "DiagonalOperator",
     "QuditRegister",
+    "WallCircuit",
     "init_plus",
     "init_product",
     "SEED_SITE",
@@ -172,50 +173,60 @@ def _flat_labels(labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], 
     return flat
 
 
-def _push_labels(labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], gates: Sequence[LocalOperator]) -> None:
-    """Send every row of a per-site label table through permutation gates, in
-    order: a basis state stays a basis state, so this is the whole circuit on
-    every row at once."""
-    for op in gates:
-        if op.kind != "perm":
-            raise ValueError(f"{op.name}: label push needs a phase-free permutation")
-        if op.joint_dim != math.prod(dims[sid] for sid in op.targets):
-            raise ValueError(f"{op.name}: operator dimension {op.joint_dim} mismatches its targets")
-        out = op.image[_flat_labels(labels, dims, op.targets)]
-        for sid in reversed(op.targets):
-            out, labels[sid] = np.divmod(out, dims[sid])
+class WallCircuit:
+    """A gated allocation's entangler as data: permutation templates whose
+    targets are slot numbers, and a target table with one row of site ids
+    per edge, slot k of a row naming the site the templates' slot k acts
+    on. Running it is every template in order on row 0, then on row 1, and
+    so on (_push_labels). Two circuits are equal when their template tables
+    and target tables are, whatever the objects: the rows of an allocation
+    are cached on that content (_gated_rows), taken once here."""
 
-
-class _GateList:
-    """A gate sequence as a cache key: two lists are equal when their gates
-    agree in kind, targets and table, whatever the objects."""
-
-    def __init__(self, gates: Sequence[LocalOperator]):
-        self.gates = tuple(gates)
-        self.key = tuple(
-            (op.kind, op.targets, (op.image if op.kind == "perm" else op.diag).tobytes()) for op in self.gates
-        )
+    def __init__(self, templates: Sequence[LocalOperator], targets: Sequence[Sequence[Hashable]]):
+        for op in templates:
+            if op.kind != "perm":
+                raise ValueError(f"{op.name}: label push needs a phase-free permutation")
+        self.templates = tuple(templates)
+        self.targets = tuple(tuple(row) for row in targets)
+        self._key = tuple((op.targets, op.image.tobytes()) for op in self.templates), self.targets
+        self._hash = hash(self._key)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, _GateList) and self.key == other.key
+        return isinstance(other, WallCircuit) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return self._hash
+
+
+def _push_labels(labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], circuit: WallCircuit) -> None:
+    """Send every row of a per-site label table through a wall circuit, each
+    template on each target row in the circuit's order: a basis state stays
+    a basis state, so this is the whole circuit on every row at once."""
+    for row in circuit.targets:
+        for op in circuit.templates:
+            targets = [row[k] for k in op.targets]
+            if len(set(targets)) != len(targets):
+                raise ValueError(f"{op.name}: duplicate target sites {targets}")
+            if op.joint_dim != math.prod(dims[sid] for sid in targets):
+                raise ValueError(f"{op.name}: operator dimension {op.joint_dim} mismatches its targets")
+            out = op.image[_flat_labels(labels, dims, targets)]
+            for sid in reversed(targets):
+                out, labels[sid] = np.divmod(out, dims[sid])
 
 
 @lru_cache(maxsize=32)
 def _gated_rows(
-    ctrl: Tuple[Tuple[Hashable, int], ...], new: Tuple[Tuple[Hashable, int], ...], gates: _GateList
+    ctrl: Tuple[Tuple[Hashable, int], ...], new: Tuple[Tuple[Hashable, int], ...], circuit: WallCircuit
 ) -> np.ndarray:
     """Joint row of the new identity-state sites for every basis row of the
-    ctrl sites, (sid, dim) pairs in register order, after the gates; the
-    gates must not move a ctrl label. Read-only, shared by every register
-    with the same touched sites and gates."""
+    ctrl sites, (sid, dim) pairs in register order, after the circuit; it
+    must not move a ctrl label. Read-only, shared by every register with the
+    same touched sites and circuit content."""
     grid = np.indices([d for _, d in ctrl]).reshape(len(ctrl), math.prod(d for _, d in ctrl))
     labels = {sid: grid[n] for n, (sid, _) in enumerate(ctrl)}
     labels.update((sid, np.zeros(grid.shape[1], dtype=np.int64)) for sid, _ in new)
     dims = dict(ctrl + new)
-    _push_labels(labels, dims, gates.gates)
+    _push_labels(labels, dims, circuit)
     for n, (sid, _) in enumerate(ctrl):
         if not np.array_equal(labels[sid], grid[n]):
             raise ValueError(f"gated allocation moved the label of live site {sid!r}")
@@ -538,17 +549,15 @@ class QuditRegister:
         return out
 
     def add_sites(
-        self,
-        specs: Sequence[SiteSpec],
-        state_fn: Callable[[SiteSpec], np.ndarray],
-        gates: Sequence[LocalOperator] = (),
+        self, specs: Sequence[SiteSpec], state: Union[Callable[[SiteSpec], np.ndarray], WallCircuit]
     ) -> None:
-        """Append fresh product-state sites (ancilla allocation).
+        """Append fresh sites (ancilla allocation): in the product state
+        state(spec) of each site, or, for a WallCircuit, in the identity
+        state, written by its walls in the same pass (a gated allocation).
 
-        A non-empty gates list of permutations, which must not move
-        a live site's label, runs in the same pass on identity-state ancillas:
-        each basis row of the live sites it touches lands on one new-site row,
-        so the labels are pushed over that grid once (_gated_rows), and the
+        The circuit must not move a live site's label. Each basis row of the
+        live sites its target table names lands on one new-site row, so the
+        labels are pushed over that grid once (_gated_rows), and the
         register is left in support form: each nonzero amplitude keeps its
         value, at its old flat position times the new sites' joint dimension
         plus the new-site row of its ctrl labels. No dense array of the new
@@ -556,26 +565,23 @@ class QuditRegister:
         checked before anything is allocated."""
         old, extra = self.dims, math.prod(spec_.dim for spec_ in specs)
         _require_within_budget(math.prod(old) * extra)
-        states = []
         for spec_ in specs:
             if spec_.sid in self._index or spec_.sid in self.retired:
                 raise ValueError(f"site id {spec_.sid!r} already used")
-            local = np.asarray(state_fn(spec_), dtype=np.complex128)
-            if local.shape != (spec_.dim,):
-                raise ValueError(f"ancilla state for {spec_.sid!r} has wrong dimension")
-            if gates and not (local[0] == 1 and not local[1:].any()):
-                raise ValueError(f"gated allocation needs identity-state ancillas; {spec_.sid!r} is not")
-            states.append(local)
-        if not gates:
-            for local in states:
-                self.amps = np.multiply.outer(self.amps, local)
-        else:
+        if isinstance(state, WallCircuit):
             new = tuple((spec_.sid, spec_.dim) for spec_ in specs)
-            fresh = {sid for sid, _ in new}
-            ctrl = sorted({self.pos(t) for op in gates for t in op.targets if t not in fresh})
-            rows = _gated_rows(tuple((self.sites[k].sid, old[k]) for k in ctrl), new, _GateList(gates))
+            named = {sid for row in state.targets for sid in row}.difference(sid for sid, _ in new)
+            ctrl = sorted(self.pos(sid) for sid in named)
+            rows = _gated_rows(tuple((self.sites[k].sid, old[k]) for k in ctrl), new, state)
             flat, values = self._positions()
             self._amps, self._support = None, (flat * extra + rows[_support_joint(flat, old, ctrl)], values)
+        else:
+            states = [np.asarray(state(spec_), dtype=np.complex128) for spec_ in specs]
+            for spec_, local in zip(specs, states):
+                if local.shape != (spec_.dim,):
+                    raise ValueError(f"ancilla state for {spec_.sid!r} has wrong dimension")
+            for local in states:
+                self.amps = np.multiply.outer(self.amps, local)
         self.sites.extend(specs)
         self._reindex()
 
@@ -876,12 +882,6 @@ def _edge_site(e: int) -> Hashable:
 
 def _plus_state(spec_: SiteSpec) -> np.ndarray:
     return np.full(spec_.dim, 1.0 / np.sqrt(spec_.dim), dtype=np.complex128)
-
-
-def _identity_state(spec_: SiteSpec) -> np.ndarray:
-    v = np.zeros(spec_.dim, dtype=np.complex128)
-    v[0] = 1.0
-    return v
 
 
 def init_product(specs: Sequence[SiteSpec], state_fn: Callable[[SiteSpec], np.ndarray]) -> QuditRegister:

@@ -16,6 +16,13 @@ nil2 coupling circuit with every edge allocated first and every gate
 applied on its own, the form the gated allocation of the quotient walls
 is checked against. theta_sphere_reversed is theta_sphere with edge 1
 reversed, so its edges no longer all point the same way.
+expanded_wall_gates is a wall circuit as the per-edge gate list it stands
+for, one retargeted gate per (edge, template), and push_gate_list and
+gate_list_rows push labels through such a list one gate at a time: the
+reference the circuit's rows are checked against bitwise. circuit_of_gates
+spells any permutation gate list as a one-row circuit, for the random walls
+of the support tests and the dropped-gate mutants. identity_state is the
+identity-element basis state of one site.
 dense_vertex_projector is one vertex term A_v as a dense matrix, and
 dense_projector_rank is the joint stabilizer projector as a dense
 |G|^E x |G|^E matrix with its rank read off the spectrum, the reference for
@@ -84,10 +91,10 @@ from gaugekit.register import (
     LocalOperator,
     QuditRegister,
     SiteSpec,
+    WallCircuit,
     _edge_site,
     _flat_labels,
     _fourier_matrix,
-    _identity_state,
     _overlap,
     _Retired,
     _rotated,
@@ -164,9 +171,61 @@ def oracle_double_state(
     return QuditRegister(specs, amps)
 
 
+def identity_state(spec_: SiteSpec) -> np.ndarray:
+    """The identity-element basis state of one site."""
+    v = np.zeros(spec_.dim, dtype=np.complex128)
+    v[0] = 1.0
+    return v
+
+
 def init_identity(specs: Sequence[SiteSpec]) -> QuditRegister:
     """Product of identity-element basis states."""
-    return init_product(specs, _identity_state)
+    return init_product(specs, identity_state)
+
+
+# ---------------------------------------------------------------------------
+# wall circuits as per-edge gate lists
+
+
+def expanded_wall_gates(circuit: WallCircuit) -> List[LocalOperator]:
+    """A wall circuit as the gate list it stands for: every template
+    retargeted to every row of its target table, row by row, one gate object
+    per (edge, template)."""
+    return [op.retarget([row[k] for k in op.targets]) for row in circuit.targets for op in circuit.templates]
+
+
+def circuit_of_gates(gates: Sequence[LocalOperator]) -> WallCircuit:
+    """Any permutation gate list as a wall circuit of one row: the row names
+    every site the gates touch, in first-seen order, and template k is gate
+    k on those sites' slots."""
+    row = list(dict.fromkeys(t for op in gates for t in op.targets))
+    return WallCircuit([op.retarget([row.index(t) for t in op.targets]) for op in gates], [row])
+
+
+def push_gate_list(
+    labels: Dict[Hashable, np.ndarray], dims: Dict[Hashable, int], gates: Sequence[LocalOperator]
+) -> None:
+    """Send every row of a per-site label table through permutation gates
+    one gate at a time, in order: the gate-list form of
+    register._push_labels."""
+    for op in gates:
+        assert op.kind == "perm" and op.joint_dim == np.prod([dims[sid] for sid in op.targets])
+        out = op.image[_flat_labels(labels, dims, op.targets)]
+        for sid in reversed(op.targets):
+            out, labels[sid] = np.divmod(out, dims[sid])
+
+
+def gate_list_rows(ctrl, new, gates: Sequence[LocalOperator]) -> np.ndarray:
+    """register._gated_rows through a per-edge gate list: the joint row of
+    the new identity-state sites after the gates, for every basis row of the
+    ctrl sites ((sid, dim) pairs)."""
+    grid = np.indices([d for _, d in ctrl]).reshape(len(ctrl), -1)
+    labels = {sid: grid[n].copy() for n, (sid, _) in enumerate(ctrl)}
+    labels.update((sid, np.zeros(grid.shape[1], dtype=np.int64)) for sid, _ in new)
+    dims = dict(tuple(ctrl) + tuple(new))
+    push_gate_list(labels, dims, gates)
+    assert all(np.array_equal(labels[sid], grid[n]) for n, (sid, _) in enumerate(ctrl))
+    return _flat_labels(labels, dims, [sid for sid, _ in new])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +390,7 @@ def nil2_circuit_gate_by_gate(fs: FactorSystem, cell: Cellulation) -> QuditRegis
         [SiteSpec(("e", e, "n"), "edge", n_grp) for e in range(cell.n_edges)],
         lambda spec: np.full(spec.dim, spec.dim**-0.5, dtype=np.complex128),
     )
-    reg.add_sites([SiteSpec(("e", e, "q"), "edge", q_grp) for e in range(cell.n_edges)], _identity_state)
+    reg.add_sites([SiteSpec(("e", e, "q"), "edge", q_grp) for e in range(cell.n_edges)], identity_state)
     for e in range(cell.n_edges):
         p_minus, p_plus = cell.plaquette_pair(e)
         if p_minus == p_plus:

@@ -1,5 +1,6 @@
 """CLI: spec parsing, report shape, exit codes, byte-level determinism."""
 
+import dataclasses
 import json
 import os
 
@@ -360,6 +361,45 @@ def test_report_excludes_volatile_fields(tmp_path):
           "--mode", "postselect", "--workers", "1", "-o", str(out)])
     config = read(out)["config"]
     assert "workers" not in config and "output" not in config and "pretty" not in config
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig(command="prepare"),
+        RunConfig(command="prepare", group="S4", cell="square:3x2", protocol="abelian", mode="sample:7", seeds=4,
+                  workers=3, stabilizers=False, gsd=True, output="out.json", pretty=True),
+        RunConfig(command="verify", group="D4", suite="gsd", factor_system="ext.json", oracle_fidelity=False),
+        RunConfig(command="groups", derived_series="S4", center="Q8"),
+    ],
+    ids=["defaults", "prepare", "verify", "groups"],
+)
+def test_config_record_is_asdict_without_the_volatile_fields(config):
+    """The report's config record reads the frozen fields directly: it is
+    dataclasses.asdict of the config, in its key order, less the volatile
+    fields."""
+    want = dataclasses.asdict(config)
+    for key in cli._VOLATILE_FIELDS:
+        del want[key]
+    record = cli._config_record(config)
+    assert record == want and list(record) == list(want)
+    assert json.dumps(record) == json.dumps(want)
+
+
+def test_built_in_cells_are_built_once_and_documents_on_every_call(tmp_path):
+    """The torus and sphere the specs name are one shared, frozen object per
+    spec; a cell document is read again on every call."""
+    for spec in ("hexagon", "theta", "square:3x2"):
+        assert cli.parse_cell_spec(spec) is cli.parse_cell_spec(spec)
+    assert cli.parse_cell_spec("square:3x2") is not cli.parse_cell_spec("square:2x3")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cli.parse_cell_spec("hexagon").name = "renamed"
+    doc = tmp_path / "cell.json"
+    doc.write_text(cell_to_json(theta_sphere()))
+    first = cli.parse_cell_spec(str(doc))
+    doc.write_text(cell_to_json(tetrahedron_sphere()))
+    second = cli.parse_cell_spec(str(doc))
+    assert (first.name, second.name) == ("theta_sphere", "tetrahedron_sphere")
 
 
 def test_runconfig_rejects_unknown_fields():

@@ -63,7 +63,7 @@ def test_every_plan_cache_is_bounded():
         assert maxsize is not None and 0 < maxsize <= 64, cache
 
 
-def test_equal_factor_systems_share_one_entry_and_distinct_ones_do_not(tmp_path):
+def test_equal_factor_systems_share_one_entry_and_distinct_ones_do_not(tmp_path, monkeypatch):
     built = catalog_factor_system("D4")
     doc = {"name": "D4", "extension": {"n": "Z2", "q": "Z2xZ2", "sigma": built.sigma.tolist(), "omega": built.omega.tolist()}}
     path = tmp_path / "d4.json"
@@ -73,14 +73,28 @@ def test_equal_factor_systems_share_one_entry_and_distinct_ones_do_not(tmp_path)
     assert loaded is not built and loaded == built and hash(loaded) == hash(built)
     assert q8 != built and built != built.parent
 
+    # the hash is taken once, from the groups and the read-only sigma and
+    # omega: a lookup reads no table, and a system whose parent tables are
+    # filled in after it was hashed is found again under its key
+    monkeypatch.setattr(groups.FactorSystem, "_content", lambda self: pytest.fail("a hash rebuilt the content"))
+    assert hash(built) == hash(built) == hash(loaded)
+    monkeypatch.undo()
+    for table in (built.sigma, built.omega):
+        _assert_read_only(table)
+    bare = groups.FactorSystem(built.n_group, built.q_group, built.sigma, built.omega)
+    seen = {bare: "bare"}
+    assert hash(bare) == hash(built) and bare != built
+    groups.extension_from_factor_system(bare)
+    assert seen[bare] == "bare" and bare.parent is not None
+
     _clear_plans()
     cell = hexagon_torus()
     ctrl = tuple((s.sid, s.dim) for s in _split_register(built, cell.n_vertices).sites)
     new = tuple((("e", e), built.n_group.order) for e in range(cell.n_edges))
 
     def rows(fs):
-        gates = kwmaps._wall_gates(fs, cell, lambda v: ("n", v), lambda e: ("e", e), lambda v: ("q", v))
-        return register._gated_rows(ctrl, new, register._GateList(gates))
+        circuit = kwmaps._wall_gates(fs, cell, lambda v: ("n", v), lambda e: ("e", e), lambda v: ("q", v))
+        return register._gated_rows(ctrl, new, circuit)
 
     shared = rows(built)
     assert rows(loaded) is shared
@@ -108,10 +122,10 @@ def test_cached_tables_reject_writes():
         _assert_read_only(array)
 
     split = _split_register(fs, 2)
-    gates = kwmaps._wall_gates(fs, cell, lambda v: ("n", v), lambda e: ("e", e), lambda v: ("q", v))
+    circuit = kwmaps._wall_gates(fs, cell, lambda v: ("n", v), lambda e: ("e", e), lambda v: ("q", v))
     ctrl = tuple((s.sid, s.dim) for s in split.sites)
     new = tuple((("e", e), fs.n_group.order) for e in range(cell.n_edges))
-    _assert_read_only(register._gated_rows(ctrl, new, register._GateList(gates)))
+    _assert_read_only(register._gated_rows(ctrl, new, circuit))
 
 
 def test_cold_and_warm_reports_are_byte_identical():

@@ -33,9 +33,15 @@ from gaugekit.protocols import (
     prepare_solvable_double,
     plan_run,
 )
-from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, _GateList, _vertex_site, init_plus
+from gaugekit.register import LocalOperator, QuditRegister, SiteSpec, WallCircuit, _vertex_site, init_plus
 from gaugekit.verify import check_identity, stabilizer_report
-from reference import charge_syndromes, flux_syndromes, nil2_circuit_gate_by_gate, theta_sphere_reversed
+from reference import (
+    charge_syndromes,
+    expanded_wall_gates,
+    flux_syndromes,
+    nil2_circuit_gate_by_gate,
+    theta_sphere_reversed,
+)
 
 CAT = catalog()
 
@@ -202,10 +208,10 @@ def test_nil2_circuit_matches_its_gate_by_gate_reference(monkeypatch, label, mak
     gated, applied = [], []
     add_sites, apply = QuditRegister.add_sites, QuditRegister.apply
 
-    def recorded_add_sites(reg, specs, state_fn, gates=()):
-        if gates:
-            gated.append(list(gates))
-        return add_sites(reg, specs, state_fn, gates)
+    def recorded_add_sites(reg, specs, state):
+        if isinstance(state, WallCircuit):
+            gated.append(state)
+        return add_sites(reg, specs, state)
 
     def recorded_apply(reg, op):
         applied.append(op.name)
@@ -218,10 +224,12 @@ def test_nil2_circuit_matches_its_gate_by_gate_reference(monkeypatch, label, mak
     # equal as numbers, not bitwise: where the reference's outer product with
     # the identity state leaves -0.0, the gated scatter writes +0.0
     assert np.array_equal(got.amps, want.amps)
-    # one gated allocation carries the quotient walls, and its list is the
-    # shared vertex-route entangler's
+    # one gated allocation carries the quotient walls, and its circuit is the
+    # shared vertex-route entangler's: equal as a circuit, and gate for gate
     [walls] = gated
-    assert _GateList(walls) == _GateList(_wall_gates(fs.q_group, cell, _vertex_site, lambda e: ("e", e, "q")))
+    shared = _wall_gates(fs.q_group, cell, _vertex_site, lambda e: ("e", e, "q"))
+    mine, theirs = ([(op.kind, op.targets, op.image.tobytes()) for op in expanded_wall_gates(c)] for c in (walls, shared))
+    assert walls == shared and mine == theirs and len(mine) == 2 * cell.n_edges
     assert not {"CL", "CL+", "CR", "CR+"} & set(applied)
 
 

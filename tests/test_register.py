@@ -22,12 +22,20 @@ from gaugekit.register import (
     LocalOperator,
     QuditRegister,
     SiteSpec,
-    _identity_state,
+    WallCircuit,
     _vertex_site,
     init_plus,
     init_product,
 )
-from reference import dense_measure_fourier, gate_matrix, init_identity, split_left_mult
+from reference import (
+    circuit_of_gates,
+    dense_measure_fourier,
+    expanded_wall_gates,
+    gate_matrix,
+    identity_state,
+    init_identity,
+    split_left_mult,
+)
 
 GATE_TOL = 1e-12
 STATE_TOL = 1e-10
@@ -210,23 +218,30 @@ def test_a_permutation_gate_carries_its_read_only_source_row(monkeypatch):
 
 
 def test_wall_gates_share_one_read_only_table_per_template(monkeypatch):
-    """Every edge's wall gates, in every call, share the tables of one cached
-    template per gate: read-only, and inverted without a sort."""
+    """A wall circuit holds one template per gate, on slot numbers, and one
+    row of sites per edge. Its templates, in every call, share the tables of
+    the cached gates: read-only, and inverted without a sort; so does every
+    gate of the per-edge list it stands for."""
     cell = hexagon_torus()
     namers = (lambda v: ("v", v), lambda e: ("e", e))
-    gates, again = (_wall_gates(CAT["Z3"], cell, *namers) for _ in range(2))
+    circuit, again = (_wall_gates(CAT["Z3"], cell, *namers) for _ in range(2))
+    assert circuit == again and circuit is not again
+    assert [op.targets for op in circuit.templates] == [(0, 2), (1, 2)]
+    assert circuit.targets == tuple((("v", 0), ("v", 1), ("e", e)) for e in range(cell.n_edges))
+    gates = expanded_wall_gates(circuit)
     assert len(gates) == 2 * cell.n_edges
     for e in range(1, cell.n_edges):
         for k in range(2):
-            assert gates[2 * e + k].image is gates[k].image
+            assert gates[2 * e + k].image is gates[k].image is circuit.templates[k].image
     assert [op.targets for op in gates[:2]] == [(("v", 0), ("e", 0)), (("v", 1), ("e", 0))]
     fs = catalog_factor_system("D4")
-    split = [_wall_gates(fs, cell, *namers, lambda v: ("q", v)) for _ in range(2)]
-    for first, second in [(gates, again), split]:
-        assert all(a.image is b.image and a.sources is b.sources for a, b in zip(first, second))
+    split = [_wall_gates(fs, cell, *namers, lambda v: ("q", v)).templates for _ in range(2)]
+    assert [op.targets for op in split[0]] == [(0, 2), (1, 2), (3, 2, 4), (3, 2)]
+    for first, second in [(circuit.templates, again.templates), split]:
+        assert all(a.image is b.image and a.sources is b.sources for a, b in zip(first, second, strict=True))
     cl = gates_module._controlled_left(CAT["Z3"])
-    assert gates[0].image is cl.sources and gates[0].sources is cl.image, "CL+ is CL's tables swapped"
-    for table in [op.image for op in split[0][:4]] + [op.sources for op in split[0][:4]] + [cz_abelian(CAT["Z3"], 0, 1).diag]:
+    assert circuit.templates[0].image is cl.sources and circuit.templates[0].sources is cl.image, "CL+ is CL's tables swapped"
+    for table in [op.image for op in split[0]] + [op.sources for op in split[0]] + [cz_abelian(CAT["Z3"], 0, 1).diag]:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[1]
 
@@ -452,7 +467,7 @@ def test_dims_follow_every_change_to_the_site_list(support):
     check(stack)
     reg = stack.seed(1)
     check(reg)
-    reg.add_sites([SiteSpec("c", "edge", z2)], _identity_state, [controlled_left(z2, "a", "c")])
+    reg.add_sites([SiteSpec("c", "edge", z2)], circuit_of_gates([controlled_left(z2, "a", "c")]))
     check(reg)
     reg.merge_sites("b", "a", SiteSpec("ba", "edge", z6))
     check(reg)
@@ -508,10 +523,10 @@ def test_add_sites_rejects_register_over_budget(monkeypatch):
     # a gated allocation writes no dense array, but the budget is on the
     # logical size all the same, checked before the rows or a position
     gated, z2 = init_identity(z2_sites(2)), build_cyclic(2)
-    gated.add_sites([SiteSpec(("e", 2), "edge", z2)], _identity_state, [controlled_left(z2, ("e", 0), ("e", 2))])
+    gated.add_sites([SiteSpec(("e", 2), "edge", z2)], circuit_of_gates([controlled_left(z2, ("e", 0), ("e", 2))]))
     support, rows = gated._support, register._gated_rows.cache_info()
     with pytest.raises(ValueError, match="16 amplitudes exceeds the dense register budget 8"):
-        gated.add_sites(more, _identity_state, [controlled_left(z2, ("e", 1), ("e", 3))])
+        gated.add_sites(more, circuit_of_gates([controlled_left(z2, ("e", 1), ("e", 3))]))
     assert gated._support is support and register._gated_rows.cache_info() == rows
     assert gated.amps.shape == (2, 2, 2) and len(gated.sites) == 3
 
@@ -959,9 +974,9 @@ def test_gated_allocation_matches_gate_by_gate_application():
             if np.prod([s.dim for s in front + verts + specs], dtype=float) > SWEEP_AMPLITUDES:
                 continue
             if split:
-                gates = _wall_gates(subject, cell, lambda v: ("n", v), lambda e: ("w", e), lambda v: ("q", v))
+                circuit = _wall_gates(subject, cell, lambda v: ("n", v), lambda e: ("w", e), lambda v: ("q", v))
             else:
-                gates = _wall_gates(subject, cell, lambda v: ("v", v), lambda e: ("w", e))
+                circuit = _wall_gates(subject, cell, lambda v: ("v", v), lambda e: ("w", e))
             random = init_plus(front + verts)
             random.amps = rng.normal(size=random.dims) + 1j * rng.normal(size=random.dims)
             symmetric = random.copy()
@@ -969,10 +984,10 @@ def test_gated_allocation_matches_gate_by_gate_application():
             for reg in (random, symmetric):
                 reg.amps = reg.amps / np.linalg.norm(reg.amps)
                 ref = reg.copy()
-                ref.add_sites(specs, register._identity_state)
-                for op in gates:
+                ref.add_sites(specs, identity_state)
+                for op in expanded_wall_gates(circuit):
                     ref.apply(op)
-                reg.add_sites(specs, register._identity_state, gates)
+                reg.add_sites(specs, circuit)
                 assert [s.sid for s in reg.sites] == [s.sid for s in ref.sites]
                 assert np.array_equal(reg.amps, ref.amps), (label, cell.name)
             checked.append((label, cell.name))
@@ -981,21 +996,23 @@ def test_gated_allocation_matches_gate_by_gate_application():
 
 
 def test_gated_allocation_rejects_what_one_scatter_cannot_write(monkeypatch):
+    """A circuit with a diagonal template is refused when it is built, and
+    one whose template moves a vertex label when its rows are pushed; the
+    register is left as it was. The budget is checked before any label
+    work."""
     z3 = build_cyclic(3)
     cell = hexagon_torus()
     reg = init_plus([SiteSpec(("v", v), "vertex", z3) for v in range(cell.n_vertices)])
     specs = [SiteSpec(("e", e), "edge", z3) for e in range(cell.n_edges)]
     walls = _wall_gates(z3, cell, lambda v: ("v", v), lambda e: ("e", e))
-    cases = [
-        (register._plus_state, walls, "needs identity-state ancillas"),
-        (register._identity_state, walls + [cz_abelian(z3, ("v", 0), ("e", 0))], "CZ: label push needs a phase-free"),
-        (register._identity_state, walls + [left_mult(z3, 1, ("v", 1))], r"moved the label of live site \('v', 1\)"),
-    ]
-    for state_fn, gates, message in cases:
-        with pytest.raises(ValueError, match=message):
-            reg.add_sites(specs, state_fn, gates)
-        assert reg.dims == (3, 3) and len(reg.sites) == 2
-        assert np.allclose(reg.amps, 1 / 3)
+    with pytest.raises(ValueError, match="CZ: label push needs a phase-free"):
+        WallCircuit(walls.templates + (cz_abelian(z3, 0, 2),), walls.targets)
+    # label x -> -x on the edge's final vertex, once per edge: an odd number of flips
+    moved = WallCircuit(walls.templates + (LocalOperator([1], "perm", [0, 2, 1], name="flip"),), walls.targets)
+    with pytest.raises(ValueError, match=r"moved the label of live site \('v', 1\)"):
+        reg.add_sites(specs, moved)
+    assert reg.dims == (3, 3) and len(reg.sites) == 2
+    assert np.allclose(reg.amps, 1 / 3)
 
     def no_label_push(*args):
         raise AssertionError("the budget check must come before any label work or allocation")
@@ -1003,7 +1020,7 @@ def test_gated_allocation_rejects_what_one_scatter_cannot_write(monkeypatch):
     monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 242)
     monkeypatch.setattr(register, "_push_labels", no_label_push)
     with pytest.raises(ValueError, match="243 amplitudes exceeds the dense register budget 242"):
-        reg.add_sites(specs, register._identity_state, walls)
+        reg.add_sites(specs, walls)
     assert reg.dims == (3, 3) and len(reg.sites) == 2
 
 

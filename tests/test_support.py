@@ -17,9 +17,9 @@ from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere
 from gaugekit.groups import build_cyclic, catalog, catalog_factor_system
 from gaugekit.kwmaps import KwMode, _seed_gate
 from gaugekit.protocols import plan_run
-from gaugekit.register import SEED_SITE, LocalOperator, QuditRegister, SiteSpec, _identity_state
+from gaugekit.register import SEED_SITE, LocalOperator, QuditRegister, SiteSpec
 from gaugekit.verify import stabilizer_report
-from reference import dense_measure_fourier, dense_stabilizer_report
+from reference import circuit_of_gates, dense_measure_fourier, dense_stabilizer_report
 
 CAT = catalog()
 # the zero state last: hypothesis draws the first entries of a list most often
@@ -458,9 +458,9 @@ def test_the_support_form_matches_a_register_densified_before_every_step_bitwise
     with mock.patch.object(register, "LIVE_READ_MIN", floor):
         for tag in ("n", "m"):
             new, gates = _allocation(draw, rng, reg, tag)
-            reg.add_sites(new, _identity_state, gates)
+            reg.add_sites(new, circuit_of_gates(gates))
             ref.amps  # densified before every step
-            ref.add_sites(new, _identity_state, gates)
+            ref.add_sites(new, circuit_of_gates(gates))
             _same_form_state(reg, ref, signless)
             for _ in range(draw(st.integers(0, 6))):
                 live = [sid for sid, _ in reg.layout if sid != SEED_SITE]

@@ -629,9 +629,16 @@ def test_an_entangler_broken_off_the_first_generator_reads_the_same_on_both_path
         assert fast.hex() == slow.hex() == (1.0).hex(), name
 
 
+def without_first_wall_gate(circuit):
+    """The mutant entangler: the per-edge gate list a wall circuit stands
+    for, without its first gate (edge 0's CL+), spelled as a one-row
+    circuit."""
+    return reference.circuit_of_gates(reference.expanded_wall_gates(circuit)[1:])
+
+
 def test_a_dropped_wall_gate_reads_the_same_on_both_paths(monkeypatch):
     true_gates = verify._wall_gates
-    monkeypatch.setattr(verify, "_wall_gates", lambda *args: true_gates(*args)[1:])
+    monkeypatch.setattr(verify, "_wall_gates", lambda *args: without_first_wall_gate(true_gates(*args)))
     cell = hexagon_torus()
     for name, g in CROSS_CHECK_GROUPS.items():
         if g.order == 1:
@@ -717,7 +724,7 @@ def test_no_pure_map_outlives_its_suite(monkeypatch):
         fs = catalog_factor_system(label)
         identity_suite(cell, groups={label: CAT[label]}, systems={label: fs})
     true_gates = verify._wall_gates
-    monkeypatch.setattr(verify, "_wall_gates", lambda *args: true_gates(*args)[1:])
+    monkeypatch.setattr(verify, "_wall_gates", lambda *args: without_first_wall_gate(true_gates(*args)))
     for label in ["D4", "Q8", "S3"]:
         g, fs = CAT[label], catalog_factor_system(label)
         # a dropped wall gate reads the columns' common amplitude, which a
