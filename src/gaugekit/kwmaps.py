@@ -46,6 +46,7 @@ from .register import (
     SiteSpec,
     WallCircuit,
     _edge_site,
+    _from_support,
     _overlap,
     _plus_state,
     _vertex_site,
@@ -399,8 +400,11 @@ def kw_exact_g(
     """Definitional map |g_V> -> |g_i^-1 g_f on each edge>, any finite group.
 
     Assembled by direct basis enumeration, no gates and no measurement; the
-    output is normalized. The input register must hold exactly the vertex
-    sites. This is the oracle every protocol output is compared against.
+    output is normalized, in support form: np.add.at on the merged wall
+    keys adds each key's terms in the order a dense scatter does, so every
+    value has its bits, and a key whose terms cancel exactly is left out.
+    The input must hold exactly the vertex sites. This is the oracle every
+    protocol output is compared against.
     """
     d = g_group.order
     n_v, n_e = cell.n_vertices, cell.n_edges
@@ -416,14 +420,16 @@ def kw_exact_g(
     walls = np.empty((n_e, grids.shape[1]), dtype=np.int64)
     for e, (i_v, f_v) in enumerate(cell.edges):
         walls[e] = g_group.mult[g_group.inv[grids[i_v]], grids[f_v]]
-    flat = np.ravel_multi_index(tuple(walls), (d,) * n_e)
-    out = np.zeros(d ** n_e, dtype=np.complex128)
-    np.add.at(out, flat, amps)
-    norm = np.sqrt(_overlap(out, out).real)
+    keys, slot = np.unique(np.ravel_multi_index(tuple(walls), (d,) * n_e), return_inverse=True)
+    sums = np.zeros(keys.size, dtype=np.complex128)
+    np.add.at(sums, slot, amps)
+    norm = np.sqrt(_overlap(sums, sums).real)
     if norm < 1e-12:
         raise ValueError("input has no invariant component; the map projects it to zero")
+    values = sums / norm
+    kept = values != 0
     specs = [SiteSpec(edge_of(e), "edge", g_group) for e in range(n_e)]
-    return QuditRegister(specs, (out / norm).reshape((d,) * n_e))
+    return _from_support(specs, keys[kept], values[kept])
 
 
 def kw_n_in_g(

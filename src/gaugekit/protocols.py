@@ -290,9 +290,14 @@ def _scored(transcript: ProtocolTranscript, oracle: Optional[QuditRegister]) -> 
     return transcript
 
 
+@lru_cache(maxsize=16)
 def _oracle(g_group: FiniteGroup, cell: Cellulation) -> QuditRegister:
-    """The enumerated double of g_group: the definitional map on the uniform vertex state."""
-    return kw_exact_g(_plus_vertices(g_group, cell), cell, g_group)
+    """The enumerated double of g_group: the definitional map on the uniform
+    vertex state, built once per (group, cell) and frozen in support form,
+    so every run on that pair reads one shared register."""
+    oracle = kw_exact_g(_plus_vertices(g_group, cell), cell, g_group)
+    oracle.freeze()
+    return oracle
 
 
 # each start returns the register before round 1, the prepared group, the
@@ -357,7 +362,8 @@ def _derived_series_start(reg: QuditRegister, g_group: FiniteGroup, cell: Cellul
 
 
 def _solvable_start(g_group: FiniteGroup, cell: Cellulation, with_oracle: bool) -> _Start:
-    return _derived_series_start(_plus_vertices(g_group, cell), g_group, cell, with_oracle)
+    reg, _, chain, _, seeds = _derived_series_start(_plus_vertices(g_group, cell), g_group, cell, False)
+    return reg, g_group, chain, _oracle(g_group, cell) if with_oracle else None, seeds
 
 
 def _nil2_start(fs: FactorSystem, cell: Cellulation) -> QuditRegister:
@@ -528,7 +534,7 @@ class RunPlan:
     writing it (stack): a plus-state start stays dense, since its support
     is full, and the nil2 circuit, which ends in a gated allocation, stays
     in support form, which each stack's one measurement layer reads. The
-    oracle's amplitudes are made read-only too.
+    oracle, a support form shared per (group, cell) (_oracle), is frozen too.
     oracle is the enumerated reference state, or None. seeds is the most
     seeds one stack holds (_seeds_within_budget). finish runs the rounds of
     a stack of seeds, one mode each: the vertex-route rounds, one
@@ -545,7 +551,7 @@ class RunPlan:
     def __post_init__(self):
         self.prefix.freeze()
         if self.oracle is not None:
-            self.oracle.amps.setflags(write=False)
+            self.oracle.freeze()
 
     def run(self, modes: Sequence[KwMode]) -> Iterator[ProtocolTranscript]:
         """One transcript per mode, in order, the seeds run in lockstep as

@@ -274,6 +274,14 @@ def _sorted(flat: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return flat[order], values[order]
 
 
+def _from_support(sites: Sequence[SiteSpec], flat: np.ndarray, values: np.ndarray) -> "QuditRegister":
+    """A register over sites in support form: sorted distinct positions flat, nonzero values."""
+    out = object.__new__(QuditRegister)
+    out.sites, out._amps, out._support, out.retired = list(sites), None, (flat, values), {}
+    out._reindex()
+    return out
+
+
 def _on_union(union: np.ndarray, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
     """values at their positions flat within the sorted positions union, zero elsewhere."""
     out = np.zeros(union.size, dtype=np.complex128)
@@ -544,7 +552,7 @@ class QuditRegister:
         return float(np.sqrt(_overlap(amps, amps).real))
 
     def copy(self) -> "QuditRegister":
-        out = QuditRegister(list(self.sites), self.amps.copy())
+        out = QuditRegister(list(self.sites), self._dense().copy())
         out.retired = dict(self.retired)
         return out
 
@@ -765,14 +773,15 @@ class QuditRegister:
 
     def _values_at(self, flat: np.ndarray) -> np.ndarray:
         """The amplitudes at the flat positions flat, sorted, in the form the
-        register holds them: zero where its support form has no entry."""
+        register holds them: a gather of the dense array, or one searchsorted
+        on the support positions, zero where the support form has no entry."""
         if self._support is None:
             return np.ravel(self._amps)[flat]
         own, values = self._support
-        out = np.zeros(flat.size, dtype=np.complex128)
-        _, mine, theirs = np.intersect1d(own, flat, assume_unique=True, return_indices=True)
-        out[theirs] = values[mine]
-        return out
+        if not own.size:
+            return np.zeros(flat.size, dtype=np.complex128)
+        found = np.minimum(own.searchsorted(flat), own.size - 1)
+        return np.where(own[found] == flat, values[found], 0)
 
     def fidelity(self, other: "QuditRegister") -> float:
         return abs(self.inner_product(other)) ** 2

@@ -15,7 +15,9 @@ measurement outcomes exactly. nil2_circuit_gate_by_gate is the one-shot
 nil2 coupling circuit with every edge allocated first and every gate
 applied on its own, the form the gated allocation of the quotient walls
 is checked against. theta_sphere_reversed is theta_sphere with edge 1
-reversed, so its edges no longer all point the same way.
+reversed, so its edges no longer all point the same way. dense_kw_exact_g
+is the definitional map scattered into the dense edge space, the reference
+kw_exact_g's support form is checked against bitwise.
 expanded_wall_gates is a wall circuit as the per-edge gate list it stands
 for, one retargeted gate per (edge, template), and push_gate_list and
 gate_list_rows push labels through such a list one gate at a time: the
@@ -84,7 +86,7 @@ from gaugekit.groups import (
     irrep_table,
     quotient_group,
 )
-from gaugekit.kwmaps import _probe_table
+from gaugekit.kwmaps import EXACT_BUDGET, _probe_table
 from gaugekit.register import (
     STATE_TOL,
     DiagonalOperator,
@@ -98,6 +100,7 @@ from gaugekit.register import (
     _overlap,
     _Retired,
     _rotated,
+    _vertex_site,
     init_plus,
     init_product,
 )
@@ -169,6 +172,41 @@ def oracle_double_state(
     amps /= np.sqrt(_overlap(amps, amps).real)
     specs = [SiteSpec(edge_of(e), "edge", g_group) for e in range(n_e)]
     return QuditRegister(specs, amps)
+
+
+def dense_kw_exact_g(
+    reg: QuditRegister,
+    cell: Cellulation,
+    g_group: FiniteGroup,
+    vertex_of: Callable[[int], Hashable] = _vertex_site,
+    edge_of: Callable[[int], Hashable] = _edge_site,
+) -> QuditRegister:
+    """kw_exact_g as a scatter into the dense |G|^E edge space: np.add.at
+    adds each wall key's terms in input order, the output is normalized by
+    _overlap and returned dense. Only its nonzero entries are divided, which
+    leaves the zeros as they are and the untouched pages of the zero-filled
+    array unwritten, so the cases near EXACT_BUDGET stay small."""
+    d = g_group.order
+    n_v, n_e = cell.n_vertices, cell.n_edges
+    if len(reg.sites) != n_v:
+        raise ValueError("kw_exact_g expects a register with exactly the vertex sites")
+    if d**n_e > EXACT_BUDGET:
+        raise ValueError(f"edge space {d}^{n_e} exceeds the dense-assembly budget {EXACT_BUDGET}")
+    order = [reg.pos(vertex_of(v)) for v in range(n_v)]
+    amps = np.moveaxis(reg.amps, order, range(n_v)).reshape(-1)
+    grids = np.indices((d,) * n_v).reshape(n_v, -1)
+    walls = np.empty((n_e, grids.shape[1]), dtype=np.int64)
+    for e, (i_v, f_v) in enumerate(cell.edges):
+        walls[e] = g_group.mult[g_group.inv[grids[i_v]], grids[f_v]]
+    out = np.zeros(d**n_e, dtype=np.complex128)
+    np.add.at(out, np.ravel_multi_index(tuple(walls), (d,) * n_e), amps)
+    norm = np.sqrt(_overlap(out, out).real)
+    if norm < 1e-12:
+        raise ValueError("input has no invariant component; the map projects it to zero")
+    nonzero = np.flatnonzero(out)
+    out[nonzero] /= norm
+    specs = [SiteSpec(edge_of(e), "edge", g_group) for e in range(n_e)]
+    return QuditRegister(specs, out.reshape((d,) * n_e))
 
 
 def identity_state(spec_: SiteSpec) -> np.ndarray:

@@ -3,8 +3,8 @@
 A cache keyed by groups, cells or register layouts grows with every distinct
 input, so each one must name an integer maxsize. This reads each module's
 syntax tree, so a new cache is checked without being listed anywhere. The
-gate template caches are also sized: a second pass of the benchmark's op
-kinds builds no template again.
+gate template caches and the oracle cache are also sized: a second pass of
+the benchmark's op kinds builds no template and no oracle again.
 """
 
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gaugekit import cli, gates
+from gaugekit import cli, gates, protocols
 from gaugekit.cellulation import hexagon_torus
 from gaugekit.groups import catalog
 from gaugekit.verify import GSD_DIM_BUDGET
@@ -88,11 +88,13 @@ def run_rotation():
 
 
 def test_a_warm_rotation_builds_no_gate_template():
-    """The gate template caches hold every key one rotation of the benchmark
-    op kinds asks for, so a second rotation only hits."""
+    """The gate template caches and the oracle cache hold every key one
+    rotation of the benchmark op kinds asks for, so a second rotation only
+    hits: it builds no gate table and enumerates no oracle."""
+    warm = TEMPLATES + [protocols._oracle]
     run_rotation()
-    before = [cache.cache_info() for cache in TEMPLATES]
+    before = [cache.cache_info() for cache in warm]
     run_rotation()
-    after = [cache.cache_info() for cache in TEMPLATES]
+    after = [cache.cache_info() for cache in warm]
     assert [b.misses for b in before] == [a.misses for a in after]
     assert all(a.hits > b.hits for a, b in zip(after, before)), "a template the rotation never reads"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugekit import cli, groups, kwmaps, register
-from gaugekit.cellulation import hexagon_torus, square_torus, theta_sphere, two_vertex_graph
+from gaugekit.cellulation import hexagon_torus, square_torus, tetrahedron_sphere, theta_sphere, two_vertex_graph
 from gaugekit.gates import left_mult, loop_z, parent_to_pair
 from gaugekit.groups import (
     FactorSystem,
@@ -25,7 +25,13 @@ from gaugekit.groups import (
 from gaugekit.kwmaps import EXACT_BUDGET, KwMode, kw_abelian, kw_exact_g, kw_hat_abelian, kw_n_in_g
 from gaugekit.protocols import _solvable_chain
 from gaugekit.register import QuditRegister, SiteSpec, init_plus
-from reference import all_element_require_symmetric, is_trivial, split_left_mult
+from reference import (
+    all_element_require_symmetric,
+    dense_kw_exact_g,
+    is_trivial,
+    split_left_mult,
+    theta_sphere_reversed,
+)
 
 CAT = catalog()
 
@@ -577,6 +583,94 @@ def test_exact_map_input_validation():
     anti = QuditRegister([SiteSpec(("v", 0), "vertex", z2), SiteSpec(("v", 1), "vertex", z2)], amps)
     with pytest.raises(ValueError, match="no invariant component"):
         kw_exact_g(anti, two_vertex_graph(1), z2)
+
+
+EXACT_CELLS = [
+    hexagon_torus,
+    theta_sphere,
+    theta_sphere_reversed,
+    tetrahedron_sphere,
+    lambda: square_torus(2, 2),
+    lambda: square_torus(3, 2),
+    lambda: two_vertex_graph(1),
+]
+
+
+def assert_support_of_dense_scatter(out, reg, cell, grp):
+    """kw_exact_g's support form is the dense scatter's nonzero entries:
+    the same positions, the same value bits, the same layout."""
+    ref = dense_kw_exact_g(reg, cell, grp)
+    dense = ref.amps.reshape(-1)
+    flat, values = out._support
+    assert out.layout == ref.layout
+    assert np.array_equal(flat, np.flatnonzero(dense))
+    assert values.tobytes() == dense[flat].tobytes()
+    return flat
+
+
+@pytest.mark.parametrize("make_cell", EXACT_CELLS, ids=lambda make: make().name)
+def test_exact_map_support_is_the_dense_scatter_bitwise_on_every_fixture(make_cell):
+    """Every catalog group within EXACT_BUDGET on each fixture cell, from the
+    uniform vertex state."""
+    cell = make_cell()
+    checked = 0
+    for name, grp in CAT.items():
+        if grp.order**cell.n_edges > EXACT_BUDGET:
+            continue
+        reg = init_plus([SiteSpec(("v", v), "vertex", grp) for v in range(cell.n_vertices)])
+        out = kw_exact_g(reg, cell, grp)
+        assert out._support is not None, name
+        assert_support_of_dense_scatter(out, reg, cell, grp)
+        checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_map_support_is_the_dense_scatter_bitwise_on_random_inputs(seed):
+    """A random symmetric input, and a random input some of whose wall keys
+    get terms x and -x and zeros, which cancel exactly: a cancelled key is
+    absent from the support, and every other value has the scatter's bits."""
+    rng = np.random.default_rng(seed)
+    cells = [hexagon_torus(), theta_sphere_reversed(), tetrahedron_sphere(), square_torus(2, 2)]
+    names = [name for name in ("Z2", "Z3", "Z4", "S3", "D4") if CAT[name].order ** 4 <= 4096]
+    cell, grp = cells[seed % len(cells)], CAT[names[seed % len(names)]]
+    symmetric = symmetric_vertex_register(rng, cell, grp)
+    assert_support_of_dense_scatter(kw_exact_g(symmetric, cell, grp), symmetric, cell, grp)
+
+    reg = init_plus([SiteSpec(("v", v), "vertex", grp) for v in range(cell.n_vertices)])
+    amps = random_state(rng, reg.dims).reshape(-1)
+    grids = np.indices(reg.dims).reshape(cell.n_vertices, -1)
+    walls = np.stack([grp.mult[grp.inv[grids[i]], grids[f]] for i, f in cell.edges])
+    keys = np.ravel_multi_index(tuple(walls), (grp.order,) * cell.n_edges)
+    wall_keys = np.unique(keys)
+    cancelled = rng.choice(wall_keys, size=min(2, wall_keys.size - 1), replace=False)
+    for key in cancelled:
+        terms = np.flatnonzero(keys == key)
+        x = amps[terms[0]] + 0.25
+        amps[terms] = 0
+        amps[terms[0]], amps[terms[-1]] = x, -x
+    reg.amps = amps.reshape(reg.dims)
+    flat = assert_support_of_dense_scatter(kw_exact_g(reg, cell, grp), reg, cell, grp)
+    assert not np.isin(cancelled, flat).any()
+    assert flat.size == wall_keys.size - cancelled.size
+
+
+def test_exact_map_errors_keep_their_messages():
+    """The budget and the empty-image rejections read as the dense scatter's."""
+    cell = square_torus(2, 2)
+    s4 = init_plus([SiteSpec(("v", v), "vertex", CAT["S4"]) for v in range(cell.n_vertices)])
+    budget = f"edge space 24^8 exceeds the dense-assembly budget {EXACT_BUDGET}"
+    amps = np.zeros((2, 2), dtype=np.complex128)
+    amps[0, 0], amps[1, 1] = 1.0, -1.0
+    anti = QuditRegister([SiteSpec(("v", 0), "vertex", CAT["Z2"]), SiteSpec(("v", 1), "vertex", CAT["Z2"])], amps)
+    empty = "input has no invariant component; the map projects it to zero"
+    for exact in (kw_exact_g, dense_kw_exact_g):
+        with pytest.raises(ValueError) as err:
+            exact(s4, cell, CAT["S4"])
+        assert str(err.value) == budget
+        with pytest.raises(ValueError) as err:
+            exact(anti, two_vertex_graph(1), CAT["Z2"])
+        assert str(err.value) == empty
 
 
 def test_exact_map_kernel_absorbs_global_left_action():

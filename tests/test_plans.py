@@ -5,7 +5,8 @@ layout, site ids) is built once and shared by every seed. These tests pin
 that equal content shares one entry, that cached arrays cannot be written,
 that every cache is bounded, that a warm plan reports the same bytes as a
 cold one, and that a second seed rebuilds no plan. Every run, one seed or
-many, is one run plan: the oracle and the start register are built once, every
+many, is one run plan: the start register is built once per run and the
+oracle once per (group, cell), a frozen support form no run densifies; every
 stack of seeds branches from that read-only register and runs each
 vertex-route round as one kw_abelian or kw_n_in_g call, and a stack of seeds
 stays on its support from its first measurement to its transcripts.
@@ -42,6 +43,7 @@ PLAN_CACHES = PLANS + (
     groups.character_table,
     groups._coordinates,
     protocols._chain_of,
+    protocols._oracle,
     register._fourier_matrix,
 )
 
@@ -283,6 +285,7 @@ def _recorded_calls(monkeypatch, calls, module, name, record=lambda args: None):
     [("S4", "solvable", 3, 2), ("S3", "metabelian", 2, 1), ("D4", "nil2", 0, 0)],
 )
 def test_a_run_builds_its_prefix_once_for_all_seeds(monkeypatch, group, protocol, walls, later_probes):
+    protocols._oracle.cache_clear()
     calls = []
     _recorded_calls(monkeypatch, calls, protocols, "kw_exact_g")
     _recorded_calls(monkeypatch, calls, protocols, "_nil2_circuit")
@@ -310,7 +313,10 @@ def test_a_run_builds_its_prefix_once_for_all_seeds(monkeypatch, group, protocol
         assert sum(probes.values()) == later_probes
     calls.clear()
     protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus()).branch(kwmaps.KwMode.sample(3))
-    assert Counter(name for name, _ in calls)["measure_fourier"] == names["measure_fourier"] > 0
+    again = Counter(name for name, _ in calls)
+    assert again["measure_fourier"] == names["measure_fourier"] > 0
+    # the oracle is enumerated once per (group, cell), not once per run
+    assert again["kw_exact_g"] == 0
 
 
 def test_a_one_seed_abelian_run_copies_no_register(monkeypatch):
@@ -597,6 +603,29 @@ def test_a_cli_prepare_with_stabilizers_writes_no_dense_array(monkeypatch, run):
     assert written == []
     assert len(payload["runs"]) == run.get("seeds", 1)
     assert all("verification" in entry and "fidelity_vs_oracle" in entry["transcript"] for entry in payload["runs"])
+
+
+@pytest.mark.parametrize("group, protocol", [("Z3", "abelian"), ("S3", "metabelian"), ("S4", "solvable"), ("D4", "nil2")])
+def test_the_oracle_is_enumerated_once_per_group_and_cell_and_stays_a_frozen_support_form(monkeypatch, group, protocol):
+    """Two 4-seed cmd_prepare calls on one (group, cell) enumerate one
+    oracle, report the same bytes, and leave it in support form: no run
+    densifies the shared register, and its arrays reject writes."""
+    protocols._oracle.cache_clear()
+    calls = []
+    _recorded_calls(monkeypatch, calls, protocols, "kw_exact_g")
+    written = _spy_dense_writes(monkeypatch)
+    config = cli.RunConfig(command="prepare", group=group, cell="hexagon", protocol=protocol, mode="sample:3", seeds=4)
+    first, _ = cli.cmd_prepare(config)
+    second, _ = cli.cmd_prepare(config)
+    assert [name for name, _ in calls] == ["kw_exact_g"]
+    assert json.dumps(first) == json.dumps(second)
+    subject = _subject(protocol, group)
+    oracle = protocols._oracle(getattr(subject, "parent", subject), hexagon_torus())
+    assert protocols._oracle.cache_info().misses == 1
+    assert not any(reg is oracle for reg in written)
+    assert oracle._amps is None
+    for array in oracle._support:
+        _assert_read_only(array)
 
 
 def test_the_report_runs_once_per_stack_with_the_bytes_of_one_stack(monkeypatch):

@@ -573,6 +573,46 @@ def test_overlaps_on_the_support_match_the_densified_registers_bitwise(sites, de
     assert bras["support"]._support is not None and kets["support"]._support is not None
 
 
+def test_an_overlap_of_two_support_forms_gathers_by_searchsorted(monkeypatch):
+    """A support form read at the other's positions finds them with one
+    searchsorted, not np.intersect1d, with the bits of the dense call, also
+    where one side has no entry at all."""
+    z4 = build_cyclic(4)
+    specs = [SiteSpec(k, "edge", z4) for k in range(6)]
+    rng = np.random.default_rng(3)
+    size = 4**6
+    draws = [(rng.normal(size=size) + 1j * rng.normal(size=size)) * (rng.random(size) < 0.3) for _ in range(2)]
+    dense = [QuditRegister(specs, amps) for amps in draws + [np.zeros(size)]]
+    support = [QuditRegister(specs, amps) for amps in draws + [np.zeros(size)]]
+    for reg in support:
+        reg._positions()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.intersect1d called")
+
+    monkeypatch.setattr(np, "intersect1d", forbidden)
+    for a in range(3):
+        for b in range(3):
+            want, got = dense[a].inner_product(dense[b]), support[a].inner_product(support[b])
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (a, b)
+    assert all(reg._support is not None for reg in support)
+
+
+def test_a_copy_leaves_a_support_form_as_it_was():
+    """copy() reads the dense amplitudes without storing them, so a frozen or
+    shared support form keeps its arrays, and the copy is a writable dense
+    register of the same state."""
+    z3 = build_cyclic(3)
+    reg = init_identity([SiteSpec("a", "edge", z3), SiteSpec("b", "edge", z3)])
+    reg.add_sites([SiteSpec("c", "edge", z3)], circuit_of_gates([controlled_left(z3, "a", "c")]))
+    reg.freeze()
+    flat, values = reg._support
+    out = reg.copy()
+    assert reg._amps is None and reg._support[0] is flat and reg._support[1] is values
+    assert out._support is None and out.amps.flags.writeable
+    assert np.array_equal(out.amps, reg._dense())
+
+
 def test_duplicate_site_ids_rejected():
     z2 = build_cyclic(2)
     with pytest.raises(ValueError, match="duplicate"):
