@@ -9,7 +9,8 @@ vertices live. Measured modes repair nontrivial outcomes through feedforward
 so every sampled branch matches the postselected branch. Both vertex-route
 maps run one whole round through one body (_kw_round): the symmetry check,
 the gated edge allocation, the Fourier measurement and one correction
-layer, on one seed or on a stack of seeds, one mode each. Every
+layer, on one seed, on a stack of seeds, or on one seed that the round's
+first measurement fans out to a stack, one mode per seed. Every
 vertex-route round of every protocol is one of these two calls.
 """
 
@@ -224,8 +225,10 @@ def _kw_round(
     measurement of the gauged vertex parts and one layer of character
     corrections. subject is an abelian group, gauged on the vertex sites,
     or a factor system, whose subgroup parts vertex_of names and quotient
-    parts q_of names. reg is one seed or a stack: mode is one KwMode, which
-    returns one KwResult, or one mode per seed, which returns a list."""
+    parts q_of names. mode is one KwMode, which returns one KwResult, or
+    one mode per seed, which returns a list: reg is then a stack of that
+    many seeds, or one seed, which the round's first measurement fans out
+    to the stack (QuditRegister.measure_fourier)."""
     modes = [mode] if isinstance(mode, KwMode) else list(mode)
     fs = subject if isinstance(subject, FactorSystem) else None
     group = subject if fs is None else fs.n_group
@@ -249,12 +252,14 @@ def _kw_round(
 def _measure_sites(
     reg: QuditRegister, modes: Sequence[KwMode], site_pairs: List[Tuple[int, Hashable]]
 ) -> Tuple[List[Dict[int, int]], List[float]]:
-    """Measure the sites in order, once each for every seed of reg, modes one
-    per seed and all of one kind: each seed's outcomes and joint probability.
+    """Measure the sites in order, once each for every seed, modes one per
+    seed and all of one kind: each seed's outcomes and joint probability. reg
+    is a stack of one seed per mode, or one seed, which the first
+    measurement fans out to one per mode (QuditRegister.measure_fourier).
     Postselect is the Fourier measurement at forced outcome 0, the trivial
     branch, so a forced table that names no site reproduces it bitwise."""
     kind = modes[0].kind
-    if any(mode.kind != kind for mode in modes) or len(modes) != reg.seeds:
+    if any(mode.kind != kind for mode in modes) or reg.seeds not in (1, len(modes)):
         raise ValueError(f"a measurement layer of {reg.seeds} seeds needs one mode per seed, all of one kind")
     if kind == "forced":
         for mode in modes:
@@ -351,8 +356,9 @@ def kw_abelian(
     Allocates edge ancillas in the identity state, writes each domain wall
     a_i^-1 a_f onto its edge, measures every vertex in the Fourier basis and
     cancels the outcome phases with one layer of character diagonals. The
-    register is modified in place and returned inside the result. On a
-    stack of seeds mode is a list, one mode per seed, and so is the result.
+    register is modified in place and returned inside the result. Given a
+    list of modes, one per seed, on a stack of as many seeds or on one seed
+    its first measurement fans out (_kw_round), it returns a list.
     """
     if not a_group.is_abelian:
         raise ValueError("kw_abelian needs an abelian group")

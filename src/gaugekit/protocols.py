@@ -7,10 +7,14 @@ unitary layer, outcome, and correction plan, along with the branch
 probability and the fidelity against the enumeration oracle when requested.
 Every run, one seed or many, is a run plan (plan_run): the preconditions,
 the start register and the oracle, built once. Its seeds run in lockstep
-from the start register, as one stack (QuditRegister.stack), and each
-vertex-route round is one kw_n_in_g or kw_abelian call on the stack: one
-symmetry probe and one gated allocation, one measurement per site and one
-correction gate per edge for every seed.
+from the start register: each stack of seeds starts as one seed, a fork of
+it, and its first measurement fans that seed out to the stack
+(QuditRegister.measure_fourier), since every seed runs the same circuit
+until then. Each vertex-route round is one kw_n_in_g or kw_abelian call:
+one symmetry probe and one gated allocation (round 1's on the one seed),
+one measurement per site and one correction gate per edge for every seed.
+The split edge labels are reassembled in one register step
+(_reassemble_edges).
 """
 
 from __future__ import annotations
@@ -195,25 +199,24 @@ def _chain_of(name: str, g_group: FiniteGroup) -> Tuple[FactorSystem, ...]:
     return tuple(systems)
 
 
-def _merge_edge_pairs(
-    reg: QuditRegister, cell: Cellulation, fs: FactorSystem,
-    n_of: Callable[[int], Hashable], q_of: Callable[[int], Hashable], edge_of: Callable[[int], Hashable],
+def _reassemble_edges(
+    reg: QuditRegister, cell: Cellulation, systems: Sequence[FactorSystem], stages_of: Callable[[int], List[Hashable]]
 ) -> None:
-    """Fuse each edge's subgroup and quotient labels into one site of the
-    parent group (subgroup-major) and relabel the pair to the parent's
-    elements: a pure relabeling, no gates."""
-    image = np.argsort(parent_to_pair(fs))
-    for e in range(cell.n_edges):
-        reg.merge_sites(n_of(e), q_of(e), SiteSpec(edge_of(e), "edge", fs.parent))
-        reg.relabel_site(edge_of(e), image)
-
-
-def _reassemble_edges(reg: QuditRegister, cell: Cellulation, systems: Sequence[FactorSystem]) -> None:
-    """Merge per-round edge labels back into the full group, innermost first:
-    each subgroup label pairs with the already-reassembled quotient label."""
-    for j in range(len(systems), 0, -1):
-        inner, outer = (lambda e, j=j: ("e", e, j)), (lambda e, j=j: ("e", e, j + 1))
-        _merge_edge_pairs(reg, cell, systems[j - 1], inner, outer, _edge_site if j == 1 else inner)
+    """Fuse each edge's stage sites, stages_of(e), into one edge site of the
+    parent group, at its first stage's place, as one register step
+    (QuditRegister.fuse_sites): a pure relabeling, no gates. Stage j of an
+    edge holds the subgroup label of systems[j - 1] and the last stage the
+    remaining quotient label; the joint table, one for every edge, takes
+    each stage's (subgroup, quotient) pair label to the quotient's parent
+    element, innermost first (parent_to_pair), the subgroup label major."""
+    if not systems:
+        return
+    table = np.arange(systems[-1].q_group.order)
+    for fs in reversed(systems):
+        pairs = np.arange(fs.n_group.order)[:, None] * table.size + table
+        table = np.argsort(parent_to_pair(fs))[pairs.reshape(-1)]
+    parent = systems[0].parent
+    reg.fuse_sites([(stages_of(e), SiteSpec(_edge_site(e), "edge", parent), table) for e in range(cell.n_edges)])
 
 
 def _split_vertices(reg: QuditRegister, cell: Cellulation, fs: FactorSystem, j: int) -> None:
@@ -252,12 +255,14 @@ def _gauge_rounds(
     protocol: str,
 ) -> List[ProtocolTranscript]:
     """One measurement round per factor system in chain, then one for the
-    abelian remainder, then edge reassembly, on reg, a stack of one seed per
-    mode; one transcript per mode.
+    abelian remainder, then edge reassembly, on reg, one seed that round
+    1's first measurement fans out to one seed per mode; one transcript per
+    mode.
 
     chain is empty for an abelian group. Otherwise the vertices of reg arrive
     already split for the first factor system; later stages split here.
-    Every round is one kw_n_in_g or kw_abelian call on the whole stack.
+    Every round is one kw_n_in_g or kw_abelian call: round 1 on the one
+    seed, until its first measurement, every later round on the stack.
     """
     stages = _stages(g_group, chain)
     total = len(stages)
@@ -277,7 +282,7 @@ def _gauge_rounds(
         for record, res in zip(records, results):
             corrections = [_plan_record(res.corrections)]
             record.append(ProtocolRound(label, [layer], {"charge": res.outcomes}, corrections, res.probability))
-    _reassemble_edges(reg, cell, chain)
+    _reassemble_edges(reg, cell, chain, lambda e: [("e", e, j) for j in range(1, total + 1)])
     return [
         ProtocolTranscript(protocol=protocol, group=g_group.name, graph=cell.name, rounds=record, register=reg.seed(s))
         for s, record in enumerate(records)
@@ -405,8 +410,9 @@ def _nil2_tail(
     reg: QuditRegister, fs: FactorSystem, cell: Cellulation, modes: Sequence[KwMode], feedforward: bool
 ) -> List[ProtocolTranscript]:
     """The one measurement layer of the nil2 circuit, its feedforward and the
-    edge merge, for every seed of reg at once, modes one per seed; the
-    transcripts carry no fidelity."""
+    edge reassembly, for every seed at once, modes one per seed: reg is one
+    seed, which the layer's first measurement fans out. The transcripts
+    carry no fidelity."""
     n_grp, q_grp = fs.n_group, fs.q_group
     n_v, n_p = cell.n_vertices, cell.n_plaquettes
     pairs = [(v, _vertex_site(v)) for v in range(n_v)] + [(n_v + p, ("p", p)) for p in range(n_p)]
@@ -418,7 +424,7 @@ def _nil2_tail(
         n_of, q_of = (lambda e: ("e", e, "n")), (lambda e: ("e", e, "q"))
         _apply_corrections(reg, charge_plans, _plan_gate(charge_plans[0], q_of))
         _apply_corrections(reg, flux_plans, _plan_gate(flux_plans[0], n_of))
-        _merge_edge_pairs(reg, cell, fs, n_of, q_of, _edge_site)
+        _reassemble_edges(reg, cell, [fs], lambda e: [n_of(e), q_of(e)])
     label = f"one-shot double of {fs.parent.name}"
     layers = [
         "plaquette-to-edge character couplings, opposite phases on each edge's plaquette pair",
@@ -528,19 +534,22 @@ class RunPlan:
 
     prefix is the run's start register: for the vertex-route protocols the
     input after the preconditions and round 1's vertex split, so each stack
-    runs round 1's symmetry check and gated allocation itself; for nil2 the
-    whole coupling circuit. It is made read-only in the form its start left
-    it (QuditRegister.freeze), and every stack starts from it without
-    writing it (stack): a plus-state start stays dense, since its support
-    is full, and the nil2 circuit, which ends in a gated allocation, stays
-    in support form, which each stack's one measurement layer reads. The
-    oracle, a support form shared per (group, cell) (_oracle), is frozen too.
-    oracle is the enumerated reference state, or None. seeds is the most
-    seeds one stack holds (_seeds_within_budget). finish runs the rounds of
-    a stack of seeds, one mode each: the vertex-route rounds, one
-    kw_n_in_g or kw_abelian call per round (_gauge_rounds), or the nil2
-    tail. It returns one transcript per seed, whose register is that seed
-    of the stack.
+    runs round 1's symmetry check and gated allocation itself, once, on one
+    seed; for nil2 the whole coupling circuit. It is made read-only in the
+    form its start left it (QuditRegister.freeze), and every stack starts
+    from a fork of it, one seed that shares its arrays and never writes
+    them: a plus-state start stays dense, since its support is full, and
+    the nil2 circuit, which ends in a gated allocation, stays in support
+    form, which each stack's one measurement layer reads. A stack comes
+    into being at its first measurement, which fans the one seed out to
+    one per mode (QuditRegister.measure_fourier). The oracle, a support
+    form shared per (group, cell) (_oracle), is frozen too. oracle is the
+    enumerated reference state, or None. seeds is the most seeds one stack
+    holds (_seeds_within_budget). finish runs the rounds of one stack of
+    seeds, one mode each, from its fork of the prefix: the vertex-route
+    rounds, one kw_n_in_g or kw_abelian call per round (_gauge_rounds), or
+    the nil2 tail. It returns one transcript per seed, whose register is
+    that seed of the stack.
     """
 
     prefix: QuditRegister
@@ -555,16 +564,17 @@ class RunPlan:
 
     def run(self, modes: Sequence[KwMode]) -> Iterator[ProtocolTranscript]:
         """One transcript per mode, in order, the seeds run in lockstep as
-        stacks of at most self.seeds; each stack runs once the previous
-        one's transcripts are taken. Several seeds need sample modes."""
+        stacks of at most self.seeds, each from one fork of the prefix; each
+        stack runs once the previous one's transcripts are taken. Several
+        seeds need sample modes."""
         if len(modes) > 1 and any(mode.kind != "sample" for mode in modes):
             raise ValueError("running multiple seeds needs sample mode")
         for lo in range(0, len(modes), self.seeds):
             stack = modes[lo : lo + self.seeds]
-            yield from (_scored(t, self.oracle) for t in self.finish(self.prefix.stack(len(stack)), stack))
+            yield from (_scored(t, self.oracle) for t in self.finish(self.prefix.fork(), stack))
 
     def branch(self, mode: KwMode) -> ProtocolTranscript:
-        """One seed's run: a stack of one."""
+        """One seed's run: a stack of one, a fork of the prefix."""
         [transcript] = self.run([mode])
         return transcript
 

@@ -9,8 +9,10 @@ writes the support form, a Fourier measurement reads its live columns off it
 and leaves a branch it read by live columns in it, and the steps that map a
 basis state to one basis state times a phase keep it: gates, relabelings,
 merges, splits and the symmetry probe (probe_residual) act on the positions
-and values, each with the bits of its dense path. Every other reader takes
-amps, which writes the dense array once and drops the support form.
+and values, each with the bits of its dense path; so do fusions of sites
+(fuse_sites), one decode and one encode of the positions. Every other
+reader takes amps, which writes the dense array once and drops the
+support form.
 Measurement retires the site and reshapes the state down, so peak dimension
 is bounded by the largest single protocol round. Every gate is a phase-free
 permutation, one np.take on its merged target axes, or a unimodular
@@ -25,13 +27,18 @@ support form reads the other one only at its positions.
 
 A stack holds several seeds of one run in one register (stacked): its
 leading site, SEED_SITE, labels the seed, so each seed's amplitudes are one
-contiguous, seed-major run of the state. Gates and relabelings act on every
-seed at once; a measurement draws, weighs and normalizes each seed on its
-own, and seed(s) reads one seed back as a register of its own.
+contiguous, seed-major run of the state. A stack comes into being at a
+measurement: a register of one seed measured with one generator or forced
+outcome per seed reads and rotates its block once and leaves one branch
+per seed (a fan-out), so the seeds share every step before it. Gates and
+relabelings act on every seed at once; a measurement weighs, draws and
+normalizes every seed in one pass, each seed with the bits it has measured
+alone, and seed(s) reads one seed back as a register of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,13 +65,19 @@ STATE_TOL = 1e-10
 AMPLITUDE_BUDGET = 20_000_000
 # amplitudes below which a measurement reads its whole block: the column scan
 # and gather of a live-column read cost more than they save there (about
-# 4,096 on the machine the crossover was measured on, 2-4 rows)
+# 4,096 on the machine the crossover was measured on, 2-4 rows); a fan-out
+# counts the stack it leaves
 LIVE_READ_MIN = 4096
 # the id of a stack's leading site, whose labels are its seeds
 SEED_SITE = ("seed",)
 # amplitudes one np.vdot of an overlap reads: OpenBLAS splits a complex dot
 # product of more than 10,000 across its threads, moving the sum's last bit
 OVERLAP_CHUNK = 8192
+# entries from which an overlap finds its shared nonzero positions on the
+# float64 view (_nonzero_halves), the same mask: below it the complex
+# logical_and's element loop costs less than the view's fixed cost (about
+# 1,000-1,500 on the machine the crossover was measured on)
+OVERLAP_VIEW_MIN = 1024
 
 
 @dataclass(frozen=True)
@@ -250,21 +263,23 @@ def _taken(amps: np.ndarray, axes: Sequence[int], sources: np.ndarray) -> np.nda
     return np.moveaxis(out.reshape(moved.shape), range(k), axes)
 
 
-def _support_joint(flat: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
+def _support_joint(flat: np.ndarray, dims: Sequence[int], strides: Sequence[int], axes: Sequence[int]) -> np.ndarray:
     """The joint label of axes, row-major in the given order, at every flat
-    position of a C-order array of shape dims."""
+    position of a C-order array of shape dims and row-major strides."""
     joint = 0
     for a in axes:
-        joint = joint * dims[a] + flat // math.prod(dims[a + 1 :]) % dims[a]
+        joint = joint * dims[a] + flat // strides[a] % dims[a]
     return joint
 
 
-def _label_moves(flat: np.ndarray, dims: Sequence[int], axes: Sequence[int], image: np.ndarray) -> np.ndarray:
+def _label_moves(
+    flat: np.ndarray, dims: Sequence[int], strides: Sequence[int], axes: Sequence[int], image: np.ndarray
+) -> np.ndarray:
     """How far each flat position moves when the joint label x of axes,
     row-major in the given order, goes to image[x]."""
     grid = np.indices([dims[a] for a in axes]).reshape(len(axes), -1)
-    offsets = np.dot([math.prod(dims[a + 1 :]) for a in axes], grid)
-    return (offsets[image] - offsets)[_support_joint(flat, dims, axes)]
+    offsets = np.dot([strides[a] for a in axes], grid)
+    return (offsets[image] - offsets)[_support_joint(flat, dims, strides, axes)]
 
 
 def _sorted(flat: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -272,6 +287,21 @@ def _sorted(flat: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     values with their positions."""
     order = np.argsort(flat, kind="stable")
     return flat[order], values[order]
+
+
+def _unique_inverse(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, return_inverse=True): the sorted distinct keys and
+    the index of each key among them, from one stable argsort, which takes
+    about linear time on keys made of a few sorted runs, as the live columns
+    of a support form's rows are."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    fresh = np.empty(keys.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[order] = fresh.cumsum() - 1
+    return ordered[fresh], inverse
 
 
 def _from_support(sites: Sequence[SiteSpec], flat: np.ndarray, values: np.ndarray) -> "QuditRegister":
@@ -315,9 +345,14 @@ def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
     bits do not depend on the BLAS thread count, nor on the entries that are
     zero on either side: two support forms read at their positions give the
     bits of the dense call. A chunk is gathered when it is used, or read in
-    place when every position is shared."""
+    place when every position is shared. The shared positions are those
+    np.logical_and finds, read off the float64 views from OVERLAP_VIEW_MIN
+    entries (_nonzero_halves)."""
     bra, ket = bra.ravel(), ket.ravel()
-    both = np.logical_and(bra, ket)
+    if bra.size < OVERLAP_VIEW_MIN:
+        both = np.logical_and(bra, ket)
+    else:
+        both = np.logical_and(_nonzero_halves(bra), _nonzero_halves(ket))
     if np.count_nonzero(both) == both.size:
         if both.size <= OVERLAP_CHUNK:
             return complex(np.vdot(bra, ket))
@@ -327,6 +362,13 @@ def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
         chunks = [shared[lo : lo + OVERLAP_CHUNK] for lo in range(0, shared.size, OVERLAP_CHUNK)]
     parts = [complex(np.vdot(bra[at], ket[at])) for at in chunks]
     return sum(parts[1:], parts[0]) if parts else 0j
+
+
+def _nonzero_halves(amps: np.ndarray) -> np.ndarray:
+    """Per entry of a flat complex128 array, a uint16 that is nonzero where
+    the entry is (the truth value np.logical_and reads): the two float64
+    halves compared with 0, the entry's two booleans read as one uint16."""
+    return (amps.view(np.float64) != 0.0).view(np.uint16)
 
 
 def _rotated(fourier: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -348,13 +390,42 @@ def _born_weights(block: np.ndarray) -> np.ndarray:
     return np.array([np.einsum("ij,ij->i", *pair)[0].real for pair in pairs])
 
 
-def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """The outcome rng.choice(len(probs), p=probs) draws, from the same one
-    uniform draw: numpy's own inverse-CDF search, without its argument
-    checks. probs must be non-negative with a positive sum."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _measured_rows(
+    cols: np.ndarray, live: Optional[np.ndarray], blocks: int, width: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The rotated (dim, columns) block of a measurement as the rows of its
+    blocks, row b * dim + x the columns of block b at outcome x, and for a
+    live-column read the flat position of each block's columns. Block s holds
+    seed s of a stack (its width columns, or its run of the live columns,
+    zero-padded to the longest run); a register of one seed is one block."""
+    if blocks == 1:
+        return cols, None if live is None else live[None]
+    dim = cols.shape[0]
+    if live is None:
+        return cols.reshape(dim, blocks, width).swapaxes(0, 1).reshape(blocks * dim, width), None
+    runs = live.searchsorted(np.arange(blocks + 1) * width)
+    owner = np.repeat(np.arange(blocks), np.diff(runs))
+    slot = np.arange(live.size) - runs[owner]
+    rows = np.zeros((blocks, dim, int(np.diff(runs).max())), dtype=np.complex128)
+    rows[owner, :, slot] = cols.T
+    at = np.zeros((blocks, rows.shape[2]), dtype=np.int64)
+    at[owner, slot] = live
+    return rows.reshape(blocks * dim, -1), at
+
+
+def _sample(rngs: Sequence[np.random.Generator], probs: np.ndarray) -> np.ndarray:
+    """The outcome rng.choice(k, p=row) draws for each generator and its row
+    of k probabilities (one row per generator, or one for all of them), from
+    the same one uniform draw, the generators drawing in order: numpy's own
+    inverse-CDF search, without its argument checks, for every row at once,
+    as one cumsum and one compare. Each row must be non-negative with a
+    positive sum."""
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    draws = np.array([rng.random() for rng in rngs])
+    # the first entry above a draw is np.searchsorted(row, draw, side="right"):
+    # the last entry is exactly 1, above every draw
+    return (cdf > draws[:, None]).argmax(axis=1)
 
 
 @dataclass
@@ -422,9 +493,17 @@ class QuditRegister:
         return self.sites[self.pos(sid)]
 
     def _reindex(self) -> None:
-        """The site index and dims, rebuilt on every change to the site list."""
+        """The site index, dims and row-major strides (the flat step of one
+        label on each axis), rebuilt on every change to the site list."""
         self._index: Dict[Hashable, int] = {s.sid: k for k, s in enumerate(self.sites)}
-        self.dims: Tuple[int, ...] = tuple(s.dim for s in self.sites)
+        dims = [s.dim for s in self.sites]
+        self.dims: Tuple[int, ...] = tuple(dims)
+        strides, stride = [], 1
+        for dim in reversed(dims):
+            strides.append(stride)
+            stride *= dim
+        strides.reverse()
+        self._strides: Tuple[int, ...] = tuple(strides)
 
     @property
     def amps(self) -> np.ndarray:
@@ -491,7 +570,7 @@ class QuditRegister:
         attribute read slower (CPython 3.11: about 10 us more per Z3
         square:2x2 round)."""
         out = object.__new__(QuditRegister)
-        out.sites, out._index, out.dims = list(self.sites), dict(self._index), self.dims
+        out.sites, out._index, out.dims, out._strides = list(self.sites), dict(self._index), self.dims, self._strides
         out._amps, out._support, out.retired = self._amps, self._support, {}
         return out
 
@@ -504,28 +583,6 @@ class QuditRegister:
     def seeds(self) -> int:
         """The seeds the register holds: its seed site's labels, or 1."""
         return self.sites[0].dim if self.stacked else 1
-
-    def stack(self, n: int) -> "QuditRegister":
-        """n seeds of this register's state as one stack, seed-major: a
-        register whose leading site is SEED_SITE, in the form this one holds
-        it, retiring no site yet, its seeds this one's support form, or
-        dense array, once per seed. A stack of one is a fork of this
-        register (fork), sharing its arrays: a leading seed site of one
-        label would move no flat position. AMPLITUDE_BUDGET applies to the
-        stack's size."""
-        size = math.prod(self.dims)
-        _require_within_budget(n * size)
-        out = self.fork()
-        if n == 1:
-            return out
-        out.sites.insert(0, _seed_spec(n))
-        out._reindex()
-        if self._support is not None:
-            flat, values = self._support
-            out._support = ((np.arange(n)[:, None] * size + flat).reshape(-1), np.tile(values, n))
-        else:
-            out._amps = np.repeat(self._amps[None], n, axis=0)
-        return out
 
     def seed(self, s: int) -> "QuditRegister":
         """Seed s of a stack, as a register over the sites after the seed site
@@ -540,7 +597,7 @@ class QuditRegister:
         out.retired = {sid: _Retired([r.outcomes[s]], [r.probabilities[s]]) for sid, r in self.retired.items()}
         if self._support is not None:
             flat, values = self._support
-            size = math.prod(out.dims)
+            size = self._strides[0]
             lo, hi = np.searchsorted(flat, [s * size, (s + 1) * size])
             out._support = (flat[lo:hi] - s * size, values[lo:hi])
         else:
@@ -582,7 +639,8 @@ class QuditRegister:
             ctrl = sorted(self.pos(sid) for sid in named)
             rows = _gated_rows(tuple((self.sites[k].sid, old[k]) for k in ctrl), new, state)
             flat, values = self._positions()
-            self._amps, self._support = None, (flat * extra + rows[_support_joint(flat, old, ctrl)], values)
+            joint = _support_joint(flat, old, self._strides, ctrl)
+            self._amps, self._support = None, (flat * extra + rows[joint], values)
         else:
             states = [np.asarray(state(spec_), dtype=np.complex128) for spec_ in specs]
             for spec_, local in zip(specs, states):
@@ -622,12 +680,12 @@ class QuditRegister:
         if self._support is None:
             self.amps = self._applied(op)
             return self
-        axes, dims = self._target_axes(op), self.dims
+        axes, dims, strides = self._target_axes(op), self.dims, self._strides
         flat, values = self._support
         if isinstance(op, LocalOperator) and op.kind == "perm":
-            self._support = _sorted(flat + _label_moves(flat, dims, axes, op.image), values)
+            self._support = _sorted(flat + _label_moves(flat, dims, strides, axes, op.image), values)
         else:
-            self._support = (flat, values * op.diag[_support_joint(flat, dims, axes)])
+            self._support = (flat, values * op.diag[_support_joint(flat, dims, strides, axes)])
         return self
 
     def expectation(self, op) -> complex:
@@ -652,14 +710,25 @@ class QuditRegister:
         their sum when that sum is more than 1e-6 off 1.
 
         Given a list or tuple of generators, or of forced outcomes, one per
-        seed, it returns a list of outcomes, one per seed; given one, it
-        measures a register of one seed and returns its outcome. A stack's live
-        columns are read and rotated once for every seed; the seed digit is
-        the most significant, so each seed's columns are one contiguous run,
-        and each run is weighed, drawn from and normalized on its own, in seed
-        order, as if the seed were measured alone. The first seed rejected
-        stops the call, and the retired record holds one outcome and one
-        probability per seed.
+        seed, it returns a list of outcomes; given one, it measures a register
+        of one seed and returns its outcome. A stack takes one per seed it
+        holds. A register of one seed takes any number n and fans out: its
+        block is read and rotated once, and it is left as the stack of n seeds
+        that n copies of it stacked before the measurement would leave, its
+        earlier retired records repeated per seed. AMPLITUDE_BUDGET applies
+        to that stack, checked before the rotation.
+
+        One pass measures every seed, with no loop over them but the draws:
+        the rotated columns are the rows of one (blocks, dim, width) array
+        (_measured_rows), one block per seed of a stack or one block every
+        seed of a fan-out reads; the Born weights are one _born_weights call,
+        each seed draws one uniform from its own generator, in seed order,
+        against its block's cumulative probabilities (_sample), and the
+        branches are one gather and one divide. Each seed gets the bits of a
+        measurement of that seed alone, since a row's weight depends neither
+        on the rows around it nor on the zeros that pad it. The first seed
+        rejected stops the call before any later seed draws; the retired
+        record holds one outcome and one probability per seed.
 
         Only the live columns of the (A, dim, B) reshape are rotated
         (_live_block): read off the support form's positions, or found by a
@@ -671,10 +740,11 @@ class QuditRegister:
         form, its nonzero entries at the live columns; a whole-block read
         leaves it dense.
         """
-        spec_ = self.spec(sid)
+        pos = self.pos(sid)
+        spec_ = self.sites[pos]
         if not spec_.group.is_abelian:
             raise ValueError(f"Fourier measurement needs an abelian site, {sid!r} carries {spec_.group.name}")
-        seeds, per_seed = self.seeds, isinstance(rng if forced is None else forced, (list, tuple))
+        per_seed = isinstance(rng if forced is None else forced, (list, tuple))
         if forced is not None:
             forced = [int(outcome) for outcome in (forced if per_seed else [forced])]
             for outcome in forced:
@@ -683,64 +753,81 @@ class QuditRegister:
         elif rng is None:
             raise ValueError("measurement needs an rng or a forced outcome")
         rngs = rng if per_seed else [rng]
-        if len(rngs if forced is None else forced) != seeds:
-            raise ValueError(f"a measurement of {seeds} seeds needs one rng or forced outcome per seed")
-        pos, dims = self.pos(sid), self.dims
-        outer, inner = math.prod(dims[:pos]), math.prod(dims[pos + 1 :])
-        cols, live = self._live_block(outer, spec_.dim, inner)
-        cols = _rotated(_fourier_matrix(spec_.group), cols).reshape(spec_.dim, -1)  # frees the gathered block
-        width = outer // seeds * inner  # one seed's columns of the whole block
-        runs = [s * width for s in range(seeds + 1)]
-        if live is not None and seeds > 1:  # one seed's run is every live column
-            runs = live.searchsorted(runs).tolist()
-        outcomes, probabilities, branch = [], [], []
-        for s in range(seeds):
-            block = cols[:, runs[s] : runs[s + 1]]
-            weights = probs = _born_weights(block)
-            total = probs.sum()
-            if not total > 0:
+        seeds, blocks = len(rngs if forced is None else forced), self.seeds
+        if not seeds or blocks not in (1, seeds):
+            raise ValueError(f"a measurement of {blocks} seeds needs one rng or forced outcome per seed")
+        dims, dim, inner = self.dims, spec_.dim, self._strides[pos]
+        outer = math.prod(dims[:pos])
+        if seeds > blocks:
+            _require_within_budget(seeds * outer * inner)
+        cols, live = self._live_block(outer, dim, inner, seeds // blocks)
+        cols = _rotated(_fourier_matrix(spec_.group), cols).reshape(dim, -1)  # frees the gathered block
+        rows, at = _measured_rows(cols, live, blocks, outer // blocks * inner)
+        weights = _born_weights(rows).reshape(blocks, dim)
+        totals = weights.sum(axis=1)
+        probs, sums, zero = weights, totals, None
+        unusual = ~(np.abs(totals - 1.0) <= 1e-6)  # more than 1e-6 off 1: zero, NaN or to be rescaled
+        if np.count_nonzero(unusual):
+            zero = ~(totals > 0)
+            with np.errstate(invalid="ignore"):  # a zero block, rejected below, reads 0 / 0
+                probs = weights / np.where(unusual, totals, 1.0)[:, None]
+            sums = probs.sum(axis=1)
+        # each seed's block's first row: the seeds of a fan-out share block 0
+        base = np.arange(0, blocks * dim, dim) if blocks > 1 else 0
+        failed = zero  # one per block, or None: no block is zero
+        if forced is not None:
+            outcomes = np.array(forced)
+            unlikely = probs.take(outcomes + base) < 1e-14
+            failed = unlikely if zero is None else zero | unlikely
+        if failed is not None and np.count_nonzero(failed):
+            first = int(failed.argmax())
+            block = first if blocks > 1 else 0
+            for generator in rngs[:first] if forced is None else ():
+                generator.random()  # each seed before the rejected one draws, as when measured alone
+            if zero is not None and zero[block]:
                 raise ValueError(f"measurement of {sid!r} on a zero state")
-            if abs(total - 1.0) > 1e-6:
-                probs = probs / total
-            if forced is None:
-                outcome = _sample(rngs[s], probs / probs.sum())
-            else:
-                outcome = forced[s]
-                if probs[outcome] < 1e-14:
-                    raise ValueError(
-                        f"forced outcome {outcome} on {sid!r} has zero Born probability "
-                        f"(distribution {np.round(probs, 6).tolist()})"
-                    )
-            branch.append(block[outcome] / np.sqrt(weights[outcome]))
-            outcomes.append(outcome)
-            probabilities.append(float(probs[outcome]))
-        branch = branch[0] if seeds == 1 else np.concatenate(branch)
+            raise ValueError(
+                f"forced outcome {forced[first]} on {sid!r} has zero Born probability "
+                f"(distribution {np.round(probs[block], 6).tolist()})"
+            )
+        if forced is None:
+            outcomes = _sample(rngs, probs / sums[:, None])
+        pick = outcomes + base  # each seed's row of weights, probabilities and branches
+        chosen = weights.take(pick)
+        branch = rows[pick]
+        branch /= np.sqrt(chosen)[:, None]
+        probabilities = (chosen if probs is weights else probs.take(pick)).tolist()
         if live is None:
-            self.amps = branch.reshape(dims[:pos] + dims[pos + 1 :])
+            self.amps = branch.reshape((seeds,) * (seeds > blocks) + dims[:pos] + dims[pos + 1 :])
         else:
+            flat = at if seeds == blocks else at + (np.arange(seeds) * (outer * inner))[:, None]
             kept = branch != 0
-            self._amps, self._support = None, (live[kept], branch[kept])
+            self._amps, self._support = None, (flat[kept], branch[kept])
         self.sites.pop(pos)
-        self.retired[sid] = _Retired(outcomes, probabilities)
+        if seeds > blocks:
+            self.sites.insert(0, _seed_spec(seeds))
+            self.retired = {k: _Retired(r.outcomes * seeds, r.probabilities * seeds) for k, r in self.retired.items()}
+        self.retired[sid] = _Retired(outcomes.tolist(), probabilities)
         self._reindex()
-        return outcomes if per_seed else outcomes[0]
+        return self.retired[sid].outcomes if per_seed else self.retired[sid].outcome
 
-    def _live_block(self, outer: int, dim: int, inner: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def _live_block(self, outer: int, dim: int, inner: int, fan: int = 1) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """The columns of the (outer, dim, inner) reshape that a measurement
         reads, rows first, in the order np.moveaxis(view, 1, 0).reshape(dim,
         -1) gives, and which they are. The live ones, a x inner + b with a
         nonzero entry, are read off the support positions (divmod, then
         np.unique) into the layout a gather of the dense array gives, or
         found by a scan of the dense array and gathered in place; below
-        LIVE_READ_MIN amplitudes, or with more than half the columns live,
-        every column of the dense amplitudes is read, as a strided view,
-        and None names them. The register is left as it was."""
-        if outer * dim * inner >= LIVE_READ_MIN:
+        LIVE_READ_MIN amplitudes in the stack the measurement leaves, fan
+        times this register, or with more than half the columns live, every
+        column of the dense amplitudes is read, as a strided view, and None
+        names them. The register is left as it was."""
+        if fan * outer * dim * inner >= LIVE_READ_MIN:
             if self._support is not None:
                 flat, values = self._support
                 rest, back = np.divmod(flat, inner)
                 front, row = np.divmod(rest, dim)
-                live, col = np.unique(front * inner + back, return_inverse=True)
+                live, col = _unique_inverse(front * inner + back)
             else:
                 view = self._amps.reshape(outer, dim, inner)
                 live = np.flatnonzero(view.any(axis=1))
@@ -801,37 +888,46 @@ class QuditRegister:
             self.amps = _taken(self._amps, [pos], inverse)
             return
         flat, values = self._support
-        self._support = _sorted(flat + _label_moves(flat, self.dims, [pos], image), values)
+        self._support = _sorted(flat + _label_moves(flat, self.dims, self._strides, [pos], image), values)
 
-    def merge_sites(self, sid_a: Hashable, sid_b: Hashable, new_spec: SiteSpec) -> None:
-        """Fuse two sites into one with C-order pairing (a-label major), at
-        a's place: a dense register moves b's axis behind a's and reshapes;
-        on the support form each position drops b's label and takes it back
-        behind a's, and the positions are sorted, carrying the values."""
-        pa, pb = self.pos(sid_a), self.pos(sid_b)
-        if pa == pb:
-            raise ValueError("merge needs two distinct sites")
-        spec_a, spec_b = self.sites[pa], self.sites[pb]
-        if new_spec.dim != spec_a.dim * spec_b.dim:
-            raise ValueError("merged spec dimension mismatch")
-        new_pa = pa if pb > pa else pa - 1
+    def fuse_sites(self, fusions: Sequence[Tuple[Sequence[Hashable], SiteSpec, np.ndarray]]) -> None:
+        """Fuse each group of sites (sids, spec, table) into one site spec at
+        the place of its first site: the joint label x of the sids, row-major
+        in their order, becomes label table[x], a permutation of spec's
+        labels, and every amplitude only moves. A dense register takes one
+        gather, its sources a broadcast sum of each new axis's offsets; on
+        the support form the positions are decoded into labels once, encoded
+        into the new layout once and sorted by one stable argsort."""
+        dims, strides = self.dims, self._strides
+        fused, seen = {}, []
+        for sids, spec_, table in fusions:
+            axes = [self.pos(sid) for sid in sids]
+            size = math.prod(dims[a] for a in axes)
+            table = np.asarray(table, dtype=np.int64)
+            if spec_.dim != size or table.shape != (size,) or (np.sort(table) != np.arange(size)).any():
+                raise ValueError(f"fusing {list(sids)} needs a permutation of their {size} joint labels")
+            fused[axes[0]] = axes, spec_, table
+            seen += axes
+        if len(set(seen)) != len(seen):
+            raise ValueError("a site can be fused once")
+        layout = [fused.get(a, ([a], self.sites[a], None)) for a in range(len(dims)) if a not in seen or a in fused]
         if self._support is None:
-            moved = np.moveaxis(self._amps, pb, new_pa + 1)
-            self.amps = moved.reshape(moved.shape[:new_pa] + (new_spec.dim,) + moved.shape[new_pa + 2 :])
+            steps = []  # each new axis's labels as offsets of the old flat positions
+            for axes, spec_, table in layout:
+                labels = np.arange(spec_.dim) if table is None else np.argsort(table)
+                parts = np.unravel_index(labels, [dims[a] for a in axes])
+                steps.append(sum(part * strides[a] for part, a in zip(parts, axes)))
+            self.amps = np.ravel(self._amps)[functools.reduce(np.add.outer, steps)]
         else:
-            flat, values, dims = *self._support, self.dims
-            rest = dims[:pb] + dims[pb + 1 :]  # the layout without b
-            below, after = math.prod(dims[pb + 1 :]), math.prod(rest[new_pa + 1 :])
-            high, low = np.divmod(flat, below)
-            high, label = np.divmod(high, dims[pb])
-            high, low = np.divmod(high * below + low, after)
-            self._support = _sorted((high * dims[pb] + label) * after + low, values)
-        self.sites.pop(pb)
-        self.sites[new_pa] = new_spec
+            flat, values = self._support
+            labels = np.unravel_index(flat, dims)
+            moved = [labels[axes[0]] if table is None else table[_flat_labels(labels, dims, axes)] for axes, _, table in layout]
+            self._support = _sorted(np.ravel_multi_index(moved, [spec_.dim for _, spec_, _ in layout]), values)
+        self.sites = [spec_ for _, spec_, _ in layout]
         self._reindex()
 
     def split_site(self, sid: Hashable, spec_a: SiteSpec, spec_b: SiteSpec) -> None:
-        """Inverse of merge_sites: C-order split of one site into two. No
+        """C-order split of one site into two, the first label major. No
         flat position moves, so the support form keeps its arrays and a
         dense register is reshaped."""
         pos = self.pos(sid)
@@ -857,8 +953,8 @@ class QuditRegister:
                 probe = _taken(probe, axes, sources)
             return float(np.abs(probe - self._amps).max())
         flat, values = self._support
-        image, dims = np.argsort(sources), self.dims
-        moved = flat + sum(_label_moves(flat, dims, axes, image) for axes in vertices)
+        image, dims, strides = np.argsort(sources), self.dims, self._strides
+        moved = flat + sum(_label_moves(flat, dims, strides, axes, image) for axes in vertices)
         moved, carried = _sorted(moved, values)
         if np.array_equal(moved, flat):
             diff = carried - values

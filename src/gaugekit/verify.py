@@ -197,7 +197,7 @@ def stabilizer_reports(
         raise ValueError(f"stabilizer report: edge sites {wrong} do not carry {g_group.name}")
     terms = _stabilizer_diagonals(g_group, cell, edges)
     d, dims = g_group.order, first.dims
-    strides = np.array([math.prod(dims[first.pos(sid) + 1 :]) for sid in edges], dtype=np.int64)
+    strides = np.array([first._strides[first.pos(sid)] for sid in edges], dtype=np.int64)
     supports = [reg._support_form() for reg in registers]
     ends = np.cumsum([0] + [at.size for at, _ in supports])
     runs = list(zip(ends[:-1], ends[1:]))

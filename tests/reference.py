@@ -34,6 +34,12 @@ the paths the support reads of the report and the measurement are checked
 against bitwise; they take their overlaps and the Fourier rotation through
 the register's own kernels (_overlap, _rotated), whose bits do not depend on
 the BLAS thread count or on which columns they are given.
+stack builds a stack of seeds by copying a register before any
+measurement, the reference a measurement's fan-out is checked against;
+merge_sites fuses two sites with a-label-major pairing, and
+pairwise_edge_reassembly is the edge reassembly as two merges and two
+relabelings per edge and stage, the reference the one-step reassembly
+(protocols._reassemble_edges) is checked against bitwise.
 is_isomorphic and central_quotient are the group-theory checks of the
 factor-system round trips, and loop_permutation_table is the composition
 table of a permutation group one tuple composition at a time, the reference
@@ -57,6 +63,7 @@ verify's bits.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Dict, Hashable, List, Sequence
 
 import numpy as np
@@ -98,8 +105,11 @@ from gaugekit.register import (
     _flat_labels,
     _fourier_matrix,
     _overlap,
+    _require_within_budget,
     _Retired,
     _rotated,
+    _seed_spec,
+    _sorted,
     _vertex_site,
     init_plus,
     init_product,
@@ -441,6 +451,76 @@ def nil2_circuit_gate_by_gate(fs: FactorSystem, cell: Cellulation) -> QuditRegis
         reg.apply(controlled_left(q_grp, ("v", i_v), ("e", e, "q")).dagger())
         reg.apply(controlled_right(q_grp, ("v", f_v), ("e", e, "q")).dagger())
     return reg
+
+
+# ---------------------------------------------------------------------------
+# seed stacks and pairwise edge merges
+
+
+def stack(reg: QuditRegister, n: int) -> QuditRegister:
+    """n seeds of reg's state as one stack, seed-major, built before any
+    measurement: a register whose leading site is SEED_SITE, in the form reg
+    holds it, retiring no site, its seeds reg's support form, or dense array,
+    once per seed. A stack of one is a fork of reg. AMPLITUDE_BUDGET applies
+    to the stack's size. The reference a measurement's fan-out is checked
+    against."""
+    size = math.prod(reg.dims)
+    _require_within_budget(n * size)
+    out = reg.fork()
+    if n == 1:
+        return out
+    out.sites.insert(0, _seed_spec(n))
+    out._reindex()
+    if reg._support is not None:
+        flat, values = reg._support
+        out._support = ((np.arange(n)[:, None] * size + flat).reshape(-1), np.tile(values, n))
+    else:
+        out._amps = np.repeat(reg._amps[None], n, axis=0)
+    return out
+
+
+def merge_sites(reg: QuditRegister, sid_a: Hashable, sid_b: Hashable, new_spec: SiteSpec) -> None:
+    """Fuse two sites into one with C-order pairing (a-label major), at a's
+    place: a dense register moves b's axis behind a's and reshapes; on the
+    support form each position drops b's label and takes it back behind a's,
+    and the positions are sorted, carrying the values."""
+    pa, pb = reg.pos(sid_a), reg.pos(sid_b)
+    if pa == pb:
+        raise ValueError("merge needs two distinct sites")
+    spec_a, spec_b = reg.sites[pa], reg.sites[pb]
+    if new_spec.dim != spec_a.dim * spec_b.dim:
+        raise ValueError("merged spec dimension mismatch")
+    new_pa = pa if pb > pa else pa - 1
+    if reg._support is None:
+        moved = np.moveaxis(reg._amps, pb, new_pa + 1)
+        reg.amps = moved.reshape(moved.shape[:new_pa] + (new_spec.dim,) + moved.shape[new_pa + 2 :])
+    else:
+        flat, values, dims = *reg._support, reg.dims
+        rest = dims[:pb] + dims[pb + 1 :]  # the layout without b
+        below, after = math.prod(dims[pb + 1 :]), math.prod(rest[new_pa + 1 :])
+        high, low = np.divmod(flat, below)
+        high, label = np.divmod(high, dims[pb])
+        high, low = np.divmod(high * below + low, after)
+        reg._support = _sorted((high * dims[pb] + label) * after + low, values)
+    reg.sites.pop(pb)
+    reg.sites[new_pa] = new_spec
+    reg._reindex()
+
+
+def pairwise_edge_reassembly(
+    reg: QuditRegister, cell: Cellulation, systems: Sequence[FactorSystem], stages_of: Callable[[int], List[Hashable]]
+) -> None:
+    """protocols._reassemble_edges as two merges and two relabelings per edge
+    and stage: innermost first, each edge's subgroup label of systems[j - 1]
+    is merged with its already-reassembled quotient label (subgroup-major)
+    and the pair relabelled to the parent's elements."""
+    for j in range(len(systems), 0, -1):
+        image = np.argsort(parent_to_pair(systems[j - 1]))
+        for e in range(cell.n_edges):
+            stages = stages_of(e)
+            merged = _edge_site(e) if j == 1 else stages[j - 1]
+            merge_sites(reg, stages[j - 1], stages[j], SiteSpec(merged, "edge", systems[j - 1].parent))
+            reg.relabel_site(merged, image)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from reference import (
     init_identity,
     irrep_by_label,
     is_trivial,
+    merge_sites,
     split_left_mult,
     u_ng_edge_factor,
     ug_edge_factor,
@@ -349,7 +350,7 @@ def test_u_ng_equals_layered_entangler():
         merged = reg.copy()
         pair_g = fs.parent  # pair labels share the parent's order
         for v in (0, 1):
-            merged.merge_sites(("v", v, "n"), ("v", v, "q"), SiteSpec(("v", v), "vertex", pair_g))
+            merge_sites(merged, ("v", v, "n"), ("v", v, "q"), SiteSpec(("v", v), "vertex", pair_g))
         merged.apply(u_ng_edge_factor(fs, ("v", 0), ("e", 0), ("v", 1)))
         for v in (0, 1):
             merged.split_site(("v", v), SiteSpec(("v", v, "n"), "vertex", n_grp), SiteSpec(("v", v, "q"), "vertex", q_grp))
@@ -451,7 +452,7 @@ def test_split_left_mult_matches_parent_left_mult():
             a = reg.copy()
             a.apply(split_left_mult(fs, g, ("v", 0, "n"), ("v", 0, "q")))
             b = reg.copy()
-            b.merge_sites(("v", 0, "n"), ("v", 0, "q"), SiteSpec(("v", 0), "vertex", parent))
+            merge_sites(b, ("v", 0, "n"), ("v", 0, "q"), SiteSpec(("v", 0), "vertex", parent))
             b.relabel_site(("v", 0), np.argsort(parent_to_pair(fs)).astype(np.int64))
             b.apply(left_mult(parent, g, ("v", 0)))
             b.relabel_site(("v", 0), parent_to_pair(fs))

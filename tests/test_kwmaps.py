@@ -29,6 +29,7 @@ from reference import (
     all_element_require_symmetric,
     dense_kw_exact_g,
     is_trivial,
+    merge_sites,
     split_left_mult,
     theta_sphere_reversed,
 )
@@ -98,7 +99,7 @@ def two_step(base, cell, fs, mode1, mode2):
     )
     final = r2.register
     for e in range(cell.n_edges):
-        final.merge_sites(("e", e), ("e", e, "q"), SiteSpec(("e", e), "edge", fs.parent))
+        merge_sites(final, ("e", e), ("e", e, "q"), SiteSpec(("e", e), "edge", fs.parent))
         final.relabel_site(("e", e), np.argsort(parent_to_pair(fs)).astype(np.int64))
     return final
 

@@ -291,7 +291,7 @@ def test_a_run_builds_its_prefix_once_for_all_seeds(monkeypatch, group, protocol
     _recorded_calls(monkeypatch, calls, protocols, "_nil2_circuit")
     _recorded_calls(monkeypatch, calls, kwmaps, "_wall_gates")
     # the first vertex site a symmetry probe reads names its round
-    _recorded_calls(monkeypatch, calls, kwmaps, "_require_symmetric", lambda args: args[2][0][0])
+    _recorded_calls(monkeypatch, calls, kwmaps, "_require_symmetric", lambda args: (args[2][0][0], args[0].seeds))
     _recorded_calls(monkeypatch, calls, register.QuditRegister, "copy")
     _recorded_calls(monkeypatch, calls, register.QuditRegister, "measure_fourier")
     config = cli.RunConfig(command="prepare", group=group, cell="hexagon", protocol=protocol, mode="sample:3", seeds=4)
@@ -304,19 +304,46 @@ def test_a_run_builds_its_prefix_once_for_all_seeds(monkeypatch, group, protocol
     assert names["_wall_gates"] == walls
     assert names["copy"] == 0
     # the four seeds are one stack: each round's symmetry probe runs once for
-    # all of them, and each site is measured once for all of them
+    # all of them, round 1's on the one seed its first measurement fans out,
+    # and each site is measured once for all of them
     probes = Counter(site for name, site in calls if name == "_require_symmetric")
     if protocol == "nil2":
         assert probes == Counter()
     else:
-        assert probes.pop(("v", 0, 1, "n")) == 1
-        assert sum(probes.values()) == later_probes
+        assert probes.pop((("v", 0, 1, "n"), 1)) == 1
+        assert sum(probes.values()) == later_probes and {seeds for _, seeds in probes} <= {4}
     calls.clear()
     protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus()).branch(kwmaps.KwMode.sample(3))
     again = Counter(name for name, _ in calls)
     assert again["measure_fourier"] == names["measure_fourier"] > 0
     # the oracle is enumerated once per (group, cell), not once per run
     assert again["kw_exact_g"] == 0
+
+
+def test_a_four_seed_run_forms_its_stack_at_its_first_measurement(monkeypatch):
+    """A 4-seed S4 solvable stack: round 1's symmetry probe and gated
+    allocation run once, on the one seed the plan hands it; the first
+    measurement rotates its site once for all four seeds and leaves the
+    stack; every later probe, allocation and measurement runs on the stack;
+    and the edge reassembly after the last measurement is one register step,
+    with no relabeling."""
+    plan = protocols.plan_run("solvable", CAT["S4"], hexagon_torus(), with_oracle=False)
+    calls = []
+    for name in ("add_sites", "measure_fourier", "fuse_sites", "relabel_site"):
+        _recorded_calls(monkeypatch, calls, QuditRegister, name, lambda args: args[0].seeds)
+    _recorded_calls(monkeypatch, calls, kwmaps, "_require_symmetric", lambda args: args[0].seeds)
+    _recorded_calls(monkeypatch, calls, register, "_rotated", lambda args: args[1].size)
+    plan.branch(kwmaps.KwMode.sample(0))
+    one_seed = next(size for name, size in calls if name == "_rotated")  # the first block one seed rotates
+    calls.clear()
+    transcripts = list(plan.run([kwmaps.KwMode.sample(seed) for seed in range(4)]))
+    assert len(transcripts) == 4 and all(t.register.layout == transcripts[0].register.layout for t in transcripts)
+    first = next(k for k, (name, _) in enumerate(calls) if name == "measure_fourier")
+    assert calls[: first + 2] == [("_require_symmetric", 1), ("add_sites", 1), ("measure_fourier", 1), ("_rotated", one_seed)]
+    assert all(seeds == 4 for name, seeds in calls[first + 2 :] if name != "_rotated")
+    last = max(k for k, (name, _) in enumerate(calls) if name == "measure_fourier")
+    assert [name for name, _ in calls[last + 2 :] if name != "relabel_site"] == ["fuse_sites"]
+    assert "relabel_site" not in [name for name, _ in calls[last:]]
 
 
 def test_a_one_seed_abelian_run_copies_no_register(monkeypatch):
@@ -350,9 +377,10 @@ ONE_PATH_MODES = {
 @pytest.mark.parametrize("protocol", ONE_PATH_ROUNDS)
 def test_every_vertex_route_round_of_every_stack_is_one_public_round_call(monkeypatch, tmp_path, protocol, mode):
     """cmd_prepare runs one plan, and each vertex-route round of its stack
-    is exactly one kw_n_in_g or kw_abelian call on the whole stack, which
-    probes, allocates and measures once; nil2 makes none. A one-seed report
-    is the plan's own branch, bitwise."""
+    is exactly one kw_n_in_g or kw_abelian call, which probes, allocates and
+    measures once: round 1 on the one seed its first measurement fans out to
+    the stack, every later round on the whole stack; nil2 makes none. A
+    one-seed report is the plan's own branch, bitwise."""
     path = tmp_path / "forced.json"
     path.write_text(json.dumps({"1": 0}))
     options = {k: v.format(path=path) if k == "mode" else v for k, v in ONE_PATH_MODES[mode].items()}
@@ -367,7 +395,8 @@ def test_every_vertex_route_round_of_every_stack_is_one_public_round_call(monkey
     monkeypatch.undo()
 
     seeds = config.seeds
-    assert calls == [("plan_run", None)] + [(name, seeds) for name in ONE_PATH_ROUNDS[protocol]]
+    round_calls = [(name, seeds if j else 1) for j, name in enumerate(ONE_PATH_ROUNDS[protocol])]
+    assert calls == [("plan_run", None)] + round_calls
     rounds = len(ONE_PATH_ROUNDS[protocol])
     assert steps == Counter(dict.fromkeys(("_require_symmetric", "_wall_gates", "_measure_sites"), rounds))
     if seeds == 1:
@@ -382,15 +411,16 @@ def test_every_vertex_route_round_of_every_stack_is_one_public_round_call(monkey
 def test_each_stack_probes_once_per_round_with_the_bytes_of_one_stack(monkeypatch):
     """Four S3 metabelian seeds at a budget of two seeds' worth run as two
     stacks of two, and each stack runs each of its two rounds' symmetry
-    probes once, for both of its seeds; the report has the bytes of the
-    one-stack run."""
+    probes once, for both of its seeds: round 1's on the one seed that its
+    first measurement fans out, round 2's on the stack of two. The report
+    has the bytes of the one-stack run."""
     config = cli.RunConfig(command="prepare", group="S3", cell="hexagon", protocol="metabelian", mode="sample:9", seeds=4)
     whole, _ = cli.cmd_prepare(config)
     probes = []
     _recorded_calls(monkeypatch, probes, kwmaps, "_require_symmetric", lambda args: (args[0].seeds, args[2][0][0]))
     monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 2 * 972)
     split, _ = cli.cmd_prepare(config)
-    first, second = ("_require_symmetric", (2, ("v", 0, 1, "n"))), ("_require_symmetric", (2, ("v", 0, 1, "q")))
+    first, second = ("_require_symmetric", (1, ("v", 0, 1, "n"))), ("_require_symmetric", (2, ("v", 0, 1, "q")))
     assert probes == [first, second, first, second]
     assert _entry_bytes(split) == _entry_bytes(whole)
 
@@ -653,9 +683,11 @@ def test_the_last_corrections_and_the_edge_reassembly_hold_a_sliver_of_the_dense
     """tracemalloc over the 4-seed S4 stack's last correction layer and
     _reassemble_edges: the stack is 4 x 13,824 = 55,296 amplitudes (884,736
     bytes dense) with 96 nonzero. On the support form the two steps peak at
-    0.019-0.020 of the dense stack (17.1-17.7 kB over five runs); the dense
-    paths they replaced held 2.0-2.15 of it, each correction, merge and
-    relabeling writing a copy. The bound, 0.05, is 2.5x the measured value."""
+    0.026 of the dense stack (22.6-22.8 kB over five runs), the one-step
+    reassembly's decode holding the labels of all ten axes at once (the
+    pairwise merges peaked at 17.1-17.7 kB); the dense paths they replaced
+    held 2.0-2.15 of it, each correction, merge and relabeling writing a
+    copy. The bound, 0.05, is 2x the measured value."""
     plan = protocols.plan_run("solvable", CAT["S4"], hexagon_torus(), with_oracle=False)
     assert plan.seeds == 4
     corrections, reassemble = kwmaps._apply_corrections, protocols._reassemble_edges
@@ -667,9 +699,9 @@ def test_the_last_corrections_and_the_edge_reassembly_hold_a_sliver_of_the_dense
             tracemalloc.start()
         return corrections(reg, plans, gate_of)
 
-    def traced_reassembly(reg, cell, systems):
+    def traced_reassembly(reg, *args):
         try:
-            reassemble(reg, cell, systems)
+            reassemble(reg, *args)
             peaks.append((tracemalloc.get_traced_memory()[1], reg.dims, reg._support[0].size))
         finally:
             tracemalloc.stop()
@@ -721,22 +753,24 @@ def test_a_run_splits_its_seeds_into_stacks_that_fit_the_budget_with_the_same_by
     """S3 metabelian on the hexagon torus builds at most 972 amplitudes per
     seed and holds at most 216 dense, so five seeds run as stacks of 4 and
     1; at a budget of two seeds' worth they run as stacks of 2, 2 and 1, and
-    report the same bytes."""
+    report the same bytes. Each stack forms once, at its first measurement,
+    which fans one seed out to the stack."""
     config = cli.RunConfig(command="prepare", group="S3", cell="hexagon", protocol="metabelian", mode="sample:9", seeds=5)
     stacks = []
-    stack = QuditRegister.stack
+    measure = QuditRegister.measure_fourier
 
-    def recorded(reg, n):
-        stacks.append(n)
-        return stack(reg, n)
+    def recorded(reg, sid, rng=None, forced=None):
+        if not reg.retired:
+            stacks.append((reg.seeds, len(rng)))
+        return measure(reg, sid, rng, forced)
 
-    monkeypatch.setattr(QuditRegister, "stack", recorded)
+    monkeypatch.setattr(QuditRegister, "measure_fourier", recorded)
     whole, _ = cli.cmd_prepare(config)
-    assert stacks == [4, 1]
+    assert stacks == [(1, 4), (1, 1)]
     stacks.clear()
     monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 2 * 972)
     split, _ = cli.cmd_prepare(config)
-    assert stacks == [2, 2, 1]
+    assert stacks == [(1, 2), (1, 2), (1, 1)]
     assert _entry_bytes(split) == _entry_bytes(whole)
     monkeypatch.setattr(register, "AMPLITUDE_BUDGET", 971)
     with pytest.raises(ValueError, match="^register of 972 amplitudes exceeds the dense register budget 971$"):

@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from reference import (
     gate_matrix,
     identity_state,
     init_identity,
+    merge_sites,
     split_left_mult,
+    stack,
 )
 
 GATE_TOL = 1e-12
@@ -433,7 +436,7 @@ def test_merge_then_split_round_trip():
     reg.amps /= np.linalg.norm(reg.amps)
     before = reg.amps.copy()
     merged = SiteSpec("nq", "edge", z6)
-    reg.merge_sites("n", "q", merged)
+    merge_sites(reg, "n", "q", merged)
     assert [s.sid for s in reg.sites] == ["nq", "x"]
     assert reg.spec("nq").dim == 6
     # C-order pairing: joint label 2*n + q
@@ -441,7 +444,7 @@ def test_merge_then_split_round_trip():
         for q in range(2):
             assert abs(reg.amps[2 * n + q, 0] - before[n, 0, q]) < GATE_TOL
     reg.split_site("nq", SiteSpec("n", "edge", z3), SiteSpec("q", "edge", z2))
-    reg.merge_sites("n", "q", merged)
+    merge_sites(reg, "n", "q", merged)
     reg.split_site("nq", SiteSpec("n", "edge", z3), SiteSpec("q", "edge", z2))
     # move q back to the tail position by layout comparison
     assert [s.sid for s in reg.sites] == ["n", "q", "x"]
@@ -450,8 +453,9 @@ def test_merge_then_split_round_trip():
 
 @pytest.mark.parametrize("support", [False, True], ids=["dense", "support"])
 def test_dims_follow_every_change_to_the_site_list(support):
-    """dims is stored and rebuilt with the site index, so it must equal the
-    live sites' dimensions after every step that changes the site list."""
+    """dims and the row-major strides are stored and rebuilt with the site
+    index, so they must follow the live sites' dimensions after every step
+    that changes the site list."""
     z2, z3, z6 = build_cyclic(2), build_cyclic(3), build_cyclic(6)
     base = init_plus([SiteSpec("a", "edge", z2), SiteSpec("b", "edge", z3)])
     if support:
@@ -460,18 +464,23 @@ def test_dims_follow_every_change_to_the_site_list(support):
 
     def check(reg):
         assert reg.dims == tuple(s.dim for s in reg.sites)
+        assert reg._strides == tuple(int(np.prod(reg.dims[a + 1 :])) for a in range(len(reg.dims)))
         assert reg._dense().shape == reg.dims
         seen.append(reg.dims)
 
-    stack = base.stack(3)
-    check(stack)
-    reg = stack.seed(1)
+    three = stack(base, 3)
+    check(three)
+    reg = three.seed(1)
     check(reg)
     reg.add_sites([SiteSpec("c", "edge", z2)], circuit_of_gates([controlled_left(z2, "a", "c")]))
     check(reg)
-    reg.merge_sites("b", "a", SiteSpec("ba", "edge", z6))
+    merge_sites(reg, "b", "a", SiteSpec("ba", "edge", z6))
     check(reg)
     reg.split_site("ba", SiteSpec("b", "edge", z3), SiteSpec("a", "edge", z2))
+    check(reg)
+    reg.fuse_sites([(["c", "b"], SiteSpec("cb", "edge", z6), np.arange(6)[::-1])])
+    check(reg)
+    reg.split_site("cb", SiteSpec("c", "edge", z2), SiteSpec("b", "edge", z3))
     check(reg)
     reg.measure_fourier("c", np.random.default_rng(0))
     check(reg)
@@ -479,7 +488,7 @@ def test_dims_follow_every_change_to_the_site_list(support):
     check(reg)
     reg.measure_fourier("p", forced=0)
     check(reg)
-    assert seen == [(3, 2, 3), (2, 3), (2, 3, 2), (6, 2), (3, 2, 2), (3, 2), (3, 2, 3), (3, 2)]
+    assert seen == [(3, 2, 3), (2, 3), (2, 3, 2), (6, 2), (3, 2, 2), (2, 6), (2, 2, 3), (2, 3), (2, 3, 3), (2, 3)]
     assert base.dims == (2, 3)
 
 
@@ -490,7 +499,7 @@ def test_merge_respects_label_order_when_b_precedes_a():
     reg = init_identity(sites)
     flip = LocalOperator(["b"], "perm", [1, 0])
     reg.apply(flip)
-    reg.merge_sites("a", "b", SiteSpec("ab", "edge", z4))
+    merge_sites(reg, "a", "b", SiteSpec("ab", "edge", z4))
     # joint label 2*a + b with a=0, b=1
     assert abs(reg.amps[1] - 1) < GATE_TOL
 
@@ -571,6 +580,29 @@ def test_overlaps_on_the_support_match_the_densified_registers_bitwise(sites, de
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (bra_form, ket_form)
             assert bra.fidelity(ket).hex() == (abs(want) ** 2).hex(), (bra_form, ket_form)
     assert bras["support"]._support is not None and kets["support"]._support is not None
+
+
+@pytest.mark.parametrize("size", [5, register.OVERLAP_VIEW_MIN - 1, register.OVERLAP_VIEW_MIN, 6561])
+def test_the_overlap_mask_off_the_float_view_is_the_complex_logical_and(monkeypatch, size):
+    """The shared nonzero positions an overlap reads, found on the float64
+    views from OVERLAP_VIEW_MIN entries, are np.logical_and's on the complex
+    entries: a half of +0 or -0 is zero, a subnormal, an infinity or a NaN
+    half is not, whichever half it is. Each size and its two sides of the
+    floor give the bits of the overlap np.logical_and's mask gives."""
+    halves = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.nan, np.inf, -1.5, 1.0])
+    pairs = np.array([complex(re, im) for re in halves for im in halves])
+    rng = np.random.default_rng(size)
+    bra, ket = (pairs[rng.integers(pairs.size, size=size)] for _ in range(2))
+    bra[:2], ket[:2] = [0, 1], [complex(0.0, -0.0), complex(-0.0, 5e-324)]
+    want = np.logical_and(bra, ket)
+    for amps in (bra, ket):
+        assert np.array_equal(register._nonzero_halves(amps) != 0, amps != 0)
+    assert np.array_equal(np.logical_and(register._nonzero_halves(bra), register._nonzero_halves(ket)), want)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = register._overlap(bra, ket)
+        monkeypatch.setattr(register, "OVERLAP_VIEW_MIN", 0 if size < register.OVERLAP_VIEW_MIN else size + 1)
+        other = register._overlap(bra, ket)
+    assert (got.real.hex(), got.imag.hex()) == (other.real.hex(), other.imag.hex())
 
 
 def test_an_overlap_of_two_support_forms_gathers_by_searchsorted(monkeypatch):
@@ -948,8 +980,21 @@ def test_the_sampler_draws_what_rng_choice_draws(dim):
             w = weights.random(dim) * (weights.random(dim) < 0.7)
             w[weights.integers(dim)] += 0.5
             q = w / w.sum()
-            assert register._sample(rng, q) == int(ref.choice(dim, p=q))
+            assert register._sample([rng], q[None]).tolist() == [int(ref.choice(dim, p=q))]
             assert rng.bit_generator.state == ref.bit_generator.state
+        # several generators, one row each, drawing in order
+        rows = weights.random((4, dim)) + 0.01
+        rows /= rows.sum(axis=1, keepdims=True)
+        rngs, refs = [np.random.default_rng((seed, s)) for s in range(4)], [np.random.default_rng((seed, s)) for s in range(4)]
+        assert register._sample(rngs, rows).tolist() == [int(r.choice(dim, p=q)) for r, q in zip(refs, rows)]
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs]
+    # a draw equal to an entry of the cumulative row lands above it, as
+    # np.searchsorted(side="right") puts it; one row read by every generator
+    q = np.full(dim, 1 / dim)
+    cdf = q.cumsum() / q.cumsum()[-1]
+    stubs = [mock.Mock(random=mock.Mock(return_value=u)) for u in [0.0, *cdf[:-1]]]
+    want = [int(cdf.searchsorted(u, side="right")) for u in [0.0, *cdf[:-1]]]
+    assert register._sample(stubs, q[None]).tolist() == want
 
 
 # --- gated allocation -------------------------------------------------------------

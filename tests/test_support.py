@@ -366,14 +366,15 @@ def _drawn_step(draw, rng, reg, fresh):
     and its result: a diagonal or permutation gate on one to three targets
     in a drawn order; on a stack, a seed gate over one or two targets, a
     seed row of a diagonal or a permutation, or the identity; a
-    relabeling, sometimes of a non-permutation; a merge with the second
-    site before or after the first; a split; or the symmetry probe on one
+    relabeling, sometimes of a non-permutation; a fusion of one group of
+    two or three sites, or two groups of two, each in a drawn order through
+    a drawn permutation table or the identity; a split; or the symmetry probe on one
     or two vertices of one or two sites each, which returns its residual
     and what _require_symmetric raises. The callable comes second, after
     whether the step multiplies by phases. fresh names new sites."""
     dims = dict(reg.layout)
     live = [sid for sid in dims if sid != SEED_SITE]
-    kinds = ["diag", "perm", "relabel", "probe"] + ["seed"] * reg.stacked + ["merge"] * (len(live) > 1)
+    kinds = ["diag", "perm", "relabel", "probe"] + ["seed"] * reg.stacked + ["fuse"] * (len(live) > 1)
     kinds += ["split"] * any(d in (4, 6, 8, 9) for sid, d in dims.items() if sid != SEED_SITE)
     kind = draw(st.sampled_from(kinds))
     if kind in ("diag", "perm"):
@@ -390,10 +391,14 @@ def _drawn_step(draw, rng, reg, fresh):
         sid = draw(st.sampled_from(live))
         image = rng.permutation(dims[sid]) if draw(st.integers(0, 3)) else np.zeros(dims[sid], dtype=np.int64)
         return False, lambda r: r.relabel_site(sid, image)
-    if kind == "merge":
-        a, b = draw(st.permutations(live))[:2]
-        spec_ = SiteSpec(fresh(), "edge", build_cyclic(dims[a] * dims[b]))
-        return False, lambda r: r.merge_sites(a, b, spec_)
+    if kind == "fuse":
+        order = draw(st.permutations(live))
+        fusions = []
+        for lo, hi in draw(st.sampled_from([g for g in [((0, 2),), ((0, 3),), ((0, 2), (2, 4))] if g[-1][1] <= len(live)])):
+            size = math.prod(dims[t] for t in order[lo:hi])
+            table = rng.permutation(size) if draw(st.booleans()) else np.arange(size)
+            fusions.append((order[lo:hi], SiteSpec(fresh(), "edge", build_cyclic(size)), table))
+        return False, lambda r: r.fuse_sites(fusions)
     if kind == "split":
         sid = draw(st.sampled_from([sid for sid in live if dims[sid] in (4, 6, 8, 9)]))
         first = draw(st.sampled_from([k for k in (2, 3, 4) if dims[sid] % k == 0 and dims[sid] > k]))
@@ -421,7 +426,7 @@ def test_the_support_form_matches_a_register_densified_before_every_step_bitwise
     to three seeds and sometimes starting in support form, then twice a
     gated allocation followed by drawn steps: sampled or forced
     measurements, diagonal and permutation gates, seed gates, relabelings,
-    merges, splits and the symmetry probe (_drawn_step). At every step the
+    fusions, splits and the symmetry probe (_drawn_step). At every step the
     register in either form and the densified one agree on the result or
     the error, the retired record and the generator states; the support
     positions are exactly the nonzero entries of the dense state, with its
