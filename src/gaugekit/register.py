@@ -73,11 +73,6 @@ SEED_SITE = ("seed",)
 # amplitudes one np.vdot of an overlap reads: OpenBLAS splits a complex dot
 # product of more than 10,000 across its threads, moving the sum's last bit
 OVERLAP_CHUNK = 8192
-# entries from which an overlap finds its shared nonzero positions on the
-# float64 view (_nonzero_halves), the same mask: below it the complex
-# logical_and's element loop costs less than the view's fixed cost (about
-# 1,000-1,500 on the machine the crossover was measured on)
-OVERLAP_VIEW_MIN = 1024
 
 
 @dataclass(frozen=True)
@@ -289,21 +284,6 @@ def _sorted(flat: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return flat[order], values[order]
 
 
-def _unique_inverse(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """np.unique(keys, return_inverse=True): the sorted distinct keys and
-    the index of each key among them, from one stable argsort, which takes
-    about linear time on keys made of a few sorted runs, as the live columns
-    of a support form's rows are."""
-    order = keys.argsort(kind="stable")
-    ordered = keys[order]
-    fresh = np.empty(keys.size, dtype=bool)
-    fresh[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    inverse = np.empty(keys.size, dtype=np.intp)
-    inverse[order] = fresh.cumsum() - 1
-    return ordered[fresh], inverse
-
-
 def _from_support(sites: Sequence[SiteSpec], flat: np.ndarray, values: np.ndarray) -> "QuditRegister":
     """A register over sites in support form: sorted distinct positions flat, nonzero values."""
     out = object.__new__(QuditRegister)
@@ -345,14 +325,9 @@ def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
     bits do not depend on the BLAS thread count, nor on the entries that are
     zero on either side: two support forms read at their positions give the
     bits of the dense call. A chunk is gathered when it is used, or read in
-    place when every position is shared. The shared positions are those
-    np.logical_and finds, read off the float64 views from OVERLAP_VIEW_MIN
-    entries (_nonzero_halves)."""
+    place when every position is shared."""
     bra, ket = bra.ravel(), ket.ravel()
-    if bra.size < OVERLAP_VIEW_MIN:
-        both = np.logical_and(bra, ket)
-    else:
-        both = np.logical_and(_nonzero_halves(bra), _nonzero_halves(ket))
+    both = np.logical_and(bra, ket)
     if np.count_nonzero(both) == both.size:
         if both.size <= OVERLAP_CHUNK:
             return complex(np.vdot(bra, ket))
@@ -362,13 +337,6 @@ def _overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
         chunks = [shared[lo : lo + OVERLAP_CHUNK] for lo in range(0, shared.size, OVERLAP_CHUNK)]
     parts = [complex(np.vdot(bra[at], ket[at])) for at in chunks]
     return sum(parts[1:], parts[0]) if parts else 0j
-
-
-def _nonzero_halves(amps: np.ndarray) -> np.ndarray:
-    """Per entry of a flat complex128 array, a uint16 that is nonzero where
-    the entry is (the truth value np.logical_and reads): the two float64
-    halves compared with 0, the entry's two booleans read as one uint16."""
-    return (amps.view(np.float64) != 0.0).view(np.uint16)
 
 
 def _rotated(fourier: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -422,10 +390,10 @@ def _sample(rngs: Sequence[np.random.Generator], probs: np.ndarray) -> np.ndarra
     positive sum."""
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    draws = np.array([rng.random() for rng in rngs])
+    draws = np.array([[rng.random()] for rng in rngs])
     # the first entry above a draw is np.searchsorted(row, draw, side="right"):
     # the last entry is exactly 1, above every draw
-    return (cdf > draws[:, None]).argmax(axis=1)
+    return (cdf > draws).argmax(axis=1)
 
 
 @dataclass
@@ -764,14 +732,14 @@ class QuditRegister:
         cols = _rotated(_fourier_matrix(spec_.group), cols).reshape(dim, -1)  # frees the gathered block
         rows, at = _measured_rows(cols, live, blocks, outer // blocks * inner)
         weights = _born_weights(rows).reshape(blocks, dim)
-        totals = weights.sum(axis=1)
+        totals = weights.sum(axis=1, keepdims=True)
         probs, sums, zero = weights, totals, None
-        unusual = ~(np.abs(totals - 1.0) <= 1e-6)  # more than 1e-6 off 1: zero, NaN or to be rescaled
-        if np.count_nonzero(unusual):
-            zero = ~(totals > 0)
+        off = np.abs(totals - 1.0)
+        if not off.max() <= 1e-6:  # a total more than 1e-6 off 1: zero, NaN or to be rescaled
+            zero = ~(totals[:, 0] > 0)
             with np.errstate(invalid="ignore"):  # a zero block, rejected below, reads 0 / 0
-                probs = weights / np.where(unusual, totals, 1.0)[:, None]
-            sums = probs.sum(axis=1)
+                probs = weights / np.where(off <= 1e-6, 1.0, totals)
+            sums = probs.sum(axis=1, keepdims=True)
         # each seed's block's first row: the seeds of a fan-out share block 0
         base = np.arange(0, blocks * dim, dim) if blocks > 1 else 0
         failed = zero  # one per block, or None: no block is zero
@@ -791,10 +759,10 @@ class QuditRegister:
                 f"(distribution {np.round(probs[block], 6).tolist()})"
             )
         if forced is None:
-            outcomes = _sample(rngs, probs / sums[:, None])
+            outcomes = _sample(rngs, probs / sums)
         pick = outcomes + base  # each seed's row of weights, probabilities and branches
         chosen = weights.take(pick)
-        branch = rows[pick]
+        branch = rows.take(pick, axis=0)
         branch /= np.sqrt(chosen)[:, None]
         probabilities = (chosen if probs is weights else probs.take(pick)).tolist()
         if live is None:
@@ -827,7 +795,7 @@ class QuditRegister:
                 flat, values = self._support
                 rest, back = np.divmod(flat, inner)
                 front, row = np.divmod(rest, dim)
-                live, col = _unique_inverse(front * inner + back)
+                live, col = np.unique(front * inner + back, return_inverse=True)
             else:
                 view = self._amps.reshape(outer, dim, inner)
                 live = np.flatnonzero(view.any(axis=1))

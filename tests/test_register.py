@@ -582,29 +582,6 @@ def test_overlaps_on_the_support_match_the_densified_registers_bitwise(sites, de
     assert bras["support"]._support is not None and kets["support"]._support is not None
 
 
-@pytest.mark.parametrize("size", [5, register.OVERLAP_VIEW_MIN - 1, register.OVERLAP_VIEW_MIN, 6561])
-def test_the_overlap_mask_off_the_float_view_is_the_complex_logical_and(monkeypatch, size):
-    """The shared nonzero positions an overlap reads, found on the float64
-    views from OVERLAP_VIEW_MIN entries, are np.logical_and's on the complex
-    entries: a half of +0 or -0 is zero, a subnormal, an infinity or a NaN
-    half is not, whichever half it is. Each size and its two sides of the
-    floor give the bits of the overlap np.logical_and's mask gives."""
-    halves = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.nan, np.inf, -1.5, 1.0])
-    pairs = np.array([complex(re, im) for re in halves for im in halves])
-    rng = np.random.default_rng(size)
-    bra, ket = (pairs[rng.integers(pairs.size, size=size)] for _ in range(2))
-    bra[:2], ket[:2] = [0, 1], [complex(0.0, -0.0), complex(-0.0, 5e-324)]
-    want = np.logical_and(bra, ket)
-    for amps in (bra, ket):
-        assert np.array_equal(register._nonzero_halves(amps) != 0, amps != 0)
-    assert np.array_equal(np.logical_and(register._nonzero_halves(bra), register._nonzero_halves(ket)), want)
-    with np.errstate(invalid="ignore", over="ignore"):
-        got = register._overlap(bra, ket)
-        monkeypatch.setattr(register, "OVERLAP_VIEW_MIN", 0 if size < register.OVERLAP_VIEW_MIN else size + 1)
-        other = register._overlap(bra, ket)
-    assert (got.real.hex(), got.imag.hex()) == (other.real.hex(), other.imag.hex())
-
-
 def test_an_overlap_of_two_support_forms_gathers_by_searchsorted(monkeypatch):
     """A support form read at the other's positions finds them with one
     searchsorted, not np.intersect1d, with the bits of the dense call, also
