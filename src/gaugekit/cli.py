@@ -191,8 +191,8 @@ def _run_protocol(
     config: RunConfig, subject: Union[FiniteGroup, FactorSystem], cell: Cellulation, modes: Sequence[KwMode]
 ) -> Iterator[List[ProtocolTranscript]]:
     """One list of transcripts per stack of seeds, a stack run once the last
-    one's list is taken, from the run plan built here, one seed or many: it
-    shares the oracle and the start register among the stacks."""
+    one's list is taken, from the run plan plan_run returns, one seed or
+    many: it shares the oracle and the prefix among the stacks."""
     plan = plan_run(config.protocol, subject, cell, with_oracle=config.oracle_fidelity)
     return (list(plan.run(modes[lo : lo + plan.seeds])) for lo in range(0, len(modes), plan.seeds))
 

@@ -6,9 +6,10 @@ edge labels into the full group at the end. The transcript records every
 unitary layer, outcome, and correction plan, along with the branch
 probability and the fidelity against the enumeration oracle when requested.
 Every run, one seed or many, is a run plan (plan_run): the preconditions,
-the start register and the oracle, built once. Its seeds run in lockstep
-from the start register: each stack of seeds starts as one seed, a fork of
-it, and its first measurement fans that seed out to the stack
+the start register and the oracle, built once per (protocol, subject, cell,
+oracle, budget) and shared by every run with that key. Its seeds run in
+lockstep from the start register: each stack of seeds starts as one seed, a
+fork of it, and its first measurement fans that seed out to the stack
 (QuditRegister.measure_fourier), since every seed runs the same circuit
 until then. Each vertex-route round is one kw_n_in_g or kw_abelian call:
 one symmetry probe and one gated allocation (round 1's on the one seed),
@@ -37,6 +38,7 @@ from .groups import (
     factor_system_of,
     is_nil2_extension,
 )
+from . import register
 from .kwmaps import (
     KwMode, _apply_corrections, _charge_plans, _couple_plaquettes, _flux_plans, _measure_sites,
     _plan_gate, _plaquette_site, kw_abelian, kw_exact_g, kw_n_in_g,
@@ -529,8 +531,9 @@ _VERTEX_ROUTE: Dict[str, Tuple[str, Callable[..., _Start]]] = {
 
 @dataclass(frozen=True)
 class RunPlan:
-    """The seed-independent part of one preparation run, built once and
-    shared by every seed.
+    """The seed-independent part of one preparation run, built once per
+    (protocol, subject, cell, oracle, budget) (plan_run) and shared by every
+    seed of every run with that key.
 
     prefix is the run's start register: for the vertex-route protocols the
     input after the preconditions and round 1's vertex split, so each stack
@@ -592,7 +595,28 @@ def plan_run(
     "solvable") on subject, its preconditions checked here: each
     vertex-route prepare_* entry point is plan_run(...).branch(mode), and
     prepare_nil2_double checks the same ones in the same order, so
-    plan.run(modes) reports what the entry point reports for each mode."""
+    plan.run(modes) reports what the entry point reports for each mode.
+
+    A plan is built once per key and shared (_plan_of). The key holds every
+    input the plan reads: the subject's tables, which its equality compares,
+    and the names of every group a report prints, which it does not; the
+    cell; with_oracle; and register.AMPLITUDE_BUDGET as it reads now, which
+    sets the seeds of a stack. A rejected plan is not kept."""
+    groups = (subject.parent, subject.n_group, subject.q_group) if isinstance(subject, FactorSystem) else (subject,)
+    names = tuple(group.name for group in groups)
+    return _plan_of(protocol, subject, names, cell, with_oracle, register.AMPLITUDE_BUDGET)
+
+
+@lru_cache(maxsize=16)
+def _plan_of(
+    protocol: str,
+    subject: Union[FiniteGroup, FactorSystem],
+    names: Tuple[str, ...],
+    cell: Cellulation,
+    with_oracle: bool,
+    budget: int,
+) -> RunPlan:
+    """plan_run's plan, built for one key: names and budget only key it."""
     if protocol == "nil2":
         prefix = _nil2_start(subject, cell)
         oracle = _oracle(subject.parent, cell) if with_oracle else None

@@ -476,11 +476,15 @@ class QuditRegister:
     @property
     def amps(self) -> np.ndarray:
         """The dense amplitudes; a register in support form writes them
-        here, once, and leaves that form. They are read-only when the
-        support form was (freeze)."""
+        here, once, and leaves that form. A frozen support form (freeze)
+        never changes form, since registers fork it from any thread: its
+        dense amplitudes are scattered on every read, read-only, and not
+        stored."""
         if self._support is not None:
             dense = self._dense()
-            dense.setflags(write=self._support[1].flags.writeable)
+            if not self._support[1].flags.writeable:
+                dense.setflags(write=False)
+                return dense
             self.amps = dense
         return self._amps
 

@@ -1,10 +1,21 @@
-"""Acceptance-criterion result collection: one summary line per criterion."""
+"""Acceptance-criterion result collection: one summary line per criterion,
+and a cold plan cache for every test."""
 
 from typing import Dict, Tuple
 
 import pytest
 
 _RESULTS: Dict[int, Tuple[bool, str]] = {}
+
+
+@pytest.fixture(autouse=True)
+def cold_plans():
+    """Each test starts without cached run plans, so a test that counts the
+    steps a plan build runs, or patches what a build reads, sees its own
+    build rather than a plan an earlier test left behind."""
+    from gaugekit import protocols
+
+    protocols._plan_of.cache_clear()
 
 
 @pytest.fixture

@@ -505,12 +505,17 @@ def test_every_seed_forks_the_prefix_in_support_form(monkeypatch, group, protoco
     bitwise those of seeds forked from the same prefix moved to the other
     form first: for nil2 densified, so that the first measurement scans the
     dense array, for S4 in support form, so that the round-1 symmetry probe
-    and allocation read positions."""
+    and allocation read positions. The other prefix is a second plan of the
+    same key, built cold, since plan_run shares one plan per key."""
     subject = catalog_factor_system(group) if protocol == "nil2" else CAT[group]
-    plan, other = (protocols.plan_run(protocol, subject, hexagon_torus()) for _ in range(2))
+    plan = protocols.plan_run(protocol, subject, hexagon_torus())
+    protocols._plan_of.cache_clear()
+    other = protocols.plan_run(protocol, subject, hexagon_torus())
     arrays = _prefix_arrays(plan)
     assert arrays[0].size == size and not any(array.flags.writeable for array in arrays)
     if protocol == "nil2":
+        other.prefix.amps = other.prefix._dense()
+        other.prefix.freeze()
         assert not other.prefix.amps.flags.writeable and other.prefix._support is None
     else:
         assert plan.prefix._support is None
@@ -536,20 +541,33 @@ def test_every_seed_forks_the_prefix_in_support_form(monkeypatch, group, protoco
 
 
 def test_threads_branching_from_one_prefix_match_a_serial_run():
-    plan = protocols.plan_run("metabelian", catalog_factor_system("S3"), hexagon_torus())
-    digest = _prefix_digest(plan)
-    modes = [kwmaps.KwMode.sample(seed) for seed in range(16)]
-    serial = [plan.branch(mode).to_json() for mode in modes]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda mode=mode: plan.branch(mode).to_json()) for mode in modes]
-            threaded = [future.result(timeout=120) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
-    assert _prefix_digest(plan) == digest
+    """Threads that each look the plan up, read its prefix's amplitudes and
+    branch from it report what a serial run does, and leave the shared
+    prefix, dense (S3 metabelian) or a support form (D4 nil2), holding the
+    same arrays."""
+    for group, protocol in [("S3", "metabelian"), ("D4", "nil2")]:
+        subject = _subject(protocol, group)
+        plan = protocols.plan_run(protocol, subject, hexagon_torus())
+        digest, arrays = _prefix_digest(plan), _prefix_arrays(plan)
+        modes = [kwmaps.KwMode.sample(seed) for seed in range(16)]
+        serial = [plan.branch(mode).to_json() for mode in modes]
+        total = plan.prefix.amps.sum()
+
+        def branch(mode, subject=subject, protocol=protocol):
+            shared = protocols.plan_run(protocol, subject, hexagon_torus())
+            return shared.prefix.amps.sum(), shared.branch(mode).to_json()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(branch, mode) for mode in modes]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [(total, transcript) for transcript in serial]
+        assert _prefix_digest(plan) == digest
+        assert all(a is b for a, b in zip(_prefix_arrays(plan), arrays))
 
 
 # --- after the first measurement a stack stays on its support
@@ -824,3 +842,131 @@ def test_the_early_budget_check_predicts_the_largest_round_exactly(monkeypatch, 
     _forbid_the_oracle(monkeypatch)
     with pytest.raises(ValueError, match=f"^register of {peak} amplitudes exceeds the dense register budget {peak - 1}$"):
         protocols.plan_run(protocol, _subject(protocol, group), hexagon_torus())
+
+
+# --- one plan per key: names and budget in the key, the cached arrays read-only
+
+
+def _renamed(subject, names):
+    """A copy of a group or factor system with equal tables under other
+    names: equal to it and hashed alike, since equality reads no name."""
+    if isinstance(subject, groups.FiniteGroup):
+        return groups.FiniteGroup(subject.mult, name=names[0])
+    n_group = groups.FiniteGroup(subject.n_group.mult, name=names[1])
+    q_group = groups.FiniteGroup(subject.q_group.mult, name=names[2])
+    fs = groups.FactorSystem(n_group, q_group, subject.sigma, subject.omega)
+    groups.extension_from_factor_system(fs, name=names[0])
+    return fs
+
+
+RENAMED = {
+    "S4-solvable": ("solvable", "S4", ("Sym4",)),
+    "S3-metabelian": ("metabelian", "S3", ("Sym3", "C3", "C2")),
+    "D4-nil2": ("nil2", "D4", ("Dih4", "C2", "V4")),
+}
+
+
+def test_renamed_copies_run_their_own_plans_with_the_bytes_of_a_cold_run():
+    """S4 solvable, S3 metabelian and D4 nil2, each with a renamed copy of
+    equal tables, run in alternating order on one plan cache: each run
+    gives the transcripts of its own cold-cache run byte for byte, printing
+    its own names, since the plan key holds the names a report prints."""
+    cell = hexagon_torus()
+    modes = [kwmaps.KwMode.sample(seed) for seed in range(4)]
+    cases = []
+    for protocol, group, names in RENAMED.values():
+        subject = _subject(protocol, group)
+        renamed = _renamed(subject, names)
+        assert renamed == subject and hash(renamed) == hash(subject)
+        cases += [(protocol, subject, group), (protocol, renamed, names[0])]
+
+    def run(protocol, subject):
+        return [t.to_json() for t in protocols.plan_run(protocol, subject, cell).run(modes)]
+
+    cold = []
+    for protocol, subject, _ in cases:
+        protocols._plan_of.cache_clear()
+        cold.append(run(protocol, subject))
+    protocols._plan_of.cache_clear()
+    for _ in range(2):
+        for (protocol, subject, _), want in zip(cases, cold):
+            assert run(protocol, subject) == want
+    assert protocols._plan_of.cache_info()[:2] == (len(cases), len(cases))
+    for (_, _, name), (_, _, other), transcripts in zip(cases[::2], cases[1::2], cold[1::2]):
+        assert all(f'"group": "{other}"' in t and name not in t for t in transcripts)
+    # the quotient's name is printed by the metabelian run's second round
+    assert all('"label": "gauge the abelian group C2"' in t for t in cold[3])
+
+
+def _plan_arrays(plan):
+    return list(_prefix_arrays(plan)) + list(plan.oracle._support)
+
+
+def test_rejected_runs_leave_the_cached_plans_bitwise_as_they_were(monkeypatch, tmp_path):
+    """A warm rotation of the four prepare kinds, twice, with two kinds of
+    rejected run among its ops: a forced outcome table of zero Born
+    probability on a cached plan, and 4-seed runs under a patched budget,
+    one split into two stacks and one over the budget. Afterwards every
+    cached prefix and oracle array is bitwise as it was and rejects writes,
+    and each report equals a cold-cache run byte for byte."""
+    cell = hexagon_torus()
+    rotation = [
+        cli.RunConfig(command="prepare", group=group, cell="hexagon", protocol=protocol, mode="sample:3", seeds=4)
+        for group, protocol in [("S4", "solvable"), ("S3", "metabelian"), ("D4", "nil2"), ("Z3", "abelian")]
+    ]
+    impossible = tmp_path / "impossible.json"
+    impossible.write_text(json.dumps({"0": 1, "1": 1}))
+    zero = cli.RunConfig(command="prepare", group="Z3", cell="hexagon", protocol="abelian", mode=f"forced:{impossible}")
+    metabelian = rotation[1]
+
+    def plan_of(config):
+        return protocols.plan_run(config.protocol, _subject(config.protocol, config.group), cell)
+
+    cold = [cli.cmd_prepare(config)[0] for config in rotation]
+    plans = [plan_of(config) for config in rotation]
+    with monkeypatch.context() as patch:
+        patch.setattr(register, "AMPLITUDE_BUDGET", 2 * 972)
+        cold_split, _ = cli.cmd_prepare(metabelian)
+        plans.append(plan_of(metabelian))
+    assert plans[-1] is not plans[1] and plans[-1].seeds == 2
+    before = [[array.tobytes() for array in _plan_arrays(plan)] for plan in plans]
+    for _ in range(2):
+        for config in rotation:
+            cli.cmd_prepare(config)
+        with pytest.raises(ValueError, match="zero Born probability"):
+            cli.cmd_prepare(zero)
+        with monkeypatch.context() as patch:
+            patch.setattr(register, "AMPLITUDE_BUDGET", 2 * 972)
+            assert _entry_bytes(cli.cmd_prepare(metabelian)[0]) == _entry_bytes(cold_split)
+            patch.setattr(register, "AMPLITUDE_BUDGET", 971)
+            with pytest.raises(ValueError, match="exceeds the dense register budget 971$"):
+                cli.cmd_prepare(metabelian)
+    assert all(plan_of(config) is plan for config, plan in zip(rotation, plans))
+    for plan, digest in zip(plans, before):
+        arrays = _plan_arrays(plan)
+        assert [array.tobytes() for array in arrays] == digest
+        for array in arrays:
+            _assert_read_only(array)
+    warm = [cli.cmd_prepare(config)[0] for config in rotation]
+    assert [_entry_bytes(payload) for payload in warm] == [_entry_bytes(payload) for payload in cold]
+    protocols._plan_of.cache_clear()
+    protocols._oracle.cache_clear()
+    assert [_entry_bytes(cli.cmd_prepare(config)[0]) for config in rotation] == [_entry_bytes(p) for p in warm]
+
+
+def test_reading_a_cached_prefix_leaves_it_in_support_form():
+    """Reading the dense amplitudes of a cached plan's support-form prefix
+    (D4 nil2) scatters a read-only copy and stores nothing: the prefix keeps
+    the same two arrays, and a warm run reports the bytes it reported
+    before the read."""
+    config = cli.RunConfig(command="prepare", group="D4", cell="hexagon", protocol="nil2", mode="sample:4")
+    before, _ = cli.cmd_prepare(config)
+    prefix = protocols.plan_run("nil2", catalog_factor_system("D4"), hexagon_torus()).prefix
+    flat, values = prefix._support
+    dense = prefix.amps
+    assert not dense.flags.writeable and dense is not prefix.amps
+    assert np.array_equal(dense.reshape(-1)[flat], values) and np.count_nonzero(dense) == flat.size
+    assert prefix._amps is None and prefix._support[0] is flat and prefix._support[1] is values
+    after, _ = cli.cmd_prepare(config)
+    assert protocols._plan_of.cache_info()[:2] == (2, 1)
+    assert _entry_bytes(after) == _entry_bytes(before)
