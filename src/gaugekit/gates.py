@@ -4,10 +4,11 @@ Covers group multiplication operators, controlled multiplications, the
 abelian CZ, character diagonals, loop diagonals, and the factor-system
 dressings (sigma and omega) with the split-label relabelings.
 
-The table-building gates (CL, CR, CZ, Sigma, Omega and each dressed charge
-diagonal) are retargets of one template per group or factor system, built
-and checked once on placeholder targets and cached like character_table: a
-gate and its inverse share the template's read-only tables.
+The table-building gates (CL, CR, CZ, Sigma, Omega, each dressed charge
+diagonal, and the correction gates L^g and Z^t) are retargets of one
+template per group or factor system (and label), built and checked once on
+placeholder targets and cached like character_table: a gate and its inverse
+share the template's read-only tables.
 """
 
 from __future__ import annotations
@@ -37,10 +38,14 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
+def _left_mult(group: FiniteGroup, g: int) -> LocalOperator:
+    return LocalOperator([0], "perm", group.mult[g], name=f"L^{g}")
+
+
 def left_mult(group: FiniteGroup, g: int, sid: Hashable) -> LocalOperator:
     """L^g |h> = |gh>."""
-    image = group.mult[g]
-    return LocalOperator([sid], "perm", image, name=f"L^{g}")
+    return _left_mult(group, g).retarget([sid])
 
 
 def right_mult(group: FiniteGroup, g: int, sid: Hashable) -> LocalOperator:
@@ -95,11 +100,15 @@ def cz_abelian(a_group: FiniteGroup, c_sid: Hashable, t_sid: Hashable) -> LocalO
     return _cz_abelian(a_group).retarget([c_sid, t_sid])
 
 
+@lru_cache(maxsize=64)
+def _z_dual(a_group: FiniteGroup, t: int) -> LocalOperator:
+    _require_abelian(a_group, "z_dual")
+    return LocalOperator([0], "diag", character_table(a_group)[t], name=f"Z^{t}")
+
+
 def z_dual(a_group: FiniteGroup, t: int, sid: Hashable) -> LocalOperator:
     """Z^t |a> = chi^t(a) |a> for a dual-group label t."""
-    _require_abelian(a_group, "z_dual")
-    chi = character_table(a_group)
-    return LocalOperator([sid], "diag", chi[t], name=f"Z^{t}")
+    return _z_dual(a_group, t).retarget([sid])
 
 
 def _check_loop_closed(loop: Sequence[Tuple[int, int]], cell: Cellulation) -> None:

@@ -260,7 +260,11 @@ def _taken(amps: np.ndarray, axes: Sequence[int], sources: np.ndarray) -> np.nda
 
 def _support_joint(flat: np.ndarray, dims: Sequence[int], strides: Sequence[int], axes: Sequence[int]) -> np.ndarray:
     """The joint label of axes, row-major in the given order, at every flat
-    position of a C-order array of shape dims and row-major strides."""
+    position of a C-order array of shape dims and row-major strides. Adjacent
+    ascending axes are one row-major digit of the position, read with one
+    floor-divide and one modulo; other axes are read one at a time."""
+    if len(axes) and list(axes) == list(range(axes[0], axes[0] + len(axes))):
+        return flat // strides[axes[-1]] % math.prod(dims[axes[0] : axes[-1] + 1])
     joint = 0
     for a in axes:
         joint = joint * dims[a] + flat // strides[a] % dims[a]
@@ -820,10 +824,13 @@ class QuditRegister:
 
     def inner_product(self, other: "QuditRegister") -> complex:
         """<self|other> (_overlap). A register in support form reads the other
-        only at its own positions, so no dense array is written."""
+        only at its own positions, so no dense array is written; two support
+        forms at the same positions are overlapped as they are."""
         self._check_layout(other)
         if self._support is not None:
             flat, values = self._support
+            if other._support is not None and np.array_equal(flat, other._support[0]):
+                return _overlap(values, other._support[1])
             return _overlap(values, other._values_at(flat))
         if other._support is not None:
             flat, values = other._support

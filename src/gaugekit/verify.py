@@ -23,6 +23,7 @@ bitwise that of one column at a time.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ from .groups import (
 from .kwmaps import _wall_gates, kw_abelian, kw_hat_abelian, KwMode
 from .protocols import _nil2_circuit
 from .register import (
+    OVERLAP_CHUNK,
     DiagonalOperator,
     QuditRegister,
     SiteSpec,
@@ -184,22 +186,24 @@ def stabilizer_reports(
     image[g^-1] of every edge at v, found by searchsorted on the positions
     (zero off them); a diagonal multiplies each amplitude by its entry in
     one table (_stabilizer_diagonals). Each (register, term) row is
-    overlapped with that register's state on its run of positions
-    (_overlap), so each value has the bits of a dense sweep
+    overlapped with that register's state on its run of positions, the
+    nonzero test run once for the joined supports and once per block of
+    term rows (_expectations), so each value has the bits of a dense sweep
     (tests/reference.py, dense_stabilizer_report); the first value off the
     real axis, by register, then A, B, loops, raises."""
     first = registers[0]
     for reg in registers[1:]:
         first._check_layout(reg)
     edges = tuple(edge_of(e) for e in range(cell.n_edges))
-    wrong = [sid for sid in edges if first.spec(sid).dim != g_group.order]
+    d, dims = g_group.order, first.dims
+    axes = [first.pos(sid) for sid in edges]
+    wrong = [sid for sid, a in zip(edges, axes) if dims[a] != d]
     if wrong:
         raise ValueError(f"stabilizer report: edge sites {wrong} do not carry {g_group.name}")
     terms = _stabilizer_diagonals(g_group, cell, edges)
-    d, dims = g_group.order, first.dims
-    strides = np.array([first._strides[first.pos(sid)] for sid in edges], dtype=np.int64)
+    strides = np.array([first._strides[a] for a in axes], dtype=np.int64)
     supports = [reg._support_form() for reg in registers]
-    ends = np.cumsum([0] + [at.size for at, _ in supports])
+    ends = list(itertools.accumulate((at.size for at, _ in supports), initial=0))
     runs = list(zip(ends[:-1], ends[1:]))
     flat, bra = supports[0]
     if len(supports) > 1:
@@ -260,19 +264,38 @@ def _expectations(
     position; one block reads at most SUPPORT_CHUNK of them: several terms
     at every position of a small support, one term over a run of positions
     of a large one, written into one row buffer. Each (state, term) row is
-    overlapped with bra on the state's run (_overlap): off the support the
-    state is zero, so the bits are those of the dense expectation."""
+    overlapped with bra on the state's run: off the support the state is
+    zero, so the bits are those of the dense expectation (_run_overlaps)."""
     step = max(1, SUPPORT_CHUNK // rows)
+    full = np.count_nonzero(bra) == bra.size
     if bra.size <= step:
         per = step // max(1, bra.size)
         blocks = (values(lo, min(lo + per, count), slice(None)) for lo in range(0, count, per))
-        return [[_overlap(bra[a:b], row[a:b]) for a, b in runs] for block in blocks for row in block]
+        return [out for block in blocks for out in _run_overlaps(bra, block, runs, full)]
     row, out = np.empty_like(bra), []
     for t in range(count):
         for lo in range(0, bra.size, step):
             row[lo : lo + step] = values(t, t + 1, slice(lo, lo + step))[0]
-        out.append([_overlap(bra[a:b], row[a:b]) for a, b in runs])
+        out += _run_overlaps(bra, row[None], runs, full)
     return out
+
+
+def _run_overlaps(
+    bra: np.ndarray, block: np.ndarray, runs: Sequence[Tuple[int, int]], full: bool
+) -> List[List[complex]]:
+    """<bra|row> on each run, for each row of block, with _overlap's bits.
+    The nonzero test runs once for the block: when bra (full) and the block
+    have no zero, every run is _overlap's all-shared case, one np.vdot read
+    in place for a run of at most OVERLAP_CHUNK. A block that holds a zero,
+    or a longer run, takes _overlap row by row."""
+    shared = full and np.count_nonzero(block) == block.size
+
+    def overlap(row: np.ndarray, a: int, b: int) -> complex:
+        if shared and b - a <= OVERLAP_CHUNK:
+            return complex(np.vdot(bra[a:b], row[a:b]))
+        return _overlap(bra[a:b], row[a:b])
+
+    return [[overlap(row, a, b) for a, b in runs] for row in block]
 
 
 @dataclass(frozen=True)

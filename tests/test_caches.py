@@ -72,6 +72,8 @@ TEMPLATES = [
     gates._sigma_gate,
     gates._omega_gate,
     gates._z_tilde,
+    gates._z_dual,
+    gates._left_mult,
 ]
 
 

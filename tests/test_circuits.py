@@ -4,8 +4,8 @@ over a target table of one row of sites per edge.
 Its rows are checked bitwise against the per-edge gate list it stands for
 (tests/reference.py), its templates against the one property the gated
 allocation relies on (each writes only its edge site), its size against
-the cell, and a warm protocol op is spied on: it retargets no per-edge wall
-gate and looks its allocation rows up once per round.
+the cell, and a warm protocol op is spied on: it retargets no wall gate onto
+an edge's sites and looks its allocation rows up once per round.
 """
 
 import math
@@ -165,9 +165,10 @@ def test_a_round_has_as_many_layers_as_templates_on_every_square_torus(length):
 
 def test_a_warm_abelian_op_builds_no_per_edge_gate_and_looks_its_rows_up_once_per_round(monkeypatch):
     """After one cold pass of the two dense abelian op kinds, a second pass
-    retargets only the round's templates, onto slot numbers, never a wall
-    gate onto an edge's sites, and each round makes exactly one lookup of
-    its allocation rows, a cache hit."""
+    retargets the round's wall templates (CL and CR) only onto slot numbers,
+    never a wall gate onto an edge's sites, and each round makes exactly one
+    lookup of its allocation rows, a cache hit. Every other retarget is a
+    correction template (Z^t or L^g) onto one edge site."""
     configs = [
         cli.RunConfig(command="prepare", group=group, cell=cell, protocol="abelian", mode="sample:5")
         for group, cell in [("Z3", "square:2x2"), ("Z2", "square:3x2")]
@@ -178,7 +179,7 @@ def test_a_warm_abelian_op_builds_no_per_edge_gate_and_looks_its_rows_up_once_pe
     retarget, rows, kw_abelian = LocalOperator.retarget, register._gated_rows, protocols.kw_abelian
 
     def spy_retarget(op, targets):
-        retargets.append(tuple(targets))
+        retargets.append((op.name, tuple(targets)))
         return retarget(op, targets)
 
     def spy_rows(*args):
@@ -197,4 +198,8 @@ def test_a_warm_abelian_op_builds_no_per_edge_gate_and_looks_its_rows_up_once_pe
         cli.cmd_prepare(config)
     assert rounds["calls"] == len(configs)
     assert lookups["calls"] == rounds["calls"] and rows.cache_info().misses == misses
-    assert sorted(retargets) == [(0, 2), (0, 2), (1, 2), (1, 2)]
+    walls = sorted(targets for name, targets in retargets if name in ("CL", "CR"))
+    assert walls == [(0, 2), (0, 2), (1, 2), (1, 2)]
+    corrections = [(name, targets) for name, targets in retargets if name not in ("CL", "CR")]
+    assert corrections, "the sampled runs apply no correction"
+    assert all(name[:2] in ("Z^", "L^") and [sid[0] for sid in targets] == ["e"] for name, targets in corrections)
